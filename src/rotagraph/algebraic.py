@@ -12,8 +12,8 @@ safe to share between threads.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
-import mpmath
 import sympy
 
 from . import polys
@@ -25,10 +25,6 @@ from .errors import (
 from .polys import IntPoly
 
 LESS, EQUAL, GREATER = -1, 0, 1
-
-#: candidate degree above which root selection tries the integer-relation
-#: shortcut before resorting to full factorisation
-_GUESS_THRESHOLD = 24
 
 
 class AlgReal:
@@ -129,37 +125,6 @@ class AlgReal:
         lo, hi = self._interval
         return (lo + hi) / 2
 
-    def _mpf(self, prec):
-        """mpmath approximation: bisect coarsely, then Newton-polish."""
-        if self.is_rational:
-            with mpmath.workprec(prec + 10):
-                r = self.as_rational()
-                return mpmath.mpf(r.numerator) / r.denominator
-        self.refine_below(Fraction(1, 2 ** 50))
-        lo, hi = self._interval
-        dp = polys.derivative(self.min_poly)
-        with mpmath.workprec(prec + 20):
-            v = (mpmath.mpf(lo.numerator) / lo.denominator
-                 + mpmath.mpf(hi.numerator) / hi.denominator) / 2
-            for _ in range(80):
-                f = _mp_eval(self.min_poly, v)
-                d = _mp_eval(dp, v)
-                if d == 0:
-                    break
-                step = f / d
-                v2 = v - step
-                if abs(step) < mpmath.mpf(2) ** (-prec - 5):
-                    v = v2
-                    break
-                v = v2
-            if not (lo <= v <= hi):
-                # Newton escaped the isolating interval: fall back to bisection
-                self.refine_below(Fraction(1, 2 ** (prec + 10)))
-                lo, hi = self._interval
-                v = (mpmath.mpf(lo.numerator) / lo.denominator
-                     + mpmath.mpf(hi.numerator) / hi.denominator) / 2
-            return v
-
     # -- operators ----------------------------------------------------------
 
     def __add__(self, other):
@@ -234,13 +199,6 @@ class AlgReal:
         return f"AlgReal(deg {self.degree}, ~{float(self):.12g})"
 
 
-def _mp_eval(c, v):
-    acc = mpmath.mpf(0)
-    for coef in reversed(c):
-        acc = acc * v + coef
-    return acc
-
-
 def as_algreal(v):
     if isinstance(v, AlgReal):
         return v
@@ -253,39 +211,12 @@ def _select_root(cand, interval_fn, refine_fn):
     """Pick the irreducible factor of `cand` isolating the value described
     by interval_fn (which must always bracket it strictly), returning an
     AlgReal.  refine_fn tightens the bracketing interval."""
-    sqf = polys.squarefree_part(cand)
-    irreducible = []
-    composite = []  # counted for isolation but never returned unfactored
-    if polys.degree(sqf) > _GUESS_THRESHOLD:
-        small = _guess_divisor(sqf, interval_fn, refine_fn)
-        if small is not None:
-            irreducible = list(polys.factor_int(small))
-            cof = polys.divide_exact(sqf, small)
-            if cof and polys.degree(cof) >= 1:
-                composite.append(cof)
-    if not irreducible and not composite:
-        irreducible = list(polys.factor_int(sqf))
+    factors = polys.factor_int(polys.squarefree_part(cand))
     for _ in range(20000):
         lo, hi = interval_fn()
-        total = 0
-        hit = None
-        hit_composite = None
-        for f in irreducible:
-            n = _count_closed(f, lo, hi)
-            total += n
-            if n:
-                hit = f
-        for f in composite:
-            n = _count_closed(f, lo, hi)
-            total += n
-            if n:
-                hit_composite = f
-        if total == 1:
-            if hit_composite is not None:
-                # the value lies in the unfactored cofactor after all
-                composite.remove(hit_composite)
-                irreducible.extend(polys.factor_int(hit_composite))
-                continue
+        counts = [_count_closed(f, lo, hi) for f in factors]
+        if sum(counts) == 1:
+            hit = factors[counts.index(1)]
             if polys.degree(hit) == 1:
                 return AlgReal(Fraction(-hit[0], hit[1]))
             return AlgReal._make(hit, (lo, hi))
@@ -298,53 +229,6 @@ def _count_closed(f, lo, hi):
         r = Fraction(-f[0], f[1])
         return 1 if lo <= r <= hi else 0
     return polys.count_roots_halfopen(f, lo, hi)
-
-
-def _guess_divisor(sqf, interval_fn, refine_fn):
-    """Try to recover a small divisor of sqf vanishing at the true value via
-    an integer relation on high-precision powers; verified by exact division,
-    so a wrong guess is harmless."""
-    maxdeg = polys.degree(sqf) // 2
-    for prec in (320, 640):
-        for _ in range(60):
-            refine_fn()
-        lo, hi = interval_fn()
-        with mpmath.workprec(prec):
-            v = _refine_to_mpf(sqf, lo, hi, prec)
-            if v is None:
-                continue
-            d = 1
-            while d <= maxdeg:
-                vec = [v ** i for i in range(d + 1)]
-                rel = mpmath.pslq(vec, maxcoeff=10 ** 24, maxsteps=200000)
-                if rel is not None:
-                    guess = polys.primitive(tuple(rel))
-                    if guess and polys.degree(guess) >= 1 and \
-                            polys.divide_exact(sqf, guess) is not None:
-                        return guess
-                d *= 2
-    return None
-
-
-def _refine_to_mpf(sqf, lo, hi, prec):
-    """High-precision root of sqf inside [lo, hi] (assumed to bracket it)."""
-    dp = polys.derivative(sqf)
-    v = (mpmath.mpf(lo.numerator) / lo.denominator
-         + mpmath.mpf(hi.numerator) / hi.denominator) / 2
-    for _ in range(200):
-        f = _mp_eval(sqf, v)
-        d = _mp_eval(dp, v)
-        if d == 0:
-            return None
-        step = f / d
-        v -= step
-        if abs(step) < mpmath.mpf(2) ** (-prec + 30):
-            break
-    flo = mpmath.mpf(lo.numerator) / lo.denominator
-    fhi = mpmath.mpf(hi.numerator) / hi.denominator
-    if not (flo <= v <= fhi):
-        return None
-    return v
 
 
 # -- field operations -------------------------------------------------------
@@ -563,12 +447,17 @@ def is_rational_angle(c):
         raise OutOfRangeError("cosine outside [-1, 1]")
     if c.is_rational:
         return c.as_rational() in _NIVEN_COSINES
-    d = c.degree
-    for m in _orders_with_totient_at_most(2 * d):
+    return _rational_angle_order(c) is not None
+
+
+def _rational_angle_order(c):
+    """The m with c = cos(2*pi*k/m), gcd(k, m) = 1, for irrational c; None
+    if there is none."""
+    for m in _orders_with_totient_at_most(2 * c.degree):
         rm = polys.cos_rational_angle_resultant(m)
         if rm and polys.divides(c.min_poly, rm):
-            return True
-    return False
+            return m
+    return None
 
 
 @lru_cache(maxsize=None)
@@ -590,19 +479,17 @@ def rational_angle_witness(c):
                  Fraction(0): (1, 2), Fraction(-1, 2): (2, 3),
                  Fraction(-1): (1, 1)}
         return table.get(c.as_rational())
-    if not is_rational_angle(c):
+    m = _rational_angle_order(c)
+    if m is None:
         return None
-    from math import gcd, acos, pi
-    theta = acos(float(c))
-    for m in _orders_with_totient_at_most(2 * c.degree):
-        rm = polys.cos_rational_angle_resultant(m)
-        if rm and polys.divides(c.min_poly, rm):
-            # c = cos(2*pi*k/m) for some k coprime to m; recover k numerically
-            for k in range(1, m):
-                if gcd(k, m) == 1 and abs(2 * pi * k / m - theta) < 1e-9:
-                    g = gcd(2 * k, m)
-                    return (2 * k // g, m // g)
-    return None
+    # c.min_poly is the minimal polynomial of cos(2*pi/m); its conjugates
+    # cos(2*pi*k/m), k < m/2 coprime to m, fall as k rises, so the number
+    # of conjugates above c is the position of c's k in that list
+    p = c.min_poly
+    above = polys.count_roots_halfopen(p, c.interval[1], polys.root_bound(p))
+    k = [k for k in range(1, (m + 1) // 2) if gcd(k, m) == 1][above]
+    g = gcd(2 * k, m)
+    return (2 * k // g, m // g)
 
 
 def to_float(a, bits):

@@ -387,7 +387,12 @@ def main(argv=None):
         args.seed = 0
     if not hasattr(args, "approx"):
         bits = os.environ.get("ROTAGRAPH_APPROX_BITS")
-        args.approx = int(bits) if bits else None
+        try:
+            args.approx = int(bits) if bits else None
+        except ValueError:
+            ap.error(f"ROTAGRAPH_APPROX_BITS must be an integer, got {bits!r}")
+    if args.approx is not None and args.approx < 0:
+        ap.error(f"approximation BITS must not be negative, got {args.approx}")
     try:
         result = args.fn(args)
     except KeyboardInterrupt:

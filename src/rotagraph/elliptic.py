@@ -400,8 +400,8 @@ def point_to_json(p):
 
 def point_from_json(obj):
     from . import expr
-    return make_point(expr.parse(obj["x"]), expr.parse(obj["y"]),
-                      expr.parse(obj["z"]))
+    return make_point(expr.from_json(obj["x"]), expr.from_json(obj["y"]),
+                      expr.from_json(obj["z"]))
 
 
 @lru_cache(maxsize=1)

@@ -15,7 +15,11 @@ from fractions import Fraction
 
 from . import algebraic, polys
 from .algebraic import AlgReal
-from .errors import ParseError
+from .errors import BoundExceededError, ParseError
+
+#: deepest nesting of "(", "sqrt(" and unary "-" that parse() accepts; it
+#: keeps the recursive descent far from Python's recursion limit
+_MAX_DEPTH = 100
 
 _TOKEN = re.compile(r"\s*(sqrt|root|\d+|[()+\-*/,])")
 
@@ -38,6 +42,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -72,20 +77,24 @@ class _Parser:
 
     def parse_factor(self):
         t = self.peek()
-        if t == "-":
+        if t in ("-", "(", "sqrt"):
+            if self.depth == _MAX_DEPTH:
+                raise BoundExceededError(
+                    f"expression nested deeper than {_MAX_DEPTH} levels")
+            self.depth += 1
             self.next()
-            return algebraic.neg(self.parse_factor())
-        if t == "(":
-            self.next()
-            v = self.parse_expr()
-            self.expect(")")
+            if t == "-":
+                v = algebraic.neg(self.parse_factor())
+            elif t == "(":
+                v = self.parse_expr()
+                self.expect(")")
+            else:
+                self.expect("(")
+                v = self.parse_expr()
+                self.expect(")")
+                v = algebraic.sqrt_nonneg(v)
+            self.depth -= 1
             return v
-        if t == "sqrt":
-            self.next()
-            self.expect("(")
-            v = self.parse_expr()
-            self.expect(")")
-            return algebraic.sqrt_nonneg(v)
         if t == "root":
             self.next()
             self.expect("(")
@@ -120,6 +129,15 @@ def parse(text):
     if p.peek() is not None:
         raise ParseError(f"trailing input: {p.tokens[p.i:]}")
     return v
+
+
+def from_json(value):
+    """An exact value from a JSON entry: an expression string or an integer."""
+    if isinstance(value, str):
+        return parse(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return AlgReal(value)
+    raise ParseError(f"expected an expression string or an integer, got {value!r}")
 
 
 def to_expr(value):

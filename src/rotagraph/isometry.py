@@ -297,4 +297,4 @@ def matrix_to_json(m):
 
 def matrix_from_json(rows):
     from . import expr
-    return LinearMap([[expr.parse(v) for v in row] for row in rows])
+    return LinearMap([[expr.from_json(v) for v in row] for row in rows])

@@ -284,16 +284,6 @@ def count_roots_halfopen(c, lo, hi):
     return _variations(chain, lo) - _variations(chain, hi)
 
 
-def count_roots_closed(c, lo, hi):
-    """Number of distinct real roots of squarefree c in [lo, hi]."""
-    if lo > hi:
-        return 0
-    n = 1 if evaluate(c, lo) == 0 else 0
-    if lo == hi:
-        return n
-    return n + count_roots_halfopen(c, lo, hi)
-
-
 def root_bound(c):
     """Cauchy bound: every real root lies strictly inside (-B, B)."""
     lead = abs(c[-1])

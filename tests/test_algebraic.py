@@ -1,9 +1,11 @@
 import random
+import time
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+from rotagraph import expr
 from rotagraph.algebraic import (
     AlgReal, EQUAL, GREATER, LESS,
     add, chebyshev_T, compare, div, is_rational_angle, mul, neg,
@@ -160,16 +162,20 @@ def test_rational_angle_irrational_cosines():
 
 
 def test_rational_angle_witness_recovers_angle():
+    # the three conjugates of cos(2*pi/7), ascending
+    c67, c47, c27 = real_roots((-1, -4, 4, 8))
     for value, want in ((AlgReal(Fraction(1, 2)), (1, 3)),
                         (div(SQRT2, AlgReal(2)), (1, 4)),
                         (div(SQRT3, AlgReal(2)), (1, 6)),
                         (AlgReal(0), (1, 2)),
                         (AlgReal(1), (0, 1)),
-                        (AlgReal(-1), (1, 1))):
+                        (AlgReal(-1), (1, 1)),
+                        (c27, (2, 7)), (c47, (4, 7)), (c67, (6, 7))):
         k, m = rational_angle_witness(value)
         assert (k, m) == want
         with mpmath.workprec(200):
             assert close(value, mpmath.cos(mpmath.pi * k / m), mpmath.mpf(2) ** -120)
+    assert rational_angle_witness(div(SQRT2, AlgReal(3))) is None
 
 
 def test_float_contract():
@@ -186,3 +192,35 @@ def test_degree_collapse_stays_small():
     assert mul(a, b).as_rational() == -1
     assert add(a, b).degree == 2
     assert compare(add(a, b), mul(AlgReal(2), SQRT2)) == EQUAL
+
+
+# Sums with candidate degree 25 to 27.  Root selection once sent candidates
+# above degree 24 through an integer-relation (PSLQ) guess; the expected
+# strings are what that path printed, so these tests compare against it.
+HIGH_DEGREE_SUMS = (
+    ("root(-2,0,0,0,0,1,0)+root(-3,0,0,0,0,1,0)",
+     "root(-3125,0,0,0,0,21875,0,0,0,0,-57500,0,0,0,0,-3500,0,0,0,0,-25,"
+     "0,0,0,0,1,0)"),
+    ("root(-2,0,0,1,0)+root(-3,0,0,0,0,0,0,0,0,1,0)",
+     "root(-1331,0,0,-33552,0,0,-232920,0,0,-220605,0,0,-59976,0,0,-792,"
+     "0,0,-681,0,0,144,0,0,-18,0,0,1,0)"),
+    ("sqrt(2)+root(-3,0,0,0,0,0,0,0,0,0,0,0,0,1,0)",
+     "root(-8183,-4992,53248,-54912,-159744,-123552,292864,-82368,-366080,"
+     "-17160,329472,-936,-219648,-6,109824,0,-41184,0,11440,0,-2288,0,312,"
+     "0,-26,0,1,1)"),
+)
+
+
+@pytest.mark.parametrize("text,want", HIGH_DEGREE_SUMS)
+def test_high_degree_root_selection(text, want):
+    assert expr.to_expr(expr.parse(text)) == want
+
+
+def test_nested_sqrt_degree_32_within_budget():
+    start = time.monotonic()
+    value = expr.parse("sqrt(2+sqrt(2+sqrt(2+sqrt(2+sqrt(2)))))")
+    assert expr.to_expr(value) == (
+        "root(2,0,-256,0,5440,0,-45696,0,201552,0,-537472,0,940576,0,"
+        "-1136960,0,980628,0,-615296,0,283360,0,-95680,0,23400,0,-4032,0,"
+        "464,0,-32,0,1,31)")
+    assert time.monotonic() - start < 10

@@ -120,3 +120,46 @@ def test_sigint_exit_130():
     out, _ = proc.communicate(timeout=30)
     assert proc.returncode == 130
     assert json.loads(out)["error"] == "interrupted"
+
+
+def test_integer_json_entries():
+    ints = [[1, 2, 0], [0, 1, 3], [1, 0, 1]]
+    strings = [[str(v) for v in row] for row in ints]
+    for matrix in (ints, strings):
+        out = run_json("iso", "fixed-point", "--matrix", json.dumps(matrix))
+        assert out == {"point": {"x": "root(-12,0,18,11,0)",
+                                 "y": "root(-9,27,-27,11,0)",
+                                 "z": "root(-2,6,-6,11,0)"}}
+    out = run_json("plane", "dist", "--p", '{"x": 1, "y": 0, "z": 0}',
+                   "--q", "4/5,3/5,0")
+    assert out["cos_d"] == "4/5"
+
+
+def test_non_string_json_entries_are_parse_errors():
+    for entry in ("1.5", "true", "null"):
+        proc = run("iso", "fixed-point", "--matrix",
+                   f"[[{entry},2,0],[0,1,3],[1,0,1]]", check=False)
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["error"] == "parse-error"
+    proc = run("plane", "dist", "--p", '{"x": 1, "y": 0, "z": null}',
+               "--q", "1,0,0", check=False)
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["error"] == "parse-error"
+
+
+def test_parse_depth_budget():
+    proc = run("field", "eval", "--expr", "(" * 3000 + "1" + ")" * 3000,
+               check=False)
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["error"] == "bound-exceeded"
+    out = run_json("field", "eval", "--expr", "(" * 50 + "sqrt(2)" + ")" * 50)
+    assert out["value"] == "root(-2,0,1,1)"
+
+
+def test_bad_approx_bits_is_usage_error():
+    for bits in ("abc", "-3"):
+        proc = subprocess.run(CLI + ["field", "eval", "--expr", "1"],
+                              capture_output=True, text=True,
+                              env={**os.environ, "ROTAGRAPH_APPROX_BITS": bits})
+        assert proc.returncode == 2
+        assert "usage:" in proc.stderr and "Traceback" not in proc.stderr
