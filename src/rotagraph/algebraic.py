@@ -18,6 +18,7 @@ import sympy
 
 from . import polys
 from .errors import (
+    BoundExceededError,
     DivisionByZeroError,
     InternalConsistencyError,
     OutOfRangeError,
@@ -25,6 +26,11 @@ from .errors import (
 from .polys import IntPoly
 
 LESS, EQUAL, GREATER = -1, 0, 1
+
+# Largest candidate polynomial root selection will build.  Factoring one of
+# degree 256 takes seconds, one of degree 512 tens of seconds, and each
+# nested square root doubles the degree.
+_MAX_CAND_DEGREE = 256
 
 
 class AlgReal:
@@ -231,6 +237,12 @@ def _count_closed(f, lo, hi):
     return polys.count_roots_halfopen(f, lo, hi)
 
 
+def _check_cand_degree(n):
+    if n > _MAX_CAND_DEGREE:
+        raise BoundExceededError(
+            f"candidate polynomial of degree {n} exceeds {_MAX_CAND_DEGREE}")
+
+
 # -- field operations -------------------------------------------------------
 
 def add(a, b):
@@ -246,6 +258,7 @@ def add(a, b):
         p = polys.compose_shift(a.min_poly, r)
         lo, hi = a.interval
         return AlgReal._make(p, (lo + r, hi + r))
+    _check_cand_degree(a.degree * b.degree)
     cand = polys.cand_sum(a.min_poly, b.min_poly)
 
     def interval_fn():
@@ -282,6 +295,7 @@ def mul(a, b):
         lo, hi = a.interval
         iv = (lo * r, hi * r) if r > 0 else (hi * r, lo * r)
         return AlgReal._make(p, iv)
+    _check_cand_degree(a.degree * b.degree)
     cand = polys.cand_prod(a.min_poly, b.min_poly)
 
     def interval_fn():
@@ -345,6 +359,7 @@ def sqrt_nonneg(a):
         n, d = _isqrt_exact(r.numerator), _isqrt_exact(r.denominator)
         if n is not None and d is not None:
             return AlgReal(Fraction(n, d))
+    _check_cand_degree(2 * a.degree)
     cand = polys.cand_sqrt(a.min_poly)
     state = {"bits": 16}
 
@@ -455,7 +470,7 @@ def _rational_angle_order(c):
     if there is none."""
     for m in _orders_with_totient_at_most(2 * c.degree):
         rm = polys.cos_rational_angle_resultant(m)
-        if rm and polys.divides(c.min_poly, rm):
+        if polys.divides(c.min_poly, rm):
             return m
     return None
 

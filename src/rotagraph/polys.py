@@ -1,21 +1,22 @@
 """Integer polynomial machinery backing the algebraic-number kernel.
 
 Polynomials are tuples of Python ints in ascending degree with a nonzero
-leading coefficient; the zero polynomial is the empty tuple.  Heavy
-operations (factorisation over Q, resultants) are delegated to sympy;
-everything sign-related (Sturm chains, root counting, isolation) is done
-here directly with exact rational arithmetic.
+leading coefficient; the zero polynomial is the empty tuple.  Factorisation,
+gcd and division over Q are delegated to sympy; everything else is done
+here with exact integer and rational arithmetic: the special resultants
+(composed sums and products, by Newton power sums) and everything
+sign-related (Sturm chains, root counting, isolation).
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import comb, gcd, lcm
 
 import sympy
 
 from .errors import ZeroPolynomialError
 
-_x, _y = sympy.symbols("rotagraph_x rotagraph_y")
+_x = sympy.Symbol("rotagraph_x")
 
 
 def normalize(coeffs):
@@ -152,28 +153,57 @@ def divide_exact(a, b):
     return primitive(_from_sympy(sympy.Poly(q, _x)))
 
 
+# -- special resultants by Newton power sums --------------------------------
+# (Bostan, Flajolet, Salvy, Schost, "Fast computation of special
+# resultants", JSC 2006.)  A polynomial of degree n is fixed up to a
+# constant by the power sums s_0..s_n of its roots, and composed sums and
+# products have power sums that are simple in those of their factors.
+
+def _power_sums(c, n):
+    """Power sums s_0..s_n of the roots of c, with multiplicity, by Newton's
+    identities: c_d*s_k + c_(d-1)*s_(k-1) + ... = -k*c_(d-k) (0 for k > d)."""
+    d = degree(c)
+    s = [Fraction(d)]
+    for k in range(1, n + 1):
+        acc = Fraction(k * c[d - k] if k <= d else 0)
+        for i in range(1, min(k - 1, d) + 1):
+            acc += c[d - i] * s[k - i]
+        s.append(-acc / c[-1])
+    return s
+
+
+def _from_power_sums(S, n):
+    """The primitive integer polynomial of degree n whose roots have power
+    sums S[0..n], by the inverse Newton recurrence on its monic form
+    x^n + b_1*x^(n-1) + ... + b_n:  k*b_k = -(S_k + b_1*S_(k-1) + ...)."""
+    b = [Fraction(1)]
+    for k in range(1, n + 1):
+        acc = S[k]
+        for i in range(1, k):
+            acc += b[i] * S[k - i]
+        b.append(-acc / k)
+    den = lcm(*(v.denominator for v in b))
+    return primitive([v.numerator * den // v.denominator for v in reversed(b)])
+
+
 @lru_cache(maxsize=None)
 def cand_sum(pa, pb):
-    """Integer polynomial vanishing at every a + b with pa(a) = pb(b) = 0."""
-    p = sympy.Poly(list(reversed(pa)), _y).as_expr(_y)
-    q = evaluate_sym(pb, _x - _y)
-    return primitive(_from_sympy(sympy.Poly(sympy.resultant(p, q, _y), _x)))
+    """Integer polynomial vanishing at every a + b with pa(a) = pb(b) = 0:
+    the composed sum, Res_y(pa(y), pb(x - y)) made primitive."""
+    n = degree(pa) * degree(pb)
+    sa, sb = _power_sums(pa, n), _power_sums(pb, n)
+    S = [sum(comb(k, t) * sa[t] * sb[k - t] for t in range(k + 1))
+         for k in range(n + 1)]
+    return _from_power_sums(S, n)
 
 
 @lru_cache(maxsize=None)
 def cand_prod(pa, pb):
-    """Integer polynomial vanishing at every a * b (0 not a root of pa)."""
-    p = sympy.Poly(list(reversed(pa)), _y).as_expr(_y)
-    n = degree(pb)
-    q = sum(pb[i] * _x ** i * _y ** (n - i) for i in range(len(pb)))
-    return primitive(_from_sympy(sympy.Poly(sympy.resultant(p, q, _y), _x)))
-
-
-def evaluate_sym(c, expr):
-    acc = sympy.Integer(0)
-    for coef in reversed(c):
-        acc = acc * expr + coef
-    return sympy.expand(acc)
+    """Integer polynomial vanishing at every a * b (0 not a root of pa): the
+    composed product, Res_y(pa(y), y^deg(pb) * pb(x / y)) made primitive."""
+    n = degree(pa) * degree(pb)
+    sa, sb = _power_sums(pa, n), _power_sums(pb, n)
+    return _from_power_sums([u * v for u, v in zip(sa, sb)], n)
 
 
 def cand_sqrt(c):
@@ -334,18 +364,20 @@ def cyclotomic(m):
 
 @lru_cache(maxsize=None)
 def cos_rational_angle_resultant(m):
-    """R_m(x) = Res_z(Phi_m(z), z^2 - 2xz + 1).
+    """R_m(x) = Res_z(Phi_m(z), z^2 - 2xz + 1), primitive.
 
     R_m(c) = 0 exactly when c is the cosine of a primitive m-th root of
-    unity's argument, i.e. c = cos(2*pi*k/m) with gcd(k, m) = 1.
+    unity's argument, i.e. c = cos(2*pi*k/m) with gcd(k, m) = 1.  The roots
+    of R_m are (z + 1/z)/2 over the roots z of Phi_m, which are closed
+    under z -> 1/z, so s_(-j) = s_j and R_m has the power sums
+    P_k = 2^-k * sum_t C(k, t) * s_|2t - k|(Phi_m).
     """
-    z = sympy.Symbol("rotagraph_z")
-    phi = sympy.Poly(list(reversed(cyclotomic(m))), z).as_expr(z)
-    r = sympy.resultant(phi, z ** 2 - 2 * _x * z + 1, z)
-    p = sympy.Poly(r, _x)
-    if p.is_zero:  # m in {1, 2}: Phi_m shares the root z = +-1 structure
-        return ()
-    return primitive(_from_sympy(p))
+    phi = cyclotomic(m)
+    n = degree(phi)
+    s = _power_sums(phi, n)
+    P = [sum(comb(k, t) * s[abs(2 * t - k)] for t in range(k + 1)) / 2 ** k
+         for k in range(n + 1)]
+    return _from_power_sums(P, n)
 
 
 def divides(small, big):

@@ -4,12 +4,18 @@ import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 CLI = [sys.executable, "-m", "rotagraph.cli"]
+# the CLI runs in a child process, which imports the package from this checkout
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 
-def run(*args, check=True):
-    proc = subprocess.run(CLI + list(args), capture_output=True, text=True)
+def run(*args, check=True, timeout=None):
+    proc = subprocess.run(CLI + list(args), capture_output=True, text=True,
+                          env=ENV, timeout=timeout)
     if check:
         assert proc.returncode == 0, proc.stderr or proc.stdout
     return proc
@@ -114,7 +120,7 @@ def test_parse_error_exit_1():
 def test_sigint_exit_130():
     proc = subprocess.Popen(
         CLI + ["finite", "census", "--n-max", "6"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=ENV)
     time.sleep(1.0)
     proc.send_signal(signal.SIGINT)
     out, _ = proc.communicate(timeout=30)
@@ -156,10 +162,21 @@ def test_parse_depth_budget():
     assert out["value"] == "root(-2,0,1,1)"
 
 
+def test_candidate_degree_budget():
+    # 9 nested square roots give degree 256; the 10th would need a
+    # degree-512 candidate, whose factorisation alone takes tens of seconds
+    proc = run("field", "eval", "--expr", "sqrt(" * 12 + "4" + ")" * 12,
+               check=False, timeout=30)
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["error"] == "bound-exceeded"
+    out = run_json("field", "eval", "--expr", "sqrt(" * 8 + "4" + ")" * 8)
+    assert out["value"] == "root(-2," + "0," * 127 + "1,1)"
+
+
 def test_bad_approx_bits_is_usage_error():
     for bits in ("abc", "-3"):
         proc = subprocess.run(CLI + ["field", "eval", "--expr", "1"],
                               capture_output=True, text=True,
-                              env={**os.environ, "ROTAGRAPH_APPROX_BITS": bits})
+                              env={**ENV, "ROTAGRAPH_APPROX_BITS": bits})
         assert proc.returncode == 2
         assert "usage:" in proc.stderr and "Traceback" not in proc.stderr
