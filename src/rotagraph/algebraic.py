@@ -106,10 +106,6 @@ class AlgReal:
         else:
             self._interval = (lo, mid)
 
-    def refine_below(self, width):
-        while self._interval[1] - self._interval[0] > width:
-            self.refine()
-
     def sign(self):
         """Exact sign in {-1, 0, 1}."""
         if self.is_rational:
@@ -124,12 +120,18 @@ class AlgReal:
             self.refine()
 
     def approx(self, bits=64):
-        """Rational approximation within 2**-bits (the ``to_float`` contract)."""
+        """The greatest multiple of 2**-bits not above the value (rationals
+        exactly), so the result depends on the value alone, not on how far
+        the interval happens to be refined (the ``to_float`` contract)."""
         if self.is_rational:
             return self.as_rational()
-        self.refine_below(Fraction(1, 2 ** bits) * 2)
-        lo, hi = self._interval
-        return (lo + hi) / 2
+        scale = 1 << bits
+        while True:
+            lo, hi = self._interval
+            cell = lo.numerator * scale // lo.denominator
+            if hi.numerator * scale // hi.denominator == cell:
+                return Fraction(cell, scale)
+            self.refine()
 
     # -- operators ----------------------------------------------------------
 
@@ -295,8 +297,12 @@ def mul(a, b):
         lo, hi = a.interval
         iv = (lo * r, hi * r) if r > 0 else (hi * r, lo * r)
         return AlgReal._make(p, iv)
-    _check_cand_degree(a.degree * b.degree)
-    cand = polys.cand_prod(a.min_poly, b.min_poly)
+    if a.min_poly == b.min_poly and compare(a, b) == EQUAL:
+        _check_cand_degree(a.degree)
+        cand = polys.cand_square(a.min_poly)
+    else:
+        _check_cand_degree(a.degree * b.degree)
+        cand = polys.cand_prod(a.min_poly, b.min_poly)
 
     def interval_fn():
         (alo, ahi), (blo, bhi) = a.interval, b.interval
@@ -437,9 +443,9 @@ def chebyshev_T(n, c):
     t0, t1 = AlgReal(1), c
     if n == 0:
         return t0
-    two_c = mul(2, c)
     for _ in range(n - 1):
-        t0, t1 = t1, sub(mul(two_c, t1), t0)
+        # c * c first, so T_2 takes the squaring candidate in `mul`
+        t0, t1 = t1, sub(mul(2, mul(c, t1)), t0)
     return t1
 
 
@@ -508,7 +514,7 @@ def rational_angle_witness(c):
 
 
 def to_float(a, bits):
-    """Rational approximation of a within 2**-bits."""
+    """The greatest multiple of 2**-bits not above a (a itself if rational)."""
     if bits < 1:
         raise OutOfRangeError("bits must be >= 1")
     return as_algreal(a).approx(bits)

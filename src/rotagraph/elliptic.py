@@ -9,7 +9,6 @@ taken.
 from fractions import Fraction
 from functools import lru_cache
 
-from . import algebraic
 from .algebraic import (
     AlgReal, EQUAL, GREATER, LESS,
     add, as_algreal, chebyshev_T, compare, div, mul, neg, sqrt_nonneg, sub,
@@ -24,6 +23,7 @@ from .errors import (
 
 _ZERO = AlgReal(0)
 _ONE = AlgReal(1)
+_BASIS = ((_ONE, _ZERO, _ZERO), (_ZERO, _ONE, _ZERO), (_ZERO, _ZERO, _ONE))
 
 
 class ProjPoint:
@@ -163,18 +163,31 @@ def _lifts_nonneg(p, q):
     return x, y, s
 
 
-def _orthonormal_to(x, y=None):
-    """A unit vector exactly orthogonal to x (and to y when given),
-    via Gram-Schmidt from coordinate vectors."""
-    basis = [(_ONE, _ZERO, _ZERO), (_ZERO, _ONE, _ZERO), (_ZERO, _ZERO, _ONE)]
-    for e in basis:
+def _orthonormal_to(x):
+    """A unit vector exactly orthogonal to x, via Gram-Schmidt from the
+    first coordinate vector not parallel to x."""
+    for e in _BASIS:
         w = _vsub(e, _scale(x, _dot(e, x)))
-        if y is not None:
-            w = _vsub(w, _scale(y, _dot(e, y)))
         n2 = _dot(w, w)
         if n2.sign() > 0:
             return tuple(div(c, sqrt_nonneg(n2)) for c in w)
     raise InternalConsistencyError("no independent coordinate vector found")
+
+
+def _rotate(a, v, c, s):
+    """Rodrigues: v turned about the unit axis a by the angle with cosine c
+    and sine s, c*v + s*(a x v) + (1 - c)*<a, v>*a."""
+    return _vadd(_vadd(_scale(v, c), _scale(_cross(a, v), s)),
+                 _scale(a, mul(sub(_ONE, c), _dot(a, v))))
+
+
+def _along(x, y, s, c):
+    """The unit vector at angle arccos c from x on the great circle through
+    x and y, on y's side (x, y unit, s = <x, y> < 1): alpha*x + beta*y with
+    <., x> = c and unit norm gives beta^2 = (1 - c^2)/(1 - s^2) and
+    alpha = c - beta*s."""
+    beta = sqrt_nonneg(div(sub(_ONE, mul(c, c)), sub(_ONE, mul(s, s))))
+    return _unit_canonical(_vadd(_scale(x, sub(c, mul(beta, s))), _scale(y, beta)))
 
 
 def two_ball_feasible(p, q, cos_l):
@@ -187,74 +200,47 @@ def two_ball_feasible(p, q, cos_l):
 
 
 def equidistant_point(p, q, cos_l):
-    """A point at exact distance l' (given by its cosine) from both p and q.
-
-    Solves the one-parameter quadratic for the lift x + y + lambda*z with z
-    orthonormal to x and y, taking the non-negative lambda root.
-    """
+    """A point at exact distance l' (given by its cosine) from both p and q:
+    the circle intersection with equal radii."""
     cos_l = as_dist_cos(cos_l)
     c = cos_l.value
     if c.sign() <= 0 or compare(c, _ONE) != LESS:
         raise OutOfRangeError("equidistant radius cosine must lie in (0, 1)")
     if not two_ball_feasible(p, q, cos_l):
         raise InfeasibleError("points are farther apart than twice the radius")
-    x, y, s = _lifts_nonneg(p, q)
-    # with z unit and orthogonal to x, y:
-    #   c^2 * (||x + y||^2 + lam^2) = <x, x + y>^2
-    # and ||x + y||^2 = 2 + 2s, <x, x + y> = 1 + s, giving
-    #   lam^2 = (1 + s) * (1 + s - 2c^2) / c^2
-    one_plus_s = add(_ONE, s)
-    lam2 = div(mul(one_plus_s, sub(one_plus_s, mul(2, mul(c, c)))), mul(c, c))
-    if lam2.sign() < 0:
-        raise InfeasibleError("equidistant quadratic has no real solution")
-    lam = sqrt_nonneg(lam2)
-    z = _orthonormal_to(x, _gram_schmidt_second(x, y, s))
-    lift = _vadd(_vadd(x, y), _scale(z, lam))
-    # ||lift|| = (1 + s)/c exactly, so scale instead of re-deriving the norm
-    r = _unit_canonical(_scale(lift, div(c, one_plus_s)))
-    return r
-
-
-def _gram_schmidt_second(x, y, s):
-    """Unit vector spanning the (x, y)-plane orthogonal to x, or None if
-    p = q (then any vector orthogonal to x may serve as z)."""
-    u = _vsub(y, _scale(x, s))
-    n2 = _dot(u, u)
-    if n2.sign() == 0:
-        return None
-    return tuple(div(c, sqrt_nonneg(n2)) for c in u)
+    return circle_intersect(p, cos_l, q, cos_l)
 
 
 def circle_intersect(p, cos_r1, q, cos_r2):
     """A point at exact distances r1 from p and r2 from q (cosines given).
 
-    Generalises the equidistant construction to unequal radii: solve for the
-    coefficients of the lift in the orthonormal frame (x, u, z) and take the
-    non-negative z-component (one square root).
+    With unit lifts x, y, s = <x, y> >= 0 and n = x X y (canonical sign),
+    the point is alpha*x + beta*y + gamma*n with <., x> = a = cos r1 and
+    <., y> = b = +-cos r2: alpha = (a - b*s)/(1 - s^2),
+    beta = (b - a*s)/(1 - s^2), and unit norm gives
+    gamma^2 = (1 - alpha*a - beta*b)/(1 - s^2), taken >= 0 (one square root).
     """
     cos_r1, cos_r2 = as_dist_cos(cos_r1), as_dist_cos(cos_r2)
     x, y, s = _lifts_nonneg(p, q)
-    u = _gram_schmidt_second(x, y, s)
     a = cos_r1.value
-    if u is None:
+    if compare(s, _ONE) == EQUAL:
         # p = q: consistent only if both radii agree
         if compare(a, cos_r2.value) != EQUAL:
             raise InfeasibleError("coincident centres with different radii")
         if compare(a, _ONE) == EQUAL:
             return ProjPoint(x)
-        u = _orthonormal_to(x)
         b = sqrt_nonneg(sub(_ONE, mul(a, a)))
-        return _unit_canonical(_vadd(_scale(x, a), _scale(u, b)))
-    t = sqrt_nonneg(sub(_ONE, mul(s, s)))  # sin of the centre distance
-    for b_target in (cos_r2.value, neg(cos_r2.value)):
-        b = div(sub(b_target, mul(a, s)), t)
-        disc = sub(sub(_ONE, mul(a, a)), mul(b, b))
-        sign = disc.sign()
-        if sign < 0:
+        return _unit_canonical(_vadd(_scale(x, a), _scale(_orthonormal_to(x), b)))
+    sin2 = sub(_ONE, mul(s, s))
+    n = _canonical_sign(_cross(x, y))
+    for b in (cos_r2.value, neg(cos_r2.value)):
+        alpha = div(sub(a, mul(b, s)), sin2)
+        beta = div(sub(b, mul(a, s)), sin2)
+        gamma2 = div(sub(sub(_ONE, mul(alpha, a)), mul(beta, b)), sin2)
+        if gamma2.sign() < 0:
             continue
-        w = sqrt_nonneg(disc)
-        z = _orthonormal_to(x, u)
-        lift = _vadd(_vadd(_scale(x, a), _scale(u, b)), _scale(z, w))
+        lift = _vadd(_vadd(_scale(x, alpha), _scale(y, beta)),
+                     _scale(n, sqrt_nonneg(gamma2)))
         return _unit_canonical(lift)
     raise InfeasibleError("circles do not intersect")
 
@@ -266,14 +252,11 @@ def geodesic_step(p, q, cos_l):
     """
     cos_l = as_dist_cos(cos_l)
     x, y, s = _lifts_nonneg(p, q)
-    u = _gram_schmidt_second(x, y, s)
-    if u is None:
+    if compare(s, _ONE) == EQUAL:
         raise PreconditionError("geodesic step requires distinct points")
     if compare(cos_l.value, s) == LESS:
         raise PreconditionError("step longer than the remaining distance")
-    sin_l = sqrt_nonneg(sub(_ONE, mul(cos_l.value, cos_l.value)))
-    lift = _vadd(_scale(x, cos_l.value), _scale(u, sin_l))
-    return _unit_canonical(lift)
+    return _along(x, y, s, cos_l.value)
 
 
 def rotation_about(axis, cos_a, sin_a):
@@ -284,21 +267,8 @@ def rotation_about(axis, cos_a, sin_a):
     unit = add(mul(cos_a, cos_a), mul(sin_a, sin_a))
     if compare(unit, _ONE) != EQUAL:
         raise PreconditionError("cos^2 + sin^2 must equal 1 exactly")
-    ax, ay, az = axis.lift
-    k = ((_ZERO, neg(az), ay), (az, _ZERO, neg(ax)), (neg(ay), ax, _ZERO))
-    one_minus = sub(_ONE, cos_a)
-    rows = []
-    a = (ax, ay, az)
-    for i in range(3):
-        row = []
-        for j in range(3):
-            v = mul(one_minus, mul(a[i], a[j]))
-            v = add(v, mul(sin_a, k[i][j]))
-            if i == j:
-                v = add(v, cos_a)
-            row.append(v)
-        rows.append(tuple(row))
-    return LinearMap(rows)
+    columns = [_rotate(axis.lift, e, cos_a, sin_a) for e in _BASIS]
+    return LinearMap(tuple(zip(*columns)))
 
 
 def apex_angle_cos(cos_l):
@@ -330,20 +300,14 @@ def ell_n_cos(cos_l, n):
 
 
 def _frame_chain(o, p, cos_l, cos_a, sin_a, n):
-    """Points R^i p for the rotation about o by the apex angle, computed in
-    the orthonormal frame (o, u, w) to keep intermediate degrees small."""
-    c = cos_l.value
-    sin_l = sqrt_nonneg(sub(_ONE, mul(c, c)))
-    x = p.lift if compare(_dot(p.lift, o.lift), _ZERO) != LESS \
-        else tuple(neg(v) for v in p.lift)
-    u = tuple(div(sub(xi, mul(oi, c)), sin_l) for xi, oi in zip(x, o.lift))
-    w = _cross(o.lift, u)
-    chain = [ProjPoint(_canonical_sign(x))]
+    """Points R^i p, i = 0..n, for the rotation R about o by the angle with
+    (cos_a, sin_a), each rotated directly from p by the angle i*a to keep
+    intermediate degrees small.  cos_l = cos d(o, p) is implied by the lifts."""
+    x = p.lift
+    chain = [_unit_canonical(x)]
     ci, si = cos_a, sin_a
     for _ in range(n):
-        lift = _vadd(_scale(o.lift, c),
-                     _vadd(_scale(u, mul(sin_l, ci)), _scale(w, mul(sin_l, si))))
-        chain.append(_unit_canonical(lift))
+        chain.append(_unit_canonical(_rotate(o.lift, x, ci, si)))
         ci, si = sub(mul(ci, cos_a), mul(si, sin_a)), \
             add(mul(si, cos_a), mul(ci, sin_a))
     return chain
@@ -435,11 +399,7 @@ def random_point_at_distance(rng, p, cos_l):
     """A random point at exact distance l from p (cosine given)."""
     cos_l = as_dist_cos(cos_l)
     for _ in range(100):
-        q = random_rational_point(rng)
-        x, y, s = _lifts_nonneg(p, q)
-        u = _gram_schmidt_second(x, y, s)
-        if u is None:
-            continue
-        sin_l = sqrt_nonneg(sub(_ONE, mul(cos_l.value, cos_l.value)))
-        return _unit_canonical(_vadd(_scale(x, cos_l.value), _scale(u, sin_l)))
+        x, y, s = _lifts_nonneg(p, random_rational_point(rng))
+        if compare(s, _ONE) != EQUAL:
+            return _along(x, y, s, cos_l.value)
     raise InternalConsistencyError("failed to sample a distinct direction")

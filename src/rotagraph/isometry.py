@@ -12,12 +12,10 @@ from . import polys
 from .algebraic import (
     AlgReal, EQUAL, add, as_algreal, compare, div, mul, neg, real_roots, sub,
 )
-from .elliptic import ProjPoint, _canonical_sign, _dot, dist_cos, make_point
-from .errors import (
-    InternalConsistencyError,
-    PreconditionError,
-    ZeroVectorError,
+from .elliptic import (
+    _cross, _dot, _lifts_nonneg, _vsub, dist_cos, make_point,
 )
+from .errors import InternalConsistencyError, PreconditionError
 
 _ZERO = AlgReal(0)
 _ONE = AlgReal(1)
@@ -102,48 +100,26 @@ def _minor2_sum(m):
     return total
 
 
-def _exact_kernel_vector(rows):
-    """A nonzero kernel vector of a singular exact 3x3 matrix, by full-pivot
-    Gaussian elimination; None when the matrix is invertible.  Ties in pivot
-    choice break toward the lowest index, so the result is deterministic."""
-    a = [list(r) for r in rows]
-    col_perm = [0, 1, 2]
-    rank = 0
-    for step in range(3):
-        pivot = None
-        for i in range(step, 3):
-            for j in range(step, 3):
-                if a[i][j].sign() != 0:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        pi, pj = pivot
-        a[step], a[pi] = a[pi], a[step]
-        for row in a:
-            row[step], row[pj] = row[pj], row[step]
-        col_perm[step], col_perm[pj] = col_perm[pj], col_perm[step]
-        for i in range(step + 1, 3):
-            f = div(a[i][step], a[step][step])
-            for j in range(step, 3):
-                a[i][j] = sub(a[i][j], mul(f, a[step][j]))
-        rank += 1
-    if rank == 3:
-        return None
-    # back-substitute with the first free variable set to 1
-    x = [_ZERO, _ZERO, _ZERO]
-    x[rank] = _ONE
-    for i in range(rank - 1, -1, -1):
-        s = _ZERO
-        for j in range(i + 1, 3):
-            s = add(s, mul(a[i][j], x[j]))
-        x[i] = div(neg(s), a[i][i])
-    out = [_ZERO, _ZERO, _ZERO]
-    for k in range(3):
-        out[col_perm[k]] = x[k]
-    return tuple(out)
+def _kernel_vector(rows):
+    """A nonzero kernel vector of a singular exact 3x3 matrix.
+
+    Rank 2: the first nonzero cross product of rows (0, 1), (0, 2), (1, 2).
+    Rank 1: with r_ij the first nonzero entry in row-major order and
+    k = 0 if j == 1 else 1, the vector with r_ij at k and -r_ik at j (the
+    choice of full-pivot elimination).  The zero matrix gives e1.
+    """
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        v = _cross(rows[i], rows[j])
+        if any(c.sign() != 0 for c in v):
+            return v
+    for row in rows:
+        for j, r in enumerate(row):
+            if r.sign() != 0:
+                k = 0 if j == 1 else 1
+                v = [_ZERO, _ZERO, _ZERO]
+                v[k], v[j] = r, neg(row[k])
+                return tuple(v)
+    return (_ONE, _ZERO, _ZERO)
 
 
 def _shifted(m, lam):
@@ -198,21 +174,15 @@ def fixed_point(m):
     which the odd-degree characteristic polynomial guarantees.
 
     Special orthogonal maps take the eigenvalue-1 shortcut (the rotation
-    axis); otherwise the smallest real eigenvalue is used.  Deterministic:
-    kernel extraction breaks ties by lowest index.
+    axis); otherwise the smallest real eigenvalue is used.  Deterministic,
+    since the kernel vector is.
     """
     if m.det().sign() == 0:
         raise PreconditionError("fixed points are computed for invertible maps")
     shifted_one = _shifted(m, _ONE)
     if LinearMap(shifted_one).det().sign() == 0 and is_orthogonal(m):
-        v = _exact_kernel_vector(shifted_one)
-        if v is not None:
-            return make_point(*v)
-    for lam in _real_eigenvalues(m):
-        v = _exact_kernel_vector(_shifted(m, lam))
-        if v is not None:
-            return make_point(*v)
-    raise InternalConsistencyError("invertible map without a real eigenvector")
+        return make_point(*_kernel_vector(shifted_one))
+    return make_point(*_kernel_vector(_shifted(m, _real_eigenvalues(m)[0])))
 
 
 def preserves_edges_on_sample(m, cos_l, pairs):
@@ -266,12 +236,8 @@ def orthogonal_sending(p, q):
     Uses the Householder reflection through the bisecting hyperplane of the
     two unit lifts (or the identity when they already agree).
     """
-    x, y = p.lift, q.lift
-    s = _dot(x, y)
-    if s.sign() < 0:
-        y = tuple(neg(c) for c in y)
-        s = neg(s)
-    w = tuple(sub(a, b) for a, b in zip(x, y))
+    x, y, _ = _lifts_nonneg(p, q)
+    w = _vsub(x, y)
     n2 = _dot(w, w)
     if n2.sign() == 0:
         return identity()

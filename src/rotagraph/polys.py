@@ -206,6 +206,15 @@ def cand_prod(pa, pb):
     return _from_power_sums([u * v for u, v in zip(sa, sb)], n)
 
 
+@lru_cache(maxsize=None)
+def cand_square(p):
+    """Integer polynomial vanishing at every a^2 with p(a) = 0, of degree
+    deg p: Res_y(p(y), x - y^2) made primitive.  The squares of the roots
+    have power sums s_0, s_2, ..., s_2n."""
+    n = degree(p)
+    return _from_power_sums(_power_sums(p, 2 * n)[::2], n)
+
+
 def cand_sqrt(c):
     """p(x^2): vanishes at +-sqrt(r) for every root r of p."""
     out = [0] * (2 * len(c) - 1)

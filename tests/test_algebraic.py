@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from math import isqrt
 
 import mpmath
 import pytest
@@ -11,7 +12,9 @@ from rotagraph.algebraic import (
     add, chebyshev_T, compare, div, is_rational_angle, mul, neg,
     rational_angle_witness, real_roots, sqrt_nonneg, sub, to_float,
 )
-from rotagraph.errors import DivisionByZeroError, OutOfRangeError
+from rotagraph.errors import (
+    BoundExceededError, DivisionByZeroError, OutOfRangeError,
+)
 
 
 def mp_value(a, prec=200):
@@ -185,6 +188,20 @@ def test_float_contract():
                    - mpmath.sqrt(2)) < mpmath.mpf(2) ** -100
 
 
+def test_approx_is_canonical():
+    # the greatest multiple of 2^-bits not above the value, however far the
+    # isolating interval was refined before
+    fresh, refined = sqrt_nonneg(AlgReal(2)), sqrt_nonneg(AlgReal(2))
+    for _ in range(200):
+        refined.refine()
+    for bits in (1, 20, 53, 100):
+        below = isqrt(2 << (2 * bits))
+        assert to_float(fresh, bits) == to_float(refined, bits) \
+            == Fraction(below, 1 << bits)
+        assert to_float(neg(refined), bits) == Fraction(-below - 1, 1 << bits)
+    assert to_float(AlgReal(Fraction(1, 3)), 4) == Fraction(1, 3)
+
+
 def test_degree_collapse_stays_small():
     # sums and products of members of one quartic field must not blow up
     a = add(SQRT2, SQRT3)  # degree 4
@@ -192,6 +209,16 @@ def test_degree_collapse_stays_small():
     assert mul(a, b).as_rational() == -1
     assert add(a, b).degree == 2
     assert compare(add(a, b), mul(AlgReal(2), SQRT2)) == EQUAL
+
+
+def test_squaring_budget_counts_one_degree():
+    # a * a takes a candidate of degree deg a, not deg(a)^2 = 289 > 256
+    a = expr.parse("root(-2," + "0," * 16 + "1,0)")  # 2^(1/17)
+    assert mul(a, a).min_poly == (-4,) + (0,) * 16 + (1,)
+    t2 = chebyshev_T(2, div(a, AlgReal(2)))
+    assert compare(mul(AlgReal(2), add(t2, AlgReal(1))), mul(a, a)) == EQUAL
+    with pytest.raises(BoundExceededError):
+        mul(a, expr.parse("root(-3," + "0," * 16 + "1,0)"))
 
 
 # Sums with candidate degree 25 to 27.  Root selection once sent candidates

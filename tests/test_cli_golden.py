@@ -1,0 +1,92 @@
+"""Golden CLI transcripts: exact stdout and exit code of fixed calls.
+
+Each call runs in-process through `cli.main`, plain and with `--approx 53`,
+and must print byte for byte what `cli_golden.json` records.  The calls
+cover the geometry subcommands (distances, equidistant points, geodesic
+steps, ladder witnesses, fixed points, edge sampling, graph paths and
+distances), including their error exits, so a refactor of the geometry
+cannot change what users see without failing here.
+
+After a deliberate change of output, re-record with
+`PYTHONPATH=src python tests/test_cli_golden.py` and review the diff.
+"""
+
+import contextlib
+import io
+import json
+import time
+from pathlib import Path
+
+from rotagraph import cli
+
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+
+ROT = json.dumps([["1/3", "2/3", "2/3"], ["2/3", "1/3", "-2/3"],
+                  ["-2/3", "2/3", "-1/3"]])
+ROT2 = json.dumps([["-1/9", "-4/9", "8/9"], ["8/9", "-4/9", "1/9"],
+                   ["4/9", "7/9", "4/9"]])
+# p and its images under the rotation about e3 by the apex angle of
+# cos l = 4/5 (cos a = 4/9, sin a = sqrt(65)/9): d(p, q_n) = l_n
+P0 = "3/5,0,4/5"
+Q1 = "4/15,sqrt(65)/15,4/5"
+Q2 = "-49/135,8*sqrt(65)/135,4/5"
+Q3 = "-716/1215,-17*sqrt(65)/1215,4/5"
+
+CALLS = [
+    ["plane", "dist", "--p", "1,0,0", "--q", "4/5,3/5,0"],
+    ["plane", "dist", "--p", "1,2,2", "--q", "0,1,1"],
+    ["plane", "equidistant", "--p", "1,0,0", "--q", "0,1,0", "--cos-l", "3/5"],
+    ["plane", "equidistant", "--p", "1,1,0", "--q", "1,2,2", "--cos-l", "4/5"],
+    ["plane", "equidistant", "--p", "1,0,0", "--q", "0,1,0", "--cos-l", "9/10"],
+    ["plane", "equidistant", "--p", "1,0,0", "--q=-2,0,0", "--cos-l", "4/5"],
+    ["plane", "equidistant", "--p", "1,0,0", "--q", "0,1,0", "--cos-l", "1"],
+    ["plane", "step", "--p", "1,0,0", "--q", "0,1,0", "--cos-l", "4/5"],
+    ["plane", "step", "--p", "1,1,0", "--q", "1,2,2", "--cos-l", "7/8"],
+    ["plane", "step", "--p", "1,0,0", "--q", "3,0,0", "--cos-l", "4/5"],
+    ["plane", "step", "--p", "1,0,0", "--q", "4/5,3/5,0", "--cos-l", "1/2"],
+    ["plane", "witness", "--p", P0, "--q=" + Q1, "--cos-l", "4/5", "--n", "1"],
+    ["plane", "witness", "--p", P0, "--q=" + Q2, "--cos-l", "4/5", "--n", "2"],
+    ["plane", "witness", "--p", P0, "--q=" + Q3, "--cos-l", "4/5", "--n", "3"],
+    ["plane", "witness", "--p", P0, "--q=" + Q1, "--cos-l", "4/5", "--n", "2"],
+    ["iso", "fixed-point", "--matrix", ROT],
+    ["iso", "fixed-point", "--matrix", ROT2],
+    ["iso", "fixed-point", "--matrix", "[[0,1,0],[0,0,1],[2,0,0]]"],
+    ["iso", "fixed-point", "--matrix", "[[1,2,0],[0,1,3],[1,0,1]]"],
+    ["iso", "fixed-point", "--matrix", "[[1,0,0],[0,1,0],[0,0,-1]]"],
+    ["iso", "fixed-point", "--matrix", "[[2,0,0],[0,2,0],[0,0,3]]"],
+    ["iso", "fixed-point", "--matrix", "[[1,0,0],[0,1,0],[0,0,1]]"],
+    ["iso", "fixed-point", "--matrix", "[[1,0,0],[0,1,0],[0,0,0]]"],
+    ["iso", "sample-edges", "--matrix", ROT, "--cos-l", "4/5", "--count", "3",
+     "--seed", "7"],
+    ["graph", "path", "--p", "1,0,0", "--q", "1,sqrt(3),0", "--cos-l", "4/5"],
+    ["graph", "path", "--p", "1,0,0", "--q", "0,1,0", "--cos-l", "4/5"],
+    ["graph", "path", "--p", "1,1,0", "--q", "1,2,2", "--cos-l", "7/8"],
+    ["graph", "distance", "--p", "1,0,0", "--q", "0,1,0", "--cos-l", "4/5"],
+    ["graph", "distance", "--p", "1,1,0", "--q", "1,2,2", "--cos-l", "7/8"],
+]
+ARGVS = [argv + extra for argv in CALLS for extra in ([], ["--approx", "53"])]
+
+
+def test_cli_golden_transcripts(capsys):
+    want = json.loads(GOLDEN.read_text())
+    assert [w["argv"] for w in want] == ARGVS, "re-record cli_golden.json"
+    start = time.monotonic()
+    for w in want:
+        code = cli.main(w["argv"])
+        got = {"argv": w["argv"], "exit": code, "stdout": capsys.readouterr().out}
+        assert got == w
+    assert time.monotonic() - start < 10
+
+
+def _record():
+    got = []
+    for argv in ARGVS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        got.append({"argv": argv, "exit": code, "stdout": out.getvalue()})
+    GOLDEN.write_text("[\n" + ",\n".join(json.dumps(g) for g in got) + "\n]\n")
+
+
+if __name__ == "__main__":
+    _record()

@@ -9,6 +9,7 @@ from rotagraph.algebraic import AlgReal, EQUAL, compare, div, sqrt_nonneg
 from rotagraph.errors import PreconditionError
 
 E1 = ep.make_point(1, 0, 0)
+E2 = ep.make_point(0, 1, 0)
 E3 = ep.make_point(0, 0, 1)
 
 
@@ -28,7 +29,12 @@ def test_rotation_about_with_irrational_sine():
 
 
 def test_fixed_point_identity_deterministic():
-    assert iso.fixed_point(iso.identity()) == E1
+    # rank <= 1 eigenspaces: which kernel vector is chosen is pinned, not
+    # just that the point is fixed
+    for diag, want in (((1, 1, 1), E1), ((1, 1, -1), E2), ((2, 2, 3), E2)):
+        m = iso.LinearMap([[diag[i] if i == j else 0 for j in range(3)]
+                           for i in range(3)])
+        assert iso.fixed_point(m) == want
 
 
 def test_fixed_point_integer_matrix_cbrt2():

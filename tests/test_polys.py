@@ -32,6 +32,10 @@ def sympy_prod(pa, pb):
     return _primitive(sympy.resultant(_as_expr(pa, Y), q, Y))
 
 
+def sympy_square(p):
+    return _primitive(sympy.resultant(_as_expr(p, Y), X - Y ** 2, Y))
+
+
 def sympy_cos_resultant(m):
     phi = sympy.cyclotomic_poly(m, Z)
     return _primitive(sympy.resultant(phi, Z ** 2 - 2 * X * Z + 1, Z))
@@ -79,3 +83,14 @@ def test_cos_rational_angle_resultant():
     for m in range(1, 61):
         want = sympy_cos_resultant(m)
         assert polys.cos_rational_angle_resultant(m) == want, m
+
+
+def test_cand_square():
+    rng = random.Random(20062)
+    cases = [random_irreducible(rng, rng.randint(1, 6)) for _ in range(30)]
+    # 2^(1/17); sqrt(2)+sqrt(3)+sqrt(5); roots +-sqrt(2) with one square;
+    # a root at 0
+    cases += [(-2,) + (0,) * 16 + (1,), (576, 0, -960, 0, 352, 0, -40, 0, 1),
+              (-2, 0, 1), (0, -3, 1)]
+    for p in cases:
+        assert polys.cand_square(p) == sympy_square(p), p

@@ -1,0 +1,74 @@
+"""Property tests: the elliptic constructions and fixed points on generated
+inputs, every claim checked exactly."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from rotagraph import elliptic as ep
+from rotagraph import isometry as iso
+from rotagraph.algebraic import AlgReal, EQUAL, GREATER, compare, neg, sqrt_nonneg
+from rotagraph.errors import InfeasibleError, PreconditionError
+
+SETTINGS = settings(derandomize=True, max_examples=25, deadline=None,
+                    database=None)
+
+# small integer lifts, so unit lifts are often irrational
+lifts = st.tuples(*[st.integers(-3, 3)] * 3).filter(any)
+cosines = st.fractions(min_value=0, max_value=1, max_denominator=10)
+
+
+@SETTINGS
+@given(lifts, lifts, cosines, cosines)
+def test_circle_intersect_hits_both_distances(u, v, a, b):
+    p, q = ep.make_point(*u), ep.make_point(*v)
+    try:
+        r = ep.circle_intersect(p, a, q, b)
+    except InfeasibleError:
+        return
+    assert ep.dist_cos(r, p) == a and ep.dist_cos(r, q) == b
+
+
+@SETTINGS
+@given(lifts, lifts, cosines)
+def test_geodesic_step_stays_on_the_line(u, v, c):
+    p, q = ep.make_point(*u), ep.make_point(*v)
+    try:
+        r = ep.geodesic_step(p, q, c)
+    except PreconditionError:
+        assert p == q or compare(ep.dist_cos(p, q).value, AlgReal(c)) == GREATER
+        return
+    assert ep.dist_cos(p, r) == c
+    assert iso.LinearMap((p.lift, q.lift, r.lift)).det().sign() == 0
+
+
+@SETTINGS
+@given(lifts, st.fractions(min_value=-1, max_value=1, max_denominator=9),
+       st.booleans())
+def test_rotation_about_is_orthogonal_and_fixes_its_axis(u, c, flip):
+    axis = ep.make_point(*u)
+    s = sqrt_nonneg(AlgReal(1 - c * c))
+    r = ep.rotation_about(axis, c, neg(s) if flip else s)
+    assert iso.is_orthogonal(r)
+    assert compare(r.det(), AlgReal(1)) == EQUAL
+    assert compare(r.trace(), AlgReal(1 + 2 * c)) == EQUAL
+    image = r.apply_lift(axis.lift)
+    assert all(compare(a, b) == EQUAL for a, b in zip(image, axis.lift))
+
+
+@SETTINGS
+@given(st.lists(st.integers(-2, 2), min_size=9, max_size=9))
+# eigenspaces of dimension 2 and 3, where M - lambda I has rank <= 1
+@example([1, 0, 0, 0, 1, 0, 0, 0, 1])
+@example([1, 0, 0, 0, 1, 0, 0, 0, -1])
+@example([0, 1, 0, 1, 0, 0, 0, 0, 1])
+@example([2, 1, 1, 1, 2, 1, 1, 1, 2])
+def test_fixed_point_of_small_integer_matrices(entries):
+    m = iso.LinearMap([entries[0:3], entries[3:6], entries[6:9]])
+    if m.det().sign() == 0:
+        with pytest.raises(PreconditionError):
+            iso.fixed_point(m)
+        return
+    p = iso.fixed_point(m)
+    assert iso.apply(m, p) == p
