@@ -20,6 +20,22 @@ from .errors import (
     PreconditionError,
 )
 
+# budgets past which the finite layer raises BoundExceededError
+MAX_DEGREE = 256          # degree in `from_cycles`, vertex count in `from_json`
+MAX_GROUP_ORDER = 40320   # 8!: elements that `PermGroup.elements` enumerates
+MAX_TABLE_ORDER = 720     # 6!: group order of a Cayley table (order**2 entries)
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int_lists(rows):
+    """Whether `rows` is a list of integer lists (booleans and floats are not
+    integers), as JSON input must be before numpy casts it."""
+    return isinstance(rows, (list, tuple)) and all(
+        isinstance(r, (list, tuple)) and all(map(_is_int, r)) for r in rows)
+
 
 class Permutation:
     """A bijection of [0, n), stored as its image tuple."""
@@ -43,8 +59,11 @@ class Permutation:
     @classmethod
     def from_cycles(cls, text, n):
         """Parse cycle notation like "(0 1 2)(3 4)"; "()" is the identity."""
+        if n > MAX_DEGREE:
+            raise BoundExceededError(f"degree {n} exceeds the bound {MAX_DEGREE}")
         text = text.strip()
-        if not re.fullmatch(r"(\(\s*(\d+[\s,]*)*\))+", text):
+        # one reading per string: a digit starts each cycle's body
+        if not re.fullmatch(r"(\(\s*(\d[\d\s,]*)?\))+", text):
             raise ParseError(f"bad cycle notation: {text!r}")
         images = list(range(n))
         for cyc in re.findall(r"\(([^()]*)\)", text):
@@ -140,6 +159,9 @@ class PermGroup:
                         if q not in seen:
                             seen.add(q)
                             nxt.append(q)
+                    if len(seen) > MAX_GROUP_ORDER:
+                        raise BoundExceededError(
+                            f"group order exceeds the bound {MAX_GROUP_ORDER}")
                 frontier = nxt
             self._elements = tuple(sorted(seen))
         return self._elements
@@ -196,6 +218,13 @@ class FiniteGraph:
 
     @classmethod
     def from_json(cls, obj):
+        if not (isinstance(obj, dict) and _is_int(obj.get("n"))
+                and obj["n"] >= 0 and _int_lists(obj.get("edges"))):
+            raise PreconditionError(
+                'a graph is {"n": count, "edges": [[i, j], ...]} with integers')
+        if obj["n"] > MAX_DEGREE:
+            raise BoundExceededError(
+                f"vertex count {obj['n']} exceeds the bound {MAX_DEGREE}")
         return cls(obj["n"], [tuple(e) for e in obj["edges"]])
 
     def __eq__(self, other):
@@ -222,52 +251,38 @@ class FiniteGroup:
     _TABLE_BOUND = 128  # cubic associativity check above this is too slow
 
     def __init__(self, table, names=None, _trusted=False):
-        table = tuple(tuple(row) for row in table)
+        if not isinstance(table, np.ndarray) and not _int_lists(table):
+            raise PreconditionError("table entries must be integers")
         n = len(table)
-        rng = list(range(n))
         if any(len(row) != n for row in table):
             raise PreconditionError("multiplication table must be square")
-        if any(sorted(row) != rng for row in table):
+        table = np.array(table).reshape(n, n)   # object dtype past int64
+        rng = np.arange(n)
+        if (np.sort(table, axis=1) != rng).any():
             raise PreconditionError("a table row is not a permutation")
-        if any(sorted(col) != rng for col in zip(*table)):
+        if (np.sort(table, axis=0) != rng[:, None]).any():
             raise PreconditionError("a table column is not a permutation")
-        ident = None
-        for e in range(n):
-            if all(table[e][j] == j for j in range(n)) \
-                    and all(table[i][e] == i for i in range(n)):
-                ident = e
-                break
+        ident, inv = _identity_and_inverses(table)
         if ident is None:
             raise PreconditionError("table has no identity element")
         if not _trusted:
             if n > self._TABLE_BOUND:
                 raise BoundExceededError(
                     "table too large for exhaustive associativity validation")
-            t = np.array(table, dtype=np.int32)
-            if not np.array_equal(t[t, :], t[:, t]):
+            if not np.array_equal(table[table, :], table[:, table]):
                 raise PreconditionError("table is not associative")
-        self.table = table
+        self.table = tuple(map(tuple, table.tolist()))
         self.identity = ident
         self.names = tuple(names) if names else tuple(map(str, range(n)))
-        inv = [None] * n
-        for i in range(n):
-            for j in range(n):
-                if table[i][j] == ident:
-                    inv[i] = j
-                    break
-        if any(v is None for v in inv):
-            raise PreconditionError("table has an element without an inverse")
-        self._inv = tuple(inv)
+        self._inv = tuple(inv.tolist())
 
     @classmethod
     def from_permutations(cls, generators):
         grp = PermGroup(generators[0].degree if generators else 1,
                         generators)
         elems = grp.elements()
-        index = {p: i for i, p in enumerate(elems)}
-        table = [[index[a * b] for b in elems] for a in elems]
         names = [p.cycle_string() for p in elems]
-        return cls(table, names, _trusted=True)
+        return cls(_cayley_table(elems), names, _trusted=True)
 
     @property
     def order(self):
@@ -293,6 +308,34 @@ class FiniteGroup:
             out.append(x)
             x = self.mul(x, i)
         return tuple(sorted(out))
+
+
+def _cayley_table(elems):
+    """t[a, b] = index of elems[a] * elems[b], for a group's elements sorted
+    by image tuple: compose image rows, then binary-search each product among
+    the rows read as big-endian bytes, which sort as the tuples do."""
+    n = len(elems)
+    if n > MAX_TABLE_ORDER:
+        raise BoundExceededError(
+            f"group order {n} exceeds the table bound {MAX_TABLE_ORDER}")
+    # () of degree 0 reads as the identity of degree 1: no row is empty
+    images = np.array([p.images or (0,) for p in elems], dtype=">u4")
+    row = np.dtype((np.void, images.strides[0]))
+    keys = images.view(row).ravel()
+    table = np.empty((n, n), dtype=np.int32)
+    for a in range(n):
+        table[a] = np.searchsorted(keys, images[a][images].view(row).ravel())
+    return table
+
+
+def _identity_and_inverses(t):
+    """The first two-sided identity of a Latin-square table and the inverse
+    of each element, or (None, None)."""
+    rng = np.arange(len(t))
+    found = np.flatnonzero((t == rng).all(axis=1) & (t == rng[:, None]).all(axis=0))
+    if not len(found):
+        return None, None
+    return int(found[0]), np.nonzero(t == found[0])[1]
 
 
 # -- constructors -------------------------------------------------------------
@@ -380,17 +423,17 @@ def jordan_witness(g):
 
 # -- subgroup enumeration -----------------------------------------------------
 
-def _closure_grow(table, base, new_elem):
-    """Closure of (closed set `base`) union {new_elem}: frontier products
-    only, so extending a known subgroup skips re-multiplying it by itself."""
-    cur = np.union1d(base, np.int32(new_elem))
-    frontier = np.array([new_elem], dtype=np.int32)
+def _closure(table, ident, gens):
+    """Sorted element indices of the subgroup generated by `gens`: a
+    breadth-first search from the identity, multiplying by the generators."""
+    seen = np.zeros(len(table), dtype=bool)
+    seen[ident] = True
+    frontier = np.array([ident])
     while len(frontier):
-        prods = np.union1d(table[np.ix_(frontier, cur)].ravel(),
-                           table[np.ix_(cur, frontier)].ravel())
-        frontier = np.setdiff1d(prods, cur, assume_unique=False)
-        cur = np.union1d(cur, frontier)
-    return cur
+        prods = table[frontier][:, gens].ravel()
+        frontier = np.unique(prods[~seen[prods]])
+        seen[frontier] = True
+    return np.flatnonzero(seen)
 
 
 def _conjugate_orbit(table, inv, sub):
@@ -408,62 +451,30 @@ def all_subgroups(g, bound=200):
     """Every subgroup of g, as generator-listed PermGroups.
 
     Bottom-up closure up to conjugacy: one representative per conjugacy
-    class of subgroups is extended by single elements (one per coset, and
-    only elements of prime-power order, which always suffice to generate);
-    each new class is then expanded to its full conjugate orbit.
+    class of subgroups is extended by single elements (the smallest index
+    of each coset outside it); each new class is then expanded to its full
+    conjugate orbit.
     Deduplication is by element set; output sorted by (order, elements).
     """
     elems = g.elements()
     n = len(elems)
     if n > bound:
         raise BoundExceededError(f"group order {n} exceeds the bound {bound}")
-    index = {p: i for i, p in enumerate(elems)}
-    table = np.array([[index[a * b] for b in elems] for a in elems],
-                     dtype=np.int32)
-    ident = index[Permutation.identity(g.degree)]
-    inv = np.array([index[p.inverse()] for p in elems], dtype=np.int32)
+    table = _cayley_table(elems)
+    ident, inv = _identity_and_inverses(table)
 
-    def elem_order(i):
-        k, x = 1, i
-        while x != ident:
-            x = table[x][i]
-            k += 1
-        return k
-
-    def prime_power(k):
-        if k < 2:
-            return False
-        for p in (2, 3, 5, 7, 11, 13):
-            while k % p == 0:
-                k //= p
-            if k == 1:
-                return True
-        return False
-
-    allowed = [i for i in range(n) if prime_power(elem_order(i))]
-
-    subs = {}   # frozenset of element indices -> generator index list
-    trivial = frozenset([ident])
-    subs[trivial] = []
+    subs = {frozenset([ident]): []}   # element index set -> generator indices
     queue = [(np.array([ident], dtype=np.int32), [])]
     while queue:
         hidx, gens = queue.pop()
-        hset = frozenset(hidx.tolist())
-        # one candidate per right coset H*g: the smallest allowed element
-        coset_id = table[hidx, :].min(axis=0)
-        chosen = {}
-        for cand in allowed:
-            if cand in hset:
-                continue
-            key = coset_id[cand]
-            if key not in chosen or cand < chosen[key]:
-                chosen[key] = cand
-        for cand in sorted(chosen.values()):
-            new = _closure_grow(table, hidx, cand)
+        # one candidate per right coset H*g other than H: its smallest element
+        coset_min = table[hidx, :].min(axis=0)
+        for cand in np.unique(np.delete(coset_min, hidx)).tolist():
+            ngens = gens + [cand]
+            new = _closure(table, ident, ngens)
             key = frozenset(new.tolist())
             if key in subs:
                 continue
-            ngens = gens + [cand]
             orbit, reps = _conjugate_orbit(table, inv, new)
             for row, by in zip(orbit, reps):
                 rkey = frozenset(row.tolist())
@@ -483,25 +494,31 @@ def all_subgroups(g, bound=200):
 
 # -- finite graphs ------------------------------------------------------------
 
+@lru_cache(maxsize=8)
+def _relabelings(n):
+    """All n! relabelings of [0, n) in lexicographic order, and where each
+    one sends each edge position of `_edge_positions(n)`."""
+    perms = np.array(list(itertools.permutations(range(n)))).reshape(-1, n)
+    i, j = np.array(_edge_positions(n), dtype=np.intp).reshape(-1, 2).T
+    slot = np.zeros((n, n), dtype=np.intp)
+    slot[i, j] = slot[j, i] = np.arange(len(i))
+    moves = slot[perms[:, i], perms[:, j]]
+    perms.flags.writeable = moves.flags.writeable = False   # cached, shared
+    return perms, moves
+
+
 def graph_automorphisms(fg):
     """The full automorphism group, by brute force over all relabelings."""
     if fg.n > 8:
         raise BoundExceededError("automorphism brute force is limited to n <= 8")
     if fg.n == 0:
         raise PreconditionError("empty vertex set")
-    edges = fg.edges
-    autos = []
-    for images in itertools.permutations(range(fg.n)):
-        ok = True
-        for i, j in edges:
-            a, b = images[i], images[j]
-            if (min(a, b), max(a, b)) not in edges:
-                ok = False
-                break
-        if ok:
-            autos.append(Permutation(images))
+    perms, moves = _relabelings(fg.n)
+    mask = np.array([e in fg.edges for e in _edge_positions(fg.n)], dtype=bool)
+    keep = (mask[moves] == mask).all(axis=1)   # edges onto edges
+    autos = [Permutation(p) for p in perms[keep].tolist()]
     grp = PermGroup(fg.n, autos)
-    grp._elements = tuple(sorted(autos))
+    grp._elements = tuple(autos)
     return grp
 
 
@@ -598,23 +615,16 @@ def _edge_positions(n):
 def _iso_class_reps(n):
     """One labeled representative bitmask per isomorphism class of graphs
     on n vertices: the minimum edge-bitmask over all relabelings."""
-    pos = _edge_positions(n)
-    m = len(pos)
-    pidx = {e: k for k, e in enumerate(pos)}
-    perm_maps = []
-    for images in itertools.permutations(range(n)):
-        perm_maps.append([
-            pidx[(min(images[i], images[j]), max(images[i], images[j]))]
-            for i, j in pos])
-    perm_maps = np.array(perm_maps, dtype=np.int64)  # n! x m
+    _, moves = _relabelings(n)   # n! x m
+    m = moves.shape[1]
     masks = np.arange(1 << m, dtype=np.int64)
     bits = ((masks[:, None] >> np.arange(m)) & 1).astype(np.int8)  # 2^m x m
     weights = (np.int64(1) << np.arange(m))
     best = None
-    for pm in perm_maps:
+    for pm in moves:
         vals = bits[:, pm].astype(np.int64) @ weights
         best = vals if best is None else np.minimum(best, vals)
-    return tuple(sorted(set(np.unique(best).tolist())))
+    return tuple(np.unique(best).tolist())
 
 
 def _mask_to_graph(n, mask):
@@ -685,18 +695,11 @@ def census(n_max, subgroup_bound=200, allow_seven=False):
 
 
 def _is_connected(fg):
-    if fg.n == 0:
-        return False
-    adj = [[] for _ in range(fg.n)]
+    """Whether vertex 0 reaches every vertex: square A + I until the walks
+    it counts are at least n long."""
+    reach = np.eye(fg.n, dtype=np.int64)
     for i, j in fg.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == fg.n
+        reach[i, j] = reach[j, i] = 1
+    for _ in range(fg.n.bit_length()):
+        reach = np.minimum(reach @ reach, 1)
+    return fg.n > 0 and bool(reach[0].all())

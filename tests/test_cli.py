@@ -94,6 +94,35 @@ def test_finite_subgroups_and_census():
     assert all(out["assertions"].values())
 
 
+def test_finite_non_integer_entries_are_preconditions():
+    for argv in (["conjgraph", "--table", "[1,2]", "--g1", "1", "--g3", "0"],
+                 ["conjgraph", "--table", "[[0,1],[1,1.5]]", "--g1", "1", "--g3", "0"],
+                 ["conjgraph", "--table", "[[true,false],[false,true]]",
+                  "--g1", "1", "--g3", "0"],
+                 ["automorphisms", "--graph", '{"n": 3, "edges": [[0, "1"]]}'],
+                 ["automorphisms", "--graph", '{"n": 3, "edges": [[0, 1.0]]}'],
+                 ["bipartite", "--graph", '{"n": true, "edges": []}']):
+        proc = run("finite", *argv, check=False)
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["error"] == "precondition"
+
+
+def test_finite_degree_budget():
+    start = time.monotonic()
+    proc = run("finite", "cf", "--group", "(0 3000000)", check=False)
+    assert time.monotonic() - start < 5
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["error"] == "bound-exceeded"
+
+
+def test_finite_group_order_budget():
+    proc = run("finite", "cf", "--group", "(0 1);(0 1 2 3 4 5 6 7 8)", check=False)
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["error"] == "bound-exceeded"
+    out = run_json("finite", "cf", "--group", "(0 1);(0 1 2 3 4 5 6 7)")   # 8!
+    assert out["orbit_count"] == 1
+
+
 def test_global_flags_both_positions():
     a = run("--approx", "53", "field", "eval", "--expr", "sqrt(2)").stdout
     b = run("field", "eval", "--approx", "53", "--expr", "sqrt(2)").stdout

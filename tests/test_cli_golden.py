@@ -5,7 +5,10 @@ and must print byte for byte what `cli_golden.json` records.  The calls
 cover the geometry subcommands (distances, equidistant points, geodesic
 steps, ladder witnesses, fixed points, edge sampling, graph paths and
 distances), including their error exits, so a refactor of the geometry
-cannot change what users see without failing here.
+cannot change what users see without failing here.  The `finite` calls
+(orbit counts, derangements, subgroup lattices, automorphisms, rotary
+checks, conjugation graphs, the census) print no algebraic numbers, so
+they run plain only.
 
 After a deliberate change of output, re-record with
 `PYTHONPATH=src python tests/test_cli_golden.py` and review the diff.
@@ -64,7 +67,36 @@ CALLS = [
     ["graph", "distance", "--p", "1,0,0", "--q", "0,1,0", "--cos-l", "4/5"],
     ["graph", "distance", "--p", "1,1,0", "--q", "1,2,2", "--cos-l", "7/8"],
 ]
-ARGVS = [argv + extra for argv in CALLS for extra in ([], ["--approx", "53"])]
+
+S4 = "(0 1);(0 1 2 3)"
+S5 = "(1 3);(4 2 0 3 1)"     # S5 with its points relabelled
+C4 = json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]})
+P3 = json.dumps({"n": 3, "edges": [[0, 1], [1, 2]]})
+CUBE = json.dumps({"n": 8, "edges": [[i, i ^ b] for i in range(8)
+                                     for b in (1, 2, 4) if i < i ^ b]})
+C5 = json.dumps({"n": 5, "edges": [[i, (i + 1) % 5] for i in range(5)]})
+Q8 = json.dumps([[0, 1, 2, 3, 4, 5, 6, 7], [1, 0, 3, 2, 5, 4, 7, 6],
+                 [2, 3, 1, 0, 6, 7, 5, 4], [3, 2, 0, 1, 7, 6, 4, 5],
+                 [4, 5, 7, 6, 1, 0, 2, 3], [5, 4, 6, 7, 0, 1, 3, 2],
+                 [6, 7, 4, 5, 3, 2, 1, 0], [7, 6, 5, 4, 2, 3, 0, 1]])
+
+FINITE_CALLS = [
+    ["finite", cmd, "--group", group]
+    for group in (S4, S5) for cmd in ("cf", "jordan", "subgroups")
+] + [
+    ["finite", cmd, "--graph", fg]
+    for fg in (C4, P3, CUBE) for cmd in ("rotary", "automorphisms")
+] + [
+    ["finite", "bipartite", "--graph", CUBE],
+    ["finite", "bipartite", "--graph", C5],
+    ["finite", "conjgraph", "--group", "(0 1);(0 1 2)", "--g1", "(0 1)",
+     "--g3", "(0 1 2)"],
+    ["finite", "conjgraph", "--table", Q8, "--g1", "2", "--g3", "4"],
+    ["finite", "census", "--n-max", "4"],
+    ["finite", "subgroups", "--group", S5, "--bound", "100"],
+]
+ARGVS = [argv + extra for argv in CALLS
+         for extra in ([], ["--approx", "53"])] + FINITE_CALLS
 
 
 def test_cli_golden_transcripts(capsys):

@@ -1,4 +1,7 @@
 from fractions import Fraction
+import itertools
+import random
+import time
 
 import pytest
 
@@ -22,6 +25,16 @@ def test_from_cycles_rejects_garbage():
         fn.Permutation.from_cycles("(0 1)(1 2)", 3)   # duplicate point
     with pytest.raises(ParseError):
         fn.Permutation.from_cycles("(0 5)", 3)        # out of range
+
+
+def test_from_cycles_parses_in_linear_time():
+    start = time.monotonic()
+    with pytest.raises(ParseError):
+        fn.Permutation.from_cycles("(" + "1" * 60 + "]", 5)
+    assert time.monotonic() - start < 1
+    assert fn.Permutation.from_cycles("()", 3).is_identity()
+    assert fn.Permutation.from_cycles("(0,1, 2 )", 3).images == (1, 2, 0)
+    assert fn.Permutation.from_cycles("(0 1)(2 3)", 4).images == (1, 0, 3, 2)
 
 
 def test_perm_group_closure_and_orbits():
@@ -84,6 +97,9 @@ def test_all_subgroups_counts():
     assert len(fn.all_subgroups(fn.symmetric_group(3))) == 6
     assert len(fn.all_subgroups(fn.symmetric_group(4))) == 30
     assert len(fn.all_subgroups(fn.symmetric_group(5))) == 156
+    # element orders with a prime factor above 13
+    assert len(fn.all_subgroups(fn.cyclic_group(17))) == 2
+    assert len(fn.all_subgroups(fn.dihedral_group(17))) == 20
     with pytest.raises(BoundExceededError):
         fn.all_subgroups(fn.symmetric_group(5), bound=100)
 
@@ -174,3 +190,55 @@ def test_census_small():
     assert all(rep4["assertions"].values())
     with pytest.raises(BoundExceededError):
         fn.census(7)
+
+
+# -- differential tests against the definitions ------------------------------
+
+A4 = fn.PermGroup(4, [fn.Permutation.from_cycles("(0 1 2)", 4),
+                      fn.Permutation.from_cycles("(1 2 3)", 4)])
+
+
+def _table_by_definition(elems):
+    index = {p: i for i, p in enumerate(elems)}
+    return [[index[a * b] for b in elems] for a in elems]
+
+
+def test_cayley_table_matches_definition():
+    # cyclic_group(20) has degree 20, where 20**20 overflows an int64 code
+    for g in (fn.symmetric_group(5), fn.dihedral_group(7), A4, fn.cyclic_group(20)):
+        elems = g.elements()
+        assert fn._cayley_table(elems).tolist() == _table_by_definition(elems)
+
+
+def test_from_permutations_matches_definition():
+    for g in (fn.symmetric_group(3), fn.symmetric_group(5), fn.dihedral_group(4), A4):
+        elems = g.elements()
+        index = {p: i for i, p in enumerate(elems)}
+        grp = fn.FiniteGroup.from_permutations(list(g.generators))
+        assert grp.table == tuple(map(tuple, _table_by_definition(elems)))
+        assert grp.names == tuple(p.cycle_string() for p in elems)
+        assert grp.identity == index[fn.Permutation.identity(g.degree)]
+        assert [grp.inv(i) for i in range(len(elems))] == \
+            [index[p.inverse()] for p in elems]
+
+
+def _automorphisms_by_definition(fg):
+    return [images for images in itertools.permutations(range(fg.n))
+            if all((min(images[i], images[j]), max(images[i], images[j]))
+                   in fg.edges for i, j in fg.edges)]
+
+
+def test_graph_automorphisms_match_definition():
+    graphs = [fn._mask_to_graph(n, mask)
+              for n in range(1, 6) for mask in fn._iso_class_reps(n)]
+    assert len(graphs) == 52
+    rng = random.Random(5)
+    for n in (7, 8):
+        pairs = list(itertools.combinations(range(n), 2))
+        graphs += [fn.FiniteGraph(n, [e for e in pairs if rng.random() < 0.4])
+                   for _ in range(4)]
+        graphs.append(fn.FiniteGraph(n, [(i, (i + 1) % n) for i in range(n)]))
+    graphs.append(fn.FiniteGraph(8, [(i, i ^ b) for i in range(8) for b in (1, 2, 4)]))
+    for fg in graphs:
+        got = [p.images for p in fn.graph_automorphisms(fg).elements()]
+        assert got == _automorphisms_by_definition(fg)
