@@ -12,9 +12,7 @@ safe to share between threads.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
-
-import sympy
+from math import gcd, prod
 
 from . import polys
 from .errors import (
@@ -23,7 +21,6 @@ from .errors import (
     InternalConsistencyError,
     OutOfRangeError,
 )
-from .polys import IntPoly
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -219,7 +216,7 @@ def _select_root(cand, interval_fn, refine_fn):
     """Pick the irreducible factor of `cand` isolating the value described
     by interval_fn (which must always bracket it strictly), returning an
     AlgReal.  refine_fn tightens the bracketing interval."""
-    factors = polys.factor_int(polys.squarefree_part(cand))
+    factors = polys.factor_int(cand)
     for _ in range(20000):
         lo, hi = interval_fn()
         counts = [_count_closed(f, lo, hi) for f in factors]
@@ -461,7 +458,7 @@ def is_rational_angle(c):
     Rational cosines go through Niven's theorem; otherwise c + i*sqrt(1-c^2)
     is tested for being a root of unity by checking whether the minimal
     polynomial of c divides Res_z(Phi_m(z), z^2 - 2cz + 1) for one of the
-    finitely many orders m with phi(m) <= 2*deg(c).
+    finitely many orders m with phi(m) = 2*deg(c).
     """
     c = as_algreal(c)
     if compare(c, AlgReal(-1)) == LESS or compare(c, AlgReal(1)) == GREATER:
@@ -473,8 +470,9 @@ def is_rational_angle(c):
 
 def _rational_angle_order(c):
     """The m with c = cos(2*pi*k/m), gcd(k, m) = 1, for irrational c; None
-    if there is none."""
-    for m in _orders_with_totient_at_most(2 * c.degree):
+    if there is none.  Such a c has degree phi(m)/2 (Lehmer, 1933), and m is
+    unique, so only the orders with phi(m) = 2*deg(c) are tried."""
+    for m in _orders_with_totient(2 * c.degree):
         rm = polys.cos_rational_angle_resultant(m)
         if polys.divides(c.min_poly, rm):
             return m
@@ -482,13 +480,18 @@ def _rational_angle_order(c):
 
 
 @lru_cache(maxsize=None)
-def _orders_with_totient_at_most(bound):
-    # phi(m) >= sqrt(m/2) for all m, so m <= 2*bound^2 suffices
-    out = []
-    for m in range(1, 2 * bound * bound + 3):
-        if sympy.totient(m) <= bound:
-            out.append(m)
-    return tuple(out)
+def _orders_with_totient(n):
+    """Every m with phi(m) = n, ascending, by a totient sieve.  Each prime
+    p | m has p - 1 | n, and m = n * prod(p/(p - 1)) over those p, so m is
+    at most n * prod((d + 1)/d) over the divisors d of n."""
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    top = n * prod(d + 1 for d in divisors) // prod(divisors)
+    phi = list(range(top + 1))
+    for p in range(2, top + 1):
+        if phi[p] == p:  # untouched so far, so p is prime
+            for k in range(p, top + 1, p):
+                phi[k] -= phi[k] // p
+    return tuple(m for m in range(1, top + 1) if phi[m] == n)
 
 
 def rational_angle_witness(c):

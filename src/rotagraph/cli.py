@@ -55,10 +55,19 @@ def _render(obj, bits):
     return obj
 
 
-def _emit(obj, args):
-    text = json.dumps(_render(obj, args.approx), indent=2 if args.pretty else None,
+def _dumps(obj, args):
+    return json.dumps(_render(obj, args.approx), indent=2 if args.pretty else None,
                       sort_keys=False)
-    sys.stdout.write(text + "\n")
+
+
+def _run(args):
+    """The JSON text and exit code of one command: its result or its error."""
+    try:
+        return _dumps(args.fn(args), args), 0
+    except RotagraphError as e:
+        return _dumps({"error": e.code, "detail": str(e)}, args), 1
+    except (ValueError, KeyError, json.JSONDecodeError) as e:
+        return _dumps({"error": "parse-error", "detail": str(e)}, args), 1
 
 
 def _parse_point(text):
@@ -361,22 +370,28 @@ def _build_parser():
         bound={"type": int, "default": 200})
     sub(fin, "automorphisms", cmd_finite_automorphisms, graph={**req})
     sub(fin, "bipartite", cmd_finite_bipartite, graph={**req})
-    sub(fin, "conjgraph", cmd_finite_conjgraph,
-        table={"default": None, "help": "row-major multiplication table JSON"},
-        group={"default": None}, degree={"type": int, "default": None},
-        g1={**req}, g3={**req})
+    conj = sub(fin, "conjgraph", cmd_finite_conjgraph,
+               degree={"type": int, "default": None}, g1={**req}, g3={**req})
+    source = conj.add_mutually_exclusive_group()
+    source.add_argument("--table", default=None,
+                        help="row-major multiplication table JSON")
+    source.add_argument("--group", default=None)
     sub(fin, "census", cmd_finite_census, n_max={**req, "type": int},
         bound={"type": int, "default": 200},
         allow_seven={"action": "store_true"})
     return ap
 
 
-def main(argv=None):
-    # restore interruptibility even when spawned with SIGINT ignored
+def _on_sigint(handler):
     try:
-        signal.signal(signal.SIGINT, signal.default_int_handler)
+        signal.signal(signal.SIGINT, handler)
     except ValueError:
         pass  # not the main thread
+
+
+def main(argv=None):
+    # restore interruptibility even when spawned with SIGINT ignored
+    _on_sigint(signal.default_int_handler)
     ap = _build_parser()
     args = ap.parse_args(argv)
     # the shared flags use SUPPRESS defaults so they work on either side of
@@ -393,20 +408,18 @@ def main(argv=None):
             ap.error(f"ROTAGRAPH_APPROX_BITS must be an integer, got {bits!r}")
     if args.approx is not None and args.approx < 0:
         ap.error(f"approximation BITS must not be negative, got {args.approx}")
+    # SIGINT before the answer is rendered cancels it (exit 130); once the
+    # text is fixed SIGINT is ignored, until the process ends, so the answer
+    # is printed whole and the exit code stands
     try:
-        result = args.fn(args)
+        text, code = _run(args)
+        _on_sigint(signal.SIG_IGN)
     except KeyboardInterrupt:
-        _emit({"error": "interrupted",
-               "detail": "cancelled before completion"}, args)
-        return 130
-    except RotagraphError as e:
-        _emit({"error": e.code, "detail": str(e)}, args)
-        return 1
-    except (ValueError, KeyError, json.JSONDecodeError) as e:
-        _emit({"error": "parse", "detail": str(e)}, args)
-        return 1
-    _emit(result, args)
-    return 0
+        _on_sigint(signal.SIG_IGN)
+        text, code = _dumps({"error": "interrupted",
+                             "detail": "cancelled before completion"}, args), 130
+    sys.stdout.write(text + "\n")
+    return code
 
 
 if __name__ == "__main__":

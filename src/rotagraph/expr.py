@@ -146,8 +146,9 @@ def to_expr(value):
     if value.is_rational:
         r = value.as_rational()
         return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
-    roots = algebraic.real_roots(polys.IntPoly(value.min_poly))
-    index = next(i for i, r in enumerate(roots)
-                 if algebraic.compare(r, value) == algebraic.EQUAL)
-    coeffs = ",".join(str(c) for c in value.min_poly)
+    # the roots of the (squarefree) minimal polynomial below the value are
+    # those in (-B, lo], lo being the isolating interval's lower end
+    p = value.min_poly
+    index = polys.count_roots_halfopen(p, -polys.root_bound(p), value.interval[0])
+    coeffs = ",".join(str(c) for c in p)
     return f"root({coeffs},{index})"

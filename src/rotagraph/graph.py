@@ -178,10 +178,10 @@ def choose_ell_for_diameter(k, should_stop=None):
     """A rational cosine giving graph diameter exactly k (k >= 3), with the
     apex angle an irrational multiple of pi.
 
-    Enumerates rationals p/q by increasing denominator and tests the exact
-    sandwich T_k(c) <= 0 < T_{k-1}(c); k >= 3 puts any such c in the strict
-    regime automatically.  `should_stop`, when given, is polled between
-    candidates and aborts the search by returning True.
+    Enumerates rationals p/q by increasing denominator, filters them by the
+    exact sandwich T_k(c) <= 0 < T_{k-1}(c) and keeps those whose diameter is
+    k.  `should_stop`, when given, is polled between candidates and aborts
+    the search by returning True.
     """
     if k < 3:
         raise OutOfRangeError("diameter targets below 3 are not in the strict regime")
@@ -197,11 +197,13 @@ def choose_ell_for_diameter(k, should_stop=None):
                 continue
             if chebyshev_T(k - 1, c).sign() <= 0:
                 continue
+            spec = GraphSpec(c)
+            # the sandwich also holds where cos(j*l) turns non-positive again
+            # after its first crossing; the diameter is the first crossing
+            if not spec.strict or diameter(spec)[0] != k:
+                continue
             apex = div(c, c + _ONE)
             if is_rational_angle(apex):
-                continue
-            spec = GraphSpec(c)
-            if not spec.strict:
                 continue
             return spec
     raise SearchExhaustedError("no rational edge cosine found for this diameter")

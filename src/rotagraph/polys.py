@@ -1,11 +1,12 @@
 """Integer polynomial machinery backing the algebraic-number kernel.
 
 Polynomials are tuples of Python ints in ascending degree with a nonzero
-leading coefficient; the zero polynomial is the empty tuple.  Factorisation,
-gcd and division over Q are delegated to sympy; everything else is done
-here with exact integer and rational arithmetic: the special resultants
-(composed sums and products, by Newton power sums) and everything
-sign-related (Sturm chains, root counting, isolation).
+leading coefficient; the zero polynomial is the empty tuple.  Factorisation
+over Q (`factor_int`) is the one job handed to a computer algebra system;
+everything else is done here with exact integer and rational arithmetic:
+the special resultants (composed sums and products, by Newton power sums),
+cyclotomic polynomials, exact division and everything sign-related (Sturm
+chains, root counting, isolation).
 """
 
 from fractions import Fraction
@@ -15,8 +16,6 @@ from math import comb, gcd, lcm
 import sympy
 
 from .errors import ZeroPolynomialError
-
-_x = sympy.Symbol("rotagraph_x")
 
 
 def normalize(coeffs):
@@ -120,37 +119,13 @@ def as_coeff_tuple(p):
     return coeffs
 
 
-# -- sympy bridge -----------------------------------------------------------
-
-def _to_sympy(c):
-    return sympy.Poly(list(reversed(c)), _x, domain="ZZ")
-
-
-def _from_sympy(p):
-    return normalize(list(reversed([int(v) for v in p.all_coeffs()])))
-
+# -- factorisation -----------------------------------------------------------
 
 @lru_cache(maxsize=None)
 def factor_int(c):
     """Distinct irreducible factors over Q, each primitive with positive lead."""
-    _, factors = _to_sympy(c).factor_list()
-    return tuple(sorted(primitive(_from_sympy(f)) for f, _m in factors))
-
-
-@lru_cache(maxsize=None)
-def squarefree_part(c):
-    g = _to_sympy(c).gcd(_to_sympy(derivative(c)))
-    q, r = _to_sympy(c).div(g)
-    assert r.is_zero
-    return primitive(_from_sympy(q))
-
-
-def divide_exact(a, b):
-    """Return a // b if b divides a exactly over Q, else None."""
-    q, r = _to_sympy(a).div(_to_sympy(b))
-    if not r.is_zero:
-        return None
-    return primitive(_from_sympy(sympy.Poly(q, _x)))
+    _, factors = sympy.Poly(c[::-1], sympy.Symbol("x"), domain="ZZ").factor_list()
+    return tuple(sorted(primitive(f.all_coeffs()[::-1]) for f, _m in factors))
 
 
 # -- special resultants by Newton power sums --------------------------------
@@ -368,7 +343,19 @@ def isolate_roots(c):
 
 @lru_cache(maxsize=None)
 def cyclotomic(m):
-    return _from_sympy(sympy.Poly(sympy.cyclotomic_poly(m, _x), _x))
+    """Phi_m: x^m - 1 divided exactly by Phi_d for every d | m, d < m.  Each
+    divisor is monic, so the long division stays in the integers."""
+    q = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            b = cyclotomic(d)
+            db = degree(b)
+            for k in range(len(q) - 1 - db, -1, -1):
+                f = q[k + db]
+                for i in range(db):
+                    q[k + i] -= f * b[i]
+            q = q[db:]
+    return tuple(q)
 
 
 @lru_cache(maxsize=None)
@@ -391,4 +378,4 @@ def cos_rational_angle_resultant(m):
 
 def divides(small, big):
     """True if `small` divides `big` over Q."""
-    return divide_exact(big, small) is not None
+    return not _poly_rem_neg(big, small)

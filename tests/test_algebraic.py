@@ -6,7 +6,7 @@ from math import isqrt
 import mpmath
 import pytest
 
-from rotagraph import expr
+from rotagraph import expr, polys
 from rotagraph.algebraic import (
     AlgReal, EQUAL, GREATER, LESS,
     add, chebyshev_T, compare, div, is_rational_angle, mul, neg,
@@ -179,6 +179,26 @@ def test_rational_angle_witness_recovers_angle():
         with mpmath.workprec(200):
             assert close(value, mpmath.cos(mpmath.pi * k / m), mpmath.mpf(2) ** -120)
     assert rational_angle_witness(div(SQRT2, AlgReal(3))) is None
+
+
+def test_orders_with_totient_match_sympy():
+    import sympy
+    from rotagraph.algebraic import _orders_with_totient
+    # phi(m) >= sqrt(m/2), so every m with phi(m) <= 64 is at most 2 * 64^2
+    phi = {m: int(sympy.totient(m)) for m in range(1, 2 * 64 * 64 + 1)}
+    for n in range(1, 65):
+        assert _orders_with_totient(n) == tuple(m for m in phi if phi[m] == n), n
+
+
+def test_rational_angle_witness_on_cyclotomic_cosines():
+    # every real root of R_m is cos(2*pi*k/m) = cos(2k*pi/m) with
+    # gcd(k, m) = 1, so the reduced witness has denominator m / gcd(2, m)
+    for m in range(3, 31):
+        for value in real_roots(polys.cos_rational_angle_resultant(m)):
+            k, m2 = rational_angle_witness(value)
+            assert m2 == (m if m % 2 else m // 2), (m, k, m2)
+            with mpmath.workprec(200):
+                assert close(value, mpmath.cos(mpmath.pi * k / m2), mpmath.mpf(2) ** -120)
 
 
 def test_float_contract():

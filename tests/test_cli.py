@@ -147,14 +147,54 @@ def test_parse_error_exit_1():
 
 
 def test_sigint_exit_130():
+    # a search that runs for well over 5 s, so the signal lands mid-computation
     proc = subprocess.Popen(
-        CLI + ["finite", "census", "--n-max", "6"],
+        CLI + ["graph", "choose-ell", "--diameter", "30"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=ENV)
     time.sleep(1.0)
     proc.send_signal(signal.SIGINT)
     out, _ = proc.communicate(timeout=30)
     assert proc.returncode == 130
     assert json.loads(out)["error"] == "interrupted"
+
+
+INTERRUPT_WHILE_RENDERING = """
+import signal, sys
+from rotagraph import cli
+render = cli._render
+def interrupting_render(obj, bits):
+    signal.raise_signal(signal.SIGINT)
+    return render(obj, bits)
+cli._render = interrupting_render
+sys.exit(cli.main(["finite", "cf", "--group", "(0 1 2)"]))
+"""
+
+
+def test_sigint_while_rendering():
+    """A SIGINT once the answer is computed gives the whole answer (exit 0)
+    or only the interrupted object (exit 130), never a death by signal."""
+    proc = subprocess.run([sys.executable, "-c", INTERRUPT_WHILE_RENDERING],
+                          capture_output=True, text=True, env=ENV, timeout=60)
+    assert proc.returncode in (0, 130), proc.stderr
+    want = {"orbit_count": 1, "average_fixed_points": "1"} if proc.returncode == 0 \
+        else {"error": "interrupted", "detail": "cancelled before completion"}
+    assert json.loads(proc.stdout) == want
+
+
+def test_malformed_inputs_share_one_parse_code():
+    for args in (("finite", "cf", "--group", "(0 1]"),
+                 ("field", "roots", "--poly", "1,x"),
+                 ("finite", "automorphisms", "--graph", '{"n": 3, "edges": [[0, 1]')):
+        proc = run(*args, check=False)
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr, args
+        assert json.loads(proc.stdout)["error"] == "parse-error", args
+
+
+def test_conjgraph_table_and_group_is_usage_error():
+    proc = run("finite", "conjgraph", "--group", "(0 1);(0 1 2)", "--table", "[[0]]",
+               "--g1", "(0 1)", "--g3", "(0 1 2)", check=False)
+    assert proc.returncode == 2 and not proc.stdout
+    assert "not allowed with" in proc.stderr
 
 
 def test_integer_json_entries():

@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from rotagraph import expr
-from rotagraph.algebraic import AlgReal, EQUAL, add, compare, div, sqrt_nonneg
+from rotagraph.algebraic import (
+    AlgReal, EQUAL, add, compare, div, real_roots, sqrt_nonneg,
+)
 from rotagraph.errors import ParseError
 
 
@@ -53,6 +56,23 @@ def test_irrational_round_trip():
             add(sqrt_nonneg(AlgReal(2)), AlgReal(Fraction(1, 3)))]
     for v in vals:
         assert roundtrip(v)
+
+
+def test_root_index_matches_real_roots():
+    """to_expr counts the roots below a value with one Sturm count; the
+    index must be the value's position among its polynomial's real roots."""
+    rng = random.Random(6103)
+    for _ in range(60):
+        p = [rng.randint(-9, 9) for _ in range(rng.randint(2, 7))] + [rng.randint(1, 5)]
+        for r in real_roots(p):
+            if r.is_rational:
+                continue
+            mine = real_roots(r.min_poly)
+            index = next(i for i, s in enumerate(mine) if compare(s, r) == EQUAL)
+            coeffs = ",".join(str(c) for c in r.min_poly)
+            assert expr.to_expr(r) == f"root({coeffs},{index})"
+            r.refine()
+            assert expr.to_expr(r) == f"root({coeffs},{index})"
 
 
 def test_parse_errors():

@@ -113,7 +113,9 @@ def test_validate_spec():
 
 
 def test_choose_ell_for_diameter():
-    for k in (3, 4, 5):
+    # from k = 11 on, T_k(c) <= 0 < T_{k-1}(c) also holds at later zero
+    # crossings of cos(j*l) (3/4 has diameter 3 but meets the k = 11 sandwich)
+    for k in (3, 4, 5, 11, 12):
         spec = gr.choose_ell_for_diameter(k)
         assert spec.cos_l.value.is_rational
         assert gr.diameter(spec)[0] == k

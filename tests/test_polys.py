@@ -1,7 +1,10 @@
-"""Differential tests: the power-sum special resultants in `polys` against
-sympy's resultant, written the way the kernel used to call it."""
+"""Differential tests against sympy: the power-sum special resultants
+(against its resultant, written the way the kernel used to call it),
+cyclotomic polynomials, exact division and factorisation."""
 
+import ast
 import random
+from pathlib import Path
 
 import sympy
 
@@ -94,3 +97,63 @@ def test_cand_square():
               (-2, 0, 1), (0, -3, 1)]
     for p in cases:
         assert polys.cand_square(p) == sympy_square(p), p
+
+
+def test_cyclotomic():
+    for m in range(1, 121):
+        want = sympy.Poly(sympy.cyclotomic_poly(m, X), X).all_coeffs()
+        assert polys.cyclotomic(m) == tuple(int(v) for v in reversed(want)), m
+
+
+def _sympy_divides(small, big):
+    return sympy.rem(_as_expr(big, X), _as_expr(small, X), X) == 0
+
+
+def test_divides():
+    rng = random.Random(6101)
+    def poly(d, lead):
+        return [rng.randint(-5, 5) for _ in range(d)] + [lead]
+
+    for _ in range(60):
+        small = polys.primitive(poly(rng.randint(1, 5), rng.randint(1, 4)))
+        prod = polys.mul(small, poly(rng.randint(0, 5), rng.randint(-4, 4) or 1))
+        rest = polys.normalize(poly(polys.degree(small) - 1, rng.randint(-3, 3)))
+        for big, want in ((prod, True), (polys.add(prod, rest), not rest)):
+            assert polys.divides(small, big) == want, (small, big)
+            assert _sympy_divides(small, big) == want, (small, big)
+    assert not polys.divides((-2, 0, 1), (-2, 1))   # higher degree never divides
+
+
+def test_factor_int_drops_multiplicity():
+    """factor_int of a product with repeated factors equals the factors of
+    its square-free part, which root selection used to compute first."""
+    rng = random.Random(6102)
+    for _ in range(40):
+        parts = [polys.primitive([rng.randint(-4, 4) for _ in range(rng.randint(1, 4))]
+                                 + [rng.randint(1, 3)])
+                 for _ in range(rng.randint(1, 3))]
+        c = (1,)
+        for f in parts:
+            c = polys.mul(c, f)
+        c = polys.mul(c, parts[0])   # parts[0] at least squared
+        sqf = sympy.Poly(_as_expr(c, X), X).sqf_part()
+        want = sorted(polys.primitive([int(v) for v in reversed(f.all_coeffs())])
+                      for f, _m in sqf.factor_list()[1])
+        assert list(polys.factor_int(c)) == want, c
+
+
+def test_sympy_only_factorises():
+    """The kernel's one use of sympy is the factorisation in factor_int."""
+    src = Path(polys.__file__).parent
+    imports, uses = set(), set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                        "sympy" in ast.unparse(node):
+                    imports.add((path.stem, ast.unparse(node)))
+                if isinstance(node, ast.Name) and node.id == "sympy":
+                    uses.add((path.stem, getattr(top, "name", None)))
+    assert imports == {("polys", "import sympy")}
+    assert uses == {("polys", "factor_int")}
