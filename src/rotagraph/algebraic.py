@@ -5,14 +5,28 @@ integer minimal polynomial together with a rational isolating interval
 containing exactly that one real root.  Rational values use the degree-1
 polynomial ``q*x - p`` and the degenerate interval [r, r].
 
-Values are immutable; the isolating interval may be tightened in place
-(a semantically invisible refinement, written atomically), so values are
-safe to share between threads.
+An irrational value may instead carry a generator tag (theta, g): it is
+g(theta) for an untagged irrational theta and a tuple g of Fractions, a
+polynomial reduced modulo theta's minimal polynomial m (so deg g < deg m).
+Every irrational value lies over a generator, its tag's or else itself.
+Values over one generator add, multiply, divide and compare as polynomials
+modulo m (Cohen, GTM 138, ch. 4), and so do two quadratic generators of
+one field.  A tagged value builds its minimal polynomial and isolating
+interval only when asked for them (printing, hashing, an operation across
+fields), from the characteristic polynomial of g(theta), with no
+factorisation; x + r, -x, r*x and 1/x of a value that has them carry them
+over at once.  Operations across fields take the candidate polynomial of
+the result, factorise it, and give an untagged value.
+
+Values are immutable.  The isolating interval may be tightened in place and
+a tagged value's minimal polynomial filled in on first use; both are
+semantically invisible and written in one attribute, so values are safe to
+share between threads.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd, isqrt, lcm, prod
 
 from . import polys
 from .errors import (
@@ -29,22 +43,24 @@ LESS, EQUAL, GREATER = -1, 0, 1
 # nested square root doubles the degree.
 _MAX_CAND_DEGREE = 256
 
+# g for a generator over itself: the polynomial x
+_X = (Fraction(0), Fraction(1))
+
 
 class AlgReal:
     """An exact real algebraic number."""
 
-    __slots__ = ("min_poly", "_interval", "_sign_lo")
+    # _root: (min_poly, isolating interval, sign of min_poly at its lower
+    # end), None until a tagged value needs it; _tag: (theta, g) or None
+    __slots__ = ("_root", "_tag")
 
     def __init__(self, value=0):
         if isinstance(value, AlgReal):
-            self.min_poly = value.min_poly
-            self._interval = value._interval
-            self._sign_lo = value._sign_lo
+            self._root, self._tag = value._root, value._tag
             return
         r = Fraction(value)
-        self.min_poly = (-r.numerator, r.denominator)
-        self._interval = (r, r)
-        self._sign_lo = 0
+        self._root = ((-r.numerator, r.denominator), (r, r), 0)
+        self._tag = None
 
     @classmethod
     def _make(cls, min_poly, interval):
@@ -52,12 +68,25 @@ class AlgReal:
         if polys.degree(min_poly) == 1:
             return cls(Fraction(-min_poly[0], min_poly[1]))
         self = object.__new__(cls)
-        self.min_poly = min_poly
-        self._interval = (Fraction(interval[0]), Fraction(interval[1]))
-        s = polys.evaluate(min_poly, self._interval[0])
+        lo, hi = Fraction(interval[0]), Fraction(interval[1])
+        s = polys.sign_at(min_poly, lo)
         if s == 0:
             raise InternalConsistencyError("isolating endpoint is a root")
-        self._sign_lo = 1 if s > 0 else -1
+        self._root = (min_poly, (lo, hi), s)
+        self._tag = None
+        return self
+
+    @classmethod
+    def _over(cls, theta, g):
+        """g(theta) for g reduced modulo theta's minimal polynomial."""
+        g = _trim(g)
+        if len(g) <= 1:
+            return cls(g[0] if g else 0)
+        if g == _X:
+            return theta
+        self = object.__new__(cls)
+        self._root = None
+        self._tag = (theta, g)
         return self
 
     @classmethod
@@ -72,9 +101,19 @@ class AlgReal:
 
     # -- basic structure ----------------------------------------------------
 
+    def _isolated(self):
+        r = self._root
+        if r is None:
+            r = self._root = _isolate(*self._tag)
+        return r
+
+    @property
+    def min_poly(self):
+        return self._isolated()[0]
+
     @property
     def interval(self):
-        return self._interval
+        return self._isolated()[1]
 
     @property
     def degree(self):
@@ -82,26 +121,39 @@ class AlgReal:
 
     @property
     def is_rational(self):
-        return len(self.min_poly) == 2
+        r = self._root
+        return r is not None and len(r[0]) == 2
 
     def as_rational(self):
         if not self.is_rational:
             raise OutOfRangeError("not a rational value")
-        return Fraction(-self.min_poly[0], self.min_poly[1])
+        p = self._root[0]
+        return Fraction(-p[0], p[1])
+
+    def _bracket(self):
+        """A closed interval holding the value: the isolating interval once
+        known, else g's range over theta's interval."""
+        r = self._root
+        if r is not None:
+            return r[1]
+        theta, g = self._tag
+        return _enclose(g, theta._root[1])
 
     def refine(self):
-        """Halve the isolating interval (no-op for rationals)."""
-        if self.is_rational:
+        """Halve the isolating interval, or theta's while a tagged value has
+        none yet (no-op for rationals)."""
+        r = self._root
+        if r is None:
+            self._tag[0].refine()
             return
-        lo, hi = self._interval
+        p, (lo, hi), s = r
+        if len(p) == 2:
+            return
         mid = (lo + hi) / 2
-        v = polys.evaluate(self.min_poly, mid)
+        v = polys.sign_at(p, mid)
         if v == 0:
             raise InternalConsistencyError("rational root of irreducible poly")
-        if (1 if v > 0 else -1) == self._sign_lo:
-            self._interval = (mid, hi)
-        else:
-            self._interval = (lo, mid)
+        self._root = (p, (mid, hi) if v == s else (lo, mid), s)
 
     def sign(self):
         """Exact sign in {-1, 0, 1}."""
@@ -109,7 +161,7 @@ class AlgReal:
             r = self.as_rational()
             return 0 if r == 0 else (1 if r > 0 else -1)
         while True:  # an irrational value is never zero
-            lo, hi = self._interval
+            lo, hi = self._bracket()
             if lo > 0:
                 return 1
             if hi < 0:
@@ -124,7 +176,7 @@ class AlgReal:
             return self.as_rational()
         scale = 1 << bits
         while True:
-            lo, hi = self._interval
+            lo, hi = self._bracket()
             cell = lo.numerator * scale // lo.denominator
             if hi.numerator * scale // hi.denominator == cell:
                 return Fraction(cell, scale)
@@ -210,13 +262,171 @@ def as_algreal(v):
     return AlgReal(Fraction(v))
 
 
+# -- polynomials modulo a generator's minimal polynomial ---------------------
+# Ascending tuples of Fractions without trailing zeros; () is zero.
+
+def _trim(g):
+    g = list(g)
+    while g and g[-1] == 0:
+        g.pop()
+    return tuple(g)
+
+
+def _padd(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    return _trim([u + v for u, v in zip(a, b)] + list(a[len(b):]))
+
+
+def _psub(a, b):
+    return _padd(a, tuple(-v for v in b))
+
+
+def _pmul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return _trim(out)
+
+
+def _pdivmod(a, b):
+    """Quotient and remainder of a by b != 0 over Q."""
+    r = list(a)
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    lead = Fraction(b[-1])
+    for k in range(len(q) - 1, -1, -1):
+        f = r[k + len(b) - 1] / lead
+        q[k] = f
+        for i, c in enumerate(b):
+            r[k + i] -= f * c
+    return _trim(q), _trim(r[:len(b) - 1])
+
+
+def _mulmod(a, b, m):
+    """a * b modulo the integer polynomial m, in integers: over a common
+    denominator d, lead(m)^e * A * B = q*m + r gives r / (d * lead(m)^e)."""
+    if not a or not b:
+        return ()
+    da, db = lcm(*(c.denominator for c in a)), lcm(*(c.denominator for c in b))
+    r, e = polys.pseudo_rem(polys.mul([c.numerator * (da // c.denominator) for c in a],
+                                      [c.numerator * (db // c.denominator) for c in b]), m)
+    d = da * db * m[-1] ** e
+    return tuple(Fraction(v, d) for v in r)
+
+
+def _invmod(g, m):
+    """The inverse of g != 0 modulo the irreducible m, by the extended
+    Euclidean algorithm over Q: u_i * g = r_i (mod m) throughout."""
+    r0, r1 = m, g
+    u0, u1 = (), (Fraction(1),)
+    while len(r1) > 1:
+        q, r = _pdivmod(r0, r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, _psub(u0, _pmul(q, u1))
+    return tuple(v / r1[0] for v in u1)
+
+
+def _enclose(g, interval):
+    """A closed interval holding g(t) for every t in `interval`, by Horner's
+    rule in exact interval arithmetic, rounded outward to multiples of a
+    power of two below its width: that keeps the endpoints' denominators
+    small (Sturm counts evaluate whole chains there) and the width within
+    twice the exact one.  Integers throughout: with interval = [a, b] / d
+    and g = G / D, the range of G(t) * d^n over it is [glo, ghi]."""
+    lo, hi = interval
+    d = lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+    den = lcm(*(c.denominator for c in g))
+    glo = ghi = g[-1].numerator * (den // g[-1].denominator)
+    scale = den
+    for c in reversed(g[:-1]):
+        scale *= d
+        prods = (glo * a, glo * b, ghi * a, ghi * b)
+        shift = c.numerator * (scale // c.denominator)
+        glo, ghi = min(prods) + shift, max(prods) + shift
+    k = max(scale.bit_length() - (ghi - glo).bit_length() + 1, 0)
+    return (Fraction((glo << k) // scale, 1 << k),
+            Fraction(-((-ghi << k) // scale), 1 << k))
+
+
+def _isolate(theta, g):
+    """(min_poly, isolating interval, sign at its lower end) of g(theta).
+
+    The traces Tr(g(theta)^k) = sum_i h_i * s_i, h = g^k mod m and s_i the
+    power sums of m's roots, are the power sums of the characteristic
+    polynomial of g(theta), a power f^e of its minimal polynomial f; so
+    e = n / (n - deg gcd(char, char')), f has power sums S_k / e, and no
+    factorisation is needed."""
+    m = theta.min_poly
+    n = polys.degree(m)
+    s = polys._power_sums(m, n - 1)
+    S, h = [Fraction(n)], (Fraction(1),)
+    for _ in range(n):
+        h = _mulmod(h, g, m)
+        S.append(sum(c * sk for c, sk in zip(h, s)))
+    char = polys._from_power_sums(S, n)
+    d = n - polys.degree(polys.poly_gcd(char, polys.derivative(char)))
+    f = polys._from_power_sums([v * d / n for v in S], d)
+    root = _select_root((f,), lambda: _enclose(g, theta.interval), theta.refine)
+    return root._root
+
+
+# -- generators ---------------------------------------------------------------
+
+def _gen(a):
+    """(theta, g) with a = g(theta), for irrational a."""
+    return a._tag or (a, _X)
+
+
+def _common(a, b):
+    """(theta, ga, gb) with a = ga(theta) and b = gb(theta), for a and b
+    not both rational; None when no common generator is recognised."""
+    if a.is_rational:
+        theta, gb = _gen(b)
+        return theta, (a.as_rational(),), gb
+    if b.is_rational:
+        theta, ga = _gen(a)
+        return theta, ga, (b.as_rational(),)
+    (ta, ga), (tb, gb) = _gen(a), _gen(b)
+    if ta is tb:
+        return ta, ga, gb
+    h = _embed(tb, ta)
+    if h is None:
+        return None
+    m = ta.min_poly
+    acc = ()
+    for c in reversed(gb):
+        acc = _padd(_mulmod(acc, h, m), (c,))
+    return ta, ga, acc
+
+
+def _embed(t, theta):
+    """t as a polynomial in theta, both untagged generators, when they
+    generate one field we can tell: equal values, or quadratics whose
+    discriminants multiply to a square.  Else None."""
+    p, m = t.min_poly, theta.min_poly
+    if len(p) == len(m) == 3:
+        dp, dm = p[1] ** 2 - 4 * p[0] * p[2], m[1] ** 2 - 4 * m[0] * m[2]
+        k = isqrt(dp * dm)
+        if k * k != dp * dm:
+            return None
+        # 2*c2*x + c1 = sigma*sqrt(D) for a root x of c0 + c1*x + c2*x^2,
+        # sigma the sign of the derivative there, which is -sign_lo; and
+        # sqrt(dp) = (k / dm) * sqrt(dm)
+        f = Fraction(t._root[2] * theta._root[2] * k, dm)
+        return ((f * m[1] - p[1]) / (2 * p[2]), f * m[2] / p[2])
+    if p == m and _compare_isolated(t, theta) == EQUAL:
+        return _X
+    return None
+
+
 # -- root selection ---------------------------------------------------------
 
-def _select_root(cand, interval_fn, refine_fn):
-    """Pick the irreducible factor of `cand` isolating the value described
-    by interval_fn (which must always bracket it strictly), returning an
-    AlgReal.  refine_fn tightens the bracketing interval."""
-    factors = polys.factor_int(cand)
+def _select_root(factors, interval_fn, refine_fn):
+    """The root, as an AlgReal, of the one irreducible factor in `factors`
+    vanishing at the value interval_fn brackets (strictly, and ever more
+    tightly with each refine_fn)."""
     for _ in range(20000):
         lo, hi = interval_fn()
         counts = [_count_closed(f, lo, hi) for f in factors]
@@ -254,24 +464,31 @@ def add(a, b):
         r = b.as_rational()
         if r == 0:
             return a
-        p = polys.compose_shift(a.min_poly, r)
-        lo, hi = a.interval
-        return AlgReal._make(p, (lo + r, hi + r))
+        theta, g = _gen(a)
+        return _image(AlgReal._over(theta, _padd(g, (r,))), a,
+                      lambda p: polys.compose_shift(p, r),
+                      lambda lo, hi: (lo + r, hi + r))
+    common = _common(a, b)
+    if common is not None:
+        theta, ga, gb = common
+        return AlgReal._over(theta, _padd(ga, gb))
     _check_cand_degree(a.degree * b.degree)
     cand = polys.cand_sum(a.min_poly, b.min_poly)
 
     def interval_fn():
         return (a.interval[0] + b.interval[0], a.interval[1] + b.interval[1])
 
-    return _select_root(cand, interval_fn, lambda: (a.refine(), b.refine()))
+    return _select_root(polys.factor_int(cand), interval_fn,
+                        lambda: (a.refine(), b.refine()))
 
 
 def neg(a):
     a = as_algreal(a)
     if a.is_rational:
         return AlgReal(-a.as_rational())
-    lo, hi = a.interval
-    return AlgReal._make(polys.compose_neg(a.min_poly), (-hi, -lo))
+    theta, g = _gen(a)
+    return _image(AlgReal._over(theta, tuple(-c for c in g)), a,
+                  polys.compose_neg, lambda lo, hi: (-hi, -lo))
 
 
 def sub(a, b):
@@ -290,11 +507,15 @@ def mul(a, b):
             return AlgReal(0)
         if r == 1:
             return a
-        p = polys.compose_scale(a.min_poly, r)
-        lo, hi = a.interval
-        iv = (lo * r, hi * r) if r > 0 else (hi * r, lo * r)
-        return AlgReal._make(p, iv)
-    if a.min_poly == b.min_poly and compare(a, b) == EQUAL:
+        theta, g = _gen(a)
+        return _image(AlgReal._over(theta, tuple(r * c for c in g)), a,
+                      lambda p: polys.compose_scale(p, r),
+                      lambda lo, hi: (lo * r, hi * r) if r > 0 else (hi * r, lo * r))
+    common = _common(a, b)
+    if common is not None:
+        theta, ga, gb = common
+        return AlgReal._over(theta, _mulmod(ga, gb, theta.min_poly))
+    if a.min_poly == b.min_poly and _compare_isolated(a, b) == EQUAL:
         _check_cand_degree(a.degree)
         cand = polys.cand_square(a.min_poly)
     else:
@@ -306,7 +527,8 @@ def mul(a, b):
         prods = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
         return (min(prods), max(prods))
 
-    return _select_root(cand, interval_fn, lambda: (a.refine(), b.refine()))
+    return _select_root(polys.factor_int(cand), interval_fn,
+                        lambda: (a.refine(), b.refine()))
 
 
 def _invert(a):
@@ -315,9 +537,23 @@ def _invert(a):
         if r == 0:
             raise DivisionByZeroError("division by zero")
         return AlgReal(1 / r)
-    a.sign()  # refines the interval until it excludes 0
-    lo, hi = a.interval
-    return AlgReal._make(polys.compose_invert(a.min_poly), (1 / hi, 1 / lo))
+    theta, g = _gen(a)
+    return _image(AlgReal._over(theta, _invmod(g, theta.min_poly)), a,
+                  polys.compose_invert,
+                  lambda lo, hi: (1 / hi, 1 / lo) if lo > 0 or hi < 0 else None)
+
+
+def _image(v, a, poly_fn, interval_fn):
+    """v, the image of a under x -> x + r, -x, r*x or 1/x, with its minimal
+    polynomial and isolating interval filled in when a has them: poly_fn
+    transforms a's polynomial and interval_fn maps a's interval (or gives
+    None, as 1/x does for one holding 0), so no root selection is needed."""
+    r = a._root
+    if r is not None and v._root is None:
+        iv = interval_fn(*r[1])
+        if iv is not None:
+            v._root = AlgReal._make(poly_fn(r[0]), iv)._root
+    return v
 
 
 def div(a, b):
@@ -333,6 +569,16 @@ def compare(a, b):
     if a.is_rational and b.is_rational:
         ra, rb = a.as_rational(), b.as_rational()
         return EQUAL if ra == rb else (LESS if ra < rb else GREATER)
+    common = _common(a, b)
+    if common is None:
+        return _compare_isolated(a, b)
+    theta, ga, gb = common
+    return AlgReal._over(theta, _psub(ga, gb)).sign()
+
+
+def _compare_isolated(a, b):
+    """Trichotomy of two irrationals by refining their isolating intervals;
+    equal values share a minimal polynomial and a root in both intervals."""
     same_poly = a.min_poly == b.min_poly
     for _ in range(100000):
         (alo, ahi), (blo, bhi) = a.interval, b.interval
@@ -378,11 +624,10 @@ def sqrt_nonneg(a):
     # make sure the interval starts at a positive lower endpoint
     while a.interval[0] <= 0:
         a.refine()
-    return _select_root(cand, interval_fn, refine_fn)
+    return _select_root(polys.factor_int(cand), interval_fn, refine_fn)
 
 
 def _isqrt_exact(n):
-    from math import isqrt
     r = isqrt(n)
     return r if r * r == n else None
 
@@ -390,14 +635,12 @@ def _isqrt_exact(n):
 def _sqrt_lower(f, bits):
     if f <= 0:
         return Fraction(0)
-    from math import isqrt
     scale = 1 << (2 * bits)
     return Fraction(isqrt(f.numerator * f.denominator * scale),
                     f.denominator << bits)
 
 
 def _sqrt_upper(f, bits):
-    from math import isqrt
     scale = 1 << (2 * bits)
     return Fraction(isqrt(f.numerator * f.denominator * scale) + 1,
                     f.denominator << bits)
@@ -441,7 +684,6 @@ def chebyshev_T(n, c):
     if n == 0:
         return t0
     for _ in range(n - 1):
-        # c * c first, so T_2 takes the squaring candidate in `mul`
         t0, t1 = t1, sub(mul(2, mul(c, t1)), t0)
     return t1
 

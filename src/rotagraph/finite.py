@@ -614,17 +614,20 @@ def _edge_positions(n):
 @lru_cache(maxsize=None)
 def _iso_class_reps(n):
     """One labeled representative bitmask per isomorphism class of graphs
-    on n vertices: the minimum edge-bitmask over all relabelings."""
+    on n vertices: the minimum edge-bitmask over all relabelings.  Masks are
+    swept in ascending order, so the first one not yet seen is the minimum
+    of its orbit, and its whole orbit is marked seen."""
     _, moves = _relabelings(n)   # n! x m
     m = moves.shape[1]
-    masks = np.arange(1 << m, dtype=np.int64)
-    bits = ((masks[:, None] >> np.arange(m)) & 1).astype(np.int8)  # 2^m x m
-    weights = (np.int64(1) << np.arange(m))
-    best = None
-    for pm in moves:
-        vals = bits[:, pm].astype(np.int64) @ weights
-        best = vals if best is None else np.minimum(best, vals)
-    return tuple(np.unique(best).tolist())
+    weights = np.int64(1) << np.arange(m, dtype=np.int64)
+    seen = np.zeros(1 << m, dtype=bool)
+    reps = []
+    for mask in range(1 << m):
+        if not seen[mask]:
+            reps.append(mask)
+            bits = (mask >> np.arange(m)) & 1
+            seen[bits[moves] @ weights] = True
+    return tuple(reps)
 
 
 def _mask_to_graph(n, mask):

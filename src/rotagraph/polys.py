@@ -5,8 +5,9 @@ leading coefficient; the zero polynomial is the empty tuple.  Factorisation
 over Q (`factor_int`) is the one job handed to a computer algebra system;
 everything else is done here with exact integer and rational arithmetic:
 the special resultants (composed sums and products, by Newton power sums),
-cyclotomic polynomials, exact division and everything sign-related (Sturm
-chains, root counting, isolation).
+cyclotomic polynomials, pseudo-remainders (divisibility, gcds) and
+everything sign-related (Sturm chains, root counting, isolation), with
+signs taken in integers.
 """
 
 from fractions import Fraction
@@ -16,6 +17,11 @@ from math import comb, gcd, lcm
 import sympy
 
 from .errors import ZeroPolynomialError
+
+#: entries kept by each polynomial-keyed cache, well above the distinct
+#: polynomials of one benchmark pass (about 300 factorisations), so a
+#: long-lived process holds a bounded amount
+CACHE_SIZE = 4096
 
 
 def normalize(coeffs):
@@ -30,12 +36,28 @@ def degree(c):
     return len(c) - 1
 
 
-def evaluate(c, t):
-    """Horner evaluation at a Fraction (or int)."""
-    acc = Fraction(0)
+def _horner(c, t):
+    """(q^n * c(t), q^n) for t = p/q and n = deg c, by Horner's rule in
+    integers on sum c_i * p^i * q^(n-i)."""
+    t = Fraction(t)
+    p, q = t.numerator, t.denominator
+    acc, qpow = 0, 1
     for coef in reversed(c):
-        acc = acc * t + coef
-    return acc
+        acc = acc * p + coef * qpow
+        qpow *= q
+    return acc, qpow // q if c else 1
+
+
+def evaluate(c, t):
+    """c(t) at a Fraction (or int) t."""
+    acc, den = _horner(c, t)
+    return Fraction(acc, den)
+
+
+def sign_at(c, t):
+    """The sign of c(t) in {-1, 0, 1}, without forming the value."""
+    acc, _ = _horner(c, t)
+    return (acc > 0) - (acc < 0)
 
 
 def derivative(c):
@@ -121,7 +143,7 @@ def as_coeff_tuple(p):
 
 # -- factorisation -----------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def factor_int(c):
     """Distinct irreducible factors over Q, each primitive with positive lead."""
     _, factors = sympy.Poly(c[::-1], sympy.Symbol("x"), domain="ZZ").factor_list()
@@ -161,7 +183,7 @@ def _from_power_sums(S, n):
     return primitive([v.numerator * den // v.denominator for v in reversed(b)])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def cand_sum(pa, pb):
     """Integer polynomial vanishing at every a + b with pa(a) = pb(b) = 0:
     the composed sum, Res_y(pa(y), pb(x - y)) made primitive."""
@@ -172,7 +194,7 @@ def cand_sum(pa, pb):
     return _from_power_sums(S, n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def cand_prod(pa, pb):
     """Integer polynomial vanishing at every a * b (0 not a root of pa): the
     composed product, Res_y(pa(y), y^deg(pb) * pb(x / y)) made primitive."""
@@ -181,7 +203,7 @@ def cand_prod(pa, pb):
     return _from_power_sums([u * v for u, v in zip(sa, sb)], n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def cand_square(p):
     """Integer polynomial vanishing at every a^2 with p(a) = 0, of degree
     deg p: Res_y(p(y), x - y^2) made primitive.  The squares of the roots
@@ -233,7 +255,7 @@ def compose_scale(c, r):
 
 # -- Sturm machinery --------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _scale_by_content(c):
     """Divide out the (positive) content, keeping the sign of the row.
     Sturm chains need this: flipping a row's sign breaks the count."""
@@ -244,49 +266,44 @@ def _scale_by_content(c):
     return tuple(v // g for v in c)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def sturm_chain(c):
     """Sturm chain of a squarefree polynomial, primitive integer rows."""
     chain = [primitive(c), primitive(derivative(c))]
     while chain[-1] and degree(chain[-1]) > 0:
-        rem = _poly_rem_neg(chain[-2], chain[-1])
+        # lead^e * (a mod b), turned into a positive multiple of -(a mod b)
+        rem, e = pseudo_rem(chain[-2], chain[-1])
         if not rem:
             break
+        if chain[-1][-1] > 0 or e % 2 == 0:
+            rem = tuple(-v for v in rem)
         chain.append(_scale_by_content(rem))
     return tuple(chain)
 
 
-def _poly_rem_neg(a, b):
-    """-(a mod b) over Q, returned as a Fraction tuple normalised later."""
-    a = [Fraction(v) for v in a]
-    db = degree(b)
-    lb = Fraction(b[-1])
-    while len(a) - 1 >= db and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) - 1 < db:
-            break
-        k = len(a) - 1 - db
-        f = a[-1] / lb
-        for i in range(len(b)):
-            a[k + i] -= f * b[i]
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    if not a:
-        return ()
-    # clear denominators, flip sign
-    den = 1
-    for v in a:
-        den = den * v.denominator // gcd(den, v.denominator)
-    return tuple(int(-v * den) for v in a)
+def pseudo_rem(a, b):
+    """(r, e) with lead(b)^e * a = q*b + r and deg r < deg b, in integers."""
+    r, lb, db, e = list(a), b[-1], degree(b), 0
+    while len(r) > db:
+        f = r.pop()
+        if f:
+            if lb != 1:
+                r = [lb * v for v in r]
+                e += 1
+            for i in range(db):
+                r[len(r) - db + i] -= f * b[i]
+    return normalize(r), e
+
+
+def poly_gcd(a, b):
+    """Greatest common divisor over Q, primitive with positive lead."""
+    while b:
+        a, b = b, primitive(pseudo_rem(a, b)[0])
+    return primitive(a)
 
 
 def _variations(chain, t):
-    signs = []
-    for row in chain:
-        v = evaluate(row, t)
-        if v:
-            signs.append(1 if v > 0 else -1)
+    signs = [v for v in (sign_at(row, t) for row in chain) if v]
     return sum(1 for i in range(len(signs) - 1) if signs[i] != signs[i + 1])
 
 
@@ -321,16 +338,16 @@ def isolate_roots(c):
         lo, hi, n = stack.pop()
         if n == 0:
             continue
-        if n == 1 and evaluate(c, hi) != 0:
+        if n == 1 and sign_at(c, hi) != 0:
             out.append((lo, hi))
             continue
         mid = (lo + hi) / 2
-        if evaluate(c, mid) == 0:
+        if sign_at(c, mid) == 0:
             out.append((mid, mid))
             # exclude an interval around the exact root from both halves
             w = (hi - lo) / 4
             while count_roots_halfopen(c, mid - w, mid + w) > 1 or \
-                    evaluate(c, mid - w) == 0 or evaluate(c, mid + w) == 0:
+                    sign_at(c, mid - w) == 0 or sign_at(c, mid + w) == 0:
                 w /= 2
             stack.append((lo, mid - w, count_roots_halfopen(c, lo, mid - w)))
             stack.append((mid + w, hi, count_roots_halfopen(c, mid + w, hi)))
@@ -378,4 +395,4 @@ def cos_rational_angle_resultant(m):
 
 def divides(small, big):
     """True if `small` divides `big` over Q."""
-    return not _poly_rem_neg(big, small)
+    return not pseudo_rem(big, small)[0]

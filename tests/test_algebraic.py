@@ -271,3 +271,148 @@ def test_nested_sqrt_degree_32_within_budget():
         "-1136960,0,980628,0,-615296,0,283360,0,-95680,0,23400,0,-4032,0,"
         "464,0,-32,0,1,31)")
     assert time.monotonic() - start < 10
+
+
+# -- one generator: polynomial arithmetic modulo its minimal polynomial ------
+
+def _candidate_op(op, a, b):
+    """The result of a op b by the candidate path, the one operations
+    across fields take: the composed sum or product of the minimal
+    polynomials, factorised, and the factor whose root the operands'
+    intervals bracket."""
+    from rotagraph.algebraic import _select_root
+    if op == "div":
+        p = b.min_poly   # b's own isolating interval from here on,
+        b.sign()         # refined until it excludes 0
+        lo, hi = b.interval
+        b = AlgReal._make(polys.primitive(p[::-1]), (1 / hi, 1 / lo))
+    if op == "add":
+        cand = polys.cand_sum(a.min_poly, b.min_poly)
+
+        def interval_fn():
+            return (a.interval[0] + b.interval[0], a.interval[1] + b.interval[1])
+    else:
+        cand = polys.cand_prod(a.min_poly, b.min_poly)
+
+        def interval_fn():
+            (alo, ahi), (blo, bhi) = a.interval, b.interval
+            prods = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+            return (min(prods), max(prods))
+    return _select_root(polys.factor_int(cand), interval_fn,
+                        lambda: (a.refine(), b.refine()))
+
+
+def _element(gen, coeffs):
+    """sum(c_i * gen^i) by the library's own arithmetic."""
+    out, power = AlgReal(0), AlgReal(1)
+    for c in coeffs:
+        out = add(out, mul(c, power))
+        power = mul(power, gen)
+    return out
+
+
+def _quadratic_pairs(rng, count):
+    """Operands over Q(sqrt D) built on different square roots of D k^2."""
+    for _ in range(count):
+        d = rng.choice((2, 3, 5, 6, 7, 10))
+        ga = sqrt_nonneg(AlgReal(Fraction(d * rng.randint(1, 4) ** 2, rng.randint(1, 3) ** 2)))
+        gb = sqrt_nonneg(AlgReal(d * rng.randint(1, 5) ** 2))
+        yield tuple(_element(g, [Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+                                 Fraction(rng.choice((-1, 1)) * rng.randint(1, 7),
+                                          rng.randint(1, 5))])
+                    for g in (ga, gb))
+
+
+def _cubic_pairs(rng, count):
+    """Operands over Q(lambda), lambda a real root of an irreducible
+    integer cubic, like the eigenvalues `fixed_point` works with."""
+    while count:
+        p = (rng.randint(-6, 6), rng.randint(-6, 6), rng.randint(-3, 3), 1)
+        if len(polys.factor_int(p)) != 1 or p[0] == 0:
+            continue
+        lam = rng.choice(real_roots(p))
+        for _ in range(min(count, 5)):
+            count -= 1
+            yield tuple(_element(lam, [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                                       for _ in range(3)])
+                        for _ in range(2))
+
+
+def test_same_generator_ops_match_candidate_path():
+    rng = random.Random(20267)
+    pairs = list(_quadratic_pairs(rng, 110)) + list(_cubic_pairs(rng, 50))
+    checked = 0
+    for a, b in pairs:
+        if a.is_rational or b.is_rational:
+            continue
+        for op, fn in (("add", add), ("mul", mul), ("div", div)):
+            got = fn(a, b)
+            if got.is_rational:
+                want = _candidate_op(op, a, b)
+                assert want.is_rational and want.as_rational() == got.as_rational()
+            else:
+                assert got._tag is not None
+                want = _candidate_op(op, a, b)
+                assert got.min_poly == want.min_poly
+                assert compare(got, want) == EQUAL
+                assert got.approx(80) == want.approx(80)
+            checked += 1
+        from rotagraph.algebraic import _compare_isolated
+        assert compare(a, b) == _compare_isolated(AlgReal._make(a.min_poly, a.interval),
+                                                  AlgReal._make(b.min_poly, b.interval))
+        checked += 1
+    assert checked >= 600
+
+
+def test_same_generator_ops_never_factorise(monkeypatch):
+    lam = real_roots((-1, -3, 0, 1))[2]   # 2 cos(pi/9), a cubic unit
+    quads = [sqrt_nonneg(AlgReal(v)) for v in (2, 8, Fraction(9, 2), 18)]
+    cubics = [_element(lam, c) for c in ((1, 2, 3), (0, -1, 1), (Fraction(1, 2), 0, 2))]
+    calls = []
+    original = polys.factor_int
+    monkeypatch.setattr(polys, "factor_int", lambda c: calls.append(c) or original(c))
+    for family in (quads, cubics):
+        for a in family:
+            for b in family:
+                for v in (add(a, b), sub(a, b), mul(a, b), div(a, b), neg(a)):
+                    v.sign()
+                    v.approx(53)
+                assert compare(a, b) == (EQUAL if a is b else compare(b, a) * -1)
+                assert mul(div(a, b), b) == a
+    assert calls == []
+    assert compare(quads[0], quads[1]) == LESS and mul(quads[0], quads[2]) == 3
+
+
+def test_tagged_values_shared_between_threads():
+    """Refinement and the lazily built minimal polynomial are each one
+    attribute write, so threads sharing values over one generator (and the
+    generator itself) all see the single-threaded answers."""
+    import sys
+    import threading
+
+    def build():
+        lam = real_roots((2, -4, 0, 1))[2]
+        return [_element(lam, (Fraction(i, 3), 1, -1)) for i in range(6)] + \
+            [div(1, _element(lam, (i, 2, 1))) for i in range(1, 4)]
+
+    want = [(v.min_poly, expr.to_expr(v), v.approx(80), v.sign()) for v in build()]
+    shared, results = build(), []
+
+    def work(offset):
+        vals = shared[offset:] + shared[:offset]
+        got = [(v.min_poly, expr.to_expr(v), v.approx(80), v.sign()) for v in vals]
+        results.append(got[-offset:] + got[:-offset] if offset else got)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i % len(shared),))
+                   for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old)
+    assert results == [want] * 8

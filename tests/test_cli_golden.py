@@ -3,8 +3,10 @@
 Each call runs in-process through `cli.main`, plain and with `--approx 53`,
 and must print byte for byte what `cli_golden.json` records.  The calls
 cover the geometry subcommands (distances, equidistant points, geodesic
-steps, ladder witnesses, fixed points, edge sampling, graph paths and
-distances), including their error exits, so a refactor of the geometry
+steps, ladder witnesses, fixed points, edge sampling, graph paths,
+distances, diameters and validation), including their error exits, and the
+field subcommands (same-field and cross-field arithmetic, comparisons,
+roots, rational angles), so a refactor of the geometry or the kernel
 cannot change what users see without failing here.  The `finite` calls
 (orbit counts, derangements, subgroup lattices, automorphisms, rotary
 checks, conjugation graphs, the census) print no algebraic numbers, so
@@ -66,6 +68,37 @@ CALLS = [
     ["graph", "path", "--p", "1,1,0", "--q", "1,2,2", "--cos-l", "7/8"],
     ["graph", "distance", "--p", "1,0,0", "--q", "0,1,0", "--cos-l", "4/5"],
     ["graph", "distance", "--p", "1,1,0", "--q", "1,2,2", "--cos-l", "7/8"],
+    ["graph", "diameter", "--cos-l", "4/5"],
+    ["graph", "validate", "--cos-l", "4/5"],
+]
+
+# sums, products and quotients over Q(sqrt 2), Q(sqrt 3) and cubic fields,
+# each generator reached by separate sqrt()/root() calls; equal pairs
+# reached two ways; a sum across two fields
+CBRT2 = "root(-2,0,0,1,0)"
+PLASTIC = "root(-1,-1,0,1,0)"
+FIELD_CALLS = [
+    ["field", "eval", "--expr", "sqrt(2)+sqrt(8)"],
+    ["field", "eval", "--expr", "(1+sqrt(2))*(3-sqrt(2))"],
+    ["field", "eval", "--expr", "(1+sqrt(2))/(3-sqrt(2))"],
+    ["field", "eval", "--expr", "sqrt(3)*sqrt(12)"],
+    ["field", "eval", "--expr", "(2+sqrt(3))*(5-sqrt(27))"],
+    ["field", "eval", "--expr", "(2+sqrt(3))/(1-sqrt(3))"],
+    ["field", "eval", "--expr", f"{CBRT2}*{CBRT2}+{CBRT2}"],
+    ["field", "eval", "--expr", f"(2*{CBRT2}-1)*({CBRT2}*{CBRT2}+3)"],
+    ["field", "eval", "--expr", f"1/(1+{CBRT2})"],
+    ["field", "eval", "--expr", f"({PLASTIC}+2)/({PLASTIC}*{PLASTIC}-{PLASTIC})"],
+    ["field", "eval", "--expr", f"sqrt(2)+{CBRT2}"],
+    ["field", "compare", "--a", "sqrt(8)/2",
+     "--b", "(sqrt(2)+1)*(sqrt(2)-1)*sqrt(2)"],
+    ["field", "compare", "--a", f"1/({CBRT2}-1)",
+     "--b", f"{CBRT2}*{CBRT2}+{CBRT2}+1"],
+    ["field", "compare", "--a", "sqrt(2)+sqrt(3)", "--b", "sqrt(10)"],
+    ["field", "compare", "--a", f"{CBRT2}*{CBRT2}", "--b", "sqrt(2)+1/5"],
+    ["field", "roots", "--poly=-1,-4,4,8"],
+    ["field", "angle-rational", "--cos", "sqrt(3)/2"],
+    ["field", "angle-rational", "--cos", "sqrt(2)/3"],
+    ["field", "angle-rational", "--cos", "root(-1,-4,4,8,2)"],
 ]
 
 S4 = "(0 1);(0 1 2 3)"
@@ -95,7 +128,7 @@ FINITE_CALLS = [
     ["finite", "census", "--n-max", "4"],
     ["finite", "subgroups", "--group", S5, "--bound", "100"],
 ]
-ARGVS = [argv + extra for argv in CALLS
+ARGVS = [argv + extra for argv in CALLS + FIELD_CALLS
          for extra in ([], ["--approx", "53"])] + FINITE_CALLS
 
 

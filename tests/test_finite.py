@@ -3,6 +3,7 @@ import itertools
 import random
 import time
 
+import numpy as np
 import pytest
 
 from rotagraph import finite as fn
@@ -242,3 +243,21 @@ def test_graph_automorphisms_match_definition():
     for fg in graphs:
         got = [p.images for p in fn.graph_automorphisms(fg).elements()]
         assert got == _automorphisms_by_definition(fg)
+
+
+def _iso_class_reps_by_definition(n):
+    """The distinct values of the least edge bitmask over all relabelings,
+    taken for every mask at once, one relabeling at a time."""
+    _, moves = fn._relabelings(n)
+    m = moves.shape[1]
+    bits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1   # 2^m x m
+    weights = np.int64(1) << np.arange(m)
+    best = np.full(1 << m, np.iinfo(np.int64).max)
+    for pm in moves:
+        best = np.minimum(best, bits[:, pm] @ weights)
+    return tuple(np.unique(best).tolist())
+
+
+def test_iso_class_reps_match_definition():
+    for n in range(1, 7):
+        assert fn._iso_class_reps(n) == _iso_class_reps_by_definition(n), n

@@ -1,9 +1,11 @@
 """Differential tests against sympy: the power-sum special resultants
 (against its resultant, written the way the kernel used to call it),
-cyclotomic polynomials, exact division and factorisation."""
+cyclotomic polynomials, exact division, gcds and factorisation; integer
+evaluation against Fraction Horner; the cache bounds."""
 
 import ast
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import sympy
@@ -157,3 +159,34 @@ def test_sympy_only_factorises():
                     uses.add((path.stem, getattr(top, "name", None)))
     assert imports == {("polys", "import sympy")}
     assert uses == {("polys", "factor_int")}
+
+
+def test_polynomial_caches_are_bounded():
+    for fn in (polys.factor_int, polys.cand_sum, polys.cand_prod,
+               polys.cand_square, polys._scale_by_content, polys.sturm_chain):
+        assert fn.cache_info().maxsize == polys.CACHE_SIZE, fn.__name__
+    assert 0 < polys.CACHE_SIZE < 10 ** 5
+
+
+def test_poly_gcd():
+    rng = random.Random(6103)
+    for _ in range(40):
+        f = polys.primitive([rng.randint(-4, 4) for _ in range(rng.randint(1, 4))]
+                            + [rng.randint(1, 3)])
+        a = polys.mul(f, [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))] + [1])
+        b = polys.mul(f, [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))] + [2])
+        want = sympy.Poly(_as_expr(a, X), X).gcd(sympy.Poly(_as_expr(b, X), X))
+        want = polys.primitive([int(v) for v in reversed(want.all_coeffs())])
+        assert polys.poly_gcd(a, b) == want, (a, b)
+
+
+def test_evaluate_matches_fraction_horner():
+    rng = random.Random(6104)
+    for _ in range(200):
+        c = tuple(rng.randint(-10 ** 6, 10 ** 6) for _ in range(rng.randint(0, 12)))
+        t = Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 10 ** 9)) \
+            if rng.random() < 0.8 else rng.randint(-9, 9)
+        want = Fraction(0)
+        for coef in reversed(c):
+            want = want * t + coef
+        assert polys.evaluate(c, t) == want, (c, t)

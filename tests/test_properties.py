@@ -1,5 +1,5 @@
-"""Property tests: the elliptic constructions and fixed points on generated
-inputs, every claim checked exactly."""
+"""Property tests: field laws, the elliptic constructions and fixed points
+on generated inputs, every claim checked exactly."""
 
 from fractions import Fraction
 
@@ -8,7 +8,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from rotagraph import elliptic as ep
 from rotagraph import isometry as iso
-from rotagraph.algebraic import AlgReal, EQUAL, GREATER, compare, neg, sqrt_nonneg
+from rotagraph.algebraic import (
+    AlgReal, EQUAL, GREATER, add, compare, div, mul, neg, real_roots,
+    sqrt_nonneg, sub,
+)
 from rotagraph.errors import InfeasibleError, PreconditionError
 
 SETTINGS = settings(derandomize=True, max_examples=25, deadline=None,
@@ -17,6 +20,45 @@ SETTINGS = settings(derandomize=True, max_examples=25, deadline=None,
 # small integer lifts, so unit lifts are often irrational
 lifts = st.tuples(*[st.integers(-3, 3)] * 3).filter(any)
 cosines = st.fractions(min_value=0, max_value=1, max_denominator=10)
+
+# Generators of the fields operands are drawn from: Q(sqrt 2) through three
+# separate square roots; Q(lambda) for the real root of the integer cubic
+# x^3 - 4x + 2, through two separate root() calls; and two different fields
+FIELDS = {
+    "quadratic": tuple(sqrt_nonneg(AlgReal(v)) for v in (2, 8, Fraction(1, 2))),
+    "cubic": tuple(real_roots((2, -4, 0, 1))[1] for _ in range(2)),
+    "two fields": (sqrt_nonneg(AlgReal(2)), sqrt_nonneg(AlgReal(3))),
+}
+coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def field_triples(draw):
+    """Three values sum(c_i * gen^i), i < 3, each over a generator drawn
+    from one entry of FIELDS."""
+    gens = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    out = []
+    for _ in range(3):
+        gen = draw(st.sampled_from(gens))
+        value, power = AlgReal(0), AlgReal(1)
+        for c in draw(st.lists(coefficients, min_size=1, max_size=3)):
+            value, power = add(value, mul(c, power)), mul(power, gen)
+        out.append(value)
+    return out
+
+
+@SETTINGS
+@given(field_triples())
+def test_field_laws(abc):
+    a, b, c = abc
+    assert add(a, b) == add(b, a) and mul(a, b) == mul(b, a)
+    assert add(add(a, b), c) == add(a, add(b, c))
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    assert sub(a, a) == 0
+    if a.sign() != 0:
+        assert mul(a, div(1, a)) == 1
+    assert hash(add(a, b)) == hash(add(b, a))
 
 
 @SETTINGS
