@@ -258,8 +258,7 @@ def cmd_finite_cf(args):
 
 def cmd_finite_rotary(args):
     fg = _parse_graph(args.graph)
-    return {"rotarily_transitive":
-            finite.is_rotarily_transitive_graph(fg, bound=args.bound)}
+    return {"rotarily_transitive": finite.is_rotarily_transitive_graph(fg)}
 
 
 def cmd_finite_jordan(args):
@@ -301,8 +300,7 @@ def cmd_finite_conjgraph(args):
 
 
 def cmd_finite_census(args):
-    return finite.census(args.n_max, subgroup_bound=args.bound,
-                         allow_seven=args.allow_seven)
+    return finite.census(args.n_max, allow_seven=args.allow_seven)
 
 
 # -- wiring -------------------------------------------------------------------
@@ -366,8 +364,7 @@ def _build_parser():
     sub(fin, "jordan", cmd_finite_jordan, **gen_flags)
     sub(fin, "subgroups", cmd_finite_subgroups, **gen_flags,
         bound={"type": int, "default": 200})
-    sub(fin, "rotary", cmd_finite_rotary, graph={**req},
-        bound={"type": int, "default": 200})
+    sub(fin, "rotary", cmd_finite_rotary, graph={**req})
     sub(fin, "automorphisms", cmd_finite_automorphisms, graph={**req})
     sub(fin, "bipartite", cmd_finite_bipartite, graph={**req})
     conj = sub(fin, "conjgraph", cmd_finite_conjgraph,
@@ -377,7 +374,6 @@ def _build_parser():
                         help="row-major multiplication table JSON")
     source.add_argument("--group", default=None)
     sub(fin, "census", cmd_finite_census, n_max={**req, "type": int},
-        bound={"type": int, "default": 200},
         allow_seven={"action": "store_true"})
     return ap
 

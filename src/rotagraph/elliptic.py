@@ -370,18 +370,17 @@ def point_from_json(obj):
 
 @lru_cache(maxsize=1)
 def _rational_unit_pool(bound=22):
-    """Integer vectors (a, b, c) with a^2 + b^2 + c^2 a perfect square:
-    they normalise to rational unit lifts, keeping downstream degrees low."""
-    from math import isqrt
+    """Primitive integer vectors (a, b, c) with a^2 + b^2 + c^2 a perfect
+    square: they normalise to rational unit lifts, keeping downstream degrees
+    low, and each names a different projective point."""
+    from math import gcd, isqrt
     out = []
     for a in range(bound):
         for b in range(a, bound):
             for c in range(b, bound):
                 n2 = a * a + b * b + c * c
-                if n2 == 0:
-                    continue
                 r = isqrt(n2)
-                if r * r == n2:
+                if r * r == n2 and gcd(a, b, c) == 1:
                     out.append((a, b, c, r))
     return tuple(out)
 

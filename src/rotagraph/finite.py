@@ -423,15 +423,18 @@ def jordan_witness(g):
 
 # -- subgroup enumeration -----------------------------------------------------
 
-def _closure(table, ident, gens):
+def _closure(table, ident, gens, allowed):
     """Sorted element indices of the subgroup generated by `gens`: a
-    breadth-first search from the identity, multiplying by the generators."""
+    breadth-first search from the identity, multiplying by the generators.
+    None as soon as the search reaches an element outside `allowed`."""
     seen = np.zeros(len(table), dtype=bool)
     seen[ident] = True
     frontier = np.array([ident])
     while len(frontier):
         prods = table[frontier][:, gens].ravel()
         frontier = np.unique(prods[~seen[prods]])
+        if not allowed[frontier].all():
+            return None
         seen[frontier] = True
     return np.flatnonzero(seen)
 
@@ -447,31 +450,29 @@ def _conjugate_orbit(table, inv, sub):
     return uniq, first
 
 
-def all_subgroups(g, bound=200):
-    """Every subgroup of g, as generator-listed PermGroups.
+def _subgroups_inside(table, allowed):
+    """Every subgroup whose elements all lie in `allowed`, a boolean mask
+    over the table's elements that is closed under conjugation, as a dict
+    from element index set to generator indices.
 
     Bottom-up closure up to conjugacy: one representative per conjugacy
     class of subgroups is extended by single elements (the smallest index
-    of each coset outside it); each new class is then expanded to its full
-    conjugate orbit.
-    Deduplication is by element set; output sorted by (order, elements).
+    of each coset outside it, if allowed, as the extension holds the whole
+    coset); each new class is then expanded to its full conjugate orbit,
+    which stays inside the mask.
     """
-    elems = g.elements()
-    n = len(elems)
-    if n > bound:
-        raise BoundExceededError(f"group order {n} exceeds the bound {bound}")
-    table = _cayley_table(elems)
     ident, inv = _identity_and_inverses(table)
-
     subs = {frozenset([ident]): []}   # element index set -> generator indices
     queue = [(np.array([ident], dtype=np.int32), [])]
     while queue:
         hidx, gens = queue.pop()
         # one candidate per right coset H*g other than H: its smallest element
-        coset_min = table[hidx, :].min(axis=0)
-        for cand in np.unique(np.delete(coset_min, hidx)).tolist():
+        coset_min = np.unique(np.delete(table[hidx, :].min(axis=0), hidx))
+        for cand in coset_min[allowed[coset_min]].tolist():
             ngens = gens + [cand]
-            new = _closure(table, ident, ngens)
+            new = _closure(table, ident, ngens, allowed)
+            if new is None:
+                continue
             key = frozenset(new.tolist())
             if key in subs:
                 continue
@@ -481,6 +482,20 @@ def all_subgroups(g, bound=200):
                 if rkey not in subs:
                     subs[rkey] = [table[table[by][x]][inv[by]] for x in ngens]
             queue.append((new, ngens))
+    return subs
+
+
+def all_subgroups(g, bound=200):
+    """Every subgroup of g, as generator-listed PermGroups.
+
+    Deduplication is by element set; output sorted by (order, elements).
+    """
+    elems = g.elements()
+    n = len(elems)
+    if n > bound:
+        raise BoundExceededError(f"group order {n} exceeds the bound {bound}")
+    table = _cayley_table(elems)
+    subs = _subgroups_inside(table, np.ones(n, dtype=bool))
     out = []
     for hset, gens in sorted(subs.items(),
                              key=lambda kv: (len(kv[0]), sorted(kv[0]))):
@@ -522,20 +537,22 @@ def graph_automorphisms(fg):
     return grp
 
 
-def is_rotarily_transitive_graph(fg, bound=200):
+def is_rotarily_transitive_graph(fg):
     """Whether some subgroup of Aut acts transitively with every element
-    fixing a vertex.  Honest check: exhaustive subgroup scan (no appeal to
-    the theorem that forces the answer).  A graph whose automorphism group
-    is intransitive fails immediately (no subgroup can be transitive)."""
+    fixing a vertex.  Honest check, with no appeal to the theorem that
+    forces the answer: such a subgroup lies inside the set F of elements
+    with a fixed point, which is closed under conjugation, so the search
+    visits every subgroup inside F and tests each for a transitive orbit of
+    vertex 0.  A graph whose automorphism group is intransitive fails
+    immediately (no subgroup can be transitive)."""
     aut = graph_automorphisms(fg)
     if not aut.is_transitive():
         return False
-    if fg.n == 1:
-        return True
-    for sub in all_subgroups(aut, bound=bound):
-        if is_rotarily_transitive_action(sub):
-            return True
-    return False
+    elems = aut.elements()
+    images = np.array([p.images for p in elems])
+    fixing = (images == np.arange(fg.n)).any(axis=1)
+    subs = _subgroups_inside(_cayley_table(elems), fixing)
+    return any(len(set(images[list(h), 0].tolist())) == fg.n for h in subs)
 
 
 def is_bipartite(fg):
@@ -635,12 +652,13 @@ def _mask_to_graph(n, mask):
     return FiniteGraph(n, [pos[k] for k in range(len(pos)) if (mask >> k) & 1])
 
 
-def census(n_max, subgroup_bound=200, allow_seven=False):
+def census(n_max, allow_seven=False):
     """Exhaustive report over all graphs on up to n_max vertices (one per
     isomorphism class): transitivity, rotary transitivity (honest subgroup
-    scan, or an `unverified` flag when Aut exceeds the subgroup bound and
-    the graph is vertex-transitive), bipartiteness, and Cauchy-Frobenius
-    integrality of every automorphism group encountered."""
+    scan, or an `unverified` flag when a vertex-transitive graph's Aut
+    exceeds `MAX_TABLE_ORDER`, as only K7 and its complement do),
+    bipartiteness, and Cauchy-Frobenius integrality of every automorphism
+    group encountered."""
     limit = 7 if allow_seven else 6
     if n_max > limit:
         raise BoundExceededError(
@@ -662,7 +680,7 @@ def census(n_max, subgroup_bound=200, allow_seven=False):
                 rot = False
             else:
                 try:
-                    rot = is_rotarily_transitive_graph(fg, bound=subgroup_bound)
+                    rot = is_rotarily_transitive_graph(fg)
                 except BoundExceededError:
                     rot, unverified = None, True
             if rot is not None and rot != (n == 1):

@@ -178,32 +178,29 @@ def choose_ell_for_diameter(k, should_stop=None):
     """A rational cosine giving graph diameter exactly k (k >= 3), with the
     apex angle an irrational multiple of pi.
 
-    Enumerates rationals p/q by increasing denominator, filters them by the
-    exact sandwich T_k(c) <= 0 < T_{k-1}(c) and keeps those whose diameter is
-    k.  `should_stop`, when given, is polled between candidates and aborts
-    the search by returning True.
+    The cosines of diameter k form an interval (cos(pi/(2(k-1))),
+    cos(pi/(2k))], since the diameter grows with c.  A Stern-Brocot descent
+    into it meets its smallest-denominator fraction first: the mediant of
+    the current bounds goes right when it is not strict or its diameter is
+    below k, and left when it is above.  `should_stop`, when given, is
+    polled between mediants and aborts the search by returning True.
     """
     if k < 3:
         raise OutOfRangeError("diameter targets below 3 are not in the strict regime")
-    for qden in range(2, 4000):
-        for pnum in range(1, qden):
-            if should_stop is not None and should_stop():
-                raise SearchExhaustedError("search cancelled")
-            frac = Fraction(pnum, qden)
-            if frac.denominator != qden:
-                continue
-            c = AlgReal(frac)
-            if chebyshev_T(k, c).sign() > 0:
-                continue
-            if chebyshev_T(k - 1, c).sign() <= 0:
-                continue
-            spec = GraphSpec(c)
-            # the sandwich also holds where cos(j*l) turns non-positive again
-            # after its first crossing; the diameter is the first crossing
-            if not spec.strict or diameter(spec)[0] != k:
-                continue
-            apex = div(c, c + _ONE)
-            if is_rational_angle(apex):
-                continue
+    lo, hi = (0, 1), (1, 1)
+    while True:
+        if should_stop is not None and should_stop():
+            raise SearchExhaustedError("search cancelled")
+        mid = (lo[0] + hi[0], lo[1] + hi[1])
+        c = AlgReal(Fraction(*mid))
+        spec = GraphSpec(c)
+        d = diameter(spec)[0] if spec.strict else 0
+        if d < k:
+            lo = mid
+        elif d > k:
+            hi = mid
+        elif is_rational_angle(div(c, c + _ONE)):
+            raise SearchExhaustedError(
+                "no rational edge cosine found for this diameter")
+        else:
             return spec
-    raise SearchExhaustedError("no rational edge cosine found for this diameter")

@@ -94,6 +94,19 @@ def test_finite_subgroups_and_census():
     assert all(out["assertions"].values())
 
 
+def test_finite_rotary_certifies_k6():
+    k6 = {"n": 6, "edges": [[i, j] for i in range(6) for j in range(i + 1, 6)]}
+    proc = run("finite", "rotary", "--graph", json.dumps(k6))
+    assert proc.stdout == '{"rotarily_transitive": false}\n'
+
+
+def test_rotary_and_census_take_no_bound():
+    for argv in (["rotary", "--graph", '{"n": 1, "edges": []}'],
+                 ["census", "--n-max", "2"]):
+        proc = run("finite", *argv, "--bound", "720", check=False)
+        assert proc.returncode == 2 and not proc.stdout
+
+
 def test_finite_non_integer_entries_are_preconditions():
     for argv in (["conjgraph", "--table", "[1,2]", "--g1", "1", "--g3", "0"],
                  ["conjgraph", "--table", "[[0,1],[1,1.5]]", "--g1", "1", "--g3", "0"],
@@ -146,10 +159,15 @@ def test_parse_error_exit_1():
     assert "parse" in json.loads(proc.stdout)["error"]
 
 
+# the seven-deep nested square root, a degree-128 generator
+N7 = "sqrt(2+" * 6 + "sqrt(2)" + ")" * 6
+
+
 def test_sigint_exit_130():
-    # a search that runs for well over 5 s, so the signal lands mid-computation
+    # printing a value over a degree-128 generator runs for well over 5 s,
+    # so the signal lands mid-computation
     proc = subprocess.Popen(
-        CLI + ["graph", "choose-ell", "--diameter", "30"],
+        CLI + ["field", "eval", "--expr", f"1/({N7}*{N7}+{N7})"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=ENV)
     time.sleep(1.0)
     proc.send_signal(signal.SIGINT)

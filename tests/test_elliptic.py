@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -178,3 +179,13 @@ def test_random_generators_deterministic():
     p = ep.random_rational_point(rng)
     q = ep.random_point_at_distance(rng, p, COS45)
     assert ep.dist_cos(p, q) == COS45
+
+
+def test_rational_unit_pool_names_distinct_points():
+    pool = ep._rational_unit_pool()
+    for a, b, c, r in pool:
+        assert a * a + b * b + c * c == r * r
+    for (u, v) in itertools.combinations([entry[:3] for entry in pool], 2):
+        cross = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+                 u[0] * v[1] - u[1] * v[0])
+        assert any(cross), (u, v)

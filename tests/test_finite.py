@@ -133,6 +133,14 @@ def test_rotary_graph_check():
         fn.FiniteGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
     assert not fn.is_rotarily_transitive_graph(
         fn.FiniteGraph(3, [(0, 1), (1, 2)]))   # intransitive shortcut
+    # K6 and its complement: Aut = S6, of order 720
+    pairs = list(itertools.combinations(range(6), 2))
+    for fg in (fn.FiniteGraph(6, pairs), fn.FiniteGraph(6, [])):
+        assert fn.is_rotarily_transitive_graph(fg) is False
+    # Aut(K7) = S7 exceeds the Cayley table budget
+    with pytest.raises(BoundExceededError):
+        fn.is_rotarily_transitive_graph(
+            fn.FiniteGraph(7, list(itertools.combinations(range(7), 2))))
 
 
 def test_bipartite():
@@ -261,3 +269,29 @@ def _iso_class_reps_by_definition(n):
 def test_iso_class_reps_match_definition():
     for n in range(1, 7):
         assert fn._iso_class_reps(n) == _iso_class_reps_by_definition(n), n
+
+
+def _fixing_mask(g):
+    """Which elements of g (in `elements()` order) fix some point."""
+    images = np.array([p.images for p in g.elements()])
+    return (images == np.arange(g.degree)).any(axis=1)
+
+
+def test_derangement_free_search_matches_filtered_lattice():
+    a5 = fn.PermGroup(5, [fn.Permutation.from_cycles("(0 1 2)", 5),
+                          fn.Permutation.from_cycles("(0 1 2 3 4)", 5)])
+    groups = [fn.symmetric_group(n) for n in (4, 5, 6)]
+    groups += [fn.dihedral_group(n) for n in range(5, 9)] + [A4, a5]
+    counts = []
+    for g in groups:
+        elems = g.elements()
+        fixing = _fixing_mask(g)
+        inside = {p for p, ok in zip(elems, fixing) if ok}
+        want = {frozenset(h.elements()) for h in fn.all_subgroups(g, bound=720)
+                if set(h.elements()) <= inside}
+        got = fn._subgroups_inside(fn._cayley_table(elems), fixing)
+        assert {frozenset(elems[i] for i in h) for h in got} == want
+        # Jordan: none of them is transitive
+        assert not any(fn.PermGroup(g.degree, h).is_transitive() for h in want)
+        counts.append(len(want))
+    assert counts[:3] == [15, 116, 596]

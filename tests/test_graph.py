@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -115,15 +116,26 @@ def test_validate_spec():
 def test_choose_ell_for_diameter():
     # from k = 11 on, T_k(c) <= 0 < T_{k-1}(c) also holds at later zero
     # crossings of cos(j*l) (3/4 has diameter 3 but meets the k = 11 sandwich)
-    for k in (3, 4, 5, 11, 12):
+    # the smallest-denominator cosine of each diameter, all of the form n/(n+1)
+    dens = {3: 4, 4: 8, 5: 14, 6: 21, 7: 30, 8: 40, 9: 53, 10: 66, 11: 82,
+            12: 99}
+    for k, den in dens.items():
         spec = gr.choose_ell_for_diameter(k)
-        assert spec.cos_l.value.is_rational
+        assert spec.cos_l.value == Fraction(den - 1, den)
         assert gr.diameter(spec)[0] == k
         c = spec.cos_l.value
         assert chebyshev_T(k, c).sign() <= 0 < chebyshev_T(k - 1, c).sign()
         assert not gr.validate_spec(spec)["apex_angle_rational"]
     with pytest.raises(OutOfRangeError):
         gr.choose_ell_for_diameter(2)
+
+
+def test_choose_ell_for_diameter_30_in_budget():
+    start = time.monotonic()
+    spec = gr.choose_ell_for_diameter(30)
+    assert time.monotonic() - start < 10
+    assert spec.cos_l.value == Fraction(681, 682)
+    assert gr.diameter(spec)[0] == 30
 
 
 def test_choose_ell_cancellation():

@@ -1,5 +1,6 @@
-"""Property tests: field laws, the elliptic constructions and fixed points
-on generated inputs, every claim checked exactly."""
+"""Property tests: field laws, round trips through printed expressions and
+point JSON, the elliptic constructions and fixed points on generated inputs,
+every claim checked exactly."""
 
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rotagraph import elliptic as ep
+from rotagraph import expr
 from rotagraph import isometry as iso
 from rotagraph.algebraic import (
     AlgReal, EQUAL, GREATER, add, compare, div, mul, neg, real_roots,
@@ -62,6 +64,13 @@ def test_field_laws(abc):
 
 
 @SETTINGS
+@given(field_triples())
+def test_expressions_round_trip(abc):
+    for v in abc + [div(abc[0], abc[1]) if abc[1].sign() else abc[1]]:
+        assert expr.parse(expr.to_expr(v)) == v
+
+
+@SETTINGS
 @given(lifts, lifts, cosines, cosines)
 def test_circle_intersect_hits_both_distances(u, v, a, b):
     p, q = ep.make_point(*u), ep.make_point(*v)
@@ -70,6 +79,20 @@ def test_circle_intersect_hits_both_distances(u, v, a, b):
     except InfeasibleError:
         return
     assert ep.dist_cos(r, p) == a and ep.dist_cos(r, q) == b
+
+
+@SETTINGS
+@given(lifts, lifts, cosines)
+def test_points_round_trip_through_json(u, v, c):
+    # made points and geodesic steps: coordinates of degree up to 4
+    p, q = ep.make_point(*u), ep.make_point(*v)
+    points = [p]
+    try:
+        points.append(ep.geodesic_step(p, q, c))
+    except PreconditionError:
+        pass
+    for r in points:
+        assert ep.point_from_json(ep.point_to_json(r)) == r
 
 
 @SETTINGS
