@@ -26,6 +26,7 @@ share between threads.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import gcd, isqrt, lcm, prod
 
 from . import polys
@@ -665,27 +666,25 @@ def real_roots(p):
     return roots
 
 
-def chebyshev_T(n, c):
-    """T_n(c) = cos(n * arccos c), computed by the exact recurrence."""
-    if n < 0:
-        raise OutOfRangeError("Chebyshev index must be non-negative")
+def chebyshev_values(c):
+    """T_0(c), T_1(c), T_2(c), ... with T_k(c) = cos(k * arccos c), stepped
+    by the exact recurrence T_{k+1} = 2c T_k - T_{k-1} (in Fractions when
+    c is rational)."""
     c = as_algreal(c)
     if compare(c, AlgReal(-1)) == LESS or compare(c, AlgReal(1)) == GREATER:
         raise OutOfRangeError("Chebyshev argument outside [-1, 1]")
-    if c.is_rational:
-        r = c.as_rational()
-        t0, t1 = Fraction(1), r
-        if n == 0:
-            return AlgReal(t0)
-        for _ in range(n - 1):
-            t0, t1 = t1, 2 * r * t1 - t0
-        return AlgReal(t1)
-    t0, t1 = AlgReal(1), c
-    if n == 0:
-        return t0
-    for _ in range(n - 1):
-        t0, t1 = t1, sub(mul(2, mul(c, t1)), t0)
-    return t1
+    x = c.as_rational() if c.is_rational else c
+    prev, cur = 1, x
+    while True:
+        yield as_algreal(prev)
+        prev, cur = cur, 2 * (x * cur) - prev
+
+
+def chebyshev_T(n, c):
+    """T_n(c) = cos(n * arccos c)."""
+    if n < 0:
+        raise OutOfRangeError("Chebyshev index must be non-negative")
+    return next(islice(chebyshev_values(c), n, None))
 
 
 # -- rational angles --------------------------------------------------------

@@ -268,7 +268,7 @@ def cmd_finite_jordan(args):
 
 def cmd_finite_subgroups(args):
     g = _parse_group(args.group, args.degree)
-    subs = finite.all_subgroups(g, bound=args.bound)
+    subs = finite.all_subgroups(g)
     return {"count": len(subs),
             "subgroups": [{"order": h.order,
                            "generators": [p.cycle_string() for p in h.generators],
@@ -300,7 +300,7 @@ def cmd_finite_conjgraph(args):
 
 
 def cmd_finite_census(args):
-    return finite.census(args.n_max, allow_seven=args.allow_seven)
+    return finite.census(args.n_max)
 
 
 # -- wiring -------------------------------------------------------------------
@@ -362,8 +362,7 @@ def _build_parser():
                  "degree": {"type": int, "default": None}}
     sub(fin, "cf", cmd_finite_cf, **gen_flags)
     sub(fin, "jordan", cmd_finite_jordan, **gen_flags)
-    sub(fin, "subgroups", cmd_finite_subgroups, **gen_flags,
-        bound={"type": int, "default": 200})
+    sub(fin, "subgroups", cmd_finite_subgroups, **gen_flags)
     sub(fin, "rotary", cmd_finite_rotary, graph={**req})
     sub(fin, "automorphisms", cmd_finite_automorphisms, graph={**req})
     sub(fin, "bipartite", cmd_finite_bipartite, graph={**req})
@@ -373,8 +372,7 @@ def _build_parser():
     source.add_argument("--table", default=None,
                         help="row-major multiplication table JSON")
     source.add_argument("--group", default=None)
-    sub(fin, "census", cmd_finite_census, n_max={**req, "type": int},
-        allow_seven={"action": "store_true"})
+    sub(fin, "census", cmd_finite_census, n_max={**req, "type": int})
     return ap
 
 

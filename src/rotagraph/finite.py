@@ -23,7 +23,9 @@ from .errors import (
 # budgets past which the finite layer raises BoundExceededError
 MAX_DEGREE = 256          # degree in `from_cycles`, vertex count in `from_json`
 MAX_GROUP_ORDER = 40320   # 8!: elements that `PermGroup.elements` enumerates
-MAX_TABLE_ORDER = 720     # 6!: group order of a Cayley table (order**2 entries)
+MAX_TABLE_ORDER = 5040    # 7!: group order of a Cayley table (order**2 int16 entries)
+MAX_LATTICE_ORDER = 720   # 6!: group order whose whole subgroup lattice is listed
+MAX_CENSUS_VERTICES = 7   # vertex count the census runs to
 
 
 def _is_int(x):
@@ -239,7 +241,8 @@ class FiniteGraph:
 
 
 class FiniteGroup:
-    """A finite group as a multiplication table over indices 0..n-1.
+    """A finite group as a multiplication table, a numpy array over
+    indices 0..n-1.
 
     Tables passed in are validated exhaustively (identity, inverses,
     associativity); groups built from permutation generators inherit
@@ -256,7 +259,7 @@ class FiniteGroup:
         n = len(table)
         if any(len(row) != n for row in table):
             raise PreconditionError("multiplication table must be square")
-        table = np.array(table).reshape(n, n)   # object dtype past int64
+        table = np.asarray(table).reshape(n, n)   # object dtype past int64
         rng = np.arange(n)
         if (np.sort(table, axis=1) != rng).any():
             raise PreconditionError("a table row is not a permutation")
@@ -271,49 +274,47 @@ class FiniteGroup:
                     "table too large for exhaustive associativity validation")
             if not np.array_equal(table[table, :], table[:, table]):
                 raise PreconditionError("table is not associative")
-        self.table = tuple(map(tuple, table.tolist()))
+        self.table = table
         self.identity = ident
         self.names = tuple(names) if names else tuple(map(str, range(n)))
-        self._inv = tuple(inv.tolist())
+        self._inv = inv
 
     @classmethod
     def from_permutations(cls, generators):
         grp = PermGroup(generators[0].degree if generators else 1,
                         generators)
         elems = grp.elements()
-        names = [p.cycle_string() for p in elems]
-        return cls(_cayley_table(elems), names, _trusted=True)
+        table = _cayley_table(elems)
+        return cls(table, [p.cycle_string() for p in elems], _trusted=True)
 
     @property
     def order(self):
         return len(self.table)
 
     def mul(self, i, j):
-        return self.table[i][j]
+        return int(self.table[i, j])
 
     def inv(self, i):
-        return self._inv[i]
+        return int(self._inv[i])
 
     def conj(self, i, g):
         """g * i * g^-1."""
         return self.mul(self.mul(g, i), self.inv(g))
 
     def conjugacy_class(self, i):
-        return tuple(sorted({self.conj(i, g) for g in range(self.order)}))
+        return tuple(np.unique(self.table[self.table[:, i], self._inv]).tolist())
 
     def cyclic_subgroup(self, i):
-        out = [self.identity]
-        x = i
-        while x != self.identity:
-            out.append(x)
-            x = self.mul(x, i)
-        return tuple(sorted(out))
+        everything = np.ones(self.order, dtype=bool)
+        return tuple(_closure(self.table, self.identity, [i], everything).tolist())
 
 
 def _cayley_table(elems):
     """t[a, b] = index of elems[a] * elems[b], for a group's elements sorted
-    by image tuple: compose image rows, then binary-search each product among
-    the rows read as big-endian bytes, which sort as the tuples do."""
+    by image tuple.  Rows compose, t[g * x] = t[g][t[x]], so only the first
+    row not yet known is binary-searched (products among the image rows
+    read as big-endian bytes, which sort as the tuples do); it joins the
+    generators, and every row they reach from known rows follows."""
     n = len(elems)
     if n > MAX_TABLE_ORDER:
         raise BoundExceededError(
@@ -322,9 +323,23 @@ def _cayley_table(elems):
     images = np.array([p.images or (0,) for p in elems], dtype=">u4")
     row = np.dtype((np.void, images.strides[0]))
     keys = images.view(row).ravel()
-    table = np.empty((n, n), dtype=np.int32)
-    for a in range(n):
+    table = np.empty((n, n), dtype=np.int16)
+    known = np.zeros(n, dtype=bool)
+    gens = []
+    while not known.all():
+        a = int(np.argmin(known))
         table[a] = np.searchsorted(keys, images[a][images].view(row).ravel())
+        gens.append(a)
+        known[a] = True
+        frontier = np.flatnonzero(known)
+        while len(frontier):
+            old = known.copy()
+            for g in gens:
+                ys = table[g, frontier]
+                new = ~known[ys]
+                table[ys[new]] = table[g][table[frontier[new]]]
+                known[ys] = True
+            frontier = np.flatnonzero(known & ~old)
     return table
 
 
@@ -361,31 +376,14 @@ def dihedral_group(n):
 
 
 def quaternion_group():
-    """Q8 as a multiplication table; element order 1,-1,i,-i,j,-j,k,-k."""
-    names = ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
-    idx = {s: n for n, s in enumerate(names)}
-
-    def q_mul(a, b):
-        sa, sb = (-1 if a.startswith("-") else 1), (-1 if b.startswith("-") else 1)
-        ua, ub = a.lstrip("-"), b.lstrip("-")
-        basic = {
-            ("1", "1"): (1, "1"), ("i", "i"): (-1, "1"),
-            ("j", "j"): (-1, "1"), ("k", "k"): (-1, "1"),
-            ("i", "j"): (1, "k"), ("j", "i"): (-1, "k"),
-            ("j", "k"): (1, "i"), ("k", "j"): (-1, "i"),
-            ("k", "i"): (1, "j"), ("i", "k"): (-1, "j"),
-        }
-        if ua == "1":
-            s, u = 1, ub
-        elif ub == "1":
-            s, u = 1, ua
-        else:
-            s, u = basic[(ua, ub)]
-        s *= sa * sb
-        return idx[u if s == 1 else "-" + u]
-
-    table = [[q_mul(a, b) for b in names] for a in names]
-    return FiniteGroup(table, names)
+    """Q8 as a multiplication table; element order 1,-1,i,-i,j,-j,k,-k.
+    It is the Cayley table of the left multiplications by i and j, which
+    send the elements, in that order, to i,-i,-1,1,k,-k,-j,j and to
+    j,-j,-k,k,-1,1,i,-i."""
+    i = Permutation([2, 3, 1, 0, 6, 7, 5, 4])
+    j = Permutation([4, 5, 7, 6, 1, 0, 2, 3])
+    table = FiniteGroup.from_permutations([i, j]).table
+    return FiniteGroup(table, ("1", "-1", "i", "-i", "j", "-j", "k", "-k"))
 
 
 # -- orbit counting -----------------------------------------------------------
@@ -431,8 +429,9 @@ def _closure(table, ident, gens, allowed):
     seen[ident] = True
     frontier = np.array([ident])
     while len(frontier):
-        prods = table[frontier][:, gens].ravel()
-        frontier = np.unique(prods[~seen[prods]])
+        reached = np.zeros_like(seen)
+        reached[table[frontier[:, None], gens]] = True
+        frontier = np.flatnonzero(reached & ~seen)
         if not allowed[frontier].all():
             return None
         seen[frontier] = True
@@ -485,15 +484,16 @@ def _subgroups_inside(table, allowed):
     return subs
 
 
-def all_subgroups(g, bound=200):
+def all_subgroups(g):
     """Every subgroup of g, as generator-listed PermGroups.
 
     Deduplication is by element set; output sorted by (order, elements).
     """
     elems = g.elements()
     n = len(elems)
-    if n > bound:
-        raise BoundExceededError(f"group order {n} exceeds the bound {bound}")
+    if n > MAX_LATTICE_ORDER:
+        raise BoundExceededError(
+            f"group order {n} exceeds the lattice bound {MAX_LATTICE_ORDER}")
     table = _cayley_table(elems)
     subs = _subgroups_inside(table, np.ones(n, dtype=bool))
     out = []
@@ -538,21 +538,26 @@ def graph_automorphisms(fg):
 
 
 def is_rotarily_transitive_graph(fg):
-    """Whether some subgroup of Aut acts transitively with every element
-    fixing a vertex.  Honest check, with no appeal to the theorem that
+    """Whether some subgroup of Aut(fg) acts transitively with every element
+    fixing a vertex (see `_has_rotary_subgroup`)."""
+    return _has_rotary_subgroup(graph_automorphisms(fg))
+
+
+def _has_rotary_subgroup(g):
+    """Whether some subgroup of g acts transitively with every element
+    fixing a point.  Honest check, with no appeal to the theorem that
     forces the answer: such a subgroup lies inside the set F of elements
     with a fixed point, which is closed under conjugation, so the search
     visits every subgroup inside F and tests each for a transitive orbit of
-    vertex 0.  A graph whose automorphism group is intransitive fails
-    immediately (no subgroup can be transitive)."""
-    aut = graph_automorphisms(fg)
-    if not aut.is_transitive():
+    point 0.  An intransitive g fails immediately (no subgroup can be
+    transitive)."""
+    if not g.is_transitive():
         return False
-    elems = aut.elements()
+    elems = g.elements()
     images = np.array([p.images for p in elems])
-    fixing = (images == np.arange(fg.n)).any(axis=1)
+    fixing = (images == np.arange(g.degree)).any(axis=1)
     subs = _subgroups_inside(_cayley_table(elems), fixing)
-    return any(len(set(images[list(h), 0].tolist())) == fg.n for h in subs)
+    return any(len(set(images[list(h), 0].tolist())) == g.degree for h in subs)
 
 
 def is_bipartite(fg):
@@ -592,17 +597,12 @@ def conjugation_graph(grp, g1, g3):
         raise PreconditionError("g1 must not be the identity")
     if g3 in grp.cyclic_subgroup(g1):
         raise PreconditionError("g3 must lie outside the subgroup generated by g1")
-    cls = grp.conjugacy_class(g1)
-    pos = {c: i for i, c in enumerate(cls)}
-    g2 = grp.conj(g1, g3)
-    edges = set()
-    for g in range(grp.order):
-        h, h2 = grp.conj(g1, g), grp.conj(g2, g)
-        if h != h2:
-            edges.add((min(pos[h], pos[h2]), max(pos[h], pos[h2])))
-    fg = FiniteGraph(len(cls), edges)
-    perms = sorted({Permutation([pos[grp.conj(c, g)] for c in cls])
-                    for g in range(grp.order)})
+    t, cls = grp.table, np.array(grp.conjugacy_class(g1))
+    # acts[g, j]: the position in cls of g * cls[j] * g^-1
+    acts = np.searchsorted(cls, t[t[:, cls], grp._inv[:, None]])
+    edge = acts[:, np.searchsorted(cls, [g1, grp.conj(g1, g3)])]
+    fg = FiniteGraph(len(cls), [(a, b) for a, b in edge.tolist() if a != b])
+    perms = sorted(set(map(Permutation, acts.tolist())))
     action = PermGroup(len(cls), perms)
     action._elements = tuple(perms)
 
@@ -652,21 +652,20 @@ def _mask_to_graph(n, mask):
     return FiniteGraph(n, [pos[k] for k in range(len(pos)) if (mask >> k) & 1])
 
 
-def census(n_max, allow_seven=False):
+def census(n_max):
     """Exhaustive report over all graphs on up to n_max vertices (one per
     isomorphism class): transitivity, rotary transitivity (honest subgroup
-    scan, or an `unverified` flag when a vertex-transitive graph's Aut
-    exceeds `MAX_TABLE_ORDER`, as only K7 and its complement do),
-    bipartiteness, and Cauchy-Frobenius integrality of every automorphism
-    group encountered."""
-    limit = 7 if allow_seven else 6
-    if n_max > limit:
-        raise BoundExceededError(
-            f"census bound is {limit} (pass allow_seven for 7)")
+    scan, once per automorphism group: a graph and its complement share
+    one), bipartiteness, and Cauchy-Frobenius integrality of every
+    automorphism group encountered.  Every verdict is certified, so the
+    `unverified` fields read 0 and false."""
+    if n_max > MAX_CENSUS_VERTICES:
+        raise BoundExceededError(f"census bound is {MAX_CENSUS_VERTICES}")
     graphs = []
     counts = {"graphs": 0, "transitive": 0, "rotarily_transitive": 0,
               "unverified": 0}
     a_ok = b_ok = c_ok = True
+    rotary = {}   # automorphism group elements -> rotary verdict
     for n in range(1, n_max + 1):
         for mask in _iso_class_reps(n):
             fg = _mask_to_graph(n, mask)
@@ -675,31 +674,25 @@ def census(n_max, allow_seven=False):
             cf = cauchy_frobenius(aut)
             cf_integral = (cf.denominator == 1 and cf == orbit_count(aut))
             c_ok = c_ok and cf_integral
-            unverified = False
-            if not transitive:
-                rot = False
-            else:
-                try:
-                    rot = is_rotarily_transitive_graph(fg)
-                except BoundExceededError:
-                    rot, unverified = None, True
-            if rot is not None and rot != (n == 1):
+            if aut.elements() not in rotary:
+                rotary[aut.elements()] = _has_rotary_subgroup(aut)
+            rot = rotary[aut.elements()]
+            if rot != (n == 1):
                 a_ok = False
             coloring = is_bipartite(fg)
             if (coloring is not None and transitive and n >= 2
-                    and _is_connected(fg) and rot is True):
+                    and _is_connected(fg) and rot):
                 b_ok = False
             counts["graphs"] += 1
             counts["transitive"] += int(transitive)
-            counts["rotarily_transitive"] += int(bool(rot))
-            counts["unverified"] += int(unverified)
+            counts["rotarily_transitive"] += int(rot)
             graphs.append({
                 "n": n,
                 "edges": sorted(map(list, fg.edges)),
                 "aut_order": aut.order,
                 "transitive": transitive,
                 "rotarily_transitive": rot,
-                "unverified": unverified,
+                "unverified": False,
                 "bipartite": coloring is not None,
                 "cf_integral": cf_integral,
             })

@@ -10,12 +10,13 @@ from fractions import Fraction
 
 from .algebraic import (
     AlgReal, EQUAL, GREATER, LESS,
-    as_algreal, chebyshev_T, compare, div, is_rational_angle, mul,
+    as_algreal, chebyshev_values, compare, div, is_rational_angle, mul,
 )
 from .elliptic import (
     DistCos, as_dist_cos, dist_cos, equidistant_point, geodesic_step,
 )
 from .errors import (
+    BoundExceededError,
     OutOfRangeError,
     PreconditionError,
     SearchExhaustedError,
@@ -23,6 +24,7 @@ from .errors import (
 
 _ONE = AlgReal(1)
 _HALF = AlgReal(Fraction(1, 2))
+MAX_STEPS = 64   # graph distances and diameters past this many edges are refused
 
 
 class GraphSpec:
@@ -61,7 +63,19 @@ def is_edge(spec, p, q):
     return dist_cos(p, q) == spec.cos_l
 
 
-def graph_distance(spec, p, q, max_steps=64):
+def _chebyshev_steps(c):
+    """(k, T_{k-1}(c), T_k(c)) for k = 1 .. MAX_STEPS; asking past the
+    budget raises."""
+    values = chebyshev_values(c)
+    prev = next(values)
+    for k, cur in zip(range(1, MAX_STEPS + 1), values):
+        yield k, prev, cur
+        prev = cur
+    raise BoundExceededError(
+        f"graph distances above {MAX_STEPS} exceed the step budget")
+
+
+def graph_distance(spec, p, q):
     """Exact graph distance with a certificate.
 
     Returns (k, certificate) where the certificate records the comparisons
@@ -80,10 +94,8 @@ def graph_distance(spec, p, q, max_steps=64):
     if not spec.strict:
         raise PreconditionError(
             "graph distance formula requires the strict regime l < pi/4")
-    k = 2
-    while k <= max_steps:
-        tk = chebyshev_T(k, c)
-        if tk.sign() <= 0 or compare(d, tk) != LESS:
+    for k, tk1, tk in _chebyshev_steps(c):
+        if k > 1 and (tk.sign() <= 0 or compare(d, tk) != LESS):
             upper = ("T_%d(cos l) <= 0" % k) if tk.sign() <= 0 \
                 else ("cos d(p, q) >= T_%d(cos l)" % k)
             if k == 2:
@@ -91,14 +103,11 @@ def graph_distance(spec, p, q, max_steps=64):
                 # including pairs strictly closer than one edge length
                 lower = "p != q and d(p, q) != l"
             else:
-                tk1 = chebyshev_T(k - 1, c)
                 if compare(tk1, d) != GREATER:
                     raise PreconditionError(
                         "distance already reachable in fewer steps")
                 lower = f"T_{k-1}(cos l) > cos d(p, q)"
             return k, {"k": k, "lower": lower, "upper": upper}
-        k += 1
-    raise SearchExhaustedError("graph distance exceeds the step bound")
 
 
 def witness_path(spec, p, q):
@@ -143,21 +152,19 @@ def verify_path(spec, path, p, q, k=None):
     return True
 
 
-def diameter(spec, max_steps=64):
+def diameter(spec):
     """The graph diameter: the least k with T_k(cos l) <= 0, i.e. the least
     k with k*l >= pi/2, since the farthest elliptic distance is pi/2.
     Requires the strict regime (diameter >= 3 there)."""
     if not spec.strict:
         raise PreconditionError("diameter formula requires l < pi/4")
-    c = spec.cos_l.value
-    for k in range(1, max_steps + 1):
-        if chebyshev_T(k, c).sign() <= 0:
+    for k, _, tk in _chebyshev_steps(spec.cos_l.value):
+        if tk.sign() <= 0:
             return k, {
                 "k": k,
                 "upper": f"T_{k}(cos l) <= 0",
                 "lower": f"T_{k-1}(cos l) > 0",
             }
-    raise SearchExhaustedError("diameter exceeds the step bound")
 
 
 def validate_spec(spec):
@@ -187,6 +194,8 @@ def choose_ell_for_diameter(k, should_stop=None):
     """
     if k < 3:
         raise OutOfRangeError("diameter targets below 3 are not in the strict regime")
+    if k > MAX_STEPS:
+        raise BoundExceededError(f"diameter {k} exceeds the step budget {MAX_STEPS}")
     lo, hi = (0, 1), (1, 1)
     while True:
         if should_stop is not None and should_stop():

@@ -63,30 +63,28 @@ def test_criterion_2_jordan_over_full_lattices():
             start, 60)
 
 
-def test_criterion_3_census_to_six_vertices():
+def test_criterion_3_census_to_seven_vertices():
     start = time.monotonic()
-    rep = fn.census(6)
+    rep = fn.census(7)
     assert all(rep["assertions"].values())
-    assert rep["counts"]["unverified"] == 0
-    flagged = [g for g in rep["graphs"] if g["unverified"]]
+    # 1 + 2 + 4 + 11 + 34 + 156 + 1044 isomorphism classes (OEIS A000088)
+    assert rep["counts"] == {"graphs": 1252, "transitive": 24,
+                             "rotarily_transitive": 1, "unverified": 0}
     for g in rep["graphs"]:
-        if g["n"] == 1:
-            assert g["rotarily_transitive"] is True
-        else:
-            assert g["rotarily_transitive"] is False
-    # K6 and the edgeless graph (Aut = S6) are certified in-line by the
+        assert g["rotarily_transitive"] is (g["n"] == 1)
+        assert g["unverified"] is False
+    # K7 and the edgeless graph (Aut = S7) are certified in-line by the
     # derangement-free subgroup search
-    assert len(flagged) == 0
     assert sorted(len(g["edges"]) for g in rep["graphs"]
-                  if g["aut_order"] == 720) == [0, 15]
+                  if g["aut_order"] == 5040) == [0, 21]
     # independent check through Jordan's theorem: every transitive subgroup
     # of S6 contains a derangement, so no subgroup acts rotarily
-    transitive = [s for s in fn.all_subgroups(fn.symmetric_group(6), bound=720)
+    transitive = [s for s in fn.all_subgroups(fn.symmetric_group(6))
                   if s.is_transitive()]
     assert len(transitive) > 0
     for sub_ in transitive:
         assert fn.jordan_witness(sub_).fixed_count() == 0
-    _report(3, "rotary census on <= 6 vertices plus S6 certification",
+    _report(3, "rotary census on <= 7 vertices plus S6 certification",
             start, 300)
 
 

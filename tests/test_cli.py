@@ -92,6 +92,9 @@ def test_finite_subgroups_and_census():
     assert out["count"] == 6
     out = run_json("finite", "census", "--n-max", "3")
     assert all(out["assertions"].values())
+    proc = run("finite", "census", "--n-max", "8", check=False)
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["error"] == "bound-exceeded"
 
 
 def test_finite_rotary_certifies_k6():
@@ -100,10 +103,18 @@ def test_finite_rotary_certifies_k6():
     assert proc.stdout == '{"rotarily_transitive": false}\n'
 
 
+def test_finite_rotary_certifies_k7():
+    k7 = {"n": 7, "edges": [[i, j] for i in range(7) for j in range(i + 1, 7)]}
+    proc = run("finite", "rotary", "--graph", json.dumps(k7))
+    assert proc.stdout == '{"rotarily_transitive": false}\n'
+
+
 def test_rotary_and_census_take_no_bound():
-    for argv in (["rotary", "--graph", '{"n": 1, "edges": []}'],
-                 ["census", "--n-max", "2"]):
-        proc = run("finite", *argv, "--bound", "720", check=False)
+    for argv in (["rotary", "--graph", '{"n": 1, "edges": []}', "--bound", "720"],
+                 ["census", "--n-max", "2", "--bound", "720"],
+                 ["census", "--n-max", "2", "--allow-seven"],
+                 ["subgroups", "--group", "(0 1)", "--bound", "100"]):
+        proc = run("finite", *argv, check=False)
         assert proc.returncode == 2 and not proc.stdout
 
 

@@ -126,7 +126,7 @@ FINITE_CALLS = [
      "--g3", "(0 1 2)"],
     ["finite", "conjgraph", "--table", Q8, "--g1", "2", "--g3", "4"],
     ["finite", "census", "--n-max", "4"],
-    ["finite", "subgroups", "--group", S5, "--bound", "100"],
+    ["finite", "subgroups", "--group", "(0 1);(0 1 2 3 4 5 6)"],   # S7
 ]
 ARGVS = [argv + extra for argv in CALLS + FIELD_CALLS
          for extra in ([], ["--approx", "53"])] + FINITE_CALLS

@@ -93,6 +93,20 @@ def test_finite_group_table_validation():
     assert len(q8.conjugacy_class(i)) == 2
 
 
+def test_quaternion_table():
+    q8 = fn.quaternion_group()
+    assert q8.names == ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
+    assert q8.table.tolist() == [
+        [0, 1, 2, 3, 4, 5, 6, 7], [1, 0, 3, 2, 5, 4, 7, 6],
+        [2, 3, 1, 0, 6, 7, 5, 4], [3, 2, 0, 1, 7, 6, 4, 5],
+        [4, 5, 7, 6, 1, 0, 2, 3], [5, 4, 6, 7, 0, 1, 3, 2],
+        [6, 7, 4, 5, 3, 2, 1, 0], [7, 6, 5, 4, 2, 3, 0, 1]]
+    # i^2 = j^2 = k^2 = ijk = -1
+    i, j, k = (q8.names.index(x) for x in "ijk")
+    assert q8.mul(i, i) == q8.mul(j, j) == q8.mul(k, k) \
+        == q8.mul(q8.mul(i, j), k) == q8.names.index("-1")
+
+
 def test_all_subgroups_counts():
     assert len(fn.all_subgroups(fn.cyclic_group(4))) == 3
     assert len(fn.all_subgroups(fn.symmetric_group(3))) == 6
@@ -101,8 +115,8 @@ def test_all_subgroups_counts():
     # element orders with a prime factor above 13
     assert len(fn.all_subgroups(fn.cyclic_group(17))) == 2
     assert len(fn.all_subgroups(fn.dihedral_group(17))) == 20
-    with pytest.raises(BoundExceededError):
-        fn.all_subgroups(fn.symmetric_group(5), bound=100)
+    with pytest.raises(BoundExceededError):   # 7! exceeds the lattice budget
+        fn.all_subgroups(fn.symmetric_group(7))
 
 
 def test_all_subgroups_are_closed_and_lagrange():
@@ -137,10 +151,10 @@ def test_rotary_graph_check():
     pairs = list(itertools.combinations(range(6), 2))
     for fg in (fn.FiniteGraph(6, pairs), fn.FiniteGraph(6, [])):
         assert fn.is_rotarily_transitive_graph(fg) is False
-    # Aut(K7) = S7 exceeds the Cayley table budget
+    # Aut(K8) = S8 exceeds the Cayley table budget
     with pytest.raises(BoundExceededError):
         fn.is_rotarily_transitive_graph(
-            fn.FiniteGraph(7, list(itertools.combinations(range(7), 2))))
+            fn.FiniteGraph(8, list(itertools.combinations(range(8), 2))))
 
 
 def test_bipartite():
@@ -198,7 +212,7 @@ def test_census_small():
     assert rep4["counts"]["unverified"] == 0
     assert all(rep4["assertions"].values())
     with pytest.raises(BoundExceededError):
-        fn.census(7)
+        fn.census(8)
 
 
 # -- differential tests against the definitions ------------------------------
@@ -219,12 +233,25 @@ def test_cayley_table_matches_definition():
         assert fn._cayley_table(elems).tolist() == _table_by_definition(elems)
 
 
+def test_table_budget():
+    s7 = fn.symmetric_group(7)
+    table = fn._cayley_table(s7.elements())
+    assert table.dtype == np.int16 and table.nbytes == 2 * 5040 ** 2
+    grp = fn.FiniteGroup.from_permutations(list(s7.generators))
+    assert grp.order == 5040 and grp.table.dtype == np.int16
+    assert all(grp.mul(i, grp.inv(i)) == grp.identity for i in range(5040))
+    s8 = [fn.Permutation.from_cycles("(0 1)", 8),
+          fn.Permutation.from_cycles("(0 1 2 3 4 5 6 7)", 8)]
+    with pytest.raises(BoundExceededError):
+        fn.FiniteGroup.from_permutations(s8)
+
+
 def test_from_permutations_matches_definition():
     for g in (fn.symmetric_group(3), fn.symmetric_group(5), fn.dihedral_group(4), A4):
         elems = g.elements()
         index = {p: i for i, p in enumerate(elems)}
         grp = fn.FiniteGroup.from_permutations(list(g.generators))
-        assert grp.table == tuple(map(tuple, _table_by_definition(elems)))
+        assert grp.table.tolist() == _table_by_definition(elems)
         assert grp.names == tuple(p.cycle_string() for p in elems)
         assert grp.identity == index[fn.Permutation.identity(g.degree)]
         assert [grp.inv(i) for i in range(len(elems))] == \
@@ -287,7 +314,7 @@ def test_derangement_free_search_matches_filtered_lattice():
         elems = g.elements()
         fixing = _fixing_mask(g)
         inside = {p for p, ok in zip(elems, fixing) if ok}
-        want = {frozenset(h.elements()) for h in fn.all_subgroups(g, bound=720)
+        want = {frozenset(h.elements()) for h in fn.all_subgroups(g)
                 if set(h.elements()) <= inside}
         got = fn._subgroups_inside(fn._cayley_table(elems), fixing)
         assert {frozenset(elems[i] for i in h) for h in got} == want

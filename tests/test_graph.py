@@ -8,7 +8,8 @@ import pytest
 from rotagraph import elliptic as ep
 from rotagraph import graph as gr
 from rotagraph.algebraic import chebyshev_T
-from rotagraph.errors import OutOfRangeError, PreconditionError
+from rotagraph.errors import BoundExceededError, OutOfRangeError, PreconditionError
+from rotagraph.expr import parse
 
 E1 = ep.make_point(1, 0, 0)
 E2 = ep.make_point(0, 1, 0)
@@ -41,9 +42,10 @@ def test_diameter_examples():
 
 
 def test_diameter_matches_ceiling_formula():
-    for c in (Fraction(4, 5), Fraction(7, 8), Fraction(9, 10), Fraction(13, 14)):
+    for c in (Fraction(4, 5), Fraction(7, 8), Fraction(9, 10), Fraction(13, 14),
+              parse("sqrt(15)/4")):
         k, _ = gr.diameter(gr.GraphSpec(c))
-        assert k == math.ceil((math.pi / 2) / math.acos(c))
+        assert k == math.ceil((math.pi / 2) / math.acos(float(c)))
 
 
 def test_graph_distance_small_cases():
@@ -136,6 +138,19 @@ def test_choose_ell_for_diameter_30_in_budget():
     assert time.monotonic() - start < 10
     assert spec.cos_l.value == Fraction(681, 682)
     assert gr.diameter(spec)[0] == 30
+
+
+def test_step_budget():
+    start = time.monotonic()
+    with pytest.raises(BoundExceededError):
+        gr.choose_ell_for_diameter(gr.MAX_STEPS + 1)
+    assert time.monotonic() - start < 1
+    # the true diameter is 112, since pi / (2 arccos 0.9999) ~ 111.07
+    far = gr.GraphSpec(Fraction(9999, 10000))
+    with pytest.raises(BoundExceededError):
+        gr.diameter(far)
+    with pytest.raises(BoundExceededError):
+        gr.graph_distance(far, E1, E2)
 
 
 def test_choose_ell_cancellation():
