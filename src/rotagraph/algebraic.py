@@ -11,12 +11,20 @@ polynomial reduced modulo theta's minimal polynomial m (so deg g < deg m).
 Every irrational value lies over a generator, its tag's or else itself.
 Values over one generator add, multiply, divide and compare as polynomials
 modulo m (Cohen, GTM 138, ch. 4), and so do two quadratic generators of
-one field.  A tagged value builds its minimal polynomial and isolating
-interval only when asked for them (printing, hashing, an operation across
+one field.  A generator psi may also record older generators t of its
+subfields as t = h(psi) (embeddings, each checked exactly before it is
+kept): a square root records the generator of its radicand's field (a
+tower), and an operation across two unrelated fields records both in the
+primitive element psi = t1 + t2 of their compositum when that has full
+degree (Loos, "Computing in algebraic extensions", 1982).  Values whose
+generators are linked by these records meet over the larger generator.
+A tagged value builds its minimal polynomial and isolating interval only
+when asked for them (printing, hashing, a square root, an operation across
 fields), from the characteristic polynomial of g(theta), with no
 factorisation; x + r, -x, r*x and 1/x of a value that has them carry them
-over at once.  Operations across fields take the candidate polynomial of
-the result, factorise it, and give an untagged value.
+over at once.  Operations across fields that no record links and no
+compositum joins take the candidate polynomial of the result, factorise
+it, and give an untagged value.
 
 Values are immutable.  The isolating interval may be tightened in place and
 a tagged value's minimal polynomial filled in on first use; both are
@@ -52,16 +60,19 @@ class AlgReal:
     """An exact real algebraic number."""
 
     # _root: (min_poly, isolating interval, sign of min_poly at its lower
-    # end), None until a tagged value needs it; _tag: (theta, g) or None
-    __slots__ = ("_root", "_tag")
+    # end), None until a tagged value needs it; _tag: (theta, g) or None;
+    # _embeds: on a generator psi, pairs (t, h) of older generators with
+    # t = h(psi), each checked exactly when recorded (see _record)
+    __slots__ = ("_root", "_tag", "_embeds")
 
     def __init__(self, value=0):
         if isinstance(value, AlgReal):
-            self._root, self._tag = value._root, value._tag
+            self._root, self._tag, self._embeds = value._root, value._tag, value._embeds
             return
         r = Fraction(value)
         self._root = ((-r.numerator, r.denominator), (r, r), 0)
         self._tag = None
+        self._embeds = ()
 
     @classmethod
     def _make(cls, min_poly, interval):
@@ -75,6 +86,7 @@ class AlgReal:
             raise InternalConsistencyError("isolating endpoint is a root")
         self._root = (min_poly, (lo, hi), s)
         self._tag = None
+        self._embeds = ()
         return self
 
     @classmethod
@@ -88,6 +100,7 @@ class AlgReal:
         self = object.__new__(cls)
         self._root = None
         self._tag = (theta, g)
+        self._embeds = ()
         return self
 
     @classmethod
@@ -374,6 +387,11 @@ def _isolate(theta, g):
 
 
 # -- generators ---------------------------------------------------------------
+# A generator psi may record older generators t of subfields as t = h(psi)
+# (_embeds).  Square roots record the field they were taken over (towers),
+# and operations across two unrelated fields record both in a primitive
+# element of their compositum, so values built from one another keep a
+# common generator and their arithmetic stays polynomial arithmetic.
 
 def _gen(a):
     """(theta, g) with a = g(theta), for irrational a."""
@@ -382,7 +400,8 @@ def _gen(a):
 
 def _common(a, b):
     """(theta, ga, gb) with a = ga(theta) and b = gb(theta), for a and b
-    not both rational; None when no common generator is recognised."""
+    not both rational; None when neither generator's field is known to
+    contain the other's."""
     if a.is_rational:
         theta, gb = _gen(b)
         return theta, (a.as_rational(),), gb
@@ -392,19 +411,57 @@ def _common(a, b):
     (ta, ga), (tb, gb) = _gen(a), _gen(b)
     if ta is tb:
         return ta, ga, gb
-    h = _embed(tb, ta)
-    if h is None:
-        return None
-    m = ta.min_poly
+    h = _reach(ta, tb)
+    if h is not None:
+        return ta, ga, _compose(gb, h, ta.min_poly)
+    h = _reach(tb, ta)
+    if h is not None:
+        return tb, _compose(ga, h, tb.min_poly), gb
+    return None
+
+
+def _compose(g, h, m):
+    """g(h(x)) modulo m, by Horner's rule."""
     acc = ()
-    for c in reversed(gb):
+    for c in reversed(g):
         acc = _padd(_mulmod(acc, h, m), (c,))
-    return ta, ga, acc
+    return acc
+
+
+def _reach(psi, t):
+    """t as a polynomial in psi, both generators, when psi's field is known
+    to contain t: through psi's recorded embeddings, depth first, down to a
+    generator that is t or of one field with it (_embed); or, for t a
+    compositum t1 + t2, as the sum of t1 and t2 reached that way.  Else
+    None."""
+    stack, seen = [(psi, ())], {id(psi)}
+    while stack:
+        s, path = stack.pop()      # path: (k, u) from psi down, s = k(u)
+        h = _X if s is t else _embed(t, s)
+        if h is not None:
+            for k, u in reversed(path):
+                h = _compose(h, k, u.min_poly)
+            return h
+        for u, k in s._embeds:
+            if id(u) not in seen:
+                seen.add(id(u))
+                stack.append((u, path + ((k, s),)))
+    parts = [_reach(psi, u) for u, _ in _summands(t)]
+    if parts and None not in parts:
+        return _padd(*parts)
+    return None
+
+
+def _summands(t):
+    """The generators t1, t2 of a compositum t = t1 + t2: its two recorded
+    embeddings, whose polynomials then add up to x; else ()."""
+    e = t._embeds
+    return e if len(e) == 2 and _padd(e[0][1], e[1][1]) == _X else ()
 
 
 def _embed(t, theta):
-    """t as a polynomial in theta, both untagged generators, when they
-    generate one field we can tell: equal values, or quadratics whose
+    """t as a polynomial in theta, both generators, when they generate one
+    field we can tell without records: equal values, or quadratics whose
     discriminants multiply to a square.  Else None."""
     p, m = t.min_poly, theta.min_poly
     if len(p) == len(m) == 3:
@@ -420,6 +477,117 @@ def _embed(t, theta):
     if p == m and _compare_isolated(t, theta) == EQUAL:
         return _X
     return None
+
+
+def _record(psi, embeds):
+    """Give the new generator psi its embeddings (t, h) after checking each
+    exactly: m_t(h(x)) reduces to 0 modulo m_psi, so h(psi) is a root of
+    m_t, and h(psi) lies inside t's isolating interval, which holds no other
+    root of m_t, so h(psi) = t."""
+    m = psi.min_poly
+    for t, h in embeds:
+        if _compose(t.min_poly, h, m):
+            raise InternalConsistencyError("embedding is not a root of the minimal polynomial")
+        lo, hi = t.interval
+        for _ in range(20000):
+            elo, ehi = _enclose(h, psi.interval)
+            if lo < elo and ehi < hi:
+                break
+            if ehi < lo or hi < elo:
+                raise InternalConsistencyError("embedding is another root")
+            psi.refine()
+        else:
+            raise InternalConsistencyError("embedding check did not converge")
+    psi._embeds = tuple(embeds)
+
+
+def _solve(columns):
+    """The polynomial sum_k c_k * y^k equal to x, from the coordinates
+    columns[k] of y^k in a basis of the field whose entry 1 is x: the c_k
+    with sum_k c_k * columns[k] = e_1, by fraction-free Gauss-Jordan
+    elimination (Bareiss) on the columns scaled to integers.  Each entry
+    stays an integer minor, so every division is exact, and the rows end
+    as (det * e_k | det * c_k / scale_k)."""
+    n = len(columns)
+    scale = [lcm(*(Fraction(v).denominator for v in col)) for col in columns]
+    rows = [[int(col[r] * d) for col, d in zip(columns, scale)] + [int(r == 1)]
+            for r in range(n)]
+    prev = 1
+    for k in range(n):
+        p = next((r for r in range(k, n) if rows[r][k]), None)
+        if p is None:
+            raise InternalConsistencyError("powers of a generator are dependent")
+        rows[k], rows[p] = rows[p], rows[k]
+        piv, pk = rows[k], rows[k][k]
+        for r in range(n):
+            if r != k:
+                f = rows[r][k]
+                rows[r] = [(pk * u - f * v) // prev for u, v in zip(rows[r], piv)]
+        prev = pk
+    return _trim(Fraction(row[n] * d, prev) for row, d in zip(rows, scale))
+
+
+def _pad(g, n):
+    return tuple(g) + (Fraction(0),) * (n - len(g))
+
+
+def _tower(root, a):
+    """Record in root = sqrt(a) the generator theta of a = g(theta) when a
+    generates theta's whole field: then theta = H(a) = H(root^2), H from
+    one linear solve in theta's power basis (at once for linear g)."""
+    theta, g = _gen(a)
+    m = theta.min_poly
+    n = len(m) - 1
+    if a.degree != n:
+        return
+    if len(g) == 2:
+        H = (-g[0] / g[1], 1 / g[1])
+    else:
+        powers, y = [], (Fraction(1),)
+        for _ in range(n):
+            powers.append(_pad(y, n))
+            y = _mulmod(y, g, m)
+        H = _solve(powers)
+    square = (Fraction(0), Fraction(0), Fraction(1))
+    _record(root, ((theta, _compose(H, square, root.min_poly)),))
+
+
+def _join(a, b):
+    """(psi, ga, gb) with a = ga(psi) and b = gb(psi) for psi = t1 + t2, t1
+    and t2 the generators of a and b, when psi has the full degree n1*n2
+    within the candidate budget, so it generates Q(t1, t2).  t1 = h(psi)
+    comes from one linear solve over the basis t1^i * t2^j, and
+    t2 = psi - t1.  None when psi falls short of full degree, and at once
+    unless full degree is likely: coprime degrees force it, and a quadratic
+    side misses it only if its square root already lies in the other
+    field; two fields of one higher degree are often one field reached
+    twice (a value and its re-parsed print), where factorising psi's
+    candidate would be wasted."""
+    (t1, ga), (t2, gb) = _gen(a), _gen(b)
+    m1, m2 = t1.min_poly, t2.min_poly
+    n1, n2 = len(m1) - 1, len(m2) - 1
+    if n1 * n2 > _MAX_CAND_DEGREE or (min(n1, n2) > 2 and gcd(n1, n2) > 1):
+        return None
+    psi = _select_root(polys.factor_int(polys.cand_sum(m1, m2)),
+                       lambda: (t1.interval[0] + t2.interval[0],
+                                t1.interval[1] + t2.interval[1]),
+                       lambda: (t1.refine(), t2.refine()))
+    if psi.is_rational or psi.degree != n1 * n2:
+        return None
+    # psi^k as a polynomial in t2 of degree < n2 with coefficients in Q(t1),
+    # flattened to coordinates over t1^i * t2^j (t1 at index 1); times psi
+    # is t1 * v plus t2 * v, whose t2^n2 term m2 reduces
+    powers, v = [], [(Fraction(1),)] + [()] * (n2 - 1)
+    for _ in range(n1 * n2):
+        powers.append([c for coeff in v for c in _pad(coeff, n1)])
+        top = tuple(-u / m2[-1] for u in v[-1])
+        v = [_padd(_mulmod(cur, _X, m1), _padd(low, tuple(c * u for u in top)))
+             for cur, low, c in zip(v, [()] + v[:-1], m2)]
+    h1 = _solve(powers)
+    h2 = _psub(_X, h1)
+    _record(psi, ((t1, h1), (t2, h2)))
+    m = psi.min_poly
+    return psi, _compose(ga, h1, m), _compose(gb, h2, m)
 
 
 # -- root selection ---------------------------------------------------------
@@ -469,7 +637,7 @@ def add(a, b):
         return _image(AlgReal._over(theta, _padd(g, (r,))), a,
                       lambda p: polys.compose_shift(p, r),
                       lambda lo, hi: (lo + r, hi + r))
-    common = _common(a, b)
+    common = _common(a, b) or _join(a, b)
     if common is not None:
         theta, ga, gb = common
         return AlgReal._over(theta, _padd(ga, gb))
@@ -512,7 +680,7 @@ def mul(a, b):
         return _image(AlgReal._over(theta, tuple(r * c for c in g)), a,
                       lambda p: polys.compose_scale(p, r),
                       lambda lo, hi: (lo * r, hi * r) if r > 0 else (hi * r, lo * r))
-    common = _common(a, b)
+    common = _common(a, b) or _join(a, b)
     if common is not None:
         theta, ga, gb = common
         return AlgReal._over(theta, _mulmod(ga, gb, theta.min_poly))
@@ -609,6 +777,18 @@ def sqrt_nonneg(a):
         n, d = _isqrt_exact(r.numerator), _isqrt_exact(r.denominator)
         if n is not None and d is not None:
             return AlgReal(Fraction(n, d))
+    else:
+        theta = _gen(a)[0]
+        n = theta.degree
+        if a.degree < n and 2 * n <= _MAX_CAND_DEGREE:
+            # a lies in a proper subfield of Q(theta); a * u^2 for some
+            # u = theta + k generates all of it, and its root is a tower
+            # over theta: sqrt(a) = sqrt(a * u^2) / |u|
+            for k in range(n + 1):
+                u = add(theta, k)
+                v = mul(a, mul(u, u))
+                if v.degree == n:
+                    return div(sqrt_nonneg(v), u if u.sign() > 0 else neg(u))
     _check_cand_degree(2 * a.degree)
     cand = polys.cand_sqrt(a.min_poly)
     state = {"bits": 16}
@@ -625,7 +805,10 @@ def sqrt_nonneg(a):
     # make sure the interval starts at a positive lower endpoint
     while a.interval[0] <= 0:
         a.refine()
-    return _select_root(polys.factor_int(cand), interval_fn, refine_fn)
+    root = _select_root(polys.factor_int(cand), interval_fn, refine_fn)
+    if not a.is_rational and not root.is_rational:
+        _tower(root, a)
+    return root
 
 
 def _isqrt_exact(n):

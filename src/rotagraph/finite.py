@@ -244,9 +244,10 @@ class FiniteGroup:
     """A finite group as a multiplication table, a numpy array over
     indices 0..n-1.
 
-    Tables passed in are validated exhaustively (identity, inverses,
-    associativity); groups built from permutation generators inherit
-    associativity from composition and skip the cubic check.
+    Tables passed in are validated exhaustively (rows and columns are
+    permutations, identity, inverses, associativity); groups built from
+    permutation generators are Latin squares by construction, inherit
+    associativity from composition and skip those checks.
     """
 
     __slots__ = ("table", "identity", "names", "_inv")
@@ -260,11 +261,12 @@ class FiniteGroup:
         if any(len(row) != n for row in table):
             raise PreconditionError("multiplication table must be square")
         table = np.asarray(table).reshape(n, n)   # object dtype past int64
-        rng = np.arange(n)
-        if (np.sort(table, axis=1) != rng).any():
-            raise PreconditionError("a table row is not a permutation")
-        if (np.sort(table, axis=0) != rng[:, None]).any():
-            raise PreconditionError("a table column is not a permutation")
+        if not _trusted:   # a _cayley_table is a Latin square by construction
+            rng = np.arange(n)
+            if (np.sort(table, axis=1) != rng).any():
+                raise PreconditionError("a table row is not a permutation")
+            if (np.sort(table, axis=0) != rng[:, None]).any():
+                raise PreconditionError("a table column is not a permutation")
         ident, inv = _identity_and_inverses(table)
         if ident is None:
             raise PreconditionError("table has no identity element")

@@ -5,12 +5,14 @@ from math import isqrt
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rotagraph import expr, polys
 from rotagraph.algebraic import (
     AlgReal, EQUAL, GREATER, LESS,
     add, chebyshev_T, compare, div, is_rational_angle, mul, neg,
     rational_angle_witness, real_roots, sqrt_nonneg, sub, to_float,
+    _compare_isolated,
 )
 from rotagraph.errors import (
     BoundExceededError, DivisionByZeroError, OutOfRangeError,
@@ -357,7 +359,6 @@ def test_same_generator_ops_match_candidate_path():
                 assert compare(got, want) == EQUAL
                 assert got.approx(80) == want.approx(80)
             checked += 1
-        from rotagraph.algebraic import _compare_isolated
         assert compare(a, b) == _compare_isolated(AlgReal._make(a.min_poly, a.interval),
                                                   AlgReal._make(b.min_poly, b.interval))
         checked += 1
@@ -408,6 +409,157 @@ def test_tagged_values_shared_between_threads():
     try:
         threads = [threading.Thread(target=work, args=(i % len(shared),))
                    for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old)
+    assert results == [want] * 8
+
+
+# -- towers and composita: generators that record the fields they contain ----
+_NONSQUARES = (2, 3, 5, 6, 7, 10, 12)
+_small = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+def _reparsed(v):
+    """v printed and parsed back: a fresh generator with no tag and no
+    embeddings, or a rational."""
+    return expr.parse(expr.to_expr(v))
+
+
+def _fresh_sqrt(v):
+    """sqrt(v) by the candidate path: the root of a factor of m_v(x^2) that
+    the bracket of sqrt(v) isolates."""
+    from rotagraph.algebraic import _select_root
+    v.sign()
+    while v.interval[0] <= 0:
+        v.refine()
+    bits = [16]
+
+    def interval_fn():
+        lo, hi = v.interval
+        return (Fraction(isqrt(int(lo * 4 ** bits[0])), 2 ** bits[0]),
+                Fraction(isqrt(int(hi * 4 ** bits[0]) + 1) + 1, 2 ** bits[0]))
+
+    def refine_fn():
+        v.refine()
+        bits[0] += 8
+
+    return _select_root(polys.factor_int(polys.cand_sqrt(v.min_poly)),
+                        interval_fn, refine_fn)
+
+
+def _same_value(got, want):
+    if got.is_rational or want.is_rational:
+        return got.is_rational and want.is_rational and \
+            got.as_rational() == want.as_rational()
+    return got.min_poly == want.min_poly and \
+        _compare_isolated(AlgReal._make(got.min_poly, got.interval), want) == EQUAL
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(st.sampled_from(_NONSQUARES), st.sampled_from(_NONSQUARES),
+       st.lists(_small, min_size=6, max_size=6))
+def test_towers_and_composita_match_fresh_generators(d1, d2, c):
+    """Sums, products, quotients, comparisons and square roots over a
+    tower (a square root over Q(sqrt d1)) and a compositum (Q(sqrt d1)
+    with Q(sqrt d2)) equal those of the same values re-parsed, which go
+    the candidate-and-factor way."""
+    t1, t2 = sqrt_nonneg(AlgReal(d1)), sqrt_nonneg(AlgReal(d2))
+    x = add(c[0], mul(c[1], t1))
+    y = add(c[2], mul(c[3], t2))
+    gamma = sqrt_nonneg(add(15 + c[4] ** 2, mul(c[5], t1)))   # positive
+    if c[5] != 0:
+        assert gamma.degree == 4 and gamma._embeds[0][0] is t1   # a tower
+    z = add(x, mul(c[3] or 1, gamma))
+    for a, b in ((x, y), (x, z), (z, y), (z, gamma)):
+        fa, fb = _reparsed(a), _reparsed(b)
+        for op, fn in (("add", add), ("mul", mul), ("div", div)):
+            if a.is_rational and b.is_rational or b.sign() == 0:
+                continue
+            want = fn(fa, fb) if fa.is_rational or fb.is_rational \
+                else _candidate_op(op, fa, fb)
+            assert _same_value(fn(a, b), want)
+        assert compare(a, b) == compare(fa, fb)
+        if not (a.is_rational or b.is_rational):
+            assert compare(a, b) == _compare_isolated(fa, fb)
+    w = mul(z, z)
+    if not w.is_rational:
+        assert _same_value(sqrt_nonneg(w), _fresh_sqrt(_reparsed(w)))
+    if d1 * d2 != isqrt(d1 * d2) ** 2 and c[1] and c[3]:
+        s = add(x, y)                       # a compositum of degree 4
+        assert s._tag is not None and s._tag[0].degree == 4
+
+
+def test_towers_and_composita_factorise_nothing_above_degree_4(monkeypatch):
+    """A witness path of length 3 at cos l = 4/5 takes a square root over
+    the quadratic field of its geodesic step; an equidistant point at
+    cos l = sqrt(3)/2 mixes sqrt(3) with a fresh square root.  Both stay
+    over one generator, so no candidate above degree 4 is factorised (the
+    cross-field candidate path factorised degrees 8 and 16 here)."""
+    from rotagraph import elliptic as ep, graph as gr
+    spec = gr.GraphSpec(Fraction(4, 5))
+    p = ep.make_point(Fraction(2, 3), Fraction(1, 3), Fraction(-2, 3))
+    q = ep.make_point(Fraction(2, 11), Fraction(6, 11), Fraction(9, 11))
+    cos_l = sqrt_nonneg(AlgReal(Fraction(3, 4)))
+    p2 = ep.make_point(Fraction(2, 3), Fraction(1, 3), Fraction(2, 3))
+    q2 = ep.make_point(Fraction(2, 7), Fraction(-3, 7), Fraction(6, 7))
+    degrees = []
+    original = polys.factor_int
+    monkeypatch.setattr(polys, "factor_int",
+                        lambda c: degrees.append(polys.degree(c)) or original(c))
+    path = gr.witness_path(spec, p, q)
+    assert len(path) == 3 and gr.verify_path(spec, path, p, q, 3)
+    assert degrees and max(degrees) <= 4
+    degrees.clear()
+    z = ep.equidistant_point(p2, q2, cos_l)
+    assert ep.dist_cos(z, p2) == cos_l and ep.dist_cos(z, q2) == cos_l
+    assert degrees and max(degrees) <= 4
+
+
+def test_compositum_found_inside_a_field_holding_its_summands(monkeypatch):
+    """sqrt 2 + sqrt 3 joined on its own is recognised inside the degree-8
+    field built from sqrt 2 + sqrt 5 and sqrt 3, from the records of both
+    generators, so their product factorises nothing."""
+    s2, s3, s5 = (sqrt_nonneg(AlgReal(d)) for d in (2, 3, 5))
+    big = add(add(s2, s5), s3)
+    small = add(s2, mul(2, s3))
+    assert big._tag is None and big.degree == 8 and small._tag[0].degree == 4
+    calls = []
+    original = polys.factor_int
+    monkeypatch.setattr(polys, "factor_int", lambda c: calls.append(c) or original(c))
+    got = mul(big, small)
+    assert calls == [] and got._tag[0] is big
+    monkeypatch.setattr(polys, "factor_int", original)
+    assert _same_value(got, _candidate_op("mul", _reparsed(big), _reparsed(small)))
+
+
+def test_towers_and_composita_shared_between_threads():
+    """Threads that join the same shared generators, each building its own
+    compositum and tower records, all see the single-threaded answers:
+    records are written once, before the new generator is returned."""
+    import sys
+    import threading
+
+    def build():
+        s2, s3 = sqrt_nonneg(AlgReal(2)), sqrt_nonneg(AlgReal(3))
+        return s2, s3, sqrt_nonneg(add(1, s2))
+
+    def answers(s2, s3, g):
+        vals = (add(s2, s3), mul(g, s3), add(g, mul(s2, s3)), div(g, add(s3, g)),
+                sqrt_nonneg(add(s3, g)))
+        return [(v.min_poly, expr.to_expr(v), v.approx(80)) for v in vals]
+
+    want = answers(*build())
+    shared, results = build(), []
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: results.append(answers(*shared)))
+                   for _ in range(8)]
         for t in threads:
             t.start()
         for t in threads:

@@ -246,6 +246,17 @@ def test_table_budget():
         fn.FiniteGroup.from_permutations(s8)
 
 
+def test_trusted_s7_table_is_a_latin_square():
+    # from_permutations skips the row and column checks of passed-in
+    # tables; its own table must pass them anyway
+    grp = fn.FiniteGroup.from_permutations(list(fn.symmetric_group(7).generators))
+    rng = np.arange(5040)
+    assert (np.sort(grp.table, axis=1) == rng).all()
+    assert (np.sort(grp.table, axis=0) == rng[:, None]).all()
+    assert grp.table[grp.identity].tolist() == rng.tolist()
+    assert (grp.table[rng, grp._inv] == grp.identity).all()
+
+
 def test_from_permutations_matches_definition():
     for g in (fn.symmetric_group(3), fn.symmetric_group(5), fn.dihedral_group(4), A4):
         elems = g.elements()
