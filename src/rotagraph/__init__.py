@@ -19,10 +19,9 @@ from .algebraic import (
     is_rational_angle,
     to_float,
 )
-from .polys import IntPoly
 
 __all__ = [
-    "AlgReal", "IntPoly", "LESS", "EQUAL", "GREATER",
+    "AlgReal", "LESS", "EQUAL", "GREATER",
     "add", "sub", "mul", "div", "neg", "compare", "sqrt_nonneg",
     "real_roots", "chebyshev_T", "is_rational_angle", "to_float",
 ]

@@ -33,7 +33,7 @@ share between threads.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 from itertools import islice
 from math import gcd, isqrt, lcm, prod
 
@@ -844,8 +844,7 @@ def real_roots(p):
             continue
         for lo, hi in polys.isolate_roots(f):
             roots.append(AlgReal._make(f, (lo, hi)))
-    import functools
-    roots.sort(key=functools.cmp_to_key(compare))
+    roots.sort(key=cmp_to_key(compare))
     return roots
 
 
@@ -872,24 +871,9 @@ def chebyshev_T(n, c):
 
 # -- rational angles --------------------------------------------------------
 
-_NIVEN_COSINES = {Fraction(0), Fraction(1), Fraction(-1),
-                  Fraction(1, 2), Fraction(-1, 2)}
-
-
 def is_rational_angle(c):
-    """Decide exactly whether arccos(c)/pi is rational.
-
-    Rational cosines go through Niven's theorem; otherwise c + i*sqrt(1-c^2)
-    is tested for being a root of unity by checking whether the minimal
-    polynomial of c divides Res_z(Phi_m(z), z^2 - 2cz + 1) for one of the
-    finitely many orders m with phi(m) = 2*deg(c).
-    """
-    c = as_algreal(c)
-    if compare(c, AlgReal(-1)) == LESS or compare(c, AlgReal(1)) == GREATER:
-        raise OutOfRangeError("cosine outside [-1, 1]")
-    if c.is_rational:
-        return c.as_rational() in _NIVEN_COSINES
-    return _rational_angle_order(c) is not None
+    """Decide exactly whether arccos(c)/pi is rational."""
+    return rational_angle_witness(c) is not None
 
 
 def _rational_angle_order(c):
@@ -920,8 +904,16 @@ def _orders_with_totient(n):
 
 def rational_angle_witness(c):
     """For a cosine of a rational angle, return (k, m) with c = cos(k*pi/m),
-    gcd-reduced; None if the angle is not a rational multiple of pi."""
+    gcd-reduced; None if the angle is not a rational multiple of pi.
+
+    Rational cosines go through Niven's theorem; otherwise c + i*sqrt(1-c^2)
+    is tested for being a root of unity by checking whether the minimal
+    polynomial of c divides Res_z(Phi_m(z), z^2 - 2cz + 1) for one of the
+    finitely many orders m with phi(m) = 2*deg(c).
+    """
     c = as_algreal(c)
+    if compare(c, AlgReal(-1)) == LESS or compare(c, AlgReal(1)) == GREATER:
+        raise OutOfRangeError("cosine outside [-1, 1]")
     if c.is_rational:
         table = {Fraction(1): (0, 1), Fraction(1, 2): (1, 3),
                  Fraction(0): (1, 2), Fraction(-1, 2): (2, 3),

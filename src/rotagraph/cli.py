@@ -16,8 +16,7 @@ import mpmath
 
 from . import elliptic, expr, finite, graph, isometry
 from .algebraic import (
-    AlgReal, EQUAL, LESS, compare, is_rational_angle, rational_angle_witness,
-    real_roots, to_float,
+    AlgReal, EQUAL, LESS, compare, rational_angle_witness, real_roots, to_float,
 )
 from .errors import ParseError, RotagraphError
 from .finite import FiniteGraph, FiniteGroup, PermGroup, Permutation
@@ -148,10 +147,10 @@ def _angle_string(k, m):
 
 
 def cmd_field_angle_rational(args):
-    c = expr.parse(args.cos)
-    if not is_rational_angle(c):
+    witness = rational_angle_witness(expr.parse(args.cos))
+    if witness is None:
         return {"rational_angle": False}
-    k, m = rational_angle_witness(c)
+    k, m = witness
     return {"rational_angle": True, "witness": _angle_string(k, m)}
 
 

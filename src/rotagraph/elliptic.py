@@ -8,7 +8,9 @@ taken.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, isqrt
 
+from . import expr
 from .algebraic import (
     AlgReal, EQUAL, GREATER, LESS,
     add, as_algreal, chebyshev_T, compare, div, mul, neg, sqrt_nonneg, sub,
@@ -163,17 +165,6 @@ def _lifts_nonneg(p, q):
     return x, y, s
 
 
-def _orthonormal_to(x):
-    """A unit vector exactly orthogonal to x, via Gram-Schmidt from the
-    first coordinate vector not parallel to x."""
-    for e in _BASIS:
-        w = _vsub(e, _scale(x, _dot(e, x)))
-        n2 = _dot(w, w)
-        if n2.sign() > 0:
-            return tuple(div(c, sqrt_nonneg(n2)) for c in w)
-    raise InternalConsistencyError("no independent coordinate vector found")
-
-
 def _rotate(a, v, c, s):
     """Rodrigues: v turned about the unit axis a by the angle with cosine c
     and sine s, c*v + s*(a x v) + (1 - c)*<a, v>*a."""
@@ -229,8 +220,11 @@ def circle_intersect(p, cos_r1, q, cos_r2):
             raise InfeasibleError("coincident centres with different radii")
         if compare(a, _ONE) == EQUAL:
             return ProjPoint(x)
-        b = sqrt_nonneg(sub(_ONE, mul(a, a)))
-        return _unit_canonical(_vadd(_scale(x, a), _scale(_orthonormal_to(x), b)))
+        # along the great circle toward the first coordinate vector e not
+        # parallel to x, with <x, e> = x_i
+        e, xi = next((e, xi) for e, xi in zip(_BASIS, x)
+                     if compare(mul(xi, xi), _ONE) == LESS)
+        return _along(x, e, xi, a)
     sin2 = sub(_ONE, mul(s, s))
     n = _canonical_sign(_cross(x, y))
     for b in (cos_r2.value, neg(cos_r2.value)):
@@ -257,18 +251,6 @@ def geodesic_step(p, q, cos_l):
     if compare(cos_l.value, s) == LESS:
         raise PreconditionError("step longer than the remaining distance")
     return _along(x, y, s, cos_l.value)
-
-
-def rotation_about(axis, cos_a, sin_a):
-    """Rodrigues rotation about `axis` with exact (cos, sin) pair."""
-    from .isometry import LinearMap  # local import: isometry builds on this module
-
-    cos_a, sin_a = as_algreal(cos_a), as_algreal(sin_a)
-    unit = add(mul(cos_a, cos_a), mul(sin_a, sin_a))
-    if compare(unit, _ONE) != EQUAL:
-        raise PreconditionError("cos^2 + sin^2 must equal 1 exactly")
-    columns = [_rotate(axis.lift, e, cos_a, sin_a) for e in _BASIS]
-    return LinearMap(tuple(zip(*columns)))
 
 
 def apex_angle_cos(cos_l):
@@ -357,13 +339,11 @@ def verify_ell_n_witness(o, chain, cos_l):
 # -- serialisation and sampling helpers --------------------------------------
 
 def point_to_json(p):
-    from . import expr
     x, y, z = p.lift
     return {"x": expr.to_expr(x), "y": expr.to_expr(y), "z": expr.to_expr(z)}
 
 
 def point_from_json(obj):
-    from . import expr
     return make_point(expr.from_json(obj["x"]), expr.from_json(obj["y"]),
                       expr.from_json(obj["z"]))
 
@@ -373,7 +353,6 @@ def _rational_unit_pool(bound=22):
     """Primitive integer vectors (a, b, c) with a^2 + b^2 + c^2 a perfect
     square: they normalise to rational unit lifts, keeping downstream degrees
     low, and each names a different projective point."""
-    from math import gcd, isqrt
     out = []
     for a in range(bound):
         for b in range(a, bound):

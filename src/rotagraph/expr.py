@@ -106,7 +106,7 @@ class _Parser:
             if len(coeffs) < 2:
                 raise ParseError("root() needs coefficients and an index")
             index = coeffs.pop()
-            return AlgReal.from_root(polys.IntPoly(coeffs), index)
+            return AlgReal.from_root(coeffs, index)
         if t is not None and t.isdigit():
             return AlgReal(Fraction(self.parse_int()))
         raise ParseError(f"unexpected token {t!r}")

@@ -9,6 +9,7 @@ small graphs up to isomorphism.
 from fractions import Fraction
 from functools import lru_cache
 import itertools
+import math
 import re
 
 import numpy as np
@@ -173,23 +174,8 @@ class PermGroup:
         return len(self.elements())
 
     def orbits(self):
-        parent = list(range(self.degree))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for g in self.generators:
-            for i, j in enumerate(g.images):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-        groups = {}
-        for i in range(self.degree):
-            groups.setdefault(find(i), []).append(i)
-        return sorted(groups.values())
+        return _components(self.degree, ((i, j) for g in self.generators
+                                         for i, j in enumerate(g.images)))
 
     def is_transitive(self):
         return self.degree > 0 and len(self.orbits()) == 1
@@ -526,7 +512,7 @@ def _relabelings(n):
 
 def graph_automorphisms(fg):
     """The full automorphism group, by brute force over all relabelings."""
-    if fg.n > 8:
+    if math.factorial(fg.n) > MAX_GROUP_ORDER:
         raise BoundExceededError("automorphism brute force is limited to n <= 8")
     if fg.n == 0:
         raise PreconditionError("empty vertex set")
@@ -683,7 +669,7 @@ def census(n_max):
                 a_ok = False
             coloring = is_bipartite(fg)
             if (coloring is not None and transitive and n >= 2
-                    and _is_connected(fg) and rot):
+                    and len(_components(n, fg.edges)) == 1 and rot):
                 b_ok = False
             counts["graphs"] += 1
             counts["transitive"] += int(transitive)
@@ -710,12 +696,22 @@ def census(n_max):
     }
 
 
-def _is_connected(fg):
-    """Whether vertex 0 reaches every vertex: square A + I until the walks
-    it counts are at least n long."""
-    reach = np.eye(fg.n, dtype=np.int64)
-    for i, j in fg.edges:
-        reach[i, j] = reach[j, i] = 1
-    for _ in range(fg.n.bit_length()):
-        reach = np.minimum(reach @ reach, 1)
-    return fg.n > 0 and bool(reach[0].all())
+def _components(n, pairs):
+    """The classes of 0..n-1 under the equivalence the pairs generate, each
+    ascending, sorted by least element (union-find)."""
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i, j in pairs:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return sorted(groups.values())

@@ -10,10 +10,10 @@ from fractions import Fraction
 
 from .algebraic import (
     AlgReal, EQUAL, GREATER, LESS,
-    as_algreal, chebyshev_values, compare, div, is_rational_angle, mul,
+    chebyshev_values, compare, div, is_rational_angle, mul,
 )
 from .elliptic import (
-    DistCos, as_dist_cos, dist_cos, equidistant_point, geodesic_step,
+    apex_angle_cos, as_dist_cos, dist_cos, equidistant_point, geodesic_step,
 )
 from .errors import (
     BoundExceededError,
@@ -171,7 +171,6 @@ def validate_spec(spec):
     """Structural report on the edge length: regime flags and whether the
     apex angle of the equilateral triangle is a rational multiple of pi
     (irrational apex is what drives the ladder distances to be dense)."""
-    from .elliptic import apex_angle_cos
     c = spec.cos_l.value
     apex = apex_angle_cos(spec.cos_l)
     return {

@@ -6,14 +6,16 @@ its quotient by {+-I} act the same way here.
 """
 
 from fractions import Fraction
+from math import isqrt, lcm
 import random
 
-from . import polys
+from . import expr, polys
 from .algebraic import (
     AlgReal, EQUAL, add, as_algreal, compare, div, mul, neg, real_roots, sub,
 )
 from .elliptic import (
-    _cross, _dot, _lifts_nonneg, _vsub, dist_cos, make_point,
+    _BASIS, _cross, _dot, _lifts_nonneg, _rotate, _vsub, as_dist_cos, dist_cos,
+    make_point,
 )
 from .errors import InternalConsistencyError, PreconditionError
 
@@ -72,6 +74,16 @@ class LinearMap:
 
 def identity():
     return LinearMap(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+
+def rotation_about(axis, cos_a, sin_a):
+    """Rodrigues rotation about `axis` with exact (cos, sin) pair."""
+    cos_a, sin_a = as_algreal(cos_a), as_algreal(sin_a)
+    unit = add(mul(cos_a, cos_a), mul(sin_a, sin_a))
+    if compare(unit, _ONE) != EQUAL:
+        raise PreconditionError("cos^2 + sin^2 must equal 1 exactly")
+    columns = [_rotate(axis.lift, e, cos_a, sin_a) for e in _BASIS]
+    return LinearMap(tuple(zip(*columns)))
 
 
 def apply(m, p):
@@ -141,10 +153,7 @@ def _integer_char_poly(tr, s2, det):
     if not (tr.is_rational and s2.is_rational and det.is_rational):
         return None
     tr, s2, det = tr.as_rational(), s2.as_rational(), det.as_rational()
-    from math import gcd
-    den = 1
-    for c in (tr, s2, det):
-        den = den * c.denominator // gcd(den, c.denominator)
+    den = lcm(tr.denominator, s2.denominator, det.denominator)
     coeffs = (int(-det * den), int(s2 * den), int(-tr * den), den)
     return polys.primitive(coeffs)
 
@@ -188,7 +197,6 @@ def fixed_point(m):
 def preserves_edges_on_sample(m, cos_l, pairs):
     """Sampled l-isometry check: for each pair, being at distance l and the
     image being at distance l must agree (both ways, exactly)."""
-    from .elliptic import as_dist_cos
     cos_l = as_dist_cos(cos_l)
     for p, q in pairs:
         before = dist_cos(p, q) == cos_l
@@ -203,17 +211,10 @@ def _pythagorean_pairs(bound=40):
     for a in range(1, bound):
         for b in range(a, bound):
             h2 = a * a + b * b
-            h = __import__("math").isqrt(h2)
+            h = isqrt(h2)
             if h * h == h2:
                 out.append((Fraction(a, h), Fraction(b, h)))
     return out
-
-
-_AXIS_ROT = {
-    0: lambda c, s: ((1, 0, 0), (0, c, -s), (0, s, c)),
-    1: lambda c, s: ((c, 0, s), (0, 1, 0), (-s, 0, c)),
-    2: lambda c, s: ((c, -s, 0), (s, c, 0), (0, 0, 1)),
-}
 
 
 def random_rational_orthogonal(seed):
@@ -222,11 +223,11 @@ def random_rational_orthogonal(seed):
     rng = random.Random(seed)
     pairs = _pythagorean_pairs()
     m = identity()
-    for axis in rng.sample((0, 1, 2), 3):
+    for e in rng.sample(_BASIS, 3):
         c, s = rng.choice(pairs)
         if rng.random() < 0.5:
             s = -s
-        m = LinearMap(_AXIS_ROT[axis](c, s)) @ m
+        m = rotation_about(make_point(*e), c, s) @ m
     return m
 
 
@@ -257,10 +258,8 @@ def orthogonal_sending(p, q):
 
 
 def matrix_to_json(m):
-    from . import expr
     return [[expr.to_expr(v) for v in row] for row in m.rows]
 
 
 def matrix_from_json(rows):
-    from . import expr
     return LinearMap([[expr.from_json(v) for v in row] for row in rows])

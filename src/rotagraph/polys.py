@@ -18,9 +18,9 @@ import sympy
 
 from .errors import ZeroPolynomialError
 
-#: entries kept by each polynomial-keyed cache, well above the distinct
-#: polynomials of one benchmark pass (about 300 factorisations), so a
-#: long-lived process holds a bounded amount
+#: entries kept by each polynomial-keyed cache, far above the distinct
+#: polynomials of one benchmark pass (a traced `geometry` pass makes 40
+#: factorisations), so a long-lived process holds a bounded amount
 CACHE_SIZE = 4096
 
 
@@ -102,40 +102,9 @@ def add(a, b):
     return normalize(out)
 
 
-class IntPoly:
-    """Integer-coefficient polynomial, coefficients ascending by degree."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        if isinstance(coeffs, IntPoly):
-            coeffs = coeffs.coeffs
-        self.coeffs = normalize(coeffs)
-
-    @property
-    def is_zero(self):
-        return not self.coeffs
-
-    @property
-    def degree(self):
-        return degree(self.coeffs)
-
-    def __call__(self, t):
-        return evaluate(self.coeffs, t)
-
-    def __eq__(self, other):
-        return isinstance(other, IntPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"IntPoly({list(self.coeffs)})"
-
-
 def as_coeff_tuple(p):
-    """Accept an IntPoly or any coefficient sequence; reject the zero poly."""
-    coeffs = p.coeffs if isinstance(p, IntPoly) else normalize(p)
+    """Any coefficient sequence as a polynomial; reject the zero poly."""
+    coeffs = normalize(p)
     if not coeffs:
         raise ZeroPolynomialError("the zero polynomial is not a valid input")
     return coeffs
@@ -256,17 +225,6 @@ def compose_scale(c, r):
 # -- Sturm machinery --------------------------------------------------------
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _scale_by_content(c):
-    """Divide out the (positive) content, keeping the sign of the row.
-    Sturm chains need this: flipping a row's sign breaks the count."""
-    c = normalize(c)
-    if not c:
-        return c
-    g = content(c)
-    return tuple(v // g for v in c)
-
-
-@lru_cache(maxsize=CACHE_SIZE)
 def sturm_chain(c):
     """Sturm chain of a squarefree polynomial, primitive integer rows."""
     chain = [primitive(c), primitive(derivative(c))]
@@ -277,7 +235,9 @@ def sturm_chain(c):
             break
         if chain[-1][-1] > 0 or e % 2 == 0:
             rem = tuple(-v for v in rem)
-        chain.append(_scale_by_content(rem))
+        # divide out the positive content: flipping a row's sign breaks the count
+        g = content(rem)
+        chain.append(tuple(v // g for v in rem))
     return tuple(chain)
 
 
@@ -323,38 +283,26 @@ def root_bound(c):
 
 
 def isolate_roots(c):
-    """Isolating intervals for all real roots of squarefree c.
+    """Isolating intervals for all real roots of squarefree c with no
+    rational root (an irreducible polynomial of degree >= 2), by bisection.
 
-    Returns ascending disjoint (lo, hi) pairs with nonzero endpoint values,
-    one root per interval.  Rational roots are returned as [r, r].
+    Returns ascending disjoint (lo, hi) pairs, one root per interval; no
+    endpoint is a root, since every endpoint is rational.
     """
     c = primitive(c)
-    if degree(c) == 0:
-        return []
     out = []
     B = root_bound(c)
     stack = [(-B, B, count_roots_halfopen(c, -B, B))]
     while stack:
         lo, hi, n = stack.pop()
-        if n == 0:
-            continue
-        if n == 1 and sign_at(c, hi) != 0:
+        if n == 1:
             out.append((lo, hi))
-            continue
-        mid = (lo + hi) / 2
-        if sign_at(c, mid) == 0:
-            out.append((mid, mid))
-            # exclude an interval around the exact root from both halves
-            w = (hi - lo) / 4
-            while count_roots_halfopen(c, mid - w, mid + w) > 1 or \
-                    sign_at(c, mid - w) == 0 or sign_at(c, mid + w) == 0:
-                w /= 2
-            stack.append((lo, mid - w, count_roots_halfopen(c, lo, mid - w)))
-            stack.append((mid + w, hi, count_roots_halfopen(c, mid + w, hi)))
-        else:
-            stack.append((lo, mid, count_roots_halfopen(c, lo, mid)))
-            stack.append((mid, hi, n - count_roots_halfopen(c, lo, mid)))
-    out.sort(key=lambda iv: iv[0])
+        elif n > 1:
+            mid = (lo + hi) / 2
+            k = count_roots_halfopen(c, lo, mid)
+            stack.append((lo, mid, k))
+            stack.append((mid, hi, n - k))
+    out.sort()
     return out
 
 

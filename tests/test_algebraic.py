@@ -183,6 +183,14 @@ def test_rational_angle_witness_recovers_angle():
     assert rational_angle_witness(div(SQRT2, AlgReal(3))) is None
 
 
+def test_rational_angle_witness_rejects_out_of_range():
+    for value in (AlgReal(2), AlgReal(Fraction(-3, 2)), sqrt_nonneg(AlgReal(5)),
+                  neg(SQRT2)):
+        for fn in (rational_angle_witness, is_rational_angle):
+            with pytest.raises(OutOfRangeError, match=r"cosine outside \[-1, 1\]"):
+                fn(value)
+
+
 def test_orders_with_totient_match_sympy():
     import sympy
     from rotagraph.algebraic import _orders_with_totient

@@ -84,6 +84,40 @@ def test_circle_intersect_coincident_centres():
         ep.circle_intersect(E1, COS45, E1, ep.as_dist_cos(Fraction(1, 2)))
 
 
+def _gram_schmidt_coincident(p, a):
+    """The coincident-centre point of radius cosine a about p built the
+    Gram-Schmidt way: a*x + sqrt(1 - a^2)*u, with u the normalised part of
+    the first coordinate vector not parallel to x orthogonal to x."""
+    x = p.lift
+    if compare(a, AlgReal(1)) == EQUAL:
+        return ep.ProjPoint(x)
+    for e in ep._BASIS:
+        w = ep._vsub(e, ep._scale(x, ep._dot(e, x)))
+        n2 = ep._dot(w, w)
+        if n2.sign() > 0:
+            break
+    u = tuple(div(c, sqrt_nonneg(n2)) for c in w)
+    b = sqrt_nonneg(sub(AlgReal(1), mul(a, a)))
+    return ep._unit_canonical(ep._vadd(ep._scale(x, a), ep._scale(u, b)))
+
+
+def test_circle_intersect_coincident_centres_match_gram_schmidt():
+    radii = [AlgReal(Fraction(v))
+             for v in ("0", "1/10", "1/2", "3/5", "4/5", "9/10", "1")]
+    centres = [ep.make_point(*v) for v in (
+        (1, 0, 0), (0, 1, 0), (0, 0, 1), (3, 4, 0), (1, 2, 2), (2, 3, 6),
+        (1, 1, 0), (1, 1, 1), (1, -2, 3), (-2, 1, 5))]
+    for seed in range(3):
+        rng = random.Random(seed)
+        centres.append(ep.random_point_at_distance(rng, ep.random_rational_point(rng),
+                                                   COS45))
+    for p in centres:
+        for a in radii:
+            w = ep.circle_intersect(p, a, p, a)
+            assert ep.point_to_json(w) == \
+                ep.point_to_json(_gram_schmidt_coincident(p, a)), (p, a)
+
+
 def test_geodesic_step():
     r = ep.geodesic_step(E1, E2, COS45)
     assert ep.dist_cos(r, E1) == COS45
@@ -157,11 +191,11 @@ def test_verify_catches_backtracking():
 
 def test_rotation_about_is_orthogonal():
     from rotagraph import isometry
-    r = ep.rotation_about(E3, Fraction(3, 5), Fraction(4, 5))
+    r = isometry.rotation_about(E3, Fraction(3, 5), Fraction(4, 5))
     assert isometry.is_orthogonal(r)
     assert isometry.apply(r, E3) == E3
     with pytest.raises(PreconditionError):
-        ep.rotation_about(E3, Fraction(1, 2), Fraction(1, 2))
+        isometry.rotation_about(E3, Fraction(1, 2), Fraction(1, 2))
 
 
 def test_point_json_round_trip():

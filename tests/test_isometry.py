@@ -1,5 +1,10 @@
+import ast
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,14 +21,14 @@ E3 = ep.make_point(0, 0, 1)
 def test_is_orthogonal():
     assert iso.is_orthogonal(iso.identity())
     assert not iso.is_orthogonal(iso.LinearMap(((1, 0, 0), (0, 1, 0), (0, 0, 2))))
-    r = ep.rotation_about(E3, Fraction(3, 5), Fraction(4, 5))
+    r = iso.rotation_about(E3, Fraction(3, 5), Fraction(4, 5))
     assert iso.is_orthogonal(r)
     assert compare(r.det(), AlgReal(1)) == EQUAL
 
 
 def test_rotation_about_with_irrational_sine():
     s65 = div(sqrt_nonneg(AlgReal(65)), AlgReal(9))
-    r = ep.rotation_about(E3, Fraction(4, 9), s65)
+    r = iso.rotation_about(E3, Fraction(4, 9), s65)
     assert iso.is_orthogonal(r)
     assert iso.fixed_point(r) == E3
 
@@ -82,6 +87,49 @@ def test_random_rational_orthogonal_deterministic():
                for ra, rb in zip(a.rows, b.rows) for x, y in zip(ra, rb))
 
 
+def test_random_rational_orthogonal_matches_literal_axis_matrices():
+    """Rodrigues about a coordinate axis gives the textbook matrices."""
+    literal = (lambda c, s: ((1, 0, 0), (0, c, -s), (0, s, c)),
+               lambda c, s: ((c, 0, s), (0, 1, 0), (-s, 0, c)),
+               lambda c, s: ((c, -s, 0), (s, c, 0), (0, 0, 1)))
+    pairs = iso._pythagorean_pairs()
+    for seed in range(60):
+        rng = random.Random(seed)
+        want = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+        for axis in rng.sample((0, 1, 2), 3):
+            c, s = rng.choice(pairs)
+            if rng.random() < 0.5:
+                s = -s
+            r = literal[axis](c, s)
+            want = [[sum(r[i][k] * want[k][j] for k in range(3)) for j in range(3)]
+                    for i in range(3)]
+        got = iso.random_rational_orthogonal(seed)
+        assert [[v.as_rational() for v in row] for row in got.rows] == want, seed
+
+
+def test_elliptic_imports_without_isometry():
+    code = "import sys, rotagraph.elliptic; print(sorted(sys.modules))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = ast.literal_eval(proc.stdout)
+    assert "rotagraph.elliptic" in loaded
+    assert "rotagraph.isometry" not in loaded
+
+
+def test_no_imports_inside_functions():
+    for path in sorted(Path(iso.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = [ast.unparse(node) for node in ast.walk(fn)
+                         if isinstance(node, (ast.Import, ast.ImportFrom))
+                         or (isinstance(node, ast.Name) and node.id == "__import__")]
+                assert not inner, (path.name, fn.name, inner)
+
+
 def test_composition_consistency():
     m1 = iso.random_rational_orthogonal(1)
     m2 = iso.random_rational_orthogonal(2)
@@ -127,8 +175,8 @@ def test_preserves_edges_biconditional():
 
 
 def test_matrix_json_round_trip():
-    m = ep.rotation_about(E3, Fraction(4, 9),
-                          div(sqrt_nonneg(AlgReal(65)), AlgReal(9)))
+    m = iso.rotation_about(E3, Fraction(4, 9),
+                           div(sqrt_nonneg(AlgReal(65)), AlgReal(9)))
     m2 = iso.matrix_from_json(iso.matrix_to_json(m))
     assert all(compare(x, y) == EQUAL
                for ra, rb in zip(m.rows, m2.rows) for x, y in zip(ra, rb))

@@ -163,9 +163,24 @@ def test_sympy_only_factorises():
 
 def test_polynomial_caches_are_bounded():
     for fn in (polys.factor_int, polys.cand_sum, polys.cand_prod,
-               polys.cand_square, polys._scale_by_content, polys.sturm_chain):
+               polys.cand_square, polys.sturm_chain):
         assert fn.cache_info().maxsize == polys.CACHE_SIZE, fn.__name__
     assert 0 < polys.CACHE_SIZE < 10 ** 5
+
+
+def test_isolate_roots_against_sympy():
+    """Ascending disjoint intervals, rational endpoints that are not roots,
+    one root in each, as many as sympy counts real roots."""
+    rng = random.Random(7411)
+    for _ in range(30):
+        c = random_irreducible(rng, rng.randint(2, 8))
+        ref = sympy.Poly(_as_expr(c, X), X)
+        out = polys.isolate_roots(c)
+        assert len(out) == ref.count_roots(), c
+        for (lo, hi), nxt in zip(out, out[1:] + [None]):
+            assert lo < hi and (nxt is None or hi <= nxt[0]), (c, out)
+            assert polys.sign_at(c, lo) != 0 and polys.sign_at(c, hi) != 0
+            assert ref.count_roots(lo, hi) == 1, (c, lo, hi)
 
 
 def test_poly_gcd():

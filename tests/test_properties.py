@@ -114,7 +114,7 @@ def test_geodesic_step_stays_on_the_line(u, v, c):
 def test_rotation_about_is_orthogonal_and_fixes_its_axis(u, c, flip):
     axis = ep.make_point(*u)
     s = sqrt_nonneg(AlgReal(1 - c * c))
-    r = ep.rotation_about(axis, c, neg(s) if flip else s)
+    r = iso.rotation_about(axis, c, neg(s) if flip else s)
     assert iso.is_orthogonal(r)
     assert compare(r.det(), AlgReal(1)) == EQUAL
     assert compare(r.trace(), AlgReal(1 + 2 * c)) == EQUAL
