@@ -23,8 +23,15 @@ when asked for them (printing, hashing, a square root, an operation across
 fields), from the characteristic polynomial of g(theta), with no
 factorisation; x + r, -x, r*x and 1/x of a value that has them carry them
 over at once.  Operations across fields that no record links and no
-compositum joins take the candidate polynomial of the result, factorise
-it, and give an untagged value.
+compositum joins take the candidate polynomial of the result, and give an
+untagged value.  A square root of a square of the field stays in it,
+tagged over the same generator.
+
+Candidates (square roots, composita, cross-field results) and the
+polynomials given to real_roots are factorised only when no certificate
+in polys shows them irreducible (Capelli's theorem for x^2 - a, full
+degree of a compositum read mod small primes, Musser's test); in the
+geometry all of them fire.
 
 Values are immutable.  The isolating interval may be tightened in place and
 a tagged value's minimal polynomial filled in on first use; both are
@@ -47,9 +54,10 @@ from .errors import (
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
-# Largest candidate polynomial root selection will build.  Factoring one of
-# degree 256 takes seconds, one of degree 512 tens of seconds, and each
-# nested square root doubles the degree.
+# Largest candidate polynomial root selection will build.  The certified
+# degree-64 sum of six square roots takes about a second and a half; one
+# that no certificate covers goes to factorisation, which at degree 64 can
+# take minutes.  Each nested square root doubles the degree.
 _MAX_CAND_DEGREE = 256
 
 # g for a generator over itself: the polynomial x
@@ -558,17 +566,19 @@ def _join(a, b):
     within the candidate budget, so it generates Q(t1, t2).  t1 = h(psi)
     comes from one linear solve over the basis t1^i * t2^j, and
     t2 = psi - t1.  None when psi falls short of full degree, and at once
-    unless full degree is likely: coprime degrees force it, and a quadratic
-    side misses it only if its square root already lies in the other
-    field; two fields of one higher degree are often one field reached
-    twice (a value and its re-parsed print), where factorising psi's
-    candidate would be wasted."""
+    unless full degree is likely or certified: coprime degrees force it, a
+    quadratic side misses it only if its square root already lies in the
+    other field, and polys.full_degree reads it mod small primes; two
+    fields of one higher degree are often one field reached twice (a value
+    and its re-parsed print), where factorising psi's candidate would be
+    wasted.  Its candidate is certified irreducible where it can be."""
     (t1, ga), (t2, gb) = _gen(a), _gen(b)
     m1, m2 = t1.min_poly, t2.min_poly
     n1, n2 = len(m1) - 1, len(m2) - 1
-    if n1 * n2 > _MAX_CAND_DEGREE or (min(n1, n2) > 2 and gcd(n1, n2) > 1):
+    if n1 * n2 > _MAX_CAND_DEGREE or (min(n1, n2) > 2 and gcd(n1, n2) > 1
+                                       and not polys.full_degree(m1, m2)):
         return None
-    psi = _select_root(polys.factor_int(polys.cand_sum(m1, m2)),
+    psi = _select_root(polys.composed_factors(polys.cand_sum(m1, m2), m1, m2),
                        lambda: (t1.interval[0] + t2.interval[0],
                                 t1.interval[1] + t2.interval[1]),
                        lambda: (t1.refine(), t2.refine()))
@@ -647,8 +657,8 @@ def add(a, b):
     def interval_fn():
         return (a.interval[0] + b.interval[0], a.interval[1] + b.interval[1])
 
-    return _select_root(polys.factor_int(cand), interval_fn,
-                        lambda: (a.refine(), b.refine()))
+    return _select_root(polys.composed_factors(cand, a.min_poly, b.min_poly),
+                        interval_fn, lambda: (a.refine(), b.refine()))
 
 
 def neg(a):
@@ -686,18 +696,18 @@ def mul(a, b):
         return AlgReal._over(theta, _mulmod(ga, gb, theta.min_poly))
     if a.min_poly == b.min_poly and _compare_isolated(a, b) == EQUAL:
         _check_cand_degree(a.degree)
-        cand = polys.cand_square(a.min_poly)
+        factors = polys.composed_factors(polys.cand_square(a.min_poly), a.min_poly)
     else:
         _check_cand_degree(a.degree * b.degree)
-        cand = polys.cand_prod(a.min_poly, b.min_poly)
+        factors = polys.composed_factors(polys.cand_prod(a.min_poly, b.min_poly),
+                                         a.min_poly, b.min_poly)
 
     def interval_fn():
         (alo, ahi), (blo, bhi) = a.interval, b.interval
         prods = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
         return (min(prods), max(prods))
 
-    return _select_root(polys.factor_int(cand), interval_fn,
-                        lambda: (a.refine(), b.refine()))
+    return _select_root(factors, interval_fn, lambda: (a.refine(), b.refine()))
 
 
 def _invert(a):
@@ -789,8 +799,11 @@ def sqrt_nonneg(a):
                 v = mul(a, mul(u, u))
                 if v.degree == n:
                     return div(sqrt_nonneg(v), u if u.sign() > 0 else neg(u))
+        if not polys.nonsquare_root(a.min_poly):
+            root = _sqrt_in_field(a)
+            if root is not None:
+                return root
     _check_cand_degree(2 * a.degree)
-    cand = polys.cand_sqrt(a.min_poly)
     state = {"bits": 16}
 
     def interval_fn():
@@ -805,10 +818,24 @@ def sqrt_nonneg(a):
     # make sure the interval starts at a positive lower endpoint
     while a.interval[0] <= 0:
         a.refine()
-    root = _select_root(polys.factor_int(cand), interval_fn, refine_fn)
+    root = _select_root(polys.sqrt_factors(a.min_poly), interval_fn, refine_fn)
     if not a.is_rational and not root.is_rational:
         _tower(root, a)
     return root
+
+
+def _sqrt_in_field(a):
+    """sqrt(a) over a's generator theta when a = g(theta) is a square in
+    Q(theta): the first p-adic candidate h (polys.sqrt_candidates) with
+    h^2 = g modulo theta's minimal polynomial, signed to be positive; None
+    when no candidate passes."""
+    theta, g = _gen(a)
+    m = theta.min_poly
+    for h in polys.sqrt_candidates(m, g):
+        if _mulmod(h, h, m) == g:
+            root = AlgReal._over(theta, h)
+            return root if root.sign() > 0 else neg(root)
+    return None
 
 
 def _isqrt_exact(n):
@@ -836,7 +863,7 @@ def real_roots(p):
     """All distinct real roots of an integer polynomial, ascending."""
     coeffs = polys.as_coeff_tuple(p)
     roots = []
-    for f in polys.factor_int(coeffs):
+    for f in polys.irreducible_factors(coeffs):
         if polys.degree(f) == 0:
             continue
         if polys.degree(f) == 1:

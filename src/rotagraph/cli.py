@@ -12,17 +12,22 @@ import signal
 import sys
 from fractions import Fraction
 
-import mpmath
-
-from . import elliptic, expr, finite, graph, isometry
+from . import elliptic, expr, graph, isometry
 from .algebraic import (
     AlgReal, EQUAL, LESS, compare, rational_angle_witness, real_roots, to_float,
 )
 from .errors import ParseError, RotagraphError
-from .finite import FiniteGraph, FiniteGroup, PermGroup, Permutation
+
+
+def _finite():
+    """The finite-group module, imported by the finite handlers and their
+    parsers only: it loads numpy, which no other command needs."""
+    from . import finite
+    return finite
 
 
 def _approx_str(v, bits):
+    import mpmath   # only --approx output renders decimals
     fr = to_float(v, bits)
     digits = max(3, int(bits * 0.30103) + 1)
     with mpmath.workprec(bits + 16):
@@ -93,19 +98,20 @@ def _parse_group(text, degree=None):
         for p in parts:
             for tok in p.replace("(", " ").replace(")", " ").replace(",", " ").split():
                 degree = max(degree, int(tok) + 1)
-    gens = [Permutation.from_cycles(p, degree) for p in parts]
-    return PermGroup(degree, gens)
+    finite = _finite()
+    gens = [finite.Permutation.from_cycles(p, degree) for p in parts]
+    return finite.PermGroup(degree, gens)
 
 
 def _parse_graph(text):
-    return FiniteGraph.from_json(json.loads(text))
+    return _finite().FiniteGraph.from_json(json.loads(text))
 
 
 def _parse_finite_group(args):
     if getattr(args, "table", None):
-        return FiniteGroup(json.loads(args.table))
+        return _finite().FiniteGroup(json.loads(args.table))
     if getattr(args, "group", None):
-        return FiniteGroup.from_permutations(
+        return _finite().FiniteGroup.from_permutations(
             list(_parse_group(args.group, getattr(args, "degree", None)).generators))
     raise ParseError("supply --table or --group")
 
@@ -250,24 +256,24 @@ def cmd_graph_choose_ell(args):
 
 def cmd_finite_cf(args):
     g = _parse_group(args.group, args.degree)
-    avg = finite.cauchy_frobenius(g)
-    return {"orbit_count": finite.orbit_count(g),
+    avg = _finite().cauchy_frobenius(g)
+    return {"orbit_count": _finite().orbit_count(g),
             "average_fixed_points": str(avg)}
 
 
 def cmd_finite_rotary(args):
     fg = _parse_graph(args.graph)
-    return {"rotarily_transitive": finite.is_rotarily_transitive_graph(fg)}
+    return {"rotarily_transitive": _finite().is_rotarily_transitive_graph(fg)}
 
 
 def cmd_finite_jordan(args):
     g = _parse_group(args.group, args.degree)
-    return {"witness": finite.jordan_witness(g).cycle_string()}
+    return {"witness": _finite().jordan_witness(g).cycle_string()}
 
 
 def cmd_finite_subgroups(args):
     g = _parse_group(args.group, args.degree)
-    subs = finite.all_subgroups(g)
+    subs = _finite().all_subgroups(g)
     return {"count": len(subs),
             "subgroups": [{"order": h.order,
                            "generators": [p.cycle_string() for p in h.generators],
@@ -277,14 +283,14 @@ def cmd_finite_subgroups(args):
 
 def cmd_finite_automorphisms(args):
     fg = _parse_graph(args.graph)
-    aut = finite.graph_automorphisms(fg)
+    aut = _finite().graph_automorphisms(fg)
     return {"order": aut.order,
             "elements": [p.cycle_string() for p in aut.elements()]}
 
 
 def cmd_finite_bipartite(args):
     fg = _parse_graph(args.graph)
-    coloring = finite.is_bipartite(fg)
+    coloring = _finite().is_bipartite(fg)
     return {"bipartite": coloring is not None, "coloring": coloring}
 
 
@@ -292,14 +298,14 @@ def cmd_finite_conjgraph(args):
     grp = _parse_finite_group(args)
     g1 = _resolve_element(grp, args.g1)
     g3 = _resolve_element(grp, args.g3)
-    fg, action, diag = finite.conjugation_graph(grp, g1, g3)
+    fg, action, diag = _finite().conjugation_graph(grp, g1, g3)
     return {"graph": fg.to_json(),
             "action_order": action.order,
             "diagnostics": diag}
 
 
 def cmd_finite_census(args):
-    return finite.census(args.n_max)
+    return _finite().census(args.n_max)
 
 
 # -- wiring -------------------------------------------------------------------

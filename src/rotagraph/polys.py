@@ -2,25 +2,30 @@
 
 Polynomials are tuples of Python ints in ascending degree with a nonzero
 leading coefficient; the zero polynomial is the empty tuple.  Factorisation
-over Q (`factor_int`) is the one job handed to a computer algebra system;
-everything else is done here with exact integer and rational arithmetic:
-the special resultants (composed sums and products, by Newton power sums),
-cyclotomic polynomials, pseudo-remainders (divisibility, gcds) and
-everything sign-related (Sturm chains, root counting, isolation), with
-signs taken in integers.
+over Q (`factor_int`) is the one job handed to a computer algebra system,
+sympy, imported on first use; everything else is done here with exact
+integer and rational arithmetic: the special resultants (composed sums and
+products, by Newton power sums), cyclotomic polynomials, pseudo-remainders
+(divisibility, gcds), everything sign-related (Sturm chains, root counting,
+isolation), with signs taken in integers, and arithmetic mod a prime.
+
+The last serves certificates that a candidate polynomial is irreducible,
+read from how it factors mod small primes (`sqrt_factors`,
+`composed_factors`, `irreducible_factors`): each hands back the candidate
+as its own single factor when it fires and calls `factor_int` otherwise,
+so factorisation runs only where no cheap exact argument decides.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm
-
-import sympy
+from math import comb, gcd, isqrt, lcm
 
 from .errors import ZeroPolynomialError
 
 #: entries kept by each polynomial-keyed cache, far above the distinct
-#: polynomials of one benchmark pass (a traced `geometry` pass makes 40
-#: factorisations), so a long-lived process holds a bounded amount
+#: polynomials of one benchmark pass (a traced `geometry` pass certified 40
+#: candidates that it used to factorise), so a long-lived process holds a
+#: bounded amount
 CACHE_SIZE = 4096
 
 
@@ -114,7 +119,10 @@ def as_coeff_tuple(p):
 
 @lru_cache(maxsize=CACHE_SIZE)
 def factor_int(c):
-    """Distinct irreducible factors over Q, each primitive with positive lead."""
+    """Distinct irreducible factors over Q, each primitive with positive lead.
+    sympy is imported here, on the first factorisation a certificate below
+    could not spare, so a process that needs none never loads it."""
+    import sympy
     _, factors = sympy.Poly(c[::-1], sympy.Symbol("x"), domain="ZZ").factor_list()
     return tuple(sorted(primitive(f.all_coeffs()[::-1]) for f, _m in factors))
 
@@ -187,6 +195,335 @@ def cand_sqrt(c):
     for i, v in enumerate(c):
         out[2 * i] = v
     return primitive(out)
+
+
+# -- arithmetic mod a prime --------------------------------------------------
+# Polynomials over F_p are ascending lists of ints in [0, p), [] for zero.
+# The certificates below read from them how an integer polynomial factors
+# mod p (Cohen, GTM 138, 3.4: distinct-degree factorisation).
+
+def _primes_below(n):
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 2)
+    for i in range(2, int(n ** 0.5) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytearray(len(sieve[i * i::i]))
+    return tuple(i for i in range(n) if sieve[i])
+
+
+#: the primes a certificate searches, in order.  The bound reaches 479, the
+#: first prime at which 2, 3, 5, 7 and 11 are squares and 13 is not, which
+#: certifies the degree-64 sum of the square roots of 2, ..., 13
+CERT_PRIMES = _primes_below(2048)
+
+#: the p-adic precision at which sqrt_candidates stops looking for a square
+#: root inside a field
+SQRT_LIFT_BITS = 4096
+
+#: good primes (see _ddf) that Musser's test and the non-square test read
+#: before they give up; either falls back to factorisation then
+GOOD_PRIMES = 16
+
+
+def _mod_p(c, p):
+    out = [v % p for v in c]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _monic_p(a, p):
+    inv = pow(a[-1], -1, p)
+    return [v * inv % p for v in a]
+
+
+def _divmod_p(a, b, p):
+    """(q, r) with a = q*b + r and deg r < deg b over F_p, for monic b."""
+    r, db = list(a), len(b) - 1
+    q = [0] * max(len(a) - db, 0)
+    for k in range(len(q) - 1, -1, -1):
+        f = q[k] = r[k + db]
+        if f:
+            for i in range(db):
+                r[k + i] = (r[k + i] - f * b[i]) % p
+    del r[db:]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
+def _mulmod_p(a, b, f, p):
+    """a*b mod f over F_p, for monic f."""
+    return _divmod_p([v % p for v in mul(a, b)], f, p)[1]
+
+
+def _powmod_p(a, e, f, p):
+    out = [1]
+    while e:
+        if e & 1:
+            out = _mulmod_p(out, a, f, p)
+        e >>= 1
+        if e:
+            a = _mulmod_p(a, a, f, p)
+    return out
+
+
+def _gcd_p(a, b, p):
+    """Monic gcd over F_p of a and b, not both zero."""
+    while b:
+        b = _monic_p(b, p)
+        a, b = b, _divmod_p(a, b, p)[1]
+    return _monic_p(a, p)
+
+
+def _ddf(c, p):
+    """Distinct-degree factorisation of c mod p: pairs (d, g), g the monic
+    product of c's irreducible factors of degree d, which all divide
+    x^(p^d) - x.  None unless p is good for c: p does not divide c's lead
+    and c is square-free mod p."""
+    if c[-1] % p == 0:
+        return None
+    f = _monic_p(_mod_p(c, p), p)
+    if len(_gcd_p(f, _mod_p(derivative(c), p), p)) > 1:
+        return None
+    out, h, d = [], [0, 1], 0
+    while 2 * (d + 1) < len(f):
+        d += 1
+        h = _powmod_p(h, p, f, p)
+        g = _gcd_p(f, _mod_p(add(h, (0, -1)), p), p)
+        if len(g) > 1:
+            out.append((d, g))
+            f = _divmod_p(f, g, p)[0]
+            h = _divmod_p(h, f, p)[1]
+    if len(f) > 1:
+        out.append((len(f) - 1, f))
+    return out
+
+
+def _factor_degrees(c, p):
+    """The degrees of c's irreducible factors mod p, with multiplicity, or
+    None unless p is good for c (see _ddf)."""
+    parts = _ddf(c, p)
+    if parts is None:
+        return None
+    return [d for d, g in parts for _ in range((len(g) - 1) // d)]
+
+
+# -- irreducibility certificates ----------------------------------------------
+# Each hands back a candidate as its own single irreducible factor when an
+# exact argument shows it is irreducible, and otherwise falls back to
+# factor_int.  Square-freeness mod p lifts to Q: a repeated factor g^2 of c
+# in Z[x] has p not dividing lead(g) and would stay repeated mod p.
+
+def _squarefree_mod_prime(c):
+    """True when c is square-free mod some prime not dividing its lead,
+    hence square-free over Q."""
+    dc = derivative(c)
+    return any(c[-1] % p and len(_gcd_p(_mod_p(c, p), _mod_p(dc, p), p)) == 1
+               for p in CERT_PRIMES)
+
+
+def _is_rational_square(r):
+    return r >= 0 and all(isqrt(v) ** 2 == v for v in (r.numerator, r.denominator))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def nonsquare_root(m):
+    """True when a root a of the irreducible m is not a square in Q(a): its
+    norm (-1)^n * m(0) / lead(m) is not a rational square (N(b^2) = N(b)^2),
+    or some odd prime p, good for m (see _ddf) and not dividing m(0), has a
+    factor g of m mod p with x no square in F_p[x]/(g).  By Hensel's lemma
+    g lifts to the p-adic integers, where its root is a unit of an
+    unramified extension with residue field F_p[x]/(g) and the image of a;
+    a = b^2 in Q(a) would make x a square there."""
+    if not _is_rational_square(Fraction((-1) ** degree(m) * m[0], m[-1])):
+        return True
+    good = 0
+    for p in CERT_PRIMES[1:]:
+        parts = _ddf(m, p) if m[0] % p else None
+        if parts is None:
+            continue
+        # x^((p^d - 1)/2) is +1 or -1 modulo each factor of g
+        if any(_powmod_p([0, 1], (p ** d - 1) // 2, g, p) != [1] for d, g in parts):
+            return True
+        good += 1
+        if good == GOOD_PRIMES:
+            break
+    return False
+
+
+def sqrt_factors(m):
+    """The irreducible factors of cand_sqrt(m), m the minimal polynomial of
+    a nonzero a: m(x^2) itself, the minimal polynomial of sqrt(a), when a
+    is no square in Q(a) (nonsquare_root), since x^2 - a is then
+    irreducible over Q(a) (Capelli) and sqrt(a) has degree 2n."""
+    cand = cand_sqrt(m)
+    return (cand,) if nonsquare_root(m) else factor_int(cand)
+
+
+def _sqrt_fq(a, f, p):
+    """A square root of a != 0 in F_q = F_p[x]/(f), f monic and irreducible
+    mod p, p odd, by Tonelli-Shanks; None when a is no square."""
+    q = p ** (len(f) - 1)
+    if _powmod_p(a, (q - 1) // 2, f, p) != [1]:
+        return None
+    s, t = 0, q - 1
+    while t % 2 == 0:
+        s, t = s + 1, t // 2
+    z = next((z for z in ([k, 1] for k in range(p))
+              if _powmod_p(z, (q - 1) // 2, f, p) != [1]), None)
+    if z is None:
+        return None
+    c, u, r = _powmod_p(z, t, f, p), _powmod_p(a, t, f, p), _powmod_p(a, (t + 1) // 2, f, p)
+    while u != [1]:
+        i, v = 0, u
+        while v != [1]:
+            v, i = _mulmod_p(v, v, f, p), i + 1
+        b = c
+        for _ in range(s - i - 1):
+            b = _mulmod_p(b, b, f, p)
+        s, c = i, _mulmod_p(b, b, f, p)
+        u, r = _mulmod_p(u, c, f, p), _mulmod_p(r, b, f, p)
+    return r
+
+
+def _rational_reconstruction(c, M):
+    """The r/s = c mod M with |r|, |s| <= sqrt(M/2), or None (Wang's
+    extended-Euclid bound)."""
+    bound = isqrt(M // 2)
+    r0, r1, s0, s1 = M, c % M, 0, 1
+    while r1 > bound:
+        k = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - k * r1, s1, s0 - k * s1
+    if abs(s1) > bound or gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+def sqrt_candidates(m, g):
+    """Candidates h for a square root h(t) of g(t) in Q(t), t a root of the
+    irreducible m of degree n and g a tuple of Fractions, deg g < n.  At an
+    odd prime p good for m with m irreducible mod p (inert), Q(t) completes
+    to the unramified field Q_p[x]/(m), where g(t) has exactly the square
+    roots +-b; a square root in F_p[x]/(m) lifts by Newton's iteration
+    y -> y * (3 - g * y^2) / 2 for 1/b, doubling the p-adic precision each
+    step, and each step yields b's coefficients by rational reconstruction,
+    up to p^k of SQRT_LIFT_BITS bits.  Each candidate must be checked by
+    squaring; none come when none of the first GOOD_PRIMES good primes is
+    inert for m."""
+    n = degree(m)
+    den = lcm(*(Fraction(v).denominator for v in g))
+    num = [int(v * den) for v in g]
+    good = 0
+    for p in CERT_PRIMES[1:]:
+        parts = None if den % p == 0 else _ddf(m, p)
+        if parts is None:
+            continue
+        if parts[0][0] == n:
+            f, a = parts[0][1], _mod_p([v * pow(den, -1, p) for v in num], p)
+            if a:
+                break
+        good += 1
+        if good == GOOD_PRIMES:
+            return
+    else:
+        return
+    b = _sqrt_fq(a, f, p)
+    if b is None:
+        return
+    y, M = _powmod_p(b, p ** n - 2, f, p), p
+    while M.bit_length() < SQRT_LIFT_BITS:
+        M *= M
+        inv = pow(m[-1], -1, M)
+        f = [v * inv % M for v in m]
+        a = [v * pow(den, -1, M) % M for v in num]
+        e = _mulmod_p(a, _mulmod_p(y, y, f, M), f, M)
+        half = (M + 1) // 2
+        y = _mulmod_p(y, [v * half % M for v in add((3,), [-v for v in e])], f, M)
+        root = _mulmod_p(a, y, f, M)
+        h = [_rational_reconstruction(v, M) for v in root]
+        if None not in h:
+            yield tuple(h)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def full_degree(m1, m2):
+    """True when roots t1, t2 of the irreducible m1, m2 give
+    [Q(t1, t2) : Q] = n1*n2: the degrees are coprime, or some prime p not
+    dividing the leads makes both square-free mod p, one of them, of degree
+    n, irreducible mod p, and the other one have a factor mod p of degree f
+    prime to n.  By Hensel's lemma that factor lifts to the p-adic integers
+    and embeds Q(t1) in the unramified extension of Q_p of degree f, whose
+    residue field F_(p^f) keeps the first polynomial irreducible; a
+    factorisation of it over Q(t1) would reduce to one over F_(p^f).
+    False when no prime in CERT_PRIMES shows it: at once for m1 == m2 (a
+    field of degree n^2 at most), and after GOOD_PRIMES good primes if
+    neither side was irreducible at any of them (as for one field reached
+    twice whose Galois group has no n-cycle)."""
+    n1, n2 = degree(m1), degree(m2)
+    if gcd(n1, n2) == 1:
+        return True
+    if m1 == m2:
+        return False
+    (small, ns), (big, nb) = sorted(((m1, n1), (m2, n2)), key=lambda e: e[1])
+    good, inert = 0, False
+    for p in CERT_PRIMES:
+        ds = _factor_degrees(small, p)
+        if ds is None:
+            continue
+        # the small side must be irreducible or offer a degree prime to nb
+        db = None
+        if ds == [ns] or any(gcd(f, nb) == 1 for f in ds):
+            db = _factor_degrees(big, p)
+            if db is not None and (
+                    (ds == [ns] and any(gcd(f, ns) == 1 for f in db))
+                    or (db == [nb] and any(gcd(f, nb) == 1 for f in ds))):
+                return True
+        good, inert = good + 1, inert or ds == [ns] or db == [nb]
+        if good == GOOD_PRIMES and not inert:
+            break
+    return False
+
+
+def composed_factors(cand, m1, m2=None):
+    """The irreducible factors of cand = cand_sum(m1, m2) or
+    cand_prod(m1, m2), or cand_square(m1) when m2 is None.  Its roots are
+    the images of every pair of conjugates (of every conjugate for
+    cand_square), so when Q(t1, t2) has full degree (full_degree) and those
+    images are distinct (cand square-free), t1 + t2 or t1 * t2 has degree
+    deg(cand) and cand is its minimal polynomial."""
+    if (m2 is None or full_degree(m1, m2)) and _squarefree_mod_prime(cand):
+        return (cand,)
+    return factor_int(cand)
+
+
+def irreducible_factors(c):
+    """factor_int(c), for any nonzero c.  Musser's test ("On the efficiency
+    of a polynomial irreducibility test", JACM 1978) certifies the
+    square-free part s of c irreducible first: a factor of s over Q of
+    degree k reduces mod every good prime to a product of some of its
+    factors there, so k is a sum of some of their degrees; when no proper
+    k survives GOOD_PRIMES good primes, s is irreducible."""
+    s = squarefree_part(c)
+    n = degree(s)
+    if n <= 0:
+        return ()
+    if n == 1:
+        return (s,)
+    proper, good = (1 << n) - 2, 0          # bit k: a factor of degree k
+    for p in CERT_PRIMES:
+        degs = _factor_degrees(s, p)
+        if degs is None:
+            continue
+        sums = 1
+        for d in degs:
+            sums |= sums << d
+        proper &= sums
+        if not proper:
+            return (s,)
+        good += 1
+        if good == GOOD_PRIMES:
+            break
+    return factor_int(c)
 
 
 def compose_neg(c):
@@ -339,6 +676,22 @@ def cos_rational_angle_resultant(m):
     P = [sum(comb(k, t) * s[abs(2 * t - k)] for t in range(k + 1)) / 2 ** k
          for k in range(n + 1)]
     return _from_power_sums(P, n)
+
+
+def squarefree_part(c):
+    """The product of c's distinct irreducible factors, primitive: c divided
+    exactly by gcd(c, c')."""
+    g = poly_gcd(c, derivative(c))
+    if len(g) <= 1:
+        return primitive(c)
+    r, dg, q = [Fraction(v) for v in c], degree(g), []
+    for k in range(len(c) - 1 - dg, -1, -1):
+        f = r[k + dg] / g[-1]
+        q.append(f)
+        for i in range(dg + 1):
+            r[k + i] -= f * g[i]
+    den = lcm(*(v.denominator for v in q))
+    return primitive([v.numerator * den // v.denominator for v in reversed(q)])
 
 
 def divides(small, big):

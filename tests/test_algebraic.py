@@ -506,26 +506,94 @@ def test_towers_and_composita_factorise_nothing_above_degree_4(monkeypatch):
     """A witness path of length 3 at cos l = 4/5 takes a square root over
     the quadratic field of its geodesic step; an equidistant point at
     cos l = sqrt(3)/2 mixes sqrt(3) with a fresh square root.  Both stay
-    over one generator, so no candidate above degree 4 is factorised (the
-    cross-field candidate path factorised degrees 8 and 16 here)."""
-    from rotagraph import elliptic as ep, graph as gr
+    over one generator, so no candidate above degree 4 is built (the
+    cross-field candidate path factorised degrees 8 and 16 here), and the
+    certificates leave nothing to factorise at all: not there, not in edge
+    preservation or an integer-matrix fixed point, and not in the CLI
+    calls of the benchmark's mix."""
+    import contextlib
+    import io
+    import json
+    from rotagraph import cli, elliptic as ep, graph as gr, isometry as iso
     spec = gr.GraphSpec(Fraction(4, 5))
     p = ep.make_point(Fraction(2, 3), Fraction(1, 3), Fraction(-2, 3))
     q = ep.make_point(Fraction(2, 11), Fraction(6, 11), Fraction(9, 11))
     cos_l = sqrt_nonneg(AlgReal(Fraction(3, 4)))
     p2 = ep.make_point(Fraction(2, 3), Fraction(1, 3), Fraction(2, 3))
     q2 = ep.make_point(Fraction(2, 7), Fraction(-3, 7), Fraction(6, 7))
+    int_matrix = ((1, 2, 0), (0, 1, 3), (1, 0, 1))
     degrees = []
     original = polys.factor_int
     monkeypatch.setattr(polys, "factor_int",
                         lambda c: degrees.append(polys.degree(c)) or original(c))
     path = gr.witness_path(spec, p, q)
     assert len(path) == 3 and gr.verify_path(spec, path, p, q, 3)
-    assert degrees and max(degrees) <= 4
-    degrees.clear()
+    assert degrees == []
     z = ep.equidistant_point(p2, q2, cos_l)
     assert ep.dist_cos(z, p2) == cos_l and ep.dist_cos(z, q2) == cos_l
-    assert degrees and max(degrees) <= 4
+    assert degrees == []
+    rot = iso.random_rational_orthogonal(5)
+    pairs = [(p2, ep.geodesic_step(p2, q2, Fraction(4, 5))), (p2, q2), (p2, z)]
+    assert iso.preserves_edges_on_sample(rot, Fraction(4, 5), pairs)
+    assert degrees == []
+    m = iso.LinearMap(int_matrix)
+    x = iso.fixed_point(m)
+    assert iso.apply(m, x) == x and all(c.degree == 3 for c in x.lift)
+    assert degrees == []
+    for argv in (["field", "eval", "--expr", "sqrt(6)+sqrt(13)"],
+                 ["field", "eval", "--expr", "sqrt(5)+sqrt(10)+sqrt(11)"],
+                 ["field", "eval", "--expr",
+                  "root(-2,0,0,0,0,1,0)+root(-3,0,0,0,0,1,0)"],
+                 ["iso", "fixed-point", "--matrix",
+                  json.dumps([[str(v) for v in row] for row in int_matrix])]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0, argv
+        assert degrees == [], argv
+
+
+def test_square_roots_of_squares_stay_in_their_field(monkeypatch):
+    """The square root of b^2, b over a cubic (or quadratic) generator,
+    is |b| over the same generator, found by p-adic lifting and checked by
+    squaring: no factorisation, and the candidate path's value.  Over
+    Q(sqrt 2, sqrt 3), with no inert prime, it falls back to factor_int."""
+    rng = random.Random(12004)
+    cases = [a for a, _ in _cubic_pairs(rng, 12)] + [add(1, mul(3, SQRT2)),
+                                                      sub(SQRT3, Fraction(5, 2))]
+    squares = [(b, mul(b, b)) for b in cases if not b.is_rational]
+    calls = []
+    original = polys.factor_int
+    monkeypatch.setattr(polys, "factor_int", lambda c: calls.append(c) or original(c))
+    for b, sq in squares:
+        root = sqrt_nonneg(sq)
+        assert calls == [] and root._tag[0] is _gen_of(b)
+        assert compare(root, b if b.sign() > 0 else neg(b)) == EQUAL
+    monkeypatch.setattr(polys, "factor_int", original)
+    for b, sq in squares:
+        assert _same_value(sqrt_nonneg(_reparsed(sq)), _fresh_sqrt(_reparsed(sq)))
+    u = add(add(1, SQRT2), SQRT3)
+    monkeypatch.setattr(polys, "factor_int", lambda c: calls.append(c) or original(c))
+    assert compare(sqrt_nonneg(mul(u, u)), u) == EQUAL and len(calls) == 1
+
+
+def _gen_of(v):
+    return v._tag[0] if v._tag else v
+
+
+def test_sum_of_six_square_roots_certified_in_time(monkeypatch):
+    """sqrt 2 + sqrt 3 + ... + sqrt 13 has degree 64.  Its last join needs
+    a prime at which 2, 3, 5, 7 and 11 are squares and 13 is not (479, the
+    92nd prime), so the certificate's prime budget reaches it, and nothing
+    is factorised (factorising the degree-64 candidate ran past 300 s)."""
+    calls = []
+    monkeypatch.setattr(polys, "factor_int", lambda c: calls.append(c) or ())
+    start = time.monotonic()
+    total = AlgReal(0)
+    for d in (2, 3, 5, 7, 11, 13):
+        total = add(total, sqrt_nonneg(AlgReal(d)))
+    assert total.degree == 64 and calls == []
+    assert time.monotonic() - start < 20
+    with mpmath.workprec(200):
+        assert close(total, sum(mpmath.sqrt(d) for d in (2, 3, 5, 7, 11, 13)))
 
 
 def test_compositum_found_inside_a_field_holding_its_summands(monkeypatch):

@@ -107,27 +107,83 @@ def test_random_rational_orthogonal_matches_literal_axis_matrices():
         assert [[v.as_rational() for v in row] for row in got.rows] == want, seed
 
 
-def test_elliptic_imports_without_isometry():
-    code = "import sys, rotagraph.elliptic; print(sorted(sys.modules))"
+def _python(code):
+    """stdout of `code` run in a fresh interpreter on this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    loaded = ast.literal_eval(proc.stdout)
+    return proc.stdout.strip()
+
+
+def test_elliptic_imports_without_isometry():
+    loaded = ast.literal_eval(
+        _python("import sys, rotagraph.elliptic; print(sorted(sys.modules))"))
     assert "rotagraph.elliptic" in loaded
     assert "rotagraph.isometry" not in loaded
 
 
-def test_no_imports_inside_functions():
+# The heavy imports a cold call does without: sympy on the first
+# factorisation no certificate spared, numpy with the finite-group module
+# (finite commands only), mpmath for --approx decimals.
+DEFERRED_IMPORTS = {
+    ("polys", "factor_int", "import sympy"),
+    ("cli", "_approx_str", "import mpmath"),
+    ("cli", "_finite", "from . import finite"),
+}
+
+
+def test_only_deferred_imports_inside_functions():
+    found = set()
     for path in sorted(Path(iso.__file__).parent.glob("*.py")):
         for fn in ast.walk(ast.parse(path.read_text())):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                inner = [ast.unparse(node) for node in ast.walk(fn)
-                         if isinstance(node, (ast.Import, ast.ImportFrom))
-                         or (isinstance(node, ast.Name) and node.id == "__import__")]
-                assert not inner, (path.name, fn.name, inner)
+                found |= {(path.stem, fn.name, ast.unparse(node)) for node in ast.walk(fn)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))
+                          or (isinstance(node, ast.Name) and node.id == "__import__")}
+    assert found == DEFERRED_IMPORTS
+
+
+HEAVY = ("sympy", "numpy", "mpmath")
+
+COLD_IMPORT = """
+import sys
+import rotagraph.cli
+print(sorted(m for m in {heavy!r} if m in sys.modules))
+"""
+
+# equidistant point, edge preservation, an integer-matrix fixed point and a
+# witness path, in-process: certificates, no factorisation
+GEOMETRY_RUN = """
+import sys
+from fractions import Fraction as F
+from rotagraph import elliptic as ep, graph as gr, isometry as iso
+from rotagraph.algebraic import AlgReal, sqrt_nonneg
+cos_l = sqrt_nonneg(AlgReal(F(3, 4)))
+p, q = ep.make_point(F(2, 3), F(1, 3), F(2, 3)), ep.make_point(F(2, 7), F(-3, 7), F(6, 7))
+z = ep.equidistant_point(p, q, cos_l)
+assert ep.dist_cos(z, p) == cos_l and ep.dist_cos(z, q) == cos_l
+m = iso.random_rational_orthogonal(3)
+e = ep.geodesic_step(p, q, F(4, 5))
+assert iso.preserves_edges_on_sample(m, F(4, 5), [(p, e), (p, q)])
+a = iso.LinearMap(((1, 2, 0), (0, 1, 3), (1, 0, 1)))
+x = iso.fixed_point(a)
+assert iso.apply(a, x) == x
+spec = gr.GraphSpec(F(4, 5))
+s, t = ep.make_point(F(2, 3), F(1, 3), F(-2, 3)), ep.make_point(F(2, 11), F(6, 11), F(9, 11))
+assert gr.verify_path(spec, gr.witness_path(spec, s, t), s, t, 3)
+print("sympy" in sys.modules)
+"""
+
+
+def test_cold_cli_import_loads_no_heavy_module():
+    assert _python(COLD_IMPORT.format(heavy=HEAVY)) == "[]"
+
+
+def test_geometry_never_loads_sympy():
+    assert _python(GEOMETRY_RUN) == "False"
 
 
 def test_composition_consistency():

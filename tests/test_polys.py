@@ -1,7 +1,8 @@
 """Differential tests against sympy: the power-sum special resultants
 (against its resultant, written the way the kernel used to call it),
-cyclotomic polynomials, exact division, gcds and factorisation; integer
-evaluation against Fraction Horner; the cache bounds."""
+cyclotomic polynomials, exact division, gcds and factorisation, and the
+irreducibility certificates against factorisation; integer evaluation
+against Fraction Horner; the cache bounds."""
 
 import ast
 import random
@@ -9,6 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from rotagraph import polys
 
@@ -163,7 +165,8 @@ def test_sympy_only_factorises():
 
 def test_polynomial_caches_are_bounded():
     for fn in (polys.factor_int, polys.cand_sum, polys.cand_prod,
-               polys.cand_square, polys.sturm_chain):
+               polys.cand_square, polys.sturm_chain, polys.full_degree,
+               polys.nonsquare_root):
         assert fn.cache_info().maxsize == polys.CACHE_SIZE, fn.__name__
     assert 0 < polys.CACHE_SIZE < 10 ** 5
 
@@ -205,3 +208,163 @@ def test_evaluate_matches_fraction_horner():
         for coef in reversed(c):
             want = want * t + coef
         assert polys.evaluate(c, t) == want, (c, t)
+
+
+# -- irreducibility certificates against factorisation ----------------------
+
+def _certified(fn, *args):
+    """fn(*args), and whether it answered without calling factor_int."""
+    calls, original = [], polys.factor_int
+    polys.factor_int = lambda c: calls.append(c) or original(c)
+    try:
+        out = fn(*args)
+    finally:
+        polys.factor_int = original
+    return out, not calls
+
+
+def _random_poly(rng, d):
+    return polys.primitive([rng.randint(-6, 6) for _ in range(d)] + [rng.randint(1, 4)])
+
+
+def _check_irreducible_factors(c):
+    """Musser's test fires only on polynomials with an irreducible
+    square-free part, which factor_int then returns as the one factor."""
+    got, fired = _certified(polys.irreducible_factors, c)
+    assert got == polys.factor_int(c), c
+    if fired:
+        assert got == (polys.squarefree_part(c),), c
+    return fired
+
+
+def test_musser_certificate_matches_factorisation():
+    rng = random.Random(12001)
+    fired = 0
+    for _ in range(60):
+        c = _random_poly(rng, rng.randint(2, 12))
+        fired += _check_irreducible_factors(c)
+        # products and squares: reducible, or irreducible square-free part
+        d = polys.mul(c, _random_poly(rng, rng.randint(1, 4)))
+        assert not _check_irreducible_factors(d) or len(polys.factor_int(d)) == 1
+        _check_irreducible_factors(polys.mul(c, c))
+    assert fired >= 30
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(st.lists(st.integers(-9, 9), min_size=3, max_size=13), st.integers(1, 5))
+def test_musser_certificate_matches_factorisation_hypothesis(low, lead):
+    _check_irreducible_factors(polys.normalize(low + [lead]))
+
+
+def test_musser_certificate_negative_cases():
+    # x^4 + 1 is irreducible over Q but splits mod every prime
+    assert _certified(polys.irreducible_factors, (1, 0, 0, 0, 1)) == \
+        (((1, 0, 0, 0, 1),), False)
+    # a product of two irreducibles
+    assert _certified(polys.irreducible_factors, polys.mul((-2, 0, 1), (-3, 0, 0, 1))) == \
+        (((-3, 0, 0, 1), (-2, 0, 1)), False)
+    assert _certified(polys.irreducible_factors, (-2, 0, 0, 1)) == (((-2, 0, 0, 1),), True)
+
+
+def test_square_root_certificate_matches_factorisation():
+    rng = random.Random(12002)
+    fired = 0
+    for _ in range(40):
+        m = random_irreducible(rng, rng.randint(1, 6))
+        for a in (m, polys.cand_square(m)):
+            if a[0] == 0 or polys.factor_int(a) != (a,):
+                continue
+            got, ok = _certified(polys.sqrt_factors, a)
+            assert got == polys.factor_int(polys.cand_sqrt(a)), a
+            if ok:
+                fired += 1
+                assert got == (polys.cand_sqrt(a),), a
+    assert fired >= 30
+
+
+def test_square_root_certificate_negative_cases():
+    # 3 + 2 sqrt 2 = (1 + sqrt 2)^2: its norm 1 is a square, and it is one
+    assert not polys.nonsquare_root((1, -6, 1))
+    assert polys.factor_int(polys.cand_sqrt((1, -6, 1))) == ((-1, -2, 1), (-1, 2, 1))
+    # 4 = (2^(2/3))^3 and 2^(2/3) = (2^(1/3))^2 is a square in its field
+    assert not polys.nonsquare_root((-4, 0, 0, 1))
+    # 2 + sqrt 3 has norm 1, a square, but is no square in Q(sqrt 3): a
+    # prime shows it
+    assert polys.nonsquare_root((1, -4, 1))
+    assert polys.sqrt_factors((1, -4, 1)) == polys.factor_int((1, 0, -4, 0, 1)) == \
+        ((1, 0, -4, 0, 1),)
+
+
+def _check_composed(m1, m2):
+    """Whether the certificate fired on the composed sum and on the
+    composed product of m1 and m2, each checked against factor_int."""
+    out = []
+    for cand in (polys.cand_sum(m1, m2), polys.cand_prod(m1, m2)):
+        got, fired = _certified(polys.composed_factors, cand, m1, m2)
+        assert got == polys.factor_int(cand), (m1, m2, cand)
+        if fired:
+            assert got == (cand,)
+            assert polys.full_degree(m1, m2)
+        out.append(fired)
+    return tuple(out)
+
+
+def test_composed_certificate_matches_factorisation():
+    rng = random.Random(12003)
+    fired = 0
+    for _ in range(40):
+        fired += sum(_check_composed(random_irreducible(rng, rng.randint(2, 4)),
+                                     random_irreducible(rng, rng.randint(2, 3))))
+    for _ in range(20):
+        m = random_irreducible(rng, rng.randint(2, 6))
+        got, ok = _certified(polys.composed_factors, polys.cand_square(m), m)
+        assert got == polys.factor_int(polys.cand_square(m)), m
+        fired += ok
+    assert fired >= 40
+
+
+def test_composed_certificate_swinnerton_dyer():
+    sd4 = polys.cand_sum((-2, 0, 1), (-3, 0, 1))
+    sd8 = polys.cand_sum(sd4, (-5, 0, 1))
+    # the sums fire; (sqrt 2 + sqrt 3) * sqrt 5 has degree 4, not 8
+    assert _check_composed(sd4, (-5, 0, 1)) == (True, False)
+    assert _check_composed(sd8, (-7, 0, 1)) == (True, False)
+    assert polys.degree(polys.cand_sum(sd8, (-7, 0, 1))) == 16
+
+
+def test_composed_certificate_negative_cases():
+    sd4 = polys.cand_sum((-2, 0, 1), (-3, 0, 1))
+    # sqrt 6 lies in Q(sqrt 2 + sqrt 3)
+    assert not polys.full_degree(sd4, (-6, 0, 1))
+    assert _check_composed(sd4, (-6, 0, 1)) == (False, False)
+    # one field reached twice: sqrt 2 + sqrt 3 and sqrt 2 + 2 sqrt 3
+    other = polys.cand_sum((-2, 0, 1), (-12, 0, 1))
+    assert not polys.full_degree(sd4, other)
+    # m1 == m2 skips the prime search at once
+    seen, original = [], polys._factor_degrees
+    polys._factor_degrees = lambda c, p: seen.append(p) or original(c, p)
+    try:
+        assert not polys.full_degree.__wrapped__((-2, 0, 0, 1), (-2, 0, 0, 1))
+    finally:
+        polys._factor_degrees = original
+    assert seen == []
+
+
+def test_composed_certificate_on_a_point_and_its_reparse():
+    """A point's coordinates against their JSON re-parse lie in one field:
+    the certificate never claims more than that field's degree, and where
+    it fires, factorisation agrees."""
+    from rotagraph import elliptic as ep, expr
+    from rotagraph.algebraic import AlgReal, sqrt_nonneg
+    p = ep.make_point(Fraction(2, 3), Fraction(1, 3), Fraction(2, 3))
+    q = ep.make_point(Fraction(2, 7), Fraction(-3, 7), Fraction(6, 7))
+    z = ep.equidistant_point(p, q, sqrt_nonneg(AlgReal(Fraction(3, 4))))
+    again = ep.point_from_json({k: expr.to_expr(v) for k, v in zip("xyz", z.lift)})
+    field = max(c.degree for c in z.lift)
+    assert field > 2
+    for a in z.lift:
+        for b in again.lift:
+            if a.degree > 1 and b.degree > 1:
+                if polys.full_degree(a.min_poly, b.min_poly):
+                    assert a.degree * b.degree <= field
+                _check_composed(a.min_poly, b.min_poly)
