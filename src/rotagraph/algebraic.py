@@ -10,8 +10,8 @@ g(theta) for an untagged irrational theta and a tuple g of Fractions, a
 polynomial reduced modulo theta's minimal polynomial m (so deg g < deg m).
 Every irrational value lies over a generator, its tag's or else itself.
 Values over one generator add, multiply, divide and compare as polynomials
-modulo m (Cohen, GTM 138, ch. 4), and so do two quadratic generators of
-one field.  A generator psi may also record older generators t of its
+modulo m (Cohen, GTM 138, ch. 4), with the arithmetic of polys, and so do
+two quadratic generators of one field.  A generator psi may also record older generators t of its
 subfields as t = h(psi) (embeddings, each checked exactly before it is
 kept): a square root records the generator of its radicand's field (a
 tower), and an operation across two unrelated fields records both in the
@@ -24,7 +24,8 @@ fields), from the characteristic polynomial of g(theta), with no
 factorisation; x + r, -x, r*x and 1/x of a value that has them carry them
 over at once.  Operations across fields that no record links and no
 compositum joins take the candidate polynomial of the result, and give an
-untagged value.  A square root of a square of the field stays in it,
+untagged value; a product of two equal values is the square of the first
+over its generator instead.  A square root of a square of the field stays in it,
 tagged over the same generator.
 
 Candidates (square roots, composita, cross-field results) and the
@@ -59,6 +60,10 @@ LESS, EQUAL, GREATER = -1, 0, 1
 # that no certificate covers goes to factorisation, which at degree 64 can
 # take minutes.  Each nested square root doubles the degree.
 _MAX_CAND_DEGREE = 256
+
+#: the largest Chebyshev index chebyshev_values gives, and so the longest
+#: graph distance, diameter and rotation ladder, in steps
+MAX_STEPS = 64
 
 # g for a generator over itself: the polynomial x
 _X = (Fraction(0), Fraction(1))
@@ -100,7 +105,7 @@ class AlgReal:
     @classmethod
     def _over(cls, theta, g):
         """g(theta) for g reduced modulo theta's minimal polynomial."""
-        g = _trim(g)
+        g = polys.normalize(g)
         if len(g) <= 1:
             return cls(g[0] if g else 0)
         if g == _X:
@@ -284,71 +289,6 @@ def as_algreal(v):
     return AlgReal(Fraction(v))
 
 
-# -- polynomials modulo a generator's minimal polynomial ---------------------
-# Ascending tuples of Fractions without trailing zeros; () is zero.
-
-def _trim(g):
-    g = list(g)
-    while g and g[-1] == 0:
-        g.pop()
-    return tuple(g)
-
-
-def _padd(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    return _trim([u + v for u, v in zip(a, b)] + list(a[len(b):]))
-
-
-def _psub(a, b):
-    return _padd(a, tuple(-v for v in b))
-
-
-def _pmul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
-    for i, u in enumerate(a):
-        for j, v in enumerate(b):
-            out[i + j] += u * v
-    return _trim(out)
-
-
-def _pdivmod(a, b):
-    """Quotient and remainder of a by b != 0 over Q."""
-    r = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    lead = Fraction(b[-1])
-    for k in range(len(q) - 1, -1, -1):
-        f = r[k + len(b) - 1] / lead
-        q[k] = f
-        for i, c in enumerate(b):
-            r[k + i] -= f * c
-    return _trim(q), _trim(r[:len(b) - 1])
-
-
-def _mulmod(a, b, m):
-    """a * b modulo the integer polynomial m, in integers: over a common
-    denominator d, lead(m)^e * A * B = q*m + r gives r / (d * lead(m)^e)."""
-    if not a or not b:
-        return ()
-    da, db = lcm(*(c.denominator for c in a)), lcm(*(c.denominator for c in b))
-    r, e = polys.pseudo_rem(polys.mul([c.numerator * (da // c.denominator) for c in a],
-                                      [c.numerator * (db // c.denominator) for c in b]), m)
-    d = da * db * m[-1] ** e
-    return tuple(Fraction(v, d) for v in r)
-
-
-def _invmod(g, m):
-    """The inverse of g != 0 modulo the irreducible m, by the extended
-    Euclidean algorithm over Q: u_i * g = r_i (mod m) throughout."""
-    r0, r1 = m, g
-    u0, u1 = (), (Fraction(1),)
-    while len(r1) > 1:
-        q, r = _pdivmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _psub(u0, _pmul(q, u1))
-    return tuple(v / r1[0] for v in u1)
-
-
 def _enclose(g, interval):
     """A closed interval holding g(t) for every t in `interval`, by Horner's
     rule in exact interval arithmetic, rounded outward to multiples of a
@@ -373,23 +313,9 @@ def _enclose(g, interval):
 
 
 def _isolate(theta, g):
-    """(min_poly, isolating interval, sign at its lower end) of g(theta).
-
-    The traces Tr(g(theta)^k) = sum_i h_i * s_i, h = g^k mod m and s_i the
-    power sums of m's roots, are the power sums of the characteristic
-    polynomial of g(theta), a power f^e of its minimal polynomial f; so
-    e = n / (n - deg gcd(char, char')), f has power sums S_k / e, and no
-    factorisation is needed."""
-    m = theta.min_poly
-    n = polys.degree(m)
-    s = polys._power_sums(m, n - 1)
-    S, h = [Fraction(n)], (Fraction(1),)
-    for _ in range(n):
-        h = _mulmod(h, g, m)
-        S.append(sum(c * sk for c, sk in zip(h, s)))
-    char = polys._from_power_sums(S, n)
-    d = n - polys.degree(polys.poly_gcd(char, polys.derivative(char)))
-    f = polys._from_power_sums([v * d / n for v in S], d)
+    """(min_poly, isolating interval, sign at its lower end) of g(theta),
+    from its minimal polynomial read off traces, with no factorisation."""
+    f = polys.minimal_polynomial(g, theta.min_poly)
     root = _select_root((f,), lambda: _enclose(g, theta.interval), theta.refine)
     return root._root
 
@@ -421,19 +347,11 @@ def _common(a, b):
         return ta, ga, gb
     h = _reach(ta, tb)
     if h is not None:
-        return ta, ga, _compose(gb, h, ta.min_poly)
+        return ta, ga, polys.compose_mod(gb, h, ta.min_poly)
     h = _reach(tb, ta)
     if h is not None:
-        return tb, _compose(ga, h, tb.min_poly), gb
+        return tb, polys.compose_mod(ga, h, tb.min_poly), gb
     return None
-
-
-def _compose(g, h, m):
-    """g(h(x)) modulo m, by Horner's rule."""
-    acc = ()
-    for c in reversed(g):
-        acc = _padd(_mulmod(acc, h, m), (c,))
-    return acc
 
 
 def _reach(psi, t):
@@ -448,7 +366,7 @@ def _reach(psi, t):
         h = _X if s is t else _embed(t, s)
         if h is not None:
             for k, u in reversed(path):
-                h = _compose(h, k, u.min_poly)
+                h = polys.compose_mod(h, k, u.min_poly)
             return h
         for u, k in s._embeds:
             if id(u) not in seen:
@@ -456,7 +374,7 @@ def _reach(psi, t):
                 stack.append((u, path + ((k, s),)))
     parts = [_reach(psi, u) for u, _ in _summands(t)]
     if parts and None not in parts:
-        return _padd(*parts)
+        return polys.add(*parts)
     return None
 
 
@@ -464,7 +382,7 @@ def _summands(t):
     """The generators t1, t2 of a compositum t = t1 + t2: its two recorded
     embeddings, whose polynomials then add up to x; else ()."""
     e = t._embeds
-    return e if len(e) == 2 and _padd(e[0][1], e[1][1]) == _X else ()
+    return e if len(e) == 2 and polys.add(e[0][1], e[1][1]) == _X else ()
 
 
 def _embed(t, theta):
@@ -494,7 +412,7 @@ def _record(psi, embeds):
     root of m_t, so h(psi) = t."""
     m = psi.min_poly
     for t, h in embeds:
-        if _compose(t.min_poly, h, m):
+        if polys.compose_mod(t.min_poly, h, m):
             raise InternalConsistencyError("embedding is not a root of the minimal polynomial")
         lo, hi = t.interval
         for _ in range(20000):
@@ -532,7 +450,7 @@ def _solve(columns):
                 f = rows[r][k]
                 rows[r] = [(pk * u - f * v) // prev for u, v in zip(rows[r], piv)]
         prev = pk
-    return _trim(Fraction(row[n] * d, prev) for row, d in zip(rows, scale))
+    return polys.normalize(Fraction(row[n] * d, prev) for row, d in zip(rows, scale))
 
 
 def _pad(g, n):
@@ -554,10 +472,10 @@ def _tower(root, a):
         powers, y = [], (Fraction(1),)
         for _ in range(n):
             powers.append(_pad(y, n))
-            y = _mulmod(y, g, m)
+            y = polys.mulmod(y, g, m)
         H = _solve(powers)
     square = (Fraction(0), Fraction(0), Fraction(1))
-    _record(root, ((theta, _compose(H, square, root.min_poly)),))
+    _record(root, ((theta, polys.compose_mod(H, square, root.min_poly)),))
 
 
 def _join(a, b):
@@ -591,13 +509,13 @@ def _join(a, b):
     for _ in range(n1 * n2):
         powers.append([c for coeff in v for c in _pad(coeff, n1)])
         top = tuple(-u / m2[-1] for u in v[-1])
-        v = [_padd(_mulmod(cur, _X, m1), _padd(low, tuple(c * u for u in top)))
+        v = [polys.add(polys.mulmod(cur, _X, m1), polys.add(low, [c * u for u in top]))
              for cur, low, c in zip(v, [()] + v[:-1], m2)]
     h1 = _solve(powers)
-    h2 = _psub(_X, h1)
+    h2 = polys.sub(_X, h1)
     _record(psi, ((t1, h1), (t2, h2)))
     m = psi.min_poly
-    return psi, _compose(ga, h1, m), _compose(gb, h2, m)
+    return psi, polys.compose_mod(ga, h1, m), polys.compose_mod(gb, h2, m)
 
 
 # -- root selection ---------------------------------------------------------
@@ -644,13 +562,13 @@ def add(a, b):
         if r == 0:
             return a
         theta, g = _gen(a)
-        return _image(AlgReal._over(theta, _padd(g, (r,))), a,
+        return _image(AlgReal._over(theta, polys.add(g, (r,))), a,
                       lambda p: polys.compose_shift(p, r),
                       lambda lo, hi: (lo + r, hi + r))
     common = _common(a, b) or _join(a, b)
     if common is not None:
         theta, ga, gb = common
-        return AlgReal._over(theta, _padd(ga, gb))
+        return AlgReal._over(theta, polys.add(ga, gb))
     _check_cand_degree(a.degree * b.degree)
     cand = polys.cand_sum(a.min_poly, b.min_poly)
 
@@ -691,16 +609,14 @@ def mul(a, b):
                       lambda p: polys.compose_scale(p, r),
                       lambda lo, hi: (lo * r, hi * r) if r > 0 else (hi * r, lo * r))
     common = _common(a, b) or _join(a, b)
+    if common is None and a.min_poly == b.min_poly and _compare_isolated(a, b) == EQUAL:
+        common = _common(a, a)      # one value over unrelated generators
     if common is not None:
         theta, ga, gb = common
-        return AlgReal._over(theta, _mulmod(ga, gb, theta.min_poly))
-    if a.min_poly == b.min_poly and _compare_isolated(a, b) == EQUAL:
-        _check_cand_degree(a.degree)
-        factors = polys.composed_factors(polys.cand_square(a.min_poly), a.min_poly)
-    else:
-        _check_cand_degree(a.degree * b.degree)
-        factors = polys.composed_factors(polys.cand_prod(a.min_poly, b.min_poly),
-                                         a.min_poly, b.min_poly)
+        return AlgReal._over(theta, polys.mulmod(ga, gb, theta.min_poly))
+    _check_cand_degree(a.degree * b.degree)
+    factors = polys.composed_factors(polys.cand_prod(a.min_poly, b.min_poly),
+                                     a.min_poly, b.min_poly)
 
     def interval_fn():
         (alo, ahi), (blo, bhi) = a.interval, b.interval
@@ -717,7 +633,7 @@ def _invert(a):
             raise DivisionByZeroError("division by zero")
         return AlgReal(1 / r)
     theta, g = _gen(a)
-    return _image(AlgReal._over(theta, _invmod(g, theta.min_poly)), a,
+    return _image(AlgReal._over(theta, polys.invmod(g, theta.min_poly)), a,
                   polys.compose_invert,
                   lambda lo, hi: (1 / hi, 1 / lo) if lo > 0 or hi < 0 else None)
 
@@ -752,7 +668,7 @@ def compare(a, b):
     if common is None:
         return _compare_isolated(a, b)
     theta, ga, gb = common
-    return AlgReal._over(theta, _psub(ga, gb)).sign()
+    return AlgReal._over(theta, polys.sub(ga, gb)).sign()
 
 
 def _compare_isolated(a, b):
@@ -783,10 +699,9 @@ def sqrt_nonneg(a):
     if s == 0:
         return AlgReal(0)
     if a.is_rational:
-        r = a.as_rational()
-        n, d = _isqrt_exact(r.numerator), _isqrt_exact(r.denominator)
-        if n is not None and d is not None:
-            return AlgReal(Fraction(n, d))
+        root = polys.rational_sqrt(a.as_rational())
+        if root is not None:
+            return AlgReal(root)
     else:
         theta = _gen(a)[0]
         n = theta.degree
@@ -832,15 +747,10 @@ def _sqrt_in_field(a):
     theta, g = _gen(a)
     m = theta.min_poly
     for h in polys.sqrt_candidates(m, g):
-        if _mulmod(h, h, m) == g:
+        if polys.mulmod(h, h, m) == g:
             root = AlgReal._over(theta, h)
             return root if root.sign() > 0 else neg(root)
     return None
-
-
-def _isqrt_exact(n):
-    r = isqrt(n)
-    return r if r * r == n else None
 
 
 def _sqrt_lower(f, bits):
@@ -876,17 +786,19 @@ def real_roots(p):
 
 
 def chebyshev_values(c):
-    """T_0(c), T_1(c), T_2(c), ... with T_k(c) = cos(k * arccos c), stepped
-    by the exact recurrence T_{k+1} = 2c T_k - T_{k-1} (in Fractions when
-    c is rational)."""
+    """T_0(c), T_1(c), ..., T_MAX_STEPS(c) with T_k(c) = cos(k * arccos c),
+    stepped by the exact recurrence T_{k+1} = 2c T_k - T_{k-1} (in
+    Fractions when c is rational); asking for the next one raises
+    BoundExceededError."""
     c = as_algreal(c)
     if compare(c, AlgReal(-1)) == LESS or compare(c, AlgReal(1)) == GREATER:
         raise OutOfRangeError("Chebyshev argument outside [-1, 1]")
     x = c.as_rational() if c.is_rational else c
     prev, cur = 1, x
-    while True:
+    for _ in range(MAX_STEPS + 1):
         yield as_algreal(prev)
         prev, cur = cur, 2 * (x * cur) - prev
+    raise BoundExceededError(f"Chebyshev indices above {MAX_STEPS} exceed the step budget")
 
 
 def chebyshev_T(n, c):

@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 domain error (JSON error object on stdout),
 
 import argparse
 import json
-import os
 import random
 import signal
 import sys
@@ -16,7 +15,11 @@ from . import elliptic, expr, graph, isometry
 from .algebraic import (
     AlgReal, EQUAL, LESS, compare, rational_angle_witness, real_roots, to_float,
 )
-from .errors import ParseError, RotagraphError
+from .errors import BoundExceededError, ParseError, RotagraphError
+
+#: the largest --approx BITS: rendering costs about BITS bisections of each
+#: value's interval
+MAX_APPROX_BITS = 4096
 
 
 def _finite():
@@ -67,6 +70,9 @@ def _dumps(obj, args):
 def _run(args):
     """The JSON text and exit code of one command: its result or its error."""
     try:
+        if args.approx and args.approx > MAX_APPROX_BITS:
+            raise BoundExceededError(
+                f"--approx {args.approx} exceeds the budget of {MAX_APPROX_BITS} bits")
         return _dumps(args.fn(args), args), 0
     except RotagraphError as e:
         return _dumps({"error": e.code, "detail": str(e)}, args), 1
@@ -400,11 +406,7 @@ def main(argv=None):
     if not hasattr(args, "seed"):
         args.seed = 0
     if not hasattr(args, "approx"):
-        bits = os.environ.get("ROTAGRAPH_APPROX_BITS")
-        try:
-            args.approx = int(bits) if bits else None
-        except ValueError:
-            ap.error(f"ROTAGRAPH_APPROX_BITS must be an integer, got {bits!r}")
+        args.approx = None
     if args.approx is not None and args.approx < 0:
         ap.error(f"approximation BITS must not be negative, got {args.approx}")
     # SIGINT before the answer is rendered cancels it (exit 130); once the

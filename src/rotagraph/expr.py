@@ -140,15 +140,26 @@ def from_json(value):
     raise ParseError(f"expected an expression string or an integer, got {value!r}")
 
 
+def _digits(n):
+    """str(n); BoundExceededError past Python's limit on the digits of an
+    int converted to a string."""
+    try:
+        return str(n)
+    except ValueError:
+        raise BoundExceededError(
+            f"an integer of {n.bit_length()} bits is too long to print") from None
+
+
 def to_expr(value):
     """Serialise an AlgReal into the grammar (round-trips through parse)."""
     value = algebraic.as_algreal(value)
     if value.is_rational:
         r = value.as_rational()
-        return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
+        num = _digits(r.numerator)
+        return num if r.denominator == 1 else f"{num}/{_digits(r.denominator)}"
     # the roots of the (squarefree) minimal polynomial below the value are
     # those in (-B, lo], lo being the isolating interval's lower end
     p = value.min_poly
     index = polys.count_roots_halfopen(p, -polys.root_bound(p), value.interval[0])
-    coeffs = ",".join(str(c) for c in p)
+    coeffs = ",".join(_digits(c) for c in p)
     return f"root({coeffs},{index})"

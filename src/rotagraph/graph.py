@@ -7,9 +7,10 @@ by Chebyshev comparisons on cosines, never by floating arccos.
 """
 
 from fractions import Fraction
+from itertools import pairwise
 
 from .algebraic import (
-    AlgReal, EQUAL, GREATER, LESS,
+    AlgReal, EQUAL, GREATER, LESS, MAX_STEPS,
     chebyshev_values, compare, div, is_rational_angle, mul,
 )
 from .elliptic import (
@@ -24,7 +25,6 @@ from .errors import (
 
 _ONE = AlgReal(1)
 _HALF = AlgReal(Fraction(1, 2))
-MAX_STEPS = 64   # graph distances and diameters past this many edges are refused
 
 
 class GraphSpec:
@@ -63,18 +63,6 @@ def is_edge(spec, p, q):
     return dist_cos(p, q) == spec.cos_l
 
 
-def _chebyshev_steps(c):
-    """(k, T_{k-1}(c), T_k(c)) for k = 1 .. MAX_STEPS; asking past the
-    budget raises."""
-    values = chebyshev_values(c)
-    prev = next(values)
-    for k, cur in zip(range(1, MAX_STEPS + 1), values):
-        yield k, prev, cur
-        prev = cur
-    raise BoundExceededError(
-        f"graph distances above {MAX_STEPS} exceed the step budget")
-
-
 def graph_distance(spec, p, q):
     """Exact graph distance with a certificate.
 
@@ -94,7 +82,8 @@ def graph_distance(spec, p, q):
     if not spec.strict:
         raise PreconditionError(
             "graph distance formula requires the strict regime l < pi/4")
-    for k, tk1, tk in _chebyshev_steps(c):
+    # past MAX_STEPS steps chebyshev_values raises BoundExceededError
+    for k, (tk1, tk) in enumerate(pairwise(chebyshev_values(c)), 1):
         if k > 1 and (tk.sign() <= 0 or compare(d, tk) != LESS):
             upper = ("T_%d(cos l) <= 0" % k) if tk.sign() <= 0 \
                 else ("cos d(p, q) >= T_%d(cos l)" % k)
@@ -158,7 +147,7 @@ def diameter(spec):
     Requires the strict regime (diameter >= 3 there)."""
     if not spec.strict:
         raise PreconditionError("diameter formula requires l < pi/4")
-    for k, _, tk in _chebyshev_steps(spec.cos_l.value):
+    for k, (_, tk) in enumerate(pairwise(chebyshev_values(spec.cos_l.value)), 1):
         if tk.sign() <= 0:
             return k, {
                 "k": k,

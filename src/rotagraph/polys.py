@@ -1,13 +1,19 @@
-"""Integer polynomial machinery backing the algebraic-number kernel.
+"""Polynomial arithmetic on coefficient tuples, backing the algebraic-number
+kernel: the one place where polynomials are added, multiplied and divided.
 
-Polynomials are tuples of Python ints in ascending degree with a nonzero
-leading coefficient; the zero polynomial is the empty tuple.  Factorisation
+Polynomials are tuples of coefficients in ascending degree with a nonzero
+leading coefficient; the zero polynomial is the empty tuple.  Coefficients
+are Python ints, checked where a polynomial comes in (`as_coeff_tuple`),
+except over Q and in Q[x]/(m), where `add`, `sub`, `mul`, `quo_rem`,
+`mulmod`, `invmod` and `compose_mod` take Fractions too; `primitive` turns
+either into the integer form in which polynomials leave.  Factorisation
 over Q (`factor_int`) is the one job handed to a computer algebra system,
 sympy, imported on first use; everything else is done here with exact
 integer and rational arithmetic: the special resultants (composed sums and
-products, by Newton power sums), cyclotomic polynomials, pseudo-remainders
-(divisibility, gcds), everything sign-related (Sturm chains, root counting,
-isolation), with signs taken in integers, and arithmetic mod a prime.
+products, by Newton power sums) and minimal polynomials from traces,
+cyclotomic polynomials, pseudo-remainders (divisibility, gcds), everything
+sign-related (Sturm chains, root counting, isolation), with signs taken in
+integers, and arithmetic mod a prime.
 
 The last serves certificates that a candidate polynomial is irreducible,
 read from how it factors mod small primes (`sqrt_factors`,
@@ -18,9 +24,10 @@ so factorisation runs only where no cheap exact argument decides.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import comb, gcd, isqrt, lcm
 
-from .errors import ZeroPolynomialError
+from .errors import PreconditionError, ZeroPolynomialError
 
 #: entries kept by each polynomial-keyed cache, far above the distinct
 #: polynomials of one benchmark pass (a traced `geometry` pass certified 40
@@ -34,34 +41,21 @@ def normalize(coeffs):
     c = list(coeffs)
     while c and c[-1] == 0:
         c.pop()
-    return tuple(int(v) for v in c)
+    return tuple(c)
 
 
 def degree(c):
     return len(c) - 1
 
 
-def _horner(c, t):
-    """(q^n * c(t), q^n) for t = p/q and n = deg c, by Horner's rule in
-    integers on sum c_i * p^i * q^(n-i)."""
-    t = Fraction(t)
+def sign_at(c, t):
+    """The sign of c(t) in {-1, 0, 1} at an int or Fraction t = p/q, by
+    Horner's rule in integers on sum c_i * p^i * q^(n-i)."""
     p, q = t.numerator, t.denominator
     acc, qpow = 0, 1
     for coef in reversed(c):
         acc = acc * p + coef * qpow
         qpow *= q
-    return acc, qpow // q if c else 1
-
-
-def evaluate(c, t):
-    """c(t) at a Fraction (or int) t."""
-    acc, den = _horner(c, t)
-    return Fraction(acc, den)
-
-
-def sign_at(c, t):
-    """The sign of c(t) in {-1, 0, 1}, without forming the value."""
-    acc, _ = _horner(c, t)
     return (acc > 0) - (acc < 0)
 
 
@@ -69,22 +63,30 @@ def derivative(c):
     return tuple(i * c[i] for i in range(1, len(c)))
 
 
-def content(c):
-    g = 0
-    for v in c:
-        g = gcd(g, abs(v))
-    return g
-
-
 def primitive(c):
-    """Divide out the content and make the leading coefficient positive."""
+    """The integer polynomial with content 1 and positive lead that is a
+    rational multiple of c (ints or Fractions): the integer form in which
+    polynomials leave this module."""
     c = normalize(c)
     if not c:
         return c
-    g = content(c)
+    if any(type(v) is not int for v in c):
+        den = lcm(*(v.denominator for v in c))
+        c = [v.numerator * (den // v.denominator) for v in c]
+    g = gcd(*c)
     if c[-1] < 0:
         g = -g
     return tuple(v // g for v in c)
+
+
+def add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    return normalize([u + v for u, v in zip(a, b)] + list(a[len(b):]))
+
+
+def sub(a, b):
+    return add(a, [-v for v in b])
 
 
 def mul(a, b):
@@ -98,21 +100,64 @@ def mul(a, b):
     return normalize(out)
 
 
-def add(a, b):
-    out = [0] * max(len(a), len(b))
-    for i, v in enumerate(a):
-        out[i] += v
-    for i, v in enumerate(b):
-        out[i] += v
-    return normalize(out)
-
-
 def as_coeff_tuple(p):
-    """Any coefficient sequence as a polynomial; reject the zero poly."""
-    coeffs = normalize(p)
+    """A coefficient sequence of ints (bools excluded) as a polynomial;
+    reject any other coefficient and the zero polynomial."""
+    coeffs = tuple(p)
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in coeffs):
+        raise PreconditionError("polynomial coefficients must be integers")
+    coeffs = normalize(coeffs)
     if not coeffs:
         raise ZeroPolynomialError("the zero polynomial is not a valid input")
     return coeffs
+
+
+# -- division over Q, and arithmetic in Q[x]/(m) -----------------------------
+# Coefficients may be ints or Fractions; m is an integer polynomial.
+
+def quo_rem(a, b):
+    """(q, r) with a = q*b + r and deg r < deg b over Q, for b != 0; in
+    integers when a is integer and b monic."""
+    db, lead = degree(b), b[-1]
+    r = list(a) if lead == 1 else [Fraction(v) for v in a]
+    q = [0] * max(len(a) - db, 0)
+    for k in range(len(q) - 1, -1, -1):
+        f = q[k] = r[k + db] if lead == 1 else r[k + db] / lead
+        for i in range(db):
+            r[k + i] -= f * b[i]
+    return normalize(q), normalize(r[:db])
+
+
+def mulmod(a, b, m):
+    """a * b modulo m, in integers: over a common denominator d,
+    lead(m)^e * A * B = q*m + r gives r / (d * lead(m)^e)."""
+    if not a or not b:
+        return ()
+    da, db = lcm(*(c.denominator for c in a)), lcm(*(c.denominator for c in b))
+    r, e = pseudo_rem(mul([c.numerator * (da // c.denominator) for c in a],
+                          [c.numerator * (db // c.denominator) for c in b]), m)
+    d = da * db * m[-1] ** e
+    return tuple(Fraction(v, d) for v in r)
+
+
+def invmod(g, m):
+    """The inverse of g != 0 modulo the irreducible m, by the extended
+    Euclidean algorithm over Q: u_i * g = r_i (mod m) throughout."""
+    r0, r1 = m, g
+    u0, u1 = (), (Fraction(1),)
+    while len(r1) > 1:
+        q, r = quo_rem(r0, r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, sub(u0, mul(q, u1))
+    return tuple(v / r1[0] for v in u1)
+
+
+def compose_mod(g, h, m):
+    """g(h(x)) modulo m, by Horner's rule."""
+    acc = ()
+    for c in reversed(g):
+        acc = add(mulmod(acc, h, m), (c,))
+    return acc
 
 
 # -- factorisation -----------------------------------------------------------
@@ -124,7 +169,8 @@ def factor_int(c):
     could not spare, so a process that needs none never loads it."""
     import sympy
     _, factors = sympy.Poly(c[::-1], sympy.Symbol("x"), domain="ZZ").factor_list()
-    return tuple(sorted(primitive(f.all_coeffs()[::-1]) for f, _m in factors))
+    return tuple(sorted(primitive([int(v) for v in f.all_coeffs()[::-1]])
+                        for f, _m in factors))
 
 
 # -- special resultants by Newton power sums --------------------------------
@@ -156,8 +202,7 @@ def _from_power_sums(S, n):
         for i in range(1, k):
             acc += b[i] * S[k - i]
         b.append(-acc / k)
-    den = lcm(*(v.denominator for v in b))
-    return primitive([v.numerator * den // v.denominator for v in reversed(b)])
+    return primitive(b[::-1])
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -180,21 +225,30 @@ def cand_prod(pa, pb):
     return _from_power_sums([u * v for u, v in zip(sa, sb)], n)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def cand_square(p):
-    """Integer polynomial vanishing at every a^2 with p(a) = 0, of degree
-    deg p: Res_y(p(y), x - y^2) made primitive.  The squares of the roots
-    have power sums s_0, s_2, ..., s_2n."""
-    n = degree(p)
-    return _from_power_sums(_power_sums(p, 2 * n)[::2], n)
-
-
 def cand_sqrt(c):
     """p(x^2): vanishes at +-sqrt(r) for every root r of p."""
     out = [0] * (2 * len(c) - 1)
     for i, v in enumerate(c):
         out[2 * i] = v
     return primitive(out)
+
+
+def minimal_polynomial(g, m):
+    """The minimal polynomial of g(t), t a root of the irreducible m of
+    degree n.  The traces Tr(g(t)^k) = sum_i h_i * s_i, h = g^k mod m and
+    s_i the power sums of m's roots, are the power sums of the
+    characteristic polynomial of g(t), a power f^e of its minimal
+    polynomial f; so e = n / (n - deg gcd(char, char')), f has power sums
+    S_k / e, and no factorisation is needed."""
+    n = degree(m)
+    s = _power_sums(m, n - 1)
+    S, h = [Fraction(n)], (Fraction(1),)
+    for _ in range(n):
+        h = mulmod(h, g, m)
+        S.append(sum(c * sk for c, sk in zip(h, s)))
+    char = _from_power_sums(S, n)
+    d = n - degree(poly_gcd(char, derivative(char)))
+    return _from_power_sums([v * d / n for v in S], d)
 
 
 # -- arithmetic mod a prime --------------------------------------------------
@@ -219,8 +273,9 @@ CERT_PRIMES = _primes_below(2048)
 #: root inside a field
 SQRT_LIFT_BITS = 4096
 
-#: good primes (see _ddf) that Musser's test and the non-square test read
-#: before they give up; either falls back to factorisation then
+#: good primes (see _good_primes) that a certificate reads before it gives
+#: up and falls back to factorisation; full_degree reads on while one side
+#: was irreducible at one of them
 GOOD_PRIMES = 16
 
 
@@ -299,13 +354,20 @@ def _ddf(c, p):
     return out
 
 
-def _factor_degrees(c, p):
-    """The degrees of c's irreducible factors mod p, with multiplicity, or
-    None unless p is good for c (see _ddf)."""
-    parts = _ddf(c, p)
-    if parts is None:
-        return None
+def _degrees(parts):
+    """The degrees of the irreducible factors, with multiplicity, in a
+    distinct-degree factorisation (see _ddf)."""
     return [d for d, g in parts for _ in range((len(g) - 1) // d)]
+
+
+def _good_primes(c, avoid=1):
+    """(p, _ddf(c, p)) for the primes p of CERT_PRIMES, in order, that are
+    good for c and do not divide `avoid` (2 * k keeps to odd primes)."""
+    for p in CERT_PRIMES:
+        if avoid % p:
+            parts = _ddf(c, p)
+            if parts is not None:
+                yield p, parts
 
 
 # -- irreducibility certificates ----------------------------------------------
@@ -322,8 +384,13 @@ def _squarefree_mod_prime(c):
                for p in CERT_PRIMES)
 
 
-def _is_rational_square(r):
-    return r >= 0 and all(isqrt(v) ** 2 == v for v in (r.numerator, r.denominator))
+def rational_sqrt(r):
+    """The rational square root of the Fraction r, or None when r is no
+    rational square."""
+    if r < 0:
+        return None
+    n, d = isqrt(r.numerator), isqrt(r.denominator)
+    return Fraction(n, d) if n * n == r.numerator and d * d == r.denominator else None
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -335,20 +402,12 @@ def nonsquare_root(m):
     g lifts to the p-adic integers, where its root is a unit of an
     unramified extension with residue field F_p[x]/(g) and the image of a;
     a = b^2 in Q(a) would make x a square there."""
-    if not _is_rational_square(Fraction((-1) ** degree(m) * m[0], m[-1])):
+    if rational_sqrt(Fraction((-1) ** degree(m) * m[0], m[-1])) is None:
         return True
-    good = 0
-    for p in CERT_PRIMES[1:]:
-        parts = _ddf(m, p) if m[0] % p else None
-        if parts is None:
-            continue
-        # x^((p^d - 1)/2) is +1 or -1 modulo each factor of g
-        if any(_powmod_p([0, 1], (p ** d - 1) // 2, g, p) != [1] for d, g in parts):
-            return True
-        good += 1
-        if good == GOOD_PRIMES:
-            break
-    return False
+    # x^((p^d - 1)/2) is +1 or -1 modulo each factor of g
+    return any(_powmod_p([0, 1], (p ** d - 1) // 2, g, p) != [1]
+               for p, parts in islice(_good_primes(m, 2 * m[0]), GOOD_PRIMES)
+               for d, g in parts)
 
 
 def sqrt_factors(m):
@@ -411,20 +470,13 @@ def sqrt_candidates(m, g):
     squaring; none come when none of the first GOOD_PRIMES good primes is
     inert for m."""
     n = degree(m)
-    den = lcm(*(Fraction(v).denominator for v in g))
+    den = lcm(*(v.denominator for v in g))
     num = [int(v * den) for v in g]
-    good = 0
-    for p in CERT_PRIMES[1:]:
-        parts = None if den % p == 0 else _ddf(m, p)
-        if parts is None:
-            continue
+    for p, parts in islice(_good_primes(m, 2 * den), GOOD_PRIMES):
         if parts[0][0] == n:
             f, a = parts[0][1], _mod_p([v * pow(den, -1, p) for v in num], p)
             if a:
                 break
-        good += 1
-        if good == GOOD_PRIMES:
-            return
     else:
         return
     b = _sqrt_fq(a, f, p)
@@ -438,7 +490,7 @@ def sqrt_candidates(m, g):
         a = [v * pow(den, -1, M) % M for v in num]
         e = _mulmod_p(a, _mulmod_p(y, y, f, M), f, M)
         half = (M + 1) // 2
-        y = _mulmod_p(y, [v * half % M for v in add((3,), [-v for v in e])], f, M)
+        y = _mulmod_p(y, [v * half % M for v in sub((3,), e)], f, M)
         root = _mulmod_p(a, y, f, M)
         h = [_rational_reconstruction(v, M) for v in root]
         if None not in h:
@@ -465,33 +517,30 @@ def full_degree(m1, m2):
     if m1 == m2:
         return False
     (small, ns), (big, nb) = sorted(((m1, n1), (m2, n2)), key=lambda e: e[1])
-    good, inert = 0, False
-    for p in CERT_PRIMES:
-        ds = _factor_degrees(small, p)
-        if ds is None:
-            continue
+    inert = False
+    for good, (p, parts) in enumerate(_good_primes(small), 1):
+        ds, db = _degrees(parts), None
         # the small side must be irreducible or offer a degree prime to nb
-        db = None
         if ds == [ns] or any(gcd(f, nb) == 1 for f in ds):
-            db = _factor_degrees(big, p)
+            big_parts = _ddf(big, p)
+            db = None if big_parts is None else _degrees(big_parts)
             if db is not None and (
                     (ds == [ns] and any(gcd(f, ns) == 1 for f in db))
                     or (db == [nb] and any(gcd(f, nb) == 1 for f in ds))):
                 return True
-        good, inert = good + 1, inert or ds == [ns] or db == [nb]
+        inert = inert or ds == [ns] or db == [nb]
         if good == GOOD_PRIMES and not inert:
             break
     return False
 
 
-def composed_factors(cand, m1, m2=None):
+def composed_factors(cand, m1, m2):
     """The irreducible factors of cand = cand_sum(m1, m2) or
-    cand_prod(m1, m2), or cand_square(m1) when m2 is None.  Its roots are
-    the images of every pair of conjugates (of every conjugate for
-    cand_square), so when Q(t1, t2) has full degree (full_degree) and those
+    cand_prod(m1, m2).  Its roots are the images of every pair of
+    conjugates, so when Q(t1, t2) has full degree (full_degree) and those
     images are distinct (cand square-free), t1 + t2 or t1 * t2 has degree
     deg(cand) and cand is its minimal polynomial."""
-    if (m2 is None or full_degree(m1, m2)) and _squarefree_mod_prime(cand):
+    if full_degree(m1, m2) and _squarefree_mod_prime(cand):
         return (cand,)
     return factor_int(cand)
 
@@ -509,20 +558,14 @@ def irreducible_factors(c):
         return ()
     if n == 1:
         return (s,)
-    proper, good = (1 << n) - 2, 0          # bit k: a factor of degree k
-    for p in CERT_PRIMES:
-        degs = _factor_degrees(s, p)
-        if degs is None:
-            continue
+    proper = (1 << n) - 2          # bit k: a factor of degree k
+    for _, parts in islice(_good_primes(s), GOOD_PRIMES):
         sums = 1
-        for d in degs:
+        for d in _degrees(parts):
             sums |= sums << d
         proper &= sums
         if not proper:
             return (s,)
-        good += 1
-        if good == GOOD_PRIMES:
-            break
     return factor_int(c)
 
 
@@ -573,7 +616,7 @@ def sturm_chain(c):
         if chain[-1][-1] > 0 or e % 2 == 0:
             rem = tuple(-v for v in rem)
         # divide out the positive content: flipping a row's sign breaks the count
-        g = content(rem)
+        g = gcd(*rem)
         chain.append(tuple(v // g for v in rem))
     return tuple(chain)
 
@@ -647,17 +690,11 @@ def isolate_roots(c):
 def cyclotomic(m):
     """Phi_m: x^m - 1 divided exactly by Phi_d for every d | m, d < m.  Each
     divisor is monic, so the long division stays in the integers."""
-    q = [-1] + [0] * (m - 1) + [1]
+    q = (-1,) + (0,) * (m - 1) + (1,)
     for d in range(1, m):
         if m % d == 0:
-            b = cyclotomic(d)
-            db = degree(b)
-            for k in range(len(q) - 1 - db, -1, -1):
-                f = q[k + db]
-                for i in range(db):
-                    q[k + i] -= f * b[i]
-            q = q[db:]
-    return tuple(q)
+            q = quo_rem(q, cyclotomic(d))[0]
+    return primitive(q)
 
 
 @lru_cache(maxsize=None)
@@ -681,17 +718,7 @@ def cos_rational_angle_resultant(m):
 def squarefree_part(c):
     """The product of c's distinct irreducible factors, primitive: c divided
     exactly by gcd(c, c')."""
-    g = poly_gcd(c, derivative(c))
-    if len(g) <= 1:
-        return primitive(c)
-    r, dg, q = [Fraction(v) for v in c], degree(g), []
-    for k in range(len(c) - 1 - dg, -1, -1):
-        f = r[k + dg] / g[-1]
-        q.append(f)
-        for i in range(dg + 1):
-            r[k + i] -= f * g[i]
-    den = lcm(*(v.denominator for v in q))
-    return primitive([v.numerator * den // v.denominator for v in reversed(q)])
+    return primitive(quo_rem(c, poly_gcd(c, derivative(c)))[0])
 
 
 def divides(small, big):

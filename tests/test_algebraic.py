@@ -15,7 +15,7 @@ from rotagraph.algebraic import (
     _compare_isolated,
 )
 from rotagraph.errors import (
-    BoundExceededError, DivisionByZeroError, OutOfRangeError,
+    BoundExceededError, DivisionByZeroError, OutOfRangeError, PreconditionError,
 )
 
 
@@ -121,6 +121,17 @@ def test_real_roots_sorted_and_complete():
     r = real_roots(prod)
     assert len(r) == 3
     assert r[1].as_rational() == Fraction(1, 2)
+
+
+def test_real_roots_take_integer_coefficients_only():
+    # a float or Fraction coefficient used to be truncated by int(): these
+    # gave +-sqrt(2) and [0]
+    for p in ([-2, 0, 1.5], [Fraction(-1, 2), 0, 1], [True, 1], [-2, 0, Fraction(1)]):
+        with pytest.raises(PreconditionError):
+            real_roots(p)
+        with pytest.raises(PreconditionError):
+            AlgReal.from_root(p, 0)
+    assert len(real_roots([-2, 0, 1])) == 2
 
 
 def test_chebyshev_values():
@@ -390,6 +401,24 @@ def test_same_generator_ops_never_factorise(monkeypatch):
                 assert mul(div(a, b), b) == a
     assert calls == []
     assert compare(quads[0], quads[1]) == LESS and mul(quads[0], quads[2]) == 3
+
+
+def test_value_times_its_reparse_stays_over_one_generator(monkeypatch):
+    """1 + 2^(1/3), tagged over 2^(1/3), and its re-parse, a cubic generator
+    of the same field that no record links: mul takes the value's square
+    over its own generator, with no candidate and no factorisation."""
+    import json
+    a = add(real_roots((-2, 0, 0, 1))[0], 1)
+    b = expr.from_json(json.loads(json.dumps(expr.to_expr(a))))
+    assert a._tag is not None and b._tag is None and a.min_poly == b.min_poly
+    calls = []
+    original = polys.factor_int
+    monkeypatch.setattr(polys, "factor_int", lambda c: calls.append(c) or original(c))
+    got, want = mul(a, b), mul(a, a)
+    assert got == want and mul(b, a) == want
+    assert expr.to_expr(got) == expr.to_expr(want) == "root(-9,-9,-3,1,0)"
+    assert got._tag[0] is a._tag[0]
+    assert calls == []
 
 
 def test_tagged_values_shared_between_threads():

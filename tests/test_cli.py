@@ -273,8 +273,40 @@ def test_candidate_degree_budget():
 
 def test_bad_approx_bits_is_usage_error():
     for bits in ("abc", "-3"):
-        proc = subprocess.run(CLI + ["field", "eval", "--expr", "1"],
-                              capture_output=True, text=True,
-                              env={**ENV, "ROTAGRAPH_APPROX_BITS": bits})
+        proc = run("--approx=" + bits, "field", "eval", "--expr", "1", check=False)
         assert proc.returncode == 2
         assert "usage:" in proc.stderr and "Traceback" not in proc.stderr
+    # the flag is the only way to set BITS
+    proc = subprocess.run(CLI + ["field", "eval", "--expr", "sqrt(2)"],
+                          capture_output=True, text=True,
+                          env={**ENV, "ROTAGRAPH_APPROX_BITS": "abc"})
+    assert proc.returncode == 0 and json.loads(proc.stdout) == {"value": "root(-2,0,1,1)"}
+
+
+def _fails_fast(argv, error):
+    start = time.monotonic()
+    proc = run(*argv, check=False, timeout=60)
+    assert time.monotonic() - start < 10, argv
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr, argv
+    assert json.loads(proc.stdout)["error"] == error, argv
+
+
+def test_approx_bits_budget():
+    _fails_fast(("--approx", "50000", "field", "eval", "--expr", "sqrt(2)"),
+                "bound-exceeded")
+    out = run_json("--approx", "4096", "field", "eval", "--expr", "sqrt(2)")
+    assert out["value_approx"].startswith("1.41421356237")
+
+
+def test_ladder_index_budget():
+    # a ladder of n steps is a path of n edges: the step budget bounds it
+    _fails_fast(("plane", "ellncos", "--cos-l", "4/5", "--n", "20000"), "bound-exceeded")
+    _fails_fast(("plane", "witness", "--p", "1,0,0", "--q", "0,1,0", "--cos-l", "4/5",
+                 "--n", "100000"), "bound-exceeded")
+    assert run_json("plane", "ellncos", "--cos-l", "4/5", "--n", "64")["cos_ln"]
+
+
+def test_output_too_long_to_print_is_bound_exceeded():
+    # parses, but the 6000-digit product is past Python's int-to-str limit
+    nines = "9" * 3000
+    _fails_fast(("field", "eval", "--expr", f"{nines}*{nines}"), "bound-exceeded")

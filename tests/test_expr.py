@@ -7,11 +7,19 @@ from rotagraph import expr
 from rotagraph.algebraic import (
     AlgReal, EQUAL, add, compare, div, real_roots, sqrt_nonneg,
 )
-from rotagraph.errors import ParseError
+from rotagraph.errors import BoundExceededError, ParseError
 
 
 def roundtrip(v):
     return compare(expr.parse(expr.to_expr(v)), v) == EQUAL
+
+
+def test_values_too_long_to_print_are_bound_exceeded():
+    # past Python's 4300-digit limit on int-to-str conversion
+    for v in (AlgReal(10 ** 5000), AlgReal(Fraction(1, 10 ** 5000))):
+        with pytest.raises(BoundExceededError):
+            expr.to_expr(v)
+    assert expr.to_expr(AlgReal(10 ** 4000)) == "1" + "0" * 4000
 
 
 def test_rational_round_trip():

@@ -146,6 +146,21 @@ def test_only_deferred_imports_inside_functions():
     assert found == DEFERRED_IMPORTS
 
 
+def test_no_private_polys_names_outside_polys():
+    """Other modules use polys through its public functions only."""
+    found = set()
+    for path in sorted(Path(iso.__file__).parent.glob("*.py")):
+        if path.stem == "polys":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id == "polys" and node.attr.startswith("_"):
+                found.add((path.stem, node.attr))
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("polys"):
+                found |= {(path.stem, a.name) for a in node.names if a.name.startswith("_")}
+    assert found == set()
+
+
 HEAVY = ("sympy", "numpy", "mpmath")
 
 COLD_IMPORT = """

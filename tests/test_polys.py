@@ -1,8 +1,8 @@
 """Differential tests against sympy: the power-sum special resultants
 (against its resultant, written the way the kernel used to call it),
-cyclotomic polynomials, exact division, gcds and factorisation, and the
-irreducibility certificates against factorisation; integer evaluation
-against Fraction Horner; the cache bounds."""
+cyclotomic polynomials, exact division, gcds, square-free parts and
+factorisation, and the irreducibility certificates against factorisation;
+integer signs against Fraction Horner; the cache bounds."""
 
 import ast
 import random
@@ -92,17 +92,6 @@ def test_cos_rational_angle_resultant():
         assert polys.cos_rational_angle_resultant(m) == want, m
 
 
-def test_cand_square():
-    rng = random.Random(20062)
-    cases = [random_irreducible(rng, rng.randint(1, 6)) for _ in range(30)]
-    # 2^(1/17); sqrt(2)+sqrt(3)+sqrt(5); roots +-sqrt(2) with one square;
-    # a root at 0
-    cases += [(-2,) + (0,) * 16 + (1,), (576, 0, -960, 0, 352, 0, -40, 0, 1),
-              (-2, 0, 1), (0, -3, 1)]
-    for p in cases:
-        assert polys.cand_square(p) == sympy_square(p), p
-
-
 def test_cyclotomic():
     for m in range(1, 121):
         want = sympy.Poly(sympy.cyclotomic_poly(m, X), X).all_coeffs()
@@ -165,8 +154,7 @@ def test_sympy_only_factorises():
 
 def test_polynomial_caches_are_bounded():
     for fn in (polys.factor_int, polys.cand_sum, polys.cand_prod,
-               polys.cand_square, polys.sturm_chain, polys.full_degree,
-               polys.nonsquare_root):
+               polys.sturm_chain, polys.full_degree, polys.nonsquare_root):
         assert fn.cache_info().maxsize == polys.CACHE_SIZE, fn.__name__
     assert 0 < polys.CACHE_SIZE < 10 ** 5
 
@@ -198,7 +186,7 @@ def test_poly_gcd():
         assert polys.poly_gcd(a, b) == want, (a, b)
 
 
-def test_evaluate_matches_fraction_horner():
+def test_sign_at_matches_fraction_horner():
     rng = random.Random(6104)
     for _ in range(200):
         c = tuple(rng.randint(-10 ** 6, 10 ** 6) for _ in range(rng.randint(0, 12)))
@@ -207,7 +195,24 @@ def test_evaluate_matches_fraction_horner():
         want = Fraction(0)
         for coef in reversed(c):
             want = want * t + coef
-        assert polys.evaluate(c, t) == want, (c, t)
+        assert polys.sign_at(c, t) == (want > 0) - (want < 0), (c, t)
+    # at a root
+    assert polys.sign_at((-1, 0, 4), Fraction(1, 2)) == 0
+
+
+def test_squarefree_part_against_sympy():
+    """Products with repeated factors: one division over Q by
+    gcd(c, c') leaves sympy's square-free part."""
+    rng = random.Random(6105)
+    for _ in range(60):
+        c = (rng.randint(-3, 3) or 1,)
+        for _ in range(rng.randint(1, 3)):
+            f = [rng.randint(-4, 4) for _ in range(rng.randint(1, 4))] + [rng.randint(1, 3)]
+            for _ in range(rng.randint(1, 3)):
+                c = polys.mul(c, f)
+        want = sympy.Poly(_as_expr(c, X), X).sqf_part()
+        want = polys.primitive([int(v) for v in reversed(want.all_coeffs())])
+        assert polys.squarefree_part(c) == want, c
 
 
 # -- irreducibility certificates against factorisation ----------------------
@@ -271,7 +276,7 @@ def test_square_root_certificate_matches_factorisation():
     fired = 0
     for _ in range(40):
         m = random_irreducible(rng, rng.randint(1, 6))
-        for a in (m, polys.cand_square(m)):
+        for a in (m, sympy_square(m)):
             if a[0] == 0 or polys.factor_int(a) != (a,):
                 continue
             got, ok = _certified(polys.sqrt_factors, a)
@@ -312,14 +317,9 @@ def _check_composed(m1, m2):
 def test_composed_certificate_matches_factorisation():
     rng = random.Random(12003)
     fired = 0
-    for _ in range(40):
+    for _ in range(50):
         fired += sum(_check_composed(random_irreducible(rng, rng.randint(2, 4)),
                                      random_irreducible(rng, rng.randint(2, 3))))
-    for _ in range(20):
-        m = random_irreducible(rng, rng.randint(2, 6))
-        got, ok = _certified(polys.composed_factors, polys.cand_square(m), m)
-        assert got == polys.factor_int(polys.cand_square(m)), m
-        fired += ok
     assert fired >= 40
 
 
@@ -341,12 +341,12 @@ def test_composed_certificate_negative_cases():
     other = polys.cand_sum((-2, 0, 1), (-12, 0, 1))
     assert not polys.full_degree(sd4, other)
     # m1 == m2 skips the prime search at once
-    seen, original = [], polys._factor_degrees
-    polys._factor_degrees = lambda c, p: seen.append(p) or original(c, p)
+    seen, original = [], polys._ddf
+    polys._ddf = lambda c, p: seen.append(p) or original(c, p)
     try:
         assert not polys.full_degree.__wrapped__((-2, 0, 0, 1), (-2, 0, 0, 1))
     finally:
-        polys._factor_degrees = original
+        polys._ddf = original
     assert seen == []
 
 
