@@ -551,6 +551,16 @@ def _check_cand_degree(n):
 
 # -- field operations -------------------------------------------------------
 
+def _one_field(a, b):
+    """(theta, ga, gb) with a = ga(theta) and b = gb(theta) from _common or
+    _join, or over a's generator when b is the same value over an unrelated
+    generator (a value and its re-parse); None otherwise."""
+    common = _common(a, b) or _join(a, b)
+    if common is None and a.min_poly == b.min_poly and _compare_isolated(a, b) == EQUAL:
+        common = _common(a, a)
+    return common
+
+
 def add(a, b):
     a, b = as_algreal(a), as_algreal(b)
     if a.is_rational and b.is_rational:
@@ -565,7 +575,7 @@ def add(a, b):
         return _image(AlgReal._over(theta, polys.add(g, (r,))), a,
                       lambda p: polys.compose_shift(p, r),
                       lambda lo, hi: (lo + r, hi + r))
-    common = _common(a, b) or _join(a, b)
+    common = _one_field(a, b)
     if common is not None:
         theta, ga, gb = common
         return AlgReal._over(theta, polys.add(ga, gb))
@@ -608,9 +618,7 @@ def mul(a, b):
         return _image(AlgReal._over(theta, tuple(r * c for c in g)), a,
                       lambda p: polys.compose_scale(p, r),
                       lambda lo, hi: (lo * r, hi * r) if r > 0 else (hi * r, lo * r))
-    common = _common(a, b) or _join(a, b)
-    if common is None and a.min_poly == b.min_poly and _compare_isolated(a, b) == EQUAL:
-        common = _common(a, a)      # one value over unrelated generators
+    common = _one_field(a, b)
     if common is not None:
         theta, ga, gb = common
         return AlgReal._over(theta, polys.mulmod(ga, gb, theta.min_poly))

@@ -24,7 +24,7 @@ MAX_APPROX_BITS = 4096
 
 def _finite():
     """The finite-group module, imported by the finite handlers and their
-    parsers only: it loads numpy, which no other command needs."""
+    parsers only, which spares every other command its import."""
     from . import finite
     return finite
 

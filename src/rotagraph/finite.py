@@ -4,15 +4,19 @@ Covers orbit counting (Cauchy-Frobenius), the rotary-transitivity
 predicates, exhaustive subgroup scans at desk scale, the bipartite test,
 the conjugation-class graph recipe for finite groups, and a census of
 small graphs up to isomorphism.
+
+Plain Python throughout: a Cayley table is a list of rows of array('h'),
+two bytes an entry, and the searches walk cosets, conjugates and orbits
+element by element.
 """
 
+from array import array
 from fractions import Fraction
 from functools import lru_cache
-import itertools
 import math
+from operator import eq, itemgetter
 import re
-
-import numpy as np
+import struct
 
 from .errors import (
     BoundExceededError,
@@ -24,7 +28,7 @@ from .errors import (
 # budgets past which the finite layer raises BoundExceededError
 MAX_DEGREE = 256          # degree in `from_cycles`, vertex count in `from_json`
 MAX_GROUP_ORDER = 40320   # 8!: elements that `PermGroup.elements` enumerates
-MAX_TABLE_ORDER = 5040    # 7!: group order of a Cayley table (order**2 int16 entries)
+MAX_TABLE_ORDER = 5040    # 7!: group order of a Cayley table (order**2 2-byte entries)
 MAX_LATTICE_ORDER = 720   # 6!: group order whose whole subgroup lattice is listed
 MAX_CENSUS_VERTICES = 7   # vertex count the census runs to
 
@@ -35,7 +39,7 @@ def _is_int(x):
 
 def _int_lists(rows):
     """Whether `rows` is a list of integer lists (booleans and floats are not
-    integers), as JSON input must be before numpy casts it."""
+    integers), as JSON input must be."""
     return isinstance(rows, (list, tuple)) and all(
         isinstance(r, (list, tuple)) and all(map(_is_int, r)) for r in rows)
 
@@ -227,11 +231,11 @@ class FiniteGraph:
 
 
 class FiniteGroup:
-    """A finite group as a multiplication table, a numpy array over
-    indices 0..n-1.
+    """A finite group as a multiplication table over indices 0..n-1, a list
+    of rows of array('h').
 
     Tables passed in are validated exhaustively (rows and columns are
-    permutations, identity, inverses, associativity); groups built from
+    permutations, identity, associativity); groups built from
     permutation generators are Latin squares by construction, inherit
     associativity from composition and skip those checks.
     """
@@ -241,31 +245,31 @@ class FiniteGroup:
     _TABLE_BOUND = 128  # cubic associativity check above this is too slow
 
     def __init__(self, table, names=None, _trusted=False):
-        if not isinstance(table, np.ndarray) and not _int_lists(table):
+        if not _trusted and not _int_lists(table):
             raise PreconditionError("table entries must be integers")
         n = len(table)
         if any(len(row) != n for row in table):
             raise PreconditionError("multiplication table must be square")
-        table = np.asarray(table).reshape(n, n)   # object dtype past int64
         if not _trusted:   # a _cayley_table is a Latin square by construction
-            rng = np.arange(n)
-            if (np.sort(table, axis=1) != rng).any():
+            rng = list(range(n))
+            if any(sorted(row) != rng for row in table):
                 raise PreconditionError("a table row is not a permutation")
-            if (np.sort(table, axis=0) != rng[:, None]).any():
+            if any(sorted(col) != rng for col in zip(*table)):
                 raise PreconditionError("a table column is not a permutation")
-        ident, inv = _identity_and_inverses(table)
+        ident = _identity(table)
         if ident is None:
             raise PreconditionError("table has no identity element")
         if not _trusted:
             if n > self._TABLE_BOUND:
                 raise BoundExceededError(
                     "table too large for exhaustive associativity validation")
-            if not np.array_equal(table[table, :], table[:, table]):
+            if not _associative(table):
                 raise PreconditionError("table is not associative")
+            table = [array("h", row) for row in table]
         self.table = table
         self.identity = ident
         self.names = tuple(names) if names else tuple(map(str, range(n)))
-        self._inv = inv
+        self._inv = _inverses(table, ident)
 
     @classmethod
     def from_permutations(cls, generators):
@@ -280,65 +284,105 @@ class FiniteGroup:
         return len(self.table)
 
     def mul(self, i, j):
-        return int(self.table[i, j])
+        return self.table[i][j]
 
     def inv(self, i):
-        return int(self._inv[i])
+        return self._inv[i]
 
     def conj(self, i, g):
         """g * i * g^-1."""
         return self.mul(self.mul(g, i), self.inv(g))
 
     def conjugacy_class(self, i):
-        return tuple(np.unique(self.table[self.table[:, i], self._inv]).tolist())
+        t, inv = self.table, self._inv
+        return tuple(sorted({t[t[g][i]][inv[g]] for g in range(self.order)}))
 
     def cyclic_subgroup(self, i):
-        everything = np.ones(self.order, dtype=bool)
-        return tuple(_closure(self.table, self.identity, [i], everything).tolist())
+        everything = bytearray([1]) * self.order
+        return tuple(sorted(_closure(self.table, [self.identity], [i], everything)))
+
+
+def _getter(idx):
+    """Gather the entries at positions `idx` of a row, as a tuple (a bare
+    itemgetter of one position returns the entry itself)."""
+    get = itemgetter(*idx)
+    return get if len(idx) > 1 else lambda row: (get(row),)
 
 
 def _cayley_table(elems):
-    """t[a, b] = index of elems[a] * elems[b], for a group's elements sorted
-    by image tuple.  Rows compose, t[g * x] = t[g][t[x]], so only the first
-    row not yet known is binary-searched (products among the image rows
-    read as big-endian bytes, which sort as the tuples do); it joins the
-    generators, and every row they reach from known rows follows."""
+    """t[a][b] = index of elems[a] * elems[b], for a group's elements sorted
+    by image tuple, as rows of array('h'), two bytes an entry.  Rows
+    compose, t[x * g][y] = t[x][t[g][y]], so only the first row not yet
+    known is computed from the permutations; it joins the generators, and
+    every row that a generator on the right reaches from a known row is one
+    gather of that row."""
     n = len(elems)
     if n > MAX_TABLE_ORDER:
         raise BoundExceededError(
             f"group order {n} exceeds the table bound {MAX_TABLE_ORDER}")
-    # () of degree 0 reads as the identity of degree 1: no row is empty
-    images = np.array([p.images or (0,) for p in elems], dtype=">u4")
-    row = np.dtype((np.void, images.strides[0]))
-    keys = images.view(row).ravel()
-    table = np.empty((n, n), dtype=np.int16)
-    known = np.zeros(n, dtype=bool)
-    gens = []
-    while not known.all():
-        a = int(np.argmin(known))
-        table[a] = np.searchsorted(keys, images[a][images].view(row).ravel())
-        gens.append(a)
-        known[a] = True
-        frontier = np.flatnonzero(known)
-        while len(frontier):
-            old = known.copy()
-            for g in gens:
-                ys = table[g, frontier]
-                new = ~known[ys]
-                table[ys[new]] = table[g][table[frontier[new]]]
-                known[ys] = True
-            frontier = np.flatnonzero(known & ~old)
+    index = {p.images: i for i, p in enumerate(elems)}
+    pack = struct.Struct(f"{n}h").pack
+    table = [None] * n
+    gens = []   # (index, gather by its row)
+    for a in range(n):
+        if table[a] is not None:
+            continue
+        pa = elems[a].images
+        row = [index[tuple(map(pa.__getitem__, q.images))] for q in elems]
+        table[a] = array("h", row)
+        gens.append((a, _getter(row)))
+        # the known rows times the new generator, then everything new
+        # times every generator
+        frontier = [x for x in range(n) if table[x] is not None]
+        step = gens[-1:]
+        while frontier:
+            new = []
+            for x in frontier:
+                tx = table[x]
+                for g, gather in step:
+                    xg = tx[g]
+                    if table[xg] is None:
+                        table[xg] = array("h", pack(*gather(tx)))
+                        new.append(xg)
+            frontier, step = new, gens
     return table
 
 
-def _identity_and_inverses(t):
-    """The first two-sided identity of a Latin-square table and the inverse
-    of each element, or (None, None)."""
-    rng = np.arange(len(t))
-    found = np.flatnonzero((t == rng).all(axis=1) & (t == rng[:, None]).all(axis=0))
-    if not len(found):
-        return None, None
-    return int(found[0]), np.nonzero(t == found[0])[1]
+def _identity(t):
+    """The first two-sided identity of a Latin-square table, or None."""
+    n = len(t)
+    for e, row in enumerate(t):
+        if all(map(eq, row, range(n))) and all(t[j][e] == j for j in range(n)):
+            return e
+    return None
+
+
+def _inverses(t, e):
+    """The inverse of each element of an associative table with identity e:
+    the powers i, i^2, ..., i^k = e of an element not yet reached give the
+    inverses of all of them, i^m and i^(k-m) being inverse."""
+    inv = [None] * len(t)
+    inv[e] = e
+    for i in range(len(t)):
+        if inv[i] is None:
+            powers = [i]
+            while powers[-1] != e:
+                powers.append(t[powers[-1]][i])
+            body = powers[:-1]
+            for a, b in zip(body, reversed(body)):
+                inv[a] = b
+    return inv
+
+
+def _associative(t):
+    """(x a) y = x (a y) for all x, a, y: row x·a of the table against row x
+    gathered by row a."""
+    rows = [tuple(r) for r in t]
+    for a, row_a in enumerate(rows):
+        gather = _getter(row_a)
+        if any(rows[row_x[a]] != gather(row_x) for row_x in rows):
+            return False
+    return True
 
 
 # -- constructors -------------------------------------------------------------
@@ -371,7 +415,8 @@ def quaternion_group():
     i = Permutation([2, 3, 1, 0, 6, 7, 5, 4])
     j = Permutation([4, 5, 7, 6, 1, 0, 2, 3])
     table = FiniteGroup.from_permutations([i, j]).table
-    return FiniteGroup(table, ("1", "-1", "i", "-i", "j", "-j", "k", "-k"))
+    return FiniteGroup([row.tolist() for row in table],
+                       ("1", "-1", "i", "-i", "j", "-j", "k", "-k"))
 
 
 # -- orbit counting -----------------------------------------------------------
@@ -409,65 +454,111 @@ def jordan_witness(g):
 
 # -- subgroup enumeration -----------------------------------------------------
 
-def _closure(table, ident, gens, allowed):
-    """Sorted element indices of the subgroup generated by `gens`: a
-    breadth-first search from the identity, multiplying by the generators.
-    None as soon as the search reaches an element outside `allowed`."""
-    seen = np.zeros(len(table), dtype=bool)
-    seen[ident] = True
-    frontier = np.array([ident])
-    while len(frontier):
-        reached = np.zeros_like(seen)
-        reached[table[frontier[:, None], gens]] = True
-        frontier = np.flatnonzero(reached & ~seen)
-        if not allowed[frontier].all():
-            return None
-        seen[frontier] = True
-    return np.flatnonzero(seen)
+def _closure(table, sub, gens, allowed):
+    """The element set of the subgroup generated by `gens`, given the
+    element list of a subgroup `sub` that generators among `gens` generate.
+    Dimino's method: the group is a union of left cosets x*sub, and a coset
+    joins whenever a generator times a coset representative lands outside
+    the union.  None as soon as a coset holds an element outside
+    `allowed`."""
+    inside = set(sub)
+    coset = _getter(sub)
+    reps = [sub[0]]
+    for r in reps:
+        for s in gens:
+            x = table[s][r]
+            if x not in inside:
+                new = coset(table[x])
+                if not all(map(allowed.__getitem__, new)):
+                    return None
+                inside.update(new)
+                reps.append(x)
+    return inside
 
 
-def _conjugate_orbit(table, inv, sub):
-    """All conjugates of the subgroup (element array) at once: rows of the
-    result are the distinct conjugate element sets, paired with one
-    conjugating element index each."""
-    left = table[:, sub]                       # [g, t] = g * s_t
-    conj = table[left, inv[:, None]]           # [g, t] = g * s_t * g^-1
-    conj = np.sort(conj, axis=1)
-    uniq, first = np.unique(conj, axis=0, return_index=True)
-    return uniq, first
+def _coset_minima(table, sub):
+    """The least element of each right coset sub*g other than sub itself,
+    ascending, and for each element the least of its coset: the first
+    element not yet marked starts a coset, and the whole coset is marked."""
+    least = [None] * len(table)
+    for h in sub:
+        least[h] = -1
+    rows = [table[h] for h in sub]
+    out = []
+    for g, m in enumerate(least):
+        if m is None:
+            out.append(g)
+            for row in rows:
+                least[row[g]] = g
+    return out, least
+
+
+def _conjugates(table, inv, sub, gens):
+    """Each distinct conjugate g*K*g^-1 of the subgroup K (element list
+    `sub`, generated by `gens`) as an element set, with the least g that
+    gives it.  The g giving one conjugate form a left coset g*N of the
+    normaliser N, so g ascending, each g not yet marked is the least of its
+    coset, and the coset is marked."""
+    n = len(table)
+    inside = bytearray(n)
+    for k in sub:
+        inside[k] = 1
+    norm = range(n)
+    for s in gens:
+        norm = [g for g in norm if inside[table[table[g][s]][inv[g]]]]
+    marked = bytearray(n)
+    out = []
+    g = 0
+    while g >= 0:
+        row, gi = table[g], inv[g]
+        for x in norm:
+            marked[row[x]] = 1
+        out.append((frozenset(table[row[k]][gi] for k in sub), g))
+        g = marked.find(0, g)
+    return out
 
 
 def _subgroups_inside(table, allowed):
-    """Every subgroup whose elements all lie in `allowed`, a boolean mask
-    over the table's elements that is closed under conjugation, as a dict
-    from element index set to generator indices.
+    """Every subgroup whose elements all lie in `allowed`, a mask over the
+    table's elements (a bytearray or a list of booleans) that is closed
+    under conjugation, as a dict from element index set to generator
+    indices.
 
     Bottom-up closure up to conjugacy: one representative per conjugacy
     class of subgroups is extended by single elements (the smallest index
     of each coset outside it, if allowed, as the extension holds the whole
     coset); each new class is then expanded to its full conjugate orbit,
-    which stays inside the mask.
+    which stays inside the mask, each conjugate generated by the
+    extension's generators conjugated by the least element that gives it.
     """
-    ident, inv = _identity_and_inverses(table)
+    ident = _identity(table)
+    inv = _inverses(table, ident)
     subs = {frozenset([ident]): []}   # element index set -> generator indices
-    queue = [(np.array([ident], dtype=np.int32), [])]
+    queue = [([ident], [])]
     while queue:
         hidx, gens = queue.pop()
-        # one candidate per right coset H*g other than H: its smallest element
-        coset_min = np.unique(np.delete(table[hidx, :].min(axis=0), hidx))
-        for cand in coset_min[allowed[coset_min]].tolist():
+        minima, least = _coset_minima(table, hidx)
+        done = set()
+        for cand in minima:
+            if not allowed[cand] or cand in done:
+                continue
+            # <H, y> = <H, cand> for every y in a double coset H c H, c a
+            # power of cand that generates <cand>
+            powers = [cand]
+            while powers[-1] != ident:
+                powers.append(table[powers[-1]][cand])
+            for j, c in enumerate(powers[:-1], 1):
+                if math.gcd(j, len(powers)) == 1:
+                    row = table[c]
+                    done.update(least[row[h]] for h in hidx)
             ngens = gens + [cand]
-            new = _closure(table, ident, ngens, allowed)
-            if new is None:
+            new = _closure(table, hidx, ngens, allowed)
+            if new is None or frozenset(new) in subs:
                 continue
-            key = frozenset(new.tolist())
-            if key in subs:
-                continue
-            orbit, reps = _conjugate_orbit(table, inv, new)
-            for row, by in zip(orbit, reps):
-                rkey = frozenset(row.tolist())
-                if rkey not in subs:
-                    subs[rkey] = [table[table[by][x]][inv[by]] for x in ngens]
+            new = list(new)
+            for key, by in _conjugates(table, inv, new, ngens):
+                if key not in subs:
+                    subs[key] = [table[table[by][x]][inv[by]] for x in ngens]
             queue.append((new, ngens))
     return subs
 
@@ -483,7 +574,7 @@ def all_subgroups(g):
         raise BoundExceededError(
             f"group order {n} exceeds the lattice bound {MAX_LATTICE_ORDER}")
     table = _cayley_table(elems)
-    subs = _subgroups_inside(table, np.ones(n, dtype=bool))
+    subs = _subgroups_inside(table, bytearray([1]) * n)
     out = []
     for hset, gens in sorted(subs.items(),
                              key=lambda kv: (len(kv[0]), sorted(kv[0]))):
@@ -497,30 +588,40 @@ def all_subgroups(g):
 
 # -- finite graphs ------------------------------------------------------------
 
-@lru_cache(maxsize=8)
-def _relabelings(n):
-    """All n! relabelings of [0, n) in lexicographic order, and where each
-    one sends each edge position of `_edge_positions(n)`."""
-    perms = np.array(list(itertools.permutations(range(n)))).reshape(-1, n)
-    i, j = np.array(_edge_positions(n), dtype=np.intp).reshape(-1, 2).T
-    slot = np.zeros((n, n), dtype=np.intp)
-    slot[i, j] = slot[j, i] = np.arange(len(i))
-    moves = slot[perms[:, i], perms[:, j]]
-    perms.flags.writeable = moves.flags.writeable = False   # cached, shared
-    return perms, moves
-
-
 def graph_automorphisms(fg):
-    """The full automorphism group, by brute force over all relabelings."""
-    if math.factorial(fg.n) > MAX_GROUP_ORDER:
+    """The full automorphism group: a backtracking search that sends the
+    vertices 0, 1, ... in turn to unused vertices of the same degree, tried
+    in ascending order, keeping adjacency to the vertices already sent, so
+    the automorphisms come out in lexicographic order."""
+    n = fg.n
+    if math.factorial(n) > MAX_GROUP_ORDER:
         raise BoundExceededError("automorphism brute force is limited to n <= 8")
-    if fg.n == 0:
+    if n == 0:
         raise PreconditionError("empty vertex set")
-    perms, moves = _relabelings(fg.n)
-    mask = np.array([e in fg.edges for e in _edge_positions(fg.n)], dtype=bool)
-    keep = (mask[moves] == mask).all(axis=1)   # edges onto edges
-    autos = [Permutation(p) for p in perms[keep].tolist()]
-    grp = PermGroup(fg.n, autos)
+    nbrs = [0] * n   # neighbour bitmasks
+    for i, j in fg.edges:
+        nbrs[i] |= 1 << j
+        nbrs[j] |= 1 << i
+    deg = [b.bit_count() for b in nbrs]
+    images = [0] * n
+    autos = []
+
+    def extend(i, used):
+        if i == n:
+            autos.append(Permutation(images))
+            return
+        # where the neighbours of i among 0..i-1 went
+        want = 0
+        for j in range(i):
+            if nbrs[i] >> j & 1:
+                want |= 1 << images[j]
+        for v in range(n):
+            if not used >> v & 1 and deg[v] == deg[i] and nbrs[v] & used == want:
+                images[i] = v
+                extend(i + 1, used | 1 << v)
+
+    extend(0, 0)
+    grp = PermGroup(n, autos)
     grp._elements = tuple(autos)
     return grp
 
@@ -542,10 +643,10 @@ def _has_rotary_subgroup(g):
     if not g.is_transitive():
         return False
     elems = g.elements()
-    images = np.array([p.images for p in elems])
-    fixing = (images == np.arange(g.degree)).any(axis=1)
+    fixing = [p.fixed_count() > 0 for p in elems]
     subs = _subgroups_inside(_cayley_table(elems), fixing)
-    return any(len(set(images[list(h), 0].tolist())) == g.degree for h in subs)
+    return any(len({elems[h].images[0] for h in hset}) == g.degree
+               for hset in subs)
 
 
 def is_bipartite(fg):
@@ -585,12 +686,13 @@ def conjugation_graph(grp, g1, g3):
         raise PreconditionError("g1 must not be the identity")
     if g3 in grp.cyclic_subgroup(g1):
         raise PreconditionError("g3 must lie outside the subgroup generated by g1")
-    t, cls = grp.table, np.array(grp.conjugacy_class(g1))
-    # acts[g, j]: the position in cls of g * cls[j] * g^-1
-    acts = np.searchsorted(cls, t[t[:, cls], grp._inv[:, None]])
-    edge = acts[:, np.searchsorted(cls, [g1, grp.conj(g1, g3)])]
-    fg = FiniteGraph(len(cls), [(a, b) for a, b in edge.tolist() if a != b])
-    perms = sorted(set(map(Permutation, acts.tolist())))
+    t, inv, cls = grp.table, grp._inv, grp.conjugacy_class(g1)
+    pos = {c: k for k, c in enumerate(cls)}
+    # acts[g][j]: the position in cls of g * cls[j] * g^-1
+    acts = [[pos[t[t[g][c]][inv[g]]] for c in cls] for g in range(grp.order)]
+    a, b = pos[g1], pos[grp.conj(g1, g3)]
+    fg = FiniteGraph(len(cls), [(r[a], r[b]) for r in acts if r[a] != r[b]])
+    perms = sorted(set(map(Permutation, acts)))
     action = PermGroup(len(cls), perms)
     action._elements = tuple(perms)
 
@@ -616,23 +718,97 @@ def _edge_positions(n):
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
+def _canon(k):
+    """For every edge mask on k vertices, the least mask of its orbit under
+    relabeling, and a relabeling (image tuple) that sends the mask's graph
+    to that least one.  Masks are swept in ascending order, so the first
+    one not yet reached is the least of its orbit, which is then walked
+    under the transposition (0 1) and the k-cycle, generators of S_k."""
+    pos = _edge_positions(k)
+    slot = {e: i for i, e in enumerate(pos)}
+    size = 1 << len(pos)
+    rep, perm = [None] * size, [None] * size
+    moves = []   # (image of every mask, inverse relabeling) per generator
+    for p in ([1, 0, *range(2, k)], [*range(1, k), 0]) if k > 1 else ():
+        bits = [1 << slot[min(p[i], p[j]), max(p[i], p[j])] for i, j in pos]
+        inv = [0] * k
+        for i, j in enumerate(p):
+            inv[j] = i
+        moves.append((_subset_images(bits), inv))
+    for mask in range(size):
+        if rep[mask] is None:
+            rep[mask], perm[mask] = mask, tuple(range(k))
+            orbit = [mask]
+            for x in orbit:
+                px = perm[x]
+                for image, inv in moves:
+                    y = image[x]
+                    if rep[y] is None:   # x relabeled by p; y's vertex i is x's inv[i]
+                        rep[y], perm[y] = mask, tuple([px[j] for j in inv])
+                        orbit.append(y)
+    return rep, perm
+
+
 @lru_cache(maxsize=None)
 def _iso_class_reps(n):
     """One labeled representative bitmask per isomorphism class of graphs
-    on n vertices: the minimum edge-bitmask over all relabelings.  Masks are
-    swept in ascending order, so the first one not yet seen is the minimum
-    of its orbit, and its whole orbit is marked seen."""
-    _, moves = _relabelings(n)   # n! x m
-    m = moves.shape[1]
-    weights = np.int64(1) << np.arange(m, dtype=np.int64)
-    seen = np.zeros(1 << m, dtype=bool)
-    reps = []
-    for mask in range(1 << m):
-        if not seen[mask]:
-            reps.append(mask)
-            bits = (mask >> np.arange(m)) & 1
-            seen[bits[moves] @ weights] = True
-    return tuple(reps)
+    on n vertices, ascending: the minimum edge-bitmask over all
+    relabelings.  The pairs (0, j) hold the n-1 lowest bits, so under a
+    relabeling that sends v to 0 the mask reads t << (n-1) | low, t the
+    mask of the graph minus v on the vertices 1..n-1 and low the neighbours
+    of v.  The least mask has the least t, a representative on n-1
+    vertices, and the least low among the relabelings that reach it.  So t
+    runs over those representatives and low over all neighbour sets, and
+    t << (n-1) | low is kept unless some vertex v, taken as vertex 0, gives
+    a smaller t, or the same t and a smaller low; the relabelings of the
+    graph minus v onto t are one from `_canon` followed by each
+    automorphism of t."""
+    if n < 2:
+        return (0,)
+    k = n - 1
+    rep, perm = _canon(k)
+    slot = {e: i for i, e in enumerate(_edge_positions(k))}
+    out = []
+    for t in sorted(set(rep)):
+        tg = _mask_to_graph(k, t)
+        # the least image of each vertex set of t under its automorphisms
+        minlow = list(map(min, zip(*[_subset_images([1 << a for a in p.images])
+                                     for p in graph_automorphisms(tg).elements()])))
+        nbrs = [0] * k
+        for a, b in tg.edges:
+            nbrs[a] |= 1 << b
+            nbrs[b] |= 1 << a
+        # removing the vertex v = w + 1 keeps vertex 0 and relabels the
+        # others in order: `top` is the mask of t without w so relabeled,
+        # `nb` the neighbours of v other than vertex 0
+        drops = []
+        for w in range(k):
+            label = {u: i for i, u in enumerate((u for u in range(k) if u != w), 1)}
+            top = sum(1 << slot[label[a], label[b]] for a, b in tg.edges if w not in (a, b))
+            drops.append((w, top, [label[u] for u in label if nbrs[w] >> u & 1]))
+        for low in range(1 << k):
+            if minlow[low] < low:
+                continue
+            for w, top, nb in drops:
+                mv = top | (low >> (w + 1)) << w | low & ((1 << w) - 1)
+                if rep[mv] < t:
+                    break
+                if rep[mv] == t:
+                    pi = perm[mv]
+                    s = sum(1 << pi[u] for u in nb) | (low >> w & 1) << pi[0]
+                    if minlow[s] < low:
+                        break
+            else:
+                out.append(t << k | low)
+    return tuple(out)
+
+
+def _subset_images(bits):
+    """For every x < 2^len(bits), the OR of bits[k] over the set bits k of x."""
+    out = [0]
+    for b in bits:
+        out += [v | b for v in out]
+    return out
 
 
 def _mask_to_graph(n, mask):

@@ -421,7 +421,9 @@ def sqrt_factors(m):
 
 def _sqrt_fq(a, f, p):
     """A square root of a != 0 in F_q = F_p[x]/(f), f monic and irreducible
-    mod p, p odd, by Tonelli-Shanks; None when a is no square."""
+    mod p, p odd, by Tonelli-Shanks; None when a is no square.  The
+    non-square z it needs is the first x + k whose power z^((q-1)/2) is -1:
+    for a linear f one x + k is 0 mod f, and its power is 0."""
     q = p ** (len(f) - 1)
     if _powmod_p(a, (q - 1) // 2, f, p) != [1]:
         return None
@@ -429,7 +431,7 @@ def _sqrt_fq(a, f, p):
     while t % 2 == 0:
         s, t = s + 1, t // 2
     z = next((z for z in ([k, 1] for k in range(p))
-              if _powmod_p(z, (q - 1) // 2, f, p) != [1]), None)
+              if _powmod_p(z, (q - 1) // 2, f, p) == [p - 1]), None)
     if z is None:
         return None
     c, u, r = _powmod_p(z, t, f, p), _powmod_p(a, t, f, p), _powmod_p(a, (t + 1) // 2, f, p)

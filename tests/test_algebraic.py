@@ -421,6 +421,25 @@ def test_value_times_its_reparse_stays_over_one_generator(monkeypatch):
     assert calls == []
 
 
+def test_value_plus_its_reparse_stays_over_one_generator(monkeypatch):
+    """The sum of the same pair takes the same step as the product: twice
+    the value over its own generator, with no composed-sum candidate and
+    no factorisation (it used to factorise the degree-9 sum)."""
+    import json
+    a = add(real_roots((-2, 0, 0, 1))[0], 1)
+    b = expr.from_json(json.loads(json.dumps(expr.to_expr(a))))
+    assert a._tag is not None and b._tag is None and a.min_poly == b.min_poly
+    calls = []
+    original = polys.factor_int
+    monkeypatch.setattr(polys, "factor_int", lambda c: calls.append(c) or original(c))
+    got, want = add(a, b), mul(a, 2)
+    assert calls == []
+    assert got == want and add(b, a) == want
+    assert expr.to_expr(got) == expr.to_expr(want) == "root(-24,12,-6,1,0)"
+    assert got._tag[0] is a._tag[0]
+    assert calls == []
+
+
 def test_tagged_values_shared_between_threads():
     """Refinement and the lazily built minimal polynomial are each one
     attribute write, so threads sharing values over one generator (and the

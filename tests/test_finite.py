@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+import finite_oracle as oracle
 from rotagraph import finite as fn
 from rotagraph.errors import BoundExceededError, ParseError, PreconditionError
 
@@ -96,7 +97,7 @@ def test_finite_group_table_validation():
 def test_quaternion_table():
     q8 = fn.quaternion_group()
     assert q8.names == ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
-    assert q8.table.tolist() == [
+    assert [row.tolist() for row in q8.table] == [
         [0, 1, 2, 3, 4, 5, 6, 7], [1, 0, 3, 2, 5, 4, 7, 6],
         [2, 3, 1, 0, 6, 7, 5, 4], [3, 2, 0, 1, 7, 6, 4, 5],
         [4, 5, 7, 6, 1, 0, 2, 3], [5, 4, 6, 7, 0, 1, 3, 2],
@@ -230,15 +231,18 @@ def test_cayley_table_matches_definition():
     # cyclic_group(20) has degree 20, where 20**20 overflows an int64 code
     for g in (fn.symmetric_group(5), fn.dihedral_group(7), A4, fn.cyclic_group(20)):
         elems = g.elements()
-        assert fn._cayley_table(elems).tolist() == _table_by_definition(elems)
+        assert [row.tolist() for row in fn._cayley_table(elems)] == \
+            _table_by_definition(elems)
 
 
 def test_table_budget():
     s7 = fn.symmetric_group(7)
     table = fn._cayley_table(s7.elements())
-    assert table.dtype == np.int16 and table.nbytes == 2 * 5040 ** 2
+    assert len(table) == 5040 and all(len(row) == 5040 for row in table)
+    assert all(row.itemsize == 2 for row in table)
+    assert sum(row.buffer_info()[1] * row.itemsize for row in table) == 2 * 5040 ** 2
     grp = fn.FiniteGroup.from_permutations(list(s7.generators))
-    assert grp.order == 5040 and grp.table.dtype == np.int16
+    assert grp.order == 5040 and all(row.itemsize == 2 for row in grp.table)
     assert all(grp.mul(i, grp.inv(i)) == grp.identity for i in range(5040))
     s8 = [fn.Permutation.from_cycles("(0 1)", 8),
           fn.Permutation.from_cycles("(0 1 2 3 4 5 6 7)", 8)]
@@ -250,11 +254,13 @@ def test_trusted_s7_table_is_a_latin_square():
     # from_permutations skips the row and column checks of passed-in
     # tables; its own table must pass them anyway
     grp = fn.FiniteGroup.from_permutations(list(fn.symmetric_group(7).generators))
-    rng = np.arange(5040)
-    assert (np.sort(grp.table, axis=1) == rng).all()
-    assert (np.sort(grp.table, axis=0) == rng[:, None]).all()
-    assert grp.table[grp.identity].tolist() == rng.tolist()
-    assert (grp.table[rng, grp._inv] == grp.identity).all()
+    rng = list(range(5040))
+    assert all(sorted(row) == rng for row in grp.table)
+    assert all(sorted(col) == rng for col in zip(*grp.table))
+    assert grp.table[grp.identity].tolist() == rng
+    assert [row[grp.identity] for row in grp.table] == rng
+    assert all(row[grp._inv[i]] == grp.identity for i, row in enumerate(grp.table))
+    assert all(grp.table[grp._inv[i]][i] == grp.identity for i in rng)
 
 
 def test_from_permutations_matches_definition():
@@ -262,7 +268,7 @@ def test_from_permutations_matches_definition():
         elems = g.elements()
         index = {p: i for i, p in enumerate(elems)}
         grp = fn.FiniteGroup.from_permutations(list(g.generators))
-        assert grp.table.tolist() == _table_by_definition(elems)
+        assert [row.tolist() for row in grp.table] == _table_by_definition(elems)
         assert grp.names == tuple(p.cycle_string() for p in elems)
         assert grp.identity == index[fn.Permutation.identity(g.degree)]
         assert [grp.inv(i) for i in range(len(elems))] == \
@@ -294,7 +300,7 @@ def test_graph_automorphisms_match_definition():
 def _iso_class_reps_by_definition(n):
     """The distinct values of the least edge bitmask over all relabelings,
     taken for every mask at once, one relabeling at a time."""
-    _, moves = fn._relabelings(n)
+    _, moves = oracle._relabelings(n)
     m = moves.shape[1]
     bits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1   # 2^m x m
     weights = np.int64(1) << np.arange(m)
@@ -311,8 +317,7 @@ def test_iso_class_reps_match_definition():
 
 def _fixing_mask(g):
     """Which elements of g (in `elements()` order) fix some point."""
-    images = np.array([p.images for p in g.elements()])
-    return (images == np.arange(g.degree)).any(axis=1)
+    return [p.fixed_count() > 0 for p in g.elements()]
 
 
 def test_derangement_free_search_matches_filtered_lattice():
@@ -333,3 +338,49 @@ def test_derangement_free_search_matches_filtered_lattice():
         assert not any(fn.PermGroup(g.degree, h).is_transitive() for h in want)
         counts.append(len(want))
     assert counts[:3] == [15, 116, 596]
+
+
+# -- differential tests against the former numpy implementation --------------
+
+A5 = fn.PermGroup(5, [fn.Permutation.from_cycles("(0 1 2)", 5),
+                      fn.Permutation.from_cycles("(0 1 2 3 4)", 5)])
+ORACLE_GROUPS = ([fn.symmetric_group(n) for n in (4, 5, 6, 7)]
+                 + [fn.dihedral_group(n) for n in range(5, 9)] + [A4, A5])
+
+
+@pytest.mark.parametrize("g", ORACLE_GROUPS, ids=repr)
+def test_tables_and_subgroup_search_match_numpy_oracle(g):
+    """Same Cayley table, and the same subgroups with the same generator
+    lists: under the fixing mask everywhere, over the whole group where the
+    lattice is listed."""
+    elems = g.elements()
+    table = fn._cayley_table(elems)
+    want = oracle._cayley_table(elems)
+    assert [row.tolist() for row in table] == want.tolist()
+    masks = [_fixing_mask(g)]
+    if len(elems) <= fn.MAX_LATTICE_ORDER:
+        masks.append([True] * len(elems))
+    for mask in masks:
+        got = fn._subgroups_inside(table, mask)
+        assert got == oracle._subgroups_inside(want, mask)
+        assert all(type(x) is int for gens in got.values() for x in gens)
+
+
+def test_quaternion_subgroups_match_numpy_oracle():
+    q8 = fn.quaternion_group()
+    rows = [row.tolist() for row in q8.table]
+    got = fn._subgroups_inside(q8.table, [True] * 8)
+    assert len(got) == 6
+    assert got == oracle._subgroups_inside(rows, [True] * 8)
+
+
+def test_census_graphs_match_numpy_oracle():
+    """Representatives and automorphism groups of every graph the census
+    visits, to 7 vertices, element order included."""
+    for n in range(1, fn.MAX_CENSUS_VERTICES + 1):
+        reps = fn._iso_class_reps(n)
+        assert reps == oracle._iso_class_reps(n), n
+        for mask in reps:
+            fg = fn._mask_to_graph(n, mask)
+            got = [p.images for p in fn.graph_automorphisms(fg).elements()]
+            assert got == oracle.graph_automorphisms(fg)

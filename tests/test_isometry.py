@@ -126,8 +126,8 @@ def test_elliptic_imports_without_isometry():
 
 
 # The heavy imports a cold call does without: sympy on the first
-# factorisation no certificate spared, numpy with the finite-group module
-# (finite commands only), mpmath for --approx decimals.
+# factorisation no certificate spared, mpmath for --approx decimals.  The
+# finite-group module loads with finite commands only; it needs neither.
 DEFERRED_IMPORTS = {
     ("polys", "factor_int", "import sympy"),
     ("cli", "_approx_str", "import mpmath"),
@@ -193,8 +193,41 @@ print("sympy" in sys.modules)
 """
 
 
+# one call of each finite command shape the benchmark's mix makes, plus a
+# group given by its table, in one process; stdout holds their answers
+FINITE_RUN = """
+import io, json, sys
+from contextlib import redirect_stdout
+import rotagraph.cli as cli
+calls = [
+    ["finite", "cf", "--group", "(0 1 2 3 4);(0 1)"],
+    ["finite", "jordan", "--group", "(0 1 2 3 4);(0 1)"],
+    ["finite", "subgroups", "--group", "(0 1 2 3 4);(0 1)"],
+    ["finite", "census", "--n-max", "5"],
+    ["finite", "conjgraph", "--group", "(0 1 2);(0 1)", "--g1", "1", "--g3", "2"],
+    ["finite", "conjgraph", "--table", json.dumps({table!r}), "--g1", "2", "--g3", "4"],
+]
+out = io.StringIO()
+with redirect_stdout(out):
+    for argv in calls:
+        cli.main(argv)
+answers = [json.loads(line) for line in out.getvalue().splitlines()]
+assert not any("error" in a for a in answers), answers
+print(sorted(m for m in {heavy!r} if m in sys.modules))
+"""
+
+Q8_TABLE = [[0, 1, 2, 3, 4, 5, 6, 7], [1, 0, 3, 2, 5, 4, 7, 6],
+            [2, 3, 1, 0, 6, 7, 5, 4], [3, 2, 0, 1, 7, 6, 4, 5],
+            [4, 5, 7, 6, 1, 0, 2, 3], [5, 4, 6, 7, 0, 1, 3, 2],
+            [6, 7, 4, 5, 3, 2, 1, 0], [7, 6, 5, 4, 2, 3, 0, 1]]
+
+
 def test_cold_cli_import_loads_no_heavy_module():
     assert _python(COLD_IMPORT.format(heavy=HEAVY)) == "[]"
+
+
+def test_finite_commands_load_no_heavy_module():
+    assert _python(FINITE_RUN.format(heavy=HEAVY, table=Q8_TABLE)) == "[]"
 
 
 def test_geometry_never_loads_sympy():

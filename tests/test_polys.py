@@ -6,6 +6,7 @@ integer signs against Fraction Horner; the cache bounds."""
 
 import ast
 import random
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -368,3 +369,33 @@ def test_composed_certificate_on_a_point_and_its_reparse():
                 if polys.full_degree(a.min_poly, b.min_poly):
                     assert a.degree * b.degree <= field
                 _check_composed(a.min_poly, b.min_poly)
+
+
+def test_sqrt_candidates_of_linear_fields_end():
+    """Q(t) = Q for a linear m: the candidates that square to g are the
+    rational square roots of g, and the search ends (it used to take the
+    zero element x + k = 0 mod m as its non-square and loop forever)."""
+    rng = random.Random(14)
+    cases = []
+    for _ in range(200):
+        m = (rng.choice([-1, 1]) * rng.randint(0, 60), rng.randint(1, 9))
+        r = Fraction(rng.randint(1, 40), rng.randint(1, 12))
+        g = r * r if rng.random() < 0.5 else Fraction(rng.randint(1, 99), rng.randint(1, 12))
+        cases.append((m, (g,)))
+    results = []
+
+    def work():
+        for m, g in cases:
+            results.append([h for h in polys.sqrt_candidates(m, g)
+                            if h[0] * h[0] == g[0]])
+
+    t = threading.Thread(target=work, daemon=True)
+    t.start()
+    t.join(timeout=30)
+    assert not t.is_alive(), f"hung after {len(results)} of {len(cases)} inputs"
+    squares = 0
+    for (m, g), found in zip(cases, results):
+        root = polys.rational_sqrt(g[0])
+        assert {abs(h[0]) for h in found} == (set() if root is None else {root}), (m, g)
+        squares += root is not None
+    assert squares >= 90
