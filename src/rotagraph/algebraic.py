@@ -21,12 +21,13 @@ generators are linked by these records meet over the larger generator.
 A tagged value builds its minimal polynomial and isolating interval only
 when asked for them (printing, hashing, a square root, an operation across
 fields), from the characteristic polynomial of g(theta), with no
-factorisation; x + r, -x, r*x and 1/x of a value that has them carry them
-over at once.  Operations across fields that no record links and no
-compositum joins take the candidate polynomial of the result, and give an
-untagged value; a product of two equal values is the square of the first
-over its generator instead.  A square root of a square of the field stays in it,
-tagged over the same generator.
+factorisation; that is the only way it gets one.  A rational operand is a
+constant over the other operand's generator.  Operations across fields
+that no record links and no compositum joins take the candidate polynomial
+of the result, and give an untagged value; two equal values over unrelated
+generators (a value and its re-parse) meet over the first one's generator
+instead.  A square root of a square of the field stays in it, tagged over
+the same generator.
 
 Candidates (square roots, composita, cross-field results) and the
 polynomials given to real_roots are factorised only when no certificate
@@ -496,10 +497,7 @@ def _join(a, b):
     if n1 * n2 > _MAX_CAND_DEGREE or (min(n1, n2) > 2 and gcd(n1, n2) > 1
                                        and not polys.full_degree(m1, m2)):
         return None
-    psi = _select_root(polys.composed_factors(polys.cand_sum(m1, m2), m1, m2),
-                       lambda: (t1.interval[0] + t2.interval[0],
-                                t1.interval[1] + t2.interval[1]),
-                       lambda: (t1.refine(), t2.refine()))
+    psi = _composed_root(polys.cand_sum, t1, t2, _sum_interval)
     if psi.is_rational or psi.degree != n1 * n2:
         return None
     # psi^k as a polynomial in t2 of degree < n2 with coefficients in Q(t1),
@@ -528,10 +526,7 @@ def _select_root(factors, interval_fn, refine_fn):
         lo, hi = interval_fn()
         counts = [_count_closed(f, lo, hi) for f in factors]
         if sum(counts) == 1:
-            hit = factors[counts.index(1)]
-            if polys.degree(hit) == 1:
-                return AlgReal(Fraction(-hit[0], hit[1]))
-            return AlgReal._make(hit, (lo, hi))
+            return AlgReal._make(factors[counts.index(1)], (lo, hi))
         refine_fn()
     raise InternalConsistencyError("root selection did not converge")
 
@@ -561,32 +556,35 @@ def _one_field(a, b):
     return common
 
 
+def _sum_interval(i, j):
+    return (i[0] + j[0], i[1] + j[1])
+
+
+def _prod_interval(i, j):
+    prods = (i[0] * j[0], i[0] * j[1], i[1] * j[0], i[1] * j[1])
+    return (min(prods), max(prods))
+
+
+def _composed_root(cand_fn, a, b, interval_fn):
+    """a + b or a * b, for cand_fn polys.cand_sum or polys.cand_prod and
+    interval_fn the matching interval operation: the root of the factor of
+    the composed candidate that the operands' intervals bracket."""
+    _check_cand_degree(a.degree * b.degree)
+    ma, mb = a.min_poly, b.min_poly
+    return _select_root(polys.composed_factors(cand_fn(ma, mb), ma, mb),
+                        lambda: interval_fn(a.interval, b.interval),
+                        lambda: (a.refine(), b.refine()))
+
+
 def add(a, b):
     a, b = as_algreal(a), as_algreal(b)
     if a.is_rational and b.is_rational:
         return AlgReal(a.as_rational() + b.as_rational())
-    if a.is_rational:
-        a, b = b, a
-    if b.is_rational:
-        r = b.as_rational()
-        if r == 0:
-            return a
-        theta, g = _gen(a)
-        return _image(AlgReal._over(theta, polys.add(g, (r,))), a,
-                      lambda p: polys.compose_shift(p, r),
-                      lambda lo, hi: (lo + r, hi + r))
     common = _one_field(a, b)
     if common is not None:
         theta, ga, gb = common
         return AlgReal._over(theta, polys.add(ga, gb))
-    _check_cand_degree(a.degree * b.degree)
-    cand = polys.cand_sum(a.min_poly, b.min_poly)
-
-    def interval_fn():
-        return (a.interval[0] + b.interval[0], a.interval[1] + b.interval[1])
-
-    return _select_root(polys.composed_factors(cand, a.min_poly, b.min_poly),
-                        interval_fn, lambda: (a.refine(), b.refine()))
+    return _composed_root(polys.cand_sum, a, b, _sum_interval)
 
 
 def neg(a):
@@ -594,44 +592,29 @@ def neg(a):
     if a.is_rational:
         return AlgReal(-a.as_rational())
     theta, g = _gen(a)
-    return _image(AlgReal._over(theta, tuple(-c for c in g)), a,
-                  polys.compose_neg, lambda lo, hi: (-hi, -lo))
+    return AlgReal._over(theta, tuple(-c for c in g))
 
 
 def sub(a, b):
-    return add(as_algreal(a), neg(b))
+    a, b = as_algreal(a), as_algreal(b)
+    if a.is_rational and b.is_rational:
+        return AlgReal(a.as_rational() - b.as_rational())
+    common = _one_field(a, b)
+    if common is not None:
+        theta, ga, gb = common
+        return AlgReal._over(theta, polys.sub(ga, gb))
+    return _composed_root(polys.cand_sum, a, neg(b), _sum_interval)
 
 
 def mul(a, b):
     a, b = as_algreal(a), as_algreal(b)
     if a.is_rational and b.is_rational:
         return AlgReal(a.as_rational() * b.as_rational())
-    if a.is_rational:
-        a, b = b, a
-    if b.is_rational:
-        r = b.as_rational()
-        if r == 0:
-            return AlgReal(0)
-        if r == 1:
-            return a
-        theta, g = _gen(a)
-        return _image(AlgReal._over(theta, tuple(r * c for c in g)), a,
-                      lambda p: polys.compose_scale(p, r),
-                      lambda lo, hi: (lo * r, hi * r) if r > 0 else (hi * r, lo * r))
     common = _one_field(a, b)
     if common is not None:
         theta, ga, gb = common
         return AlgReal._over(theta, polys.mulmod(ga, gb, theta.min_poly))
-    _check_cand_degree(a.degree * b.degree)
-    factors = polys.composed_factors(polys.cand_prod(a.min_poly, b.min_poly),
-                                     a.min_poly, b.min_poly)
-
-    def interval_fn():
-        (alo, ahi), (blo, bhi) = a.interval, b.interval
-        prods = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
-        return (min(prods), max(prods))
-
-    return _select_root(factors, interval_fn, lambda: (a.refine(), b.refine()))
+    return _composed_root(polys.cand_prod, a, b, _prod_interval)
 
 
 def _invert(a):
@@ -641,22 +624,7 @@ def _invert(a):
             raise DivisionByZeroError("division by zero")
         return AlgReal(1 / r)
     theta, g = _gen(a)
-    return _image(AlgReal._over(theta, polys.invmod(g, theta.min_poly)), a,
-                  polys.compose_invert,
-                  lambda lo, hi: (1 / hi, 1 / lo) if lo > 0 or hi < 0 else None)
-
-
-def _image(v, a, poly_fn, interval_fn):
-    """v, the image of a under x -> x + r, -x, r*x or 1/x, with its minimal
-    polynomial and isolating interval filled in when a has them: poly_fn
-    transforms a's polynomial and interval_fn maps a's interval (or gives
-    None, as 1/x does for one holding 0), so no root selection is needed."""
-    r = a._root
-    if r is not None and v._root is None:
-        iv = interval_fn(*r[1])
-        if iv is not None:
-            v._root = AlgReal._make(poly_fn(r[0]), iv)._root
-    return v
+    return AlgReal._over(theta, polys.invmod(g, theta.min_poly))
 
 
 def div(a, b):

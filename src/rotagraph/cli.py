@@ -15,7 +15,7 @@ from . import elliptic, expr, graph, isometry
 from .algebraic import (
     AlgReal, EQUAL, LESS, compare, rational_angle_witness, real_roots, to_float,
 )
-from .errors import BoundExceededError, ParseError, RotagraphError
+from .errors import BoundExceededError, OutOfRangeError, ParseError, RotagraphError
 
 #: the largest --approx BITS: rendering costs about BITS bisections of each
 #: value's interval
@@ -209,6 +209,8 @@ def cmd_iso_check_orthogonal(args):
 
 
 def cmd_iso_sample_edges(args):
+    if args.count < 0:
+        raise OutOfRangeError(f"--count must not be negative, got {args.count}")
     m = _parse_matrix(args.matrix)
     cos_l = elliptic.as_dist_cos(expr.parse(args.cos_l))
     rng = random.Random(args.seed)

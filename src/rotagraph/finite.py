@@ -21,6 +21,7 @@ import struct
 from .errors import (
     BoundExceededError,
     InternalConsistencyError,
+    OutOfRangeError,
     ParseError,
     PreconditionError,
 )
@@ -823,6 +824,8 @@ def census(n_max):
     one), bipartiteness, and Cauchy-Frobenius integrality of every
     automorphism group encountered.  Every verdict is certified, so the
     `unverified` fields read 0 and false."""
+    if n_max < 0:
+        raise OutOfRangeError(f"census size must not be negative, got {n_max}")
     if n_max > MAX_CENSUS_VERTICES:
         raise BoundExceededError(f"census bound is {MAX_CENSUS_VERTICES}")
     graphs = []

@@ -17,7 +17,7 @@ from .elliptic import (
     _BASIS, _cross, _dot, _lifts_nonneg, _rotate, _vsub, as_dist_cos, dist_cos,
     make_point,
 )
-from .errors import InternalConsistencyError, PreconditionError
+from .errors import InternalConsistencyError, ParseError, PreconditionError
 
 _ZERO = AlgReal(0)
 _ONE = AlgReal(1)
@@ -141,36 +141,26 @@ def _shifted(m, lam):
         for i in range(3))
 
 
-def _char_coeffs(m):
-    """Exact (trace, second symmetric function, determinant) of m, so the
-    characteristic polynomial is x^3 - tr x^2 + s2 x - det."""
-    return m.trace(), _minor2_sum(m), m.det()
+def _is_eigenvalue(tr, s2, det, lam):
+    """Whether lam = +-1 is an eigenvalue of the map with characteristic
+    polynomial x^3 - tr x^2 + s2 x - det: det(m - lam I) = det - s2 lam +
+    tr lam^2 - lam^3, which is det - s2 lam + tr - lam."""
+    return add(sub(det, mul(lam, s2)), sub(tr, lam)).sign() == 0
 
 
-def _integer_char_poly(tr, s2, det):
-    """Integer characteristic polynomial when the three coefficients are
-    all rational, else None."""
-    if not (tr.is_rational and s2.is_rational and det.is_rational):
-        return None
-    tr, s2, det = tr.as_rational(), s2.as_rational(), det.as_rational()
-    den = lcm(tr.denominator, s2.denominator, det.denominator)
-    coeffs = (int(-det * den), int(s2 * den), int(-tr * den), den)
-    return polys.primitive(coeffs)
+def _real_eigenvalues(tr, s2, det):
+    """Real eigenvalues, in increasing order and exactly, of a map with
+    characteristic polynomial x^3 - tr x^2 + s2 x - det.
 
-
-def _real_eigenvalues(m):
-    """Real eigenvalues of m in increasing order, exactly.
-
-    Rational characteristic coefficients go through the integer cubic; for
-    irrational coefficients only the orthogonal candidates +-1 are tried
-    (the real spectrum of an orthogonal map is contained in {+-1})."""
-    ip = _integer_char_poly(*_char_coeffs(m))
-    if ip is not None:
-        return real_roots(ip)
-    out = []
-    for lam in (AlgReal(-1), _ONE):
-        if LinearMap(_shifted(m, lam)).det().sign() == 0:
-            out.append(lam)
+    Rational coefficients go through the integer cubic; for irrational
+    coefficients only the orthogonal candidates +-1 are tried (the real
+    spectrum of an orthogonal map is contained in {+-1})."""
+    if tr.is_rational and s2.is_rational and det.is_rational:
+        tr, s2, det = tr.as_rational(), s2.as_rational(), det.as_rational()
+        den = lcm(tr.denominator, s2.denominator, det.denominator)
+        return real_roots(polys.primitive(
+            (int(-det * den), int(s2 * den), int(-tr * den), den)))
+    out = [lam for lam in (AlgReal(-1), _ONE) if _is_eigenvalue(tr, s2, det, lam)]
     if out:
         return out
     raise InternalConsistencyError(
@@ -186,12 +176,14 @@ def fixed_point(m):
     axis); otherwise the smallest real eigenvalue is used.  Deterministic,
     since the kernel vector is.
     """
-    if m.det().sign() == 0:
+    tr, s2, det = m.trace(), _minor2_sum(m), m.det()
+    if det.sign() == 0:
         raise PreconditionError("fixed points are computed for invertible maps")
-    shifted_one = _shifted(m, _ONE)
-    if LinearMap(shifted_one).det().sign() == 0 and is_orthogonal(m):
-        return make_point(*_kernel_vector(shifted_one))
-    return make_point(*_kernel_vector(_shifted(m, _real_eigenvalues(m)[0])))
+    if _is_eigenvalue(tr, s2, det, _ONE) and is_orthogonal(m):
+        lam = _ONE
+    else:
+        lam = _real_eigenvalues(tr, s2, det)[0]
+    return make_point(*_kernel_vector(_shifted(m, lam)))
 
 
 def preserves_edges_on_sample(m, cos_l, pairs):
@@ -262,4 +254,6 @@ def matrix_to_json(m):
 
 
 def matrix_from_json(rows):
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+        raise ParseError("a matrix is a JSON list of rows, each a list")
     return LinearMap([[expr.from_json(v) for v in row] for row in rows])

@@ -571,39 +571,6 @@ def irreducible_factors(c):
     return factor_int(c)
 
 
-def compose_neg(c):
-    """Minimal-polynomial transform for x -> -x (primitive, lead > 0)."""
-    return primitive(tuple(v if i % 2 == 0 else -v for i, v in enumerate(c)))
-
-
-def compose_invert(c):
-    """Transform for x -> 1/x (0 must not be a root)."""
-    return primitive(tuple(reversed(c)))
-
-
-def compose_shift(c, r):
-    """Minimal-polynomial transform for the value a + r, r = s/t rational.
-
-    Returns t^n * p(x - s/t) = sum_i c_i * t^(n-i) * (t*x - s)^i, computed
-    by Horner over the integers.
-    """
-    s, t = r.numerator, r.denominator
-    u = (-s, t)
-    acc = (c[-1],)
-    tpow = 1
-    for coef in reversed(c[:-1]):
-        tpow *= t
-        acc = add(mul(acc, u), (coef * tpow,))
-    return primitive(acc)
-
-
-def compose_scale(c, r):
-    """Transform for x -> x / r, r = s/t nonzero rational."""
-    s, t = r.numerator, r.denominator
-    n = degree(c)
-    return primitive(tuple(c[i] * t ** i * s ** (n - i) for i in range(len(c))))
-
-
 # -- Sturm machinery --------------------------------------------------------
 
 @lru_cache(maxsize=CACHE_SIZE)

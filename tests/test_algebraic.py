@@ -359,29 +359,46 @@ def _cubic_pairs(rng, count):
                         for _ in range(2))
 
 
+def _check_candidate(got, op, a, b):
+    """got, a op b over one generator, equals the candidate path's value;
+    its minimal polynomial is read only after the candidate is built."""
+    if got.is_rational:
+        want = _candidate_op(op, a, b)
+        assert want.is_rational and want.as_rational() == got.as_rational()
+        return
+    want = _candidate_op(op, a, b)
+    assert got.min_poly == want.min_poly
+    assert compare(got, want) == EQUAL
+    assert got.approx(80) == want.approx(80)
+
+
 def test_same_generator_ops_match_candidate_path():
+    """Operations over one generator, and with a rational operand (whose
+    results get their minimal polynomial from traces only), against the
+    candidate path, which factorises."""
     rng = random.Random(20267)
     pairs = list(_quadratic_pairs(rng, 110)) + list(_cubic_pairs(rng, 50))
-    checked = 0
+    checked = scalar = 0
     for a, b in pairs:
         if a.is_rational or b.is_rational:
             continue
         for op, fn in (("add", add), ("mul", mul), ("div", div)):
             got = fn(a, b)
-            if got.is_rational:
-                want = _candidate_op(op, a, b)
-                assert want.is_rational and want.as_rational() == got.as_rational()
-            else:
-                assert got._tag is not None
-                want = _candidate_op(op, a, b)
-                assert got.min_poly == want.min_poly
-                assert compare(got, want) == EQUAL
-                assert got.approx(80) == want.approx(80)
+            assert got.is_rational or got._tag is not None
+            _check_candidate(got, op, a, b)
             checked += 1
         assert compare(a, b) == _compare_isolated(AlgReal._make(a.min_poly, a.interval),
                                                   AlgReal._make(b.min_poly, b.interval))
         checked += 1
-    assert checked >= 600
+        r = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
+        for got, op, x, y in ((add(a, r), "add", a, AlgReal(r)),
+                              (mul(r, a), "mul", AlgReal(r), a),
+                              (div(a, r), "div", a, AlgReal(r)),
+                              (div(r, a), "div", AlgReal(r), a),
+                              (neg(a), "mul", a, AlgReal(-1))):
+            _check_candidate(got, op, x, y)
+            scalar += 1
+    assert checked >= 600 and scalar >= 700
 
 
 def test_same_generator_ops_never_factorise(monkeypatch):
@@ -422,9 +439,10 @@ def test_value_times_its_reparse_stays_over_one_generator(monkeypatch):
 
 
 def test_value_plus_its_reparse_stays_over_one_generator(monkeypatch):
-    """The sum of the same pair takes the same step as the product: twice
-    the value over its own generator, with no composed-sum candidate and
-    no factorisation (it used to factorise the degree-9 sum)."""
+    """The sum and the difference of the same pair take the same step as
+    the product: twice the value over its own generator, and 0, with no
+    composed-sum candidate and no factorisation (each used to factorise
+    the degree-9 sum)."""
     import json
     a = add(real_roots((-2, 0, 0, 1))[0], 1)
     b = expr.from_json(json.loads(json.dumps(expr.to_expr(a))))
@@ -432,6 +450,8 @@ def test_value_plus_its_reparse_stays_over_one_generator(monkeypatch):
     calls = []
     original = polys.factor_int
     monkeypatch.setattr(polys, "factor_int", lambda c: calls.append(c) or original(c))
+    assert sub(a, b) == 0 and sub(b, a) == 0
+    assert calls == []
     got, want = add(a, b), mul(a, 2)
     assert calls == []
     assert got == want and add(b, a) == want

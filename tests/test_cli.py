@@ -213,10 +213,22 @@ def test_sigint_while_rendering():
 def test_malformed_inputs_share_one_parse_code():
     for args in (("finite", "cf", "--group", "(0 1]"),
                  ("field", "roots", "--poly", "1,x"),
-                 ("finite", "automorphisms", "--graph", '{"n": 3, "edges": [[0, 1]')):
+                 ("finite", "automorphisms", "--graph", '{"n": 3, "edges": [[0, 1]'),
+                 ("iso", "fixed-point", "--matrix", "[1,2,3]"),
+                 ("iso", "fixed-point", "--matrix", "5"),
+                 ("iso", "check-orthogonal", "--matrix", "[[1,0,0],[0,1,0],7]")):
         proc = run(*args, check=False)
         assert proc.returncode == 1 and "Traceback" not in proc.stderr, args
         assert json.loads(proc.stdout)["error"] == "parse-error", args
+
+
+def test_negative_counts_are_out_of_range():
+    for args in (("iso", "sample-edges", "--matrix", "[[1,0,0],[0,1,0],[0,0,1]]",
+                  "--cos-l", "4/5", "--count", "-1"),
+                 ("finite", "census", "--n-max", "-3")):
+        proc = run(*args, check=False)
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr, args
+        assert json.loads(proc.stdout)["error"] == "out-of-range", args
 
 
 def test_conjgraph_table_and_group_is_usage_error():
