@@ -155,8 +155,7 @@ class AlgReal:
     def as_rational(self):
         if not self.is_rational:
             raise OutOfRangeError("not a rational value")
-        p = self._root[0]
-        return Fraction(-p[0], p[1])
+        return self._root[1][0]
 
     def _bracket(self):
         """A closed interval holding the value: the isolating interval once
@@ -699,14 +698,13 @@ def sqrt_nonneg(a):
 
     def interval_fn():
         lo, hi = a.interval
-        lo = max(lo, Fraction(0))
         return (_sqrt_lower(lo, state["bits"]), _sqrt_upper(hi, state["bits"]))
 
     def refine_fn():
         a.refine()
         state["bits"] += 8
 
-    # make sure the interval starts at a positive lower endpoint
+    # a positive lower endpoint, which refining keeps, is all the bracket needs
     while a.interval[0] <= 0:
         a.refine()
     root = _select_root(polys.sqrt_factors(a.min_poly), interval_fn, refine_fn)
@@ -730,8 +728,6 @@ def _sqrt_in_field(a):
 
 
 def _sqrt_lower(f, bits):
-    if f <= 0:
-        return Fraction(0)
     scale = 1 << (2 * bits)
     return Fraction(isqrt(f.numerator * f.denominator * scale),
                     f.denominator << bits)
@@ -750,11 +746,6 @@ def real_roots(p):
     coeffs = polys.as_coeff_tuple(p)
     roots = []
     for f in polys.irreducible_factors(coeffs):
-        if polys.degree(f) == 0:
-            continue
-        if polys.degree(f) == 1:
-            roots.append(AlgReal(Fraction(-f[0], f[1])))
-            continue
         for lo, hi in polys.isolate_roots(f):
             roots.append(AlgReal._make(f, (lo, hi)))
     roots.sort(key=cmp_to_key(compare))

@@ -136,10 +136,7 @@ def _unit_canonical(v):
 def make_point(a, b, c):
     """The projective point spanned by (a, b, c) != 0.  Normalisation of
     the lift is deferred; rational lifts of exact norm 1 are recognised."""
-    v = (as_algreal(a), as_algreal(b), as_algreal(c))
-    if all(x.sign() == 0 for x in v):
-        raise ZeroVectorError("zero vector has no projective class")
-    v = _canonical_sign(v)
+    v = _canonical_sign((as_algreal(a), as_algreal(b), as_algreal(c)))
     if all(x.is_rational for x in v):
         n2 = _dot(v, v)
         if compare(n2, _ONE) == EQUAL:
@@ -281,10 +278,10 @@ def ell_n_cos(cos_l, n):
     return DistCos(v)
 
 
-def _frame_chain(o, p, cos_l, cos_a, sin_a, n):
+def _frame_chain(o, p, cos_a, sin_a, n):
     """Points R^i p, i = 0..n, for the rotation R about o by the angle with
     (cos_a, sin_a), each rotated directly from p by the angle i*a to keep
-    intermediate degrees small.  cos_l = cos d(o, p) is implied by the lifts."""
+    intermediate degrees small."""
     x = p.lift
     chain = [_unit_canonical(x)]
     ci, si = cos_a, sin_a
@@ -312,7 +309,7 @@ def construct_ell_n_witness(p, q, cos_l, n):
     ca = apex_angle_cos(cos_l)
     sa = sqrt_nonneg(sub(_ONE, mul(ca, ca)))
     for sin_a in (sa, neg(sa)):
-        chain = _frame_chain(o, p, cos_l, ca, sin_a, n)
+        chain = _frame_chain(o, p, ca, sin_a, n)
         if chain[n] == q:
             return o, chain
     raise InternalConsistencyError("no rotation orientation reaches the target")

@@ -212,7 +212,8 @@ class FiniteGraph:
     @classmethod
     def from_json(cls, obj):
         if not (isinstance(obj, dict) and _is_int(obj.get("n"))
-                and obj["n"] >= 0 and _int_lists(obj.get("edges"))):
+                and obj["n"] >= 0 and _int_lists(obj.get("edges"))
+                and all(len(e) == 2 for e in obj["edges"])):
             raise PreconditionError(
                 'a graph is {"n": count, "edges": [[i, j], ...]} with integers')
         if obj["n"] > MAX_DEGREE:

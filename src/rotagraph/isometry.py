@@ -14,8 +14,8 @@ from .algebraic import (
     AlgReal, EQUAL, add, as_algreal, compare, div, mul, neg, real_roots, sub,
 )
 from .elliptic import (
-    _BASIS, _cross, _dot, _lifts_nonneg, _rotate, _vsub, as_dist_cos, dist_cos,
-    make_point,
+    _BASIS, _cross, _dot, _lifts_nonneg, _rotate, _scale, _vsub, as_dist_cos,
+    dist_cos, make_point,
 )
 from .errors import InternalConsistencyError, ParseError, PreconditionError
 
@@ -37,29 +37,16 @@ class LinearMap:
     def __matmul__(self, other):
         if not isinstance(other, LinearMap):
             return NotImplemented
-        out = []
-        for i in range(3):
-            row = []
-            for j in range(3):
-                s = _ZERO
-                for k in range(3):
-                    s = add(s, mul(self.rows[i][k], other.rows[k][j]))
-                row.append(s)
-            out.append(row)
-        return LinearMap(out)
+        columns = tuple(zip(*other.rows))
+        return LinearMap(tuple(tuple(_dot(row, col) for col in columns)
+                               for row in self.rows))
 
     def transpose(self):
         return LinearMap(tuple(zip(*self.rows)))
 
     def det(self):
-        r = self.rows
-        return add(
-            sub(
-                mul(r[0][0], sub(mul(r[1][1], r[2][2]), mul(r[1][2], r[2][1]))),
-                mul(r[0][1], sub(mul(r[1][0], r[2][2]), mul(r[1][2], r[2][0]))),
-            ),
-            mul(r[0][2], sub(mul(r[1][0], r[2][1]), mul(r[1][1], r[2][0]))),
-        )
+        r0, r1, r2 = self.rows
+        return _dot(r0, _cross(r1, r2))
 
     def trace(self):
         return add(add(self.rows[0][0], self.rows[1][1]), self.rows[2][2])
@@ -163,9 +150,9 @@ def _real_eigenvalues(tr, s2, det):
     out = [lam for lam in (AlgReal(-1), _ONE) if _is_eigenvalue(tr, s2, det, lam)]
     if out:
         return out
-    raise InternalConsistencyError(
-        "real eigenvalue extraction needs rational characteristic "
-        "coefficients or an orthogonal map")
+    raise PreconditionError(
+        "fixed points of maps with irrational characteristic coefficients "
+        "are computed only when +1 or -1 is an eigenvalue")
 
 
 def fixed_point(m):
@@ -234,15 +221,8 @@ def orthogonal_sending(p, q):
     n2 = _dot(w, w)
     if n2.sign() == 0:
         return identity()
-    rows = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            v = neg(div(mul(mul(2, w[i]), w[j]), n2))
-            if i == j:
-                v = add(v, _ONE)
-            row.append(v)
-        rows.append(row)
+    # row i of I - 2 w w^T / <w, w> is e_i - (2 w_i / <w, w>) w
+    rows = [_vsub(e, _scale(w, div(mul(2, wi), n2))) for e, wi in zip(_BASIS, w)]
     m = LinearMap(rows)
     if apply(m, p) != q:
         raise InternalConsistencyError("reflection missed its target")

@@ -632,11 +632,11 @@ def root_bound(c):
 
 
 def isolate_roots(c):
-    """Isolating intervals for all real roots of squarefree c with no
-    rational root (an irreducible polynomial of degree >= 2), by bisection.
+    """Isolating intervals for all real roots of an irreducible polynomial
+    c, by bisection.
 
     Returns ascending disjoint (lo, hi) pairs, one root per interval; no
-    endpoint is a root, since every endpoint is rational.
+    endpoint is a root (a linear c keeps the first interval (-B, B)).
     """
     c = primitive(c)
     out = []

@@ -144,7 +144,7 @@ def _float_ladder_cos(c, n):
 def _ladder_endpoint(p, n):
     ca = ep.apex_angle_cos(COS45)
     sa = sqrt_nonneg(sub(AlgReal(1), mul(ca, ca)))
-    return ep._frame_chain(E3, p, ep.as_dist_cos(COS45), ca, sa, n)[n]
+    return ep._frame_chain(E3, p, ca, sa, n)[n]
 
 
 def test_criterion_6_ladder_simulation_witnesses_distinctness():

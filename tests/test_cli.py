@@ -125,7 +125,9 @@ def test_finite_non_integer_entries_are_preconditions():
                   "--g1", "1", "--g3", "0"],
                  ["automorphisms", "--graph", '{"n": 3, "edges": [[0, "1"]]}'],
                  ["automorphisms", "--graph", '{"n": 3, "edges": [[0, 1.0]]}'],
-                 ["bipartite", "--graph", '{"n": true, "edges": []}']):
+                 ["bipartite", "--graph", '{"n": true, "edges": []}'],
+                 ["automorphisms", "--graph", '{"n": 2, "edges": [[0, 1, 2]]}'],
+                 ["automorphisms", "--graph", '{"n": 2, "edges": [[0]]}']):
         proc = run("finite", *argv, check=False)
         assert proc.returncode == 1 and "Traceback" not in proc.stderr
         assert json.loads(proc.stdout)["error"] == "precondition"
@@ -322,3 +324,24 @@ def test_output_too_long_to_print_is_bound_exceeded():
     # parses, but the 6000-digit product is past Python's int-to-str limit
     nines = "9" * 3000
     _fails_fast(("field", "eval", "--expr", f"{nines}*{nines}"), "bound-exceeded")
+
+
+def test_sample_edges_count_budget():
+    _fails_fast(("iso", "sample-edges", "--matrix", "[[1,0,0],[0,1,0],[0,0,1]]",
+                 "--cos-l", "4/5", "--count", "1000000000"), "bound-exceeded")
+
+
+def test_bad_cycle_token_names_the_notation():
+    proc = run("finite", "cf", "--group", "(0 x)", check=False)
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout) == {"error": "parse-error",
+                                       "detail": "bad cycle notation: '(0 x)'"}
+
+
+def test_fixed_point_outside_the_eigenvalue_cases_is_a_precondition():
+    # invertible, irrational characteristic coefficients, neither +1 nor -1
+    # an eigenvalue: a domain limit, not a broken invariant
+    proc = run("iso", "fixed-point", "--matrix",
+               '[["sqrt(2)",0,0],[0,2,0],[0,0,3]]', check=False)
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["error"] == "precondition"

@@ -170,7 +170,7 @@ def test_ell_n_witness_round_trip():
 def _chain_endpoint(p, n):
     ca = ep.apex_angle_cos(COS45)
     sa = sqrt_nonneg(sub(AlgReal(1), mul(ca, ca)))
-    return ep._frame_chain(E3, p, COS45, ca, sa, n)[n]
+    return ep._frame_chain(E3, p, ca, sa, n)[n]
 
 
 def test_witness_rejects_wrong_distance():

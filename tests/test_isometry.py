@@ -10,7 +10,9 @@ import pytest
 
 from rotagraph import elliptic as ep
 from rotagraph import isometry as iso
-from rotagraph.algebraic import AlgReal, EQUAL, compare, div, sqrt_nonneg
+from rotagraph.algebraic import (
+    AlgReal, EQUAL, add, compare, div, mul, neg, sqrt_nonneg, sub,
+)
 from rotagraph.errors import PreconditionError
 
 E1 = ep.make_point(1, 0, 0)
@@ -50,6 +52,23 @@ def test_fixed_point_integer_matrix_cbrt2():
     x, y, _ = p.raw_lift
     lam = div(y, x)
     assert lam.min_poly == (-2, 0, 0, 1)
+
+
+def test_fixed_point_improper_rotation_with_irrational_entries():
+    # reflection through the plane normal to the axis a, times the rotation
+    # about a by pi/6: trace sqrt(3) - 1 is irrational, and the only real
+    # eigenvalue is -1, on a itself
+    a = (Fraction(1, 3), Fraction(2, 3), Fraction(2, 3))
+    axis = ep.make_point(*a)
+    reflect = iso.LinearMap([[int(i == j) - 2 * a[i] * a[j] for j in range(3)]
+                             for i in range(3)])
+    m = reflect @ iso.rotation_about(axis, div(sqrt_nonneg(AlgReal(3)), AlgReal(2)),
+                                     Fraction(1, 2))
+    assert not m.trace().is_rational
+    p = iso.fixed_point(m)
+    assert p == axis
+    img = m.apply_lift(p.raw_lift)
+    assert all(compare(x, neg(y)) == EQUAL for x, y in zip(img, p.raw_lift))
 
 
 def test_fixed_point_random_integer_matrices():
@@ -127,11 +146,10 @@ def test_elliptic_imports_without_isometry():
 
 # The heavy imports a cold call does without: sympy on the first
 # factorisation no certificate spared, mpmath for --approx decimals.  The
-# finite-group module loads with finite commands only; it needs neither.
+# finite-group module needs neither, so the CLI imports it at the top.
 DEFERRED_IMPORTS = {
     ("polys", "factor_int", "import sympy"),
     ("cli", "_approx_str", "import mpmath"),
-    ("cli", "_finite", "from . import finite"),
 }
 
 
@@ -284,3 +302,79 @@ def test_matrix_json_round_trip():
     m2 = iso.matrix_from_json(iso.matrix_to_json(m))
     assert all(compare(x, y) == EQUAL
                for ra, rb in zip(m.rows, m2.rows) for x, y in zip(ra, rb))
+
+
+# The matrix algebra LinearMap and orthogonal_sending had before they were
+# built from elliptic's vector helpers, kept as oracles for them.
+
+def _cofactor_det(r):
+    return add(
+        sub(
+            mul(r[0][0], sub(mul(r[1][1], r[2][2]), mul(r[1][2], r[2][1]))),
+            mul(r[0][1], sub(mul(r[1][0], r[2][2]), mul(r[1][2], r[2][0]))),
+        ),
+        mul(r[0][2], sub(mul(r[1][0], r[2][1]), mul(r[1][1], r[2][0]))),
+    )
+
+
+def _triple_loop_product(a, b):
+    out = []
+    for i in range(3):
+        row = []
+        for j in range(3):
+            s = AlgReal(0)
+            for k in range(3):
+                s = add(s, mul(a[i][k], b[k][j]))
+            row.append(s)
+        out.append(row)
+    return out
+
+
+def _entrywise_householder(p, q):
+    x, y, _ = ep._lifts_nonneg(p, q)
+    w = ep._vsub(x, y)
+    n2 = ep._dot(w, w)
+    return [[add(neg(div(mul(mul(2, w[i]), w[j]), n2)), AlgReal(int(i == j)))
+             for j in range(3)] for i in range(3)]
+
+
+def _same_rows(got, want):
+    return all(compare(x, y) == EQUAL for rg, rw in zip(got, want)
+               for x, y in zip(rg, rw))
+
+
+S3 = sqrt_nonneg(AlgReal(3))
+
+
+def _seeded_matrices(seed):
+    """Rational matrices, then matrices over Q(sqrt 3)."""
+    rng = random.Random(seed)
+    for _ in range(6):
+        yield iso.LinearMap([[Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                              for _ in range(3)] for _ in range(3)])
+    for _ in range(6):
+        yield iso.LinearMap([[add(rng.randint(-4, 4), mul(rng.randint(-4, 4), S3))
+                              for _ in range(3)] for _ in range(3)])
+
+
+def test_det_matches_cofactor_expansion():
+    for m in _seeded_matrices(31):
+        assert compare(m.det(), _cofactor_det(m.rows)) == EQUAL
+
+
+def test_product_matches_triple_loop():
+    ms = list(_seeded_matrices(37))
+    for a, b in zip(ms, ms[1:] + ms[:1]):
+        assert _same_rows((a @ b).rows, _triple_loop_product(a.rows, b.rows))
+
+
+def test_orthogonal_sending_matches_entrywise_householder():
+    rng = random.Random(41)
+    turn = iso.rotation_about(ep.make_point(2, 3, 6), div(S3, AlgReal(2)),
+                              Fraction(1, 2))
+    for k in range(8):
+        p, q = ep.random_rational_point(rng), ep.random_rational_point(rng)
+        if k % 2:   # unit lifts over Q(sqrt 3)
+            p, q = iso.apply(turn, p), iso.apply(turn, q)
+        assert _same_rows(iso.orthogonal_sending(p, q).rows,
+                          _entrywise_householder(p, q))
