@@ -80,9 +80,6 @@ class AlgReal:
     __slots__ = ("_root", "_tag", "_embeds")
 
     def __init__(self, value=0):
-        if isinstance(value, AlgReal):
-            self._root, self._tag, self._embeds = value._root, value._tag, value._embeds
-            return
         r = Fraction(value)
         self._root = ((-r.numerator, r.denominator), (r, r), 0)
         self._tag = None
@@ -523,18 +520,11 @@ def _select_root(factors, interval_fn, refine_fn):
     tightly with each refine_fn)."""
     for _ in range(20000):
         lo, hi = interval_fn()
-        counts = [_count_closed(f, lo, hi) for f in factors]
+        counts = [polys.count_roots_halfopen(f, lo, hi) for f in factors]
         if sum(counts) == 1:
             return AlgReal._make(factors[counts.index(1)], (lo, hi))
         refine_fn()
     raise InternalConsistencyError("root selection did not converge")
-
-
-def _count_closed(f, lo, hi):
-    if polys.degree(f) == 1:
-        r = Fraction(-f[0], f[1])
-        return 1 if lo <= r <= hi else 0
-    return polys.count_roots_halfopen(f, lo, hi)
 
 
 def _check_cand_degree(n):
@@ -627,10 +617,7 @@ def _invert(a):
 
 
 def div(a, b):
-    a, b = as_algreal(a), as_algreal(b)
-    if b.sign() == 0:
-        raise DivisionByZeroError("division by zero")
-    return mul(a, _invert(b))
+    return mul(a, _invert(as_algreal(b)))
 
 
 def compare(a, b):

@@ -10,7 +10,6 @@ import random
 import re
 import signal
 import sys
-from fractions import Fraction
 
 from . import elliptic, expr, finite, graph, isometry
 from .algebraic import (
@@ -45,8 +44,6 @@ def _render(obj, bits):
         return _render(obj.value, bits)
     if isinstance(obj, AlgReal):
         return expr.to_expr(obj)
-    if isinstance(obj, Fraction):
-        return expr.to_expr(AlgReal(obj))
     if isinstance(obj, dict):
         out = {}
         for k, v in obj.items():
@@ -108,11 +105,11 @@ def _parse_graph(text):
 
 
 def _parse_finite_group(args):
-    if getattr(args, "table", None):
+    if args.table:
         return finite.FiniteGroup(json.loads(args.table))
-    if getattr(args, "group", None):
+    if args.group:
         return finite.FiniteGroup.from_permutations(
-            list(_parse_group(args.group, getattr(args, "degree", None)).generators))
+            list(_parse_group(args.group, args.degree).generators))
     raise ParseError("supply --table or --group")
 
 
@@ -141,7 +138,11 @@ def cmd_field_compare(args):
 
 
 def cmd_field_roots(args):
-    coeffs = tuple(int(c) for c in args.poly.split(","))
+    try:
+        coeffs = tuple(int(c) for c in args.poly.split(","))
+    except ValueError:
+        raise ParseError(f"bad coefficient list {args.poly!r}: expected "
+                         "comma-separated integers") from None
     return {"roots": real_roots(coeffs)}
 
 
@@ -336,7 +337,7 @@ def _build_parser():
         return p
 
     req = {"required": True}
-    field = ap_field = top.add_parser("field").add_subparsers(dest="cmd", required=True)
+    field = top.add_parser("field").add_subparsers(dest="cmd", required=True)
     sub(field, "eval", cmd_field_eval, expr={**req})
     sub(field, "compare", cmd_field_compare, a={**req}, b={**req})
     sub(field, "roots", cmd_field_roots,
@@ -397,15 +398,9 @@ def main(argv=None):
     # restore interruptibility even when spawned with SIGINT ignored
     _on_sigint(signal.default_int_handler)
     ap = _build_parser()
-    args = ap.parse_args(argv)
     # the shared flags use SUPPRESS defaults so they work on either side of
-    # the subcommand; fill in the real defaults here
-    if not hasattr(args, "pretty"):
-        args.pretty = False
-    if not hasattr(args, "seed"):
-        args.seed = 0
-    if not hasattr(args, "approx"):
-        args.approx = None
+    # the subcommand; the namespace holds their real defaults
+    args = ap.parse_args(argv, argparse.Namespace(pretty=False, seed=0, approx=None))
     if args.approx is not None and args.approx < 0:
         ap.error(f"approximation BITS must not be negative, got {args.approx}")
     # SIGINT before the answer is rendered cancels it (exit 130); once the

@@ -19,6 +19,7 @@ from .errors import (
     InfeasibleError,
     InternalConsistencyError,
     OutOfRangeError,
+    ParseError,
     PreconditionError,
     ZeroVectorError,
 )
@@ -341,8 +342,9 @@ def point_to_json(p):
 
 
 def point_from_json(obj):
-    return make_point(expr.from_json(obj["x"]), expr.from_json(obj["y"]),
-                      expr.from_json(obj["z"]))
+    if not isinstance(obj, dict) or not {"x", "y", "z"} <= obj.keys():
+        raise ParseError(f"a point needs keys x, y and z, got {obj!r}")
+    return make_point(*(expr.from_json(obj[k]) for k in "xyz"))
 
 
 @lru_cache(maxsize=1)

@@ -109,7 +109,8 @@ class _Parser:
             return AlgReal.from_root(coeffs, index)
         if t is not None and t.isdigit():
             return AlgReal(Fraction(self.parse_int()))
-        raise ParseError(f"unexpected token {t!r}")
+        # at the end of the input, next() raises its own message
+        raise ParseError(f"unexpected token {self.next()!r}")
 
     def parse_int(self):
         sign = 1

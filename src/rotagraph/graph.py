@@ -6,8 +6,9 @@ d_G(p, q) = ceil(d(p, q) / l) away from the trivial cases, certified here
 by Chebyshev comparisons on cosines, never by floating arccos.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
-from itertools import pairwise
+from itertools import islice, pairwise
 
 from .algebraic import (
     AlgReal, EQUAL, GREATER, LESS, MAX_STEPS,
@@ -174,30 +175,27 @@ def choose_ell_for_diameter(k, should_stop=None):
     apex angle an irrational multiple of pi.
 
     The cosines of diameter k form an interval (cos(pi/(2(k-1))),
-    cos(pi/(2k))], since the diameter grows with c.  A Stern-Brocot descent
-    into it meets its smallest-denominator fraction first: the mediant of
-    the current bounds goes right when it is not strict or its diameter is
-    below k, and left when it is above.  `should_stop`, when given, is
-    polled between mediants and aborts the search by returning True.
+    cos(pi/(2k))] about pi^2/(4k^3) wide, where consecutive n/(n+1) lie
+    only about pi^4/(64k^4) apart: its smallest-denominator fraction is
+    n/(n+1) for the least n with T_0, ..., T_{k-1} all positive there
+    (diameter at least k), found by bisection over n < k^2.  `should_stop`,
+    when given, is polled before each probe and aborts the search by
+    returning True.
     """
     if k < 3:
         raise OutOfRangeError("diameter targets below 3 are not in the strict regime")
     if k > MAX_STEPS:
         raise BoundExceededError(f"diameter {k} exceeds the step budget {MAX_STEPS}")
-    lo, hi = (0, 1), (1, 1)
-    while True:
+
+    def reaches(n):
         if should_stop is not None and should_stop():
             raise SearchExhaustedError("search cancelled")
-        mid = (lo[0] + hi[0], lo[1] + hi[1])
-        c = AlgReal(Fraction(*mid))
-        spec = GraphSpec(c)
-        d = diameter(spec)[0] if spec.strict else 0
-        if d < k:
-            lo = mid
-        elif d > k:
-            hi = mid
-        elif is_rational_angle(div(c, c + _ONE)):
-            raise SearchExhaustedError(
-                "no rational edge cosine found for this diameter")
-        else:
-            return spec
+        return all(t.sign() > 0 for t in islice(chebyshev_values(Fraction(n, n + 1)), k))
+
+    n = bisect_left(range(k * k), True, key=reaches)
+    spec = GraphSpec(Fraction(n, n + 1))
+    c = spec.cos_l.value
+    if diameter(spec)[0] != k or is_rational_angle(div(c, c + _ONE)):
+        raise SearchExhaustedError(
+            "no rational edge cosine found for this diameter")
+    return spec

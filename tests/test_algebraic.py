@@ -74,6 +74,12 @@ def test_field_axioms_randomized():
 def test_division_by_zero():
     with pytest.raises(DivisionByZeroError):
         div(SQRT2, AlgReal(0))
+    with pytest.raises(DivisionByZeroError):
+        div(1, 0)
+    # a zero computed over a generator comes back rational
+    assert sub(SQRT2, SQRT2).is_rational
+    with pytest.raises(DivisionByZeroError):
+        div(SQRT2, sub(SQRT2, SQRT2))
 
 
 def test_sqrt_of_square_round_trip():

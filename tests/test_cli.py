@@ -345,3 +345,45 @@ def test_fixed_point_outside_the_eigenvalue_cases_is_a_precondition():
                '[["sqrt(2)",0,0],[0,2,0],[0,0,3]]', check=False)
     assert proc.returncode == 1 and "Traceback" not in proc.stderr
     assert json.loads(proc.stdout)["error"] == "precondition"
+
+
+def test_exact_stdout_of_edge_choose_ell_and_check_orthogonal():
+    rot = '[["1/3","2/3","2/3"],["2/3","1/3","-2/3"],["-2/3","2/3","-1/3"]]'
+    for args, want in (
+            (("graph", "edge", "--p", "1,0,0", "--q", "4/5,3/5,0", "--cos-l", "4/5"),
+             '{"edge": true}'),
+            (("graph", "edge", "--p", "1,0,0", "--q", "0,1,0", "--cos-l", "4/5"),
+             '{"edge": false}'),
+            (("graph", "choose-ell", "--diameter", "30"),
+             '{"cos_l": "681/682", "diameter": 30, "certificate": {"k": 30, '
+             '"upper": "T_30(cos l) <= 0", "lower": "T_29(cos l) > 0"}}'),
+            (("iso", "check-orthogonal", "--matrix", rot),
+             '{"orthogonal": true, "det": "1"}'),
+            (("iso", "check-orthogonal", "--matrix", "[[1,2,0],[0,1,3],[1,0,1]]"),
+             '{"orthogonal": false, "det": "7"}')):
+        assert run(*args).stdout == want + "\n", args
+
+
+def test_graph_path_of_length_zero_and_one():
+    e1 = '{"x": "1", "y": "0", "z": "0"}'
+    for q, want in (("1,0,0", '{"length": 0, "path": [%s], "verified": true}' % e1),
+                    ("4/5,3/5,0", '{"length": 1, "path": [%s, {"x": "4/5", '
+                     '"y": "3/5", "z": "0"}], "verified": true}' % e1)):
+        out = run("graph", "path", "--p", "1,0,0", "--q", q, "--cos-l", "4/5").stdout
+        assert out == want + "\n", q
+
+
+def test_parse_error_details_name_the_input():
+    for args, detail in (
+            (("plane", "dist", "--p", '{"x": 1}', "--q", "1,0,0"),
+             "a point needs keys x, y and z, got {'x': 1}"),
+            (("field", "roots", "--poly", ""),
+             "bad coefficient list '': expected comma-separated integers"),
+            (("field", "roots", "--poly", "1,a"),
+             "bad coefficient list '1,a': expected comma-separated integers"),
+            (("field", "roots", "--poly", "1,,2"),
+             "bad coefficient list '1,,2': expected comma-separated integers"),
+            (("field", "eval", "--expr", ""), "unexpected end of expression")):
+        proc = run(*args, check=False)
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr, args
+        assert json.loads(proc.stdout) == {"error": "parse-error", "detail": detail}, args

@@ -140,6 +140,36 @@ def test_choose_ell_for_diameter_30_in_budget():
     assert gr.diameter(spec)[0] == 30
 
 
+def _stern_brocot_choose_ell(k):
+    """The former search, kept as an oracle: a Stern-Brocot descent on
+    (0, 1) that goes right when the mediant is not strict or its diameter
+    is below k, and left when it is above."""
+    lo, hi = (0, 1), (1, 1)
+    while True:
+        mid = (lo[0] + hi[0], lo[1] + hi[1])
+        spec = gr.GraphSpec(Fraction(*mid))
+        d = gr.diameter(spec)[0] if spec.strict else 0
+        if d < k:
+            lo = mid
+        elif d > k:
+            hi = mid
+        else:
+            return Fraction(*mid)
+
+
+def test_choose_ell_matches_stern_brocot_descent():
+    for k in range(3, 25):
+        assert gr.choose_ell_for_diameter(k).cos_l.value == _stern_brocot_choose_ell(k), k
+
+
+def test_choose_ell_for_diameter_64_in_budget():
+    start = time.monotonic()
+    spec = gr.choose_ell_for_diameter(64)
+    assert time.monotonic() - start < 1
+    assert spec.cos_l.value == Fraction(3217, 3218)
+    assert gr.diameter(spec)[0] == 64
+
+
 def test_step_budget():
     start = time.monotonic()
     with pytest.raises(BoundExceededError):
