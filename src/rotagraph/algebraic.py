@@ -16,8 +16,10 @@ subfields as t = h(psi) (embeddings, each checked exactly before it is
 kept): a square root records the generator of its radicand's field (a
 tower), and an operation across two unrelated fields records both in the
 primitive element psi = t1 + t2 of their compositum when that has full
-degree (Loos, "Computing in algebraic extensions", 1982).  Values whose
-generators are linked by these records meet over the larger generator.
+degree (Loos, "Computing in algebraic extensions", 1982).  Each of t1 and
+t2 also remembers the last compositum it was joined into, so the same pair
+meets over one psi.  Values whose generators are linked by these records
+meet over the larger generator.
 A tagged value builds its minimal polynomial and isolating interval only
 when asked for them (printing, hashing, a square root, an operation across
 fields), from the characteristic polynomial of g(theta), with no
@@ -35,16 +37,17 @@ in polys shows them irreducible (Capelli's theorem for x^2 - a, full
 degree of a compositum read mod small primes, Musser's test); in the
 geometry all of them fire.
 
-Values are immutable.  The isolating interval may be tightened in place and
-a tagged value's minimal polynomial filled in on first use; both are
-semantically invisible and written in one attribute, so values are safe to
-share between threads.
+Values are immutable.  The isolating interval may be tightened in place,
+a tagged value's minimal polynomial filled in on first use and a
+generator's last compositum remembered; each is semantically invisible and
+written in one attribute, so values are safe to share between threads (a
+lost write costs a rebuild).
 """
 
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from itertools import islice
-from math import gcd, isqrt, lcm, prod
+from math import ceil, gcd, isqrt, lcm, prod
 
 from . import polys
 from .errors import (
@@ -76,14 +79,17 @@ class AlgReal:
     # _root: (min_poly, isolating interval, sign of min_poly at its lower
     # end), None until a tagged value needs it; _tag: (theta, g) or None;
     # _embeds: on a generator psi, pairs (t, h) of older generators with
-    # t = h(psi), each checked exactly when recorded (see _record)
-    __slots__ = ("_root", "_tag", "_embeds")
+    # t = h(psi), each checked exactly when recorded (see _record); _joined:
+    # on a generator, (partner, psi) for the last compositum psi it and
+    # partner were joined into (see _join), else (None, None)
+    __slots__ = ("_root", "_tag", "_embeds", "_joined")
 
     def __init__(self, value=0):
         r = Fraction(value)
         self._root = ((-r.numerator, r.denominator), (r, r), 0)
         self._tag = None
         self._embeds = ()
+        self._joined = (None, None)
 
     @classmethod
     def _make(cls, min_poly, interval):
@@ -98,6 +104,7 @@ class AlgReal:
         self._root = (min_poly, (lo, hi), s)
         self._tag = None
         self._embeds = ()
+        self._joined = (None, None)
         return self
 
     @classmethod
@@ -112,6 +119,7 @@ class AlgReal:
         self._root = None
         self._tag = (theta, g)
         self._embeds = ()
+        self._joined = (None, None)
         return self
 
     @classmethod
@@ -406,7 +414,10 @@ def _record(psi, embeds):
     """Give the new generator psi its embeddings (t, h) after checking each
     exactly: m_t(h(x)) reduces to 0 modulo m_psi, so h(psi) is a root of
     m_t, and h(psi) lies inside t's isolating interval, which holds no other
-    root of m_t, so h(psi) = t."""
+    root of m_t, so h(psi) = t.  An enclosure of h(psi) not yet inside
+    halves psi's interval k times, k the bit length of its width over that
+    of t's interval, rounded up: about log2 of that ratio enclosures in all,
+    not one per halving."""
     m = psi.min_poly
     for t, h in embeds:
         if polys.compose_mod(t.min_poly, h, m):
@@ -418,7 +429,8 @@ def _record(psi, embeds):
                 break
             if ehi < lo or hi < elo:
                 raise InternalConsistencyError("embedding is another root")
-            psi.refine()
+            for _ in range(ceil((ehi - elo) / (hi - lo)).bit_length()):
+                psi.refine()
         else:
             raise InternalConsistencyError("embedding check did not converge")
     psi._embeds = tuple(embeds)
@@ -486,28 +498,39 @@ def _join(a, b):
     other field, and polys.full_degree reads it mod small primes; two
     fields of one higher degree are often one field reached twice (a value
     and its re-parsed print), where factorising psi's candidate would be
-    wasted.  Its candidate is certified irreducible where it can be."""
+    wasted.  Its candidate is certified irreducible where it can be.  Each
+    of t1 and t2 remembers the last psi it was joined into, so joining the
+    same pair again, in either order, builds nothing."""
     (t1, ga), (t2, gb) = _gen(a), _gen(b)
-    m1, m2 = t1.min_poly, t2.min_poly
-    n1, n2 = len(m1) - 1, len(m2) - 1
-    if n1 * n2 > _MAX_CAND_DEGREE or (min(n1, n2) > 2 and gcd(n1, n2) > 1
-                                       and not polys.full_degree(m1, m2)):
-        return None
-    psi = _composed_root(polys.cand_sum, t1, t2, _sum_interval)
-    if psi.is_rational or psi.degree != n1 * n2:
-        return None
-    # psi^k as a polynomial in t2 of degree < n2 with coefficients in Q(t1),
-    # flattened to coordinates over t1^i * t2^j (t1 at index 1); times psi
-    # is t1 * v plus t2 * v, whose t2^n2 term m2 reduces
-    powers, v = [], [(Fraction(1),)] + [()] * (n2 - 1)
-    for _ in range(n1 * n2):
-        powers.append([c for coeff in v for c in _pad(coeff, n1)])
-        top = tuple(-u / m2[-1] for u in v[-1])
-        v = [polys.add(polys.mulmod(cur, _X, m1), polys.add(low, [c * u for u in top]))
-             for cur, low, c in zip(v, [()] + v[:-1], m2)]
-    h1 = _solve(powers)
-    h2 = polys.sub(_X, h1)
-    _record(psi, ((t1, h1), (t2, h2)))
+    for s, t in ((t1, t2), (t2, t1)):
+        partner, psi = s._joined
+        if partner is t:
+            break
+    else:
+        m1, m2 = t1.min_poly, t2.min_poly
+        n1, n2 = len(m1) - 1, len(m2) - 1
+        if n1 * n2 > _MAX_CAND_DEGREE or (min(n1, n2) > 2 and gcd(n1, n2) > 1
+                                           and not polys.full_degree(m1, m2)):
+            return None
+        psi = _composed_root(polys.cand_sum, t1, t2, _sum_interval)
+        if psi.is_rational or psi.degree != n1 * n2:
+            return None
+        # psi^k as a polynomial in t2 of degree < n2 with coefficients in
+        # Q(t1), flattened to coordinates over t1^i * t2^j (t1 at index 1);
+        # times psi is t1 * v plus t2 * v, whose t2^n2 term m2 reduces
+        powers, v = [], [(Fraction(1),)] + [()] * (n2 - 1)
+        for _ in range(n1 * n2):
+            powers.append([c for coeff in v for c in _pad(coeff, n1)])
+            top = tuple(-u / m2[-1] for u in v[-1])
+            v = [polys.add(polys.mulmod(cur, _X, m1), polys.add(low, [c * u for u in top]))
+                 for cur, low, c in zip(v, [()] + v[:-1], m2)]
+        h1 = _solve(powers)
+        _record(psi, ((t1, h1), (t2, polys.sub(_X, h1))))
+        t1._joined = (t2, psi)
+        t2._joined = (t1, psi)
+    (u, h1), (_, h2) = psi._embeds
+    if u is not t1:     # joined before as (t2, t1)
+        h1, h2 = h2, h1
     m = psi.min_poly
     return psi, polys.compose_mod(ga, h1, m), polys.compose_mod(gb, h2, m)
 

@@ -344,6 +344,9 @@ def point_to_json(p):
 def point_from_json(obj):
     if not isinstance(obj, dict) or not {"x", "y", "z"} <= obj.keys():
         raise ParseError(f"a point needs keys x, y and z, got {obj!r}")
+    extra = ", ".join(map(repr, sorted(obj.keys() - {"x", "y", "z"})))
+    if extra:
+        raise ParseError(f"a point has keys x, y and z only, not {extra}")
     return make_point(*(expr.from_json(obj[k]) for k in "xyz"))
 
 

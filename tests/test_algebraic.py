@@ -687,23 +687,68 @@ def test_compositum_found_inside_a_field_holding_its_summands(monkeypatch):
     assert _same_value(got, _candidate_op("mul", _reparsed(big), _reparsed(small)))
 
 
-def test_towers_and_composita_shared_between_threads():
+def test_one_compositum_per_generator_pair(monkeypatch):
+    """An equidistant point at cos l = sqrt(3)/2 adds a value over Q(sqrt 3)
+    to one over a fresh quadratic gamma once per coordinate; the generators
+    remember their compositum, so one candidate is built (three without the
+    record) and all three coordinates lie over it.  Joining a pair again
+    the other way round builds nothing and swaps the embeddings back."""
+    from rotagraph import elliptic as ep
+    calls = []
+    original = polys.cand_sum
+    monkeypatch.setattr(polys, "cand_sum", lambda *a: calls.append(a) or original(*a))
+    cos_l = sqrt_nonneg(AlgReal(Fraction(3, 4)))
+    p = ep.make_point(Fraction(1, 3), Fraction(2, 3), Fraction(2, 3))
+    q = ep.make_point(Fraction(2, 7), Fraction(3, 7), Fraction(6, 7))
+    z = ep.equidistant_point(p, q, cos_l)
+    assert len(calls) == 1
+    assert len({id(_gen_of(v)) for v in z.lift}) == 1 and _gen_of(z.lift[0]).degree == 4
+    assert ep.dist_cos(z, p) == cos_l and ep.dist_cos(z, q) == cos_l
+    a = add(1, mul(2, SQRT2))
+    b = sub(Fraction(1, 3), sqrt_nonneg(AlgReal(7)))
+    calls.clear()
+    for fn in (add, sub, mul):
+        ab, ba = fn(a, b), fn(b, a)
+        assert _gen_of(ab) is _gen_of(ba)
+        if fn is sub:
+            ba = neg(ba)
+        assert (expr.to_expr(ab), ab.approx(80)) == (expr.to_expr(ba), ba.approx(80))
+    assert len(calls) == 1
+    monkeypatch.setattr(polys, "cand_sum", original)
+    for fn, op in ((add, "add"), (mul, "mul")):
+        assert _same_value(fn(b, a), _candidate_op(op, _reparsed(b), _reparsed(a)))
+
+
+def test_towers_and_composita_shared_between_threads(monkeypatch):
     """Threads that join the same shared generators, each building its own
     compositum and tower records, all see the single-threaded answers:
-    records are written once, before the new generator is returned."""
+    records are written once, before the new generator is returned, and a
+    pair joined again meets over a remembered compositum."""
     import sys
     import threading
+    calls = []
+    original = polys.cand_sum
+    monkeypatch.setattr(polys, "cand_sum",
+                        lambda *a: calls.append(threading.get_ident()) or original(*a))
 
     def build():
         s2, s3 = sqrt_nonneg(AlgReal(2)), sqrt_nonneg(AlgReal(3))
         return s2, s3, sqrt_nonneg(add(1, s2))
 
     def answers(s2, s3, g):
-        vals = (add(s2, s3), mul(g, s3), add(g, mul(s2, s3)), div(g, add(s3, g)),
+        first = add(s2, s3)
+        built = calls.count(threading.get_ident())
+        # s2 joins no other generator, so it still remembers a compositum
+        # with s3, this thread's or another's: the join again builds nothing
+        again = add(mul(2, s2), s3)
+        hit = calls.count(threading.get_ident()) == built and \
+            all(t is u for (t, _), u in zip(_gen_of(again)._embeds, (s2, s3)))
+        vals = (first, again, mul(g, s3), add(g, mul(s2, s3)), div(g, add(s3, g)),
                 sqrt_nonneg(add(s3, g)))
-        return [(v.min_poly, expr.to_expr(v), v.approx(80)) for v in vals]
+        return [hit] + [(v.min_poly, expr.to_expr(v), v.approx(80)) for v in vals]
 
     want = answers(*build())
+    assert want[0] is True
     shared, results = build(), []
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -387,3 +387,11 @@ def test_parse_error_details_name_the_input():
         proc = run(*args, check=False)
         assert proc.returncode == 1 and "Traceback" not in proc.stderr, args
         assert json.loads(proc.stdout) == {"error": "parse-error", "detail": detail}, args
+
+
+def test_point_with_an_unknown_key_is_a_parse_error():
+    proc = run("plane", "dist", "--p", '{"x": 1, "y": 0, "z": 0, "w": 9}', "--q", "1,0,0",
+               check=False)
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    assert proc.stdout == ('{"error": "parse-error", '
+                           '"detail": "a point has keys x, y and z only, not \'w\'"}\n')
