@@ -509,8 +509,7 @@ def _join(a, b):
     else:
         m1, m2 = t1.min_poly, t2.min_poly
         n1, n2 = len(m1) - 1, len(m2) - 1
-        if n1 * n2 > _MAX_CAND_DEGREE or (min(n1, n2) > 2 and gcd(n1, n2) > 1
-                                           and not polys.full_degree(m1, m2)):
+        if n1 * n2 > _MAX_CAND_DEGREE or (min(n1, n2) > 2 and not polys.full_degree(m1, m2)):
             return None
         psi = _composed_root(polys.cand_sum, t1, t2, _sum_interval)
         if psi.is_rational or psi.degree != n1 * n2:
@@ -704,23 +703,22 @@ def sqrt_nonneg(a):
             if root is not None:
                 return root
     _check_cand_degree(2 * a.degree)
-    state = {"bits": 16}
-
-    def interval_fn():
-        lo, hi = a.interval
-        return (_sqrt_lower(lo, state["bits"]), _sqrt_upper(hi, state["bits"]))
-
-    def refine_fn():
-        a.refine()
-        state["bits"] += 8
-
-    # a positive lower endpoint, which refining keeps, is all the bracket needs
-    while a.interval[0] <= 0:
-        a.refine()
-    root = _select_root(polys.sqrt_factors(a.min_poly), interval_fn, refine_fn)
-    if not a.is_rational and not root.is_rational:
+    root = _select_root(polys.sqrt_factors(a.min_poly),
+                        lambda: _sqrt_interval(a.interval), a.refine)
+    if not a.is_rational:
         _tower(root, a)
     return root
+
+
+def _sqrt_interval(interval):
+    """sqrt(max(lo, 0)) rounded down and sqrt(hi) rounded up, each to 2^-16
+    of its own denominator.  A rational radicand (a point interval) is
+    isolated at once.  An irrational one's endpoints tend to it, so their
+    denominators grow without bound, and the bracket tightens with every
+    refinement of the radicand, as _select_root needs."""
+    lo, hi = max(interval[0], 0), interval[1]
+    return (Fraction(isqrt(lo.numerator * lo.denominator << 32), lo.denominator << 16),
+            Fraction(isqrt(hi.numerator * hi.denominator << 32) + 1, hi.denominator << 16))
 
 
 def _sqrt_in_field(a):
@@ -735,18 +733,6 @@ def _sqrt_in_field(a):
             root = AlgReal._over(theta, h)
             return root if root.sign() > 0 else neg(root)
     return None
-
-
-def _sqrt_lower(f, bits):
-    scale = 1 << (2 * bits)
-    return Fraction(isqrt(f.numerator * f.denominator * scale),
-                    f.denominator << bits)
-
-
-def _sqrt_upper(f, bits):
-    scale = 1 << (2 * bits)
-    return Fraction(isqrt(f.numerator * f.denominator * scale) + 1,
-                    f.denominator << bits)
 
 
 # -- polynomial roots -------------------------------------------------------

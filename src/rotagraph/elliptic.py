@@ -190,14 +190,17 @@ def two_ball_feasible(p, q, cos_l):
 
 def equidistant_point(p, q, cos_l):
     """A point at exact distance l' (given by its cosine) from both p and q:
-    the circle intersection with equal radii."""
+    the circle intersection with equal radii, whose gamma^2 >= 0 test is
+    two_ball_feasible: at b = a it reads 1 + s >= 2a^2, i.e. s >= T_2(a),
+    and when that fails b = -a needs s <= -T_2(a) < 0 as well."""
     cos_l = as_dist_cos(cos_l)
     c = cos_l.value
     if c.sign() <= 0 or compare(c, _ONE) != LESS:
         raise OutOfRangeError("equidistant radius cosine must lie in (0, 1)")
-    if not two_ball_feasible(p, q, cos_l):
-        raise InfeasibleError("points are farther apart than twice the radius")
-    return circle_intersect(p, cos_l, q, cos_l)
+    try:
+        return circle_intersect(p, cos_l, q, cos_l)
+    except InfeasibleError:
+        raise InfeasibleError("points are farther apart than twice the radius") from None
 
 
 def circle_intersect(p, cos_r1, q, cos_r2):
@@ -217,20 +220,20 @@ def circle_intersect(p, cos_r1, q, cos_r2):
         if compare(a, cos_r2.value) != EQUAL:
             raise InfeasibleError("coincident centres with different radii")
         if compare(a, _ONE) == EQUAL:
-            return ProjPoint(x)
+            return p
         # along the great circle toward the first coordinate vector e not
         # parallel to x, with <x, e> = x_i
         e, xi = next((e, xi) for e, xi in zip(_BASIS, x)
                      if compare(mul(xi, xi), _ONE) == LESS)
         return _along(x, e, xi, a)
     sin2 = sub(_ONE, mul(s, s))
-    n = _canonical_sign(_cross(x, y))
     for b in (cos_r2.value, neg(cos_r2.value)):
         alpha = div(sub(a, mul(b, s)), sin2)
         beta = div(sub(b, mul(a, s)), sin2)
         gamma2 = div(sub(sub(_ONE, mul(alpha, a)), mul(beta, b)), sin2)
         if gamma2.sign() < 0:
             continue
+        n = _canonical_sign(_cross(x, y))
         lift = _vadd(_vadd(_scale(x, alpha), _scale(y, beta)),
                      _scale(n, sqrt_nonneg(gamma2)))
         return _unit_canonical(lift)

@@ -8,7 +8,7 @@ by Chebyshev comparisons on cosines, never by floating arccos.
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import islice, pairwise
+from itertools import islice
 
 from .algebraic import (
     AlgReal, EQUAL, GREATER, LESS, MAX_STEPS,
@@ -84,19 +84,15 @@ def graph_distance(spec, p, q):
         raise PreconditionError(
             "graph distance formula requires the strict regime l < pi/4")
     # past MAX_STEPS steps chebyshev_values raises BoundExceededError
-    for k, (tk1, tk) in enumerate(pairwise(chebyshev_values(c)), 1):
+    for k, tk in enumerate(chebyshev_values(c)):
         if k > 1 and (tk.sign() <= 0 or compare(d, tk) != LESS):
             upper = ("T_%d(cos l) <= 0" % k) if tk.sign() <= 0 \
                 else ("cos d(p, q) >= T_%d(cos l)" % k)
-            if k == 2:
-                # any distinct non-adjacent pair needs at least two steps,
-                # including pairs strictly closer than one edge length
-                lower = "p != q and d(p, q) != l"
-            else:
-                if compare(tk1, d) != GREATER:
-                    raise PreconditionError(
-                        "distance already reachable in fewer steps")
-                lower = f"T_{k-1}(cos l) > cos d(p, q)"
+            # any distinct non-adjacent pair needs at least two steps,
+            # including pairs strictly closer than one edge length; past
+            # two, step k - 1 did not return, so T_{k-1}(cos l) > cos d
+            lower = "p != q and d(p, q) != l" if k == 2 \
+                else f"T_{k-1}(cos l) > cos d(p, q)"
             return k, {"k": k, "lower": lower, "upper": upper}
 
 
@@ -148,7 +144,7 @@ def diameter(spec):
     Requires the strict regime (diameter >= 3 there)."""
     if not spec.strict:
         raise PreconditionError("diameter formula requires l < pi/4")
-    for k, (_, tk) in enumerate(pairwise(chebyshev_values(spec.cos_l.value)), 1):
+    for k, tk in enumerate(chebyshev_values(spec.cos_l.value)):
         if tk.sign() <= 0:
             return k, {
                 "k": k,

@@ -763,3 +763,60 @@ def test_towers_and_composita_shared_between_threads(monkeypatch):
     finally:
         sys.setswitchinterval(old)
     assert results == [want] * 8
+
+
+def test_sqrt_refines_its_radicand_until_one_root_is_bracketed(monkeypatch):
+    """2 + sqrt(3), isolated from 2 - sqrt(3) by a lower end c just above
+    that root with a large denominator: sqrt(c) rounded down to 2^-16 of c's
+    denominator falls below sqrt(2 - sqrt(3)), so the first bracket holds two
+    roots of x^4 - 4x^2 + 1 and the radicand is refined."""
+    def quotients():   # 2 - sqrt(3) = [0; 3, 1, 2, 1, 2, ...]
+        yield from (0, 3)
+        while True:
+            yield from (1, 2)
+    p0, q0, p, q = 0, 1, 1, 0
+    for k in quotients():
+        p0, q0, p, q = p, q, k * p + p0, k * q + q0
+        if q >= 2 ** 20 and 3 * q * q > (2 * q - p) ** 2:   # p/q > 2 - sqrt(3)
+            break
+    a = AlgReal._make((1, -4, 1), (Fraction(p, q), 4))
+    refined = []
+    original = AlgReal.refine
+    monkeypatch.setattr(AlgReal, "refine",
+                        lambda self: refined.append(self is a) or original(self))
+    root = sqrt_nonneg(a)
+    monkeypatch.setattr(AlgReal, "refine", original)
+    assert refined.count(True) >= 1
+    assert expr.to_expr(root) == "root(1,0,-4,0,1,3)"
+    assert mul(root, root) == a
+    assert _same_value(root, _fresh_sqrt(AlgReal._make((1, -4, 1), (Fraction(p, q), 4))))
+
+
+def test_sub_across_one_field_reached_twice_takes_the_candidate_path(monkeypatch):
+    """The real cube roots of 2 and 4 generate one field, which _join does
+    not look for: their difference comes from the composed candidate, and
+    is the root of x^3 + 6x + 2."""
+    from rotagraph.algebraic import _join
+    a, = real_roots((-2, 0, 0, 1))
+    b, = real_roots((-4, 0, 0, 1))
+    assert _join(a, b) is None
+    calls = []
+    original = polys.cand_sum
+    monkeypatch.setattr(polys, "cand_sum", lambda *f: calls.append(f) or original(*f))
+    d = sub(a, b)
+    assert len(calls) == 1
+    assert expr.to_expr(d) == "root(2,6,0,1,0)"
+    assert d == neg(sub(b, a))
+
+
+def test_integer_powers_and_order_comparisons():
+    assert SQRT2 ** 3 == mul(2, SQRT2)
+    assert SQRT2 ** 0 == 1
+    for n in (-1, 0.5):
+        with pytest.raises(OutOfRangeError):
+            SQRT2 ** n
+    s5 = sqrt_nonneg(AlgReal(5))
+    assert SQRT2 < SQRT3 and SQRT2 <= SQRT3 and not SQRT2 > SQRT3 and not SQRT2 >= SQRT3
+    assert s5 > add(SQRT2, Fraction(1, 2)) and s5 >= Fraction(2)
+    assert SQRT3 <= SQRT3 and SQRT3 >= sqrt_nonneg(AlgReal(3))
+    assert not SQRT3 < SQRT3 and not SQRT3 > SQRT3

@@ -320,6 +320,10 @@ def test_ladder_index_budget():
     assert run_json("plane", "ellncos", "--cos-l", "4/5", "--n", "64")["cos_ln"]
 
 
+def test_ellncos_prints_the_folded_cosine():
+    assert run_json("plane", "ellncos", "--cos-l", "1/2", "--n", "2") == {"cos_ln": "1/3"}
+
+
 def test_output_too_long_to_print_is_bound_exceeded():
     # parses, but the 6000-digit product is past Python's int-to-str limit
     nines = "9" * 3000

@@ -69,6 +69,31 @@ def test_equidistant_feasibility_boundary():
         ep.equidistant_point(E1, far, COS45)
 
 
+def test_equidistant_point_infeasible_exactly_when_two_balls_miss():
+    """The construction decides feasibility itself: it raises with the
+    two-ball detail exactly when two_ball_feasible is false, and otherwise
+    returns a point at both distances."""
+    rng = random.Random(19)
+    infeasible = 0
+    for _ in range(200):
+        p, q = ep.random_rational_point(rng), ep.random_rational_point(rng)
+        cos_r = ep.as_dist_cos(Fraction(rng.randint(1, 9), 10))
+        if ep.two_ball_feasible(p, q, cos_r):
+            z = ep.equidistant_point(p, q, cos_r)
+            assert ep.dist_cos(z, p) == cos_r and ep.dist_cos(z, q) == cos_r
+        else:
+            with pytest.raises(InfeasibleError) as err:
+                ep.equidistant_point(p, q, cos_r)
+            assert err.value.detail == "points are farther apart than twice the radius"
+            infeasible += 1
+    assert 0 < infeasible < 200
+
+
+def test_ell_n_cos_folds_a_negative_value():
+    # cos^2 l + sin^2 l * T_2(cos apex) = 1/4 - 7/12 = -1/3 at cos l = 1/2
+    assert ep.ell_n_cos(Fraction(1, 2), 2) == ep.as_dist_cos(Fraction(1, 3))
+
+
 def test_circle_intersect_unequal_radii():
     q = ep.make_point(Fraction(9, 11), Fraction(6, 11), Fraction(2, 11))
     r1, r2 = ep.as_dist_cos(Fraction(4, 5)), ep.as_dist_cos(Fraction(7, 8))
