@@ -23,13 +23,16 @@ meet over the larger generator.
 A tagged value builds its minimal polynomial and isolating interval only
 when asked for them (printing, hashing, a square root, an operation across
 fields), from the characteristic polynomial of g(theta), with no
-factorisation; that is the only way it gets one.  A rational operand is a
-constant over the other operand's generator.  Operations across fields
-that no record links and no compositum joins take the candidate polynomial
-of the result, and give an untagged value; two equal values over unrelated
-generators (a value and its re-parse) meet over the first one's generator
-instead.  A square root of a square of the field stays in it, tagged over
-the same generator.
+factorisation; that is the only way it gets one.  A rational operand is
+read once, as a Fraction: two of them take one Fraction operation, and one
+with an irrational a = g(theta) scales g's coefficients (mul) or shifts its
+constant term (add, sub, compare) over the same theta, with no search for
+a common field and no reduction modulo theta's minimal polynomial.
+Operations across fields that no record links and no compositum joins take
+the candidate polynomial of the result, and give an untagged value; two
+equal values over unrelated generators (a value and its re-parse) meet
+over the first one's generator instead.  A square root of a square of the
+field stays in it, tagged over the same generator.
 
 Candidates (square roots, composita, cross-field results) and the
 polynomials given to real_roots are factorised only when no certificate
@@ -85,7 +88,7 @@ class AlgReal:
     __slots__ = ("_root", "_tag", "_embeds", "_joined")
 
     def __init__(self, value=0):
-        r = Fraction(value)
+        r = value if type(value) is Fraction else Fraction(value)
         self._root = ((-r.numerator, r.denominator), (r, r), 0)
         self._tag = None
         self._embeds = ()
@@ -154,13 +157,13 @@ class AlgReal:
 
     @property
     def is_rational(self):
-        r = self._root
-        return r is not None and len(r[0]) == 2
+        return _rational(self) is not None
 
     def as_rational(self):
-        if not self.is_rational:
+        r = _rational(self)
+        if r is None:
             raise OutOfRangeError("not a rational value")
-        return self._root[1][0]
+        return r
 
     def _bracket(self):
         """A closed interval holding the value: the isolating interval once
@@ -263,16 +266,16 @@ class AlgReal:
         return compare(self, other) == EQUAL
 
     def __lt__(self, other):
-        return compare(self, as_algreal(other)) == LESS
+        return compare(self, other) == LESS
 
     def __le__(self, other):
-        return compare(self, as_algreal(other)) != GREATER
+        return compare(self, other) != GREATER
 
     def __gt__(self, other):
-        return compare(self, as_algreal(other)) == GREATER
+        return compare(self, other) == GREATER
 
     def __ge__(self, other):
-        return compare(self, as_algreal(other)) != LESS
+        return compare(self, other) != LESS
 
     def __hash__(self):
         if self.is_rational:
@@ -289,9 +292,17 @@ class AlgReal:
 
 
 def as_algreal(v):
+    return v if isinstance(v, AlgReal) else AlgReal(v)
+
+
+def _rational(v):
+    """The Fraction value of an operand, or None for an irrational AlgReal,
+    from one read of its root.  Whatever else as_algreal accepts is
+    rational, so no AlgReal is built for it."""
     if isinstance(v, AlgReal):
-        return v
-    return AlgReal(Fraction(v))
+        r = v._root
+        return r[1][0] if r is not None and len(r[0]) == 2 else None
+    return v if type(v) is Fraction else Fraction(v)
 
 
 def _enclose(g, interval):
@@ -338,15 +349,9 @@ def _gen(a):
 
 
 def _common(a, b):
-    """(theta, ga, gb) with a = ga(theta) and b = gb(theta), for a and b
-    not both rational; None when neither generator's field is known to
-    contain the other's."""
-    if a.is_rational:
-        theta, gb = _gen(b)
-        return theta, (a.as_rational(),), gb
-    if b.is_rational:
-        theta, ga = _gen(a)
-        return theta, ga, (b.as_rational(),)
+    """(theta, ga, gb) with a = ga(theta) and b = gb(theta), for irrational
+    a and b; None when neither generator's field is known to contain the
+    other's."""
     (ta, ga), (tb, gb) = _gen(a), _gen(b)
     if ta is tb:
         return ta, ga, gb
@@ -587,10 +592,26 @@ def _composed_root(cand_fn, a, b, interval_fn):
                         lambda: (a.refine(), b.refine()))
 
 
+def _shift(r, a):
+    """r + a for rational r and irrational a = g(theta): r added to the
+    constant term of g, over the same theta."""
+    theta, g = _gen(a)
+    return AlgReal._over(theta, (r + g[0],) + g[1:])
+
+
+def _scale(r, a):
+    """r * a for rational r and irrational a = g(theta): r*g over the same
+    theta, which needs no reduction."""
+    theta, g = _gen(a)
+    return AlgReal._over(theta, tuple(r * c for c in g))
+
+
 def add(a, b):
-    a, b = as_algreal(a), as_algreal(b)
-    if a.is_rational and b.is_rational:
-        return AlgReal(a.as_rational() + b.as_rational())
+    ra, rb = _rational(a), _rational(b)
+    if ra is not None:
+        return _shift(ra, b) if rb is None else AlgReal(ra + rb)
+    if rb is not None:
+        return _shift(rb, a)
     common = _one_field(a, b)
     if common is not None:
         theta, ga, gb = common
@@ -599,17 +620,19 @@ def add(a, b):
 
 
 def neg(a):
-    a = as_algreal(a)
-    if a.is_rational:
-        return AlgReal(-a.as_rational())
+    r = _rational(a)
+    if r is not None:
+        return AlgReal(-r)
     theta, g = _gen(a)
     return AlgReal._over(theta, tuple(-c for c in g))
 
 
 def sub(a, b):
-    a, b = as_algreal(a), as_algreal(b)
-    if a.is_rational and b.is_rational:
-        return AlgReal(a.as_rational() - b.as_rational())
+    ra, rb = _rational(a), _rational(b)
+    if ra is not None:
+        return _shift(ra, neg(b)) if rb is None else AlgReal(ra - rb)
+    if rb is not None:
+        return _shift(-rb, a)
     common = _one_field(a, b)
     if common is not None:
         theta, ga, gb = common
@@ -618,9 +641,11 @@ def sub(a, b):
 
 
 def mul(a, b):
-    a, b = as_algreal(a), as_algreal(b)
-    if a.is_rational and b.is_rational:
-        return AlgReal(a.as_rational() * b.as_rational())
+    ra, rb = _rational(a), _rational(b)
+    if ra is not None:
+        return _scale(ra, b) if rb is None else AlgReal(ra * rb)
+    if rb is not None:
+        return _scale(rb, a)
     common = _one_field(a, b)
     if common is not None:
         theta, ga, gb = common
@@ -629,8 +654,8 @@ def mul(a, b):
 
 
 def _invert(a):
-    if a.is_rational:
-        r = a.as_rational()
+    r = _rational(a)
+    if r is not None:
         if r == 0:
             raise DivisionByZeroError("division by zero")
         return AlgReal(1 / r)
@@ -639,15 +664,18 @@ def _invert(a):
 
 
 def div(a, b):
-    return mul(a, _invert(as_algreal(b)))
+    return mul(a, _invert(b))
 
 
 def compare(a, b):
     """Exact trichotomy: LESS (-1), EQUAL (0) or GREATER (1)."""
-    a, b = as_algreal(a), as_algreal(b)
-    if a.is_rational and b.is_rational:
-        ra, rb = a.as_rational(), b.as_rational()
+    ra, rb = _rational(a), _rational(b)
+    if ra is not None:
+        if rb is None:
+            return _shift(ra, neg(b)).sign()
         return EQUAL if ra == rb else (LESS if ra < rb else GREATER)
+    if rb is not None:
+        return _shift(-rb, a).sign()
     common = _common(a, b)
     if common is None:
         return _compare_isolated(a, b)

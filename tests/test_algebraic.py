@@ -820,3 +820,100 @@ def test_integer_powers_and_order_comparisons():
     assert s5 > add(SQRT2, Fraction(1, 2)) and s5 >= Fraction(2)
     assert SQRT3 <= SQRT3 and SQRT3 >= sqrt_nonneg(AlgReal(3))
     assert not SQRT3 < SQRT3 and not SQRT3 > SQRT3
+
+
+def _rational_route_oracle(op, r, x, x_first):
+    """op on rational r and irrational x = g(theta) as the field route took
+    it: r as the constant polynomial (r,) over theta, added to, subtracted
+    from or multiplied (modulo theta's minimal polynomial) with g; a
+    comparison is the sign of the difference."""
+    from rotagraph.algebraic import _gen
+    theta, g = _gen(x)
+    m, c = theta.min_poly, (Fraction(r),)
+    if op == "div":     # x / r = x * (1/r), and r / x = r * g^-1
+        op = "mul"
+        if x_first:
+            c = (1 / c[0],)
+        else:
+            g = polys.invmod(g, m)
+    a, b = (g, c) if x_first else (c, g)
+    if op == "add":
+        return AlgReal._over(theta, polys.add(a, b))
+    if op == "mul":
+        return AlgReal._over(theta, polys.mulmod(a, b, m))
+    diff = AlgReal._over(theta, polys.sub(a, b))
+    return diff if op == "sub" else diff.sign()
+
+
+def test_rational_operand_scales_or_shifts_the_other_operand(monkeypatch):
+    """A rational operand against an irrational x = g(theta) gives the value
+    over the same theta, with the same g, that the field route gave, in
+    either order and whether it arrives as an int, a Fraction or an
+    AlgReal; and it looks up no common field and reduces nothing."""
+    from rotagraph import algebraic
+    from rotagraph.algebraic import _gen
+    irrationals = (SQRT2, add(1, mul(Fraction(-2, 3), SQRT2)),
+                   sqrt_nonneg(add(1, SQRT2)), sub(mul(SQRT2, SQRT3), Fraction(1, 5)))
+    assert len({id(_gen(x)[0]) for x in irrationals}) == 3
+    rng = random.Random(20)
+    rationals = [0, 1, -1, -3, Fraction(-7, 4), Fraction(1, 2)] + \
+        [Fraction(rng.randint(-50, 50), rng.randint(1, 30)) for _ in range(4)]
+    ops = {"add": add, "sub": sub, "mul": mul, "div": div, "compare": compare}
+    calls = []
+    for owner, name in ((polys, "mulmod"), (algebraic, "_one_field"), (algebraic, "_common")):
+        monkeypatch.setattr(owner, name, lambda *a, _name=name, _fn=getattr(owner, name):
+                            calls.append(_name) or _fn(*a))
+    for x in irrationals:
+        for r in rationals:
+            for operand in (r, Fraction(r), AlgReal(r)):
+                for op, fn in ops.items():
+                    for x_first in (True, False):
+                        if op == "div" and x_first and r == 0:
+                            continue
+                        n = len(calls)
+                        got = fn(x, operand) if x_first else fn(operand, x)
+                        assert calls[n:] == [], (op, r, x_first)
+                        want = _rational_route_oracle(op, r, x, x_first)
+                        if op == "compare":
+                            assert got == want
+                        elif want.is_rational:
+                            assert got.is_rational and got.as_rational() == want.as_rational()
+                        else:
+                            (gt, gg), (wt, wg) = _gen(got), _gen(want)
+                            assert gt is wt and gg == wg, (op, r, x_first)
+                            assert expr.to_expr(got) == expr.to_expr(want)
+                            assert got.approx(80) == want.approx(80)
+
+
+def test_operands_convert_as_as_algreal_does():
+    """Every operation takes True, an int, a Fraction and a string of one,
+    against an irrational and against a rational partner, with
+    as_algreal's result; None and a malformed string raise TypeError and
+    ValueError as Fraction does."""
+    from rotagraph.algebraic import as_algreal
+    assert type(AlgReal(Fraction(3, 4)).as_rational()) is Fraction
+    assert AlgReal(Fraction(3, 4)).as_rational() == Fraction(3, 4)
+    for partner in (SQRT2, AlgReal(Fraction(2, 5))):
+        for fn in (add, sub, mul, div, compare):
+            for v in (True, 3, Fraction(3, 4), "3/4"):
+                for got, want in ((fn(v, partner), fn(as_algreal(v), partner)),
+                                  (fn(partner, v), fn(partner, as_algreal(v)))):
+                    if fn is compare:
+                        assert got == want
+                    else:
+                        assert (expr.to_expr(got), got.approx(80)) == \
+                            (expr.to_expr(want), want.approx(80))
+            for v, error in ((None, TypeError), ("x", ValueError)):
+                with pytest.raises(error):
+                    fn(v, partner)
+                with pytest.raises(error):
+                    fn(partner, v)
+        for v in (True, 3, Fraction(3, 4), "3/4"):
+            assert (partner < v, partner >= v, neg(v)) == \
+                (partner < as_algreal(v), partner >= as_algreal(v), neg(as_algreal(v)))
+        for v, error in ((None, TypeError), ("x", ValueError)):
+            with pytest.raises(error):
+                partner < v
+            with pytest.raises(error):
+                neg(v)
+            assert partner != v
