@@ -6,8 +6,10 @@ containing exactly that one real root.  Rational values use the degree-1
 polynomial ``q*x - p`` and the degenerate interval [r, r].
 
 An irrational value may instead carry a generator tag (theta, g): it is
-g(theta) for an untagged irrational theta and a tuple g of Fractions, a
-polynomial reduced modulo theta's minimal polynomial m (so deg g < deg m).
+g(theta) for an untagged irrational theta and an element g = (n, d) of
+Q[x]/(m), m theta's minimal polynomial: integer numerators n of degree
+below deg m over one positive denominator d, in the one canonical form of
+polys (so equal elements are equal pairs).
 Every irrational value lies over a generator, its tag's or else itself.
 Values over one generator add, multiply, divide and compare as polynomials
 modulo m (Cohen, GTM 138, ch. 4), with the arithmetic of polys, and so do
@@ -23,11 +25,16 @@ meet over the larger generator.
 A tagged value builds its minimal polynomial and isolating interval only
 when asked for them (printing, hashing, a square root, an operation across
 fields), from the characteristic polynomial of g(theta), with no
-factorisation; that is the only way it gets one.  A rational operand is
-read once, as a Fraction: two of them take one Fraction operation, and one
-with an irrational a = g(theta) scales g's coefficients (mul) or shifts its
-constant term (add, sub, compare) over the same theta, with no search for
-a common field and no reduction modulo theta's minimal polynomial.
+factorisation; that is the only way it gets one.  A rational operand p/q
+is read once, as the integers (-p, q) of its root: two of them take
+integer arithmetic and one Fraction for the result, and one with an
+irrational a = g(theta) scales g's numerators (mul) or shifts its constant
+term (add, sub, compare) over the same theta, with no search for a common
+field and no reduction modulo theta's minimal polynomial.  A sum of
+products (dot) sums rational operands in integers over one denominator,
+with one Fraction at the end, and when every irrational operand lies over
+one generator it sums the integer products over one denominator and
+reduces once modulo m.
 Operations across fields that no record links and no compositum joins take
 the candidate polynomial of the result, and give an untagged value; two
 equal values over unrelated generators (a value and its re-parse) meet
@@ -48,7 +55,7 @@ lost write costs a rebuild).
 """
 
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
+from functools import cmp_to_key, lru_cache, reduce
 from itertools import islice
 from math import ceil, gcd, isqrt, lcm, prod
 
@@ -73,7 +80,7 @@ _MAX_CAND_DEGREE = 256
 MAX_STEPS = 64
 
 # g for a generator over itself: the polynomial x
-_X = (Fraction(0), Fraction(1))
+_X = ((0, 1), 1)
 
 
 class AlgReal:
@@ -89,7 +96,8 @@ class AlgReal:
 
     def __init__(self, value=0):
         r = value if type(value) is Fraction else Fraction(value)
-        self._root = ((-r.numerator, r.denominator), (r, r), 0)
+        p, q = r.as_integer_ratio()
+        self._root = ((-p, q), (r, r), 0)
         self._tag = None
         self._embeds = ()
         self._joined = (None, None)
@@ -112,10 +120,11 @@ class AlgReal:
 
     @classmethod
     def _over(cls, theta, g):
-        """g(theta) for g reduced modulo theta's minimal polynomial."""
-        g = polys.normalize(g)
-        if len(g) <= 1:
-            return cls(g[0] if g else 0)
+        """g(theta) for an element g reduced modulo theta's minimal
+        polynomial."""
+        n, d = g
+        if len(n) <= 1:
+            return cls(Fraction(n[0], d) if n else 0)
         if g == _X:
             return theta
         self = object.__new__(cls)
@@ -184,7 +193,8 @@ class AlgReal:
         p, (lo, hi), s = r
         if len(p) == 2:
             return
-        mid = (lo + hi) / 2
+        (a, b), (c, d) = lo.as_integer_ratio(), hi.as_integer_ratio()
+        mid = Fraction(a * d + c * b, 2 * b * d)
         v = polys.sign_at(p, mid)
         if v == 0:
             raise InternalConsistencyError("rational root of irreducible poly")
@@ -192,11 +202,16 @@ class AlgReal:
 
     def sign(self):
         """Exact sign in {-1, 0, 1}."""
-        if self.is_rational:
-            r = self.as_rational()
-            return 0 if r == 0 else (1 if r > 0 else -1)
+        r = _ratio(self)
+        if r is not None:       # the sign of p = -r[0]
+            return (r[0] < 0) - (r[0] > 0)
         while True:  # an irrational value is never zero
-            lo, hi = self._bracket()
+            r = self._root
+            if r is None:   # g's range over theta's interval, over a scale > 0
+                theta, g = self._tag
+                lo, hi, _ = _range(g, theta._root[1])
+            else:
+                lo, hi = r[1]
             if lo > 0:
                 return 1
             if hi < 0:
@@ -207,8 +222,9 @@ class AlgReal:
         """The greatest multiple of 2**-bits not above the value (rationals
         exactly), so the result depends on the value alone, not on how far
         the interval happens to be refined (the ``to_float`` contract)."""
-        if self.is_rational:
-            return self.as_rational()
+        r = _rational(self)
+        if r is not None:
+            return r
         scale = 1 << bits
         while True:
             lo, hi = self._bracket()
@@ -278,16 +294,16 @@ class AlgReal:
         return compare(self, other) != LESS
 
     def __hash__(self):
-        if self.is_rational:
-            return hash(self.as_rational())
-        return hash(self.min_poly)
+        r = _rational(self)
+        return hash(self.min_poly) if r is None else hash(r)
 
     def __float__(self):
         return float(self.approx(60))
 
     def __repr__(self):
-        if self.is_rational:
-            return f"AlgReal({self.as_rational()})"
+        r = _rational(self)
+        if r is not None:
+            return f"AlgReal({r})"
         return f"AlgReal(deg {self.degree}, ~{float(self):.12g})"
 
 
@@ -295,34 +311,47 @@ def as_algreal(v):
     return v if isinstance(v, AlgReal) else AlgReal(v)
 
 
-def _rational(v):
-    """The Fraction value of an operand, or None for an irrational AlgReal,
-    from one read of its root.  Whatever else as_algreal accepts is
-    rational, so no AlgReal is built for it."""
-    if isinstance(v, AlgReal):
-        r = v._root
-        return r[1][0] if r is not None and len(r[0]) == 2 else None
-    return v if type(v) is Fraction else Fraction(v)
+def _rational(a):
+    """The Fraction value of the AlgReal a, or None when it is irrational,
+    from one read of its root."""
+    r = a._root
+    return r[1][0] if r is not None and len(r[0]) == 2 else None
+
+
+def _ratio(v):
+    """The minimal polynomial (-p, q) of a rational operand v = p/q, q > 0,
+    from one read of its root, with no Fraction for an AlgReal; None for an
+    irrational AlgReal.  Whatever else as_algreal accepts is rational."""
+    if not isinstance(v, AlgReal):
+        v = as_algreal(v)
+    r = v._root
+    return r[0] if r is not None and len(r[0]) == 2 else None
+
+
+def _range(g, interval):
+    """(glo, ghi, scale): g(t) lies in [glo, ghi] / scale for every t in
+    `interval`, by Horner's rule in exact interval arithmetic, in integers:
+    with interval = [a, b] / d and g = (n, den) of degree k, [glo, ghi] is
+    the range of n(t) * d^k over it, and scale = den * d^k."""
+    (a, da), (b, db) = interval[0].as_integer_ratio(), interval[1].as_integer_ratio()
+    d = lcm(da, db)
+    a, b = a * (d // da), b * (d // db)
+    n, scale = g
+    glo = ghi = n[-1]
+    dk = 1
+    for c in reversed(n[:-1]):
+        dk *= d
+        prods = (glo * a, glo * b, ghi * a, ghi * b)
+        glo, ghi = min(prods) + c * dk, max(prods) + c * dk
+    return glo, ghi, scale * dk
 
 
 def _enclose(g, interval):
-    """A closed interval holding g(t) for every t in `interval`, by Horner's
-    rule in exact interval arithmetic, rounded outward to multiples of a
-    power of two below its width: that keeps the endpoints' denominators
-    small (Sturm counts evaluate whole chains there) and the width within
-    twice the exact one.  Integers throughout: with interval = [a, b] / d
-    and g = G / D, the range of G(t) * d^n over it is [glo, ghi]."""
-    lo, hi = interval
-    d = lcm(lo.denominator, hi.denominator)
-    a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
-    den = lcm(*(c.denominator for c in g))
-    glo = ghi = g[-1].numerator * (den // g[-1].denominator)
-    scale = den
-    for c in reversed(g[:-1]):
-        scale *= d
-        prods = (glo * a, glo * b, ghi * a, ghi * b)
-        shift = c.numerator * (scale // c.denominator)
-        glo, ghi = min(prods) + shift, max(prods) + shift
+    """A closed interval holding g(t) for every t in `interval`: _range
+    rounded outward to multiples of a power of two below its width, which
+    keeps the endpoints' denominators small (Sturm counts evaluate whole
+    chains there) and the width within twice the exact one."""
+    glo, ghi, scale = _range(g, interval)
     k = max(scale.bit_length() - (ghi - glo).bit_length() + 1, 0)
     return (Fraction((glo << k) // scale, 1 << k),
             Fraction(-((-ghi << k) // scale), 1 << k))
@@ -384,7 +413,7 @@ def _reach(psi, t):
                 stack.append((u, path + ((k, s),)))
     parts = [_reach(psi, u) for u, _ in _summands(t)]
     if parts and None not in parts:
-        return polys.add(*parts)
+        return polys.qadd(*parts)
     return None
 
 
@@ -392,7 +421,7 @@ def _summands(t):
     """The generators t1, t2 of a compositum t = t1 + t2: its two recorded
     embeddings, whose polynomials then add up to x; else ()."""
     e = t._embeds
-    return e if len(e) == 2 and polys.add(e[0][1], e[1][1]) == _X else ()
+    return e if len(e) == 2 and polys.qadd(e[0][1], e[1][1]) == _X else ()
 
 
 def _embed(t, theta):
@@ -407,9 +436,9 @@ def _embed(t, theta):
             return None
         # 2*c2*x + c1 = sigma*sqrt(D) for a root x of c0 + c1*x + c2*x^2,
         # sigma the sign of the derivative there, which is -sign_lo; and
-        # sqrt(dp) = (k / dm) * sqrt(dm)
-        f = Fraction(t._root[2] * theta._root[2] * k, dm)
-        return ((f * m[1] - p[1]) / (2 * p[2]), f * m[2] / p[2])
+        # sqrt(dp) = (f / dm) * sqrt(dm)
+        f = t._root[2] * theta._root[2] * k
+        return polys.qpoly((f * m[1] - p[1] * dm, 2 * f * m[2]), 2 * p[2] * dm)
     if p == m and _compare_isolated(t, theta) == EQUAL:
         return _X
     return None
@@ -425,7 +454,7 @@ def _record(psi, embeds):
     not one per halving."""
     m = psi.min_poly
     for t, h in embeds:
-        if polys.compose_mod(t.min_poly, h, m):
+        if polys.compose_mod((t.min_poly, 1), h, m)[0]:
             raise InternalConsistencyError("embedding is not a root of the minimal polynomial")
         lo, hi = t.interval
         for _ in range(20000):
@@ -443,15 +472,14 @@ def _record(psi, embeds):
 
 def _solve(columns):
     """The polynomial sum_k c_k * y^k equal to x, from the coordinates
-    columns[k] of y^k in a basis of the field whose entry 1 is x: the c_k
-    with sum_k c_k * columns[k] = e_1, by fraction-free Gauss-Jordan
-    elimination (Bareiss) on the columns scaled to integers.  Each entry
-    stays an integer minor, so every division is exact, and the rows end
-    as (det * e_k | det * c_k / scale_k)."""
+    columns[k] = (n_k, d_k), integers n_k over one denominator d_k, of y^k in
+    a basis of the field whose entry 1 is x: the c_k with
+    sum_k c_k * n_k / d_k = e_1, by fraction-free Gauss-Jordan elimination
+    (Bareiss) on the integer columns n_k.  Each entry stays an integer
+    minor, so every division is exact, and the rows end as
+    (det * e_k | det * c_k / d_k)."""
     n = len(columns)
-    scale = [lcm(*(Fraction(v).denominator for v in col)) for col in columns]
-    rows = [[int(col[r] * d) for col, d in zip(columns, scale)] + [int(r == 1)]
-            for r in range(n)]
+    rows = [[col[r] for col, _ in columns] + [int(r == 1)] for r in range(n)]
     prev = 1
     for k in range(n):
         p = next((r for r in range(k, n) if rows[r][k]), None)
@@ -464,11 +492,11 @@ def _solve(columns):
                 f = rows[r][k]
                 rows[r] = [(pk * u - f * v) // prev for u, v in zip(rows[r], piv)]
         prev = pk
-    return polys.normalize(Fraction(row[n] * d, prev) for row, d in zip(rows, scale))
+    return polys.qpoly([row[n] * d for row, (_, d) in zip(rows, columns)], prev)
 
 
-def _pad(g, n):
-    return tuple(g) + (Fraction(0),) * (n - len(g))
+def _pad(c, n):
+    return c + (0,) * (n - len(c))
 
 
 def _tower(root, a):
@@ -480,15 +508,16 @@ def _tower(root, a):
     n = len(m) - 1
     if a.degree != n:
         return
-    if len(g) == 2:
-        H = (-g[0] / g[1], 1 / g[1])
+    c, d = g
+    if len(c) == 2:     # a = (c0 + c1 theta) / d
+        H = polys.qpoly((-c[0], d), c[1])
     else:
-        powers, y = [], (Fraction(1),)
+        powers, y = [], ((1,), 1)
         for _ in range(n):
-            powers.append(_pad(y, n))
+            powers.append((_pad(y[0], n), y[1]))
             y = polys.mulmod(y, g, m)
         H = _solve(powers)
-    square = (Fraction(0), Fraction(0), Fraction(1))
+    square = ((0, 0, 1), 1)
     _record(root, ((theta, polys.compose_mod(H, square, root.min_poly)),))
 
 
@@ -520,16 +549,19 @@ def _join(a, b):
         if psi.is_rational or psi.degree != n1 * n2:
             return None
         # psi^k as a polynomial in t2 of degree < n2 with coefficients in
-        # Q(t1), flattened to coordinates over t1^i * t2^j (t1 at index 1);
-        # times psi is t1 * v plus t2 * v, whose t2^n2 term m2 reduces
-        powers, v = [], [(Fraction(1),)] + [()] * (n2 - 1)
+        # Q(t1), flattened to coordinates over t1^i * t2^j (t1 at index 1)
+        # over one denominator; times psi is t1 * v plus t2 * v, whose t2^n2
+        # term m2 reduces
+        zero = ((), 1)
+        powers, v = [], [((1,), 1)] + [zero] * (n2 - 1)
         for _ in range(n1 * n2):
-            powers.append([c for coeff in v for c in _pad(coeff, n1)])
-            top = tuple(-u / m2[-1] for u in v[-1])
-            v = [polys.add(polys.mulmod(cur, _X, m1), polys.add(low, [c * u for u in top]))
-                 for cur, low, c in zip(v, [()] + v[:-1], m2)]
+            den = lcm(*(d for _, d in v))
+            powers.append(([c * (den // d) for num, d in v for c in _pad(num, n1)], den))
+            top = polys.qpoly([-u for u in v[-1][0]], v[-1][1] * m2[-1])
+            v = [polys.qadd(polys.mulmod(cur, _X, m1), polys.qadd(low, polys.qscale(top, c)))
+                 for cur, low, c in zip(v, [zero] + v[:-1], m2)]
         h1 = _solve(powers)
-        _record(psi, ((t1, h1), (t2, polys.sub(_X, h1))))
+        _record(psi, ((t1, h1), (t2, polys.qsub(_X, h1))))
         t1._joined = (t2, psi)
         t2._joined = (t1, psi)
     (u, h1), (_, h2) = psi._embeds
@@ -592,58 +624,66 @@ def _composed_root(cand_fn, a, b, interval_fn):
                         lambda: (a.refine(), b.refine()))
 
 
+# A rational operand p/q below is read as its minimal polynomial (-p, q)
+# (_ratio), so a sum of two is -(a0*b1 + b0*a1) / (a1*b1), a product
+# a0*b0 / (a1*b1), and so on, with one Fraction built for the result.
+
 def _shift(r, a):
-    """r + a for rational r and irrational a = g(theta): r added to the
-    constant term of g, over the same theta."""
+    """r + a for rational r = (-p, q) and irrational a = g(theta): p/q
+    added to the constant term of g, over the same theta."""
     theta, g = _gen(a)
-    return AlgReal._over(theta, (r + g[0],) + g[1:])
+    return AlgReal._over(theta, polys.qadd(g, ((-r[0],), r[1])))
 
 
 def _scale(r, a):
-    """r * a for rational r and irrational a = g(theta): r*g over the same
-    theta, which needs no reduction."""
+    """r * a for rational r = (-p, q) and irrational a = g(theta): p/q * g
+    over the same theta, which needs no reduction."""
     theta, g = _gen(a)
-    return AlgReal._over(theta, tuple(r * c for c in g))
+    return AlgReal._over(theta, polys.qscale(g, -r[0], r[1]))
 
 
 def add(a, b):
-    ra, rb = _rational(a), _rational(b)
+    ra, rb = _ratio(a), _ratio(b)
     if ra is not None:
-        return _shift(ra, b) if rb is None else AlgReal(ra + rb)
+        if rb is None:
+            return _shift(ra, b)
+        return AlgReal(Fraction(-(ra[0] * rb[1] + rb[0] * ra[1]), ra[1] * rb[1]))
     if rb is not None:
         return _shift(rb, a)
     common = _one_field(a, b)
     if common is not None:
         theta, ga, gb = common
-        return AlgReal._over(theta, polys.add(ga, gb))
+        return AlgReal._over(theta, polys.qadd(ga, gb))
     return _composed_root(polys.cand_sum, a, b, _sum_interval)
 
 
 def neg(a):
-    r = _rational(a)
+    r = _ratio(a)
     if r is not None:
-        return AlgReal(-r)
-    theta, g = _gen(a)
-    return AlgReal._over(theta, tuple(-c for c in g))
+        return AlgReal(Fraction(r[0], r[1]))
+    theta, (n, d) = _gen(a)
+    return AlgReal._over(theta, (tuple(-c for c in n), d))
 
 
 def sub(a, b):
-    ra, rb = _rational(a), _rational(b)
+    ra, rb = _ratio(a), _ratio(b)
     if ra is not None:
-        return _shift(ra, neg(b)) if rb is None else AlgReal(ra - rb)
+        if rb is None:
+            return _shift(ra, neg(b))
+        return AlgReal(Fraction(rb[0] * ra[1] - ra[0] * rb[1], ra[1] * rb[1]))
     if rb is not None:
-        return _shift(-rb, a)
+        return _shift((-rb[0], rb[1]), a)
     common = _one_field(a, b)
     if common is not None:
         theta, ga, gb = common
-        return AlgReal._over(theta, polys.sub(ga, gb))
+        return AlgReal._over(theta, polys.qsub(ga, gb))
     return _composed_root(polys.cand_sum, a, neg(b), _sum_interval)
 
 
 def mul(a, b):
-    ra, rb = _rational(a), _rational(b)
+    ra, rb = _ratio(a), _ratio(b)
     if ra is not None:
-        return _scale(ra, b) if rb is None else AlgReal(ra * rb)
+        return _scale(ra, b) if rb is None else AlgReal(Fraction(ra[0] * rb[0], ra[1] * rb[1]))
     if rb is not None:
         return _scale(rb, a)
     common = _one_field(a, b)
@@ -654,11 +694,11 @@ def mul(a, b):
 
 
 def _invert(a):
-    r = _rational(a)
+    r = _ratio(a)
     if r is not None:
-        if r == 0:
+        if r[0] == 0:
             raise DivisionByZeroError("division by zero")
-        return AlgReal(1 / r)
+        return AlgReal(Fraction(r[1], -r[0]))
     theta, g = _gen(a)
     return AlgReal._over(theta, polys.invmod(g, theta.min_poly))
 
@@ -669,18 +709,62 @@ def div(a, b):
 
 def compare(a, b):
     """Exact trichotomy: LESS (-1), EQUAL (0) or GREATER (1)."""
-    ra, rb = _rational(a), _rational(b)
+    ra, rb = _ratio(a), _ratio(b)
     if ra is not None:
         if rb is None:
             return _shift(ra, neg(b)).sign()
-        return EQUAL if ra == rb else (LESS if ra < rb else GREATER)
+        d = rb[0] * ra[1] - ra[0] * rb[1]
+        return (d > 0) - (d < 0)
     if rb is not None:
-        return _shift(-rb, a).sign()
+        return _shift((-rb[0], rb[1]), a).sign()
     common = _common(a, b)
     if common is None:
         return _compare_isolated(a, b)
     theta, ga, gb = common
-    return AlgReal._over(theta, polys.sub(ga, gb)).sign()
+    return AlgReal._over(theta, polys.qsub(ga, gb)).sign()
+
+
+def _element(v):
+    """(theta, g) with v = g(theta), as _gen gives, for irrational v; for
+    rational v, (None, g) with g the constant element."""
+    r = _ratio(v)
+    if r is None:
+        return v._tag or (v, _X)
+    return None, ((-r[0],) if r[0] else (), r[1])
+
+
+def dot(xs, ys):
+    """sum_i xs[i] * ys[i], the value the add/mul chain gives.  Rational
+    operands are summed in integers over one denominator, with one Fraction
+    at the end; when every irrational operand lies over one generator
+    theta, the integer products are summed over one denominator and reduced
+    once modulo theta's minimal polynomial (polys.dotmod); else the
+    chain."""
+    num, den = 0, 1
+    for x, y in zip(xs, ys):
+        rx, ry = _ratio(x), _ratio(y)
+        if rx is None or ry is None:
+            return _field_dot(xs, ys)
+        p, q = rx[0] * ry[0], rx[1] * ry[1]     # (-p1)(-p2) / (q1 q2)
+        if q != den:
+            g = gcd(q, den)
+            num, p, den = num * (q // g), p * (den // g), den * (q // g)
+        num += p
+    return AlgReal(Fraction(num, den))
+
+
+def _field_dot(xs, ys):
+    """dot when some operand is irrational."""
+    theta, gs = None, []
+    for v in (*xs, *ys):
+        t, g = _element(v)
+        if t is not None and t is not theta:
+            if theta is not None:
+                return reduce(add, map(mul, xs, ys))
+            theta = t
+        gs.append(g)
+    n = len(xs)
+    return AlgReal._over(theta, polys.dotmod(gs[:n], gs[n:], theta.min_poly))
 
 
 def _compare_isolated(a, b):

@@ -75,10 +75,15 @@ def _run(args):
         return _dumps({"error": "parse-error", "detail": str(e)}, args), 1
 
 
+def _json(text):
+    """JSON input, its integers read as expression literals are."""
+    return json.loads(text, parse_int=expr.read_int)
+
+
 def _parse_point(text):
     text = text.strip()
     if text.startswith("{"):
-        return elliptic.point_from_json(json.loads(text))
+        return elliptic.point_from_json(_json(text))
     parts = text.split(",")
     if len(parts) != 3:
         raise ParseError("a point is JSON {x,y,z} or a comma triple")
@@ -86,7 +91,7 @@ def _parse_point(text):
 
 
 def _parse_matrix(text):
-    return isometry.matrix_from_json(json.loads(text))
+    return isometry.matrix_from_json(_json(text))
 
 
 def _parse_group(text, degree=None):
@@ -95,18 +100,18 @@ def _parse_group(text, degree=None):
     if not parts:
         raise ParseError("empty generator list")
     if degree is None:
-        degree = 1 + max(map(int, re.findall(r"\d+", text)), default=0)
+        degree = 1 + max(map(expr.read_int, re.findall(r"\d+", text)), default=0)
     gens = [finite.Permutation.from_cycles(p, degree) for p in parts]
     return finite.PermGroup(degree, gens)
 
 
 def _parse_graph(text):
-    return finite.FiniteGraph.from_json(json.loads(text))
+    return finite.FiniteGraph.from_json(_json(text))
 
 
 def _parse_finite_group(args):
     if args.table:
-        return finite.FiniteGroup(json.loads(args.table))
+        return finite.FiniteGroup(_json(args.table))
     if args.group:
         return finite.FiniteGroup.from_permutations(
             list(_parse_group(args.group, args.degree).generators))
@@ -139,7 +144,7 @@ def cmd_field_compare(args):
 
 def cmd_field_roots(args):
     try:
-        coeffs = tuple(int(c) for c in args.poly.split(","))
+        coeffs = tuple(expr.read_int(c) for c in args.poly.split(","))
     except ValueError:
         raise ParseError(f"bad coefficient list {args.poly!r}: expected "
                          "comma-separated integers") from None

@@ -13,7 +13,7 @@ from math import gcd, isqrt
 from . import expr
 from .algebraic import (
     AlgReal, EQUAL, GREATER, LESS,
-    add, as_algreal, chebyshev_T, compare, div, mul, neg, sqrt_nonneg, sub,
+    add, as_algreal, chebyshev_T, compare, div, dot, mul, neg, sqrt_nonneg, sub,
 )
 from .errors import (
     InfeasibleError,
@@ -95,8 +95,7 @@ def as_dist_cos(v):
     return v if isinstance(v, DistCos) else DistCos(v)
 
 
-def _dot(x, y):
-    return add(add(mul(x[0], y[0]), mul(x[1], y[1])), mul(x[2], y[2]))
+_dot = dot
 
 
 def _scale(v, s):
@@ -113,9 +112,9 @@ def _vsub(x, y):
 
 def _cross(x, y):
     return (
-        sub(mul(x[1], y[2]), mul(x[2], y[1])),
-        sub(mul(x[2], y[0]), mul(x[0], y[2])),
-        sub(mul(x[0], y[1]), mul(x[1], y[0])),
+        dot((x[1], x[2]), (y[2], neg(y[1]))),
+        dot((x[2], x[0]), (y[0], neg(y[2]))),
+        dot((x[0], x[1]), (y[1], neg(y[0]))),
     )
 
 

@@ -6,7 +6,7 @@ its quotient by {+-I} act the same way here.
 """
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 import random
 
 from . import expr, polys
@@ -144,9 +144,7 @@ def _real_eigenvalues(tr, s2, det):
     spectrum of an orthogonal map is contained in {+-1})."""
     if tr.is_rational and s2.is_rational and det.is_rational:
         tr, s2, det = tr.as_rational(), s2.as_rational(), det.as_rational()
-        den = lcm(tr.denominator, s2.denominator, det.denominator)
-        return real_roots(polys.primitive(
-            (int(-det * den), int(s2 * den), int(-tr * den), den)))
+        return real_roots(polys.primitive((-det, s2, -tr, 1)))
     out = [lam for lam in (AlgReal(-1), _ONE) if _is_eigenvalue(tr, s2, det, lam)]
     if out:
         return out

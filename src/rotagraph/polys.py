@@ -3,10 +3,15 @@ kernel: the one place where polynomials are added, multiplied and divided.
 
 Polynomials are tuples of coefficients in ascending degree with a nonzero
 leading coefficient; the zero polynomial is the empty tuple.  Coefficients
-are Python ints, checked where a polynomial comes in (`as_coeff_tuple`),
-except over Q and in Q[x]/(m), where `add`, `sub`, `mul`, `quo_rem`,
-`mulmod`, `invmod` and `compose_mod` take Fractions too; `primitive` turns
-either into the integer form in which polynomials leave.  Factorisation
+are Python ints, checked where a polynomial comes in (`as_coeff_tuple`).
+A polynomial over Q, and so an element of Q[x]/(m), is one pair (n, d):
+integer numerators n over one positive int d with gcd(d, content(n)) = 1
+(`qpoly`), the usual number-field element form (Cohen, GTM 138, 4.2), so
+equal elements are equal pairs.  `qadd`, `qsub`, `qscale`, `mulmod`,
+`dotmod` (a sum of products, reduced once), `invmod`, `compose_mod`,
+`minimal_polynomial` and `sqrt_candidates` take that form and work in
+integers, with one gcd where a result leaves; `primitive` turns ints or
+Fractions into the integer form in which polynomials leave.  Factorisation
 over Q (`factor_int`) is the one job handed to a computer algebra system,
 sympy, imported on first use; everything else is done here with exact
 integer and rational arithmetic: the special resultants (composed sums and
@@ -51,7 +56,7 @@ def degree(c):
 def sign_at(c, t):
     """The sign of c(t) in {-1, 0, 1} at an int or Fraction t = p/q, by
     Horner's rule in integers on sum c_i * p^i * q^(n-i)."""
-    p, q = t.numerator, t.denominator
+    p, q = t.as_integer_ratio()
     acc, qpow = 0, 1
     for coef in reversed(c):
         acc = acc * p + coef * qpow
@@ -112,52 +117,95 @@ def as_coeff_tuple(p):
     return coeffs
 
 
-# -- division over Q, and arithmetic in Q[x]/(m) -----------------------------
-# Coefficients may be ints or Fractions; m is an integer polynomial.
+# -- polynomials over Q, and arithmetic in Q[x]/(m) ----------------------------
+# Elements are pairs (n, d) as above; m is an integer polynomial.
 
-def quo_rem(a, b):
-    """(q, r) with a = q*b + r and deg r < deg b over Q, for b != 0; in
-    integers when a is integer and b monic."""
-    db, lead = degree(b), b[-1]
-    r = list(a) if lead == 1 else [Fraction(v) for v in a]
-    q = [0] * max(len(a) - db, 0)
-    for k in range(len(q) - 1, -1, -1):
-        f = q[k] = r[k + db] if lead == 1 else r[k + db] / lead
-        for i in range(db):
-            r[k + i] -= f * b[i]
-    return normalize(q), normalize(r[:db])
+def qpoly(n, d=1):
+    """The pair for the polynomial n / d, n ints and d a nonzero int."""
+    n = normalize(n)
+    g = gcd(d, *n)
+    if d < 0:
+        g = -g
+    if g == 1:
+        return n, d
+    return tuple(v // g for v in n), d // g
+
+
+def qadd(a, b):
+    (na, da), (nb, db) = a, b
+    if da == db:
+        return qpoly(add(na, nb), da)
+    return qpoly(add([v * db for v in na], [v * da for v in nb]), da * db)
+
+
+def qsub(a, b):
+    return qadd(a, (tuple(-v for v in b[0]), b[1]))
+
+
+def qscale(a, p, q=1):
+    """p/q * a for ints p and q."""
+    return qpoly([p * v for v in a[0]], q * a[1])
+
+
+def _qmod(a, m):
+    """a modulo m, in integers: lead(m)^e * n = q*m + r gives
+    r / (d * lead(m)^e)."""
+    r, e = pseudo_rem(a[0], m)
+    return qpoly(r, a[1] * m[-1] ** e)
 
 
 def mulmod(a, b, m):
-    """a * b modulo m, in integers: over a common denominator d,
-    lead(m)^e * A * B = q*m + r gives r / (d * lead(m)^e)."""
-    if not a or not b:
-        return ()
-    da, db = lcm(*(c.denominator for c in a)), lcm(*(c.denominator for c in b))
-    r, e = pseudo_rem(mul([c.numerator * (da // c.denominator) for c in a],
-                          [c.numerator * (db // c.denominator) for c in b]), m)
-    d = da * db * m[-1] ** e
-    return tuple(Fraction(v, d) for v in r)
+    """a * b modulo m: the integer product of the numerators, reduced once."""
+    return _qmod((mul(a[0], b[0]), a[1] * b[1]), m)
+
+
+def dotmod(xs, ys, m):
+    """sum_i xs[i] * ys[i] modulo m, for elements reduced modulo m: the
+    integer products summed over one common denominator, then reduced
+    once."""
+    num, den = [0] * (2 * degree(m) - 1), 1
+    for (nx, dx), (ny, dy) in zip(xs, ys):
+        q, t = dx * dy, 1
+        if q != den:
+            g = gcd(q, den)
+            s, t = q // g, den // g
+            if s != 1:
+                num = [v * s for v in num]
+                den *= s
+        for i, u in enumerate(nx):
+            if u:
+                u *= t
+                for j, v in enumerate(ny):
+                    num[i + j] += u * v
+    return _qmod((normalize(num), den), m)
 
 
 def invmod(g, m):
     """The inverse of g != 0 modulo the irreducible m, by the extended
-    Euclidean algorithm over Q: u_i * g = r_i (mod m) throughout."""
-    r0, r1 = m, g
-    u0, u1 = (), (Fraction(1),)
+    Euclidean algorithm with pseudo-division, in integers: r_i = u_i * n
+    (mod m) throughout for g = n / d, each (r_i, u_i) divided by its
+    content, until r_i is a constant c, and then 1/g = d * u_i / c."""
+    n, d = g
+    r0, r1, u0, u1 = m, n, (), (1,)
     while len(r1) > 1:
-        q, r = quo_rem(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, sub(u0, mul(q, u1))
-    return tuple(v / r1[0] for v in u1)
+        q, r, e = quo_rem(r0, r1)
+        u = sub([r1[-1] ** e * v for v in u0], mul(q, u1))
+        c = gcd(*r, *u)
+        r0, r1 = r1, tuple(v // c for v in r)
+        u0, u1 = u1, tuple(v // c for v in u)
+    return qpoly([d * v for v in u1], r1[0])
 
 
 def compose_mod(g, h, m):
-    """g(h(x)) modulo m, by Horner's rule."""
-    acc = ()
-    for c in reversed(g):
-        acc = add(mulmod(acc, h, m), (c,))
-    return acc
+    """g(h(x)) modulo m, by Horner's rule in integers: with acc / den the
+    value so far, acc * h reduces to r / (den * dh * lead(m)^e)."""
+    (ng, dg), (nh, dh) = g, h
+    acc, den = (), 1
+    for c in reversed(ng):
+        acc, e = pseudo_rem(mul(acc, nh), m)
+        den *= dh * m[-1] ** e
+        acc = add(acc, (c * den,))
+    return qpoly(acc, den * dg)
 
 
 # -- factorisation -----------------------------------------------------------
@@ -177,43 +225,54 @@ def factor_int(c):
 # (Bostan, Flajolet, Salvy, Schost, "Fast computation of special
 # resultants", JSC 2006.)  A polynomial of degree n is fixed up to a
 # constant by the power sums s_0..s_n of its roots, and composed sums and
-# products have power sums that are simple in those of their factors.
+# products have power sums that are simple in those of their factors.  The
+# roots are taken scaled to algebraic integers (a root of c times lead(c)),
+# so the power sums, and every step of the inverse recurrence, are integers.
 
 def _power_sums(c, n):
-    """Power sums s_0..s_n of the roots of c, with multiplicity, by Newton's
-    identities: c_d*s_k + c_(d-1)*s_(k-1) + ... = -k*c_(d-k) (0 for k > d)."""
+    """Power sums s_0..s_n of the roots of c times lead(c), with
+    multiplicity.  Those are the roots of the monic integer polynomial with
+    coefficients c'_(d-i) = c_(d-i) * lead^(i-1), and Newton's identities
+    for it read s_k = -(k*c'_(d-k) + c'_(d-1)*s_(k-1) + ...), the first
+    term 0 for k > d."""
     d = degree(c)
-    s = [Fraction(d)]
+    cm = [c[d - i] * c[-1] ** (i - 1) for i in range(1, d + 1)]    # c'_(d-i)
+    s = [d]
     for k in range(1, n + 1):
-        acc = Fraction(k * c[d - k] if k <= d else 0)
+        acc = k * cm[k - 1] if k <= d else 0
         for i in range(1, min(k - 1, d) + 1):
-            acc += c[d - i] * s[k - i]
-        s.append(-acc / c[-1])
+            acc += cm[i - 1] * s[k - i]
+        s.append(-acc)
     return s
 
 
-def _from_power_sums(S, n):
-    """The primitive integer polynomial of degree n whose roots have power
-    sums S[0..n], by the inverse Newton recurrence on its monic form
-    x^n + b_1*x^(n-1) + ... + b_n:  k*b_k = -(S_k + b_1*S_(k-1) + ...)."""
-    b = [Fraction(1)]
+def _from_power_sums(S, n, D):
+    """The primitive integer polynomial of degree n whose roots times D, all
+    algebraic integers, have power sums S[0..n], by the inverse Newton
+    recurrence on the monic polynomial of the scaled roots,
+    x^n + b_1*x^(n-1) + ... + b_n:  k*b_k = -(S_k + b_1*S_(k-1) + ...), each
+    b_k an integer; then x -> D*x."""
+    b = [1]
     for k in range(1, n + 1):
         acc = S[k]
         for i in range(1, k):
             acc += b[i] * S[k - i]
-        b.append(-acc / k)
-    return primitive(b[::-1])
+        b.append(-acc // k)
+    return primitive([b[n - j] * D ** j for j in range(n + 1)])
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def cand_sum(pa, pb):
     """Integer polynomial vanishing at every a + b with pa(a) = pb(b) = 0:
-    the composed sum, Res_y(pa(y), pb(x - y)) made primitive."""
+    the composed sum, Res_y(pa(y), pb(x - y)) made primitive.  With A, B the
+    leads, A*B*(a + b) = B*(A*a) + A*(B*b) has the power sums below."""
     n = degree(pa) * degree(pb)
-    sa, sb = _power_sums(pa, n), _power_sums(pb, n)
+    A, B = pa[-1], pb[-1]
+    sa = [B ** k * v for k, v in enumerate(_power_sums(pa, n))]
+    sb = [A ** k * v for k, v in enumerate(_power_sums(pb, n))]
     S = [sum(comb(k, t) * sa[t] * sb[k - t] for t in range(k + 1))
          for k in range(n + 1)]
-    return _from_power_sums(S, n)
+    return _from_power_sums(S, n, A * B)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -222,7 +281,7 @@ def cand_prod(pa, pb):
     composed product, Res_y(pa(y), y^deg(pb) * pb(x / y)) made primitive."""
     n = degree(pa) * degree(pb)
     sa, sb = _power_sums(pa, n), _power_sums(pb, n)
-    return _from_power_sums([u * v for u, v in zip(sa, sb)], n)
+    return _from_power_sums([u * v for u, v in zip(sa, sb)], n, pa[-1] * pb[-1])
 
 
 def cand_sqrt(c):
@@ -239,16 +298,20 @@ def minimal_polynomial(g, m):
     s_i the power sums of m's roots, are the power sums of the
     characteristic polynomial of g(t), a power f^e of its minimal
     polynomial f; so e = n / (n - deg gcd(char, char')), f has power sums
-    S_k / e, and no factorisation is needed."""
-    n = degree(m)
-    s = _power_sums(m, n - 1)
-    S, h = [Fraction(n)], (Fraction(1),)
-    for _ in range(n):
+    S_k / e, and no factorisation is needed.  In integers: for g = num / den
+    and L = lead(m), D * g(t) is an algebraic integer for
+    D = den * L^(n-1), the power sums of m's roots times L are integers
+    w_i, and so are S_k = D^k * Tr(g(t)^k)."""
+    n, L = degree(m), m[-1]
+    D = g[1] * L ** (n - 1)
+    w = [v * L ** (n - 1 - i) for i, v in enumerate(_power_sums(m, n - 1))]
+    S, h = [n], ((1,), 1)
+    for k in range(1, n + 1):
         h = mulmod(h, g, m)
-        S.append(sum(c * sk for c, sk in zip(h, s)))
-    char = _from_power_sums(S, n)
+        S.append(D ** k * sum(c * wi for c, wi in zip(h[0], w)) // (h[1] * L ** (n - 1)))
+    char = _from_power_sums(S, n, D)
     d = n - degree(poly_gcd(char, derivative(char)))
-    return _from_power_sums([v * d / n for v in S], d)
+    return _from_power_sums([v * d // n for v in S], d, D)
 
 
 # -- arithmetic mod a prime --------------------------------------------------
@@ -448,7 +511,7 @@ def _sqrt_fq(a, f, p):
 
 
 def _rational_reconstruction(c, M):
-    """The r/s = c mod M with |r|, |s| <= sqrt(M/2), or None (Wang's
+    """(r, s) with r/s = c mod M and |r|, |s| <= sqrt(M/2), or None (Wang's
     extended-Euclid bound)."""
     bound = isqrt(M // 2)
     r0, r1, s0, s1 = M, c % M, 0, 1
@@ -457,12 +520,12 @@ def _rational_reconstruction(c, M):
         r0, r1, s0, s1 = r1, r0 - k * r1, s1, s0 - k * s1
     if abs(s1) > bound or gcd(r1, s1) != 1:
         return None
-    return Fraction(r1, s1)
+    return r1, s1
 
 
 def sqrt_candidates(m, g):
     """Candidates h for a square root h(t) of g(t) in Q(t), t a root of the
-    irreducible m of degree n and g a tuple of Fractions, deg g < n.  At an
+    irreducible m of degree n and g = num / den an element, deg g < n.  At an
     odd prime p good for m with m irreducible mod p (inert), Q(t) completes
     to the unramified field Q_p[x]/(m), where g(t) has exactly the square
     roots +-b; a square root in F_p[x]/(m) lifts by Newton's iteration
@@ -472,8 +535,7 @@ def sqrt_candidates(m, g):
     squaring; none come when none of the first GOOD_PRIMES good primes is
     inert for m."""
     n = degree(m)
-    den = lcm(*(v.denominator for v in g))
-    num = [int(v * den) for v in g]
+    num, den = g
     for p, parts in islice(_good_primes(m, 2 * den), GOOD_PRIMES):
         if parts[0][0] == n:
             f, a = parts[0][1], _mod_p([v * pow(den, -1, p) for v in num], p)
@@ -496,7 +558,8 @@ def sqrt_candidates(m, g):
         root = _mulmod_p(a, y, f, M)
         h = [_rational_reconstruction(v, M) for v in root]
         if None not in h:
-            yield tuple(h)
+            d = lcm(*(s for _, s in h))
+            yield qpoly([r * (d // s) for r, s in h], d)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -590,18 +653,27 @@ def sturm_chain(c):
     return tuple(chain)
 
 
-def pseudo_rem(a, b):
-    """(r, e) with lead(b)^e * a = q*b + r and deg r < deg b, in integers."""
+def quo_rem(a, b):
+    """(q, r, e) with lead(b)^e * a = q*b + r and deg r < deg b, for b != 0,
+    in integers (pseudo-division; e = 0 for monic b)."""
     r, lb, db, e = list(a), b[-1], degree(b), 0
+    q = []
     while len(r) > db:
         f = r.pop()
         if f:
             if lb != 1:
                 r = [lb * v for v in r]
+                q = [lb * v for v in q]
                 e += 1
             for i in range(db):
                 r[len(r) - db + i] -= f * b[i]
-    return normalize(r), e
+        q.append(f)
+    return normalize(reversed(q)), normalize(r), e
+
+
+def pseudo_rem(a, b):
+    """(r, e) with lead(b)^e * a = q*b + r and deg r < deg b, in integers."""
+    return quo_rem(a, b)[1:]
 
 
 def poly_gcd(a, b):
@@ -673,15 +745,15 @@ def cos_rational_angle_resultant(m):
     R_m(c) = 0 exactly when c is the cosine of a primitive m-th root of
     unity's argument, i.e. c = cos(2*pi*k/m) with gcd(k, m) = 1.  The roots
     of R_m are (z + 1/z)/2 over the roots z of Phi_m, which are closed
-    under z -> 1/z, so s_(-j) = s_j and R_m has the power sums
-    P_k = 2^-k * sum_t C(k, t) * s_|2t - k|(Phi_m).
+    under z -> 1/z, so s_(-j) = s_j and twice the roots of R_m have the
+    power sums P_k = sum_t C(k, t) * s_|2t - k|(Phi_m).
     """
     phi = cyclotomic(m)
     n = degree(phi)
     s = _power_sums(phi, n)
-    P = [sum(comb(k, t) * s[abs(2 * t - k)] for t in range(k + 1)) / 2 ** k
+    P = [sum(comb(k, t) * s[abs(2 * t - k)] for t in range(k + 1))
          for k in range(n + 1)]
-    return _from_power_sums(P, n)
+    return _from_power_sums(P, n, 2)
 
 
 def squarefree_part(c):

@@ -1,7 +1,7 @@
 import random
 import time
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 import mpmath
 import pytest
@@ -822,27 +822,167 @@ def test_integer_powers_and_order_comparisons():
     assert not SQRT3 < SQRT3 and not SQRT3 > SQRT3
 
 
+# -- the Fraction route, kept as an oracle -------------------------------------
+# Elements of Q[x]/(m) as tuples of Fractions, with the arithmetic the kernel
+# used before an element became integer numerators over one denominator.
+
+def _fnorm(c):
+    c = [Fraction(v) for v in c]
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def _fadd(a, b):
+    n = max(len(a), len(b))
+    return _fnorm((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+                  for i in range(n))
+
+
+def _fneg(a):
+    return tuple(-v for v in a)
+
+
+def _fmul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return _fnorm(out)
+
+
+def _fdivmod(a, b):
+    """(q, r) with a = q*b + r and deg r < deg b over Q."""
+    r, q = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        f = q[k] = r[k + len(b) - 1] / b[-1]
+        for i, v in enumerate(b):
+            r[k + i] -= f * v
+    return _fnorm(q), _fnorm(r[:len(b) - 1])
+
+
+def _fmulmod(a, b, m):
+    return _fdivmod(_fmul(a, b), m)[1]
+
+
+def _finvmod(g, m):
+    """The extended Euclidean algorithm over Q: u_i * g = r_i (mod m)."""
+    r0, r1, u0, u1 = _fnorm(m), g, (), (Fraction(1),)
+    while len(r1) > 1:
+        q, r = _fdivmod(r0, r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, _fadd(u0, _fneg(_fmul(q, u1)))
+    return tuple(v / r1[0] for v in u1)
+
+
+def _fpower_sums(c, n):
+    """Power sums s_0..s_n of the roots of c, by Newton's identities:
+    c_d*s_k + c_(d-1)*s_(k-1) + ... = -k*c_(d-k) (0 for k > d)."""
+    d = polys.degree(c)
+    s = [Fraction(d)]
+    for k in range(1, n + 1):
+        acc = Fraction(k * c[d - k] if k <= d else 0)
+        for i in range(1, min(k - 1, d) + 1):
+            acc += c[d - i] * s[k - i]
+        s.append(-acc / c[-1])
+    return s
+
+
+def _ffrom_power_sums(S, n):
+    """The primitive polynomial of degree n whose roots have power sums S,
+    by the inverse Newton recurrence k*b_k = -(S_k + b_1*S_(k-1) + ...)."""
+    b = [Fraction(1)]
+    for k in range(1, n + 1):
+        b.append(-(S[k] + sum(b[i] * S[k - i] for i in range(1, k))) / k)
+    return polys.primitive(b[::-1])
+
+
+def _fminimal_polynomial(g, m):
+    """The minimal polynomial of g(t) from the traces of g^k, in Fractions."""
+    n = polys.degree(m)
+    s = _fpower_sums(m, n - 1)
+    S, h = [Fraction(n)], (Fraction(1),)
+    for _ in range(n):
+        h = _fmulmod(h, g, m)
+        S.append(sum(c * sk for c, sk in zip(h, s)))
+    char = _ffrom_power_sums(S, n)
+    d = n - polys.degree(polys.poly_gcd(char, polys.derivative(char)))
+    return _ffrom_power_sums([v * d / n for v in S], d)
+
+
+def _fenclose(g, interval):
+    """g's range over `interval`, by Horner's rule in Fraction intervals."""
+    (a, b), lo = interval, g[-1]
+    hi = lo
+    for c in reversed(g[:-1]):
+        prods = (lo * a, lo * b, hi * a, hi * b)
+        lo, hi = min(prods) + c, max(prods) + c
+    return lo, hi
+
+
+def _fractions(g):
+    """The kernel's element (n, d) as the Fractions n_i / d."""
+    n, d = g
+    return tuple(Fraction(v, d) for v in n)
+
+
+def _pair(g):
+    """The kernel's element for a tuple of Fractions."""
+    d = lcm(*(v.denominator for v in g))
+    return polys.qpoly([int(v * d) for v in g], d)
+
+
+def _oracle(theta, g):
+    """(to_expr, approx(80), sign) of g(theta) for g a tuple of Fractions:
+    its minimal polynomial from Fraction traces, and its root index and
+    2^-80 cell from Fraction enclosures over theta's interval."""
+    if len(g) <= 1:
+        r = g[0] if g else Fraction(0)
+        return str(r), r, (r > 0) - (r < 0)
+    p = _fminimal_polynomial(g, theta.min_poly)
+    while True:
+        lo, hi = _fenclose(g, theta.interval)
+        cell = lo.numerator * 2 ** 80 // lo.denominator
+        if polys.count_roots_halfopen(p, lo, hi) == 1 \
+                and hi.numerator * 2 ** 80 // hi.denominator == cell:
+            index = polys.count_roots_halfopen(p, -polys.root_bound(p), lo)
+            text = f"root({','.join(map(str, p))},{index})"
+            return text, Fraction(cell, 2 ** 80), 1 if cell >= 0 else -1
+        theta.refine()
+
+
+def _check_oracle(got, theta, want):
+    """got is want(theta): the same theta object and the same Fractions when
+    irrational, and the same to_expr and approx(80) either way."""
+    from rotagraph.algebraic import _gen
+    text, approx, _ = _oracle(theta, want)
+    if len(want) > 1:
+        t, g = _gen(got)
+        assert t is theta and _fractions(g) == want
+    assert (expr.to_expr(got), got.approx(80)) == (text, approx)
+
+
 def _rational_route_oracle(op, r, x, x_first):
     """op on rational r and irrational x = g(theta) as the field route took
-    it: r as the constant polynomial (r,) over theta, added to, subtracted
-    from or multiplied (modulo theta's minimal polynomial) with g; a
-    comparison is the sign of the difference."""
+    it, in Fractions: r as the constant polynomial (r,) over theta, added
+    to, subtracted from or multiplied (modulo theta's minimal polynomial)
+    with g; a comparison is the sign of the difference.  Returns theta and
+    the Fractions of the result over it."""
     from rotagraph.algebraic import _gen
     theta, g = _gen(x)
-    m, c = theta.min_poly, (Fraction(r),)
+    g, m, c = _fractions(g), theta.min_poly, _fnorm((r,))
     if op == "div":     # x / r = x * (1/r), and r / x = r * g^-1
         op = "mul"
         if x_first:
             c = (1 / c[0],)
         else:
-            g = polys.invmod(g, m)
+            g = _finvmod(g, m)
     a, b = (g, c) if x_first else (c, g)
     if op == "add":
-        return AlgReal._over(theta, polys.add(a, b))
+        return theta, _fadd(a, b)
     if op == "mul":
-        return AlgReal._over(theta, polys.mulmod(a, b, m))
-    diff = AlgReal._over(theta, polys.sub(a, b))
-    return diff if op == "sub" else diff.sign()
+        return theta, _fmulmod(a, b, m)
+    return theta, _fadd(a, _fneg(b))
 
 
 def test_rational_operand_scales_or_shifts_the_other_operand(monkeypatch):
@@ -873,16 +1013,103 @@ def test_rational_operand_scales_or_shifts_the_other_operand(monkeypatch):
                         n = len(calls)
                         got = fn(x, operand) if x_first else fn(operand, x)
                         assert calls[n:] == [], (op, r, x_first)
-                        want = _rational_route_oracle(op, r, x, x_first)
+                        theta, want = _rational_route_oracle(op, r, x, x_first)
                         if op == "compare":
-                            assert got == want
-                        elif want.is_rational:
-                            assert got.is_rational and got.as_rational() == want.as_rational()
+                            assert got == _oracle(theta, want)[2]
+                        elif len(want) <= 1:
+                            assert got.is_rational and got.as_rational() == (want or (0,))[0]
                         else:
-                            (gt, gg), (wt, wg) = _gen(got), _gen(want)
-                            assert gt is wt and gg == wg, (op, r, x_first)
-                            assert expr.to_expr(got) == expr.to_expr(want)
-                            assert got.approx(80) == want.approx(80)
+                            _check_oracle(got, theta, want)
+
+
+def _fields():
+    """Generators of Q(sqrt 2), Q(sqrt(1 + sqrt 2)), the compositum
+    sqrt 2 + sqrt 3 and the cubic field of the real eigenvalue 1 + 6^(1/3)
+    of an integer matrix, each with its name."""
+    from rotagraph import isometry as iso
+    from rotagraph.algebraic import _gen
+    m = iso.LinearMap(((1, 2, 0), (0, 1, 3), (1, 0, 1)))
+    lam, = iso._real_eigenvalues(m.trace(), iso._minor2_sum(m), m.det())
+    fields = {"sqrt 2": SQRT2, "sqrt(1 + sqrt 2)": sqrt_nonneg(add(1, SQRT2)),
+              "sqrt 2 + sqrt 3": add(SQRT2, SQRT3), "cubic eigenvalue": lam}
+    fields = {name: _gen(v)[0] for name, v in fields.items()}
+    assert [t.degree for t in fields.values()] == [2, 4, 4, 3]
+    return fields
+
+
+def test_integer_elements_match_the_fraction_route():
+    """Seeded values over four fields, held as integer numerators over one
+    denominator, through add, sub, mul, div, compare and sqrt: each result
+    has the theta object, the Fractions, the to_expr and the approx(80) of
+    the Fraction route kept above.  A square root of a square is tagged
+    over the same theta where polys.sqrt_candidates has an inert prime; the
+    biquadratic compositum has none, so there only its value is checked."""
+    from rotagraph.algebraic import _gen
+    rng = random.Random(2101)
+    checked = 0
+    for name, theta in _fields().items():
+        m, n = theta.min_poly, theta.degree
+        values = []
+        while len(values) < 12:
+            g = _fnorm(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n))
+            if len(g) > 1:
+                values.append((AlgReal._over(theta, _pair(g)), g))
+        for (a, ga), (b, gb) in zip(values, values[1:]):
+            assert _gen(a)[0] is theta and _gen(a)[1] == _pair(ga)
+            for got, want in ((add(a, b), _fadd(ga, gb)),
+                              (sub(a, b), _fadd(ga, _fneg(gb))),
+                              (mul(a, b), _fmulmod(ga, gb, m)),
+                              (div(a, b), _fmulmod(ga, _finvmod(gb, m), m))):
+                _check_oracle(got, theta, want)
+            assert compare(a, b) == _oracle(theta, _fadd(ga, _fneg(gb)))[2]
+            checked += 5
+        for b, gb in values[:2 if name == "sqrt 2 + sqrt 3" else 6]:
+            root = sqrt_nonneg(mul(b, b))
+            want = gb if _oracle(theta, gb)[2] > 0 else _fneg(gb)
+            if name == "sqrt 2 + sqrt 3":
+                assert (expr.to_expr(root), root.approx(80)) == _oracle(theta, want)[:2]
+            else:
+                _check_oracle(root, theta, want)
+            checked += 1
+    assert checked == 4 * 11 * 5 + 3 * 6 + 2
+
+
+def test_dot_matches_the_add_mul_chain():
+    """dot gives the value of the pairwise add/mul chain on rational,
+    one-field, mixed (rationals and one field) and cross-field vectors of
+    lengths 1 to 3: the same Fraction on rationals, and the same theta and
+    the same g whenever the chain stays over one generator."""
+    from rotagraph.algebraic import _gen, dot
+    rng = random.Random(2102)
+    tower = _gen(sqrt_nonneg(add(1, SQRT2)))[0]
+
+    def rat():
+        return Fraction(rng.randint(-20, 20), rng.randint(1, 12))
+
+    def over(theta):
+        g = _fnorm(rat() for _ in range(theta.degree))
+        return AlgReal._over(theta, _pair(g)) if g else AlgReal(0)
+
+    kinds = {
+        "rational": lambda: rng.choice((rat(), AlgReal(rat()), rng.randint(-5, 5))),
+        "one field": lambda: over(tower),
+        "mixed": lambda: rng.choice((AlgReal(rat()), rat(), over(SQRT2))),
+        "cross field": lambda: rng.choice((over(SQRT2), over(SQRT3), AlgReal(rat()))),
+    }
+    for kind, draw in kinds.items():
+        for n in (1, 2, 3):
+            for _ in range(12):
+                xs, ys = [draw() for _ in range(n)], [draw() for _ in range(n)]
+                got = dot(xs, ys)
+                want = mul(xs[0], ys[0])
+                for x, y in zip(xs[1:], ys[1:]):
+                    want = add(want, mul(x, y))
+                assert compare(got, want) == EQUAL, (kind, xs, ys)
+                if want.is_rational:
+                    assert got.is_rational and got.as_rational() == want.as_rational()
+                elif kind != "cross field":
+                    (gt, gg), (wt, wg) = _gen(got), _gen(want)
+                    assert gt is wt and gg == wg, (kind, xs, ys)
 
 
 def test_operands_convert_as_as_algreal_does():

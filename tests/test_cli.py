@@ -330,6 +330,22 @@ def test_output_too_long_to_print_is_bound_exceeded():
     _fails_fast(("field", "eval", "--expr", f"{nines}*{nines}"), "bound-exceeded")
 
 
+def test_input_too_long_to_read_is_bound_exceeded():
+    # past Python's limit of 4300 digits on converting a string to an int:
+    # an expression literal, a JSON point or matrix entry, a coefficient
+    nines = "9" * 5000
+    for args in (("field", "eval", "--expr", nines),
+                 ("field", "eval", "--expr", f"1/{nines}"),
+                 ("plane", "dist", "--p", '{"x": %s, "y": 0, "z": 1}' % nines,
+                  "--q", "1,0,0"),
+                 ("iso", "check-orthogonal", "--matrix", f"[[{nines},0,0],[0,1,0],[0,0,1]]"),
+                 ("field", "roots", "--poly", f"1,{nines}")):
+        proc = run(*args, check=False)
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr, args[:2]
+        assert proc.stdout == ('{"error": "bound-exceeded", '
+                               '"detail": "an integer of 5000 digits is too long to read"}\n')
+
+
 def test_sample_edges_count_budget():
     _fails_fast(("iso", "sample-edges", "--matrix", "[[1,0,0],[0,1,0],[0,0,1]]",
                  "--cos-l", "4/5", "--count", "1000000000"), "bound-exceeded")

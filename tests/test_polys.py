@@ -386,8 +386,10 @@ def test_sqrt_candidates_of_linear_fields_end():
 
     def work():
         for m, g in cases:
-            results.append([h for h in polys.sqrt_candidates(m, g)
-                            if h[0] * h[0] == g[0]])
+            # g and each candidate as integer numerators over one denominator
+            found = [tuple(Fraction(v, d) for v in n) for n, d in
+                     polys.sqrt_candidates(m, ((g[0].numerator,), g[0].denominator))]
+            results.append([h for h in found if h[0] * h[0] == g[0]])
 
     t = threading.Thread(target=work, daemon=True)
     t.start()
