@@ -1,40 +1,34 @@
 """Exact arithmetic over the real algebraic numbers.
 
-A number is represented by its (primitive, irreducible, positive-lead)
-integer minimal polynomial together with a rational isolating interval
-containing exactly that one real root.  Rational values use the degree-1
-polynomial ``q*x - p`` and the degenerate interval [r, r].
-
-An irrational value may instead carry a generator tag (theta, g): it is
-g(theta) for an untagged irrational theta and an element g = (n, d) of
-Q[x]/(m), m theta's minimal polynomial: integer numerators n of degree
+Every value is a pair (theta, g): g an element of Q[x]/(m), m the minimal
+polynomial of a generator theta, held as integer numerators n of degree
 below deg m over one positive denominator d, in the one canonical form of
-polys (so equal elements are equal pairs).
-Every irrational value lies over a generator, its tag's or else itself.
+polys (so equal elements are equal pairs).  A rational p/q is the constant
+((p,), q), zero ((), 1), over no generator (theta None).  A generator is an
+irrational held by its (primitive, irreducible, positive-lead) integer
+minimal polynomial and a rational isolating interval containing exactly
+that one real root; it is x over itself.
 Values over one generator add, multiply, divide and compare as polynomials
 modulo m (Cohen, GTM 138, ch. 4), with the arithmetic of polys, and so do
-two quadratic generators of one field.  A generator psi may also record older generators t of its
-subfields as t = h(psi) (embeddings, each checked exactly before it is
-kept): a square root records the generator of its radicand's field (a
-tower), and an operation across two unrelated fields records both in the
-primitive element psi = t1 + t2 of their compositum when that has full
-degree (Loos, "Computing in algebraic extensions", 1982).  Each of t1 and
-t2 also remembers the last compositum it was joined into, so the same pair
-meets over one psi.  Values whose generators are linked by these records
-meet over the larger generator.
-A tagged value builds its minimal polynomial and isolating interval only
-when asked for them (printing, hashing, a square root, an operation across
-fields), from the characteristic polynomial of g(theta), with no
-factorisation; that is the only way it gets one.  A rational operand p/q
-is read once, as the integers (-p, q) of its root: two of them take
-integer arithmetic and one Fraction for the result, and one with an
-irrational a = g(theta) scales g's numerators (mul) or shifts its constant
-term (add, sub, compare) over the same theta, with no search for a common
-field and no reduction modulo theta's minimal polynomial.  A sum of
-products (dot) sums rational operands in integers over one denominator,
-with one Fraction at the end, and when every irrational operand lies over
-one generator it sums the integer products over one denominator and
-reduces once modulo m.
+two quadratic generators of one field.  A constant meets every generator,
+so a rational scales or shifts the other operand's numerators, with no
+search for a common field and, below deg m, no reduction; two rationals
+take integer arithmetic over one denominator.  A generator psi may also
+record older generators t of its subfields as t = h(psi) (embeddings,
+each checked exactly before it is kept): a square root records the
+generator of its radicand's field (a tower), and an operation across two
+unrelated fields records both in the primitive element psi = t1 + t2 of
+their compositum when that has full degree (Loos, "Computing in algebraic
+extensions", 1982).  Each of t1 and t2 also remembers the last compositum
+it was joined into, so the same pair meets over one psi.  Values whose
+generators are linked by these records meet over the larger generator.
+A rational or tagged value builds its minimal polynomial and isolating
+interval only when asked for them (printing, hashing, a square root, an
+operation across fields): q*x - p and [p/q, p/q] for p/q, and for g(theta)
+the characteristic polynomial of g, with no factorisation; that is the
+only way it gets one.  A sum of products (dot) over rationals and one
+generator sums the integer products over one denominator and reduces once
+modulo m.
 Operations across fields that no record links and no compositum joins take
 the candidate polynomial of the result, and give an untagged value; two
 equal values over unrelated generators (a value and its re-parse) meet
@@ -48,7 +42,7 @@ degree of a compositum read mod small primes, Musser's test); in the
 geometry all of them fire.
 
 Values are immutable.  The isolating interval may be tightened in place,
-a tagged value's minimal polynomial filled in on first use and a
+a rational or tagged value's minimal polynomial filled in on first use and a
 generator's last compositum remembered; each is semantically invisible and
 written in one attribute, so values are safe to share between threads (a
 lost write costs a rebuild).
@@ -86,27 +80,24 @@ _X = ((0, 1), 1)
 class AlgReal:
     """An exact real algebraic number."""
 
+    # _tag: (theta, g), theta None for a rational, or None for a generator;
     # _root: (min_poly, isolating interval, sign of min_poly at its lower
-    # end), None until a tagged value needs it; _tag: (theta, g) or None;
-    # _embeds: on a generator psi, pairs (t, h) of older generators with
-    # t = h(psi), each checked exactly when recorded (see _record); _joined:
-    # on a generator, (partner, psi) for the last compositum psi it and
-    # partner were joined into (see _join), else (None, None)
+    # end), None until a tagged value or a rational needs it.  On a
+    # generator psi only: _embeds, pairs (t, h) of older generators with
+    # t = h(psi), each checked exactly when recorded (see _record), and
+    # _joined, (partner, compositum) for the last compositum it and partner
+    # were joined into (see _join), else (None, None)
     __slots__ = ("_root", "_tag", "_embeds", "_joined")
 
     def __init__(self, value=0):
-        r = value if type(value) is Fraction else Fraction(value)
-        p, q = r.as_integer_ratio()
-        self._root = ((-p, q), (r, r), 0)
-        self._tag = None
-        self._embeds = ()
-        self._joined = (None, None)
+        self._root = None
+        self._tag = (None, _literal(value))
 
     @classmethod
     def _make(cls, min_poly, interval):
         """Wrap an already-validated (irreducible poly, isolating interval)."""
         if polys.degree(min_poly) == 1:
-            return cls(Fraction(-min_poly[0], min_poly[1]))
+            return _quotient(-min_poly[0], min_poly[1])
         self = object.__new__(cls)
         lo, hi = Fraction(interval[0]), Fraction(interval[1])
         s = polys.sign_at(min_poly, lo)
@@ -121,17 +112,14 @@ class AlgReal:
     @classmethod
     def _over(cls, theta, g):
         """g(theta) for an element g reduced modulo theta's minimal
-        polynomial."""
-        n, d = g
-        if len(n) <= 1:
-            return cls(Fraction(n[0], d) if n else 0)
-        if g == _X:
+        polynomial; a constant g is a rational, over no generator."""
+        if len(g[0]) <= 1:
+            theta = None
+        elif g == _X:
             return theta
         self = object.__new__(cls)
         self._root = None
         self._tag = (theta, g)
-        self._embeds = ()
-        self._joined = (None, None)
         return self
 
     @classmethod
@@ -166,13 +154,13 @@ class AlgReal:
 
     @property
     def is_rational(self):
-        return _rational(self) is not None
+        tag = self._tag
+        return tag is not None and tag[0] is None
 
     def as_rational(self):
-        r = _rational(self)
-        if r is None:
+        if not self.is_rational:
             raise OutOfRangeError("not a rational value")
-        return r
+        return self.interval[0]
 
     def _bracket(self):
         """A closed interval holding the value: the isolating interval once
@@ -186,13 +174,13 @@ class AlgReal:
     def refine(self):
         """Halve the isolating interval, or theta's while a tagged value has
         none yet (no-op for rationals)."""
+        if self.is_rational:
+            return
         r = self._root
         if r is None:
             self._tag[0].refine()
             return
         p, (lo, hi), s = r
-        if len(p) == 2:
-            return
         (a, b), (c, d) = lo.as_integer_ratio(), hi.as_integer_ratio()
         mid = Fraction(a * d + c * b, 2 * b * d)
         v = polys.sign_at(p, mid)
@@ -202,9 +190,9 @@ class AlgReal:
 
     def sign(self):
         """Exact sign in {-1, 0, 1}."""
-        r = _ratio(self)
-        if r is not None:       # the sign of p = -r[0]
-            return (r[0] < 0) - (r[0] > 0)
+        if self.is_rational:
+            p = _ints(self._tag[1])[0]
+            return (p > 0) - (p < 0)
         while True:  # an irrational value is never zero
             r = self._root
             if r is None:   # g's range over theta's interval, over a scale > 0
@@ -222,9 +210,8 @@ class AlgReal:
         """The greatest multiple of 2**-bits not above the value (rationals
         exactly), so the result depends on the value alone, not on how far
         the interval happens to be refined (the ``to_float`` contract)."""
-        r = _rational(self)
-        if r is not None:
-            return r
+        if self.is_rational:
+            return self.as_rational()
         scale = 1 << bits
         while True:
             lo, hi = self._bracket()
@@ -294,16 +281,14 @@ class AlgReal:
         return compare(self, other) != LESS
 
     def __hash__(self):
-        r = _rational(self)
-        return hash(self.min_poly) if r is None else hash(r)
+        return hash(self.as_rational() if self.is_rational else self.min_poly)
 
     def __float__(self):
         return float(self.approx(60))
 
     def __repr__(self):
-        r = _rational(self)
-        if r is not None:
-            return f"AlgReal({r})"
+        if self.is_rational:
+            return f"AlgReal({self.as_rational()})"
         return f"AlgReal(deg {self.degree}, ~{float(self):.12g})"
 
 
@@ -311,21 +296,27 @@ def as_algreal(v):
     return v if isinstance(v, AlgReal) else AlgReal(v)
 
 
-def _rational(a):
-    """The Fraction value of the AlgReal a, or None when it is irrational,
-    from one read of its root."""
-    r = a._root
-    return r[1][0] if r is not None and len(r[0]) == 2 else None
+def _literal(value):
+    """The constant element (n, d) of a rational value given as an int, a
+    bool, a Fraction or a string, read as Fraction reads it."""
+    if type(value) is int:
+        p, q = value, 1
+    else:
+        p, q = (value if type(value) is Fraction else Fraction(value)).as_integer_ratio()
+    return ((p,) if p else (), q)
 
 
-def _ratio(v):
-    """The minimal polynomial (-p, q) of a rational operand v = p/q, q > 0,
-    from one read of its root, with no Fraction for an AlgReal; None for an
-    irrational AlgReal.  Whatever else as_algreal accepts is rational."""
-    if not isinstance(v, AlgReal):
-        v = as_algreal(v)
-    r = v._root
-    return r[0] if r is not None and len(r[0]) == 2 else None
+def _ints(g):
+    """(p, q) for the constant element g = p/q, q > 0."""
+    n, q = g
+    return (n[0] if n else 0), q
+
+
+def _quotient(p, q):
+    """p/q for ints p and q > 0, as a constant element over no generator."""
+    g = gcd(p, q)
+    p //= g
+    return AlgReal._over(None, ((p,) if p else (), q // g))
 
 
 def _range(g, interval):
@@ -359,7 +350,12 @@ def _enclose(g, interval):
 
 def _isolate(theta, g):
     """(min_poly, isolating interval, sign at its lower end) of g(theta),
-    from its minimal polynomial read off traces, with no factorisation."""
+    from its minimal polynomial read off traces, with no factorisation; of
+    a rational p/q (theta None), q*x - p and the point interval."""
+    if theta is None:
+        p, q = _ints(g)
+        r = Fraction(p, q)
+        return (-p, q), (r, r), 0
     f = polys.minimal_polynomial(g, theta.min_poly)
     root = _select_root((f,), lambda: _enclose(g, theta.interval), theta.refine)
     return root._root
@@ -372,18 +368,25 @@ def _isolate(theta, g):
 # element of their compositum, so values built from one another keep a
 # common generator and their arithmetic stays polynomial arithmetic.
 
-def _gen(a):
-    """(theta, g) with a = g(theta), for irrational a."""
-    return a._tag or (a, _X)
+def _gen(v):
+    """(theta, g) with v = g(theta): a tagged value's tag, (v, x) for a
+    generator, and (None, its constant element) for a rational, which may
+    also come as anything as_algreal accepts."""
+    if isinstance(v, AlgReal):
+        return v._tag or (v, _X)
+    return None, _literal(v)
 
 
-def _common(a, b):
-    """(theta, ga, gb) with a = ga(theta) and b = gb(theta), for irrational
-    a and b; None when neither generator's field is known to contain the
-    other's."""
-    (ta, ga), (tb, gb) = _gen(a), _gen(b)
-    if ta is tb:
+def _common(ea, eb):
+    """(theta, ga, gb) with a = ga(theta) and b = gb(theta), for a and b
+    as _gen gives them: over the generator of either when the other is a
+    constant (theta None for two) or its field is known to contain the
+    other's; None otherwise."""
+    (ta, ga), (tb, gb) = ea, eb
+    if ta is tb or tb is None:
         return ta, ga, gb
+    if ta is None:
+        return tb, ga, gb
     h = _reach(ta, tb)
     if h is not None:
         return ta, ga, polys.compose_mod(gb, h, ta.min_poly)
@@ -598,9 +601,10 @@ def _one_field(a, b):
     """(theta, ga, gb) with a = ga(theta) and b = gb(theta) from _common or
     _join, or over a's generator when b is the same value over an unrelated
     generator (a value and its re-parse); None otherwise."""
-    common = _common(a, b) or _join(a, b)
+    ea, eb = _gen(a), _gen(b)
+    common = _common(ea, eb) or _join(a, b)
     if common is None and a.min_poly == b.min_poly and _compare_isolated(a, b) == EQUAL:
-        common = _common(a, a)
+        common = (*ea, ea[1])
     return common
 
 
@@ -624,83 +628,54 @@ def _composed_root(cand_fn, a, b, interval_fn):
                         lambda: (a.refine(), b.refine()))
 
 
-# A rational operand p/q below is read as its minimal polynomial (-p, q)
-# (_ratio), so a sum of two is -(a0*b1 + b0*a1) / (a1*b1), a product
-# a0*b0 / (a1*b1), and so on, with one Fraction built for the result.
-
-def _shift(r, a):
-    """r + a for rational r = (-p, q) and irrational a = g(theta): p/q
-    added to the constant term of g, over the same theta."""
-    theta, g = _gen(a)
-    return AlgReal._over(theta, polys.qadd(g, ((-r[0],), r[1])))
-
-
-def _scale(r, a):
-    """r * a for rational r = (-p, q) and irrational a = g(theta): p/q * g
-    over the same theta, which needs no reduction."""
-    theta, g = _gen(a)
-    return AlgReal._over(theta, polys.qscale(g, -r[0], r[1]))
-
+# Any two operands but irrationals of unrelated fields meet over one
+# generator, a rational as a constant element; two rationals p/q and r/s
+# (theta None) take integer arithmetic over one denominator.
 
 def add(a, b):
-    ra, rb = _ratio(a), _ratio(b)
-    if ra is not None:
-        if rb is None:
-            return _shift(ra, b)
-        return AlgReal(Fraction(-(ra[0] * rb[1] + rb[0] * ra[1]), ra[1] * rb[1]))
-    if rb is not None:
-        return _shift(rb, a)
     common = _one_field(a, b)
-    if common is not None:
-        theta, ga, gb = common
-        return AlgReal._over(theta, polys.qadd(ga, gb))
-    return _composed_root(polys.cand_sum, a, b, _sum_interval)
+    if common is None:
+        return _composed_root(polys.cand_sum, a, b, _sum_interval)
+    theta, ga, gb = common
+    if theta is None:
+        (p, q), (r, s) = _ints(ga), _ints(gb)
+        return _quotient(p * s + r * q, q * s)
+    return AlgReal._over(theta, polys.qadd(ga, gb))
 
 
 def neg(a):
-    r = _ratio(a)
-    if r is not None:
-        return AlgReal(Fraction(r[0], r[1]))
     theta, (n, d) = _gen(a)
     return AlgReal._over(theta, (tuple(-c for c in n), d))
 
 
 def sub(a, b):
-    ra, rb = _ratio(a), _ratio(b)
-    if ra is not None:
-        if rb is None:
-            return _shift(ra, neg(b))
-        return AlgReal(Fraction(rb[0] * ra[1] - ra[0] * rb[1], ra[1] * rb[1]))
-    if rb is not None:
-        return _shift((-rb[0], rb[1]), a)
     common = _one_field(a, b)
-    if common is not None:
-        theta, ga, gb = common
-        return AlgReal._over(theta, polys.qsub(ga, gb))
-    return _composed_root(polys.cand_sum, a, neg(b), _sum_interval)
+    if common is None:
+        return _composed_root(polys.cand_sum, a, neg(b), _sum_interval)
+    theta, ga, gb = common
+    if theta is None:
+        (p, q), (r, s) = _ints(ga), _ints(gb)
+        return _quotient(p * s - r * q, q * s)
+    return AlgReal._over(theta, polys.qsub(ga, gb))
 
 
 def mul(a, b):
-    ra, rb = _ratio(a), _ratio(b)
-    if ra is not None:
-        return _scale(ra, b) if rb is None else AlgReal(Fraction(ra[0] * rb[0], ra[1] * rb[1]))
-    if rb is not None:
-        return _scale(rb, a)
     common = _one_field(a, b)
-    if common is not None:
-        theta, ga, gb = common
-        return AlgReal._over(theta, polys.mulmod(ga, gb, theta.min_poly))
-    return _composed_root(polys.cand_prod, a, b, _prod_interval)
+    if common is None:
+        return _composed_root(polys.cand_prod, a, b, _prod_interval)
+    theta, ga, gb = common
+    if theta is None:
+        (p, q), (r, s) = _ints(ga), _ints(gb)
+        return _quotient(p * r, q * s)
+    return AlgReal._over(theta, polys.mulmod(ga, gb, theta.min_poly))
 
 
 def _invert(a):
-    r = _ratio(a)
-    if r is not None:
-        if r[0] == 0:
-            raise DivisionByZeroError("division by zero")
-        return AlgReal(Fraction(r[1], -r[0]))
     theta, g = _gen(a)
-    return AlgReal._over(theta, polys.invmod(g, theta.min_poly))
+    if not g[0]:
+        raise DivisionByZeroError("division by zero")
+    m = () if theta is None else theta.min_poly     # a constant's inverse reads no m
+    return AlgReal._over(theta, polys.invmod(g, m))
 
 
 def div(a, b):
@@ -709,62 +684,44 @@ def div(a, b):
 
 def compare(a, b):
     """Exact trichotomy: LESS (-1), EQUAL (0) or GREATER (1)."""
-    ra, rb = _ratio(a), _ratio(b)
-    if ra is not None:
-        if rb is None:
-            return _shift(ra, neg(b)).sign()
-        d = rb[0] * ra[1] - ra[0] * rb[1]
-        return (d > 0) - (d < 0)
-    if rb is not None:
-        return _shift((-rb[0], rb[1]), a).sign()
-    common = _common(a, b)
+    common = _common(_gen(a), _gen(b))
     if common is None:
         return _compare_isolated(a, b)
     theta, ga, gb = common
+    if theta is None:
+        (p, q), (r, s) = _ints(ga), _ints(gb)
+        d = p * s - r * q
+        return (d > 0) - (d < 0)
     return AlgReal._over(theta, polys.qsub(ga, gb)).sign()
 
 
-def _element(v):
-    """(theta, g) with v = g(theta), as _gen gives, for irrational v; for
-    rational v, (None, g) with g the constant element."""
-    r = _ratio(v)
-    if r is None:
-        return v._tag or (v, _X)
-    return None, ((-r[0],) if r[0] else (), r[1])
-
-
 def dot(xs, ys):
-    """sum_i xs[i] * ys[i], the value the add/mul chain gives.  Rational
-    operands are summed in integers over one denominator, with one Fraction
-    at the end; when every irrational operand lies over one generator
-    theta, the integer products are summed over one denominator and reduced
-    once modulo theta's minimal polynomial (polys.dotmod); else the
-    chain."""
-    num, den = 0, 1
-    for x, y in zip(xs, ys):
-        rx, ry = _ratio(x), _ratio(y)
-        if rx is None or ry is None:
-            return _field_dot(xs, ys)
-        p, q = rx[0] * ry[0], rx[1] * ry[1]     # (-p1)(-p2) / (q1 q2)
-        if q != den:
-            g = gcd(q, den)
-            num, p, den = num * (q // g), p * (den // g), den * (q // g)
-        num += p
-    return AlgReal(Fraction(num, den))
-
-
-def _field_dot(xs, ys):
-    """dot when some operand is irrational."""
+    """sum_i xs[i] * ys[i], the value the add/mul chain gives: when every
+    operand is rational, the integer products summed over one denominator;
+    when every irrational one lies over one generator theta, the same
+    modulo theta's minimal polynomial, reduced once (polys.dotmod); else
+    the chain."""
     theta, gs = None, []
     for v in (*xs, *ys):
-        t, g = _element(v)
+        t, g = _gen(v)
         if t is not None and t is not theta:
             if theta is not None:
                 return reduce(add, map(mul, xs, ys))
             theta = t
         gs.append(g)
     n = len(xs)
-    return AlgReal._over(theta, polys.dotmod(gs[:n], gs[n:], theta.min_poly))
+    if theta is not None:
+        return AlgReal._over(theta, polys.dotmod(gs[:n], gs[n:], theta.min_poly))
+    num, den = 0, 1
+    for (nx, qx), (ny, qy) in zip(gs[:n], gs[n:]):
+        if not (nx and ny):     # a zero term
+            continue
+        p, q = nx[0] * ny[0], qx * qy
+        if q != den:
+            g = gcd(q, den)
+            num, p, den = num * (q // g), p * (den // g), den * (q // g)
+        num += p
+    return _quotient(num, den)
 
 
 def _compare_isolated(a, b):

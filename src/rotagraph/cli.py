@@ -99,8 +99,11 @@ def _parse_group(text, degree=None):
     parts = [p for p in (s.strip() for s in text.split(";")) if p]
     if not parts:
         raise ParseError("empty generator list")
+    # every index read as expression literals are, so one past Python's
+    # digit limit is bound-exceeded
+    indices = [expr.read_int(t) for t in re.findall(r"\d+", text)]
     if degree is None:
-        degree = 1 + max(map(expr.read_int, re.findall(r"\d+", text)), default=0)
+        degree = 1 + max(indices, default=0)
     gens = [finite.Permutation.from_cycles(p, degree) for p in parts]
     return finite.PermGroup(degree, gens)
 

@@ -67,6 +67,8 @@ class Permutation:
     @classmethod
     def from_cycles(cls, text, n):
         """Parse cycle notation like "(0 1 2)(3 4)"; "()" is the identity."""
+        if n < 0:
+            raise OutOfRangeError(f"degree {n} is negative")
         if n > MAX_DEGREE:
             raise BoundExceededError(f"degree {n} exceeds the bound {MAX_DEGREE}")
         text = text.strip()

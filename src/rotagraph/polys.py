@@ -149,7 +149,9 @@ def qscale(a, p, q=1):
 
 def _qmod(a, m):
     """a modulo m, in integers: lead(m)^e * n = q*m + r gives
-    r / (d * lead(m)^e)."""
+    r / (d * lead(m)^e); a of degree below m's is only made canonical."""
+    if len(a[0]) < len(m):
+        return qpoly(*a)
     r, e = pseudo_rem(a[0], m)
     return qpoly(r, a[1] * m[-1] ** e)
 
@@ -184,7 +186,8 @@ def invmod(g, m):
     """The inverse of g != 0 modulo the irreducible m, by the extended
     Euclidean algorithm with pseudo-division, in integers: r_i = u_i * n
     (mod m) throughout for g = n / d, each (r_i, u_i) divided by its
-    content, until r_i is a constant c, and then 1/g = d * u_i / c."""
+    content, until r_i is a constant c, and then 1/g = d * u_i / c (at once
+    for a constant g)."""
     n, d = g
     r0, r1, u0, u1 = m, n, (), (1,)
     while len(r1) > 1:

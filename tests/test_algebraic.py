@@ -1,7 +1,7 @@
 import random
 import time
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 import mpmath
 import pytest
@@ -1000,7 +1000,9 @@ def test_rational_operand_scales_or_shifts_the_other_operand(monkeypatch):
         [Fraction(rng.randint(-50, 50), rng.randint(1, 30)) for _ in range(4)]
     ops = {"add": add, "sub": sub, "mul": mul, "div": div, "compare": compare}
     calls = []
-    for owner, name in ((polys, "mulmod"), (algebraic, "_one_field"), (algebraic, "_common")):
+    # the routines that would search for a common field or reduce modulo m
+    for owner, name in ((algebraic, "_reach"), (algebraic, "_join"),
+                        (polys, "compose_mod"), (polys, "pseudo_rem")):
         monkeypatch.setattr(owner, name, lambda *a, _name=name, _fn=getattr(owner, name):
                             calls.append(_name) or _fn(*a))
     for x in irrationals:
@@ -1144,3 +1146,56 @@ def test_operands_convert_as_as_algreal_does():
             with pytest.raises(error):
                 neg(v)
             assert partner != v
+
+
+def test_rational_pairs_match_fraction_arithmetic():
+    """Seeded rational operands, given as ints, bools, Fractions, strings
+    and AlgReals, zero and negatives among them, through add, sub, mul,
+    div, compare, neg and dot: each result is Fraction arithmetic's; its
+    tag is the canonical constant element over no generator (coprime
+    numerator over a positive denominator, zero as ((), 1)); its hash is
+    the Fraction's; and it has no root (minimal polynomial and interval)
+    until interval, min_poly or as_rational is read."""
+    from rotagraph.algebraic import dot
+    rng = random.Random(2201)
+    special = [0, 1, -1, True, False, "0", "-3/4", Fraction(0), Fraction(-5, 3)]
+    special = [(v, Fraction(v)) for v in special] + [(AlgReal(0), Fraction(0))]
+
+    def draw():
+        if rng.random() < 0.3:
+            return rng.choice(special)
+        r = Fraction(rng.randint(-40, 40), rng.randint(1, 15))
+        forms = [r, AlgReal(r), str(r)] + ([int(r)] if r.denominator == 1 else [])
+        return rng.choice(forms), r
+
+    def check(got, want):
+        theta, (n, d) = got._tag
+        assert theta is None and d > 0 and gcd(*n, d) == 1
+        assert (n, d) == (((want.numerator,) if want else ()), want.denominator)
+        assert got._root is None
+        reader = rng.choice(("interval", "min_poly", "as_rational"))
+        if reader == "interval":
+            assert got.interval == (want, want)
+        elif reader == "min_poly":
+            assert got.min_poly == (-want.numerator, want.denominator)
+        else:
+            assert got.as_rational() == want and type(got.as_rational()) is Fraction
+        assert got._root is not None
+        assert got.is_rational and got.as_rational() == want and hash(got) == hash(want)
+
+    for _ in range(300):
+        (a, fa), (b, fb) = draw(), draw()
+        check(AlgReal(fa if isinstance(a, AlgReal) else a), fa)
+        check(add(a, b), fa + fb)
+        check(sub(a, b), fa - fb)
+        check(mul(a, b), fa * fb)
+        check(neg(a), -fa)
+        if fb:
+            check(div(a, b), fa / fb)
+        else:
+            with pytest.raises(DivisionByZeroError):
+                div(a, b)
+        assert compare(a, b) == (fa > fb) - (fa < fb)
+        pairs = [(draw(), draw()) for _ in range(rng.randint(1, 3))]
+        check(dot([x for (x, _), _ in pairs], [y for _, (y, _) in pairs]),
+              sum(fx * fy for (_, fx), (_, fy) in pairs))

@@ -346,6 +346,23 @@ def test_input_too_long_to_read_is_bound_exceeded():
                                '"detail": "an integer of 5000 digits is too long to read"}\n')
 
 
+def test_cycle_index_too_long_to_read_is_bound_exceeded():
+    # with --degree given, the cycle indices are read without inferring it
+    nines = "9" * 5000
+    for cmd in ("cf", "jordan"):
+        proc = run("finite", cmd, "--group", f"(0 {nines})", "--degree", "3", check=False)
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr, cmd
+        assert proc.stdout == ('{"error": "bound-exceeded", '
+                               '"detail": "an integer of 5000 digits is too long to read"}\n')
+
+
+def test_negative_degree_is_out_of_range():
+    for cmd, group in (("cf", "(0 1)"), ("jordan", "()")):
+        proc = run("finite", cmd, "--group", group, "--degree", "-2", check=False)
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr, cmd
+        assert proc.stdout == '{"error": "out-of-range", "detail": "degree -2 is negative"}\n'
+
+
 def test_sample_edges_count_budget():
     _fails_fast(("iso", "sample-edges", "--matrix", "[[1,0,0],[0,1,0],[0,0,1]]",
                  "--cos-l", "4/5", "--count", "1000000000"), "bound-exceeded")
