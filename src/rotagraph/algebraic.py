@@ -35,11 +35,18 @@ equal values over unrelated generators (a value and its re-parse) meet
 over the first one's generator instead.  A square root of a square of the
 field stays in it, tagged over the same generator.
 
-Candidates (square roots, composita, cross-field results) and the
-polynomials given to real_roots are factorised only when no certificate
-in polys shows them irreducible (Capelli's theorem for x^2 - a, full
-degree of a compositum read mod small primes, Musser's test); in the
-geometry all of them fire.
+Candidates (square roots of irrationals, composita, cross-field results)
+and the polynomials given to real_roots are factorised only when no
+certificate in polys shows them irreducible (Capelli's theorem for
+x^2 - a, full degree of a compositum, Musser's test); in the geometry all
+of them fire.  The quadratic facts met most often are each settled by one
+exact test, with no search: the square root of a rational p/q that is no
+square is the root of q*x^2 - p on an isqrt bracket that two signs check;
+two quadratic fields have a compositum of full degree unless their
+discriminants multiply to a square (no prime search); and an embedding
+t = h(psi) stands once t's minimal polynomial has one root in the hull of
+h(psi)'s enclosure and t's interval (one Sturm count, no refinement of psi
+down to t's interval).
 
 Values are immutable.  The isolating interval may be tightened in place,
 a rational or tagged value's minimal polynomial filled in on first use and a
@@ -99,7 +106,9 @@ class AlgReal:
         if polys.degree(min_poly) == 1:
             return _quotient(-min_poly[0], min_poly[1])
         self = object.__new__(cls)
-        lo, hi = Fraction(interval[0]), Fraction(interval[1])
+        lo, hi = interval
+        if type(lo) is not Fraction or type(hi) is not Fraction:
+            lo, hi = Fraction(lo), Fraction(hi)
         s = polys.sign_at(min_poly, lo)
         if s == 0:
             raise InternalConsistencyError("isolating endpoint is a root")
@@ -433,9 +442,9 @@ def _embed(t, theta):
     discriminants multiply to a square.  Else None."""
     p, m = t.min_poly, theta.min_poly
     if len(p) == len(m) == 3:
-        dp, dm = p[1] ** 2 - 4 * p[0] * p[2], m[1] ** 2 - 4 * m[0] * m[2]
-        k = isqrt(dp * dm)
-        if k * k != dp * dm:
+        dp, dm = polys.discriminant(p), polys.discriminant(m)
+        k = polys.int_sqrt(dp * dm)
+        if k is None:
             return None
         # 2*c2*x + c1 = sigma*sqrt(D) for a root x of c0 + c1*x + c2*x^2,
         # sigma the sign of the derivative there, which is -sign_lo; and
@@ -450,22 +459,25 @@ def _embed(t, theta):
 def _record(psi, embeds):
     """Give the new generator psi its embeddings (t, h) after checking each
     exactly: m_t(h(x)) reduces to 0 modulo m_psi, so h(psi) is a root of
-    m_t, and h(psi) lies inside t's isolating interval, which holds no other
-    root of m_t, so h(psi) = t.  An enclosure of h(psi) not yet inside
-    halves psi's interval k times, k the bit length of its width over that
-    of t's interval, rounded up: about log2 of that ratio enclosures in all,
-    not one per halving."""
+    m_t, and m_t has exactly one root (a Sturm count) in the hull of an
+    enclosure of h(psi) and t's isolating interval, which holds both, so
+    h(psi) = t.  While the hull holds more roots, psi's interval is halved
+    k times, k the bit length of the enclosure's width over that of t's
+    interval, rounded up: about log2 of that ratio enclosures in all, not
+    one per halving.  An enclosure that leaves t's interval shows h(psi) to
+    be another root."""
     m = psi.min_poly
     for t, h in embeds:
-        if polys.compose_mod((t.min_poly, 1), h, m)[0]:
+        mt = t.min_poly
+        if polys.compose_mod((mt, 1), h, m)[0]:
             raise InternalConsistencyError("embedding is not a root of the minimal polynomial")
         lo, hi = t.interval
         for _ in range(20000):
             elo, ehi = _enclose(h, psi.interval)
-            if lo < elo and ehi < hi:
-                break
             if ehi < lo or hi < elo:
                 raise InternalConsistencyError("embedding is another root")
+            if polys.count_roots_halfopen(mt, min(lo, elo), max(hi, ehi)) == 1:
+                break
             for _ in range(ceil((ehi - elo) / (hi - lo)).bit_length()):
                 psi.refine()
         else:
@@ -744,7 +756,14 @@ def _compare_isolated(a, b):
 
 
 def sqrt_nonneg(a):
-    """Exact square root of a >= 0."""
+    """Exact square root of a >= 0.  A rational p/q that is no rational
+    square gives the generator of q*x^2 - p, irreducible by Capelli's
+    theorem, on _sqrt_interval's bracket [lo, hi]: lo >= 0, and the signs
+    q*lo^2 - p < 0 < q*hi^2 - p place exactly one root in it, since the
+    other one, -sqrt(p/q), is negative.  An irrational a takes a tower over
+    a generator of its whole field, a square root inside its field, or the
+    root of the factor of m_a(x^2) that the bracket of its interval holds
+    (Sturm counts), and records a's generator in that root (_tower)."""
     a = as_algreal(a)
     s = a.sign()
     if s < 0:
@@ -752,39 +771,45 @@ def sqrt_nonneg(a):
     if s == 0:
         return AlgReal(0)
     if a.is_rational:
-        root = polys.rational_sqrt(a.as_rational())
+        r = a.as_rational()
+        root = polys.rational_sqrt(r)
         if root is not None:
             return AlgReal(root)
-    else:
-        theta = _gen(a)[0]
-        n = theta.degree
-        if a.degree < n and 2 * n <= _MAX_CAND_DEGREE:
-            # a lies in a proper subfield of Q(theta); a * u^2 for some
-            # u = theta + k generates all of it, and its root is a tower
-            # over theta: sqrt(a) = sqrt(a * u^2) / |u|
-            for k in range(n + 1):
-                u = add(theta, k)
-                v = mul(a, mul(u, u))
-                if v.degree == n:
-                    return div(sqrt_nonneg(v), u if u.sign() > 0 else neg(u))
-        if not polys.nonsquare_root(a.min_poly):
-            root = _sqrt_in_field(a)
-            if root is not None:
-                return root
+        p, q = r.as_integer_ratio()
+        m = (-p, 0, q)
+        lo, hi = _sqrt_interval(a.interval)
+        if polys.sign_at(m, lo) >= 0 or polys.sign_at(m, hi) <= 0:
+            raise InternalConsistencyError("square root bracket holds no root")
+        return AlgReal._make(m, (lo, hi))
+    theta = _gen(a)[0]
+    n = theta.degree
+    if a.degree < n and 2 * n <= _MAX_CAND_DEGREE:
+        # a lies in a proper subfield of Q(theta); a * u^2 for some
+        # u = theta + k generates all of it, and its root is a tower
+        # over theta: sqrt(a) = sqrt(a * u^2) / |u|
+        for k in range(n + 1):
+            u = add(theta, k)
+            v = mul(a, mul(u, u))
+            if v.degree == n:
+                return div(sqrt_nonneg(v), u if u.sign() > 0 else neg(u))
+    if not polys.nonsquare_root(a.min_poly):
+        root = _sqrt_in_field(a)
+        if root is not None:
+            return root
     _check_cand_degree(2 * a.degree)
     root = _select_root(polys.sqrt_factors(a.min_poly),
                         lambda: _sqrt_interval(a.interval), a.refine)
-    if not a.is_rational:
-        _tower(root, a)
+    _tower(root, a)
     return root
 
 
 def _sqrt_interval(interval):
     """sqrt(max(lo, 0)) rounded down and sqrt(hi) rounded up, each to 2^-16
-    of its own denominator.  A rational radicand (a point interval) is
-    isolated at once.  An irrational one's endpoints tend to it, so their
-    denominators grow without bound, and the bracket tightens with every
-    refinement of the radicand, as _select_root needs."""
+    of its own denominator.  A rational radicand (a point interval) gets
+    one bracket, which sqrt_nonneg checks by two signs.  An irrational
+    one's endpoints tend to it, so their denominators grow without bound,
+    and the bracket tightens with every refinement of the radicand, as
+    _select_root needs."""
     lo, hi = max(interval[0], 0), interval[1]
     return (Fraction(isqrt(lo.numerator * lo.denominator << 32), lo.denominator << 16),
             Fraction(isqrt(hi.numerator * hi.denominator << 32) + 1, hi.denominator << 16))

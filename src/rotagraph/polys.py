@@ -450,13 +450,25 @@ def _squarefree_mod_prime(c):
                for p in CERT_PRIMES)
 
 
+def int_sqrt(n):
+    """The square root of the int n when n is the square of an int, else
+    None (for every negative n too)."""
+    if n < 0:
+        return None
+    k = isqrt(n)
+    return k if k * k == n else None
+
+
 def rational_sqrt(r):
     """The rational square root of the Fraction r, or None when r is no
     rational square."""
-    if r < 0:
-        return None
-    n, d = isqrt(r.numerator), isqrt(r.denominator)
-    return Fraction(n, d) if n * n == r.numerator and d * d == r.denominator else None
+    n, d = int_sqrt(r.numerator), int_sqrt(r.denominator)
+    return None if n is None or d is None else Fraction(n, d)
+
+
+def discriminant(m):
+    """c1^2 - 4*c0*c2 of the quadratic m = (c0, c1, c2)."""
+    return m[1] ** 2 - 4 * m[0] * m[2]
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -568,20 +580,25 @@ def sqrt_candidates(m, g):
 @lru_cache(maxsize=CACHE_SIZE)
 def full_degree(m1, m2):
     """True when roots t1, t2 of the irreducible m1, m2 give
-    [Q(t1, t2) : Q] = n1*n2: the degrees are coprime, or some prime p not
-    dividing the leads makes both square-free mod p, one of them, of degree
-    n, irreducible mod p, and the other one have a factor mod p of degree f
-    prime to n.  By Hensel's lemma that factor lifts to the p-adic integers
-    and embeds Q(t1) in the unramified extension of Q_p of degree f, whose
-    residue field F_(p^f) keeps the first polynomial irreducible; a
-    factorisation of it over Q(t1) would reduce to one over F_(p^f).
-    False when no prime in CERT_PRIMES shows it: at once for m1 == m2 (a
-    field of degree n^2 at most), and after GOOD_PRIMES good primes if
-    neither side was irreducible at any of them (as for one field reached
-    twice whose Galois group has no n-cycle)."""
+    [Q(t1, t2) : Q] = n1*n2.  Coprime degrees force it.  Two quadratics
+    have it exactly when the product D1*D2 of their discriminants is no
+    square of an int (a negative product never is), since
+    Q(sqrt D1) = Q(sqrt D2) just when D1/D2 is a rational square.  Else
+    some prime p not dividing the leads must make both square-free mod p,
+    one of them, of degree n, irreducible mod p, and the other one have a
+    factor mod p of degree f prime to n.  By Hensel's lemma that factor
+    lifts to the p-adic integers and embeds Q(t1) in the unramified
+    extension of Q_p of degree f, whose residue field F_(p^f) keeps the
+    first polynomial irreducible; a factorisation of it over Q(t1) would
+    reduce to one over F_(p^f).  False when no prime in CERT_PRIMES shows
+    it: at once for m1 == m2 (a field of degree n^2 at most), and after
+    GOOD_PRIMES good primes if neither side was irreducible at any of them
+    (as for one field reached twice whose Galois group has no n-cycle)."""
     n1, n2 = degree(m1), degree(m2)
     if gcd(n1, n2) == 1:
         return True
+    if n1 == n2 == 2:
+        return int_sqrt(discriminant(m1) * discriminant(m2)) is None
     if m1 == m2:
         return False
     (small, ns), (big, nb) = sorted(((m1, n1), (m2, n2)), key=lambda e: e[1])

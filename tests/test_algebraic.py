@@ -1199,3 +1199,63 @@ def test_rational_pairs_match_fraction_arithmetic():
         pairs = [(draw(), draw()) for _ in range(rng.randint(1, 3))]
         check(dot([x for (x, _), _ in pairs], [y for _, (y, _) in pairs]),
               sum(fx * fy for (_, fx), (_, fy) in pairs))
+
+
+def test_rational_square_roots_match_the_sturm_route(monkeypatch):
+    """sqrt(r) for seeded rationals r (non-squares, squares, numerators
+    above 2^64, tiny 1/q) has the minimal polynomial and the interval that
+    root selection over the factors of m_r(x^2) gives, one root of it in
+    that interval, and the square r; it builds no Sturm chain."""
+    from rotagraph.algebraic import _select_root, _sqrt_interval
+    rng = random.Random(2301)
+    cases = [Fraction(3, 4), Fraction(5, 7), Fraction(2), Fraction(1, 4), Fraction(9, 49)]
+    for _ in range(15):
+        cases += [Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6)),
+                  Fraction(rng.randint(2 ** 64, 2 ** 90), rng.randint(1, 10 ** 4)),
+                  Fraction(1, rng.randint(2, 10 ** 40)),
+                  Fraction(rng.randint(1, 2 ** 40), rng.randint(1, 10 ** 6)) ** 2]
+    original = polys.sturm_chain
+    squares = 0
+    for r in cases:
+        a = AlgReal(r)
+        square = polys.rational_sqrt(r)
+        if square is None:
+            want = _select_root(polys.sqrt_factors(a.min_poly),
+                                lambda: _sqrt_interval(a.interval), a.refine)
+        else:
+            want, squares = AlgReal(square), squares + 1
+        chains = []
+        monkeypatch.setattr(polys, "sturm_chain", lambda c: chains.append(c) or original(c))
+        got = sqrt_nonneg(AlgReal(r))
+        monkeypatch.setattr(polys, "sturm_chain", original)
+        assert chains == [], r
+        assert (got.min_poly, got.interval) == (want.min_poly, want.interval), r
+        assert got.is_rational == (square is not None)
+        if square is None:
+            assert polys.count_roots_halfopen(got.min_poly, *got.interval) == 1
+        assert mul(got, got) == r
+    assert squares >= 15 and len(cases) - squares >= 40
+
+
+def test_record_accepts_an_embedding_by_one_root_in_the_hull(monkeypatch):
+    """Joining sqrt(3/4) and sqrt(5/7) records both embeddings without
+    refining psi, since each m_t has one root in the hull of h(psi)'s
+    enclosure and t's interval.  -h1, which gives the other root of m_t1,
+    and an h that gives no root are refused."""
+    from rotagraph.algebraic import _join, _record
+    from rotagraph.errors import InternalConsistencyError
+    t1 = sqrt_nonneg(AlgReal(Fraction(3, 4)))
+    t2 = sqrt_nonneg(AlgReal(Fraction(5, 7)))
+    refined, original = [], AlgReal.refine
+    monkeypatch.setattr(AlgReal, "refine", lambda self: refined.append(self) or original(self))
+    psi, g1, g2 = _join(t1, t2)
+    monkeypatch.setattr(AlgReal, "refine", original)
+    assert psi.degree == 4 and not any(v is psi for v in refined)
+    (u1, h1), (u2, h2) = embeds = psi._embeds
+    assert u1 is t1 and u2 is t2
+    assert AlgReal._over(psi, g1) == t1 and AlgReal._over(psi, g2) == t2
+    with pytest.raises(InternalConsistencyError, match="embedding is another root"):
+        _record(psi, ((t1, (tuple(-c for c in h1[0]), h1[1])),))
+    with pytest.raises(InternalConsistencyError, match="not a root"):
+        _record(psi, ((t1, polys.qadd(h1, ((1,), 1))),))
+    assert psi._embeds == embeds

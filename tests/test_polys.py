@@ -351,6 +351,36 @@ def test_composed_certificate_negative_cases():
     assert seen == []
 
 
+def test_full_degree_of_two_quadratics_reads_their_discriminants():
+    """Two quadratic fields have a compositum of degree 4 exactly when the
+    product of their discriminants is no square (a negative one never is),
+    decided with no prime search; the answer agrees with whether the
+    composed sum is irreducible."""
+    rng = random.Random(23)
+    pairs = [((-2, 0, 1), (-8, 0, 1), False),     # Q(sqrt 2) twice
+             ((1, 0, 1), (4, 0, 1), False),       # Q(i) twice
+             ((-3, 0, 4), (-12, 0, 1), False),    # sqrt(3)/2 and 2 sqrt 3
+             ((-2, 0, 1), (-3, 0, 1), True),
+             ((-3, 0, 4), (-5, 0, 7), True),
+             ((1, 0, 1), (-2, 0, 1), True),       # D1 * D2 = -32
+             ((-1, -1, 1), (1, 0, 1), True)]      # D1 * D2 = -20
+    while len(pairs) < 40:
+        m1, m2 = (random_irreducible(rng, 2) for _ in range(2))
+        pairs.append((m1, m2, None))
+    seen, original = [], polys._ddf
+    polys._ddf = lambda c, p: seen.append(p) or original(c, p)
+    try:
+        got = [polys.full_degree.__wrapped__(m1, m2) for m1, m2, _ in pairs]
+    finally:
+        polys._ddf = original
+    assert seen == []
+    for (m1, m2, want), full in zip(pairs, got):
+        if want is not None:
+            assert full is want, (m1, m2)
+        assert full == (polys.factor_int(polys.cand_sum(m1, m2)) ==
+                        (polys.cand_sum(m1, m2),)), (m1, m2)
+
+
 def test_composed_certificate_on_a_point_and_its_reparse():
     """A point's coordinates against their JSON re-parse lie in one field:
     the certificate never claims more than that field's degree, and where
