@@ -1,5 +1,9 @@
 """Command-line front end.  JSON out, expression-grammar strings in.
 
+`COMMANDS` is the one table of modules, commands, handlers and flags.  A
+call builds the parsers of every module but the command parsers of the
+module its argv names only, since argparse descends into that one alone.
+
 Exit codes: 0 success, 1 domain error (JSON error object on stdout),
 2 usage error, 130 interrupted.
 """
@@ -324,7 +328,63 @@ def cmd_finite_census(args):
 
 # -- wiring -------------------------------------------------------------------
 
-def _build_parser():
+_REQ = {"required": True}
+_GEN_FLAGS = {"group": {**_REQ, "help": "generators as cycle strings, ';'-separated"},
+              "degree": {"type": int, "default": None}}
+
+#: module -> command -> (handler, flags): each flag name maps to the keyword
+#: arguments of its ``--flag-name`` option, in the order help lists them
+COMMANDS = {
+    "field": {
+        "eval": (cmd_field_eval, {"expr": _REQ}),
+        "compare": (cmd_field_compare, {"a": _REQ, "b": _REQ}),
+        "roots": (cmd_field_roots, {"poly": {
+            **_REQ, "help": "integer coefficients c0,c1,...,cn (ascending)"}}),
+        "angle-rational": (cmd_field_angle_rational, {"cos": _REQ}),
+    },
+    "plane": {
+        "dist": (cmd_plane_dist, {"p": _REQ, "q": _REQ}),
+        "equidistant": (cmd_plane_equidistant, {"p": _REQ, "q": _REQ, "cos_l": _REQ}),
+        "step": (cmd_plane_step, {"p": _REQ, "q": _REQ, "cos_l": _REQ}),
+        "ellncos": (cmd_plane_ellncos, {"cos_l": _REQ, "n": {**_REQ, "type": int}}),
+        "witness": (cmd_plane_witness, {"p": _REQ, "q": _REQ, "cos_l": _REQ,
+                                        "n": {**_REQ, "type": int}}),
+    },
+    "iso": {
+        "fixed-point": (cmd_iso_fixed_point, {"matrix": _REQ}),
+        "check-orthogonal": (cmd_iso_check_orthogonal, {"matrix": _REQ}),
+        "sample-edges": (cmd_iso_sample_edges, {"matrix": _REQ, "cos_l": _REQ,
+                                                "count": {"type": int, "default": 10}}),
+    },
+    "graph": {
+        "edge": (cmd_graph_edge, {"p": _REQ, "q": _REQ, "cos_l": _REQ}),
+        "distance": (cmd_graph_distance, {"p": _REQ, "q": _REQ, "cos_l": _REQ}),
+        "path": (cmd_graph_path, {"p": _REQ, "q": _REQ, "cos_l": _REQ}),
+        "diameter": (cmd_graph_diameter, {"cos_l": _REQ}),
+        "validate": (cmd_graph_validate, {"cos_l": _REQ}),
+        "choose-ell": (cmd_graph_choose_ell, {"diameter": {**_REQ, "type": int}}),
+    },
+    "finite": {
+        "cf": (cmd_finite_cf, _GEN_FLAGS),
+        "jordan": (cmd_finite_jordan, _GEN_FLAGS),
+        "subgroups": (cmd_finite_subgroups, _GEN_FLAGS),
+        "rotary": (cmd_finite_rotary, {"graph": _REQ}),
+        "automorphisms": (cmd_finite_automorphisms, {"graph": _REQ}),
+        "bipartite": (cmd_finite_bipartite, {"graph": _REQ}),
+        # --table or --group, one of them: added below as an exclusive pair
+        "conjgraph": (cmd_finite_conjgraph, {"degree": {"type": int, "default": None},
+                                             "g1": _REQ, "g3": _REQ}),
+        "census": (cmd_finite_census, {"n_max": {**_REQ, "type": int}}),
+    },
+}
+
+
+def _build_parser(argv):
+    """The parser for argv: every module, and the commands of the module
+    that argv names only (argparse descends into that one alone).  The
+    module is argv's first token that names one; only the shared flags and
+    their values can precede it, and a module name read as a flag's value
+    is a usage error of the top-level parser before any module is entered."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--pretty", action="store_true",
                         default=argparse.SUPPRESS, help="indent JSON output")
@@ -336,62 +396,22 @@ def _build_parser():
     ap = argparse.ArgumentParser(prog="rotagraph", parents=[common],
                                  description="exact unit-distance graph toolkit")
     top = ap.add_subparsers(dest="module", required=True)
-
-    def sub(subparsers, name, fn, **flags):
-        p = subparsers.add_parser(name, parents=[common])
-        for flag, kw in flags.items():
-            p.add_argument("--" + flag.replace("_", "-"), **kw)
-        p.set_defaults(fn=fn)
-        return p
-
-    req = {"required": True}
-    field = top.add_parser("field").add_subparsers(dest="cmd", required=True)
-    sub(field, "eval", cmd_field_eval, expr={**req})
-    sub(field, "compare", cmd_field_compare, a={**req}, b={**req})
-    sub(field, "roots", cmd_field_roots,
-        poly={**req, "help": "integer coefficients c0,c1,...,cn (ascending)"})
-    sub(field, "angle-rational", cmd_field_angle_rational, cos={**req})
-
-    plane = top.add_parser("plane").add_subparsers(dest="cmd", required=True)
-    sub(plane, "dist", cmd_plane_dist, p={**req}, q={**req})
-    sub(plane, "equidistant", cmd_plane_equidistant, p={**req}, q={**req},
-        cos_l={**req})
-    sub(plane, "step", cmd_plane_step, p={**req}, q={**req}, cos_l={**req})
-    sub(plane, "ellncos", cmd_plane_ellncos, cos_l={**req},
-        n={**req, "type": int})
-    sub(plane, "witness", cmd_plane_witness, p={**req}, q={**req},
-        cos_l={**req}, n={**req, "type": int})
-
-    iso = top.add_parser("iso").add_subparsers(dest="cmd", required=True)
-    sub(iso, "fixed-point", cmd_iso_fixed_point, matrix={**req})
-    sub(iso, "check-orthogonal", cmd_iso_check_orthogonal, matrix={**req})
-    sub(iso, "sample-edges", cmd_iso_sample_edges, matrix={**req},
-        cos_l={**req}, count={"type": int, "default": 10})
-
-    gr = top.add_parser("graph").add_subparsers(dest="cmd", required=True)
-    sub(gr, "edge", cmd_graph_edge, p={**req}, q={**req}, cos_l={**req})
-    sub(gr, "distance", cmd_graph_distance, p={**req}, q={**req}, cos_l={**req})
-    sub(gr, "path", cmd_graph_path, p={**req}, q={**req}, cos_l={**req})
-    sub(gr, "diameter", cmd_graph_diameter, cos_l={**req})
-    sub(gr, "validate", cmd_graph_validate, cos_l={**req})
-    sub(gr, "choose-ell", cmd_graph_choose_ell, diameter={**req, "type": int})
-
-    fin = top.add_parser("finite").add_subparsers(dest="cmd", required=True)
-    gen_flags = {"group": {**req, "help": "generators as cycle strings, ';'-separated"},
-                 "degree": {"type": int, "default": None}}
-    sub(fin, "cf", cmd_finite_cf, **gen_flags)
-    sub(fin, "jordan", cmd_finite_jordan, **gen_flags)
-    sub(fin, "subgroups", cmd_finite_subgroups, **gen_flags)
-    sub(fin, "rotary", cmd_finite_rotary, graph={**req})
-    sub(fin, "automorphisms", cmd_finite_automorphisms, graph={**req})
-    sub(fin, "bipartite", cmd_finite_bipartite, graph={**req})
-    conj = sub(fin, "conjgraph", cmd_finite_conjgraph,
-               degree={"type": int, "default": None}, g1={**req}, g3={**req})
-    source = conj.add_mutually_exclusive_group()
-    source.add_argument("--table", default=None,
-                        help="row-major multiplication table JSON")
-    source.add_argument("--group", default=None)
-    sub(fin, "census", cmd_finite_census, n_max={**req, "type": int})
+    named = next((t for t in argv if t in COMMANDS), None)
+    for module, commands in COMMANDS.items():
+        mp = top.add_parser(module)
+        if module != named:
+            continue
+        cmds = mp.add_subparsers(dest="cmd", required=True)
+        for name, (fn, flags) in commands.items():
+            p = cmds.add_parser(name, parents=[common])
+            for flag, kw in flags.items():
+                p.add_argument("--" + flag.replace("_", "-"), **kw)
+            p.set_defaults(fn=fn)
+            if fn is cmd_finite_conjgraph:
+                source = p.add_mutually_exclusive_group()
+                source.add_argument("--table", default=None,
+                                    help="row-major multiplication table JSON")
+                source.add_argument("--group", default=None)
     return ap
 
 
@@ -405,7 +425,8 @@ def _on_sigint(handler):
 def main(argv=None):
     # restore interruptibility even when spawned with SIGINT ignored
     _on_sigint(signal.default_int_handler)
-    ap = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ap = _build_parser(argv)
     # the shared flags use SUPPRESS defaults so they work on either side of
     # the subcommand; the namespace holds their real defaults
     args = ap.parse_args(argv, argparse.Namespace(pretty=False, seed=0, approx=None))

@@ -145,7 +145,7 @@ class Permutation:
 class PermGroup:
     """The closure of a list of generating permutations of [0, n)."""
 
-    __slots__ = ("degree", "generators", "_elements")
+    __slots__ = ("degree", "generators", "_elements", "_orbits")
 
     def __init__(self, degree, generators):
         generators = tuple(generators)
@@ -155,6 +155,7 @@ class PermGroup:
         self.degree = degree
         self.generators = generators
         self._elements = None
+        self._orbits = None
 
     def elements(self):
         """Full element list, sorted by image tuple (deterministic)."""
@@ -181,8 +182,14 @@ class PermGroup:
         return len(self.elements())
 
     def orbits(self):
-        return _components(self.degree, ((i, j) for g in self.generators
-                                         for i, j in enumerate(g.images)))
+        """The orbits on [0, n), each ascending, sorted by least point;
+        computed once, as the transitivity test, the orbit count and the
+        census read them in turn."""
+        if self._orbits is None:
+            self._orbits = tuple(map(tuple, _components(
+                self.degree, ((i, j) for g in self.generators
+                              for i, j in enumerate(g.images)))))
+        return self._orbits
 
     def is_transitive(self):
         return self.degree > 0 and len(self.orbits()) == 1

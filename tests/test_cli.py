@@ -1,10 +1,14 @@
+import argparse
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
 import time
 from pathlib import Path
+
+from rotagraph import cli
 
 CLI = [sys.executable, "-m", "rotagraph.cli"]
 # the CLI runs in a child process, which imports the package from this checkout
@@ -432,3 +436,56 @@ def test_point_with_an_unknown_key_is_a_parse_error():
     assert proc.returncode == 1 and "Traceback" not in proc.stderr
     assert proc.stdout == ('{"error": "parse-error", '
                            '"detail": "a point has keys x, y and z only, not \'w\'"}\n')
+
+
+def main_exit(capsys, argv):
+    """cli.main(argv) in this process: exit code, stdout and stderr."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as e:
+        code = e.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def names(text):
+    return set(re.findall(r"[\w-]+", text))
+
+
+def test_every_command_is_reachable_and_listed(capsys):
+    for module, commands in cli.COMMANDS.items():
+        for command in commands:
+            code, out, _ = main_exit(capsys, [module, command, "--help"])
+            assert code == 0 and out.startswith(f"usage: rotagraph {module} {command}"), \
+                (module, command)
+        code, out, err = main_exit(capsys, [module, "bogus"])
+        assert code == 2 and not out and set(commands) <= names(err), module
+    for argv in (["bogus"], ["-h", "field"]):
+        code, out, err = main_exit(capsys, argv)
+        assert code == (2 if argv == ["bogus"] else 0), argv
+        assert set(cli.COMMANDS) <= names(out + err), argv
+
+
+def test_a_call_builds_the_command_parsers_of_its_module_only(monkeypatch, capsys):
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv, module, built in ((["field", "eval", "--expr", "1"], "field", 11),
+                                (["finite", "cf", "--group", "(0 1)"], "finite", 15),
+                                (["--help"], None, 7)):
+        progs.clear()
+        main_exit(capsys, argv)
+        assert len(progs) == built, argv
+        commands = [p for p in progs if p and len(p.split()) == 3]
+        assert all(p.split()[1] == module for p in commands), argv
+    # with no argv, main reads sys.argv once, for the builder and the parse
+    monkeypatch.setattr(sys, "argv", ["rotagraph", "plane", "dist",
+                                      "--p", "1,0,0", "--q", "4/5,3/5,0"])
+    progs.clear()
+    assert cli.main() == 0 and len(progs) == 12
+    assert capsys.readouterr().out == '{"cos_d": "4/5"}\n'

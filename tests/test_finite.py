@@ -216,6 +216,23 @@ def test_census_small():
         fn.census(8)
 
 
+def _orbits_by_union_find(g):
+    """PermGroup.orbits without its cache: one union-find per call."""
+    return tuple(map(tuple, fn._components(
+        g.degree, ((i, j) for p in g.generators for i, j in enumerate(p.images)))))
+
+
+def test_census_finds_each_groups_orbits_once(monkeypatch):
+    calls = []
+    components = fn._components
+    monkeypatch.setattr(fn, "_components", lambda *a: calls.append(1) or components(*a))
+    got = fn.census(5)
+    # one union-find per graph, and one per connectivity test
+    assert len(calls) <= 59
+    monkeypatch.setattr(fn.PermGroup, "orbits", _orbits_by_union_find)
+    assert got == fn.census(5)
+
+
 # -- differential tests against the definitions ------------------------------
 
 A4 = fn.PermGroup(4, [fn.Permutation.from_cycles("(0 1 2)", 4),
