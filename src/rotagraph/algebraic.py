@@ -28,7 +28,9 @@ operation across fields): q*x - p and [p/q, p/q] for p/q, and for g(theta)
 the characteristic polynomial of g, with no factorisation; that is the
 only way it gets one.  A sum of products (dot) over rationals and one
 generator sums the integer products over one denominator and reduces once
-modulo m.
+modulo m; so does one over several generators linked by records, once
+each operand over another generator is mapped into the one that reaches
+all the others.
 Operations across fields that no record links and no compositum joins take
 the candidate polynomial of the result, and give an untagged value; two
 equal values over unrelated generators (a value and its re-parse) meet
@@ -390,18 +392,41 @@ def _common(ea, eb):
     """(theta, ga, gb) with a = ga(theta) and b = gb(theta), for a and b
     as _gen gives them: over the generator of either when the other is a
     constant (theta None for two) or its field is known to contain the
-    other's; None otherwise."""
+    other's (_meet); None otherwise."""
     (ta, ga), (tb, gb) = ea, eb
     if ta is tb or tb is None:
         return ta, ga, gb
     if ta is None:
         return tb, ga, gb
-    h = _reach(ta, tb)
-    if h is not None:
-        return ta, ga, polys.compose_mod(gb, h, ta.min_poly)
-    h = _reach(tb, ta)
-    if h is not None:
-        return tb, polys.compose_mod(ga, h, tb.min_poly), gb
+    common = _meet((ea, eb))
+    if common is None:
+        return None
+    theta, (ga, gb) = common
+    return theta, ga, gb
+
+
+def _meet(es):
+    """(theta, gs) with v_i = gs[i](theta) for es[i] = _gen(v_i), over two
+    or more generators: theta the first of the largest degree that reaches
+    each of the others as t = h(theta) (_reach), each g over such a t mapped
+    into it once (polys.compose_mod), and constants kept.  None when no
+    generator reaches all the others."""
+    thetas = list({id(t): t for t, _ in es if t is not None}.values())
+    top = max(t.degree for t in thetas)
+    for theta in thetas:
+        if theta.degree != top:     # a field of lower degree contains no larger one
+            continue
+        hs = {}
+        for t in thetas:
+            if t is not theta:
+                h = _reach(theta, t)
+                if h is None:
+                    break
+                hs[id(t)] = h
+        else:
+            m = theta.min_poly
+            return theta, [g if t is None or t is theta else polys.compose_mod(g, hs[id(t)], m)
+                           for t, g in es]
     return None
 
 
@@ -416,8 +441,8 @@ def _reach(psi, t):
         s, path = stack.pop()      # path: (k, u) from psi down, s = k(u)
         h = _X if s is t else _embed(t, s)
         if h is not None:
-            for k, u in reversed(path):
-                h = polys.compose_mod(h, k, u.min_poly)
+            for k, u in reversed(path):     # x(k) is k, stored reduced
+                h = k if h is _X else polys.compose_mod(h, k, u.min_poly)
             return h
         for u, k in s._embeds:
             if id(u) not in seen:
@@ -711,14 +736,16 @@ def dot(xs, ys):
     """sum_i xs[i] * ys[i], the value the add/mul chain gives: when every
     operand is rational, the integer products summed over one denominator;
     when every irrational one lies over one generator theta, the same
-    modulo theta's minimal polynomial, reduced once (polys.dotmod); else
-    the chain."""
+    modulo theta's minimal polynomial, reduced once (polys.dotmod); when
+    they lie over several generators of which one reaches all the others
+    through recorded embeddings, the same over that one, each operand over
+    another generator mapped into it once (_dot_linked); else the chain."""
     theta, gs = None, []
     for v in (*xs, *ys):
         t, g = _gen(v)
         if t is not None and t is not theta:
             if theta is not None:
-                return reduce(add, map(mul, xs, ys))
+                return _dot_linked(xs, ys)
             theta = t
         gs.append(g)
     n = len(xs)
@@ -734,6 +761,19 @@ def dot(xs, ys):
             num, p, den = num * (q // g), p * (den // g), den * (q // g)
         num += p
     return _quotient(num, den)
+
+
+def _dot_linked(xs, ys):
+    """dot over several generators, met as _meet meets them (as for two
+    operands), or else by the add/mul chain.  The result lies over the
+    generator the chain ends on, unless terms over the larger field cancel
+    to a value of a subfield, which the chain gives over that subfield's
+    generator."""
+    common = _meet([_gen(v) for pair in zip(xs, ys) for v in pair])     # the chain's order
+    if common is None:
+        return reduce(add, map(mul, xs, ys))
+    theta, gs = common
+    return AlgReal._over(theta, polys.dotmod(gs[::2], gs[1::2], theta.min_poly))
 
 
 def _compare_isolated(a, b):

@@ -423,9 +423,23 @@ def _on_sigint(handler):
 
 
 def main(argv=None):
+    """Run one call.  A call given argv, from within a program, leaves the
+    SIGINT handler as it found it, also when argparse exits (SystemExit); one
+    that reads sys.argv, a process of its own, ignores SIGINT from the moment
+    its answer is fixed until the process exits."""
+    if argv is None:
+        return _main(sys.argv[1:])
+    handler = signal.getsignal(signal.SIGINT)
+    try:
+        return _main(list(argv))
+    finally:
+        if handler is not None:     # None: not set from Python, so not ours to restore
+            _on_sigint(handler)
+
+
+def _main(argv):
     # restore interruptibility even when spawned with SIGINT ignored
     _on_sigint(signal.default_int_handler)
-    argv = sys.argv[1:] if argv is None else list(argv)
     ap = _build_parser(argv)
     # the shared flags use SUPPRESS defaults so they work on either side of
     # the subcommand; the namespace holds their real defaults
@@ -433,8 +447,8 @@ def main(argv=None):
     if args.approx is not None and args.approx < 0:
         ap.error(f"approximation BITS must not be negative, got {args.approx}")
     # SIGINT before the answer is rendered cancels it (exit 130); once the
-    # text is fixed SIGINT is ignored, until the process ends, so the answer
-    # is printed whole and the exit code stands
+    # text is fixed SIGINT is ignored, so the answer is printed whole and the
+    # exit code stands
     try:
         text, code = _run(args)
         _on_sigint(signal.SIG_IGN)

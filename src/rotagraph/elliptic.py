@@ -50,8 +50,8 @@ class ProjPoint:
         """The canonical unit lift (computed on first use)."""
         if self._unit is None:
             v = self._raw
-            n = sqrt_nonneg(_dot(v, v))
-            self._unit = tuple(div(c, n) for c in v)
+            inv = div(_ONE, sqrt_nonneg(_dot(v, v)))     # one inverse, three products
+            self._unit = tuple(mul(c, inv) for c in v)
         return self._unit
 
     @property
@@ -225,11 +225,11 @@ def circle_intersect(p, cos_r1, q, cos_r2):
         e, xi = next((e, xi) for e, xi in zip(_BASIS, x)
                      if compare(mul(xi, xi), _ONE) == LESS)
         return _along(x, e, xi, a)
-    sin2 = sub(_ONE, mul(s, s))
+    inv = div(_ONE, sub(_ONE, mul(s, s)))     # 1/(1 - s^2), inverted once
     for b in (cos_r2.value, neg(cos_r2.value)):
-        alpha = div(sub(a, mul(b, s)), sin2)
-        beta = div(sub(b, mul(a, s)), sin2)
-        gamma2 = div(sub(sub(_ONE, mul(alpha, a)), mul(beta, b)), sin2)
+        alpha = mul(sub(a, mul(b, s)), inv)
+        beta = mul(sub(b, mul(a, s)), inv)
+        gamma2 = mul(sub(sub(_ONE, mul(alpha, a)), mul(beta, b)), inv)
         if gamma2.sign() < 0:
             continue
         n = _canonical_sign(_cross(x, y))

@@ -1076,14 +1076,21 @@ def test_integer_elements_match_the_fraction_route():
     assert checked == 4 * 11 * 5 + 3 * 6 + 2
 
 
-def test_dot_matches_the_add_mul_chain():
+def test_dot_matches_the_add_mul_chain(monkeypatch):
     """dot gives the value of the pairwise add/mul chain on rational,
-    one-field, mixed (rationals and one field) and cross-field vectors of
-    lengths 1 to 3: the same Fraction on rationals, and the same theta and
-    the same g whenever the chain stays over one generator."""
+    one-field, mixed (rationals and one field), linked and cross-field
+    vectors of lengths 1 to 3: the same Fraction on rationals, and the same
+    theta and the same g whenever the chain stays over one generator.
+    Linked vectors mix generators that one of them reaches through recorded
+    embeddings: the tower sqrt(1 + sqrt 2) with sqrt 2, or a compositum of
+    sqrt 2 and sqrt 3 with both; dot maps them into it and calls no add or
+    mul."""
+    from rotagraph import algebraic
     from rotagraph.algebraic import _gen, dot
     rng = random.Random(2102)
     tower = _gen(sqrt_nonneg(add(1, SQRT2)))[0]
+    compositum = _gen(add(SQRT2, SQRT3))[0]
+    assert [t for t, _ in compositum._embeds] == [SQRT2, SQRT3]
 
     def rat():
         return Fraction(rng.randint(-20, 20), rng.randint(1, 12))
@@ -1092,17 +1099,35 @@ def test_dot_matches_the_add_mul_chain():
         g = _fnorm(rat() for _ in range(theta.degree))
         return AlgReal._over(theta, _pair(g)) if g else AlgReal(0)
 
+    families = ((tower, SQRT2), (compositum, SQRT2, SQRT3))
+    family = None
+
+    def linked():
+        return rng.choice((AlgReal(rat()), *map(over, family)))
+
+    def chain_call(*_):
+        raise AssertionError("dot took the add/mul chain")
+
     kinds = {
         "rational": lambda: rng.choice((rat(), AlgReal(rat()), rng.randint(-5, 5))),
         "one field": lambda: over(tower),
         "mixed": lambda: rng.choice((AlgReal(rat()), rat(), over(SQRT2))),
+        "linked": linked,
         "cross field": lambda: rng.choice((over(SQRT2), over(SQRT3), AlgReal(rat()))),
     }
+    several = 0
     for kind, draw in kinds.items():
         for n in (1, 2, 3):
             for _ in range(12):
+                family = rng.choice(families)
                 xs, ys = [draw() for _ in range(n)], [draw() for _ in range(n)]
-                got = dot(xs, ys)
+                with monkeypatch.context() as m:
+                    if kind == "linked":    # one operand over the top generator
+                        xs[0] = over(family[0])
+                        m.setattr(algebraic, "add", chain_call)
+                        m.setattr(algebraic, "mul", chain_call)
+                        several += len({id(t) for t, _ in map(_gen, xs + ys)} - {id(None)}) > 1
+                    got = dot(xs, ys)
                 want = mul(xs[0], ys[0])
                 for x, y in zip(xs[1:], ys[1:]):
                     want = add(want, mul(x, y))
@@ -1112,6 +1137,19 @@ def test_dot_matches_the_add_mul_chain():
                 elif kind != "cross field":
                     (gt, gg), (wt, wg) = _gen(got), _gen(want)
                     assert gt is wt and gg == wg, (kind, xs, ys)
+    assert several >= 12
+
+
+def test_reach_returns_a_recorded_embedding_as_stored():
+    """_reach of a generator recorded directly in psi (a tower's radicand
+    field, a compositum's two summands) is the stored h itself, which is
+    x(h) reduced modulo psi's minimal polynomial."""
+    from rotagraph.algebraic import _X, _gen, _reach
+    for psi in (_gen(sqrt_nonneg(add(1, SQRT2)))[0], _gen(add(SQRT2, SQRT3))[0]):
+        assert psi._embeds
+        for t, h in psi._embeds:
+            assert _reach(psi, t) is h
+            assert h == polys.compose_mod(_X, h, psi.min_poly)
 
 
 def test_operands_convert_as_as_algreal_does():

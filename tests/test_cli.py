@@ -487,5 +487,29 @@ def test_a_call_builds_the_command_parsers_of_its_module_only(monkeypatch, capsy
     monkeypatch.setattr(sys, "argv", ["rotagraph", "plane", "dist",
                                       "--p", "1,0,0", "--q", "4/5,3/5,0"])
     progs.clear()
-    assert cli.main() == 0 and len(progs) == 12
+    handler = signal.getsignal(signal.SIGINT)
+    try:
+        assert cli.main() == 0 and len(progs) == 12
+    finally:    # a sys.argv call ignores SIGINT until its process exits
+        signal.signal(signal.SIGINT, handler)
     assert capsys.readouterr().out == '{"cos_d": "4/5"}\n'
+
+
+def test_an_in_process_call_keeps_the_sigint_handler(capsys):
+    """cli.main given argv leaves SIGINT's handler as it found it, the
+    default one or a caller's own, after an answer (exit 0), a domain error
+    (exit 1) and a usage error (SystemExit 2)."""
+    def own(signum, frame):
+        raise KeyboardInterrupt
+
+    saved = signal.getsignal(signal.SIGINT)
+    try:
+        for handler in (signal.default_int_handler, own):
+            signal.signal(signal.SIGINT, handler)
+            for argv, want in ((["field", "eval", "--expr", "1"], 0),
+                               (["field", "eval", "--expr", "1/0"], 1),
+                               (["field", "nonsense"], 2)):
+                assert main_exit(capsys, argv)[0] == want, argv
+                assert signal.getsignal(signal.SIGINT) is handler, argv
+    finally:
+        signal.signal(signal.SIGINT, saved)
