@@ -884,17 +884,15 @@ def real_roots(p):
 
 def chebyshev_values(c):
     """T_0(c), T_1(c), ..., T_MAX_STEPS(c) with T_k(c) = cos(k * arccos c),
-    stepped by the exact recurrence T_{k+1} = 2c T_k - T_{k-1} (in
-    Fractions when c is rational); asking for the next one raises
-    BoundExceededError."""
+    stepped by the exact recurrence T_{k+1} = 2c T_k - T_{k-1}, one dot
+    per step; asking for the next one raises BoundExceededError."""
     c = as_algreal(c)
     if compare(c, AlgReal(-1)) == LESS or compare(c, AlgReal(1)) == GREATER:
         raise OutOfRangeError("Chebyshev argument outside [-1, 1]")
-    x = c.as_rational() if c.is_rational else c
-    prev, cur = 1, x
+    two_c, prev, cur = mul(2, c), AlgReal(1), c
     for _ in range(MAX_STEPS + 1):
-        yield as_algreal(prev)
-        prev, cur = cur, 2 * (x * cur) - prev
+        yield prev
+        prev, cur = cur, dot((two_c, -1), (cur, prev))
     raise BoundExceededError(f"Chebyshev indices above {MAX_STEPS} exceed the step budget")
 
 

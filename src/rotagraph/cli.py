@@ -130,7 +130,7 @@ def _resolve_element(grp, text):
     if text in grp.names:
         return grp.names.index(text)
     try:
-        i = int(text)
+        i = expr.read_int(text)
     except ValueError:
         raise ParseError(f"unknown element {text!r}") from None
     if not 0 <= i < grp.order:

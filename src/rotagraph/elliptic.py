@@ -98,16 +98,10 @@ def as_dist_cos(v):
 _dot = dot
 
 
-def _scale(v, s):
-    return tuple(mul(c, s) for c in v)
-
-
-def _vadd(x, y):
-    return tuple(add(a, b) for a, b in zip(x, y))
-
-
-def _vsub(x, y):
-    return tuple(sub(a, b) for a, b in zip(x, y))
+def _combo(cs, vs):
+    """The linear combination sum_i cs[i] * vs[i] of vectors, one dot per
+    coordinate."""
+    return tuple(dot(cs, col) for col in zip(*vs))
 
 
 def _cross(x, y):
@@ -165,8 +159,7 @@ def _lifts_nonneg(p, q):
 def _rotate(a, v, c, s):
     """Rodrigues: v turned about the unit axis a by the angle with cosine c
     and sine s, c*v + s*(a x v) + (1 - c)*<a, v>*a."""
-    return _vadd(_vadd(_scale(v, c), _scale(_cross(a, v), s)),
-                 _scale(a, mul(sub(_ONE, c), _dot(a, v))))
+    return _combo((c, s, mul(sub(_ONE, c), _dot(a, v))), (v, _cross(a, v), a))
 
 
 def _along(x, y, s, c):
@@ -175,7 +168,7 @@ def _along(x, y, s, c):
     <., x> = c and unit norm gives beta^2 = (1 - c^2)/(1 - s^2) and
     alpha = c - beta*s."""
     beta = sqrt_nonneg(div(sub(_ONE, mul(c, c)), sub(_ONE, mul(s, s))))
-    return _unit_canonical(_vadd(_scale(x, sub(c, mul(beta, s))), _scale(y, beta)))
+    return _unit_canonical(_combo((sub(c, mul(beta, s)), beta), (x, y)))
 
 
 def two_ball_feasible(p, q, cos_l):
@@ -229,13 +222,11 @@ def circle_intersect(p, cos_r1, q, cos_r2):
     for b in (cos_r2.value, neg(cos_r2.value)):
         alpha = mul(sub(a, mul(b, s)), inv)
         beta = mul(sub(b, mul(a, s)), inv)
-        gamma2 = mul(sub(sub(_ONE, mul(alpha, a)), mul(beta, b)), inv)
+        gamma2 = mul(sub(_ONE, dot((alpha, beta), (a, b))), inv)
         if gamma2.sign() < 0:
             continue
         n = _canonical_sign(_cross(x, y))
-        lift = _vadd(_vadd(_scale(x, alpha), _scale(y, beta)),
-                     _scale(n, sqrt_nonneg(gamma2)))
-        return _unit_canonical(lift)
+        return _unit_canonical(_combo((alpha, beta, sqrt_nonneg(gamma2)), (x, y, n)))
     raise InfeasibleError("circles do not intersect")
 
 
@@ -272,10 +263,8 @@ def ell_n_cos(cos_l, n):
     if n == 0:
         return DistCos(_ONE)
     c = cos_l.value
-    c2 = mul(c, c)
-    s2 = sub(_ONE, c2)
     t = chebyshev_T(n, apex_angle_cos(cos_l))
-    v = add(c2, mul(s2, t))
+    v = dot((c, sub(_ONE, mul(c, c))), (c, t))
     if v.sign() < 0:
         v = neg(v)
     return DistCos(v)
@@ -288,10 +277,10 @@ def _frame_chain(o, p, cos_a, sin_a, n):
     x = p.lift
     chain = [_unit_canonical(x)]
     ci, si = cos_a, sin_a
+    neg_sin_a = neg(sin_a)
     for _ in range(n):
         chain.append(_unit_canonical(_rotate(o.lift, x, ci, si)))
-        ci, si = sub(mul(ci, cos_a), mul(si, sin_a)), \
-            add(mul(si, cos_a), mul(ci, sin_a))
+        ci, si = dot((ci, si), (cos_a, neg_sin_a)), dot((si, ci), (cos_a, sin_a))
     return chain
 
 

@@ -166,7 +166,7 @@ def validate_spec(spec):
     }
 
 
-def choose_ell_for_diameter(k, should_stop=None):
+def choose_ell_for_diameter(k):
     """A rational cosine giving graph diameter exactly k (k >= 3), with the
     apex angle an irrational multiple of pi.
 
@@ -174,9 +174,7 @@ def choose_ell_for_diameter(k, should_stop=None):
     cos(pi/(2k))] about pi^2/(4k^3) wide, where consecutive n/(n+1) lie
     only about pi^4/(64k^4) apart: its smallest-denominator fraction is
     n/(n+1) for the least n with T_0, ..., T_{k-1} all positive there
-    (diameter at least k), found by bisection over n < k^2.  `should_stop`,
-    when given, is polled before each probe and aborts the search by
-    returning True.
+    (diameter at least k), found by bisection over n < k^2.
     """
     if k < 3:
         raise OutOfRangeError("diameter targets below 3 are not in the strict regime")
@@ -184,8 +182,6 @@ def choose_ell_for_diameter(k, should_stop=None):
         raise BoundExceededError(f"diameter {k} exceeds the step budget {MAX_STEPS}")
 
     def reaches(n):
-        if should_stop is not None and should_stop():
-            raise SearchExhaustedError("search cancelled")
         return all(t.sign() > 0 for t in islice(chebyshev_values(Fraction(n, n + 1)), k))
 
     n = bisect_left(range(k * k), True, key=reaches)

@@ -14,8 +14,8 @@ from .algebraic import (
     AlgReal, EQUAL, add, as_algreal, compare, div, mul, neg, real_roots, sub,
 )
 from .elliptic import (
-    _BASIS, _cross, _dot, _lifts_nonneg, _rotate, _scale, _vsub, as_dist_cos,
-    dist_cos, make_point,
+    _BASIS, _combo, _cross, _dot, _lifts_nonneg, _rotate, as_dist_cos, dist_cos,
+    make_point,
 )
 from .errors import InternalConsistencyError, ParseError, PreconditionError
 
@@ -66,8 +66,7 @@ def identity():
 def rotation_about(axis, cos_a, sin_a):
     """Rodrigues rotation about `axis` with exact (cos, sin) pair."""
     cos_a, sin_a = as_algreal(cos_a), as_algreal(sin_a)
-    unit = add(mul(cos_a, cos_a), mul(sin_a, sin_a))
-    if compare(unit, _ONE) != EQUAL:
+    if compare(_dot((cos_a, sin_a), (cos_a, sin_a)), _ONE) != EQUAL:
         raise PreconditionError("cos^2 + sin^2 must equal 1 exactly")
     columns = [_rotate(axis.lift, e, cos_a, sin_a) for e in _BASIS]
     return LinearMap(tuple(zip(*columns)))
@@ -93,10 +92,11 @@ def is_orthogonal(m):
 def _minor2_sum(m):
     """Sum of the principal 2x2 minors (second char poly coefficient)."""
     r = m.rows
-    total = _ZERO
+    xs, ys = [], []
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        total = add(total, sub(mul(r[i][i], r[j][j]), mul(r[i][j], r[j][i])))
-    return total
+        xs += (r[i][i], r[i][j])
+        ys += (r[j][j], neg(r[j][i]))
+    return _dot(xs, ys)
 
 
 def _kernel_vector(rows):
@@ -215,12 +215,13 @@ def orthogonal_sending(p, q):
     two unit lifts (or the identity when they already agree).
     """
     x, y, _ = _lifts_nonneg(p, q)
-    w = _vsub(x, y)
+    w = _combo((1, -1), (x, y))
     n2 = _dot(w, w)
     if n2.sign() == 0:
         return identity()
     # row i of I - 2 w w^T / <w, w> is e_i - (2 w_i / <w, w>) w
-    rows = [_vsub(e, _scale(w, div(mul(2, wi), n2))) for e, wi in zip(_BASIS, w)]
+    f = div(-2, n2)
+    rows = [_combo((1, mul(f, wi)), (e, w)) for e, wi in zip(_BASIS, w)]
     m = LinearMap(rows)
     if apply(m, p) != q:
         raise InternalConsistencyError("reflection missed its target")

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from rotagraph import expr, polys
 from rotagraph.algebraic import (
-    AlgReal, EQUAL, GREATER, LESS,
-    add, chebyshev_T, compare, div, is_rational_angle, mul, neg,
+    AlgReal, EQUAL, GREATER, LESS, MAX_STEPS,
+    add, chebyshev_T, chebyshev_values, compare, div, is_rational_angle, mul, neg,
     rational_angle_witness, real_roots, sqrt_nonneg, sub, to_float,
     _compare_isolated,
 )
@@ -163,6 +163,35 @@ def test_chebyshev_on_irrational_argument():
     assert chebyshev_T(2, half_sqrt2).sign() == 0
     with pytest.raises(OutOfRangeError):
         chebyshev_T(2, AlgReal(2))
+
+
+def _fraction_chebyshev(c):
+    """The recurrence T_{k+1} = 2c T_k - T_{k-1} as chebyshev_values once
+    stepped it: in Fractions for rational c, else by operator arithmetic."""
+    x = c.as_rational() if c.is_rational else c
+    prev, cur = 1, x
+    while True:
+        yield AlgReal(prev) if isinstance(prev, (int, Fraction)) else prev
+        prev, cur = cur, 2 * (x * cur) - prev
+
+
+def test_chebyshev_values_match_the_fraction_recurrence():
+    """Every value T_0..T_MAX_STEPS over rational arguments and arguments
+    over Q(sqrt 3) equals the old recurrence's and prints alike; then the
+    step budget is spent."""
+    rng = random.Random(1409)
+    args = [AlgReal(Fraction(rng.randint(-9, 9), 9)) for _ in range(4)]
+    args += [div(add(rng.randint(-2, 2), mul(rng.randint(-1, 1), SQRT3)), AlgReal(4))
+             for _ in range(4)]
+    assert sum(not c.is_rational for c in args) >= 2
+    for c in args:
+        values = chebyshev_values(c)
+        for k, want in zip(range(MAX_STEPS + 1), _fraction_chebyshev(c)):
+            got = next(values)
+            assert compare(got, want) == EQUAL, (c, k)
+            assert expr.to_expr(got) == expr.to_expr(want), (c, k)
+        with pytest.raises(BoundExceededError):
+            next(values)
 
 
 def test_rational_angle_niven():

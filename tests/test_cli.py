@@ -336,14 +336,17 @@ def test_output_too_long_to_print_is_bound_exceeded():
 
 def test_input_too_long_to_read_is_bound_exceeded():
     # past Python's limit of 4300 digits on converting a string to an int:
-    # an expression literal, a JSON point or matrix entry, a coefficient
+    # an expression literal, a JSON point or matrix entry, a coefficient,
+    # an element index
     nines = "9" * 5000
     for args in (("field", "eval", "--expr", nines),
                  ("field", "eval", "--expr", f"1/{nines}"),
                  ("plane", "dist", "--p", '{"x": %s, "y": 0, "z": 1}' % nines,
                   "--q", "1,0,0"),
                  ("iso", "check-orthogonal", "--matrix", f"[[{nines},0,0],[0,1,0],[0,0,1]]"),
-                 ("field", "roots", "--poly", f"1,{nines}")):
+                 ("field", "roots", "--poly", f"1,{nines}"),
+                 ("finite", "conjgraph", "--group", "(0 1); (0 1 2)", "--g1", nines,
+                  "--g3", "1")):
         proc = run(*args, check=False)
         assert proc.returncode == 1 and "Traceback" not in proc.stderr, args[:2]
         assert proc.stdout == ('{"error": "bound-exceeded", '

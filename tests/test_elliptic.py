@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from rotagraph import elliptic as ep
-from rotagraph.algebraic import AlgReal, EQUAL, compare, div, mul, sqrt_nonneg, sub
+from rotagraph.algebraic import AlgReal, EQUAL, compare, div, mul, neg, sqrt_nonneg, sub
 from rotagraph.errors import (
     InfeasibleError, OutOfRangeError, PreconditionError, ZeroVectorError,
 )
@@ -117,13 +117,13 @@ def _gram_schmidt_coincident(p, a):
     if compare(a, AlgReal(1)) == EQUAL:
         return ep.ProjPoint(x)
     for e in ep._BASIS:
-        w = ep._vsub(e, ep._scale(x, ep._dot(e, x)))
+        w = ep._combo((AlgReal(1), neg(ep._dot(e, x))), (e, x))
         n2 = ep._dot(w, w)
         if n2.sign() > 0:
             break
     u = tuple(div(c, sqrt_nonneg(n2)) for c in w)
     b = sqrt_nonneg(sub(AlgReal(1), mul(a, a)))
-    return ep._unit_canonical(ep._vadd(ep._scale(x, a), ep._scale(u, b)))
+    return ep._unit_canonical(ep._combo((a, b), (x, u)))
 
 
 def test_circle_intersect_coincident_centres_match_gram_schmidt():

@@ -184,12 +184,6 @@ def test_step_budget():
         gr.graph_distance(far, E1, E2)
 
 
-def test_choose_ell_cancellation():
-    from rotagraph.errors import SearchExhaustedError
-    with pytest.raises(SearchExhaustedError):
-        gr.choose_ell_for_diameter(5, should_stop=lambda: True)
-
-
 def test_k3_witness_path_sums_products_over_one_generator(monkeypatch):
     """A k = 3 witness path at cos l = 4/5 between two rational points, as
     the geometry workload builds it, and its verification: every inner

@@ -9,11 +9,12 @@ from pathlib import Path
 import pytest
 
 from rotagraph import elliptic as ep
+from rotagraph import expr
 from rotagraph import isometry as iso
 from rotagraph.algebraic import (
     AlgReal, EQUAL, add, compare, div, mul, neg, sqrt_nonneg, sub,
 )
-from rotagraph.errors import PreconditionError
+from rotagraph.errors import InfeasibleError, PreconditionError
 
 E1 = ep.make_point(1, 0, 0)
 E2 = ep.make_point(0, 1, 0)
@@ -332,7 +333,7 @@ def _triple_loop_product(a, b):
 
 def _entrywise_householder(p, q):
     x, y, _ = ep._lifts_nonneg(p, q)
-    w = ep._vsub(x, y)
+    w = ep._combo((1, -1), (x, y))
     n2 = ep._dot(w, w)
     return [[add(neg(div(mul(mul(2, w[i]), w[j]), n2)), AlgReal(int(i == j)))
              for j in range(3)] for i in range(3)]
@@ -378,3 +379,190 @@ def test_orthogonal_sending_matches_entrywise_householder():
             p, q = iso.apply(turn, p), iso.apply(turn, q)
         assert _same_rows(iso.orthogonal_sending(p, q).rows,
                           _entrywise_householder(p, q))
+
+
+# The add/mul chains that elliptic._combo and dot replaced in L2 and L3,
+# kept as oracles: each new form must give the same values, printed alike.
+
+def _chain_dot(x, y):
+    total = mul(x[0], y[0])
+    for a, b in zip(x[1:], y[1:]):
+        total = add(total, mul(a, b))
+    return total
+
+
+def _chain_cross(x, y):
+    return (sub(mul(x[1], y[2]), mul(x[2], y[1])),
+            sub(mul(x[2], y[0]), mul(x[0], y[2])),
+            sub(mul(x[0], y[1]), mul(x[1], y[0])))
+
+
+def _scale(v, s):
+    return tuple(mul(c, s) for c in v)
+
+
+def _vadd(x, y):
+    return tuple(add(a, b) for a, b in zip(x, y))
+
+
+def _chain_rotate(a, v, c, s):
+    return _vadd(_vadd(_scale(v, c), _scale(_chain_cross(a, v), s)),
+                 _scale(a, mul(sub(AlgReal(1), c), _chain_dot(a, v))))
+
+
+def _chain_along(x, y, s, c):
+    one = AlgReal(1)
+    beta = sqrt_nonneg(div(sub(one, mul(c, c)), sub(one, mul(s, s))))
+    return ep._unit_canonical(_vadd(_scale(x, sub(c, mul(beta, s))), _scale(y, beta)))
+
+
+def _chain_circle_intersect(p, a, q, b):
+    """circle_intersect's point for distinct centres, or None where the
+    circles miss."""
+    one = AlgReal(1)
+    x, y, s = ep._lifts_nonneg(p, q)
+    inv = div(one, sub(one, mul(s, s)))
+    for b in (b, neg(b)):
+        alpha = mul(sub(a, mul(b, s)), inv)
+        beta = mul(sub(b, mul(a, s)), inv)
+        gamma2 = mul(sub(sub(one, mul(alpha, a)), mul(beta, b)), inv)
+        if gamma2.sign() < 0:
+            continue
+        n = ep._canonical_sign(_chain_cross(x, y))
+        return ep._unit_canonical(_vadd(_vadd(_scale(x, alpha), _scale(y, beta)),
+                                        _scale(n, sqrt_nonneg(gamma2))))
+    return None
+
+
+def _chain_frame(o, p, cos_a, sin_a, n):
+    x = p.lift
+    chain = [ep._unit_canonical(x)]
+    ci, si = cos_a, sin_a
+    for _ in range(n):
+        chain.append(ep._unit_canonical(_chain_rotate(o.lift, x, ci, si)))
+        ci, si = sub(mul(ci, cos_a), mul(si, sin_a)), add(mul(si, cos_a), mul(ci, sin_a))
+    return chain
+
+
+def _chain_minor2_sum(r):
+    total = AlgReal(0)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        total = add(total, sub(mul(r[i][i], r[j][j]), mul(r[i][j], r[j][i])))
+    return total
+
+
+def _same_values(got, want):
+    """Equal values that also print alike."""
+    return all(compare(x, y) == EQUAL and expr.to_expr(x) == expr.to_expr(y)
+               for x, y in zip(got, want, strict=True))
+
+
+def _same_points(got, want):
+    return _same_values(got.lift, want.lift)
+
+
+def _seeded_point_pairs(seed, count):
+    """Distinct pairs of points with rational unit lifts, then with unit
+    lifts over Q(sqrt 3)."""
+    rng = random.Random(seed)
+    turn = iso.rotation_about(ep.make_point(2, 3, 6), div(S3, AlgReal(2)),
+                              Fraction(1, 2))
+    while count:
+        p, q = ep.random_rational_point(rng), ep.random_rational_point(rng)
+        if p == q:
+            continue
+        if count % 2:
+            p, q = iso.apply(turn, p), iso.apply(turn, q)
+        count -= 1
+        yield rng, p, q
+
+
+RADII = tuple(AlgReal(Fraction(v)) for v in ("1/2", "3/5", "4/5", "9/10"))
+
+
+def test_rotate_matches_rodrigues_chain():
+    for m in _seeded_matrices(43):
+        a, v, (c, s, _) = m.rows
+        assert _same_values(ep._rotate(a, v, c, s), _chain_rotate(a, v, c, s))
+
+
+def test_minor2_sum_matches_the_loop():
+    for m in _seeded_matrices(47):
+        assert _same_values((iso._minor2_sum(m),), (_chain_minor2_sum(m.rows),))
+
+
+def test_circle_intersect_and_along_match_their_chains():
+    met = missed = 0
+    tight = AlgReal(Fraction(99, 100))     # circles this small mostly miss
+    for rng, p, q in _seeded_point_pairs(53, 8):
+        a = rng.choice(RADII)
+        for b in (rng.choice(RADII), tight):
+            want = _chain_circle_intersect(p, a, q, b)
+            if want is None:
+                missed += 1
+                with pytest.raises(InfeasibleError):
+                    ep.circle_intersect(p, a, q, b)
+            else:
+                met += 1
+                assert _same_points(ep.circle_intersect(p, a, q, b), want)
+        x, y, s = ep._lifts_nonneg(p, q)
+        assert _same_points(ep._along(x, y, s, a), _chain_along(x, y, s, a))
+    assert met and missed
+
+
+def test_frame_chain_matches_angle_addition_chain():
+    angles = ((AlgReal(Fraction(3, 5)), AlgReal(Fraction(-4, 5))),
+              (AlgReal(Fraction(1, 2)), div(S3, AlgReal(2))),
+              (AlgReal(Fraction(4, 9)), div(sqrt_nonneg(AlgReal(65)), AlgReal(9))))
+    for (_, o, p), (ca, sa) in zip(_seeded_point_pairs(59, 3), angles):
+        got, want = ep._frame_chain(o, p, ca, sa, 3), _chain_frame(o, p, ca, sa, 3)
+        assert all(map(_same_points, got, want))
+
+
+def test_linear_combinations_take_no_add_chain(monkeypatch):
+    """Each L2/L3 sum of two or more products is one dot: the constructions
+    and _minor2_sum run with elliptic's and isometry's add patched to
+    raise."""
+    (_, p, q), (_, o, r) = _seeded_point_pairs(61, 2)
+    x, y, s = ep._lifts_nonneg(p, q)
+    c, sn = AlgReal(Fraction(3, 5)), AlgReal(Fraction(4, 5))
+    m = next(_seeded_matrices(67))
+
+    def chain_call(*_):
+        raise AssertionError("a linear combination took the add chain")
+
+    monkeypatch.setattr(ep, "add", chain_call)
+    monkeypatch.setattr(iso, "add", chain_call)
+    ep._rotate(x, y, c, sn)
+    ep._along(x, y, s, c)
+    ep.circle_intersect(p, Fraction(1, 2), q, Fraction(1, 2))
+    ep._frame_chain(o, r, c, sn, 2)
+    iso.orthogonal_sending(p, q)
+    iso._minor2_sum(m)
+
+
+def test_no_unused_imports_or_orphan_private_functions():
+    """Every name a module imports at its top level is used there or listed
+    in its __all__, and every module-level private function is referenced
+    somewhere in the package."""
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(Path(iso.__file__).parent.glob("*.py"))}
+    used = {stem: {node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute))}
+            for stem, tree in trees.items()}
+    unused, orphans = set(), set()
+    for stem, tree in trees.items():
+        exported = {name for node in tree.body if isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                    for name in ast.literal_eval(node.value)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused |= {(stem, name) for name in
+                           (a.asname or a.name.split(".")[0] for a in node.names)
+                           if name not in used[stem] | exported}
+            elif isinstance(node, ast.FunctionDef) and node.name.startswith("_") \
+                    and not any(node.name in names for names in used.values()):
+                orphans.add((stem, node.name))
+    assert unused == set()
+    assert orphans == set()
