@@ -19,8 +19,10 @@ each checked exactly before it is kept): a square root records the
 generator of its radicand's field (a tower), and an operation across two
 unrelated fields records both in the primitive element psi = t1 + t2 of
 their compositum when that has full degree (Loos, "Computing in algebraic
-extensions", 1982).  Each of t1 and t2 also remembers the last compositum
-it was joined into, so the same pair meets over one psi.  Values whose
+extensions", 1982); two quadratic fields join in closed form, with no
+candidate polynomial and no linear solve.  Each of t1 and t2 also
+remembers the last compositum it was joined into, so the same pair meets
+over one psi.  Values whose
 generators are linked by these records meet over the larger generator.
 A rational or tagged value builds its minimal polynomial and isolating
 interval only when asked for them (printing, hashing, a square root, an
@@ -30,7 +32,10 @@ only way it gets one.  A sum of products (dot) over rationals and one
 generator sums the integer products over one denominator and reduces once
 modulo m; so does one over several generators linked by records, once
 each operand over another generator is mapped into the one that reaches
-all the others.
+all the others.  A linear combination of vectors (combo), the one the
+geometry builds its points and matrix rows with, meets all its operands
+once for the whole vector, over their compositum when they lie over two
+unrelated generators, and takes one such sum per coordinate.
 Operations across fields that no record links and no compositum joins take
 the candidate polynomial of the result, and give an untagged value; two
 equal values over unrelated generators (a value and its re-parse) meet
@@ -95,7 +100,7 @@ class AlgReal:
     # generator psi only: _embeds, pairs (t, h) of older generators with
     # t = h(psi), each checked exactly when recorded (see _record), and
     # _joined, (partner, compositum) for the last compositum it and partner
-    # were joined into (see _join), else (None, None)
+    # were joined into (see _compositum), else (None, None)
     __slots__ = ("_root", "_tag", "_embeds", "_joined")
 
     def __init__(self, value=0):
@@ -398,15 +403,11 @@ def _common(ea, eb):
         return ta, ga, gb
     if ta is None:
         return tb, ga, gb
-    common = _meet((ea, eb))
-    if common is None:
-        return None
-    theta, (ga, gb) = common
-    return theta, ga, gb
+    return _meet((ea, eb))
 
 
 def _meet(es):
-    """(theta, gs) with v_i = gs[i](theta) for es[i] = _gen(v_i), over two
+    """(theta, g_1, ..., g_k) with v_i = g_i(theta) for es[i] = _gen(v_i), over two
     or more generators: theta the first of the largest degree that reaches
     each of the others as t = h(theta) (_reach), each g over such a t mapped
     into it once (polys.compose_mod), and constants kept.  None when no
@@ -425,8 +426,8 @@ def _meet(es):
                 hs[id(t)] = h
         else:
             m = theta.min_poly
-            return theta, [g if t is None or t is theta else polys.compose_mod(g, hs[id(t)], m)
-                           for t, g in es]
+            return (theta, *(g if t is None or t is theta else polys.compose_mod(g, hs[id(t)], m)
+                             for t, g in es))
     return None
 
 
@@ -561,30 +562,53 @@ def _tower(root, a):
     _record(root, ((theta, polys.compose_mod(H, square, root.min_poly)),))
 
 
-def _join(a, b):
-    """(psi, ga, gb) with a = ga(psi) and b = gb(psi) for psi = t1 + t2, t1
-    and t2 the generators of a and b, when psi has the full degree n1*n2
-    within the candidate budget, so it generates Q(t1, t2).  t1 = h(psi)
-    comes from one linear solve over the basis t1^i * t2^j, and
-    t2 = psi - t1.  None when psi falls short of full degree, and at once
-    unless full degree is likely or certified: coprime degrees force it, a
-    quadratic side misses it only if its square root already lies in the
-    other field, and polys.full_degree reads it mod small primes; two
-    fields of one higher degree are often one field reached twice (a value
-    and its re-parsed print), where factorising psi's candidate would be
-    wasted.  Its candidate is certified irreducible where it can be.  Each
-    of t1 and t2 remembers the last psi it was joined into, so joining the
-    same pair again, in either order, builds nothing."""
-    (t1, ga), (t2, gb) = _gen(a), _gen(b)
+def _join(*vs):
+    """(psi, g_1, ..., g_k) with vs[i] = g_i(psi), for values over exactly
+    two generators t1 and t2 (rationals as constants): psi = t1 + t2, the
+    generator of their compositum (_compositum), and each g over t1 or t2
+    mapped into it once.  None for another number of generators, or when
+    psi falls short of full degree."""
+    es = [_gen(v) for v in vs]
+    thetas = list({id(t): t for t, _ in es if t is not None}.values())
+    psi = _compositum(*thetas) if len(thetas) == 2 else None
+    if psi is None:
+        return None
+    hs = {id(t): h for t, h in psi._embeds}
+    m = psi.min_poly
+    return (psi, *(g if t is None else polys.compose_mod(g, hs[id(t)], m) for t, g in es))
+
+
+def _compositum(t1, t2):
+    """psi = t1 + t2 for generators t1 and t2, with t1 = h1(psi) and
+    t2 = psi - t1 recorded, when psi has the full degree n1*n2 within the
+    candidate budget, so it generates Q(t1, t2).  None when psi falls short
+    of full degree, and at once unless full degree is likely or certified:
+    coprime degrees force it, two quadratics have it unless their
+    discriminants multiply to a square, a quadratic side misses it only if
+    its square root already lies in the other field, and polys.full_degree
+    reads it mod small primes; two fields of one higher degree are often
+    one field reached twice (a value and its re-parsed print), where
+    factorising psi's candidate would be wasted.  Two quadratics take psi's
+    minimal polynomial and h1 in closed form (_quadratic_sum); other degrees
+    take psi's candidate, certified irreducible where it can be, and h1
+    from one linear solve over the basis t1^i * t2^j.  Each of t1 and t2
+    remembers the last psi it was joined into, so joining the same pair
+    again, in either order, builds nothing."""
     for s, t in ((t1, t2), (t2, t1)):
         partner, psi = s._joined
         if partner is t:
-            break
+            return psi
+    m1, m2 = t1.min_poly, t2.min_poly
+    n1, n2 = len(m1) - 1, len(m2) - 1
+    quadratics = n1 == n2 == 2
+    if n1 * n2 > _MAX_CAND_DEGREE or (
+            (quadratics or min(n1, n2) > 2) and not polys.full_degree(m1, m2)):
+        return None
+    if quadratics:
+        m, h1 = _quadratic_sum(m1, m2)
+        psi = _select_root((m,), lambda: _sum_interval(t1.interval, t2.interval),
+                           lambda: (t1.refine(), t2.refine()))
     else:
-        m1, m2 = t1.min_poly, t2.min_poly
-        n1, n2 = len(m1) - 1, len(m2) - 1
-        if n1 * n2 > _MAX_CAND_DEGREE or (min(n1, n2) > 2 and not polys.full_degree(m1, m2)):
-            return None
         psi = _composed_root(polys.cand_sum, t1, t2, _sum_interval)
         if psi.is_rational or psi.degree != n1 * n2:
             return None
@@ -601,14 +625,30 @@ def _join(a, b):
             v = [polys.qadd(polys.mulmod(cur, _X, m1), polys.qadd(low, polys.qscale(top, c)))
                  for cur, low, c in zip(v, [zero] + v[:-1], m2)]
         h1 = _solve(powers)
-        _record(psi, ((t1, h1), (t2, polys.qsub(_X, h1))))
-        t1._joined = (t2, psi)
-        t2._joined = (t1, psi)
-    (u, h1), (_, h2) = psi._embeds
-    if u is not t1:     # joined before as (t2, t1)
-        h1, h2 = h2, h1
-    m = psi.min_poly
-    return psi, polys.compose_mod(ga, h1, m), polys.compose_mod(gb, h2, m)
+    _record(psi, ((t1, h1), (t2, polys.qsub(_X, h1))))
+    t1._joined = (t2, psi)
+    t2._joined = (t1, psi)
+    return psi
+
+
+def _quadratic_sum(m1, m2):
+    """(m, h1): the minimal polynomial m of psi = t1 + t2 and t1 = h1(psi),
+    for roots t_i of quadratics m_i = c_i + b_i*x + a_i*x^2 of
+    discriminants D_i with D1*D2 no square, in closed form.  With
+    L = 2*a1*a2 and u = -(b1*a2 + b2*a1), w = L*psi - u is r1 + r2 for
+    r1 = a2*(2*a1*t1 + b1) and r2 = a1*(2*a2*t2 + b2), whose squares are
+    P = a2^2*D1 and Q = a1^2*D2; so (w^2 - P - Q)^2 = 4*P*Q, and
+    w^3 - (3P + Q)*w = 2*(Q - P)*r1 with t1 = (r1 - a2*b1) / L.  Q != P,
+    since D1*D2 is no square."""
+    (_, b1, a1), (_, b2, a2) = m1, m2
+    L, u = 2 * a1 * a2, -(b1 * a2 + b2 * a1)
+    P, Q = a2 * a2 * polys.discriminant(m1), a1 * a1 * polys.discriminant(m2)
+    w = (-u, L)
+    w2 = polys.mul(w, w)
+    f = polys.sub(w2, (P + Q,))
+    m = polys.primitive(polys.sub(polys.mul(f, f), (4 * P * Q,)))
+    r1 = polys.mul(w, polys.sub(w2, (3 * P + Q,)))
+    return m, polys.qpoly(polys.sub(r1, (2 * (Q - P) * a2 * b1,)), 2 * (Q - P) * L)
 
 
 # -- root selection ---------------------------------------------------------
@@ -736,10 +776,10 @@ def dot(xs, ys):
     """sum_i xs[i] * ys[i], the value the add/mul chain gives: when every
     operand is rational, the integer products summed over one denominator;
     when every irrational one lies over one generator theta, the same
-    modulo theta's minimal polynomial, reduced once (polys.dotmod); when
-    they lie over several generators of which one reaches all the others
-    through recorded embeddings, the same over that one, each operand over
-    another generator mapped into it once (_dot_linked); else the chain."""
+    modulo theta's minimal polynomial, reduced once (_sum); when they lie
+    over several generators of which one reaches all the others through
+    recorded embeddings, the same over that one, each operand over another
+    generator mapped into it once (_dot_linked); else the chain."""
     theta, gs = None, []
     for v in (*xs, *ys):
         t, g = _gen(v)
@@ -749,18 +789,7 @@ def dot(xs, ys):
             theta = t
         gs.append(g)
     n = len(xs)
-    if theta is not None:
-        return AlgReal._over(theta, polys.dotmod(gs[:n], gs[n:], theta.min_poly))
-    num, den = 0, 1
-    for (nx, qx), (ny, qy) in zip(gs[:n], gs[n:]):
-        if not (nx and ny):     # a zero term
-            continue
-        p, q = nx[0] * ny[0], qx * qy
-        if q != den:
-            g = gcd(q, den)
-            num, p, den = num * (q // g), p * (den // g), den * (q // g)
-        num += p
-    return _quotient(num, den)
+    return _sum(theta, gs[:n], gs[n:])
 
 
 def _dot_linked(xs, ys):
@@ -772,8 +801,50 @@ def _dot_linked(xs, ys):
     common = _meet([_gen(v) for pair in zip(xs, ys) for v in pair])     # the chain's order
     if common is None:
         return reduce(add, map(mul, xs, ys))
-    theta, gs = common
-    return AlgReal._over(theta, polys.dotmod(gs[::2], gs[1::2], theta.min_poly))
+    theta, *gs = common
+    return _sum(theta, gs[::2], gs[1::2])
+
+
+def combo(cs, vs):
+    """The linear combination sum_i cs[i] * vs[i] of vectors vs[i], each
+    coordinate the value dot gives it.  Operands over rationals and one
+    generator are each read once, and each coordinate is one sum (_sum).
+    Operands over several generators meet once for the whole vector, as
+    _meet meets them or, over two generators no record links, over their
+    compositum (_join), each mapped into the meeting generator once; only
+    operands that neither meets take one dot per coordinate."""
+    k = len(cs)
+    vals = (*cs, *(x for v in vs for x in v))
+    es = [_gen(v) for v in vals]
+    thetas = {id(t): t for t, _ in es if t is not None}
+    if len(thetas) > 1:
+        common = _meet(es) or _join(*vals)
+        if common is None:
+            return tuple(dot(cs, col) for col in zip(*vs))
+        theta, *gs = common
+    else:
+        theta, gs = next(iter(thetas.values()), None), [g for _, g in es]
+    n = len(vs[0])
+    return tuple(_sum(theta, gs[:k], gs[k + j::n]) for j in range(n))
+
+
+def _sum(theta, xs, ys):
+    """sum_i xs[i](theta) * ys[i](theta) for elements reduced modulo
+    theta's minimal polynomial, the sum reduced once (polys.dotmod); for
+    constants (theta None), the integer products summed over one
+    denominator."""
+    if theta is not None:
+        return AlgReal._over(theta, polys.dotmod(xs, ys, theta.min_poly))
+    num, den = 0, 1
+    for (nx, qx), (ny, qy) in zip(xs, ys):
+        if not (nx and ny):     # a zero term
+            continue
+        p, q = nx[0] * ny[0], qx * qy
+        if q != den:
+            g = gcd(q, den)
+            num, p, den = num * (q // g), p * (den // g), den * (q // g)
+        num += p
+    return _quotient(num, den)
 
 
 def _compare_isolated(a, b):

@@ -380,19 +380,24 @@ COMMANDS = {
 
 
 def _build_parser(argv):
-    """The parser for argv: every module, and the commands of the module
-    that argv names only (argparse descends into that one alone).  The
-    module is argv's first token that names one; only the shared flags and
-    their values can precede it, and a module name read as a flag's value
-    is a usage error of the top-level parser before any module is entered."""
+    """The parser for argv and its options, each mapped to whether it takes
+    a value: every module, and the commands of the module that argv names
+    only (argparse descends into that one alone).  The module is argv's
+    first token that names one; only the shared flags and their values can
+    precede it, and a module name read as a flag's value is a usage error
+    of the top-level parser before any module is entered."""
+    options = {"-h": False, "--help": False}
+
+    def add(parser, flag, **kw):
+        options[flag] = parser.add_argument(flag, **kw).nargs != 0
+
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--pretty", action="store_true",
-                        default=argparse.SUPPRESS, help="indent JSON output")
-    common.add_argument("--approx", type=int, metavar="BITS",
-                        default=argparse.SUPPRESS,
-                        help="add decimal approximations at BITS precision")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="seed for randomized subcommands")
+    add(common, "--pretty", action="store_true",
+        default=argparse.SUPPRESS, help="indent JSON output")
+    add(common, "--approx", type=int, metavar="BITS",
+        default=argparse.SUPPRESS, help="add decimal approximations at BITS precision")
+    add(common, "--seed", type=int, default=argparse.SUPPRESS,
+        help="seed for randomized subcommands")
     ap = argparse.ArgumentParser(prog="rotagraph", parents=[common],
                                  description="exact unit-distance graph toolkit")
     top = ap.add_subparsers(dest="module", required=True)
@@ -405,14 +410,36 @@ def _build_parser(argv):
         for name, (fn, flags) in commands.items():
             p = cmds.add_parser(name, parents=[common])
             for flag, kw in flags.items():
-                p.add_argument("--" + flag.replace("_", "-"), **kw)
+                add(p, "--" + flag.replace("_", "-"), **kw)
             p.set_defaults(fn=fn)
             if fn is cmd_finite_conjgraph:
                 source = p.add_mutually_exclusive_group()
-                source.add_argument("--table", default=None,
-                                    help="row-major multiplication table JSON")
-                source.add_argument("--group", default=None)
-    return ap
+                add(source, "--table", default=None,
+                    help="row-major multiplication table JSON")
+                add(source, "--group", default=None)
+    return ap, options
+
+
+def _attach_values(argv, options):
+    """argv with each flag that takes a value joined to the next token as
+    --flag=value when that token starts with '-' but is none of the
+    parser's options nor an abbreviation of one, such as the coefficients
+    -5,1, which argparse would take for an unknown option."""
+    def is_option(tok):
+        name = tok.split("=", 1)[0]
+        if name.startswith("--"):
+            return any(o.startswith(name) for o in options)
+        return name[:2] in options
+
+    out, i = [], 0
+    while i < len(argv):
+        tok, value = argv[i], argv[i + 1] if i + 1 < len(argv) else ""
+        if options.get(tok) and value.startswith("-") and not is_option(value):
+            tok = f"{tok}={value}"
+            i += 1
+        out.append(tok)
+        i += 1
+    return out
 
 
 def _on_sigint(handler):
@@ -440,10 +467,11 @@ def main(argv=None):
 def _main(argv):
     # restore interruptibility even when spawned with SIGINT ignored
     _on_sigint(signal.default_int_handler)
-    ap = _build_parser(argv)
+    ap, options = _build_parser(argv)
     # the shared flags use SUPPRESS defaults so they work on either side of
     # the subcommand; the namespace holds their real defaults
-    args = ap.parse_args(argv, argparse.Namespace(pretty=False, seed=0, approx=None))
+    args = ap.parse_args(_attach_values(argv, options),
+                         argparse.Namespace(pretty=False, seed=0, approx=None))
     if args.approx is not None and args.approx < 0:
         ap.error(f"approximation BITS must not be negative, got {args.approx}")
     # SIGINT before the answer is rendered cancels it (exit 130); once the

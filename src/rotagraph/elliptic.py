@@ -13,7 +13,7 @@ from math import gcd, isqrt
 from . import expr
 from .algebraic import (
     AlgReal, EQUAL, GREATER, LESS,
-    add, as_algreal, chebyshev_T, compare, div, dot, mul, neg, sqrt_nonneg, sub,
+    add, as_algreal, chebyshev_T, combo, compare, div, dot, mul, neg, sqrt_nonneg, sub,
 )
 from .errors import (
     InfeasibleError,
@@ -60,6 +60,8 @@ class ProjPoint:
         return self._unit if self._unit is not None else self._raw
 
     def __eq__(self, other):
+        if other is self:       # reflexive: no cross product to compute
+            return True
         if not isinstance(other, ProjPoint):
             return NotImplemented
         x, y = self.raw_lift, other.raw_lift
@@ -96,12 +98,6 @@ def as_dist_cos(v):
 
 
 _dot = dot
-
-
-def _combo(cs, vs):
-    """The linear combination sum_i cs[i] * vs[i] of vectors, one dot per
-    coordinate."""
-    return tuple(dot(cs, col) for col in zip(*vs))
 
 
 def _cross(x, y):
@@ -159,7 +155,7 @@ def _lifts_nonneg(p, q):
 def _rotate(a, v, c, s):
     """Rodrigues: v turned about the unit axis a by the angle with cosine c
     and sine s, c*v + s*(a x v) + (1 - c)*<a, v>*a."""
-    return _combo((c, s, mul(sub(_ONE, c), _dot(a, v))), (v, _cross(a, v), a))
+    return combo((c, s, mul(sub(_ONE, c), _dot(a, v))), (v, _cross(a, v), a))
 
 
 def _along(x, y, s, c):
@@ -168,7 +164,7 @@ def _along(x, y, s, c):
     <., x> = c and unit norm gives beta^2 = (1 - c^2)/(1 - s^2) and
     alpha = c - beta*s."""
     beta = sqrt_nonneg(div(sub(_ONE, mul(c, c)), sub(_ONE, mul(s, s))))
-    return _unit_canonical(_combo((sub(c, mul(beta, s)), beta), (x, y)))
+    return _unit_canonical(combo((sub(c, mul(beta, s)), beta), (x, y)))
 
 
 def two_ball_feasible(p, q, cos_l):
@@ -226,7 +222,7 @@ def circle_intersect(p, cos_r1, q, cos_r2):
         if gamma2.sign() < 0:
             continue
         n = _canonical_sign(_cross(x, y))
-        return _unit_canonical(_combo((alpha, beta, sqrt_nonneg(gamma2)), (x, y, n)))
+        return _unit_canonical(combo((alpha, beta, sqrt_nonneg(gamma2)), (x, y, n)))
     raise InfeasibleError("circles do not intersect")
 
 

@@ -11,10 +11,10 @@ import random
 
 from . import expr, polys
 from .algebraic import (
-    AlgReal, EQUAL, add, as_algreal, compare, div, mul, neg, real_roots, sub,
+    AlgReal, EQUAL, add, as_algreal, combo, compare, div, mul, neg, real_roots, sub,
 )
 from .elliptic import (
-    _BASIS, _combo, _cross, _dot, _lifts_nonneg, _rotate, as_dist_cos, dist_cos,
+    _BASIS, _cross, _dot, _lifts_nonneg, _rotate, as_dist_cos, dist_cos,
     make_point,
 )
 from .errors import InternalConsistencyError, ParseError, PreconditionError
@@ -215,13 +215,13 @@ def orthogonal_sending(p, q):
     two unit lifts (or the identity when they already agree).
     """
     x, y, _ = _lifts_nonneg(p, q)
-    w = _combo((1, -1), (x, y))
+    w = combo((1, -1), (x, y))
     n2 = _dot(w, w)
     if n2.sign() == 0:
         return identity()
     # row i of I - 2 w w^T / <w, w> is e_i - (2 w_i / <w, w>) w
     f = div(-2, n2)
-    rows = [_combo((1, mul(f, wi)), (e, w)) for e, wi in zip(_BASIS, w)]
+    rows = [combo((1, mul(f, wi)), (e, w)) for e, wi in zip(_BASIS, w)]
     m = LinearMap(rows)
     if apply(m, p) != q:
         raise InternalConsistencyError("reflection missed its target")

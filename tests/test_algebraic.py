@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from functools import reduce
 from math import gcd, isqrt, lcm
 
 import mpmath
@@ -718,14 +719,16 @@ def test_compositum_found_inside_a_field_holding_its_summands(monkeypatch):
 
 def test_one_compositum_per_generator_pair(monkeypatch):
     """An equidistant point at cos l = sqrt(3)/2 adds a value over Q(sqrt 3)
-    to one over a fresh quadratic gamma once per coordinate; the generators
-    remember their compositum, so one candidate is built (three without the
-    record) and all three coordinates lie over it.  Joining a pair again
-    the other way round builds nothing and swaps the embeddings back."""
-    from rotagraph import elliptic as ep
+    to one over a fresh quadratic gamma in each coordinate; the generators
+    remember their compositum, so one compositum is built, a build being a
+    _record of two embeddings, and all three coordinates lie over it.
+    Joining a pair again the other way round builds nothing and swaps the
+    embeddings back."""
+    from rotagraph import algebraic, elliptic as ep
     calls = []
-    original = polys.cand_sum
-    monkeypatch.setattr(polys, "cand_sum", lambda *a: calls.append(a) or original(*a))
+    original = algebraic._record
+    monkeypatch.setattr(algebraic, "_record", lambda psi, embeds: (
+        len(embeds) == 2 and calls.append(psi)) or original(psi, embeds))
     cos_l = sqrt_nonneg(AlgReal(Fraction(3, 4)))
     p = ep.make_point(Fraction(1, 3), Fraction(2, 3), Fraction(2, 3))
     q = ep.make_point(Fraction(2, 7), Fraction(3, 7), Fraction(6, 7))
@@ -743,7 +746,7 @@ def test_one_compositum_per_generator_pair(monkeypatch):
             ba = neg(ba)
         assert (expr.to_expr(ab), ab.approx(80)) == (expr.to_expr(ba), ba.approx(80))
     assert len(calls) == 1
-    monkeypatch.setattr(polys, "cand_sum", original)
+    monkeypatch.setattr(algebraic, "_record", original)
     for fn, op in ((add, "add"), (mul, "mul")):
         assert _same_value(fn(b, a), _candidate_op(op, _reparsed(b), _reparsed(a)))
 
@@ -752,13 +755,15 @@ def test_towers_and_composita_shared_between_threads(monkeypatch):
     """Threads that join the same shared generators, each building its own
     compositum and tower records, all see the single-threaded answers:
     records are written once, before the new generator is returned, and a
-    pair joined again meets over a remembered compositum."""
+    pair joined again meets over a remembered compositum.  A build is a
+    _record of two embeddings."""
     import sys
     import threading
+    from rotagraph import algebraic
     calls = []
-    original = polys.cand_sum
-    monkeypatch.setattr(polys, "cand_sum",
-                        lambda *a: calls.append(threading.get_ident()) or original(*a))
+    original = algebraic._record
+    monkeypatch.setattr(algebraic, "_record", lambda psi, embeds: (
+        len(embeds) == 2 and calls.append(threading.get_ident())) or original(psi, embeds))
 
     def build():
         s2, s3 = sqrt_nonneg(AlgReal(2)), sqrt_nonneg(AlgReal(3))
@@ -777,7 +782,7 @@ def test_towers_and_composita_shared_between_threads(monkeypatch):
         return [hit] + [(v.min_poly, expr.to_expr(v), v.approx(80)) for v in vals]
 
     want = answers(*build())
-    assert want[0] is True
+    assert want[0] is True and len(calls) == 2     # Q(sqrt 2, sqrt 3) and a degree-8 field
     shared, results = build(), []
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -836,6 +841,129 @@ def test_sub_across_one_field_reached_twice_takes_the_candidate_path(monkeypatch
     assert len(calls) == 1
     assert expr.to_expr(d) == "root(2,6,0,1,0)"
     assert d == neg(sub(b, a))
+
+
+def _general_join(t1, t2):
+    """psi = t1 + t2 and h1 with t1 = h1(psi), the way every pair of
+    degrees but two quadratics builds them, kept as an oracle: psi from the
+    composed-sum candidate, certified irreducible (composed_factors), and
+    h1 from one linear solve over the basis t1^i * t2^j (_solve)."""
+    from rotagraph.algebraic import _X, _pad, _select_root, _solve
+    m1, m2 = t1.min_poly, t2.min_poly
+    n1, n2 = len(m1) - 1, len(m2) - 1
+    psi = _select_root(polys.composed_factors(polys.cand_sum(m1, m2), m1, m2),
+                       lambda: (t1.interval[0] + t2.interval[0],
+                                t1.interval[1] + t2.interval[1]),
+                       lambda: (t1.refine(), t2.refine()))
+    zero = ((), 1)
+    powers, v = [], [((1,), 1)] + [zero] * (n2 - 1)
+    for _ in range(n1 * n2):
+        den = lcm(*(d for _, d in v))
+        powers.append(([c * (den // d) for num, d in v for c in _pad(num, n1)], den))
+        top = polys.qpoly([-u for u in v[-1][0]], v[-1][1] * m2[-1])
+        v = [polys.qadd(polys.mulmod(cur, _X, m1), polys.qadd(low, polys.qscale(top, c)))
+             for cur, low, c in zip(v, [zero] + v[:-1], m2)]
+    return psi, _solve(powers)
+
+
+def _seeded_quadratic_pairs(seed, count):
+    """(m1, i1, m2, i2): irreducible quadratics with two real roots, not
+    monic and not centred in general, root indices either way, and
+    discriminants whose product is no square."""
+    rng = random.Random(seed)
+
+    def quadratic():
+        while True:
+            m = (rng.randint(-30, 30), rng.randint(-12, 12), rng.randint(1, 9))
+            if gcd(*m) == 1 and polys.discriminant(m) > 0 and \
+                    polys.int_sqrt(polys.discriminant(m)) is None:
+                return m
+
+    while count:
+        m1, m2 = quadratic(), quadratic()
+        if polys.int_sqrt(polys.discriminant(m1) * polys.discriminant(m2)) is None:
+            count -= 1
+            yield m1, rng.randrange(2), m2, rng.randrange(2)
+
+
+def test_quadratic_join_matches_the_general_route():
+    """Two quadratic generators join in closed form (_quadratic_sum) to the
+    same minimal polynomial, the same embeddings h1 and h2 and the same
+    value psi as the composed-sum candidate and the linear solve give."""
+    from rotagraph.algebraic import _X, _join
+    monic = centred = 0
+    for m1, i1, m2, i2 in _seeded_quadratic_pairs(28, 300):
+        monic += m1[2] == 1
+        centred += m1[1] == 0
+        t1, t2 = AlgReal.from_root(m1, i1), AlgReal.from_root(m2, i2)
+        psi, g1, g2 = _join(t1, t2)
+        (u1, h1), (u2, h2) = psi._embeds
+        assert (u1, u2) == (t1, t2) and (g1, g2) == (h1, h2)
+        want, want_h1 = _general_join(AlgReal.from_root(m1, i1), AlgReal.from_root(m2, i2))
+        assert psi.min_poly == want.min_poly and psi.degree == 4
+        assert (h1, h2) == (want_h1, polys.qsub(_X, want_h1)), (m1, i1, m2, i2)
+        assert _same_value(psi, want) and compare(psi, want) == EQUAL
+    assert monic < 100 and centred < 100
+
+
+def _chain_combo(cs, vs):
+    return tuple(reduce(add, map(mul, cs, col)) for col in zip(*vs))
+
+
+def test_combo_matches_the_per_coordinate_chain():
+    """combo gives each coordinate the value and the print of the add/mul
+    chain, over rationals, one generator, a tower sqrt(1 + sqrt 2) with
+    sqrt 2, two unrelated quadratics (met over their compositum) and three
+    (one dot per coordinate)."""
+    from rotagraph.algebraic import combo
+    rng = random.Random(29)
+
+    def rational():
+        return AlgReal(Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+
+    def over(t):
+        return add(rational(), mul(rational(), t))
+
+    tower = sqrt_nonneg(add(1, SQRT2))
+    cases = {"rational": [None], "one generator": [SQRT3], "tower": [tower, SQRT2],
+             "two quadratics": [SQRT3], "three quadratics": [SQRT2, SQRT3]}
+    for name, fixed in cases.items():
+        for _ in range(6):
+            gens = fixed
+            if name.endswith("quadratics"):     # and a fresh quadratic each time
+                gens = fixed + [sqrt_nonneg(AlgReal(Fraction(rng.randint(5, 40), 7)))]
+
+            def value():
+                t = rng.choice(gens)
+                return rational() if t is None or rng.random() < 0.2 else over(t)
+
+            cs = [value() for _ in range(3)]
+            vs = [tuple(value() for _ in range(3)) for _ in range(3)]
+            got, want = combo(cs, vs), _chain_combo(cs, vs)
+            assert all(compare(x, y) == EQUAL and expr.to_expr(x) == expr.to_expr(y)
+                       for x, y in zip(got, want, strict=True)), name
+            if name not in ("rational", "three quadratics"):
+                assert len({id(_gen_of(v)) for v in got if not v.is_rational}) == 1, name
+
+
+def test_biquadratic_equidistant_point_takes_no_add_chain(monkeypatch):
+    """At cos l = sqrt(3)/2 the equidistant point's lift is a linear
+    combination over Q(sqrt 3) and a fresh quadratic gamma: combo joins
+    the two once and meets over their compositum, with no add/mul chain,
+    so it is built with algebraic.add patched to raise."""
+    from rotagraph import algebraic, elliptic as ep
+    cos_l = sqrt_nonneg(AlgReal(Fraction(3, 4)))
+    p = ep.make_point(Fraction(1, 3), Fraction(2, 3), Fraction(2, 3))
+    q = ep.make_point(Fraction(2, 7), Fraction(3, 7), Fraction(6, 7))
+
+    def chain_call(*_):
+        raise AssertionError("a linear combination took the add chain")
+
+    monkeypatch.setattr(algebraic, "add", chain_call)
+    z = ep.equidistant_point(p, q, cos_l)
+    monkeypatch.undo()
+    assert ep.dist_cos(z, p) == cos_l and ep.dist_cos(z, q) == cos_l
+    assert _gen_of(z.lift[0]).degree == 4
 
 
 def test_integer_powers_and_order_comparisons():

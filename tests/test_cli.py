@@ -498,6 +498,22 @@ def test_a_call_builds_the_command_parsers_of_its_module_only(monkeypatch, capsy
     assert capsys.readouterr().out == '{"cos_d": "4/5"}\n'
 
 
+def test_a_flag_value_that_starts_with_a_minus_is_its_value(capsys):
+    """A flag's value may start with '-' in the space-separated form too,
+    and prints what the --flag=value form prints; a value that is one of
+    the parser's options stays a usage error."""
+    for argv, joined, want in (
+            (["field", "roots", "--poly", "-5,1"], ["field", "roots", "--poly=-5,1"],
+             '{"roots": ["5"]}'),
+            (["field", "eval", "--expr", "-1/2"], ["field", "eval", "--expr=-1/2"],
+             '{"value": "-1/2"}'),
+            (["plane", "dist", "--p", "-1,2,2", "--q", "1,0,0"],
+             ["plane", "dist", "--p=-1,2,2", "--q", "1,0,0"], '{"cos_d": "1/3"}')):
+        assert main_exit(capsys, argv) == main_exit(capsys, joined) == (0, want + "\n", ""), argv
+    code, out, err = main_exit(capsys, ["field", "eval", "--expr", "--pretty"])
+    assert code == 2 and not out and "argument --expr: expected one argument" in err
+
+
 def test_an_in_process_call_keeps_the_sigint_handler(capsys):
     """cli.main given argv leaves SIGINT's handler as it found it, the
     default one or a caller's own, after an answer (exit 0), a domain error

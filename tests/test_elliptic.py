@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from rotagraph import elliptic as ep
-from rotagraph.algebraic import AlgReal, EQUAL, compare, div, mul, neg, sqrt_nonneg, sub
+from rotagraph.algebraic import AlgReal, EQUAL, combo, compare, div, mul, neg, sqrt_nonneg, sub
 from rotagraph.errors import (
     InfeasibleError, OutOfRangeError, PreconditionError, ZeroVectorError,
 )
@@ -102,6 +102,17 @@ def test_circle_intersect_unequal_radii():
     assert ep.dist_cos(w, q) == r2
 
 
+def test_a_point_equals_itself_with_no_cross_product(monkeypatch):
+    """Equality is reflexive, so p == p and p != p compute no cross
+    product; an equal point held in another object still takes one."""
+    calls = []
+    original = ep._cross
+    monkeypatch.setattr(ep, "_cross", lambda x, y: calls.append((x, y)) or original(x, y))
+    p = ep.make_point(1, 2, 2)
+    assert p == p and not p != p and calls == []
+    assert p == ep.make_point(2, 4, 4) and len(calls) == 1
+
+
 def test_circle_intersect_coincident_centres():
     w = ep.circle_intersect(E1, COS45, E1, COS45)
     assert ep.dist_cos(w, E1) == COS45
@@ -117,13 +128,13 @@ def _gram_schmidt_coincident(p, a):
     if compare(a, AlgReal(1)) == EQUAL:
         return ep.ProjPoint(x)
     for e in ep._BASIS:
-        w = ep._combo((AlgReal(1), neg(ep._dot(e, x))), (e, x))
+        w = combo((AlgReal(1), neg(ep._dot(e, x))), (e, x))
         n2 = ep._dot(w, w)
         if n2.sign() > 0:
             break
     u = tuple(div(c, sqrt_nonneg(n2)) for c in w)
     b = sqrt_nonneg(sub(AlgReal(1), mul(a, a)))
-    return ep._unit_canonical(ep._combo((a, b), (x, u)))
+    return ep._unit_canonical(combo((a, b), (x, u)))
 
 
 def test_circle_intersect_coincident_centres_match_gram_schmidt():

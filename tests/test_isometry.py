@@ -12,7 +12,7 @@ from rotagraph import elliptic as ep
 from rotagraph import expr
 from rotagraph import isometry as iso
 from rotagraph.algebraic import (
-    AlgReal, EQUAL, add, compare, div, mul, neg, sqrt_nonneg, sub,
+    AlgReal, EQUAL, add, combo, compare, div, mul, neg, sqrt_nonneg, sub,
 )
 from rotagraph.errors import InfeasibleError, PreconditionError
 
@@ -333,7 +333,7 @@ def _triple_loop_product(a, b):
 
 def _entrywise_householder(p, q):
     x, y, _ = ep._lifts_nonneg(p, q)
-    w = ep._combo((1, -1), (x, y))
+    w = combo((1, -1), (x, y))
     n2 = ep._dot(w, w)
     return [[add(neg(div(mul(mul(2, w[i]), w[j]), n2)), AlgReal(int(i == j)))
              for j in range(3)] for i in range(3)]
@@ -381,7 +381,7 @@ def test_orthogonal_sending_matches_entrywise_householder():
                           _entrywise_householder(p, q))
 
 
-# The add/mul chains that elliptic._combo and dot replaced in L2 and L3,
+# The add/mul chains that algebraic.combo and dot replaced in L2 and L3,
 # kept as oracles: each new form must give the same values, printed alike.
 
 def _chain_dot(x, y):
