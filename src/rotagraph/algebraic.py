@@ -32,10 +32,12 @@ only way it gets one.  A sum of products (dot) over rationals and one
 generator sums the integer products over one denominator and reduces once
 modulo m; so does one over several generators linked by records, once
 each operand over another generator is mapped into the one that reaches
-all the others.  A linear combination of vectors (combo), the one the
-geometry builds its points and matrix rows with, meets all its operands
-once for the whole vector, over their compositum when they lie over two
-unrelated generators, and takes one such sum per coordinate.
+all the others; a value keeps its image under the last such map, so it is
+mapped into one generator once however often it meets there.  A linear
+combination of vectors (combo), the one the geometry builds its points
+and matrix rows with, meets all its operands once for the whole vector,
+over their compositum when they lie over two unrelated generators, and
+takes one such sum per coordinate.
 Operations across fields that no record links and no compositum joins take
 the candidate polynomial of the result, and give an untagged value; two
 equal values over unrelated generators (a value and its re-parse) meet
@@ -50,14 +52,21 @@ of them fire.  The quadratic facts met most often are each settled by one
 exact test, with no search: the square root of a rational p/q that is no
 square is the root of q*x^2 - p on an isqrt bracket that two signs check;
 two quadratic fields have a compositum of full degree unless their
-discriminants multiply to a square (no prime search); and an embedding
+discriminants multiply to a square (no prime search); an embedding
 t = h(psi) stands once t's minimal polynomial has one root in the hull of
 h(psi)'s enclosure and t's interval (one Sturm count, no refinement of psi
-down to t's interval).
+down to t's interval); a value over a quadratic generator has its minimal
+polynomial by substitution and its interval from its enclosure cut at the
+axis of that polynomial, which two signs check (no trace, gcd or Sturm
+chain); and the square root of an a that is no square in Q(a) is the root
+of m_a(x^2) on a bracket [lo, hi], lo >= 0, that holds one exactly when
+[lo^2, hi^2] holds one root of m_a (a Sturm count on a's own chain, none
+of twice its degree).
 
 Values are immutable.  The isolating interval may be tightened in place,
-a rational or tagged value's minimal polynomial filled in on first use and a
-generator's last compositum remembered; each is semantically invisible and
+a rational or tagged value's minimal polynomial filled in on first use, a
+generator's last compositum remembered and a value's image in the last
+generator it was mapped into kept; each is semantically invisible and
 written in one attribute, so values are safe to share between threads (a
 lost write costs a rebuild).
 """
@@ -100,8 +109,10 @@ class AlgReal:
     # generator psi only: _embeds, pairs (t, h) of older generators with
     # t = h(psi), each checked exactly when recorded (see _record), and
     # _joined, (partner, compositum) for the last compositum it and partner
-    # were joined into (see _compositum), else (None, None)
-    __slots__ = ("_root", "_tag", "_embeds", "_joined")
+    # were joined into (see _compositum), else (None, None).  _image,
+    # (theta, g) for the last generator theta the value was mapped into
+    # (see _image), unset until then
+    __slots__ = ("_root", "_tag", "_embeds", "_joined", "_image")
 
     def __init__(self, value=0):
         self._root = None
@@ -366,15 +377,47 @@ def _enclose(g, interval):
 
 def _isolate(theta, g):
     """(min_poly, isolating interval, sign at its lower end) of g(theta),
-    from its minimal polynomial read off traces, with no factorisation; of
-    a rational p/q (theta None), q*x - p and the point interval."""
+    from its minimal polynomial read off traces, with no factorisation (in
+    closed form over a quadratic theta, _isolate_quadratic); of a rational
+    p/q (theta None), q*x - p and the point interval."""
     if theta is None:
         p, q = _ints(g)
         r = Fraction(p, q)
         return (-p, q), (r, r), 0
-    f = polys.minimal_polynomial(g, theta.min_poly)
+    m = theta.min_poly
+    if len(m) == 3:
+        return _isolate_quadratic(theta, g)
+    f = polys.minimal_polynomial(g, m)
     root = _select_root((f,), lambda: _enclose(g, theta.interval), theta.refine)
     return root._root
+
+
+def _isolate_quadratic(theta, g):
+    """_isolate for g = (n0 + n1*x)/d, n1 != 0, over a root theta of
+    m = c0 + c1*x + c2*x^2, with no trace, gcd or Sturm chain.  Putting
+    theta = (d*y - n0)/n1 into m gives g's minimal polynomial
+    f = c2*d^2*y^2 - d*(2*n0*c2 - n1*c1)*y + (n0^2*c2 - n0*n1*c1 + n1^2*c0),
+    made primitive, whose roots g(theta) and g(theta') lie either side of
+    the axis Tr/2 = (2*n0*c2 - n1*c1) / (2*c2*d).  y = g(x) rises with x
+    exactly when n1 > 0, and theta is m's larger root exactly when m < 0
+    at its lower end, so g(theta) is f's larger root exactly when both or
+    neither hold.  Its interval is g's enclosure over theta's, cut at the
+    axis on that side, where f has at most one root; f's signs at the two
+    ends, which differ, show the root is there."""
+    (c0, c1, c2), ((n0, n1), d) = theta.min_poly, g
+    tr = 2 * n0 * c2 - n1 * c1
+    f = polys.primitive((n0 * n0 * c2 - n0 * n1 * c1 + n1 * n1 * c0, -d * tr, c2 * d * d))
+    _, interval, s = theta._root
+    lo, hi = _enclose(g, interval)
+    axis = Fraction(tr, 2 * c2 * d)
+    if (n1 > 0) == (s < 0):
+        lo = max(lo, axis)
+    else:
+        hi = min(hi, axis)
+    s = polys.sign_at(f, lo)
+    if s == 0 or polys.sign_at(f, hi) != -s:
+        raise InternalConsistencyError("a quadratic value's interval holds no root")
+    return f, (lo, hi), s
 
 
 # -- generators ---------------------------------------------------------------
@@ -393,25 +436,26 @@ def _gen(v):
     return None, _literal(v)
 
 
-def _common(ea, eb):
-    """(theta, ga, gb) with a = ga(theta) and b = gb(theta), for a and b
-    as _gen gives them: over the generator of either when the other is a
+def _common(a, b):
+    """(theta, ga, gb) with a = ga(theta) and b = gb(theta), for operands
+    as _gen reads them: over the generator of either when the other is a
     constant (theta None for two) or its field is known to contain the
     other's (_meet); None otherwise."""
-    (ta, ga), (tb, gb) = ea, eb
+    (ta, ga), (tb, gb) = _gen(a), _gen(b)
     if ta is tb or tb is None:
         return ta, ga, gb
     if ta is None:
         return tb, ga, gb
-    return _meet((ea, eb))
+    return _meet((a, b))
 
 
-def _meet(es):
-    """(theta, g_1, ..., g_k) with v_i = g_i(theta) for es[i] = _gen(v_i), over two
+def _meet(vs):
+    """(theta, g_1, ..., g_k) with vs[i] = g_i(theta), for operands over two
     or more generators: theta the first of the largest degree that reaches
     each of the others as t = h(theta) (_reach), each g over such a t mapped
-    into it once (polys.compose_mod), and constants kept.  None when no
-    generator reaches all the others."""
+    into it once (_image), and constants kept.  None when no generator
+    reaches all the others."""
+    es = [_gen(v) for v in vs]
     thetas = list({id(t): t for t, _ in es if t is not None}.values())
     top = max(t.degree for t in thetas)
     for theta in thetas:
@@ -425,10 +469,22 @@ def _meet(es):
                     break
                 hs[id(t)] = h
         else:
-            m = theta.min_poly
-            return (theta, *(g if t is None or t is theta else polys.compose_mod(g, hs[id(t)], m)
-                             for t, g in es))
+            return (theta, *(g if t is None or t is theta else _image(v, g, hs[id(t)], theta)
+                             for v, (t, g) in zip(vs, es)))
     return None
+
+
+def _image(v, g, h, theta):
+    """g(h(theta)) reduced modulo theta's minimal polynomial, for v = g(t)
+    over a generator t = h(theta): the image v keeps from the last time it
+    was mapped into theta, else polys.compose_mod's, then kept (one slot,
+    read with a default, so a value never mapped writes nothing)."""
+    image = getattr(v, "_image", None)
+    if image is not None and image[0] is theta:
+        return image[1]
+    g = polys.compose_mod(g, h, theta.min_poly)
+    v._image = (theta, g)
+    return g
 
 
 def _reach(psi, t):
@@ -566,16 +622,15 @@ def _join(*vs):
     """(psi, g_1, ..., g_k) with vs[i] = g_i(psi), for values over exactly
     two generators t1 and t2 (rationals as constants): psi = t1 + t2, the
     generator of their compositum (_compositum), and each g over t1 or t2
-    mapped into it once.  None for another number of generators, or when
-    psi falls short of full degree."""
+    mapped into it once (_image).  None for another number of generators,
+    or when psi falls short of full degree."""
     es = [_gen(v) for v in vs]
     thetas = list({id(t): t for t, _ in es if t is not None}.values())
     psi = _compositum(*thetas) if len(thetas) == 2 else None
     if psi is None:
         return None
     hs = {id(t): h for t, h in psi._embeds}
-    m = psi.min_poly
-    return (psi, *(g if t is None else polys.compose_mod(g, hs[id(t)], m) for t, g in es))
+    return (psi, *(g if t is None else _image(v, g, hs[id(t)], psi) for v, (t, g) in zip(vs, es)))
 
 
 def _compositum(t1, t2):
@@ -678,10 +733,10 @@ def _one_field(a, b):
     """(theta, ga, gb) with a = ga(theta) and b = gb(theta) from _common or
     _join, or over a's generator when b is the same value over an unrelated
     generator (a value and its re-parse); None otherwise."""
-    ea, eb = _gen(a), _gen(b)
-    common = _common(ea, eb) or _join(a, b)
+    common = _common(a, b) or _join(a, b)
     if common is None and a.min_poly == b.min_poly and _compare_isolated(a, b) == EQUAL:
-        common = (*ea, ea[1])
+        theta, g = _gen(a)
+        common = (theta, g, g)
     return common
 
 
@@ -761,7 +816,7 @@ def div(a, b):
 
 def compare(a, b):
     """Exact trichotomy: LESS (-1), EQUAL (0) or GREATER (1)."""
-    common = _common(_gen(a), _gen(b))
+    common = _common(a, b)
     if common is None:
         return _compare_isolated(a, b)
     theta, ga, gb = common
@@ -798,7 +853,7 @@ def _dot_linked(xs, ys):
     generator the chain ends on, unless terms over the larger field cancel
     to a value of a subfield, which the chain gives over that subfield's
     generator."""
-    common = _meet([_gen(v) for pair in zip(xs, ys) for v in pair])     # the chain's order
+    common = _meet([v for pair in zip(xs, ys) for v in pair])     # the chain's order
     if common is None:
         return reduce(add, map(mul, xs, ys))
     theta, *gs = common
@@ -818,7 +873,7 @@ def combo(cs, vs):
     es = [_gen(v) for v in vals]
     thetas = {id(t): t for t, _ in es if t is not None}
     if len(thetas) > 1:
-        common = _meet(es) or _join(*vals)
+        common = _meet(vals) or _join(*vals)
         if common is None:
             return tuple(dot(cs, col) for col in zip(*vs))
         theta, *gs = common
@@ -873,8 +928,10 @@ def sqrt_nonneg(a):
     q*lo^2 - p < 0 < q*hi^2 - p place exactly one root in it, since the
     other one, -sqrt(p/q), is negative.  An irrational a takes a tower over
     a generator of its whole field, a square root inside its field, or the
-    root of the factor of m_a(x^2) that the bracket of its interval holds
-    (Sturm counts), and records a's generator in that root (_tower)."""
+    root of m_a(x^2), or of its factor, that the bracket of its interval
+    holds (_sqrt_of_nonsquare when m_a(x^2) is certified irreducible, else
+    Sturm counts on each factor), and records a's generator in that root
+    (_tower)."""
     a = as_algreal(a)
     s = a.sign()
     if s < 0:
@@ -903,15 +960,36 @@ def sqrt_nonneg(a):
             v = mul(a, mul(u, u))
             if v.degree == n:
                 return div(sqrt_nonneg(v), u if u.sign() > 0 else neg(u))
-    if not polys.nonsquare_root(a.min_poly):
+    m = a.min_poly
+    nonsquare = polys.nonsquare_root(m)
+    if not nonsquare:
         root = _sqrt_in_field(a)
         if root is not None:
             return root
     _check_cand_degree(2 * a.degree)
-    root = _select_root(polys.sqrt_factors(a.min_poly),
-                        lambda: _sqrt_interval(a.interval), a.refine)
+    if nonsquare:
+        root = _sqrt_of_nonsquare(a)
+    else:
+        root = _select_root(polys.sqrt_factors(m), lambda: _sqrt_interval(a.interval), a.refine)
     _tower(root, a)
     return root
+
+
+def _sqrt_of_nonsquare(a):
+    """sqrt(a) for an irrational a > 0 that is no square in Q(a): the root
+    of m(x^2), m = a's minimal polynomial, irreducible then (sqrt_factors),
+    on the bracket [lo, hi] of a's interval (_sqrt_interval), once that
+    holds exactly one root.  Its roots in (lo, hi], lo >= 0, are the square
+    roots of m's roots in (lo^2, hi^2], so one Sturm count on m's own chain
+    decides, with no chain of degree 2n; the radicand is refined until it
+    reads 1."""
+    m = a.min_poly
+    for _ in range(20000):
+        lo, hi = _sqrt_interval(a.interval)
+        if polys.count_roots_halfopen(m, lo * lo, hi * hi) == 1:
+            return AlgReal._make(polys.cand_sqrt(m), (lo, hi))
+        a.refine()
+    raise InternalConsistencyError("square root selection did not converge")
 
 
 def _sqrt_interval(interval):

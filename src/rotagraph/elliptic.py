@@ -86,8 +86,13 @@ class DistCos:
         self.value = value
 
     def __eq__(self, other):
-        other = as_dist_cos(other)
-        return compare(self.value, other.value) == EQUAL
+        """Equal cosines; a number outside [0, 1] is simply unequal, and an
+        operand as_algreal cannot read is left to its own __eq__."""
+        try:
+            other = as_algreal(other.value if isinstance(other, DistCos) else other)
+        except (TypeError, ValueError):
+            return NotImplemented
+        return compare(self.value, other) == EQUAL
 
     def __repr__(self):
         return f"DistCos(~{float(self.value):.6g})"

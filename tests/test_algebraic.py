@@ -1454,3 +1454,239 @@ def test_record_accepts_an_embedding_by_one_root_in_the_hull(monkeypatch):
     with pytest.raises(InternalConsistencyError, match="not a root"):
         _record(psi, ((t1, polys.qadd(h1, ((1,), 1))),))
     assert psi._embeds == embeds
+
+
+# -- quadratic and quartic facts settled once ---------------------------------
+
+def _seeded_quadratic_elements(seed, count):
+    """(m, i, g): a root index i of an irreducible quadratic m with two real
+    roots, non-monic in general, and an element g = (n0 + n1*x)/d, n1 != 0
+    of either sign; one case in four has coefficients of about 60 bits."""
+    rng = random.Random(seed)
+    while count:
+        bits = 60 if rng.random() < 0.25 else 5
+        m = (rng.randint(-2 ** bits, 2 ** bits), rng.randint(-2 ** bits, 2 ** bits),
+             rng.randint(1, 2 ** bits))
+        if gcd(*m) != 1 or polys.discriminant(m) <= 0 or \
+                polys.int_sqrt(polys.discriminant(m)) is not None:
+            continue
+        n1 = rng.choice((-1, 1)) * rng.randint(1, 2 ** bits)
+        g = polys.qpoly((rng.randint(-2 ** bits, 2 ** bits), n1), rng.randint(1, 2 ** bits))
+        count -= 1
+        yield m, rng.randrange(2), g
+
+
+def test_quadratic_isolation_matches_the_trace_route(monkeypatch):
+    """A value over a quadratic generator gets, in closed form, the
+    minimal polynomial that traces give (polys.minimal_polynomial), an
+    interval holding exactly one root of it, and the value that root
+    selection on the enclosure gives (_select_root): that route is kept
+    here as the oracle, and the closed form reads no trace."""
+    from rotagraph.algebraic import _enclose, _select_root
+    seen = {"larger root": 0, "n1 < 0": 0, "non-monic": 0, "60 bits": 0}
+    original = polys.minimal_polynomial
+
+    def no_trace(*_):
+        raise AssertionError("a quadratic value read its traces")
+
+    for m, i, g in _seeded_quadratic_elements(29, 300):
+        theta = AlgReal.from_root(m, i)
+        monkeypatch.setattr(polys, "minimal_polynomial", no_trace)
+        f, (lo, hi), s = AlgReal._over(theta, g)._isolated()
+        monkeypatch.setattr(polys, "minimal_polynomial", original)
+        ref = AlgReal.from_root(m, i)
+        want = _select_root((original(g, m),), lambda: _enclose(g, ref.interval), ref.refine)
+        assert f == want.min_poly and s == polys.sign_at(f, lo), (m, i, g)
+        assert polys.count_roots_halfopen(f, lo, hi) == 1
+        assert _compare_isolated(AlgReal._make(f, (lo, hi)), want) == EQUAL, (m, i, g)
+        seen["larger root"] += i
+        seen["n1 < 0"] += g[0][1] < 0
+        seen["non-monic"] += m[2] != 1
+        seen["60 bits"] += max(map(abs, m)).bit_length() > 40
+    assert min(seen.values()) >= 50, seen
+
+
+def _seeded_radicands(seed, count):
+    """(kind, make): make() builds a fresh radicand a > 0 of degree 2 or 4,
+    a root theta of an irreducible m or an element g(theta) of the same
+    degree, no square in its field.
+    - "small": theta - r for a rational r just below theta, so small
+      against theta's interval that a's own interval often starts at 0,
+      and so does the square root's bracket.
+    - "near": theta itself, on an interval whose lower end lies just above
+      the next smaller positive root of m (a best approximation with a
+      denominator near 2^24), so the first bracket, rounded to 2^-16 of
+      that denominator, holds the square roots of both and a is refined.
+    - "random": an element with small random coefficients."""
+    rng = random.Random(seed)
+    while count:
+        n = rng.choice((2, 4))
+        m = polys.primitive([rng.randint(-9, 9) for _ in range(n)] + [rng.randint(1, 4)])
+        if polys.irreducible_factors(m) != (m,):
+            continue
+        roots = real_roots(m)
+        if not roots:
+            continue
+        i = rng.randrange(len(roots))
+        kind = rng.choice(("small", "near", "random"))
+        if kind == "near":
+            positive = [r for r in roots if r.sign() > 0]
+            if len(positive) < 2 or not polys.nonsquare_root(m):
+                continue
+            j = rng.randrange(1, len(positive))
+            below = positive[j - 1].approx(120)
+            near = next((c for c in (below.limit_denominator(2 ** k) for k in range(24, 40))
+                         if compare(AlgReal(c), positive[j - 1]) == GREATER), None)
+            if near is None or compare(AlgReal(near), positive[j]) != LESS:
+                continue
+            count -= 1
+            hi = positive[j].interval[1]
+            yield kind, (lambda m=m, near=near, hi=hi: AlgReal._make(m, (near, hi)))
+            continue
+        if kind == "small":
+            r = roots[i].approx(rng.randint(4, 30)) - Fraction(1, 2 ** 40)
+            g = polys.qpoly((-r.numerator, r.denominator), r.denominator)
+        else:
+            g = polys.qpoly([rng.randint(-9, 9) for _ in range(n)], rng.randint(1, 5))
+        v = AlgReal._over(roots[i], g)
+        if v.is_rational or v.degree != n:
+            continue
+        if v.sign() < 0:
+            g = (tuple(-c for c in g[0]), g[1])
+            v = neg(v)
+        if polys.nonsquare_root(v.min_poly):
+            count -= 1
+            yield kind, (lambda m=m, i=i, g=g: AlgReal._over(AlgReal.from_root(m, i), g))
+
+
+def test_square_root_counted_on_the_radicand_chain_matches_root_selection(monkeypatch):
+    """The square root of a radicand of degree 2 or 4 that is no square in
+    its field is the root of m(x^2) that a Sturm count on m itself
+    brackets (_sqrt_of_nonsquare): the same minimal polynomial and bracket
+    as root selection over sqrt_factors(m) on the same brackets (the
+    oracle), including brackets that start at 0 and brackets that hold two
+    roots until the radicand is refined; sqrt_nonneg builds no Sturm chain
+    above degree n on the way, and gives the same value."""
+    from rotagraph.algebraic import _select_root, _sqrt_interval, _sqrt_of_nonsquare
+    total, clipped, refined = {2: 0, 4: 0}, 0, 0
+    original = polys.sturm_chain
+    for kind, make in _seeded_radicands(2902, 90):
+        # ref and mine take the steps sqrt_nonneg takes before its bracket:
+        # the sign, read off theta's interval for an element, then their
+        # own interval
+        a, ref, mine = make(), make(), make()
+        for v in (ref, mine):
+            v.sign()
+            v.interval
+        n, first = ref.degree, ref.interval
+        total[n] += 1
+        clipped += first[0] <= 0
+        want = _select_root(polys.sqrt_factors(ref.min_poly),
+                            lambda: _sqrt_interval(ref.interval), ref.refine)
+        refined += ref.interval != first
+        root = _sqrt_of_nonsquare(mine)
+        assert (root.min_poly, root.interval) == (want.min_poly, want.interval), kind
+        assert root.min_poly == polys.cand_sqrt(mine.min_poly)
+        assert polys.count_roots_halfopen(root.min_poly, *root.interval) == 1
+        degrees = []
+        monkeypatch.setattr(polys, "sturm_chain",
+                            lambda c: degrees.append(len(c) - 1) or original(c))
+        got = sqrt_nonneg(a)
+        monkeypatch.setattr(polys, "sturm_chain", original)
+        assert max(degrees, default=0) <= n
+        assert got.min_poly == want.min_poly and compare(got, want) == EQUAL
+        assert compare(mul(got, got), a) == EQUAL
+    assert min(total.values()) >= 20 and clipped >= 6 and refined >= 6, (total, clipped, refined)
+
+
+def _check_image(x, theta):
+    """x keeps as its image over theta what compose_mod makes of its g and
+    the embedding of its generator in theta."""
+    from rotagraph.algebraic import _gen, _reach
+    t, g = _gen(x)
+    image = x._image
+    assert image[0] is theta
+    assert image[1] == polys.compose_mod(g, _reach(theta, t), theta.min_poly)
+
+
+def test_an_image_is_the_map_compose_mod_makes():
+    """A value over sqrt 2 met over the tower sqrt(1 + sqrt 2) (dot), and
+    values over sqrt 2 and sqrt 3 met over their compositum (combo), each
+    keep exactly what compose_mod makes, and a value never mapped has no
+    image."""
+    from rotagraph.algebraic import combo, dot
+    tower = sqrt_nonneg(add(1, SQRT2))
+    v = add(Fraction(2, 3), mul(Fraction(-5, 7), SQRT2))
+    w = sub(SQRT3, Fraction(1, 2))
+    assert not hasattr(v, "_image") and not hasattr(w, "_image")
+    dot((v, 3), (tower, v))
+    _check_image(v, tower)
+    combo((w, v), ((v, 1, w), (w, 2, v)))
+    psi = v._image[0]
+    assert psi.degree == 4 and {id(t) for t, _ in psi._embeds} == {id(SQRT2), id(SQRT3)}
+    _check_image(v, psi)
+    _check_image(w, psi)
+
+
+def _towers_over_sqrt2(s2):
+    return [sqrt_nonneg(add(k, s2)) for k in (1, 3)]
+
+
+def test_a_value_met_alternately_over_two_towers_stays_correct():
+    """Values over sqrt 2 met over sqrt(1 + sqrt 2) and sqrt(3 + sqrt 2) in
+    turn: each dot gives the theta and g that the same values with no image
+    give, and each value's image follows the tower it last met."""
+    from rotagraph.algebraic import _gen, dot
+    rng = random.Random(2903)
+    towers = _towers_over_sqrt2(SQRT2)
+    vs = [add(Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+              mul(Fraction(rng.randint(1, 9), rng.randint(1, 5)), SQRT2)) for _ in range(4)]
+    for step in range(12):
+        top = towers[step % 2]
+        cs = [add(rng.randint(-3, 3), mul(rng.randint(1, 3), top)) for _ in vs]
+        got = _gen(dot(vs, cs))
+        want = _gen(dot([AlgReal._over(*_gen(v)) for v in vs], cs))
+        assert got[0] is want[0] is top and got[1] == want[1], step
+        for v in vs:
+            _check_image(v, top)
+
+
+def test_images_shared_between_threads():
+    """Threads meeting shared values over sqrt 2 with two shared towers,
+    in orders that overwrite each value's image under the others, all see
+    the single-threaded answers: an image is one tuple written in one
+    slot and used only for the generator it names."""
+    import sys
+    import threading
+    from rotagraph.algebraic import dot
+
+    def build():
+        s2 = sqrt_nonneg(AlgReal(2))
+        return _towers_over_sqrt2(s2), [add(Fraction(i, 3), mul(i + 1, s2)) for i in range(6)]
+
+    def answers(towers, vals, offset):
+        out = []
+        for j in range(8):
+            top = towers[(j + offset) % 2]
+            v = dot(vals, [add(j - k, top) for k in range(len(vals))])
+            out.append((v.min_poly, expr.to_expr(v), v.approx(80)))
+        return out
+
+    want = [answers(*build(), offset) for offset in range(2)]
+    (towers, vals), results = build(), [None] * 8
+
+    def work(i):
+        results[i] = answers(towers, vals, i % 2)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old)
+    assert results == [want[i % 2] for i in range(8)]

@@ -50,6 +50,20 @@ def test_dist_cos_range_guard():
         ep.DistCos(AlgReal(Fraction(-1, 2)))
 
 
+def test_dist_cos_compares_with_anything():
+    """== compares a distance cosine with any operand, as AlgReal's does:
+    False for a number outside [0, 1] and for an operand that is no number,
+    True for the same cosine in any form."""
+    c = ep.as_dist_cos(Fraction(4, 5))
+    for other in (None, "x", 2, Fraction(-1, 2), AlgReal(2), sqrt_nonneg(AlgReal(2)),
+                  Fraction(3, 5), ep.as_dist_cos(0), object()):
+        assert not c == other and c != other and not other == c, other
+    for same in (Fraction(4, 5), "4/5", AlgReal(Fraction(4, 5)), ep.as_dist_cos("8/10")):
+        assert c == same and same == c and not c != same, same
+    assert c in [None, "x", 2, Fraction(4, 5)]
+    assert ep.as_dist_cos(sqrt_nonneg(AlgReal(Fraction(1, 2)))) == div(1, sqrt_nonneg(AlgReal(2)))
+
+
 def test_equidistant_point_exact():
     q = ep.make_point(Fraction(9, 11), Fraction(6, 11), Fraction(2, 11))
     m = ep.equidistant_point(E1, q, COS45)

@@ -205,3 +205,22 @@ def test_k3_witness_path_sums_products_over_one_generator(monkeypatch):
     assert gr.verify_path(SPEC45, path, p, q, 3)
     assert any(not c.is_rational for pt in path.points for c in pt.lift)
     assert chains == []
+
+
+def test_k3_witness_path_maps_each_value_into_the_tower_once(monkeypatch):
+    """The k = 3 path above and its verification map each value into the
+    detour point's tower once: the step point's coordinates keep the image
+    the detour's linear combination made, so the verifying inner product
+    maps nothing again (10 compose_mod calls in all, where mapping afresh
+    took 16).  The quadratic radicand of the detour's square root is
+    isolated in closed form, with no trace (minimal_polynomial)."""
+    from rotagraph import polys
+    counts = {"compose_mod": 0, "minimal_polynomial": 0}
+    for name in counts:
+        monkeypatch.setattr(polys, name, (lambda name, f: lambda *args: (
+            counts.__setitem__(name, counts[name] + 1) or f(*args)))(name, getattr(polys, name)))
+    p = ep.make_point(Fraction(20, 33), Fraction(-17, 33), Fraction(-20, 33))
+    q = ep.make_point(Fraction(-20, 29), 0, Fraction(-21, 29))
+    path = gr.witness_path(SPEC45, p, q)
+    assert gr.verify_path(SPEC45, path, p, q, 3)
+    assert counts["compose_mod"] <= 10 and counts["minimal_polynomial"] == 0, counts
