@@ -9,40 +9,41 @@ irrational held by its (primitive, irreducible, positive-lead) integer
 minimal polynomial and a rational isolating interval containing exactly
 that one real root; it is x over itself.
 Values over one generator add, multiply, divide and compare as polynomials
-modulo m (Cohen, GTM 138, ch. 4), with the arithmetic of polys, and so do
-two quadratic generators of one field.  A constant meets every generator,
-so a rational scales or shifts the other operand's numerators, with no
-search for a common field and, below deg m, no reduction; two rationals
-take integer arithmetic over one denominator.  A generator psi may also
-record older generators t of its subfields as t = h(psi) (embeddings,
-each checked exactly before it is kept): a square root records the
-generator of its radicand's field (a tower), and an operation across two
-unrelated fields records both in the primitive element psi = t1 + t2 of
-their compositum when that has full degree (Loos, "Computing in algebraic
-extensions", 1982); two quadratic fields join in closed form, with no
-candidate polynomial and no linear solve.  Each of t1 and t2 also
-remembers the last compositum it was joined into, so the same pair meets
-over one psi.  Values whose
-generators are linked by these records meet over the larger generator.
+modulo m (Cohen, GTM 138, ch. 4), with the arithmetic of polys.  A
+generator psi may also record older generators t of its subfields as
+t = h(psi) (embeddings, each checked exactly before it is kept): a square
+root records the generator of its radicand's field (a tower), and the
+primitive element psi = t1 + t2 of the compositum of two unrelated fields
+records both when it has full degree (Loos, "Computing in algebraic
+extensions", 1982).  Two quadratic fields join in closed form, with no
+candidate polynomial and no linear solve, and each of t1 and t2 remembers
+the last compositum it was joined into, so the same pair joins once.
+Every operation (add, sub, mul, compare, dot, combo) first asks one function,
+_field, where its operands meet.  Constants meet every generator: two
+rationals take integer arithmetic over one denominator, and a rational
+scales or shifts the other operand's numerators, with no search and,
+below deg m, no reduction.  Operands over one generator meet over it.
+Operands over several meet over the first generator of the largest
+degree that reaches all the others, through its records or as one field
+with them (equal values, two quadratics whose discriminants multiply to a
+square); else, over exactly two, over their compositum, except in
+compare, which refines intervals rather than build one.  Each operand over
+another generator is mapped in once and keeps that image, so it is mapped
+into one generator once however often it meets there.  So a sum of
+products (dot) is summed and reduced modulo m once, and a linear
+combination of vectors (combo), the one the geometry builds its points
+and matrix rows with, meets its operands once for the whole vector and
+takes one such sum per coordinate.  Where the operands do not meet, add,
+sub and mul take the candidate polynomial of the result and give an
+untagged value, dot takes the add/mul chain and combo one dot per
+coordinate; two equal values over unrelated generators (a value and its
+re-parse) meet over the first one's generator instead.
 A rational or tagged value builds its minimal polynomial and isolating
 interval only when asked for them (printing, hashing, a square root, an
 operation across fields): q*x - p and [p/q, p/q] for p/q, and for g(theta)
 the characteristic polynomial of g, with no factorisation; that is the
-only way it gets one.  A sum of products (dot) over rationals and one
-generator sums the integer products over one denominator and reduces once
-modulo m; so does one over several generators linked by records, once
-each operand over another generator is mapped into the one that reaches
-all the others; a value keeps its image under the last such map, so it is
-mapped into one generator once however often it meets there.  A linear
-combination of vectors (combo), the one the geometry builds its points
-and matrix rows with, meets all its operands once for the whole vector,
-over their compositum when they lie over two unrelated generators, and
-takes one such sum per coordinate.
-Operations across fields that no record links and no compositum joins take
-the candidate polynomial of the result, and give an untagged value; two
-equal values over unrelated generators (a value and its re-parse) meet
-over the first one's generator instead.  A square root of a square of the
-field stays in it, tagged over the same generator.
+only way it gets one.  A square root of a square of the field stays in
+it, tagged over the same generator.
 
 Candidates (square roots of irrationals, composita, cross-field results)
 and the polynomials given to real_roots are factorised only when no
@@ -436,26 +437,26 @@ def _gen(v):
     return None, _literal(v)
 
 
-def _common(a, b):
-    """(theta, ga, gb) with a = ga(theta) and b = gb(theta), for operands
-    as _gen reads them: over the generator of either when the other is a
-    constant (theta None for two) or its field is known to contain the
-    other's (_meet); None otherwise."""
-    (ta, ga), (tb, gb) = _gen(a), _gen(b)
-    if ta is tb or tb is None:
-        return ta, ga, gb
-    if ta is None:
-        return tb, ga, gb
-    return _meet((a, b))
-
-
-def _meet(vs):
-    """(theta, g_1, ..., g_k) with vs[i] = g_i(theta), for operands over two
-    or more generators: theta the first of the largest degree that reaches
-    each of the others as t = h(theta) (_reach), each g over such a t mapped
-    into it once (_image), and constants kept.  None when no generator
-    reaches all the others."""
-    es = [_gen(v) for v in vs]
+def _field(vs, join=True):
+    """(theta, g_1, ..., g_k) with vs[i] = g_i(theta), for operands as _gen
+    reads them: where the operands of one operation meet.  theta is None
+    when all are constants, and the one generator the irrational ones lie
+    over when there is one (one scan, no search).  Over several, theta is
+    the first of the largest degree that reaches each of the others as
+    t = h(theta) (_reach); failing that, with join set, the compositum of
+    exactly two (_compositum).  Each g over another generator is mapped
+    into theta once (_image), and constants are kept.  None when no
+    generator reaches the others and none is joined."""
+    theta, gs = None, []
+    for t, g in map(_gen, vs):
+        if t is not None and t is not theta:
+            if theta is not None:
+                break
+            theta = t
+        gs.append(g)
+    else:
+        return (theta, *gs)
+    es = list(map(_gen, vs))
     thetas = list({id(t): t for t, _ in es if t is not None}.values())
     top = max(t.degree for t in thetas)
     for theta in thetas:
@@ -468,10 +469,15 @@ def _meet(vs):
                 if h is None:
                     break
                 hs[id(t)] = h
-        else:
-            return (theta, *(g if t is None or t is theta else _image(v, g, hs[id(t)], theta)
-                             for v, (t, g) in zip(vs, es)))
-    return None
+        else:       # theta reaches every other generator
+            break
+    else:           # none does
+        theta = _compositum(*thetas) if join and len(thetas) == 2 else None
+        if theta is None:
+            return None
+        hs = {id(t): h for t, h in theta._embeds}
+    return (theta, *(g if t is None or t is theta else _image(v, g, hs[id(t)], theta)
+                     for v, (t, g) in zip(vs, es)))
 
 
 def _image(v, g, h, theta):
@@ -618,21 +624,6 @@ def _tower(root, a):
     _record(root, ((theta, polys.compose_mod(H, square, root.min_poly)),))
 
 
-def _join(*vs):
-    """(psi, g_1, ..., g_k) with vs[i] = g_i(psi), for values over exactly
-    two generators t1 and t2 (rationals as constants): psi = t1 + t2, the
-    generator of their compositum (_compositum), and each g over t1 or t2
-    mapped into it once (_image).  None for another number of generators,
-    or when psi falls short of full degree."""
-    es = [_gen(v) for v in vs]
-    thetas = list({id(t): t for t, _ in es if t is not None}.values())
-    psi = _compositum(*thetas) if len(thetas) == 2 else None
-    if psi is None:
-        return None
-    hs = {id(t): h for t, h in psi._embeds}
-    return (psi, *(g if t is None else _image(v, g, hs[id(t)], psi) for v, (t, g) in zip(vs, es)))
-
-
 def _compositum(t1, t2):
     """psi = t1 + t2 for generators t1 and t2, with t1 = h1(psi) and
     t2 = psi - t1 recorded, when psi has the full degree n1*n2 within the
@@ -730,10 +721,10 @@ def _check_cand_degree(n):
 # -- field operations -------------------------------------------------------
 
 def _one_field(a, b):
-    """(theta, ga, gb) with a = ga(theta) and b = gb(theta) from _common or
-    _join, or over a's generator when b is the same value over an unrelated
-    generator (a value and its re-parse); None otherwise."""
-    common = _common(a, b) or _join(a, b)
+    """(theta, ga, gb) with a = ga(theta) and b = gb(theta) from _field, or
+    over a's generator when b is the same value over an unrelated generator
+    (a value and its re-parse); None otherwise."""
+    common = _field((a, b))
     if common is None and a.min_poly == b.min_poly and _compare_isolated(a, b) == EQUAL:
         theta, g = _gen(a)
         common = (theta, g, g)
@@ -760,9 +751,8 @@ def _composed_root(cand_fn, a, b, interval_fn):
                         lambda: (a.refine(), b.refine()))
 
 
-# Any two operands but irrationals of unrelated fields meet over one
-# generator, a rational as a constant element; two rationals p/q and r/s
-# (theta None) take integer arithmetic over one denominator.
+# theta None: two rationals p/q and r/s, in integer arithmetic over one
+# denominator.
 
 def add(a, b):
     common = _one_field(a, b)
@@ -816,7 +806,9 @@ def div(a, b):
 
 def compare(a, b):
     """Exact trichotomy: LESS (-1), EQUAL (0) or GREATER (1)."""
-    common = _common(a, b)
+    # no compositum: two degree-8 fields would build a degree-64 candidate
+    # to decide what refining the two intervals decides
+    common = _field((a, b), join=False)
     if common is None:
         return _compare_isolated(a, b)
     theta, ga, gb = common
@@ -828,57 +820,28 @@ def compare(a, b):
 
 
 def dot(xs, ys):
-    """sum_i xs[i] * ys[i], the value the add/mul chain gives: when every
-    operand is rational, the integer products summed over one denominator;
-    when every irrational one lies over one generator theta, the same
-    modulo theta's minimal polynomial, reduced once (_sum); when they lie
-    over several generators of which one reaches all the others through
-    recorded embeddings, the same over that one, each operand over another
-    generator mapped into it once (_dot_linked); else the chain."""
-    theta, gs = None, []
-    for v in (*xs, *ys):
-        t, g = _gen(v)
-        if t is not None and t is not theta:
-            if theta is not None:
-                return _dot_linked(xs, ys)
-            theta = t
-        gs.append(g)
-    n = len(xs)
-    return _sum(theta, gs[:n], gs[n:])
-
-
-def _dot_linked(xs, ys):
-    """dot over several generators, met as _meet meets them (as for two
-    operands), or else by the add/mul chain.  The result lies over the
+    """sum_i xs[i] * ys[i], the value the add/mul chain gives: the products
+    summed where _field meets the operands, taken in the chain's order, and
+    reduced once (_sum); else the chain.  The result lies over the
     generator the chain ends on, unless terms over the larger field cancel
     to a value of a subfield, which the chain gives over that subfield's
     generator."""
-    common = _meet([v for pair in zip(xs, ys) for v in pair])     # the chain's order
+    common = _field([v for pair in zip(xs, ys) for v in pair])
     if common is None:
         return reduce(add, map(mul, xs, ys))
-    theta, *gs = common
-    return _sum(theta, gs[::2], gs[1::2])
+    return _sum(common[0], common[1::2], common[2::2])
 
 
 def combo(cs, vs):
     """The linear combination sum_i cs[i] * vs[i] of vectors vs[i], each
-    coordinate the value dot gives it.  Operands over rationals and one
-    generator are each read once, and each coordinate is one sum (_sum).
-    Operands over several generators meet once for the whole vector, as
-    _meet meets them or, over two generators no record links, over their
-    compositum (_join), each mapped into the meeting generator once; only
-    operands that neither meets take one dot per coordinate."""
+    coordinate the value dot gives it.  The operands meet once for the
+    whole vector (_field), and each coordinate is one sum (_sum); only
+    operands that do not meet take one dot per coordinate."""
     k = len(cs)
-    vals = (*cs, *(x for v in vs for x in v))
-    es = [_gen(v) for v in vals]
-    thetas = {id(t): t for t, _ in es if t is not None}
-    if len(thetas) > 1:
-        common = _meet(vals) or _join(*vals)
-        if common is None:
-            return tuple(dot(cs, col) for col in zip(*vs))
-        theta, *gs = common
-    else:
-        theta, gs = next(iter(thetas.values()), None), [g for _, g in es]
+    common = _field((*cs, *(x for v in vs for x in v)))
+    if common is None:
+        return tuple(dot(cs, col) for col in zip(*vs))
+    theta, *gs = common
     n = len(vs[0])
     return tuple(_sum(theta, gs[:k], gs[k + j::n]) for j in range(n))
 

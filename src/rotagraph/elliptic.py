@@ -50,7 +50,7 @@ class ProjPoint:
         """The canonical unit lift (computed on first use)."""
         if self._unit is None:
             v = self._raw
-            inv = div(_ONE, sqrt_nonneg(_dot(v, v)))     # one inverse, three products
+            inv = div(_ONE, sqrt_nonneg(dot(v, v)))     # one inverse, three products
             self._unit = tuple(mul(c, inv) for c in v)
         return self._unit
 
@@ -94,15 +94,17 @@ class DistCos:
             return NotImplemented
         return compare(self.value, other) == EQUAL
 
+    def __hash__(self):
+        """The hash of the cosine, so a DistCos hashes as the number it
+        equals does."""
+        return hash(self.value)
+
     def __repr__(self):
         return f"DistCos(~{float(self.value):.6g})"
 
 
 def as_dist_cos(v):
     return v if isinstance(v, DistCos) else DistCos(v)
-
-
-_dot = dot
 
 
 def _cross(x, y):
@@ -133,7 +135,7 @@ def make_point(a, b, c):
     the lift is deferred; rational lifts of exact norm 1 are recognised."""
     v = _canonical_sign((as_algreal(a), as_algreal(b), as_algreal(c)))
     if all(x.is_rational for x in v):
-        n2 = _dot(v, v)
+        n2 = dot(v, v)
         if compare(n2, _ONE) == EQUAL:
             return ProjPoint(v, unit=True)
     return ProjPoint(v)
@@ -141,7 +143,7 @@ def make_point(a, b, c):
 
 def dist_cos(p, q):
     """cos d(p, q) = |<lift p, lift q>|, exactly."""
-    ip = _dot(p.lift, q.lift)
+    ip = dot(p.lift, q.lift)
     if ip.sign() < 0:
         ip = neg(ip)
     return DistCos(ip)
@@ -150,7 +152,7 @@ def dist_cos(p, q):
 def _lifts_nonneg(p, q):
     """Unit lifts x, y with <x, y> >= 0, plus the inner product."""
     x, y = p.lift, q.lift
-    s = _dot(x, y)
+    s = dot(x, y)
     if s.sign() < 0:
         y = tuple(neg(c) for c in y)
         s = neg(s)
@@ -160,7 +162,7 @@ def _lifts_nonneg(p, q):
 def _rotate(a, v, c, s):
     """Rodrigues: v turned about the unit axis a by the angle with cosine c
     and sine s, c*v + s*(a x v) + (1 - c)*<a, v>*a."""
-    return combo((c, s, mul(sub(_ONE, c), _dot(a, v))), (v, _cross(a, v), a))
+    return combo((c, s, mul(sub(_ONE, c), dot(a, v))), (v, _cross(a, v), a))
 
 
 def _along(x, y, s, c):

@@ -11,10 +11,10 @@ import random
 
 from . import expr, polys
 from .algebraic import (
-    AlgReal, EQUAL, add, as_algreal, combo, compare, div, mul, neg, real_roots, sub,
+    AlgReal, EQUAL, add, as_algreal, combo, compare, div, dot, mul, neg, real_roots, sub,
 )
 from .elliptic import (
-    _BASIS, _cross, _dot, _lifts_nonneg, _rotate, as_dist_cos, dist_cos,
+    _BASIS, _cross, _lifts_nonneg, _rotate, as_dist_cos, dist_cos,
     make_point,
 )
 from .errors import InternalConsistencyError, ParseError, PreconditionError
@@ -38,7 +38,7 @@ class LinearMap:
         if not isinstance(other, LinearMap):
             return NotImplemented
         columns = tuple(zip(*other.rows))
-        return LinearMap(tuple(tuple(_dot(row, col) for col in columns)
+        return LinearMap(tuple(tuple(dot(row, col) for col in columns)
                                for row in self.rows))
 
     def transpose(self):
@@ -46,13 +46,13 @@ class LinearMap:
 
     def det(self):
         r0, r1, r2 = self.rows
-        return _dot(r0, _cross(r1, r2))
+        return dot(r0, _cross(r1, r2))
 
     def trace(self):
         return add(add(self.rows[0][0], self.rows[1][1]), self.rows[2][2])
 
     def apply_lift(self, v):
-        return tuple(_dot(row, v) for row in self.rows)
+        return tuple(dot(row, v) for row in self.rows)
 
     def __repr__(self):
         return "LinearMap(%s)" % "; ".join(
@@ -66,7 +66,7 @@ def identity():
 def rotation_about(axis, cos_a, sin_a):
     """Rodrigues rotation about `axis` with exact (cos, sin) pair."""
     cos_a, sin_a = as_algreal(cos_a), as_algreal(sin_a)
-    if compare(_dot((cos_a, sin_a), (cos_a, sin_a)), _ONE) != EQUAL:
+    if compare(dot((cos_a, sin_a), (cos_a, sin_a)), _ONE) != EQUAL:
         raise PreconditionError("cos^2 + sin^2 must equal 1 exactly")
     columns = [_rotate(axis.lift, e, cos_a, sin_a) for e in _BASIS]
     return LinearMap(tuple(zip(*columns)))
@@ -96,7 +96,7 @@ def _minor2_sum(m):
     for i, j in ((0, 1), (0, 2), (1, 2)):
         xs += (r[i][i], r[i][j])
         ys += (r[j][j], neg(r[j][i]))
-    return _dot(xs, ys)
+    return dot(xs, ys)
 
 
 def _kernel_vector(rows):
@@ -216,7 +216,7 @@ def orthogonal_sending(p, q):
     """
     x, y, _ = _lifts_nonneg(p, q)
     w = combo((1, -1), (x, y))
-    n2 = _dot(w, w)
+    n2 = dot(w, w)
     if n2.sign() == 0:
         return identity()
     # row i of I - 2 w w^T / <w, w> is e_i - (2 w_i / <w, w>) w

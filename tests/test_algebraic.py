@@ -827,13 +827,13 @@ def test_sqrt_refines_its_radicand_until_one_root_is_bracketed(monkeypatch):
 
 
 def test_sub_across_one_field_reached_twice_takes_the_candidate_path(monkeypatch):
-    """The real cube roots of 2 and 4 generate one field, which _join does
+    """The real cube roots of 2 and 4 generate one field, which _field does
     not look for: their difference comes from the composed candidate, and
     is the root of x^3 + 6x + 2."""
-    from rotagraph.algebraic import _join
+    from rotagraph.algebraic import _field
     a, = real_roots((-2, 0, 0, 1))
     b, = real_roots((-4, 0, 0, 1))
-    assert _join(a, b) is None
+    assert _field((a, b)) is None
     calls = []
     original = polys.cand_sum
     monkeypatch.setattr(polys, "cand_sum", lambda *f: calls.append(f) or original(*f))
@@ -890,13 +890,13 @@ def test_quadratic_join_matches_the_general_route():
     """Two quadratic generators join in closed form (_quadratic_sum) to the
     same minimal polynomial, the same embeddings h1 and h2 and the same
     value psi as the composed-sum candidate and the linear solve give."""
-    from rotagraph.algebraic import _X, _join
+    from rotagraph.algebraic import _X, _field
     monic = centred = 0
     for m1, i1, m2, i2 in _seeded_quadratic_pairs(28, 300):
         monic += m1[2] == 1
         centred += m1[1] == 0
         t1, t2 = AlgReal.from_root(m1, i1), AlgReal.from_root(m2, i2)
-        psi, g1, g2 = _join(t1, t2)
+        psi, g1, g2 = _field((t1, t2))
         (u1, h1), (u2, h2) = psi._embeds
         assert (u1, u2) == (t1, t2) and (g1, g2) == (h1, h2)
         want, want_h1 = _general_join(AlgReal.from_root(m1, i1), AlgReal.from_root(m2, i2))
@@ -1158,7 +1158,7 @@ def test_rational_operand_scales_or_shifts_the_other_operand(monkeypatch):
     ops = {"add": add, "sub": sub, "mul": mul, "div": div, "compare": compare}
     calls = []
     # the routines that would search for a common field or reduce modulo m
-    for owner, name in ((algebraic, "_reach"), (algebraic, "_join"),
+    for owner, name in ((algebraic, "_reach"), (algebraic, "_compositum"),
                         (polys, "compose_mod"), (polys, "pseudo_rem")):
         monkeypatch.setattr(owner, name, lambda *a, _name=name, _fn=getattr(owner, name):
                             calls.append(_name) or _fn(*a))
@@ -1241,7 +1241,9 @@ def test_dot_matches_the_add_mul_chain(monkeypatch):
     Linked vectors mix generators that one of them reaches through recorded
     embeddings: the tower sqrt(1 + sqrt 2) with sqrt 2, or a compositum of
     sqrt 2 and sqrt 3 with both; dot maps them into it and calls no add or
-    mul."""
+    mul.  Cross-field vectors lie over exactly sqrt 2 and sqrt 3, which no
+    record links: dot meets them once over their compositum, with no add
+    or mul either."""
     from rotagraph import algebraic
     from rotagraph.algebraic import _gen, dot
     rng = random.Random(2102)
@@ -1262,6 +1264,12 @@ def test_dot_matches_the_add_mul_chain(monkeypatch):
     def linked():
         return rng.choice((AlgReal(rat()), *map(over, family)))
 
+    def irrational(theta):
+        while True:
+            v = over(theta)
+            if _gen(v)[0] is theta:
+                return v
+
     def chain_call(*_):
         raise AssertionError("dot took the add/mul chain")
 
@@ -1281,9 +1289,12 @@ def test_dot_matches_the_add_mul_chain(monkeypatch):
                 with monkeypatch.context() as m:
                     if kind == "linked":    # one operand over the top generator
                         xs[0] = over(family[0])
+                        several += len({id(t) for t, _ in map(_gen, xs + ys)} - {id(None)}) > 1
+                    if kind == "cross field":
+                        xs[0], ys[-1] = irrational(SQRT2), irrational(SQRT3)
+                    if kind in ("linked", "cross field"):
                         m.setattr(algebraic, "add", chain_call)
                         m.setattr(algebraic, "mul", chain_call)
-                        several += len({id(t) for t, _ in map(_gen, xs + ys)} - {id(None)}) > 1
                     got = dot(xs, ys)
                 want = mul(xs[0], ys[0])
                 for x, y in zip(xs[1:], ys[1:]):
@@ -1291,10 +1302,27 @@ def test_dot_matches_the_add_mul_chain(monkeypatch):
                 assert compare(got, want) == EQUAL, (kind, xs, ys)
                 if want.is_rational:
                     assert got.is_rational and got.as_rational() == want.as_rational()
-                elif kind != "cross field":
+                else:
                     (gt, gg), (wt, wg) = _gen(got), _gen(want)
                     assert gt is wt and gg == wg, (kind, xs, ys)
     assert several >= 12
+
+
+def test_compare_across_unrelated_fields_builds_no_compositum(monkeypatch):
+    """compare of values over two quadratic generators that no record links
+    refines their intervals and joins nothing: _compositum is called zero
+    times, in either order and through every comparison operator."""
+    from rotagraph import algebraic
+    calls = []
+    original = algebraic._compositum
+    monkeypatch.setattr(algebraic, "_compositum", lambda *t: calls.append(t) or original(*t))
+    r5, r7 = sqrt_nonneg(AlgReal(5)), sqrt_nonneg(AlgReal(7))
+    a, b = add(1, mul(6, r5)), sub(mul(5, r7), Fraction(1, 2))   # 14.416..., 12.728...
+    assert compare(a, b) == GREATER and compare(b, a) == LESS
+    assert b < a and a >= b and a != b and not b == a
+    assert compare(mul(6, r5), mul(5, r7)) == GREATER      # 13.416... against 13.228...
+    assert calls == []
+    assert add(r5, r7).degree == 4 and len(calls) == 1     # add joins the same pair
 
 
 def test_reach_returns_a_recorded_embedding_as_stored():
@@ -1437,13 +1465,13 @@ def test_record_accepts_an_embedding_by_one_root_in_the_hull(monkeypatch):
     refining psi, since each m_t has one root in the hull of h(psi)'s
     enclosure and t's interval.  -h1, which gives the other root of m_t1,
     and an h that gives no root are refused."""
-    from rotagraph.algebraic import _join, _record
+    from rotagraph.algebraic import _field, _record
     from rotagraph.errors import InternalConsistencyError
     t1 = sqrt_nonneg(AlgReal(Fraction(3, 4)))
     t2 = sqrt_nonneg(AlgReal(Fraction(5, 7)))
     refined, original = [], AlgReal.refine
     monkeypatch.setattr(AlgReal, "refine", lambda self: refined.append(self) or original(self))
-    psi, g1, g2 = _join(t1, t2)
+    psi, g1, g2 = _field((t1, t2))
     monkeypatch.setattr(AlgReal, "refine", original)
     assert psi.degree == 4 and not any(v is psi for v in refined)
     (u1, h1), (u2, h2) = embeds = psi._embeds

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from rotagraph import elliptic as ep
-from rotagraph.algebraic import AlgReal, EQUAL, combo, compare, div, mul, neg, sqrt_nonneg, sub
+from rotagraph.algebraic import (
+    AlgReal, EQUAL, combo, compare, div, dot, mul, neg, sqrt_nonneg, sub,
+)
 from rotagraph.errors import (
     InfeasibleError, OutOfRangeError, PreconditionError, ZeroVectorError,
 )
@@ -28,9 +30,9 @@ def test_make_point_canonical():
 
 def test_unit_lift_exact():
     p = ep.make_point(1, 2, 2)
-    dot = sum(float(c) ** 2 for c in p.lift)
-    assert abs(dot - 1) < 1e-12
-    norm2 = ep._dot(p.lift, p.lift)
+    approx = sum(float(c) ** 2 for c in p.lift)
+    assert abs(approx - 1) < 1e-12
+    norm2 = dot(p.lift, p.lift)
     assert compare(norm2, AlgReal(1)) == EQUAL
 
 
@@ -62,6 +64,17 @@ def test_dist_cos_compares_with_anything():
         assert c == same and same == c and not c != same, same
     assert c in [None, "x", 2, Fraction(4, 5)]
     assert ep.as_dist_cos(sqrt_nonneg(AlgReal(Fraction(1, 2)))) == div(1, sqrt_nonneg(AlgReal(2)))
+
+
+def test_dist_cos_hashes_as_the_value_it_equals():
+    """Equal cosines built two ways hash alike, as the number they equal
+    does, and dedupe in a set."""
+    one = ep.as_dist_cos(1)
+    assert hash(one) == hash(ep.as_dist_cos("2/2")) == hash(1)
+    half = ep.as_dist_cos(sqrt_nonneg(AlgReal(Fraction(1, 2))))
+    also = ep.as_dist_cos(div(1, sqrt_nonneg(AlgReal(2))))
+    assert half == also and hash(half) == hash(also) == hash(half.value)
+    assert len({one, ep.as_dist_cos(Fraction(4, 4)), half, also, COS45}) == 3
 
 
 def test_equidistant_point_exact():
@@ -142,8 +155,8 @@ def _gram_schmidt_coincident(p, a):
     if compare(a, AlgReal(1)) == EQUAL:
         return ep.ProjPoint(x)
     for e in ep._BASIS:
-        w = combo((AlgReal(1), neg(ep._dot(e, x))), (e, x))
-        n2 = ep._dot(w, w)
+        w = combo((AlgReal(1), neg(dot(e, x))), (e, x))
+        n2 = dot(w, w)
         if n2.sign() > 0:
             break
     u = tuple(div(c, sqrt_nonneg(n2)) for c in w)

@@ -12,7 +12,7 @@ from rotagraph import elliptic as ep
 from rotagraph import expr
 from rotagraph import isometry as iso
 from rotagraph.algebraic import (
-    AlgReal, EQUAL, add, combo, compare, div, mul, neg, sqrt_nonneg, sub,
+    AlgReal, EQUAL, add, combo, compare, div, dot, mul, neg, sqrt_nonneg, sub,
 )
 from rotagraph.errors import InfeasibleError, PreconditionError
 
@@ -334,7 +334,7 @@ def _triple_loop_product(a, b):
 def _entrywise_householder(p, q):
     x, y, _ = ep._lifts_nonneg(p, q)
     w = combo((1, -1), (x, y))
-    n2 = ep._dot(w, w)
+    n2 = dot(w, w)
     return [[add(neg(div(mul(mul(2, w[i]), w[j]), n2)), AlgReal(int(i == j)))
              for j in range(3)] for i in range(3)]
 
