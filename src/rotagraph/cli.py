@@ -3,6 +3,9 @@
 `COMMANDS` is the one table of modules, commands, handlers and flags.  A
 call builds the parsers of every module but the command parsers of the
 module its argv names only, since argparse descends into that one alone.
+This module imports no layer at its top: once argv has parsed, a call
+imports the layers of its module alone (`_import_layers`), so help and
+usage errors load none, and a finite call loads no algebraic kernel.
 
 Exit codes: 0 success, 1 domain error (JSON error object on stdout),
 2 usage error, 130 interrupted.
@@ -15,11 +18,9 @@ import re
 import signal
 import sys
 
-from . import elliptic, expr, finite, graph, isometry
-from .algebraic import (
-    AlgReal, EQUAL, LESS, compare, rational_angle_witness, real_roots, to_float,
+from .errors import (
+    BoundExceededError, OutOfRangeError, ParseError, RotagraphError, read_int,
 )
-from .errors import BoundExceededError, OutOfRangeError, ParseError, RotagraphError
 
 #: the largest --approx BITS: rendering costs about BITS bisections of each
 #: value's interval
@@ -32,32 +33,47 @@ MAX_SAMPLE_PAIRS = 10000
 
 def _approx_str(v, bits):
     import mpmath   # only --approx output renders decimals
-    fr = to_float(v, bits)
+    fr = algebraic.to_float(v, bits)
     digits = max(3, int(bits * 0.30103) + 1)
     with mpmath.workprec(bits + 16):
         return mpmath.nstr(mpmath.mpf(fr.numerator) / fr.denominator, digits)
 
 
+#: the values of a result that render as they are, or element by element
+_JSON = (str, int, float, type(None), dict, list, tuple)
+
+
+def _scalar(obj):
+    """The AlgReal of an exact scalar (an AlgReal or a DistCos), else None.
+    JSON values answer before any layer's type is looked up, and AlgReal
+    before DistCos: a finite result renders with no layer loaded and a
+    field result with no elliptic."""
+    if isinstance(obj, _JSON):
+        return None
+    if isinstance(obj, algebraic.AlgReal):
+        return obj
+    return obj.value if isinstance(obj, elliptic.DistCos) else None
+
+
 def _render(obj, bits):
     """Exact values -> expression strings; with --approx, add parallel
     decimal fields next to dictionary entries."""
-    if isinstance(obj, elliptic.ProjPoint):
-        x, y, z = obj.lift
-        return _render({"x": x, "y": y, "z": z}, bits)
-    if isinstance(obj, elliptic.DistCos):
-        return _render(obj.value, bits)
-    if isinstance(obj, AlgReal):
-        return expr.to_expr(obj)
+    value = _scalar(obj)
+    if value is not None:
+        return expr.to_expr(value)
     if isinstance(obj, dict):
         out = {}
         for k, v in obj.items():
             out[k] = _render(v, bits)
-            if bits and isinstance(v, (AlgReal, elliptic.DistCos)):
-                val = v.value if isinstance(v, elliptic.DistCos) else v
-                out[k + "_approx"] = _approx_str(val, bits)
+            value = _scalar(v) if bits else None
+            if value is not None:
+                out[k + "_approx"] = _approx_str(value, bits)
         return out
     if isinstance(obj, (list, tuple)):
         return [_render(v, bits) for v in obj]
+    if not isinstance(obj, _JSON) and isinstance(obj, elliptic.ProjPoint):
+        x, y, z = obj.lift
+        return _render({"x": x, "y": y, "z": z}, bits)
     return obj
 
 
@@ -81,7 +97,7 @@ def _run(args):
 
 def _json(text):
     """JSON input, its integers read as expression literals are."""
-    return json.loads(text, parse_int=expr.read_int)
+    return json.loads(text, parse_int=read_int)
 
 
 def _parse_point(text):
@@ -105,7 +121,7 @@ def _parse_group(text, degree=None):
         raise ParseError("empty generator list")
     # every index read as expression literals are, so one past Python's
     # digit limit is bound-exceeded
-    indices = [expr.read_int(t) for t in re.findall(r"\d+", text)]
+    indices = [read_int(t) for t in re.findall(r"\d+", text)]
     if degree is None:
         degree = 1 + max(indices, default=0)
     gens = [finite.Permutation.from_cycles(p, degree) for p in parts]
@@ -130,7 +146,7 @@ def _resolve_element(grp, text):
     if text in grp.names:
         return grp.names.index(text)
     try:
-        i = expr.read_int(text)
+        i = read_int(text)
     except ValueError:
         raise ParseError(f"unknown element {text!r}") from None
     if not 0 <= i < grp.order:
@@ -145,17 +161,17 @@ def cmd_field_eval(args):
 
 
 def cmd_field_compare(args):
-    r = compare(expr.parse(args.a), expr.parse(args.b))
-    return {"result": {LESS: "less", EQUAL: "equal"}.get(r, "greater")}
+    r = algebraic.compare(expr.parse(args.a), expr.parse(args.b))
+    return {"result": {algebraic.LESS: "less", algebraic.EQUAL: "equal"}.get(r, "greater")}
 
 
 def cmd_field_roots(args):
     try:
-        coeffs = tuple(expr.read_int(c) for c in args.poly.split(","))
+        coeffs = tuple(read_int(c) for c in args.poly.split(","))
     except ValueError:
         raise ParseError(f"bad coefficient list {args.poly!r}: expected "
                          "comma-separated integers") from None
-    return {"roots": real_roots(coeffs)}
+    return {"roots": algebraic.real_roots(coeffs)}
 
 
 def _angle_string(k, m):
@@ -166,7 +182,7 @@ def _angle_string(k, m):
 
 
 def cmd_field_angle_rational(args):
-    witness = rational_angle_witness(expr.parse(args.cos))
+    witness = algebraic.rational_angle_witness(expr.parse(args.cos))
     if witness is None:
         return {"rational_angle": False}
     k, m = witness
@@ -442,6 +458,23 @@ def _attach_values(argv, options):
     return out
 
 
+def _import_layers(module):
+    """Bind, as globals here, the layers that the commands of `module` run:
+    finite alone for finite; algebraic and expr for field; elliptic too for
+    plane, iso and graph, with isometry for iso and graph for graph."""
+    global algebraic, elliptic, expr, finite, graph, isometry
+    if module == "finite":
+        from . import finite
+        return
+    from . import algebraic, expr
+    if module != "field":
+        from . import elliptic
+    if module == "iso":
+        from . import isometry
+    if module == "graph":
+        from . import graph
+
+
 def _on_sigint(handler):
     try:
         signal.signal(signal.SIGINT, handler)
@@ -478,6 +511,7 @@ def _main(argv):
     # text is fixed SIGINT is ignored, so the answer is printed whole and the
     # exit code stands
     try:
+        _import_layers(args.module)
         text, code = _run(args)
         _on_sigint(signal.SIG_IGN)
     except KeyboardInterrupt:

@@ -1,8 +1,12 @@
-"""Error types shared across the library.
+"""Error types shared across the library, and `read_int`, the one reader
+of integer literals, which raises one of them.
 
 Every domain error carries a short stable ``code`` so the CLI can map it
-to a machine-readable JSON error object.
+to a machine-readable JSON error object.  This module imports no layer, so
+the finite-group commands read their input with no kernel loaded.
 """
+
+import re
 
 
 class RotagraphError(Exception):
@@ -55,3 +59,18 @@ class InternalConsistencyError(RotagraphError):
 
 class ParseError(RotagraphError):
     code = "parse-error"
+
+
+def read_int(text):
+    """int(text), for the integer literals of expressions, JSON, cycle
+    notation and coefficient lists; BoundExceededError for a well-formed
+    literal past Python's limit on the digits of a string converted to an
+    int (where int() raises ValueError, as it does for a malformed one)."""
+    try:
+        return int(text)
+    except ValueError:
+        if not re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", text):
+            raise
+        digits = sum(c.isdigit() for c in text)
+        raise BoundExceededError(
+            f"an integer of {digits} digits is too long to read") from None

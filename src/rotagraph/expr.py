@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import algebraic, polys
 from .algebraic import AlgReal
-from .errors import BoundExceededError, ParseError
+from .errors import BoundExceededError, ParseError, read_int
 
 #: deepest nesting of "(", "sqrt(" and unary "-" that parse() accepts; it
 #: keeps the recursive descent far from Python's recursion limit
@@ -121,21 +121,6 @@ class _Parser:
         if not t.isdigit():
             raise ParseError(f"expected integer, got {t!r}")
         return sign * read_int(t)
-
-
-def read_int(text):
-    """int(text), for the integer literals of expressions, JSON and
-    coefficient lists; BoundExceededError for a well-formed literal past
-    Python's limit on the digits of a string converted to an int (where
-    int() raises ValueError, as it does for a malformed one)."""
-    try:
-        return int(text)
-    except ValueError:
-        if not re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", text):
-            raise
-        digits = sum(c.isdigit() for c in text)
-        raise BoundExceededError(
-            f"an integer of {digits} digits is too long to read") from None
 
 
 def parse(text):

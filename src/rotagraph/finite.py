@@ -11,7 +11,6 @@ element by element.
 """
 
 from array import array
-from fractions import Fraction
 from functools import lru_cache
 import math
 from operator import eq, itemgetter
@@ -225,6 +224,9 @@ class FiniteGraph:
                 and all(len(e) == 2 for e in obj["edges"])):
             raise PreconditionError(
                 'a graph is {"n": count, "edges": [[i, j], ...]} with integers')
+        extra = ", ".join(sorted(map(repr, obj.keys() - {"n", "edges"})))
+        if extra:
+            raise PreconditionError(f"a graph has keys n and edges only, not {extra}")
         if obj["n"] > MAX_DEGREE:
             raise BoundExceededError(
                 f"vertex count {obj['n']} exceeds the bound {MAX_DEGREE}")
@@ -438,6 +440,7 @@ def orbit_count(g):
 
 def cauchy_frobenius(g):
     """Average fixed-point count over the group, as an exact rational."""
+    from fractions import Fraction   # the only rational in finite: cf calls alone load it
     elems = g.elements()
     total = sum(p.fixed_count() for p in elems)
     return Fraction(total, len(elems))
@@ -848,8 +851,10 @@ def census(n_max):
             fg = _mask_to_graph(n, mask)
             aut = graph_automorphisms(fg)
             transitive = aut.is_transitive()
-            cf = cauchy_frobenius(aut)
-            cf_integral = (cf.denominator == 1 and cf == orbit_count(aut))
+            # Cauchy-Frobenius in integers: the fixed points number
+            # |Aut| times the orbits, so their average is the orbit count
+            cf_integral = (sum(p.fixed_count() for p in aut.elements())
+                           == aut.order * orbit_count(aut))
             c_ok = c_ok and cf_integral
             if aut.elements() not in rotary:
                 rotary[aut.elements()] = _has_rotary_subgroup(aut)

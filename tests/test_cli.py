@@ -433,6 +433,14 @@ def test_parse_error_details_name_the_input():
         assert json.loads(proc.stdout) == {"error": "parse-error", "detail": detail}, args
 
 
+def test_graph_with_an_unknown_key_is_a_precondition():
+    proc = run("finite", "bipartite", "--graph", '{"n": 2, "edges": [[0, 1]], "x": 1}',
+               check=False)
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    assert proc.stdout == ('{"error": "precondition", '
+                           '"detail": "a graph has keys n and edges only, not \'x\'"}\n')
+
+
 def test_point_with_an_unknown_key_is_a_parse_error():
     proc = run("plane", "dist", "--p", '{"x": 1, "y": 0, "z": 0, "w": 9}', "--q", "1,0,0",
                check=False)

@@ -204,6 +204,12 @@ def test_finite_graph_json_round_trip():
     assert fn.FiniteGraph.from_json(fg.to_json()) == fg
 
 
+def test_finite_graph_json_takes_n_and_edges_only():
+    with pytest.raises(PreconditionError,
+                       match=r"^a graph has keys n and edges only, not 'name', 'x'$"):
+        fn.FiniteGraph.from_json({"n": 2, "edges": [[0, 1]], "x": 1, "name": "K2"})
+
+
 def test_census_small():
     rep = fn.census(2)
     assert rep["counts"]["graphs"] == 3      # 1-vertex, edgeless pair, K2

@@ -145,12 +145,21 @@ def test_elliptic_imports_without_isometry():
     assert "rotagraph.isometry" not in loaded
 
 
-# The heavy imports a cold call does without: sympy on the first
-# factorisation no certificate spared, mpmath for --approx decimals.  The
-# finite-group module needs neither, so the CLI imports it at the top.
+# The imports a cold call does without until it needs them: sympy on the
+# first factorisation no certificate spared, mpmath for --approx decimals,
+# Fraction for the one rational of the finite layer, the kernel behind the
+# package's names, and the layers of the CLI, which a call imports once
+# argv has parsed, those of its own module alone (test_cli_call_import_sets).
 DEFERRED_IMPORTS = {
     ("polys", "factor_int", "import sympy"),
     ("cli", "_approx_str", "import mpmath"),
+    ("finite", "cauchy_frobenius", "from fractions import Fraction"),
+    ("__init__", "__getattr__", "from . import algebraic"),
+    ("cli", "_import_layers", "from . import finite"),
+    ("cli", "_import_layers", "from . import algebraic, expr"),
+    ("cli", "_import_layers", "from . import elliptic"),
+    ("cli", "_import_layers", "from . import isometry"),
+    ("cli", "_import_layers", "from . import graph"),
 }
 
 
@@ -251,6 +260,81 @@ def test_finite_commands_load_no_heavy_module():
 
 def test_geometry_never_loads_sympy():
     assert _python(GEOMETRY_RUN) == "False"
+
+
+WATCHED = ("fractions", "rotagraph.algebraic", "rotagraph.elliptic", "rotagraph.expr",
+           "rotagraph.finite", "rotagraph.graph", "rotagraph.isometry", "rotagraph.polys")
+
+CLI_CALL = """
+import contextlib, io, sys
+from rotagraph import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = cli.main({argv!r})
+    except SystemExit as e:
+        code = e.code
+print(code, sorted(m for m in {watched!r} if m in sys.modules))
+"""
+
+KERNEL = {"fractions", "rotagraph.algebraic", "rotagraph.expr", "rotagraph.polys"}
+
+
+def _call_imports(argv):
+    """The exit code of one CLI call in a fresh interpreter, and the modules
+    of WATCHED loaded once it returned."""
+    code, loaded = _python(CLI_CALL.format(argv=argv, watched=WATCHED)).split(" ", 1)
+    return int(code), set(ast.literal_eval(loaded))
+
+
+def test_cli_call_import_sets():
+    """Help at each level and a usage error load no layer; a finite call
+    loads finite and, for its average, fractions; the other modules load
+    the kernel and their own layers only."""
+    group = ["--group", "(0 1 2 3);(0 1)"]
+    for argv, want in (
+            (["--help"], (0, set())),
+            (["finite", "--help"], (0, set())),
+            (["finite", "cf", "--help"], (0, set())),
+            (["finite", "bogus"], (2, set())),
+            (["finite", "jordan", *group], (0, {"rotagraph.finite"})),
+            (["finite", "subgroups", *group], (0, {"rotagraph.finite"})),
+            (["finite", "census", "--n-max", "4"], (0, {"rotagraph.finite"})),
+            (["finite", "conjgraph", "--group", "(0 1 2);(0 1)", "--g1", "1", "--g3", "2"],
+             (0, {"rotagraph.finite"})),
+            (["finite", "cf", *group], (0, {"rotagraph.finite", "fractions"})),
+            (["field", "eval", "--expr", "sqrt(2)"], (0, KERNEL)),
+            (["plane", "dist", "--p", "1,0,0", "--q", "4/5,3/5,0"],
+             (0, KERNEL | {"rotagraph.elliptic"}))):
+        assert _call_imports(argv) == want, argv
+
+
+EXPORTS = """
+import sys
+import rotagraph
+assert "rotagraph.algebraic" not in sys.modules
+try:
+    rotagraph.nope
+except AttributeError:
+    pass
+else:
+    raise AssertionError("rotagraph.nope")
+assert "rotagraph.algebraic" not in sys.modules
+names = {}
+exec("from rotagraph import *", names)
+del names["__builtins__"]
+from rotagraph import algebraic, elliptic
+assert sorted(names) == sorted(rotagraph.__all__), sorted(names)
+assert all(names[n] is getattr(algebraic, n) for n in rotagraph.__all__)
+assert elliptic.__name__ == "rotagraph.elliptic"
+print("ok")
+"""
+
+
+def test_package_exports_the_kernel_names_lazily():
+    """``from rotagraph import *`` binds exactly __all__, each name the
+    kernel's own object; an unknown name is an AttributeError, and
+    ``import rotagraph`` alone loads no kernel."""
+    assert _python(EXPORTS) == "ok"
 
 
 def test_composition_consistency():
@@ -541,10 +625,14 @@ def test_linear_combinations_take_no_add_chain(monkeypatch):
     iso._minor2_sum(m)
 
 
+# module functions that Python itself calls (PEP 562), so nothing names them
+MODULE_HOOKS = {"__getattr__"}
+
+
 def test_no_unused_imports_or_orphan_private_functions():
     """Every name a module imports at its top level is used there or listed
-    in its __all__, and every module-level private function is referenced
-    somewhere in the package."""
+    in its __all__, and every module-level private function but a module
+    hook is referenced somewhere in the package."""
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(Path(iso.__file__).parent.glob("*.py"))}
     used = {stem: {node.id if isinstance(node, ast.Name) else node.attr
@@ -562,6 +650,7 @@ def test_no_unused_imports_or_orphan_private_functions():
                            (a.asname or a.name.split(".")[0] for a in node.names)
                            if name not in used[stem] | exported}
             elif isinstance(node, ast.FunctionDef) and node.name.startswith("_") \
+                    and node.name not in MODULE_HOOKS \
                     and not any(node.name in names for names in used.values()):
                 orphans.add((stem, node.name))
     assert unused == set()
