@@ -70,6 +70,11 @@ CALLS = [
     ["graph", "distance", "--p", "1,1,0", "--q", "1,2,2", "--cos-l", "7/8"],
     ["graph", "diameter", "--cos-l", "4/5"],
     ["graph", "validate", "--cos-l", "4/5"],
+    # coordinates over several unrelated fields, and a point re-read from
+    # JSON: the inner products join three and five generators
+    ["plane", "dist", "--p", "sqrt(2),sqrt(3),1", "--q", "sqrt(5),1,0"],
+    ["plane", "dist", "--p", "sqrt(2),sqrt(3),sqrt(5)",
+     "--q", '{"x":"1","y":"sqrt(7)","z":"root(-2,0,0,1,0)"}'],
 ]
 
 # sums, products and quotients over Q(sqrt 2), Q(sqrt 3) and cubic fields,
@@ -77,6 +82,8 @@ CALLS = [
 # reached two ways; a sum across two fields
 CBRT2 = "root(-2,0,0,1,0)"
 PLASTIC = "root(-1,-1,0,1,0)"
+CBRT4 = "root(-4,0,0,1,0)"
+SQRT2_3 = "root(1,0,-10,0,1,3)"     # sqrt(2) + sqrt(3)
 FIELD_CALLS = [
     ["field", "eval", "--expr", "sqrt(2)+sqrt(8)"],
     ["field", "eval", "--expr", "(1+sqrt(2))*(3-sqrt(2))"],
@@ -99,6 +106,12 @@ FIELD_CALLS = [
     ["field", "angle-rational", "--cos", "sqrt(3)/2"],
     ["field", "angle-rational", "--cos", "sqrt(2)/3"],
     ["field", "angle-rational", "--cos", "root(-1,-4,4,8,2)"],
+    # fields that share a subfield: the cube roots of 2 and 4, and
+    # sqrt(2) + sqrt(3) with sqrt(2)
+    ["field", "eval", "--expr", f"{CBRT2}+{CBRT4}"],
+    ["field", "eval", "--expr", f"{CBRT2}*{CBRT4}-2"],
+    ["field", "eval", "--expr", f"{SQRT2_3}-sqrt(2)"],
+    ["field", "eval", "--expr", f"({SQRT2_3}-sqrt(2))*{CBRT2}+{CBRT4}"],
 ]
 
 S4 = "(0 1);(0 1 2 3)"
