@@ -12,12 +12,12 @@ Values over one generator add, multiply, divide and compare as polynomials
 modulo m (Cohen, GTM 138, ch. 4), with the arithmetic of polys.  A
 generator psi may also record older generators t of its subfields as
 t = h(psi) (embeddings, each checked exactly before it is kept): a square
-root records the generator of its radicand's field (a tower), and the
-primitive element psi = t1 + t2 of the compositum of two unrelated fields
-records both when it has full degree (Loos, "Computing in algebraic
-extensions", 1982).  Two quadratic fields join in closed form, with no
-candidate polynomial and no linear solve, and each of t1 and t2 remembers
-the last compositum it was joined into, so the same pair joins once.
+root records the generator of its radicand's field (a tower), and a
+primitive element psi = t1 + k*t2 of the compositum of two fields records
+both (Loos, "Computing in algebraic extensions", 1982).  Two quadratic
+fields join in closed form, other pairs by a gcd over Q(psi), and each of
+t1 and t2 remembers the last compositum it was joined into, so the same
+pair joins once.
 Every operation (add, sub, mul, compare, dot, combo) first asks one function,
 _field, where its operands meet.  Constants meet every generator: two
 rationals take integer arithmetic over one denominator, and a rational
@@ -25,19 +25,16 @@ scales or shifts the other operand's numerators, with no search and,
 below deg m, no reduction.  Operands over one generator meet over it.
 Operands over several meet over the first generator of the largest
 degree that reaches all the others, through its records or as one field
-with them (equal values, two quadratics whose discriminants multiply to a
-square); else, over exactly two, over their compositum, except in
-compare, which refines intervals rather than build one.  Each operand over
-another generator is mapped in once and keeps that image, so it is mapped
-into one generator once however often it meets there.  So a sum of
-products (dot) is summed and reduced modulo m once, and a linear
-combination of vectors (combo), the one the geometry builds its points
-and matrix rows with, meets its operands once for the whole vector and
-takes one such sum per coordinate.  Where the operands do not meet, add,
-sub and mul take the candidate polynomial of the result and give an
-untagged value, dot takes the add/mul chain and combo one dot per
-coordinate; two equal values over unrelated generators (a value and its
-re-parse) meet over the first one's generator instead.
+with them (equal values, quadratics whose discriminants multiply to a
+square); else over the iterated compositum of them all, except in
+compare, which refines intervals rather than build one, and except for
+two equal values over unrelated generators (a value and its re-parse),
+which meet over the first one's.  Each operand over another generator is
+mapped in once and keeps that image.  So a sum of products (dot) is
+summed and reduced modulo m once, and a linear combination of vectors
+(combo), the one the geometry builds its points and matrix rows with,
+meets its operands once for the whole vector and takes one such sum per
+coordinate.
 A rational or tagged value builds its minimal polynomial and isolating
 interval only when asked for them (printing, hashing, a square root, an
 operation across fields): q*x - p and [p/q, p/q] for p/q, and for g(theta)
@@ -75,7 +72,7 @@ lost write costs a rebuild).
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache, reduce
 from itertools import islice
-from math import ceil, gcd, isqrt, lcm, prod
+from math import ceil, comb, gcd, isqrt, lcm, prod
 
 from . import polys
 from .errors import (
@@ -92,6 +89,9 @@ LESS, EQUAL, GREATER = -1, 0, 1
 # that no certificate covers goes to factorisation, which at degree 64 can
 # take minutes.  Each nested square root doubles the degree.
 _MAX_CAND_DEGREE = 256
+
+# Largest k in t1 + k*t2 a compositum tries; k = 1 fails on shared subfields
+_MAX_SHIFT = 8
 
 #: the largest Chebyshev index chebyshev_values gives, and so the longest
 #: graph distance, diameter and rotation ladder, in steps
@@ -443,10 +443,11 @@ def _field(vs, join=True):
     when all are constants, and the one generator the irrational ones lie
     over when there is one (one scan, no search).  Over several, theta is
     the first of the largest degree that reaches each of the others as
-    t = h(theta) (_reach); failing that, with join set, the compositum of
-    exactly two (_compositum).  Each g over another generator is mapped
-    into theta once (_image), and constants are kept.  None when no
-    generator reaches the others and none is joined."""
+    t = h(theta) (_reach); failing that, with join set, the compositum
+    they are joined into, the largest first, one at a time (_adjoin).  Each
+    g over another generator is mapped into theta once (_image), and
+    constants are kept.  None only without join, when no generator reaches
+    the others."""
     theta, gs = None, []
     for t, g in map(_gen, vs):
         if t is not None and t is not theta:
@@ -460,24 +461,36 @@ def _field(vs, join=True):
     thetas = list({id(t): t for t, _ in es if t is not None}.values())
     top = max(t.degree for t in thetas)
     for theta in thetas:
-        if theta.degree != top:     # a field of lower degree contains no larger one
-            continue
-        hs = {}
-        for t in thetas:
-            if t is not theta:
-                h = _reach(theta, t)
-                if h is None:
-                    break
-                hs[id(t)] = h
-        else:       # theta reaches every other generator
+        # a field of lower degree contains no larger one
+        hs = _reaches(theta, thetas) if theta.degree == top else None
+        if hs is not None:
             break
-    else:           # none does
-        theta = _compositum(*thetas) if join and len(thetas) == 2 else None
-        if theta is None:
+    else:           # none reaches the others
+        if not join:
             return None
-        hs = {id(t): h for t, h in theta._embeds}
+        theta = reduce(_adjoin, sorted(thetas, key=lambda t: -t.degree))
+        hs = _reaches(theta, thetas)
     return (theta, *(g if t is None or t is theta else _image(v, g, hs[id(t)], theta)
                      for v, (t, g) in zip(vs, es)))
+
+
+def _reaches(theta, thetas):
+    """{id(t): h} with t = h(theta) for each generator t in thetas but
+    theta (_reach), or None when theta reaches one of them not."""
+    hs = {id(t): _reach(theta, t) for t in thetas if t is not theta}
+    return None if None in hs.values() else hs
+
+
+def _adjoin(psi, t):
+    """psi when it reaches t, else a compositum over psi that does; a
+    compositum t = t1 + t2 through its summands, each adjoined in turn."""
+    if _reach(psi, t) is None:
+        parts = _summands(t)
+        for u, _ in parts:
+            psi = _adjoin(psi, u)
+        if not parts:
+            psi = _compositum(psi, t)
+    return psi
 
 
 def _image(v, g, h, theta):
@@ -495,53 +508,67 @@ def _image(v, g, h, theta):
 
 def _reach(psi, t):
     """t as a polynomial in psi, both generators, when psi's field is known
-    to contain t: through psi's recorded embeddings, depth first, down to a
-    generator that is t or of one field with it (_embed); or, for t a
-    compositum t1 + t2, as the sum of t1 and t2 reached that way.  Else
-    None."""
-    stack, seen = [(psi, ())], {id(psi)}
+    to contain t: through psi's recorded embeddings, depth first, down to t
+    or a generator equal to it; a quadratic t from quadratics so reached
+    (_square_class); a compositum t = t1 + t2 as the sum of t1 and t2
+    reached that way.  Else None."""
+    stack, seen, quads = [(psi, ())], {id(psi)}, []
     while stack:
         s, path = stack.pop()      # path: (k, u) from psi down, s = k(u)
-        h = _X if s is t else _embed(t, s)
-        if h is not None:
-            for k, u in reversed(path):     # x(k) is k, stored reduced
-                h = k if h is _X else polys.compose_mod(h, k, u.min_poly)
-            return h
+        if s is t or s.min_poly == t.min_poly and _compare_isolated(s, t) == EQUAL:
+            return _down(path)
+        if len(s.min_poly) == 3:
+            quads.append((s, path))
         for u, k in s._embeds:
             if id(u) not in seen:
                 seen.add(id(u))
                 stack.append((u, path + ((k, s),)))
+    if len(t.min_poly) == 3 and quads:
+        return _square_class(t, quads, psi.min_poly)
     parts = [_reach(psi, u) for u, _ in _summands(t)]
     if parts and None not in parts:
         return polys.qadd(*parts)
     return None
 
 
+def _down(path):
+    """The generator a path of embeddings from psi ends at, as a polynomial
+    in psi: each (k, u) on it maps the next generator down to k(u)."""
+    h = _X
+    for k, u in reversed(path):     # x(k) is k, stored reduced
+        h = k if h is _X else polys.compose_mod(h, k, u.min_poly)
+    return h
+
+
+def _square_class(t, quads, m):
+    """A quadratic generator t as a polynomial in psi (minimal polynomial
+    m), from the fewest quadratic generators s of psi's field (with their
+    paths) whose discriminants D_s times t's D multiply to a square k^2,
+    as sqrt(D) = k * prod(sqrt(D_s)) / prod(D_s); else None.  For a root x
+    of c0 + c1*x + c2*x^2, 2*c2*x + c1 = sigma*sqrt(D), sigma the sign of
+    the derivative there, which is -sign_lo."""
+    p = t.min_poly
+    for mask in sorted(range(1, 1 << len(quads)), key=int.bit_count):
+        chosen = [q for i, q in enumerate(quads) if mask >> i & 1]
+        ds = prod(polys.discriminant(s.min_poly) for s, _ in chosen)
+        k = polys.int_sqrt(polys.discriminant(p) * ds)
+        if k is not None:
+            break
+    else:
+        return None
+    root = polys.qpoly((-t._root[2] * k,), ds)
+    for s, path in chosen:
+        c = -s._root[2] * 2 * s.min_poly[2]
+        root = polys.mulmod(root, polys.qadd(polys.qscale(_down(path), c),
+                                             polys.qpoly((-s._root[2] * s.min_poly[1],))), m)
+    return polys.qscale(polys.qsub(root, polys.qpoly((p[1],))), 1, 2 * p[2])
+
+
 def _summands(t):
     """The generators t1, t2 of a compositum t = t1 + t2: its two recorded
-    embeddings, whose polynomials then add up to x; else ()."""
+    embeddings, whose polynomials then add up to x (not for k*t2, k > 1)."""
     e = t._embeds
     return e if len(e) == 2 and polys.qadd(e[0][1], e[1][1]) == _X else ()
-
-
-def _embed(t, theta):
-    """t as a polynomial in theta, both generators, when they generate one
-    field we can tell without records: equal values, or quadratics whose
-    discriminants multiply to a square.  Else None."""
-    p, m = t.min_poly, theta.min_poly
-    if len(p) == len(m) == 3:
-        dp, dm = polys.discriminant(p), polys.discriminant(m)
-        k = polys.int_sqrt(dp * dm)
-        if k is None:
-            return None
-        # 2*c2*x + c1 = sigma*sqrt(D) for a root x of c0 + c1*x + c2*x^2,
-        # sigma the sign of the derivative there, which is -sign_lo; and
-        # sqrt(dp) = (f / dm) * sqrt(dm)
-        f = t._root[2] * theta._root[2] * k
-        return polys.qpoly((f * m[1] - p[1] * dm, 2 * f * m[2]), 2 * p[2] * dm)
-    if p == m and _compare_isolated(t, theta) == EQUAL:
-        return _X
-    return None
 
 
 def _record(psi, embeds):
@@ -625,56 +652,42 @@ def _tower(root, a):
 
 
 def _compositum(t1, t2):
-    """psi = t1 + t2 for generators t1 and t2, with t1 = h1(psi) and
-    t2 = psi - t1 recorded, when psi has the full degree n1*n2 within the
-    candidate budget, so it generates Q(t1, t2).  None when psi falls short
-    of full degree, and at once unless full degree is likely or certified:
-    coprime degrees force it, two quadratics have it unless their
-    discriminants multiply to a square, a quadratic side misses it only if
-    its square root already lies in the other field, and polys.full_degree
-    reads it mod small primes; two fields of one higher degree are often
-    one field reached twice (a value and its re-parsed print), where
-    factorising psi's candidate would be wasted.  Two quadratics take psi's
-    minimal polynomial and h1 in closed form (_quadratic_sum); other degrees
-    take psi's candidate, certified irreducible where it can be, and h1
-    from one linear solve over the basis t1^i * t2^j.  Each of t1 and t2
-    remembers the last psi it was joined into, so joining the same pair
-    again, in either order, builds nothing."""
+    """A primitive element psi = t1 + k*t2 of Q(t1, t2), for generators that
+    do not reach each other, recording t1 = h1(psi) and t2 = (psi - t1) / k:
+    psi the factor of t1 + k*t2's candidate that its interval selects (in
+    closed form for two quadratics, _quadratic_sum), and t1 the one common
+    root of m1(x) and m_k(psi - x), m_k that of k*t2, their gcd over Q(psi)
+    (Trager, SYMSAC 1976; Loos, 1982).  k = 1 unless psi is rational or that
+    gcd is not linear, else up to _MAX_SHIFT; past the candidate budget,
+    BoundExceededError.  Each of t1 and t2 remembers the last psi it was
+    joined into, so joining the same pair again builds nothing."""
     for s, t in ((t1, t2), (t2, t1)):
         partner, psi = s._joined
         if partner is t:
             return psi
     m1, m2 = t1.min_poly, t2.min_poly
-    n1, n2 = len(m1) - 1, len(m2) - 1
-    quadratics = n1 == n2 == 2
-    if n1 * n2 > _MAX_CAND_DEGREE or (
-            (quadratics or min(n1, n2) > 2) and not polys.full_degree(m1, m2)):
-        return None
-    if quadratics:
-        m, h1 = _quadratic_sum(m1, m2)
-        psi = _select_root((m,), lambda: _sum_interval(t1.interval, t2.interval),
+    n2 = len(m2) - 1
+    _check_cand_degree((len(m1) - 1) * n2)
+    for k in range(1, _MAX_SHIFT + 1):
+        mk = polys.primitive([c * k ** (n2 - i) for i, c in enumerate(m2)])
+        # two quadratics have D1*D2 no square here, or _reach would meet them
+        m, h1 = _quadratic_sum(m1, mk) if len(m1) == len(mk) == 3 else (None, None)
+        psi = _select_root((m,) if m else polys.composed_factors(polys.cand_sum(m1, mk), m1, mk),
+                           lambda: tuple(a + k * b for a, b in zip(t1.interval, t2.interval)),
                            lambda: (t1.refine(), t2.refine()))
-    else:
-        psi = _composed_root(polys.cand_sum, t1, t2, _sum_interval)
-        if psi.is_rational or psi.degree != n1 * n2:
-            return None
-        # psi^k as a polynomial in t2 of degree < n2 with coefficients in
-        # Q(t1), flattened to coordinates over t1^i * t2^j (t1 at index 1)
-        # over one denominator; times psi is t1 * v plus t2 * v, whose t2^n2
-        # term m2 reduces
-        zero = ((), 1)
-        powers, v = [], [((1,), 1)] + [zero] * (n2 - 1)
-        for _ in range(n1 * n2):
-            den = lcm(*(d for _, d in v))
-            powers.append(([c * (den // d) for num, d in v for c in _pad(num, n1)], den))
-            top = polys.qpoly([-u for u in v[-1][0]], v[-1][1] * m2[-1])
-            v = [polys.qadd(polys.mulmod(cur, _X, m1), polys.qadd(low, polys.qscale(top, c)))
-                 for cur, low, c in zip(v, [zero] + v[:-1], m2)]
-        h1 = _solve(powers)
-    _record(psi, ((t1, h1), (t2, polys.qsub(_X, h1))))
-    t1._joined = (t2, psi)
-    t2._joined = (t1, psi)
-    return psi
+        if not (m or psi.is_rational):
+            m = psi.min_poly
+            f = polys.gcd_mod([polys.qpoly((c,)) for c in m1], [polys.compose_mod(
+                ([(-1) ** j * comb(i, j) * c for i, c in enumerate(mk) if i >= j], 1), _X, m)
+                for j in range(n2 + 1)], m)       # m_k(psi - x), binomially
+            h1 = polys.qscale(f[0], -1) if len(f) == 2 else None
+        if h1 is not None:
+            _record(psi, ((t1, h1), (t2, polys.qscale(polys.qsub(_X, h1), 1, k))))
+            t1._joined = (t2, psi)
+            t2._joined = (t1, psi)
+            return psi
+    raise BoundExceededError(
+        f"no primitive element t1 + k*t2 of a compositum for k up to {_MAX_SHIFT}")
 
 
 def _quadratic_sum(m1, m2):
@@ -721,44 +734,24 @@ def _check_cand_degree(n):
 # -- field operations -------------------------------------------------------
 
 def _one_field(a, b):
-    """(theta, ga, gb) with a = ga(theta) and b = gb(theta) from _field, or
-    over a's generator when b is the same value over an unrelated generator
-    (a value and its re-parse); None otherwise."""
-    common = _field((a, b))
-    if common is None and a.min_poly == b.min_poly and _compare_isolated(a, b) == EQUAL:
+    """(theta, ga, gb) with a = ga(theta) and b = gb(theta) from _field, but
+    over a's generator when neither generator reaches the other and b is
+    the same value (a value and its re-parse), which a join would reach
+    only by factorising a candidate."""
+    common = _field((a, b), join=False)
+    if common is None:
         theta, g = _gen(a)
-        common = (theta, g, g)
+        if a.min_poly == b.min_poly and _compare_isolated(a, b) == EQUAL:
+            return theta, g, g
+        common = _field((a, b))
     return common
-
-
-def _sum_interval(i, j):
-    return (i[0] + j[0], i[1] + j[1])
-
-
-def _prod_interval(i, j):
-    prods = (i[0] * j[0], i[0] * j[1], i[1] * j[0], i[1] * j[1])
-    return (min(prods), max(prods))
-
-
-def _composed_root(cand_fn, a, b, interval_fn):
-    """a + b or a * b, for cand_fn polys.cand_sum or polys.cand_prod and
-    interval_fn the matching interval operation: the root of the factor of
-    the composed candidate that the operands' intervals bracket."""
-    _check_cand_degree(a.degree * b.degree)
-    ma, mb = a.min_poly, b.min_poly
-    return _select_root(polys.composed_factors(cand_fn(ma, mb), ma, mb),
-                        lambda: interval_fn(a.interval, b.interval),
-                        lambda: (a.refine(), b.refine()))
 
 
 # theta None: two rationals p/q and r/s, in integer arithmetic over one
 # denominator.
 
 def add(a, b):
-    common = _one_field(a, b)
-    if common is None:
-        return _composed_root(polys.cand_sum, a, b, _sum_interval)
-    theta, ga, gb = common
+    theta, ga, gb = _one_field(a, b)
     if theta is None:
         (p, q), (r, s) = _ints(ga), _ints(gb)
         return _quotient(p * s + r * q, q * s)
@@ -771,10 +764,7 @@ def neg(a):
 
 
 def sub(a, b):
-    common = _one_field(a, b)
-    if common is None:
-        return _composed_root(polys.cand_sum, a, neg(b), _sum_interval)
-    theta, ga, gb = common
+    theta, ga, gb = _one_field(a, b)
     if theta is None:
         (p, q), (r, s) = _ints(ga), _ints(gb)
         return _quotient(p * s - r * q, q * s)
@@ -782,10 +772,7 @@ def sub(a, b):
 
 
 def mul(a, b):
-    common = _one_field(a, b)
-    if common is None:
-        return _composed_root(polys.cand_prod, a, b, _prod_interval)
-    theta, ga, gb = common
+    theta, ga, gb = _one_field(a, b)
     if theta is None:
         (p, q), (r, s) = _ints(ga), _ints(gb)
         return _quotient(p * r, q * s)
@@ -820,28 +807,21 @@ def compare(a, b):
 
 
 def dot(xs, ys):
-    """sum_i xs[i] * ys[i], the value the add/mul chain gives: the products
-    summed where _field meets the operands, taken in the chain's order, and
-    reduced once (_sum); else the chain.  The result lies over the
-    generator the chain ends on, unless terms over the larger field cancel
-    to a value of a subfield, which the chain gives over that subfield's
-    generator."""
-    common = _field([v for pair in zip(xs, ys) for v in pair])
-    if common is None:
-        return reduce(add, map(mul, xs, ys))
-    return _sum(common[0], common[1::2], common[2::2])
+    """sum_i xs[i] * ys[i]: the products summed over the generator _field
+    meets the operands over, and reduced once (_sum).  The result lies over
+    that generator, a rational sum over none."""
+    common = _field((*xs, *ys))
+    k = len(xs) + 1
+    return _sum(common[0], common[1:k], common[k:])
 
 
 def combo(cs, vs):
     """The linear combination sum_i cs[i] * vs[i] of vectors vs[i], each
     coordinate the value dot gives it.  The operands meet once for the
-    whole vector (_field), and each coordinate is one sum (_sum); only
-    operands that do not meet take one dot per coordinate."""
+    whole vector (_field), and each coordinate is one sum (_sum) over that
+    generator."""
     k = len(cs)
-    common = _field((*cs, *(x for v in vs for x in v)))
-    if common is None:
-        return tuple(dot(cs, col) for col in zip(*vs))
-    theta, *gs = common
+    theta, *gs = _field((*cs, *(x for v in vs for x in v)))
     n = len(vs[0])
     return tuple(_sum(theta, gs[:k], gs[k + j::n]) for j in range(n))
 

@@ -9,16 +9,16 @@ integer numerators n over one positive int d with gcd(d, content(n)) = 1
 (`qpoly`), the usual number-field element form (Cohen, GTM 138, 4.2), so
 equal elements are equal pairs.  `qadd`, `qsub`, `qscale`, `mulmod`,
 `dotmod` (a sum of products, reduced once), `invmod`, `compose_mod`,
-`minimal_polynomial` and `sqrt_candidates` take that form and work in
-integers, with one gcd where a result leaves; `primitive` turns ints or
-Fractions into the integer form in which polynomials leave.  Factorisation
-over Q (`factor_int`) is the one job handed to a computer algebra system,
-sympy, imported on first use; everything else is done here with exact
-integer and rational arithmetic: the special resultants (composed sums and
-products, by Newton power sums) and minimal polynomials from traces,
-cyclotomic polynomials, pseudo-remainders (divisibility, gcds), everything
-sign-related (Sturm chains, root counting, isolation), with signs taken in
-integers, and arithmetic mod a prime.
+`gcd_mod`, `minimal_polynomial` and `sqrt_candidates` take that form and
+work in integers, with one gcd where a result leaves; `primitive` turns
+ints or Fractions into the integer form in which polynomials leave.
+Factorisation over Q (`factor_int`) is the one job handed to a computer
+algebra system, sympy, imported on first use; everything else is done here
+with exact integer and rational arithmetic: the special resultants
+(composed sums and products, by Newton power sums) and minimal polynomials
+from traces, cyclotomic polynomials, pseudo-remainders (divisibility,
+gcds), everything sign-related (Sturm chains, root counting, isolation),
+with signs taken in integers, and arithmetic mod a prime.
 
 The last serves certificates that a candidate polynomial is irreducible,
 read from how it factors mod small primes (`sqrt_factors`,
@@ -209,6 +209,24 @@ def compose_mod(g, h, m):
         den *= dh * m[-1] ** e
         acc = add(acc, (c * den,))
     return qpoly(acc, den * dg)
+
+
+def gcd_mod(f, g, m):
+    """The monic gcd of f and g != 0, polynomials over the field Q[x]/(m):
+    lists of elements, lowest degree first, the last nonzero.  Euclid's
+    algorithm, each divisor made monic by invmod of its lead."""
+    while g:
+        u = invmod(g[-1], m)
+        g = [mulmod(c, u, m) for c in g]
+        r = list(f)
+        while len(r) >= len(g):
+            c = r.pop()
+            for i, v in enumerate(g[:-1], len(r) - len(g) + 1):
+                r[i] = qsub(r[i], mulmod(c, v, m))
+            while r and not r[-1][0]:
+                r.pop()
+        f, g = g, r
+    return f
 
 
 # -- factorisation -----------------------------------------------------------

@@ -826,21 +826,37 @@ def test_sqrt_refines_its_radicand_until_one_root_is_bracketed(monkeypatch):
     assert _same_value(root, _fresh_sqrt(AlgReal._make((1, -4, 1), (Fraction(p, q), 4))))
 
 
-def test_sub_across_one_field_reached_twice_takes_the_candidate_path(monkeypatch):
-    """The real cube roots of 2 and 4 generate one field, which _field does
-    not look for: their difference comes from the composed candidate, and
-    is the root of x^3 + 6x + 2."""
+def test_sub_across_one_field_reached_twice_meets_over_a_compositum(monkeypatch):
+    """The real cube roots of 2 and 4 generate one field, which no record
+    shows.  Their difference lies over psi = a + b, the factor of the
+    composed candidate that psi's interval selects, with both embeddings
+    recorded: one cand_sum, a tagged result, the root of x^3 + 6x + 2, and
+    a second sub that builds nothing."""
     from rotagraph.algebraic import _field
     a, = real_roots((-2, 0, 0, 1))
     b, = real_roots((-4, 0, 0, 1))
-    assert _field((a, b)) is None
+    assert _field((a, b), join=False) is None
     calls = []
     original = polys.cand_sum
     monkeypatch.setattr(polys, "cand_sum", lambda *f: calls.append(f) or original(*f))
     d = sub(a, b)
     assert len(calls) == 1
+    psi = d._tag[0]
+    assert psi.degree == 3 and [t for t, _ in psi._embeds] == [a, b]
     assert expr.to_expr(d) == "root(2,6,0,1,0)"
-    assert d == neg(sub(b, a))
+    again = sub(b, a)
+    assert len(calls) == 1 and again._tag[0] is psi
+    assert d == neg(again)
+
+
+def _seeded_generator(rng, n):
+    """A real root of a random irreducible integer polynomial of degree n."""
+    while True:
+        p = polys.primitive([rng.randint(-9, 9) for _ in range(n)] + [rng.randint(1, 3)])
+        if p[0] and polys.factor_int(p) == (p,):
+            roots = real_roots(p)
+            if roots:
+                return rng.choice(roots)
 
 
 def _general_join(t1, t2):
@@ -864,6 +880,107 @@ def _general_join(t1, t2):
         v = [polys.qadd(polys.mulmod(cur, _X, m1), polys.qadd(low, polys.qscale(top, c)))
              for cur, low, c in zip(v, [zero] + v[:-1], m2)]
     return psi, _solve(powers)
+
+
+def test_gcd_embedding_matches_the_linear_solve():
+    """Pairs of full degree 2x3, 2x4, 3x3, 4x2 and 5x5 join into the same
+    psi, with the same embeddings, as the composed-sum candidate and the
+    linear solve over t1^i * t2^j give (_general_join): t1 as the common
+    root of m1(x) and m2(psi - x), by a gcd over Q(psi), is the solve's h1."""
+    from rotagraph.algebraic import _X, _field
+    rng = random.Random(32)
+    for n1, n2 in ((2, 3), (2, 4), (3, 3), (4, 2), (5, 5)):
+        done = 0
+        while done < 3:
+            t1, t2 = _seeded_generator(rng, n1), _seeded_generator(rng, n2)
+            if not polys.full_degree(t1.min_poly, t2.min_poly):
+                continue
+            psi, g1, g2 = _field((t1, t2))
+            want, want_h1 = _general_join(AlgReal._make(t1.min_poly, t1.interval),
+                                          AlgReal._make(t2.min_poly, t2.interval))
+            assert psi.min_poly == want.min_poly and psi.degree == n1 * n2
+            assert (g1, g2) == (want_h1, polys.qsub(_X, want_h1)), (n1, n2)
+            assert _same_value(psi, want)
+            done += 1
+
+
+# (m1, root index, m2, root index): fields that share a subfield
+SHARED_SUBFIELD_PAIRS = (
+    ((-2, 0, 0, 1), 0, (-4, 0, 0, 1), 0),           # cube roots of 2 and 4
+    ((1, 0, -10, 0, 1), 3, (-2, 0, 1), 1),          # sqrt 2 + sqrt 3 and sqrt 2
+    ((-2, 0, 0, 0, 1), 1, (-2, 0, 1), 1),           # 2^(1/4) and sqrt 2
+    ((-2, 0, 0, 0, 1), 1, (-8, 0, 0, 0, 0, 0, 1), 1),  # 2^(1/4) and 8^(1/6)
+)
+
+
+def test_shared_subfield_pairs_match_the_candidate_path():
+    """Values over two fresh generators whose fields share a subfield meet
+    over psi = t1 + t2, the factor of its composed candidate that psi's
+    interval selects, with t1 the one common root of m1(x) and m2(psi - x)
+    over Q(psi): their sums and products equal the candidate path's, and
+    lie over a generator that reaches both."""
+    from rotagraph.algebraic import _gen, _reach
+    for m1, i1, m2, i2 in SHARED_SUBFIELD_PAIRS:
+        a, b = AlgReal.from_root(m1, i1), AlgReal.from_root(m2, i2)
+        x, y = add(a, 1), mul(b, 3)
+        for op, fn in (("add", add), ("mul", mul)):
+            got = fn(x, y)
+            psi = _gen(got)[0]
+            assert psi is not None and None not in (_reach(psi, a), _reach(psi, b)), m2
+            assert _same_value(got, _candidate_op(op, _reparsed(x), _reparsed(y))), (op, m2)
+
+
+def test_a_rational_sum_retries_with_a_multiple_of_the_second_generator():
+    """The real cube root c of 2 and a fresh root d of x^3 - 3x^2 + 3x + 1,
+    which is 1 - c: c + d = 1 is rational, so the join takes psi = c + 2d,
+    with both embeddings recorded (no longer summands adding up to x).
+    Sums and products across the pair are exact."""
+    from rotagraph.algebraic import _X, _field, _summands
+    c, = real_roots((-2, 0, 0, 1))
+    d, = real_roots((1, 3, -3, 1))
+    psi, hc, hd = _field((c, d))
+    assert psi.min_poly == (-6, 12, -6, 1)          # of 2 - c
+    assert polys.qadd(hc, polys.qscale(hd, 2)) == _X and _summands(psi) == ()
+    assert [t for t, _ in psi._embeds] == [c, d]
+    s = add(c, d)
+    assert s.is_rational and s.as_rational() == 1
+    assert _same_value(mul(c, d), _candidate_op("mul", _reparsed(c), _reparsed(d)))
+    assert _same_value(sub(c, d), _candidate_op("add", _reparsed(c), _reparsed(neg(d))))
+
+
+def test_results_across_fields_lie_over_a_generator_reaching_each_operand():
+    """add, sub, mul, dot and combo across unrelated generators (quadratics,
+    cubics, a tower, a compositum and fresh generators of fields that share
+    a subfield) give a rational or a value over a generator that reaches
+    every operand's generator."""
+    from rotagraph.algebraic import _gen, _reach, combo, dot
+    rng = random.Random(3204)
+    gens = [SQRT2, SQRT3, sqrt_nonneg(AlgReal(5)), *real_roots((-2, 0, 0, 1)),
+            *real_roots((-4, 0, 0, 1)), _gen(sqrt_nonneg(add(1, SQRT2)))[0],
+            _gen(add(SQRT2, SQRT3))[0], AlgReal.from_root((1, 0, -10, 0, 1), 3)]
+
+    def value(t):
+        return add(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                   mul(Fraction(rng.randint(1, 5), rng.randint(1, 4)), t))
+
+    def check(got, operands):
+        theta = _gen(got)[0]
+        for v in operands:
+            t = _gen(v)[0]
+            assert theta is None or t is None or _reach(theta, t) is not None
+
+    for i, t in enumerate(gens):
+        for u in gens[i + 1:]:
+            x, y = value(t), value(u)
+            for fn in (add, sub, mul):
+                check(fn(x, y), (x, y))
+    for trio in ((0, 1, 2), (0, 3, 4), (5, 6, 1), (2, 3, 7)):
+        xs = [value(gens[i]) for i in trio]
+        ys = [value(gens[i]) for i in reversed(trio)]
+        check(dot(xs, ys), xs + ys)
+        vs = [tuple(value(gens[i]) for i in trio) for _ in range(2)]
+        for got in combo(xs[:2], vs):
+            check(got, xs[:2] + [c for v in vs for c in v])
 
 
 def _seeded_quadratic_pairs(seed, count):
@@ -910,13 +1027,17 @@ def _chain_combo(cs, vs):
     return tuple(reduce(add, map(mul, cs, col)) for col in zip(*vs))
 
 
-def test_combo_matches_the_per_coordinate_chain():
-    """combo gives each coordinate the value and the print of the add/mul
-    chain, over rationals, one generator, a tower sqrt(1 + sqrt 2) with
-    sqrt 2, two unrelated quadratics (met over their compositum) and three
-    (one dot per coordinate)."""
-    from rotagraph.algebraic import combo
+def test_combo_matches_the_per_coordinate_chain(monkeypatch):
+    """combo and dot give each coordinate the value and the print of the
+    add/mul chain, over rationals, one generator, a tower sqrt(1 + sqrt 2)
+    with sqrt 2, two unrelated quadratics (met over their compositum), three
+    and four generators (a cube root with three quadratics, met over
+    iterated composita), all over one generator, and with add and mul
+    patched to raise inside them."""
+    from rotagraph import algebraic
+    from rotagraph.algebraic import combo, dot
     rng = random.Random(29)
+    cbrt2, = real_roots((-2, 0, 0, 1))
 
     def rational():
         return AlgReal(Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
@@ -924,13 +1045,17 @@ def test_combo_matches_the_per_coordinate_chain():
     def over(t):
         return add(rational(), mul(rational(), t))
 
+    def chain_call(*_):
+        raise AssertionError("a sum of products took the add/mul chain")
+
     tower = sqrt_nonneg(add(1, SQRT2))
     cases = {"rational": [None], "one generator": [SQRT3], "tower": [tower, SQRT2],
-             "two quadratics": [SQRT3], "three quadratics": [SQRT2, SQRT3]}
+             "two quadratics": [SQRT3], "three quadratics": [SQRT2, SQRT3],
+             "four generators": [cbrt2, SQRT2, SQRT3]}
     for name, fixed in cases.items():
         for _ in range(6):
             gens = fixed
-            if name.endswith("quadratics"):     # and a fresh quadratic each time
+            if name.endswith(("quadratics", "generators")):     # and a fresh quadratic
                 gens = fixed + [sqrt_nonneg(AlgReal(Fraction(rng.randint(5, 40), 7)))]
 
             def value():
@@ -939,10 +1064,16 @@ def test_combo_matches_the_per_coordinate_chain():
 
             cs = [value() for _ in range(3)]
             vs = [tuple(value() for _ in range(3)) for _ in range(3)]
-            got, want = combo(cs, vs), _chain_combo(cs, vs)
+            want = _chain_combo(cs, vs)
+            with monkeypatch.context() as m:
+                m.setattr(algebraic, "add", chain_call)
+                m.setattr(algebraic, "mul", chain_call)
+                got = combo(cs, vs)
+                first = dot(cs, [v[0] for v in vs])
             assert all(compare(x, y) == EQUAL and expr.to_expr(x) == expr.to_expr(y)
                        for x, y in zip(got, want, strict=True)), name
-            if name not in ("rational", "three quadratics"):
+            assert compare(first, want[0]) == EQUAL, name
+            if name != "rational":
                 assert len({id(_gen_of(v)) for v in got if not v.is_rational}) == 1, name
 
 

@@ -2,7 +2,6 @@ import math
 import random
 import time
 from fractions import Fraction
-from functools import reduce
 
 import pytest
 
@@ -188,23 +187,19 @@ def test_k3_witness_path_sums_products_over_one_generator(monkeypatch):
     """A k = 3 witness path at cos l = 4/5 between two rational points, as
     the geometry workload builds it, and its verification: every inner
     product and cross product of its points, which lie over a square root
-    and a tower or compositum above it, is summed over one generator, so
-    dot never falls back to the add/mul chain (which goes through reduce)."""
+    and a tower or compositum above it, is summed over a generator that
+    already reaches the others, so dot never joins a new field."""
     from rotagraph import algebraic
-    chains = []
-
-    def no_chain(*args):
-        chains.append(args)
-        return reduce(*args)
-
-    monkeypatch.setattr(algebraic, "reduce", no_chain)
+    joins = []
+    original = algebraic._compositum
+    monkeypatch.setattr(algebraic, "_compositum", lambda *t: joins.append(t) or original(*t))
     p = ep.make_point(Fraction(20, 33), Fraction(-17, 33), Fraction(-20, 33))
     q = ep.make_point(Fraction(-20, 29), 0, Fraction(-21, 29))
     assert gr.graph_distance(SPEC45, p, q)[0] == 3
     path = gr.witness_path(SPEC45, p, q)
     assert gr.verify_path(SPEC45, path, p, q, 3)
     assert any(not c.is_rational for pt in path.points for c in pt.lift)
-    assert chains == []
+    assert joins == []
 
 
 def test_k3_witness_path_maps_each_value_into_the_tower_once(monkeypatch):
