@@ -109,10 +109,9 @@ class AlgReal:
     # end), None until a tagged value or a rational needs it.  On a
     # generator psi only: _embeds, pairs (t, h) of older generators with
     # t = h(psi), each checked exactly when recorded (see _record), and
-    # _joined, (partner, compositum) for the last compositum it and partner
-    # were joined into (see _compositum), else (None, None).  _image,
-    # (theta, g) for the last generator theta the value was mapped into
-    # (see _image), unset until then
+    # _joined, the last compositum it was joined into (see _compositum),
+    # else None.  _image, (theta, g) for the last generator theta the value
+    # was mapped into (see _image), unset until then
     __slots__ = ("_root", "_tag", "_embeds", "_joined", "_image")
 
     def __init__(self, value=0):
@@ -134,7 +133,7 @@ class AlgReal:
         self._root = (min_poly, (lo, hi), s)
         self._tag = None
         self._embeds = ()
-        self._joined = (None, None)
+        self._joined = None
         return self
 
     @classmethod
@@ -443,11 +442,13 @@ def _field(vs, join=True):
     when all are constants, and the one generator the irrational ones lie
     over when there is one (one scan, no search).  Over several, theta is
     the first of the largest degree that reaches each of the others as
-    t = h(theta) (_reach); failing that, with join set, the compositum
-    they are joined into, the largest first, one at a time (_adjoin).  Each
-    g over another generator is mapped into theta once (_image), and
-    constants are kept.  None only without join, when no generator reaches
-    the others."""
+    t = h(theta) (_reach); failing that, with join set, the compositum the
+    others are joined into one at a time, the largest first (_adjoin), over
+    the one of them, or the last compositum one was joined into, no larger
+    than their joins can be, that reaches the most (the first of the
+    largest on a tie).  Each g over another generator is mapped into theta
+    once (_image), and constants are kept.  None only without join, when
+    none reaches the others."""
     theta, gs = None, []
     for t, g in map(_gen, vs):
         if t is not None and t is not theta:
@@ -468,7 +469,12 @@ def _field(vs, join=True):
     else:           # none reaches the others
         if not join:
             return None
-        theta = reduce(_adjoin, sorted(thetas, key=lambda t: -t.degree))
+        thetas.sort(key=lambda t: -t.degree)
+        size = prod(t.degree for t in thetas)      # no join of them is larger
+        starts = thetas + [t._joined for t in thetas if t._joined and t._joined.degree <= size]
+        start = thetas[0] if len(starts) == 2 else max(starts, key=lambda s: sum(
+            _reach(s, t) is not None for t in thetas))
+        theta = reduce(_adjoin, thetas, start)
         hs = _reaches(theta, thetas)
     return (theta, *(g if t is None or t is theta else _image(v, g, hs[id(t)], theta)
                      for v, (t, g) in zip(vs, es)))
@@ -512,18 +518,19 @@ def _reach(psi, t):
     or a generator equal to it; a quadratic t from quadratics so reached
     (_square_class); a compositum t = t1 + t2 as the sum of t1 and t2
     reached that way.  Else None."""
-    stack, seen, quads = [(psi, ())], {id(psi)}, []
+    stack, seen, quads, p = [(psi, ())], {id(psi)}, [], t.min_poly
     while stack:
         s, path = stack.pop()      # path: (k, u) from psi down, s = k(u)
-        if s is t or s.min_poly == t.min_poly and _compare_isolated(s, t) == EQUAL:
+        m = s.min_poly
+        if s is t or m == p and _compare_isolated(s, t) == EQUAL:
             return _down(path)
-        if len(s.min_poly) == 3:
+        if len(m) == 3:
             quads.append((s, path))
         for u, k in s._embeds:
             if id(u) not in seen:
                 seen.add(id(u))
                 stack.append((u, path + ((k, s),)))
-    if len(t.min_poly) == 3 and quads:
+    if len(p) == 3 and quads:
         return _square_class(t, quads, psi.min_poly)
     parts = [_reach(psi, u) for u, _ in _summands(t)]
     if parts and None not in parts:
@@ -659,12 +666,8 @@ def _compositum(t1, t2):
     root of m1(x) and m_k(psi - x), m_k that of k*t2, their gcd over Q(psi)
     (Trager, SYMSAC 1976; Loos, 1982).  k = 1 unless psi is rational or that
     gcd is not linear, else up to _MAX_SHIFT; past the candidate budget,
-    BoundExceededError.  Each of t1 and t2 remembers the last psi it was
-    joined into, so joining the same pair again builds nothing."""
-    for s, t in ((t1, t2), (t2, t1)):
-        partner, psi = s._joined
-        if partner is t:
-            return psi
+    BoundExceededError.  Each of t1 and t2 remembers psi as the last
+    compositum it was joined into, where _field looks first."""
     m1, m2 = t1.min_poly, t2.min_poly
     n2 = len(m2) - 1
     _check_cand_degree((len(m1) - 1) * n2)
@@ -683,11 +686,9 @@ def _compositum(t1, t2):
             h1 = polys.qscale(f[0], -1) if len(f) == 2 else None
         if h1 is not None:
             _record(psi, ((t1, h1), (t2, polys.qscale(polys.qsub(_X, h1), 1, k))))
-            t1._joined = (t2, psi)
-            t2._joined = (t1, psi)
+            t1._joined = t2._joined = psi
             return psi
-    raise BoundExceededError(
-        f"no primitive element t1 + k*t2 of a compositum for k up to {_MAX_SHIFT}")
+    raise BoundExceededError(f"no primitive element t1 + k*t2 for k up to {_MAX_SHIFT}")
 
 
 def _quadratic_sum(m1, m2):

@@ -930,12 +930,18 @@ def test_shared_subfield_pairs_match_the_candidate_path():
             assert _same_value(got, _candidate_op(op, _reparsed(x), _reparsed(y))), (op, m2)
 
 
-def test_a_rational_sum_retries_with_a_multiple_of_the_second_generator():
+def test_a_rational_sum_retries_with_a_multiple_of_the_second_generator(monkeypatch):
     """The real cube root c of 2 and a fresh root d of x^3 - 3x^2 + 3x + 1,
     which is 1 - c: c + d = 1 is rational, so the join takes psi = c + 2d,
     with both embeddings recorded (no longer summands adding up to x).
-    Sums and products across the pair are exact."""
+    Sums and products across the pair are exact.  With k capped at 1, the
+    join is refused as bound-exceeded."""
+    from rotagraph import algebraic
     from rotagraph.algebraic import _X, _field, _summands
+    with monkeypatch.context() as m:
+        m.setattr(algebraic, "_MAX_SHIFT", 1)
+        with pytest.raises(BoundExceededError):
+            _field((*real_roots((-2, 0, 0, 1)), *real_roots((1, 3, -3, 1))))
     c, = real_roots((-2, 0, 0, 1))
     d, = real_roots((1, 3, -3, 1))
     psi, hc, hd = _field((c, d))
