@@ -26,15 +26,18 @@ below deg m, no reduction.  Operands over one generator meet over it.
 Operands over several meet over the first generator of the largest
 degree that reaches all the others, through its records or as one field
 with them (equal values, quadratics whose discriminants multiply to a
-square); else over the iterated compositum of them all, except in
-compare, which refines intervals rather than build one, and except for
-two equal values over unrelated generators (a value and its re-parse),
-which meet over the first one's.  Each operand over another generator is
-mapped in once and keeps that image.  So a sum of products (dot) is
-summed and reduced modulo m once, and a linear combination of vectors
-(combo), the one the geometry builds its points and matrix rows with,
-meets its operands once for the whole vector and takes one such sum per
-coordinate.
+square); else over the iterated compositum of the operands' own fields
+(a value alone over its generator that generates a smaller field stands
+for itself), except in compare, which refines intervals rather than
+build one, and except for two equal values over unrelated generators (a
+value and its re-parse), which meet over the first one's.  Each operand
+over another generator is mapped in once and keeps that image.  So a sum
+of products (dot) is summed and reduced modulo m once, and a linear
+combination of vectors (combo), the one the geometry builds its points
+and matrix rows with, meets its operands once for the whole vector and
+takes one such sum per coordinate; where that would join more than two
+generators, each product meets over its own two factors' field first,
+and the products are joined.
 A rational or tagged value builds its minimal polynomial and isolating
 interval only when asked for them (printing, hashing, a square root, an
 operation across fields): q*x - p and [p/q, p/q] for p/q, and for g(theta)
@@ -63,10 +66,10 @@ of twice its degree).
 
 Values are immutable.  The isolating interval may be tightened in place,
 a rational or tagged value's minimal polynomial filled in on first use, a
-generator's last compositum remembered and a value's image in the last
-generator it was mapped into kept; each is semantically invisible and
-written in one attribute, so values are safe to share between threads (a
-lost write costs a rebuild).
+generator's last compositum and the subfields its values generate
+recorded, and a value's image in the last generator it was mapped into
+kept; each is semantically invisible and written in one attribute, so
+values are safe to share between threads (a lost write costs a rebuild).
 """
 
 from fractions import Fraction
@@ -107,11 +110,11 @@ class AlgReal:
     # _tag: (theta, g), theta None for a rational, or None for a generator;
     # _root: (min_poly, isolating interval, sign of min_poly at its lower
     # end), None until a tagged value or a rational needs it.  On a
-    # generator psi only: _embeds, pairs (t, h) of older generators with
-    # t = h(psi), each checked exactly when recorded (see _record), and
-    # _joined, the last compositum it was joined into (see _compositum),
-    # else None.  _image, (theta, g) for the last generator theta the value
-    # was mapped into (see _image), unset until then
+    # generator psi only: _embeds, pairs (t, h) of subfield generators with
+    # t = h(psi), checked exactly when recorded (see _record) or built from
+    # a value h(psi) (see _own), and _joined, the last compositum it was
+    # joined into (see _compositum), else None.  _image, (theta, g) for the
+    # last generator theta the value was mapped into, unset until then
     __slots__ = ("_root", "_tag", "_embeds", "_joined", "_image")
 
     def __init__(self, value=0):
@@ -436,19 +439,20 @@ def _gen(v):
     return None, _literal(v)
 
 
-def _field(vs, join=True):
+def _field(vs, join=None):
     """(theta, g_1, ..., g_k) with vs[i] = g_i(theta), for operands as _gen
     reads them: where the operands of one operation meet.  theta is None
     when all are constants, and the one generator the irrational ones lie
     over when there is one (one scan, no search).  Over several, theta is
     the first of the largest degree that reaches each of the others as
-    t = h(theta) (_reach); failing that, with join set, the compositum the
-    others are joined into one at a time, the largest first (_adjoin), over
-    the one of them, or the last compositum one was joined into, no larger
-    than their joins can be, that reaches the most (the first of the
-    largest on a tie).  Each g over another generator is mapped into theta
-    once (_image), and constants are kept.  None only without join, when
-    none reaches the others."""
+    t = h(theta) (_reach).  Failing that, two equal values (a value and its
+    re-parse, which a join would reach only by factorising a candidate)
+    meet over the first one's generator; else theta is the compositum the
+    operands' own fields (_own) are joined into one at a time, the largest
+    first (_adjoin).  Each g over another generator is mapped into theta
+    once (_image), and constants are kept.  join caps how many generators
+    may be joined: None where none reaches the others and they number more
+    than join, never with join None (the default)."""
     theta, gs = None, []
     for t, g in map(_gen, vs):
         if t is not None and t is not theta:
@@ -467,17 +471,34 @@ def _field(vs, join=True):
         if hs is not None:
             break
     else:           # none reaches the others
-        if not join:
+        if join is not None and len(thetas) > join:
             return None
-        thetas.sort(key=lambda t: -t.degree)
-        size = prod(t.degree for t in thetas)      # no join of them is larger
-        starts = thetas + [t._joined for t in thetas if t._joined and t._joined.degree <= size]
-        start = thetas[0] if len(starts) == 2 else max(starts, key=lambda s: sum(
-            _reach(s, t) is not None for t in thetas))
-        theta = reduce(_adjoin, thetas, start)
+        if len(vs) == 2 and vs[0].min_poly == vs[1].min_poly and _compare_isolated(*vs) == EQUAL:
+            return (*es[0], es[0][1])
+        es = _own(vs, es)
+        thetas = sorted({id(t): t for t, _ in es if t is not None}.values(), key=lambda t: -t.degree)
+        theta = reduce(_adjoin, thetas)
         hs = _reaches(theta, thetas)
     return (theta, *(g if t is None or t is theta else _image(v, g, hs[id(t)], theta)
                      for v, (t, g) in zip(vs, es)))
+
+
+def _own(vs, es):
+    """es with each value v = g(t) that alone lies over its generator t
+    and generates a proper subfield of t's field taken as (u, x): u the
+    generator of v's own field (its minimal polynomial and interval), which
+    t records as u = g(t).  A join then builds on the fields of the
+    operands, not on the larger ones of their generators."""
+    over, own = {}, {}
+    for v, (t, g) in zip(vs, es):
+        if t is not None:
+            over.setdefault(id(t), {})[id(v)] = v, t, g
+    for values in over.values():
+        (v, t, g), *more = values.values()
+        if not more and g is not _X and v.degree < t.degree:
+            own[id(v)] = u = AlgReal._make(v.min_poly, v.interval)
+            t._embeds += ((u, g),)
+    return [(own[id(v)], _X) if id(v) in own else e for v, e in zip(vs, es)]
 
 
 def _reaches(theta, thetas):
@@ -490,13 +511,10 @@ def _reaches(theta, thetas):
 def _adjoin(psi, t):
     """psi when it reaches t, else a compositum over psi that does; a
     compositum t = t1 + t2 through its summands, each adjoined in turn."""
-    if _reach(psi, t) is None:
-        parts = _summands(t)
-        for u, _ in parts:
-            psi = _adjoin(psi, u)
-        if not parts:
-            psi = _compositum(psi, t)
-    return psi
+    if _reach(psi, t) is not None:
+        return psi
+    parts = [u for u, _ in _summands(t)]
+    return reduce(_adjoin, parts, psi) if parts else _compositum(psi, t)
 
 
 def _image(v, g, h, theta):
@@ -572,9 +590,9 @@ def _square_class(t, quads, m):
 
 
 def _summands(t):
-    """The generators t1, t2 of a compositum t = t1 + t2: its two recorded
+    """The generators t1, t2 of a compositum t = t1 + t2: its first two
     embeddings, whose polynomials then add up to x (not for k*t2, k > 1)."""
-    e = t._embeds
+    e = t._embeds[:2]
     return e if len(e) == 2 and polys.qadd(e[0][1], e[1][1]) == _X else ()
 
 
@@ -607,55 +625,15 @@ def _record(psi, embeds):
     psi._embeds = tuple(embeds)
 
 
-def _solve(columns):
-    """The polynomial sum_k c_k * y^k equal to x, from the coordinates
-    columns[k] = (n_k, d_k), integers n_k over one denominator d_k, of y^k in
-    a basis of the field whose entry 1 is x: the c_k with
-    sum_k c_k * n_k / d_k = e_1, by fraction-free Gauss-Jordan elimination
-    (Bareiss) on the integer columns n_k.  Each entry stays an integer
-    minor, so every division is exact, and the rows end as
-    (det * e_k | det * c_k / d_k)."""
-    n = len(columns)
-    rows = [[col[r] for col, _ in columns] + [int(r == 1)] for r in range(n)]
-    prev = 1
-    for k in range(n):
-        p = next((r for r in range(k, n) if rows[r][k]), None)
-        if p is None:
-            raise InternalConsistencyError("powers of a generator are dependent")
-        rows[k], rows[p] = rows[p], rows[k]
-        piv, pk = rows[k], rows[k][k]
-        for r in range(n):
-            if r != k:
-                f = rows[r][k]
-                rows[r] = [(pk * u - f * v) // prev for u, v in zip(rows[r], piv)]
-        prev = pk
-    return polys.qpoly([row[n] * d for row, (_, d) in zip(rows, columns)], prev)
-
-
-def _pad(c, n):
-    return c + (0,) * (n - len(c))
-
-
 def _tower(root, a):
     """Record in root = sqrt(a) the generator theta of a = g(theta) when a
-    generates theta's whole field: then theta = H(a) = H(root^2), H from
-    one linear solve in theta's power basis (at once for linear g)."""
-    theta, g = _gen(a)
-    m = theta.min_poly
-    n = len(m) - 1
-    if a.degree != n:
-        return
-    c, d = g
-    if len(c) == 2:     # a = (c0 + c1 theta) / d
-        H = polys.qpoly((-c[0], d), c[1])
-    else:
-        powers, y = [], ((1,), 1)
-        for _ in range(n):
-            powers.append((_pad(y[0], n), y[1]))
-            y = polys.mulmod(y, g, m)
-        H = _solve(powers)
-    square = ((0, 0, 1), 1)
-    _record(root, ((theta, polys.compose_mod(H, square, root.min_poly)),))
+    generates theta's whole field: theta is then the one common root of
+    m(x) and g(x) - root^2, their gcd over Q(root) (polys.gcd_mod)."""
+    theta, (c, d) = _gen(a)
+    if a.degree == theta.degree:
+        g = [polys.qsub(polys.qpoly(c[:1], d), ((0, 0, 1), 1)), *(polys.qpoly((v,), d) for v in c[1:])]
+        f = polys.gcd_mod([polys.qpoly((v,)) for v in theta.min_poly], g, root.min_poly)
+        _record(root, ((theta, polys.qscale(f[0], -1)),))
 
 
 def _compositum(t1, t2):
@@ -666,9 +644,15 @@ def _compositum(t1, t2):
     root of m1(x) and m_k(psi - x), m_k that of k*t2, their gcd over Q(psi)
     (Trager, SYMSAC 1976; Loos, 1982).  k = 1 unless psi is rational or that
     gcd is not linear, else up to _MAX_SHIFT; past the candidate budget,
-    BoundExceededError.  Each of t1 and t2 remembers psi as the last
-    compositum it was joined into, where _field looks first."""
+    BoundExceededError, and past k = _MAX_SHIFT too.  Each of t1 and t2
+    remembers psi as the last compositum it was joined into, and a join of
+    either with a generator that compositum reaches, no larger than their
+    compositum can be, returns it."""
     m1, m2 = t1.min_poly, t2.min_poly
+    for s, t in ((t1, t2), (t2, t1)):
+        psi = s._joined
+        if psi is not None and psi.degree <= t1.degree * t2.degree and _reach(psi, t) is not None:
+            return psi
     n2 = len(m2) - 1
     _check_cand_degree((len(m1) - 1) * n2)
     for k in range(1, _MAX_SHIFT + 1):
@@ -734,25 +718,11 @@ def _check_cand_degree(n):
 
 # -- field operations -------------------------------------------------------
 
-def _one_field(a, b):
-    """(theta, ga, gb) with a = ga(theta) and b = gb(theta) from _field, but
-    over a's generator when neither generator reaches the other and b is
-    the same value (a value and its re-parse), which a join would reach
-    only by factorising a candidate."""
-    common = _field((a, b), join=False)
-    if common is None:
-        theta, g = _gen(a)
-        if a.min_poly == b.min_poly and _compare_isolated(a, b) == EQUAL:
-            return theta, g, g
-        common = _field((a, b))
-    return common
-
-
 # theta None: two rationals p/q and r/s, in integer arithmetic over one
 # denominator.
 
 def add(a, b):
-    theta, ga, gb = _one_field(a, b)
+    theta, ga, gb = _field((a, b))
     if theta is None:
         (p, q), (r, s) = _ints(ga), _ints(gb)
         return _quotient(p * s + r * q, q * s)
@@ -765,7 +735,7 @@ def neg(a):
 
 
 def sub(a, b):
-    theta, ga, gb = _one_field(a, b)
+    theta, ga, gb = _field((a, b))
     if theta is None:
         (p, q), (r, s) = _ints(ga), _ints(gb)
         return _quotient(p * s - r * q, q * s)
@@ -773,7 +743,7 @@ def sub(a, b):
 
 
 def mul(a, b):
-    theta, ga, gb = _one_field(a, b)
+    theta, ga, gb = _field((a, b))
     if theta is None:
         (p, q), (r, s) = _ints(ga), _ints(gb)
         return _quotient(p * r, q * s)
@@ -796,7 +766,7 @@ def compare(a, b):
     """Exact trichotomy: LESS (-1), EQUAL (0) or GREATER (1)."""
     # no compositum: two degree-8 fields would build a degree-64 candidate
     # to decide what refining the two intervals decides
-    common = _field((a, b), join=False)
+    common = _field((a, b), join=0)
     if common is None:
         return _compare_isolated(a, b)
     theta, ga, gb = common
@@ -808,23 +778,38 @@ def compare(a, b):
 
 
 def dot(xs, ys):
-    """sum_i xs[i] * ys[i]: the products summed over the generator _field
-    meets the operands over, and reduced once (_sum).  The result lies over
-    that generator, a rational sum over none."""
-    common = _field((*xs, *ys))
+    """sum_i xs[i] * ys[i]: the products summed over the generator the
+    operands meet over (_terms), and reduced once (_sum).  The result lies
+    over that generator, a rational sum over none."""
     k = len(xs) + 1
+    common = _terms(xs, ys, 1)
     return _sum(common[0], common[1:k], common[k:])
 
 
 def combo(cs, vs):
     """The linear combination sum_i cs[i] * vs[i] of vectors vs[i], each
     coordinate the value dot gives it.  The operands meet once for the
-    whole vector (_field), and each coordinate is one sum (_sum) over that
+    whole vector (_terms), and each coordinate is one sum (_sum) over that
     generator."""
-    k = len(cs)
-    theta, *gs = _field((*cs, *(x for v in vs for x in v)))
-    n = len(vs[0])
+    k, n = len(cs), len(vs[0])
+    theta, *gs = _terms(cs, [x for v in vs for x in v], n)
     return tuple(_sum(theta, gs[:k], gs[k + j::n]) for j in range(n))
+
+
+def _terms(cs, xs, n):
+    """(theta, g_1, ...) for the coefficients cs and then the values xs,
+    n to each coefficient, as _field meets them.  Where that would join
+    more than two generators, each product cs[i] * xs[i*n + j] is first
+    taken over the field its two factors meet over, and the products, with
+    coefficients 1, are met in their place: the join then builds on the
+    products' fields, which may be far smaller than the compositum of all
+    the factors' (that of two generators holds every product)."""
+    common = _field((*cs, *xs), join=2)
+    if common is None:
+        products = (_sum(t, (g,), (h,)) for t, g, h in (
+            _field((c, x)) for i, c in enumerate(cs) for x in xs[i * n:i * n + n]))
+        common = _field((*(1,) * len(cs), *products))
+    return common
 
 
 def _sum(theta, xs, ys):

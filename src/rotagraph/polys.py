@@ -28,7 +28,7 @@ so factorisation runs only where no cheap exact argument decides.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import islice
 from math import comb, gcd, isqrt, lcm
 
@@ -213,20 +213,34 @@ def compose_mod(g, h, m):
 
 def gcd_mod(f, g, m):
     """The monic gcd of f and g != 0, polynomials over the field Q[x]/(m):
-    lists of elements, lowest degree first, the last nonzero.  Euclid's
-    algorithm, each divisor made monic by invmod of its lead."""
+    lists of elements, lowest degree first, the last nonzero.  The
+    subresultant remainder sequence (Collins, JACM 1967; Brown, JACM 1971):
+    each pseudo-remainder lc(g)^(d+1) * f mod g, d = deg f - deg g, is
+    divided by s * h^d, s and h the leads it carries, one invmod a step, so
+    the elements grow linearly in size, where monic remainders' sizes
+    (one inverse of a lead each) grow much faster."""
+    s = h = ((1,), 1)
+    f, g = sorted((f, g), key=len, reverse=True)
     while g:
-        u = invmod(g[-1], m)
-        g = [mulmod(c, u, m) for c in g]
-        r = list(f)
-        while len(r) >= len(g):
+        d, lc, r = len(f) - len(g), g[-1], list(f)
+        for k in range(d, -1, -1):          # lc^(d+1) * f modulo g
             c = r.pop()
-            for i, v in enumerate(g[:-1], len(r) - len(g) + 1):
+            r = [mulmod(v, lc, m) for v in r]
+            for i, v in enumerate(g[:-1], k):
                 r[i] = qsub(r[i], mulmod(c, v, m))
-            while r and not r[-1][0]:
-                r.pop()
-        f, g = g, r
-    return f
+        while r and not r[-1][0]:
+            r.pop()
+        u = invmod(mulmod(s, _qpow(h, d, m), m), m)
+        f, g, s = g, [mulmod(v, u, m) for v in r], lc
+        if d:       # h = lc^d / h^(d-1)
+            h = mulmod(_qpow(lc, d, m), invmod(_qpow(h, d - 1, m), m), m)
+    u = invmod(f[-1], m)
+    return [mulmod(c, u, m) for c in f]
+
+
+def _qpow(a, e, m):
+    """a^e modulo m, e >= 0."""
+    return reduce(lambda b, _: mulmod(b, a, m), range(e), ((1,), 1))
 
 
 # -- factorisation -----------------------------------------------------------

@@ -835,7 +835,7 @@ def test_sub_across_one_field_reached_twice_meets_over_a_compositum(monkeypatch)
     from rotagraph.algebraic import _field
     a, = real_roots((-2, 0, 0, 1))
     b, = real_roots((-4, 0, 0, 1))
-    assert _field((a, b), join=False) is None
+    assert _field((a, b), join=0) is None
     calls = []
     original = polys.cand_sum
     monkeypatch.setattr(polys, "cand_sum", lambda *f: calls.append(f) or original(*f))
@@ -859,12 +859,34 @@ def _seeded_generator(rng, n):
                 return rng.choice(roots)
 
 
+def _solve(columns):
+    """The polynomial sum_k c_k * y^k equal to x, from the coordinates
+    columns[k] = (n_k, d_k), integers n_k over one denominator d_k, of y^k in
+    a basis of the field whose entry 1 is x: the c_k with
+    sum_k c_k * n_k / d_k = e_1, by fraction-free Gauss-Jordan elimination
+    (Bareiss) on the integer columns n_k."""
+    n = len(columns)
+    rows = [[col[r] for col, _ in columns] + [int(r == 1)] for r in range(n)]
+    prev = 1
+    for k in range(n):
+        p = next(r for r in range(k, n) if rows[r][k])
+        rows[k], rows[p] = rows[p], rows[k]
+        piv, pk = rows[k], rows[k][k]
+        for r in range(n):
+            if r != k:
+                f = rows[r][k]
+                rows[r] = [(pk * u - f * v) // prev for u, v in zip(rows[r], piv)]
+        prev = pk
+    return polys.qpoly([row[n] * d for row, (_, d) in zip(rows, columns)], prev)
+
+
 def _general_join(t1, t2):
     """psi = t1 + t2 and h1 with t1 = h1(psi), the way every pair of
-    degrees but two quadratics builds them, kept as an oracle: psi from the
-    composed-sum candidate, certified irreducible (composed_factors), and
-    h1 from one linear solve over the basis t1^i * t2^j (_solve)."""
-    from rotagraph.algebraic import _X, _pad, _select_root, _solve
+    degrees but two quadratics built them before the gcd step, kept as an
+    oracle: psi from the composed-sum candidate, certified irreducible
+    (composed_factors), and h1 from one linear solve over the basis
+    t1^i * t2^j (_solve)."""
+    from rotagraph.algebraic import _X, _select_root
     m1, m2 = t1.min_poly, t2.min_poly
     n1, n2 = len(m1) - 1, len(m2) - 1
     psi = _select_root(polys.composed_factors(polys.cand_sum(m1, m2), m1, m2),
@@ -875,7 +897,7 @@ def _general_join(t1, t2):
     powers, v = [], [((1,), 1)] + [zero] * (n2 - 1)
     for _ in range(n1 * n2):
         den = lcm(*(d for _, d in v))
-        powers.append(([c * (den // d) for num, d in v for c in _pad(num, n1)], den))
+        powers.append(([c * (den // d) for num, d in v for c in num + (0,) * (n1 - len(num))], den))
         top = polys.qpoly([-u for u in v[-1][0]], v[-1][1] * m2[-1])
         v = [polys.qadd(polys.mulmod(cur, _X, m1), polys.qadd(low, polys.qscale(top, c)))
              for cur, low, c in zip(v, [zero] + v[:-1], m2)]
@@ -987,6 +1009,65 @@ def test_results_across_fields_lie_over_a_generator_reaching_each_operand():
         vs = [tuple(value(gens[i]) for i in trio) for _ in range(2)]
         for got in combo(xs[:2], vs):
             check(got, xs[:2] + [c for v in vs for c in v])
+
+
+def test_a_value_of_a_subfield_joins_by_its_own_field(monkeypatch):
+    """(sqrt 2 + sqrt 3) - sqrt 2, over fresh generators, is sqrt 3 over
+    the degree-4 compositum psi; alone over psi, it joins the cube root of
+    2 by its own field: psi records sqrt 3's own generator u, and the
+    product lies over a degree-6 compositum that reaches u, not over one
+    of degree 12, with nothing factorised.  Adding the cube root of 4
+    gives the value the candidate path gives."""
+    from rotagraph.algebraic import _gen, _reach
+    t4 = AlgReal.from_root((1, 0, -10, 0, 1), 3)
+    s3 = sub(t4, sqrt_nonneg(AlgReal(2)))
+    psi = _gen(s3)[0]
+    assert psi.degree == 4 and s3.degree == 2
+    cbrt2, = real_roots((-2, 0, 0, 1))
+    calls = []
+    original = polys.factor_int
+    monkeypatch.setattr(polys, "factor_int", lambda c: calls.append(c) or original(c))
+    got = mul(s3, cbrt2)
+    assert calls == []
+    theta = _gen(got)[0]
+    u = psi._embeds[-1][0]
+    assert theta.degree == 6 and u.min_poly == (-3, 0, 1)
+    assert None not in (_reach(theta, u), _reach(theta, cbrt2), _reach(psi, u))
+    monkeypatch.setattr(polys, "factor_int", original)
+    cbrt4, = real_roots((-4, 0, 0, 1))
+    total = add(got, cbrt4)
+    assert expr.to_expr(total) == "root(-92,-216,-108,-8,0,0,1,1)"
+    assert _same_value(total, _candidate_op("add", _reparsed(got), _reparsed(cbrt4)))
+
+
+def test_dot_meets_its_products_before_it_joins(monkeypatch):
+    """The inner product of (sqrt 2, sqrt 7, 2^(1/3)) with itself would join
+    three generators, so each product meets over its own factors' field
+    first: 2, 7 and 2^(2/3) then meet over the cube root of 2, and
+    9 + 2^(2/3) lies over it, with no compositum built; the same holds for
+    combo.  Products over unrelated fields are joined by their own fields:
+    the inner product of (sqrt 2, sqrt 3) with (sqrt 5, sqrt 7) builds
+    Q(sqrt 2, sqrt 5) and Q(sqrt 3, sqrt 7) for the products, and lies over
+    the degree-4 compositum of sqrt 10 and sqrt 21, not over one of degree
+    16."""
+    from rotagraph import algebraic
+    from rotagraph.algebraic import _gen, _reach, combo, dot
+    s2, s7, cbrt2 = SQRT2, sqrt_nonneg(AlgReal(7)), real_roots((-2, 0, 0, 1))[0]
+    joins = []
+    original = algebraic._compositum
+    monkeypatch.setattr(algebraic, "_compositum", lambda *t: joins.append(t) or original(*t))
+    v = (s2, s7, cbrt2)
+    got = dot(v, v)
+    assert _gen(got)[0] is cbrt2 and got == add(9, mul(cbrt2, cbrt2))
+    vs = ((s7, mul(2, s7)), (cbrt2, 1), (s2, s2))
+    assert all(_gen(c)[0] is cbrt2 for c in combo(v[1:] + v[:1], vs))
+    assert joins == []
+    s2, s3, s5 = (sqrt_nonneg(AlgReal(d)) for d in (2, 3, 5))
+    got = dot((s2, s3), (s5, s7))
+    theta = _gen(got)[0]
+    assert theta.degree == 4 and len(joins) == 3
+    assert None not in (_reach(theta, sqrt_nonneg(AlgReal(10))), _reach(theta, sqrt_nonneg(AlgReal(21))))
+    assert _same_value(got, _candidate_op("add", _reparsed(mul(s2, s5)), _reparsed(mul(s3, s7))))
 
 
 def _seeded_quadratic_pairs(seed, count):

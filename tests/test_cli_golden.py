@@ -70,9 +70,11 @@ CALLS = [
     ["graph", "distance", "--p", "1,1,0", "--q", "1,2,2", "--cos-l", "7/8"],
     ["graph", "diameter", "--cos-l", "4/5"],
     ["graph", "validate", "--cos-l", "4/5"],
-    # coordinates over several unrelated fields: the inner product joins
-    # five generators
+    # coordinates over several unrelated fields, and a point re-read from
+    # JSON: the inner products join three and five generators
     ["plane", "dist", "--p", "sqrt(2),sqrt(3),1", "--q", "sqrt(5),1,0"],
+    ["plane", "dist", "--p", "sqrt(2),sqrt(3),sqrt(5)",
+     "--q", '{"x":"1","y":"sqrt(7)","z":"root(-2,0,0,1,0)"}'],
 ]
 
 # sums, products and quotients over Q(sqrt 2), Q(sqrt 3) and cubic fields,

@@ -187,6 +187,39 @@ def test_poly_gcd():
         assert polys.poly_gcd(a, b) == want, (a, b)
 
 
+def test_gcd_mod_over_a_number_field():
+    """gcd_mod over Q(sqrt 2) gives the monic common factor c of a*c and
+    b*c for coprime a and b: seeded ones, and one pair whose remainder
+    degrees run 5, 4, 2, 1, 0, so one pseudo-remainder after the first
+    takes three steps.  Either order of the arguments gives the same
+    gcd."""
+    m, one = (-2, 0, 1), ((1,), 1)
+
+    def pmul(p, q):
+        out = [((), 1)] * (len(p) + len(q) - 1)
+        for i, u in enumerate(p):
+            for j, v in enumerate(q):
+                out[i + j] = polys.qadd(out[i + j], polys.mulmod(u, v, m))
+        return out
+
+    def element(r0, r1):
+        return polys.qpoly((r0, r1), 1)
+
+    rng = random.Random(3210)
+    unit = element(1, 1)                # 1 + sqrt 2
+    pairs = [([-1, -1, -1, -1, -1, 1], [-1, -1, -1, 0, 1])]
+    for _ in range(12):
+        pairs.append(([rng.randint(-3, 3) for _ in range(rng.randint(2, 5))] + [1],
+                      [rng.randint(-3, 3) for _ in range(rng.randint(1, 4))] + [1]))
+    for a, b in pairs:
+        if polys.degree(polys.poly_gcd(a, b)) > 0:
+            continue
+        c = [element(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(1, 3))] + [one]
+        f = pmul(c, [polys.mulmod(polys.qpoly((v,)), unit, m) for v in a])
+        g = pmul(c, [polys.qpoly((v,)) for v in b])
+        assert polys.gcd_mod(f, g, m) == c == polys.gcd_mod(g, f, m), (a, b)
+
+
 def test_sign_at_matches_fraction_horner():
     rng = random.Random(6104)
     for _ in range(200):
