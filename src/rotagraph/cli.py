@@ -1,22 +1,25 @@
 """Command-line front end.  JSON out, expression-grammar strings in.
 
 `COMMANDS` is the one table of modules, commands, handlers and flags.  A
-call builds the parsers of every module but the command parsers of the
-module its argv names only, since argparse descends into that one alone.
-This module imports no layer at its top: once argv has parsed, a call
-imports the layers of its module alone (`_import_layers`), so help and
-usage errors load none, and a finite call loads no algebraic kernel.
+well-formed call is read straight from it (`_read`), with no argparse
+import and no parser built.  Every other argv, help and each usage error
+among them, goes to argparse (`_parse`), which builds the parsers of every
+module but the command parsers of the module its argv names only, since
+argparse descends into that one alone.  This module imports no layer at its
+top: once argv is read, a call imports the layers of its module alone
+(`_import_layers`), so help and usage errors load none, and a finite call
+loads no algebraic kernel.
 
 Exit codes: 0 success, 1 domain error (JSON error object on stdout),
 2 usage error, 130 interrupted.
 """
 
-import argparse
 import json
 import random
 import re
 import signal
 import sys
+import types
 
 from .errors import (
     BoundExceededError, OutOfRangeError, ParseError, RotagraphError, read_int,
@@ -347,6 +350,9 @@ def cmd_finite_census(args):
 _REQ = {"required": True}
 _GEN_FLAGS = {"group": {**_REQ, "help": "generators as cycle strings, ';'-separated"},
               "degree": {"type": int, "default": None}}
+#: the two ways to give finite conjgraph its group, of which a call takes one
+_SOURCE = {"table": {"default": None, "help": "row-major multiplication table JSON"},
+           "group": {"default": None}}
 
 #: module -> command -> (handler, flags): each flag name maps to the keyword
 #: arguments of its ``--flag-name`` option, in the order help lists them
@@ -387,37 +393,134 @@ COMMANDS = {
         "rotary": (cmd_finite_rotary, {"graph": _REQ}),
         "automorphisms": (cmd_finite_automorphisms, {"graph": _REQ}),
         "bipartite": (cmd_finite_bipartite, {"graph": _REQ}),
-        # --table or --group, one of them: added below as an exclusive pair
         "conjgraph": (cmd_finite_conjgraph, {"degree": {"type": int, "default": None},
-                                             "g1": _REQ, "g3": _REQ}),
+                                             "g1": _REQ, "g3": _REQ, **_SOURCE}),
         "census": (cmd_finite_census, {"n_max": {**_REQ, "type": int}}),
     },
 }
 
+#: the flags of every command, which a call gives before its module or after
+#: its command
+SHARED = {"pretty": {"action": "store_true", "default": False,
+                     "help": "indent JSON output"},
+          "approx": {"type": int, "default": None, "metavar": "BITS",
+                     "help": "add decimal approximations at BITS precision"},
+          "seed": {"type": int, "default": 0, "help": "seed for randomized subcommands"}}
+
+
+def _option(flag):
+    return "--" + flag.replace("_", "-")
+
+
+def _defaults(flags):
+    return {f: kw.get("default") for f, kw in flags.items()}
+
+
+def _named(argv):
+    """The module argv names: its first token that names one, else None."""
+    return next((t for t in argv if t in COMMANDS), None)
+
+
+def _options(module):
+    """Every option a call of `module` can name (help, the shared flags and
+    the flags of each of its commands), mapped to whether it takes a value."""
+    flags = dict(SHARED)
+    for _, own in COMMANDS.get(module, {}).values():
+        flags.update(own)
+    return {"-h": False, "--help": False,
+            **{_option(f): kw.get("action") != "store_true" for f, kw in flags.items()}}
+
+
+def _is_option(tok, options):
+    """Whether tok, up to any '=', is one of `options` or an abbreviation
+    of one of its long options."""
+    name = tok.split("=", 1)[0]
+    if name.startswith("--"):
+        return any(o.startswith(name) for o in options)
+    return name[:2] in options
+
+
+def _read_flags(argv, i, flags, options, out):
+    """Read the tokens of argv from i on that start with '-' as options of
+    `flags` (name -> keyword arguments) into `out`; the index of the first
+    token that does not, or None for a token that names no option of
+    `flags` in full or by a unique prefix (help among them), or whose value
+    is missing or bad.  A value is the rest of the token after '=', else
+    the next token; one that starts with '-' must follow the exact name of
+    its option and be none of `options`, nor abbreviate one, as for
+    _attach_values."""
+    table = {_option(f): f for f in flags}
+    while i < len(argv) and argv[i].startswith("-"):
+        name, eq, value = argv[i].partition("=")
+        option = name
+        if name not in table and name.startswith("--"):
+            hits = [o for o in table if o.startswith(name)]
+            option = hits[0] if len(hits) == 1 else None
+        flag = table.get(option)
+        if flag is None:
+            return None
+        kw = flags[flag]
+        if kw.get("action") == "store_true":
+            if eq:
+                return None
+            value = True
+        elif not eq:
+            if i + 1 == len(argv):
+                return None
+            i, value = i + 1, argv[i + 1]
+            if value.startswith("-") and (name != option or _is_option(value, options)):
+                return None
+        if kw.get("type") is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        out[flag] = value
+        i += 1
+    return i
+
+
+def _read(argv):
+    """The namespace argparse gives argv, read straight from COMMANDS for a
+    call of the form [shared flags] module command [flags], where the flags
+    after the command are its own and the shared ones.  A flag is named in
+    full or by a unique prefix, with its value after '=' or in the next
+    token, and the last of a repeated flag wins, as in argparse.  None for
+    anything else: help, every usage error, a shared flag between the module
+    and the command, '--', and a value that starts with '-' after a prefix.
+    For those argparse reads argv (_parse)."""
+    module = _named(argv)
+    options = _options(module)
+    args = _defaults(SHARED)
+    i = _read_flags(argv, 0, SHARED, options, args)
+    if i is None or argv[i:i + 1] != [module] or i + 1 == len(argv) \
+            or argv[i + 1] not in COMMANDS[module]:
+        return None
+    fn, flags = COMMANDS[module][argv[i + 1]]
+    args.update(module=module, cmd=argv[i + 1], fn=fn, **_defaults(flags))
+    if _read_flags(argv, i + 2, {**SHARED, **flags}, options, args) != len(argv) \
+            or any(kw.get("required") and args[f] is None for f, kw in flags.items()) \
+            or all(args.get(f) is not None for f in _SOURCE) \
+            or (args["approx"] is not None and args["approx"] < 0):
+        return None
+    return types.SimpleNamespace(**args)
+
 
 def _build_parser(argv):
-    """The parser for argv and its options, each mapped to whether it takes
-    a value: every module, and the commands of the module that argv names
-    only (argparse descends into that one alone).  The module is argv's
-    first token that names one; only the shared flags and their values can
-    precede it, and a module name read as a flag's value is a usage error
-    of the top-level parser before any module is entered."""
-    options = {"-h": False, "--help": False}
-
-    def add(parser, flag, **kw):
-        options[flag] = parser.add_argument(flag, **kw).nargs != 0
-
+    """The argparse parser for argv, the path of help, of every usage error
+    and of any other argv that _read declines.  It holds every module, and
+    the command parsers of the module that argv names only (argparse
+    descends into that one alone); only the shared flags and their values
+    can precede the module, and a module name read as a flag's value is a
+    usage error of the top-level parser before any module is entered."""
+    import argparse
     common = argparse.ArgumentParser(add_help=False)
-    add(common, "--pretty", action="store_true",
-        default=argparse.SUPPRESS, help="indent JSON output")
-    add(common, "--approx", type=int, metavar="BITS",
-        default=argparse.SUPPRESS, help="add decimal approximations at BITS precision")
-    add(common, "--seed", type=int, default=argparse.SUPPRESS,
-        help="seed for randomized subcommands")
+    for flag, kw in SHARED.items():
+        common.add_argument(_option(flag), **{**kw, "default": argparse.SUPPRESS})
     ap = argparse.ArgumentParser(prog="rotagraph", parents=[common],
                                  description="exact unit-distance graph toolkit")
     top = ap.add_subparsers(dest="module", required=True)
-    named = next((t for t in argv if t in COMMANDS), None)
+    named = _named(argv)
     for module, commands in COMMANDS.items():
         mp = top.add_parser(module)
         if module != named:
@@ -425,15 +528,25 @@ def _build_parser(argv):
         cmds = mp.add_subparsers(dest="cmd", required=True)
         for name, (fn, flags) in commands.items():
             p = cmds.add_parser(name, parents=[common])
+            source = p.add_mutually_exclusive_group() if _SOURCE.keys() <= flags.keys() \
+                else p
             for flag, kw in flags.items():
-                add(p, "--" + flag.replace("_", "-"), **kw)
+                (source if flag in _SOURCE else p).add_argument(_option(flag), **kw)
             p.set_defaults(fn=fn)
-            if fn is cmd_finite_conjgraph:
-                source = p.add_mutually_exclusive_group()
-                add(source, "--table", default=None,
-                    help="row-major multiplication table JSON")
-                add(source, "--group", default=None)
-    return ap, options
+    return ap
+
+
+def _parse(argv):
+    """argv read by argparse (_build_parser): the namespace, or SystemExit
+    after help (0) or a usage error (2)."""
+    ap = _build_parser(argv)
+    # the shared flags use SUPPRESS defaults so they work on either side of
+    # the subcommand; the namespace holds their real defaults
+    args = ap.parse_args(_attach_values(argv, _options(_named(argv))),
+                         types.SimpleNamespace(**_defaults(SHARED)))
+    if args.approx is not None and args.approx < 0:
+        ap.error(f"approximation BITS must not be negative, got {args.approx}")
+    return args
 
 
 def _attach_values(argv, options):
@@ -441,16 +554,10 @@ def _attach_values(argv, options):
     --flag=value when that token starts with '-' but is none of the
     parser's options nor an abbreviation of one, such as the coefficients
     -5,1, which argparse would take for an unknown option."""
-    def is_option(tok):
-        name = tok.split("=", 1)[0]
-        if name.startswith("--"):
-            return any(o.startswith(name) for o in options)
-        return name[:2] in options
-
     out, i = [], 0
     while i < len(argv):
         tok, value = argv[i], argv[i + 1] if i + 1 < len(argv) else ""
-        if options.get(tok) and value.startswith("-") and not is_option(value):
+        if options.get(tok) and value.startswith("-") and not _is_option(value, options):
             tok = f"{tok}={value}"
             i += 1
         out.append(tok)
@@ -500,13 +607,7 @@ def main(argv=None):
 def _main(argv):
     # restore interruptibility even when spawned with SIGINT ignored
     _on_sigint(signal.default_int_handler)
-    ap, options = _build_parser(argv)
-    # the shared flags use SUPPRESS defaults so they work on either side of
-    # the subcommand; the namespace holds their real defaults
-    args = ap.parse_args(_attach_values(argv, options),
-                         argparse.Namespace(pretty=False, seed=0, approx=None))
-    if args.approx is not None and args.approx < 0:
-        ap.error(f"approximation BITS must not be negative, got {args.approx}")
+    args = _read(argv) or _parse(argv)
     # SIGINT before the answer is rendered cancels it (exit 130); once the
     # text is fixed SIGINT is ignored, so the answer is printed whole and the
     # exit code stands

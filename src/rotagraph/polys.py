@@ -372,8 +372,8 @@ CERT_PRIMES = _primes_below(2048)
 SQRT_LIFT_BITS = 4096
 
 #: good primes (see _good_primes) that a certificate reads before it gives
-#: up and falls back to factorisation; full_degree reads on while one side
-#: was irreducible at one of them
+#: up and falls back to factorisation; full_degree reads on, to 8 times as
+#: many, while one side was irreducible at one of them
 GOOD_PRIMES = 16
 
 
@@ -622,10 +622,11 @@ def full_degree(m1, m2):
     lifts to the p-adic integers and embeds Q(t1) in the unramified
     extension of Q_p of degree f, whose residue field F_(p^f) keeps the
     first polynomial irreducible; a factorisation of it over Q(t1) would
-    reduce to one over F_(p^f).  False when no prime in CERT_PRIMES shows
-    it: at once for m1 == m2 (a field of degree n^2 at most), and after
-    GOOD_PRIMES good primes if neither side was irreducible at any of them
-    (as for one field reached twice whose Galois group has no n-cycle)."""
+    reduce to one over F_(p^f).  False when no prime shows it: at once for
+    m1 == m2 (a field of degree n^2 at most), after GOOD_PRIMES good primes
+    if neither side was irreducible at any of them (as for one field reached
+    twice whose Galois group has no n-cycle), else after 8 * GOOD_PRIMES.
+    A False only sends the caller to factorisation."""
     n1, n2 = degree(m1), degree(m2)
     if gcd(n1, n2) == 1:
         return True
@@ -635,7 +636,7 @@ def full_degree(m1, m2):
         return False
     (small, ns), (big, nb) = sorted(((m1, n1), (m2, n2)), key=lambda e: e[1])
     inert = False
-    for good, (p, parts) in enumerate(_good_primes(small), 1):
+    for good, (p, parts) in enumerate(islice(_good_primes(small), 8 * GOOD_PRIMES), 1):
         ds, db = _degrees(parts), None
         # the small side must be irreducible or offer a degree prime to nb
         if ds == [ns] or any(gcd(f, nb) == 1 for f in ds):

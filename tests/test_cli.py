@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -8,7 +10,11 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from rotagraph import cli
+from rotagraph.errors import RotagraphError
 
 CLI = [sys.executable, "-m", "rotagraph.cli"]
 # the CLI runs in a child process, which imports the package from this checkout
@@ -477,7 +483,10 @@ def test_every_command_is_reachable_and_listed(capsys):
         assert set(cli.COMMANDS) <= names(out + err), argv
 
 
-def test_a_call_builds_the_command_parsers_of_its_module_only(monkeypatch, capsys):
+def test_only_help_and_usage_errors_build_argparse_parsers(monkeypatch, capsys):
+    """A well-formed call is read from COMMANDS and builds no parser;
+    help builds the top-level parsers, and a usage error inside a module
+    the command parsers of that module only."""
     progs = []
     init = argparse.ArgumentParser.__init__
 
@@ -486,21 +495,22 @@ def test_a_call_builds_the_command_parsers_of_its_module_only(monkeypatch, capsy
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    for argv, module, built in ((["field", "eval", "--expr", "1"], "field", 11),
-                                (["finite", "cf", "--group", "(0 1)"], "finite", 15),
-                                (["--help"], None, 7)):
+    for argv, code, built in ((["field", "eval", "--expr", "1"], 0, 0),
+                              (["finite", "cf", "--group", "(0 1)"], 0, 0),
+                              (["--help"], 0, 7),
+                              (["field", "eval", "--expr", "1", "extra"], 2, 11)):
         progs.clear()
-        main_exit(capsys, argv)
+        assert main_exit(capsys, argv)[0] == code, argv
         assert len(progs) == built, argv
         commands = [p for p in progs if p and len(p.split()) == 3]
-        assert all(p.split()[1] == module for p in commands), argv
-    # with no argv, main reads sys.argv once, for the builder and the parse
+        assert all(p.split()[1] == "field" for p in commands), argv
+    # with no argv, main reads sys.argv
     monkeypatch.setattr(sys, "argv", ["rotagraph", "plane", "dist",
                                       "--p", "1,0,0", "--q", "4/5,3/5,0"])
     progs.clear()
     handler = signal.getsignal(signal.SIGINT)
     try:
-        assert cli.main() == 0 and len(progs) == 12
+        assert cli.main() == 0 and not progs
     finally:    # a sys.argv call ignores SIGINT until its process exits
         signal.signal(signal.SIGINT, handler)
     assert capsys.readouterr().out == '{"cos_d": "4/5"}\n'
@@ -540,3 +550,172 @@ def test_an_in_process_call_keeps_the_sigint_handler(capsys):
                 assert signal.getsignal(signal.SIGINT) is handler, argv
     finally:
         signal.signal(signal.SIGINT, saved)
+
+
+# -- the reader against argparse --------------------------------------------
+
+READER_SETTINGS = settings(derandomize=True, max_examples=400, deadline=None,
+                           database=None)
+
+# values for flags that take one, those that start with '-' apart
+PLAIN = ("1", "sqrt(2)", "(0 1 2)", "", "field", "x y", "1/2", "3")
+DASHED = ("-1/2", "-5,1", "-", "-3", "--pretty", "--p", "--e", "--x y", "-h", "-x=1",
+          "--ex=1")
+INTS = ("3", "0", "-2", " 4 ", "1_0", "x", "")
+
+
+def _argparse_vars(argv):
+    """vars() of the namespace argparse gives argv, None on SystemExit."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            return vars(cli._parse(argv))
+    except SystemExit:
+        return None
+
+
+@st.composite
+def flag_tokens(draw, flag, kw, documented):
+    """The tokens of one flag: its exact name or a prefix of it, with its
+    value after '=' or in the next token.  A documented call gives a value
+    that starts with '-' in the next token after the exact name only."""
+    option = cli._option(flag)
+    name = draw(st.sampled_from([option] * 3 + [option[:k] for k in range(3, len(option))]))
+    if kw.get("action") == "store_true":
+        return [draw(st.sampled_from([name] * 4 + [name + "=", name + "=x"]))]
+    value = draw(st.sampled_from(INTS if kw.get("type") is int else PLAIN + DASHED))
+    if draw(st.booleans()) or (documented and name != option and value.startswith("-")):
+        return [f"{name}={value}"]
+    return [name, value]
+
+
+@st.composite
+def cli_argvs(draw, documented):
+    """argv of [shared flags] module command [flags], with repeats, unknown
+    and missing flags, ambiguous prefixes, bad values and stray tokens; a
+    call that is not documented may also get a flag of another command, a
+    value that starts with '-' after a prefix, '--', help or a shared flag
+    between the module and the command."""
+    module = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    command = draw(st.sampled_from(sorted(cli.COMMANDS[module])))
+    flags = {**cli.SHARED, **cli.COMMANDS[module][command][1]}
+    names = [f for f, kw in flags.items() if kw.get("required") and draw(st.integers(0, 7))]
+    names += draw(st.lists(st.sampled_from(sorted(flags)), max_size=3))
+    if not documented and draw(st.booleans()):
+        others = {f: kw for commands in cli.COMMANDS.values()
+                  for _, own in commands.values() for f, kw in own.items()}
+        flags = {**others, **flags}
+        names.append(draw(st.sampled_from(sorted(others))))
+    tokens = [t for f in draw(st.permutations(names))
+              for t in draw(flag_tokens(f, flags[f], documented))]
+    lead = [t for f in draw(st.lists(st.sampled_from(sorted(cli.SHARED)), max_size=2))
+            for t in draw(flag_tokens(f, cli.SHARED[f], documented))]
+    argv = lead + [module, command] + tokens
+    stray = ["x", "--bogus", "--bogus=1", "bogus"] + \
+        ([] if documented else ["--", "-h", "--he", "--pretty", "--approx=3"])
+    tok = draw(st.sampled_from([None] * len(stray) * 2 + stray))
+    if tok is not None:
+        argv.insert(draw(st.integers(0, len(argv))), tok)
+    return argv
+
+
+@READER_SETTINGS
+@given(cli_argvs(documented=False))
+def test_the_reader_takes_what_argparse_takes(argv):
+    """Every argv the reader takes, argparse takes to the same namespace."""
+    read = cli._read(argv)
+    if read is not None:
+        assert vars(read) == _argparse_vars(argv), argv
+
+
+@READER_SETTINGS
+@given(cli_argvs(documented=True))
+def test_argparse_takes_what_the_reader_takes(argv):
+    """Over the forms the reader documents, it takes every argv that
+    argparse takes, to the same namespace."""
+    read = cli._read(argv)
+    assert (read and vars(read)) == _argparse_vars(argv), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["field", "--pretty", "eval", "--expr", "1"],
+    ["field", "eval", "--expr", "1", "--"],
+    ["field", "eval", "--ex", "-1"],
+    ["finite", "conjgraph", "--group", "(0 1)", "--table", "[[0]]", "--g1", "1", "--g3", "0"],
+    ["--approx", "-1", "field", "eval", "--expr", "1"],
+    ["field", "eval", "--expr", "1", "--pretty="],
+    ["finite", "conjgraph", "--g", "1", "--g3", "0", "--group", "(0 1)"],
+    ["field", "eval", "--he"],
+])
+def test_the_reader_declines(argv):
+    assert cli._read(argv) is None
+
+
+# -- the CLI contract on generated calls -------------------------------------
+
+CONTRACT_SETTINGS = settings(derandomize=True, max_examples=150, deadline=None,
+                             database=None)
+
+ERROR_CODES = {cls.code for cls in RotagraphError.__subclasses__()} \
+    - {"internal-inconsistency"}
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=5).map(str)
+scalars = st.one_of(rationals, st.integers(-3, 12).map(lambda k: f"sqrt({k})"),
+                    st.tuples(rationals, st.integers(2, 7)).map(lambda t: f"{t[0]}+sqrt({t[1]})"),
+                    st.sampled_from(["1/0", "sqrt(", "", "x"]))
+points = st.tuples(rationals, rationals, rationals).map(",".join)
+groups = st.sampled_from(["(0 1);(0 1 2)", "(0 1 2);(0 1)", "(0 1 2 3);(0 1)",
+                          "(0 1)(2 3);(0 2)(1 3)", "(0 1", "()", ""])
+
+
+@st.composite
+def contract_argvs(draw):
+    """A cheap call: an expression, a comparison, a distance of rational
+    points, or Cauchy-Frobenius or Jordan on S3 and S4; perhaps with a
+    shared flag, and a value replaced, a flag dropped or one made up."""
+    kind = draw(st.sampled_from(["eval", "compare", "dist", "cf", "jordan"]))
+    if kind == "eval":
+        argv = ["field", "eval", "--expr", draw(scalars)]
+    elif kind == "compare":
+        argv = ["field", "compare", "--a", draw(scalars), "--b", draw(scalars)]
+    elif kind == "dist":
+        argv = ["plane", "dist", "--p", draw(points), "--q", draw(points)]
+    else:
+        argv = ["finite", kind, "--group", draw(groups)] + draw(st.sampled_from(
+            [[], [], ["--degree", "5"], ["--degree", "-1"]]))
+    argv += draw(st.sampled_from([[]] * 4 + [["--pretty"], ["--approx", "8"],
+                                             ["--approx", "-1"], ["--seed", "x"]]))
+    mutation = draw(st.sampled_from([None] * 6 + ["value", "drop", "bogus"]))
+    if mutation == "value":
+        argv[3] = draw(st.sampled_from(["--pretty", "-5,1", "{", "[1]", "1,2", "-"]))
+    elif mutation == "drop":
+        del argv[2:4]
+    elif mutation == "bogus":
+        argv.append("--bogus")
+    return argv
+
+
+@CONTRACT_SETTINGS
+@given(contract_argvs())
+def test_generated_calls_keep_the_cli_contract(argv):
+    """One JSON object on stdout with exit 0 or 1 (an error object from the
+    documented codes for 1), nothing on stdout with exit 2, no traceback,
+    and SIGINT's handler as the call found it."""
+    handler = signal.getsignal(signal.SIGINT)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:
+            code = e.code
+    assert signal.getsignal(signal.SIGINT) is handler, argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 2:
+        assert not out.getvalue() and "usage:" in err.getvalue(), argv
+        return
+    assert code in (0, 1), argv
+    obj = json.loads(out.getvalue())    # one JSON object, nothing after it
+    assert isinstance(obj, dict), argv
+    assert ("error" in obj) == (code == 1), argv
+    if code == 1:
+        assert obj["error"] in ERROR_CODES, argv

@@ -160,6 +160,7 @@ DEFERRED_IMPORTS = {
     ("cli", "_import_layers", "from . import elliptic"),
     ("cli", "_import_layers", "from . import isometry"),
     ("cli", "_import_layers", "from . import graph"),
+    ("cli", "_build_parser", "import argparse"),
 }
 
 
@@ -262,8 +263,9 @@ def test_geometry_never_loads_sympy():
     assert _python(GEOMETRY_RUN) == "False"
 
 
-WATCHED = ("fractions", "rotagraph.algebraic", "rotagraph.elliptic", "rotagraph.expr",
-           "rotagraph.finite", "rotagraph.graph", "rotagraph.isometry", "rotagraph.polys")
+WATCHED = ("argparse", "fractions", "rotagraph.algebraic", "rotagraph.elliptic",
+           "rotagraph.expr", "rotagraph.finite", "rotagraph.graph", "rotagraph.isometry",
+           "rotagraph.polys")
 
 CLI_CALL = """
 import contextlib, io, sys
@@ -287,15 +289,16 @@ def _call_imports(argv):
 
 
 def test_cli_call_import_sets():
-    """Help at each level and a usage error load no layer; a finite call
-    loads finite and, for its average, fractions; the other modules load
-    the kernel and their own layers only."""
+    """Help at each level and a usage error load argparse and no layer; an
+    answered call loads no argparse, a finite one finite and, for its
+    average, fractions, and the other modules the kernel and their own
+    layers only."""
     group = ["--group", "(0 1 2 3);(0 1)"]
     for argv, want in (
-            (["--help"], (0, set())),
-            (["finite", "--help"], (0, set())),
-            (["finite", "cf", "--help"], (0, set())),
-            (["finite", "bogus"], (2, set())),
+            (["--help"], (0, {"argparse"})),
+            (["finite", "--help"], (0, {"argparse"})),
+            (["finite", "cf", "--help"], (0, {"argparse"})),
+            (["finite", "bogus"], (2, {"argparse"})),
             (["finite", "jordan", *group], (0, {"rotagraph.finite"})),
             (["finite", "subgroups", *group], (0, {"rotagraph.finite"})),
             (["finite", "census", "--n-max", "4"], (0, {"rotagraph.finite"})),

@@ -384,6 +384,27 @@ def test_composed_certificate_negative_cases():
     assert seen == []
 
 
+def test_full_degree_no_reads_a_bounded_number_of_good_primes():
+    """A no where one side stays irreducible at some prime, here sqrt 6
+    inside Q(sqrt 2 + sqrt 3), stops after 8 * GOOD_PRIMES good primes
+    rather than reading all of CERT_PRIMES."""
+    sd4 = polys.cand_sum((-2, 0, 1), (-3, 0, 1))
+    good, original = [], polys._ddf
+
+    def spy(c, p):
+        parts = original(c, p)
+        if c == (-6, 0, 1) and parts is not None:
+            good.append(p)
+        return parts
+
+    polys._ddf = spy
+    try:
+        assert not polys.full_degree.__wrapped__(sd4, (-6, 0, 1))
+    finally:
+        polys._ddf = original
+    assert len(good) == 8 * polys.GOOD_PRIMES
+
+
 def test_full_degree_of_two_quadratics_reads_their_discriminants():
     """Two quadratic fields have a compositum of degree 4 exactly when the
     product of their discriminants is no square (a negative one never is),
