@@ -10,11 +10,19 @@ top: once argv is read, a call imports the layers of its module alone
 (`_import_layers`), so help and usage errors load none, and a finite call
 loads no algebraic kernel.
 
-Exit codes: 0 success, 1 domain error (JSON error object on stdout),
-2 usage error, 130 interrupted.
+A process of its own, `python -m rotagraph.cli` or the `rotagraph`
+console script, ends through `run`: once the answer is written it flushes
+stdout and stderr and calls `os._exit`, so the interpreter does not tear
+down the modules and objects the call loaded, and no atexit handler, weakref
+finalizer or `__del__` runs (the package defines none).  `main` returns the
+exit code to a caller in-process.
+
+Exit codes: 0 success, 1 domain error (JSON error object on stdout) or an
+answer stdout could not take, 2 usage error, 130 interrupted.
 """
 
 import json
+import os
 import random
 import re
 import signal
@@ -514,11 +522,18 @@ def _build_parser(argv):
     can precede the module, and a module name read as a flag's value is a
     usage error of the top-level parser before any module is entered."""
     import argparse
+
+    class Parser(argparse.ArgumentParser):     # its subparsers take its class
+        def print_help(self, file=None):
+            # argparse drops a failed write of help; this one raises it, so
+            # that `run` sees a stdout that cannot take the text
+            print(self.format_help(), end="", file=file)
+
     common = argparse.ArgumentParser(add_help=False)
     for flag, kw in SHARED.items():
         common.add_argument(_option(flag), **{**kw, "default": argparse.SUPPRESS})
-    ap = argparse.ArgumentParser(prog="rotagraph", parents=[common],
-                                 description="exact unit-distance graph toolkit")
+    ap = Parser(prog="rotagraph", parents=[common],
+                description="exact unit-distance graph toolkit")
     top = ap.add_subparsers(dest="module", required=True)
     named = _named(argv)
     for module, commands in COMMANDS.items():
@@ -590,10 +605,12 @@ def _on_sigint(handler):
 
 
 def main(argv=None):
-    """Run one call.  A call given argv, from within a program, leaves the
-    SIGINT handler as it found it, also when argparse exits (SystemExit); one
-    that reads sys.argv, a process of its own, ignores SIGINT from the moment
-    its answer is fixed until the process exits."""
+    """Run one call and return its exit code; help and usage errors raise
+    argparse's SystemExit.  A call given argv, from within a program, leaves
+    the SIGINT handler as it found it, also when argparse exits; one that
+    reads sys.argv, a process of its own, ignores SIGINT from the moment its
+    answer is fixed until the process exits.  Such a process ends through
+    `run`, with no interpreter teardown."""
     if argv is None:
         return _main(sys.argv[1:])
     handler = signal.getsignal(signal.SIGINT)
@@ -619,9 +636,38 @@ def _main(argv):
         _on_sigint(signal.SIG_IGN)
         text, code = _dumps({"error": "interrupted",
                              "detail": "cancelled before completion"}, args), 130
-    sys.stdout.write(text + "\n")
+    print(text)     # prints nothing when fd 1 was closed (sys.stdout is None)
     return code
 
 
+def _flushed(stream):
+    """Whether stream took all that was written to it: False when its reader
+    has gone, or when it is None (its descriptor was closed at start-up)."""
+    try:
+        stream.flush()
+    except (AttributeError, OSError):
+        return False
+    return True
+
+
+def run():
+    """The process entry of `python -m rotagraph.cli` and of the console
+    script: main over sys.argv, with argparse's exit code for help (0) and
+    usage errors (2), then stdout and stderr flushed and `os._exit`, which
+    skips the interpreter's teardown.  A call whose stdout cannot take its
+    output exits 1, with no traceback; a usage error writes to stderr alone
+    and keeps exit 2."""
+    try:
+        code = main()
+    except SystemExit as e:
+        code = e.code
+    except OSError:     # writing the answer or help, the one I/O of a call
+        code = 1
+    if not _flushed(sys.stdout) and code != 2:
+        code = 1
+    _flushed(sys.stderr)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

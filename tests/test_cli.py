@@ -552,6 +552,76 @@ def test_an_in_process_call_keeps_the_sigint_handler(capsys):
         signal.signal(signal.SIGINT, saved)
 
 
+# -- the process entry -------------------------------------------------------
+
+# the two ways a process enters the CLI, both through cli.run: the module
+# run as a script, and the console script that pip installs
+ENTRIES = {"-m": CLI,
+           "console script": [sys.executable, "-c", "from rotagraph.cli import run; run()"]}
+# an answer of each module from the golden transcripts (one with --approx),
+# a 42 KB answer, help at two levels, two usage errors and a domain error
+ENTRY_ARGVS = [
+    ["field", "eval", "--expr", "(1+sqrt(2))/(3-sqrt(2))", "--approx", "53"],
+    ["plane", "dist", "--p", "1,0,0", "--q", "4/5,3/5,0"],
+    ["iso", "fixed-point", "--matrix", "[[1,2,0],[0,1,3],[1,0,1]]"],
+    ["graph", "diameter", "--cos-l", "4/5"],
+    ["finite", "jordan", "--group", "(1 3);(4 2 0 3 1)"],
+    ["finite", "census", "--n-max", "6"],
+    ["--help"],
+    ["finite", "--help"],
+    ["nonsense"],
+    ["graph", "diameter"],
+    ["plane", "equidistant", "--p", "1,0,0", "--q", "0,1,0", "--cos-l", "9/10"],
+]
+
+
+@pytest.mark.parametrize("argv", ENTRY_ARGVS, ids=" ".join)
+def test_the_process_entry_prints_what_main_prints(argv, capsys):
+    """Through either entry a process prints main's stdout byte for byte and
+    exits with its code; help and usage errors also print its stderr."""
+    code, out, err = main_exit(capsys, argv)
+    for entry, cmd in ENTRIES.items():
+        proc = subprocess.run(cmd + argv, capture_output=True, env=ENV, timeout=60)
+        assert (proc.returncode, proc.stdout) == (code, out.encode()), (entry, argv)
+        if code != 1:
+            assert proc.stderr == err.encode(), (entry, argv)
+
+
+# an answer (9.7 KB, past the stdout buffer), a domain error, help and a
+# usage error, with the exit code each gives when stdout cannot take it
+CLOSED_STDOUT = ((["finite", "census", "--n-max", "5"], 1),
+                 (["field", "eval", "--expr", "1/0"], 1),
+                 (["--help"], 1),
+                 (["nonsense"], 2))
+
+
+@pytest.mark.parametrize("stdout", ["no reader", "no reader, unbuffered", "closed"])
+def test_a_stdout_that_cannot_take_the_output_exits_1(stdout):
+    """A pipe whose read end is closed, with PYTHONUNBUFFERED unset and set,
+    or a closed fd 1: exit 1 and nothing on stderr, neither a traceback nor
+    an 'Exception ignored' line; a usage error prints its usage, exit 2."""
+    env = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"}
+    if stdout.endswith("unbuffered"):
+        env["PYTHONUNBUFFERED"] = "1"
+    for argv, want in CLOSED_STDOUT:
+        if stdout == "closed":
+            cmd, fd = ["sh", "-c", 'exec "$@" >&-', "sh", *CLI, *argv], None
+        else:
+            cmd, (r, fd) = CLI + argv, os.pipe()
+            os.close(r)
+        try:
+            proc = subprocess.run(cmd, stdout=fd, stderr=subprocess.PIPE, text=True, env=env,
+                                  timeout=60)
+        finally:
+            if fd is not None:
+                os.close(fd)
+        assert proc.returncode == want, argv
+        if want == 2:
+            assert proc.stderr.startswith("usage: rotagraph"), argv
+        else:
+            assert proc.stderr == "", argv
+
+
 # -- the reader against argparse --------------------------------------------
 
 READER_SETTINGS = settings(derandomize=True, max_examples=400, deadline=None,
@@ -653,7 +723,7 @@ def test_the_reader_declines(argv):
 
 # -- the CLI contract on generated calls -------------------------------------
 
-CONTRACT_SETTINGS = settings(derandomize=True, max_examples=150, deadline=None,
+CONTRACT_SETTINGS = settings(derandomize=True, max_examples=400, deadline=None,
                              database=None)
 
 ERROR_CODES = {cls.code for cls in RotagraphError.__subclasses__()} \
@@ -666,20 +736,85 @@ scalars = st.one_of(rationals, st.integers(-3, 12).map(lambda k: f"sqrt({k})"),
 points = st.tuples(rationals, rationals, rationals).map(",".join)
 groups = st.sampled_from(["(0 1);(0 1 2)", "(0 1 2);(0 1)", "(0 1 2 3);(0 1)",
                           "(0 1)(2 3);(0 2)(1 3)", "(0 1", "()", ""])
+# JSON values that are no expression: a float, a bool, null, a list, an object
+ODD_JSON = (1.5, True, None, [1], {"x": 1})
+rational_entries = st.one_of(st.integers(-3, 3), rationals)
+entries = st.one_of(rational_entries,
+                    st.sampled_from(["sqrt(2)", "-sqrt(3)", "sqrt(3)/2", "1+sqrt(2)"]))
+
+
+@st.composite
+def matrices(draw):
+    """A 3x3 matrix of small ints, rational strings and sqrt(2)/sqrt(3)
+    entries as JSON, perhaps with an entry that is no expression, a row
+    too many or too few, a row too short, flat, a scalar, or cut short."""
+    pool = draw(st.sampled_from([rational_entries, entries]))
+    rows = [[draw(pool) for _ in range(3)] for _ in range(3)]
+    mutation = draw(st.sampled_from([None] * 5 + ["entry", "rows", "row", "flat", "scalar",
+                                                  "cut"]))
+    if mutation == "entry":
+        rows[draw(st.integers(0, 2))][draw(st.integers(0, 2))] = draw(st.sampled_from(
+            ODD_JSON + ("", "x", "1/0")))
+    elif mutation == "rows":
+        rows = rows[:draw(st.integers(0, 2))] if draw(st.booleans()) else rows + [rows[0]]
+    elif mutation == "row":
+        del rows[draw(st.integers(0, 2))][-1]
+    elif mutation == "flat":
+        rows = rows[0]
+    elif mutation == "scalar":
+        rows = draw(st.sampled_from(("5", *ODD_JSON)))
+    text = json.dumps(rows)
+    return text[:draw(st.integers(0, len(text) - 1))] if mutation == "cut" else text
+
+
+@st.composite
+def graphs(draw):
+    """Graph JSON on at most 5 vertices, perhaps with a loop, an index out
+    of range, an edge that is no pair, a key missing or one too many, or a
+    vertex count that is no count."""
+    n = draw(st.integers(0, 5))
+    vertex = st.integers(0, max(n - 1, 0))
+    obj = {"n": n, "edges": draw(st.lists(st.lists(vertex, min_size=2, max_size=2),
+                                          max_size=8))}
+    mutation = draw(st.sampled_from([None] * 4 + ["loop", "range", "pair", "missing",
+                                                  "extra", "n"]))
+    if mutation == "loop":
+        v = draw(vertex)
+        obj["edges"].append([v, v])
+    elif mutation == "range":
+        obj["edges"].append(draw(st.sampled_from([[0, n], [n + 3, 0], [-1, 0]])))
+    elif mutation == "pair":
+        obj["edges"].append(draw(st.sampled_from([[0], [0, 1, 2], [], "01", 0, [0, "1"],
+                                                  [0, 1.0], [0, True]])))
+    elif mutation == "missing":
+        del obj[draw(st.sampled_from(["n", "edges"]))]
+    elif mutation == "extra":
+        obj[draw(st.sampled_from(["x", "N", "vertices"]))] = draw(st.sampled_from(ODD_JSON))
+    elif mutation == "n":
+        obj["n"] = draw(st.sampled_from([-1, "3", 2.0, None, False, 10 ** 6]))
+    return json.dumps(obj)
 
 
 @st.composite
 def contract_argvs(draw):
     """A cheap call: an expression, a comparison, a distance of rational
-    points, or Cauchy-Frobenius or Jordan on S3 and S4; perhaps with a
-    shared flag, and a value replaced, a flag dropped or one made up."""
-    kind = draw(st.sampled_from(["eval", "compare", "dist", "cf", "jordan"]))
+    points, Cauchy-Frobenius or Jordan on S3 and S4, a fixed point or an
+    orthogonality check of a 3x3 matrix, or a rotary, automorphism or
+    bipartite check of a graph on at most 5 vertices; perhaps with a shared
+    flag, and a value replaced, a flag dropped or one made up."""
+    kind = draw(st.sampled_from(["eval", "compare", "dist", "cf", "jordan", "fixed-point",
+                                 "check-orthogonal", "rotary", "automorphisms",
+                                 "bipartite"]))
     if kind == "eval":
         argv = ["field", "eval", "--expr", draw(scalars)]
     elif kind == "compare":
         argv = ["field", "compare", "--a", draw(scalars), "--b", draw(scalars)]
     elif kind == "dist":
         argv = ["plane", "dist", "--p", draw(points), "--q", draw(points)]
+    elif kind in cli.COMMANDS["iso"]:
+        argv = ["iso", kind, "--matrix", draw(matrices())]
+    elif kind in ("rotary", "automorphisms", "bipartite"):
+        argv = ["finite", kind, "--graph", draw(graphs())]
     else:
         argv = ["finite", kind, "--group", draw(groups)] + draw(st.sampled_from(
             [[], [], ["--degree", "5"], ["--degree", "-1"]]))

@@ -628,6 +628,27 @@ def test_linear_combinations_take_no_add_chain(monkeypatch):
     iso._minor2_sum(m)
 
 
+def test_no_code_that_the_process_exit_skips():
+    """A CLI process ends by os._exit (cli.run), which runs no atexit
+    handler, weakref finalizer or __del__: the package has none of them."""
+    found = set()
+    for path in sorted(Path(iso.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found |= {(path.stem, a.name) for a in node.names if a.name == "atexit"}
+            elif isinstance(node, ast.ImportFrom):
+                if node.module == "atexit" or (node.module == "weakref" and any(
+                        a.name == "finalize" for a in node.names)):
+                    found.add((path.stem, node.module))
+            elif isinstance(node, ast.Attribute) and node.attr == "finalize" \
+                    and getattr(node.value, "id", None) == "weakref":
+                found.add((path.stem, "weakref.finalize"))
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and node.name == "__del__":
+                found.add((path.stem, "__del__"))
+    assert found == set()
+
+
 # module functions that Python itself calls (PEP 562), so nothing names them
 MODULE_HOOKS = {"__getattr__"}
 
