@@ -10,7 +10,10 @@ roots, rational angles), so a refactor of the geometry or the kernel
 cannot change what users see without failing here.  The `finite` calls
 (orbit counts, derangements, subgroup lattices, automorphisms, rotary
 checks, conjugation graphs, the census) print no algebraic numbers, so
-they run plain only.
+they run plain only.  So do the `--pretty` calls (an answer with nested
+objects and empty lists, one with decimals, a domain error) and the parse
+errors whose details carry quotes, backslashes, a control character and
+non-ASCII text, which pin the escapes of the JSON writer.
 
 After a deliberate change of output, re-record with
 `PYTHONPATH=src python tests/test_cli_golden.py` and review the diff.
@@ -141,8 +144,21 @@ FINITE_CALLS = [
     ["finite", "census", "--n-max", "4"],
     ["finite", "subgroups", "--group", "(0 1);(0 1 2 3 4 5 6)"],   # S7
 ]
+# indented output, and details that JSON must escape: a Latin-1 letter, a
+# quote and a backslash, a control character, a character past the BMP
+TEXT_CALLS = [
+    ["finite", "census", "--n-max", "2", "--pretty"],
+    ["plane", "equidistant", "--p", "1,0,0", "--q", "0,1,0", "--cos-l", "3/5",
+     "--pretty", "--approx", "20"],
+    ["field", "eval", "--expr", "1/0", "--pretty"],
+    ["field", "eval", "--expr", "\u00e9"],
+    ["field", "eval", "--expr", '"\\'],
+    ["field", "eval", "--expr", "\x01"],
+    ["field", "eval", "--expr", "1+\U0001f600"],
+    ["finite", "cf", "--group", "(0 \u00e9)"],
+]
 ARGVS = [argv + extra for argv in CALLS + FIELD_CALLS
-         for extra in ([], ["--approx", "53"])] + FINITE_CALLS
+         for extra in ([], ["--approx", "53"])] + FINITE_CALLS + TEXT_CALLS
 
 
 def test_cli_golden_transcripts(capsys):
