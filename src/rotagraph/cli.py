@@ -10,6 +10,12 @@ top: once argv is read, a call imports the layers of its module alone
 (`_import_layers`), so help and usage errors load none, and a finite call
 loads no algebraic kernel.
 
+The answer is JSON text written by `_encode`, in the bytes json.dumps gives
+it (ASCII only, two-space indents under --pretty), so json is imported only
+to read a JSON input (`_json`: a matrix, a graph, a group table or a JSON
+point).  SIGINT's handler is set through `_signal`, the interpreter's own
+module, which it loads before site; `signal` adds only enum wrappers to it.
+
 A process of its own, `python -m rotagraph.cli` or the `rotagraph`
 console script, ends through `run`: once the answer is written it flushes
 stdout and stderr and calls `os._exit`, so the interpreter does not tear
@@ -21,11 +27,10 @@ Exit codes: 0 success, 1 domain error (JSON error object on stdout) or an
 answer stdout could not take, 2 usage error, 130 interrupted.
 """
 
-import json
+import _signal
 import os
 import random
 import re
-import signal
 import sys
 import types
 
@@ -88,9 +93,70 @@ def _render(obj, bits):
     return obj
 
 
+#: the control characters JSON text writes with a short escape
+_SHORT_ESCAPES = {"\b": "\\b", "\t": "\\t", "\n": "\\n", "\f": "\\f", "\r": "\\r"}
+
+
+def _escape(c):
+    """A character outside printable ASCII as JSON text escapes it: one of
+    the short escapes, else \\u and four lowercase hex digits, a surrogate
+    pair above the BMP."""
+    if c in _SHORT_ESCAPES:
+        return _SHORT_ESCAPES[c]
+    n = ord(c)
+    if n < 0x10000:
+        return f"\\u{n:04x}"
+    n -= 0x10000
+    return f"\\u{0xd800 | n >> 10:04x}\\u{0xdc00 | n & 0x3ff:04x}"
+
+
+def _string(s):
+    """s as a JSON string, escaped as json.dumps escapes it."""
+    s = s.replace("\\", "\\\\").replace('"', '\\"')
+    if not (s.isascii() and s.isprintable()):
+        s = "".join(c if " " <= c <= "~" else _escape(c) for c in s)
+    return f'"{s}"'
+
+
+def _encode(obj, indent=None, level=0):
+    """The JSON text of obj, a tree of str, int, bool, None, list, tuple and
+    dict values: the bytes of json.dumps(obj, indent=indent), ASCII only,
+    keys that are int, bool or None written as strings.  TypeError for any
+    other value or key, a float among them."""
+    if isinstance(obj, str):
+        return _string(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, dict):
+        items = []
+        for k, v in obj.items():
+            if not isinstance(k, (str, int, type(None))):
+                raise TypeError(f"keys must be str, int, bool or None, not {type(k).__name__}")
+            key = k if isinstance(k, str) else _encode(k)
+            items.append(f"{_string(key)}: {_encode(v, indent, level + 1)}")
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)):
+        items = [_encode(v, indent, level + 1) for v in obj]
+        brackets = "[]"
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    if indent is None:
+        return brackets[0] + ", ".join(items) + brackets[1]
+    inner = "\n" + " " * (indent * (level + 1))
+    return (brackets[0] + inner + ("," + inner).join(items)
+            + "\n" + " " * (indent * level) + brackets[1])
+
+
 def _dumps(obj, args):
-    return json.dumps(_render(obj, args.approx), indent=2 if args.pretty else None,
-                      sort_keys=False)
+    return _encode(_render(obj, args.approx), 2 if args.pretty else None)
 
 
 def _run(args):
@@ -102,12 +168,13 @@ def _run(args):
         return _dumps(args.fn(args), args), 0
     except RotagraphError as e:
         return _dumps({"error": e.code, "detail": str(e)}, args), 1
-    except (ValueError, KeyError, json.JSONDecodeError) as e:
+    except (ValueError, KeyError) as e:     # json.JSONDecodeError among them
         return _dumps({"error": "parse-error", "detail": str(e)}, args), 1
 
 
 def _json(text):
     """JSON input, its integers read as expression literals are."""
+    import json     # only the calls that take JSON input load it
     return json.loads(text, parse_int=read_int)
 
 
@@ -132,7 +199,7 @@ def _parse_group(text, degree=None):
         raise ParseError("empty generator list")
     # every index read as expression literals are, so one past Python's
     # digit limit is bound-exceeded
-    indices = [read_int(t) for t in re.findall(r"\d+", text)]
+    indices = [read_int(t) for t in re.findall(r"[0-9]+", text)]
     if degree is None:
         degree = 1 + max(indices, default=0)
     gens = [finite.Permutation.from_cycles(p, degree) for p in parts]
@@ -599,7 +666,7 @@ def _import_layers(module):
 
 def _on_sigint(handler):
     try:
-        signal.signal(signal.SIGINT, handler)
+        _signal.signal(_signal.SIGINT, handler)
     except ValueError:
         pass  # not the main thread
 
@@ -613,7 +680,7 @@ def main(argv=None):
     `run`, with no interpreter teardown."""
     if argv is None:
         return _main(sys.argv[1:])
-    handler = signal.getsignal(signal.SIGINT)
+    handler = _signal.getsignal(_signal.SIGINT)
     try:
         return _main(list(argv))
     finally:
@@ -623,7 +690,7 @@ def main(argv=None):
 
 def _main(argv):
     # restore interruptibility even when spawned with SIGINT ignored
-    _on_sigint(signal.default_int_handler)
+    _on_sigint(_signal.default_int_handler)
     args = _read(argv) or _parse(argv)
     # SIGINT before the answer is rendered cancels it (exit 130); once the
     # text is fixed SIGINT is ignored, so the answer is printed whole and the
@@ -631,9 +698,9 @@ def _main(argv):
     try:
         _import_layers(args.module)
         text, code = _run(args)
-        _on_sigint(signal.SIG_IGN)
+        _on_sigint(_signal.SIG_IGN)
     except KeyboardInterrupt:
-        _on_sigint(signal.SIG_IGN)
+        _on_sigint(_signal.SIG_IGN)
         text, code = _dumps({"error": "interrupted",
                              "detail": "cancelled before completion"}, args), 130
     print(text)     # prints nothing when fd 1 was closed (sys.stdout is None)

@@ -65,11 +65,15 @@ def read_int(text):
     """int(text), for the integer literals of expressions, JSON, cycle
     notation and coefficient lists; BoundExceededError for a well-formed
     literal past Python's limit on the digits of a string converted to an
-    int (where int() raises ValueError, as it does for a malformed one)."""
+    int (where int() raises ValueError, as it does for a malformed one).
+    A literal is ASCII: ValueError for the digits of other scripts, which
+    int() reads."""
+    if not text.isascii():
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
     try:
         return int(text)
     except ValueError:
-        if not re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", text):
+        if not re.fullmatch(r"\s*[+-]?[0-9]+(_[0-9]+)*\s*", text):
             raise
         digits = sum(c.isdigit() for c in text)
         raise BoundExceededError(

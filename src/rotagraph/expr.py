@@ -5,9 +5,9 @@
     poly   := comma-separated ascending integer coefficients
     index  := 0-based position in the ascending list of real roots
 
-Rationals are written p/q or as plain integers.  Every AlgReal serialises
-back into this grammar (rationals as p/q, irrationals as root(...)), so
-values round-trip exactly.
+Rationals are written p/q or as plain integers, whose digits are ASCII
+0-9.  Every AlgReal serialises back into this grammar (rationals as p/q,
+irrationals as root(...)), so values round-trip exactly.
 """
 
 import re
@@ -21,7 +21,9 @@ from .errors import BoundExceededError, ParseError, read_int
 #: keeps the recursive descent far from Python's recursion limit
 _MAX_DEPTH = 100
 
-_TOKEN = re.compile(r"\s*(sqrt|root|\d+|[()+\-*/,])")
+#: an integer literal is ASCII digits: \d would also take the digits of
+#: other scripts, which int() reads
+_TOKEN = re.compile(r"\s*(sqrt|root|[0-9]+|[()+\-*/,])")
 
 
 def _tokenize(text):

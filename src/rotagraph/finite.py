@@ -71,8 +71,9 @@ class Permutation:
         if n > MAX_DEGREE:
             raise BoundExceededError(f"degree {n} exceeds the bound {MAX_DEGREE}")
         text = text.strip()
-        # one reading per string: a digit starts each cycle's body
-        if not re.fullmatch(r"(\(\s*(\d[\d\s,]*)?\))+", text):
+        # one reading per string: a digit starts each cycle's body, and a
+        # digit is ASCII 0-9
+        if not re.fullmatch(r"(\(\s*([0-9][0-9\s,]*)?\))+", text):
             raise ParseError(f"bad cycle notation: {text!r}")
         images = list(range(n))
         for cyc in re.findall(r"\(([^()]*)\)", text):

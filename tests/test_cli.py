@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rotagraph import cli
-from rotagraph.errors import RotagraphError
+from rotagraph.errors import RotagraphError, read_int
 
 CLI = [sys.executable, "-m", "rotagraph.cli"]
 # the CLI runs in a child process, which imports the package from this checkout
@@ -367,6 +367,29 @@ def test_cycle_index_too_long_to_read_is_bound_exceeded():
         assert proc.returncode == 1 and "Traceback" not in proc.stderr, cmd
         assert proc.stdout == ('{"error": "bound-exceeded", '
                                '"detail": "an integer of 5000 digits is too long to read"}\n')
+
+
+@pytest.mark.parametrize("argv", [
+    ["field", "eval", "--expr", "\u0661/\u0662"],
+    ["field", "eval", "--expr", "\U0001d7d9"],
+    ["field", "roots", "--poly", "-\u0665,1"],
+    ["finite", "cf", "--group", "(\u0660 1 2)"],
+    ["finite", "conjgraph", "--group", "(0 1 2);(0 1)", "--g1", "\u0661", "--g3", "2"],
+    ["plane", "dist", "--p", "\u0661,0,0", "--q", "0,1,0"],
+], ids=["expression", "astral digit", "coefficients", "cycle", "element", "point"])
+def test_integer_literals_are_ascii_digits(argv, capsys):
+    """Python's int() reads the digits of other scripts; the grammar's
+    literals, in expressions, coefficient lists, cycle notation and
+    element indices, are ASCII 0-9 alone."""
+    code, out, err = main_exit(capsys, argv)
+    assert (code, json.loads(out)["error"], err) == (1, "parse-error", ""), out
+
+
+def test_read_int_takes_ascii_digits_only():
+    assert read_int(" -1_000 ") == -1000
+    for text in ("\u0661", "-\u0665", "1\u0660", "\U0001d7d9"):
+        with pytest.raises(ValueError):
+            read_int(text)
 
 
 def test_negative_degree_is_out_of_range():
@@ -795,13 +818,21 @@ def graphs(draw):
     return json.dumps(obj)
 
 
+# text that JSON output escapes: non-ASCII letters and digits, a character
+# past the BMP, quotes, a backslash, control characters and DEL
+ESCAPED = st.sampled_from(["\u00e9", "\u0661", "\U0001d7d9", "\U0001f600", '"', "'",
+                           "\\", "\x01", "\n", "\t", "\x7f", "\u2028"])
+
+
 @st.composite
 def contract_argvs(draw):
     """A cheap call: an expression, a comparison, a distance of rational
     points, Cauchy-Frobenius or Jordan on S3 and S4, a fixed point or an
     orthogonality check of a 3x3 matrix, or a rotary, automorphism or
     bipartite check of a graph on at most 5 vertices; perhaps with a shared
-    flag, and a value replaced, a flag dropped or one made up."""
+    flag, before the module or after the command, and a value replaced,
+    one with a character put in that JSON output escapes, a flag dropped
+    or one made up."""
     kind = draw(st.sampled_from(["eval", "compare", "dist", "cf", "jordan", "fixed-point",
                                  "check-orthogonal", "rotary", "automorphisms",
                                  "bipartite"]))
@@ -820,22 +851,26 @@ def contract_argvs(draw):
             [[], [], ["--degree", "5"], ["--degree", "-1"]]))
     argv += draw(st.sampled_from([[]] * 4 + [["--pretty"], ["--approx", "8"],
                                              ["--approx", "-1"], ["--seed", "x"]]))
-    mutation = draw(st.sampled_from([None] * 6 + ["value", "drop", "bogus"]))
+    mutation = draw(st.sampled_from([None] * 6 + ["value", "drop", "bogus", "text"]))
     if mutation == "value":
         argv[3] = draw(st.sampled_from(["--pretty", "-5,1", "{", "[1]", "1,2", "-"]))
     elif mutation == "drop":
         del argv[2:4]
     elif mutation == "bogus":
         argv.append("--bogus")
-    return argv
+    elif mutation == "text":
+        at = draw(st.integers(0, len(argv[3])))
+        argv[3] = argv[3][:at] + draw(ESCAPED) + argv[3][at:]
+    return draw(st.sampled_from([[]] * 3 + [["--pretty"]])) + argv
 
 
 @CONTRACT_SETTINGS
 @given(contract_argvs())
 def test_generated_calls_keep_the_cli_contract(argv):
     """One JSON object on stdout with exit 0 or 1 (an error object from the
-    documented codes for 1), nothing on stdout with exit 2, no traceback,
-    and SIGINT's handler as the call found it."""
+    documented codes for 1), in the bytes json.dumps gives it, indented
+    under --pretty; nothing on stdout with exit 2, no traceback, and
+    SIGINT's handler as the call found it."""
     handler = signal.getsignal(signal.SIGINT)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -851,6 +886,8 @@ def test_generated_calls_keep_the_cli_contract(argv):
     assert code in (0, 1), argv
     obj = json.loads(out.getvalue())    # one JSON object, nothing after it
     assert isinstance(obj, dict), argv
+    indent = 2 if "--pretty" in argv else None
+    assert out.getvalue() == json.dumps(obj, indent=indent) + "\n", argv
     assert ("error" in obj) == (code == 1), argv
     if code == 1:
         assert obj["error"] in ERROR_CODES, argv

@@ -91,6 +91,16 @@ def test_parse_errors():
         assert exc.type.__module__.startswith("rotagraph")
 
 
+def test_integer_literals_are_ascii_digits():
+    # int() reads Arabic-Indic digits and mathematical digits, which \d
+    # matches; the grammar takes 0-9 alone
+    for bad in ("\u0661/\u0662", "\U0001d7d9", "1\u0660", "root(-2,0,1,\u0661)",
+                "sqrt(\u0662)"):
+        with pytest.raises(ParseError):
+            expr.parse(bad)
+    assert expr.parse("10/2").as_rational() == 5
+
+
 def test_whitespace_tolerance():
     assert expr.parse("  sqrt( 2 )  ").min_poly == (-2, 0, 1)
     assert expr.parse(" - 4 / 5 ").as_rational() == Fraction(-4, 5)

@@ -29,6 +29,13 @@ def test_from_cycles_rejects_garbage():
         fn.Permutation.from_cycles("(0 5)", 3)        # out of range
 
 
+def test_cycle_indices_are_ascii_digits():
+    # int() reads the digits of other scripts; the notation does not
+    for text in ("(\u0660 1 2)", "(0 \U0001d7d9)", "(0 1 \u0968)"):
+        with pytest.raises(ParseError):
+            fn.Permutation.from_cycles(text, 3)
+
+
 def test_from_cycles_parses_in_linear_time():
     start = time.monotonic()
     with pytest.raises(ParseError):

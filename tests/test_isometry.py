@@ -147,12 +147,14 @@ def test_elliptic_imports_without_isometry():
 
 # The imports a cold call does without until it needs them: sympy on the
 # first factorisation no certificate spared, mpmath for --approx decimals,
-# Fraction for the one rational of the finite layer, the kernel behind the
+# Fraction for the one rational of the finite layer, json for the CLI's JSON
+# inputs (its output has a writer of its own), the kernel behind the
 # package's names, and the layers of the CLI, which a call imports once
 # argv has parsed, those of its own module alone (test_cli_call_import_sets).
 DEFERRED_IMPORTS = {
     ("polys", "factor_int", "import sympy"),
     ("cli", "_approx_str", "import mpmath"),
+    ("cli", "_json", "import json"),
     ("finite", "cauchy_frobenius", "from fractions import Fraction"),
     ("__init__", "__getattr__", "from . import algebraic"),
     ("cli", "_import_layers", "from . import finite"),
@@ -263,9 +265,9 @@ def test_geometry_never_loads_sympy():
     assert _python(GEOMETRY_RUN) == "False"
 
 
-WATCHED = ("argparse", "fractions", "rotagraph.algebraic", "rotagraph.elliptic",
+WATCHED = ("argparse", "fractions", "json", "rotagraph.algebraic", "rotagraph.elliptic",
            "rotagraph.expr", "rotagraph.finite", "rotagraph.graph", "rotagraph.isometry",
-           "rotagraph.polys")
+           "rotagraph.polys", "signal")
 
 CLI_CALL = """
 import contextlib, io, sys
@@ -292,8 +294,11 @@ def test_cli_call_import_sets():
     """Help at each level and a usage error load argparse and no layer; an
     answered call loads no argparse, a finite one finite and, for its
     average, fractions, and the other modules the kernel and their own
-    layers only."""
+    layers only.  No call loads signal, and only a call with JSON input
+    (a matrix, a graph, a group table, a point) loads json."""
     group = ["--group", "(0 1 2 3);(0 1)"]
+    c4 = '{"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]}'
+    q8 = str(Q8_TABLE)
     for argv, want in (
             (["--help"], (0, {"argparse"})),
             (["finite", "--help"], (0, {"argparse"})),
@@ -307,7 +312,15 @@ def test_cli_call_import_sets():
             (["finite", "cf", *group], (0, {"rotagraph.finite", "fractions"})),
             (["field", "eval", "--expr", "sqrt(2)"], (0, KERNEL)),
             (["plane", "dist", "--p", "1,0,0", "--q", "4/5,3/5,0"],
-             (0, KERNEL | {"rotagraph.elliptic"}))):
+             (0, KERNEL | {"rotagraph.elliptic"})),
+            (["field", "eval", "--expr", "1/0", "--pretty"], (1, KERNEL)),
+            (["plane", "dist", "--p", '{"x": 1, "y": 0, "z": 0}', "--q", "0,1,0"],
+             (0, KERNEL | {"rotagraph.elliptic", "json"})),
+            (["iso", "fixed-point", "--matrix", "[[0,1,0],[0,0,1],[1,0,0]]"],
+             (0, KERNEL | {"rotagraph.elliptic", "rotagraph.isometry", "json"})),
+            (["finite", "automorphisms", "--graph", c4], (0, {"rotagraph.finite", "json"})),
+            (["finite", "conjgraph", "--table", q8, "--g1", "2", "--g3", "4"],
+             (0, {"rotagraph.finite", "json"}))):
         assert _call_imports(argv) == want, argv
 
 

@@ -1,12 +1,14 @@
 """Property tests: field laws, round trips through printed expressions and
 point JSON, the elliptic constructions and fixed points on generated inputs,
-every claim checked exactly."""
+every claim checked exactly; and the CLI's JSON writer against json.dumps."""
 
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from rotagraph import cli
 from rotagraph import elliptic as ep
 from rotagraph import expr
 from rotagraph import isometry as iso
@@ -137,3 +139,36 @@ def test_fixed_point_of_small_integer_matrices(entries):
         return
     p = iso.fixed_point(m)
     assert iso.apply(m, p) == p
+
+
+# text with what JSON escapes: control characters, DEL, quotes, backslashes,
+# characters of the BMP past ASCII (lone surrogates among them) and past it
+json_text = st.text(st.one_of(
+    st.characters(max_codepoint=0x7f),
+    st.sampled_from('"\\\x7f\x00\x1f\u00e9\u2028\ud800\udfff\uffff'),
+    st.characters(min_codepoint=0x80),
+    st.characters(min_codepoint=0x10000)), max_size=12)
+json_ints = st.one_of(st.integers(-1000, 1000),
+                      st.integers(10 ** 299, 10 ** 300 - 1).map(lambda n: -n),
+                      st.integers(10 ** 299, 10 ** 300 - 1))
+json_keys = st.one_of(json_text, json_ints, st.booleans(), st.none())
+json_values = st.recursive(
+    st.one_of(json_text, json_ints, st.booleans(), st.none()),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(json_keys, inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(json_values)
+def test_the_cli_writes_what_json_dumps_writes(value):
+    for indent in (None, 2):
+        assert cli._encode(value, indent) == json.dumps(value, indent=indent)
+
+
+@pytest.mark.parametrize("value", [1.5, object(), [0, 2.0], {"x": {1.5: 1}}, {(1,): 2}])
+def test_the_cli_writer_rejects_what_it_does_not_write(value):
+    for indent in (None, 2):
+        with pytest.raises(TypeError):
+            cli._encode(value, indent)
