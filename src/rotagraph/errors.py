@@ -73,7 +73,7 @@ def read_int(text):
     try:
         return int(text)
     except ValueError:
-        if not re.fullmatch(r"\s*[+-]?[0-9]+(_[0-9]+)*\s*", text):
+        if not re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", text):
             raise
         digits = sum(c.isdigit() for c in text)
         raise BoundExceededError(

@@ -380,9 +380,12 @@ def test_cycle_index_too_long_to_read_is_bound_exceeded():
 def test_integer_literals_are_ascii_digits(argv, capsys):
     """Python's int() reads the digits of other scripts; the grammar's
     literals, in expressions, coefficient lists, cycle notation and
-    element indices, are ASCII 0-9 alone."""
+    element indices, are ASCII 0-9 alone, and the detail names the input,
+    not int()'s message."""
     code, out, err = main_exit(capsys, argv)
-    assert (code, json.loads(out)["error"], err) == (1, "parse-error", ""), out
+    answer = json.loads(out)
+    assert (code, answer["error"], err) == (1, "parse-error", ""), out
+    assert "int()" not in answer["detail"], out
 
 
 def test_read_int_takes_ascii_digits_only():
