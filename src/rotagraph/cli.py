@@ -35,7 +35,7 @@ import sys
 import types
 
 from .errors import (
-    BoundExceededError, OutOfRangeError, ParseError, RotagraphError, read_int,
+    BoundExceededError, OutOfRangeError, ParseError, RotagraphError, ascii_int, read_int,
 )
 
 #: the largest --approx BITS: rendering costs about BITS bisections of each
@@ -424,7 +424,7 @@ def cmd_finite_census(args):
 
 _REQ = {"required": True}
 _GEN_FLAGS = {"group": {**_REQ, "help": "generators as cycle strings, ';'-separated"},
-              "degree": {"type": int, "default": None}}
+              "degree": {"type": ascii_int, "default": None}}
 #: the two ways to give finite conjgraph its group, of which a call takes one
 _SOURCE = {"table": {"default": None, "help": "row-major multiplication table JSON"},
            "group": {"default": None}}
@@ -443,15 +443,15 @@ COMMANDS = {
         "dist": (cmd_plane_dist, {"p": _REQ, "q": _REQ}),
         "equidistant": (cmd_plane_equidistant, {"p": _REQ, "q": _REQ, "cos_l": _REQ}),
         "step": (cmd_plane_step, {"p": _REQ, "q": _REQ, "cos_l": _REQ}),
-        "ellncos": (cmd_plane_ellncos, {"cos_l": _REQ, "n": {**_REQ, "type": int}}),
+        "ellncos": (cmd_plane_ellncos, {"cos_l": _REQ, "n": {**_REQ, "type": ascii_int}}),
         "witness": (cmd_plane_witness, {"p": _REQ, "q": _REQ, "cos_l": _REQ,
-                                        "n": {**_REQ, "type": int}}),
+                                        "n": {**_REQ, "type": ascii_int}}),
     },
     "iso": {
         "fixed-point": (cmd_iso_fixed_point, {"matrix": _REQ}),
         "check-orthogonal": (cmd_iso_check_orthogonal, {"matrix": _REQ}),
         "sample-edges": (cmd_iso_sample_edges, {"matrix": _REQ, "cos_l": _REQ,
-                                                "count": {"type": int, "default": 10}}),
+                                                "count": {"type": ascii_int, "default": 10}}),
     },
     "graph": {
         "edge": (cmd_graph_edge, {"p": _REQ, "q": _REQ, "cos_l": _REQ}),
@@ -459,7 +459,7 @@ COMMANDS = {
         "path": (cmd_graph_path, {"p": _REQ, "q": _REQ, "cos_l": _REQ}),
         "diameter": (cmd_graph_diameter, {"cos_l": _REQ}),
         "validate": (cmd_graph_validate, {"cos_l": _REQ}),
-        "choose-ell": (cmd_graph_choose_ell, {"diameter": {**_REQ, "type": int}}),
+        "choose-ell": (cmd_graph_choose_ell, {"diameter": {**_REQ, "type": ascii_int}}),
     },
     "finite": {
         "cf": (cmd_finite_cf, _GEN_FLAGS),
@@ -468,9 +468,9 @@ COMMANDS = {
         "rotary": (cmd_finite_rotary, {"graph": _REQ}),
         "automorphisms": (cmd_finite_automorphisms, {"graph": _REQ}),
         "bipartite": (cmd_finite_bipartite, {"graph": _REQ}),
-        "conjgraph": (cmd_finite_conjgraph, {"degree": {"type": int, "default": None},
+        "conjgraph": (cmd_finite_conjgraph, {"degree": {"type": ascii_int, "default": None},
                                              "g1": _REQ, "g3": _REQ, **_SOURCE}),
-        "census": (cmd_finite_census, {"n_max": {**_REQ, "type": int}}),
+        "census": (cmd_finite_census, {"n_max": {**_REQ, "type": ascii_int}}),
     },
 }
 
@@ -478,9 +478,9 @@ COMMANDS = {
 #: its command
 SHARED = {"pretty": {"action": "store_true", "default": False,
                      "help": "indent JSON output"},
-          "approx": {"type": int, "default": None, "metavar": "BITS",
+          "approx": {"type": ascii_int, "default": None, "metavar": "BITS",
                      "help": "add decimal approximations at BITS precision"},
-          "seed": {"type": int, "default": 0, "help": "seed for randomized subcommands"}}
+          "seed": {"type": ascii_int, "default": 0, "help": "seed for randomized subcommands"}}
 
 
 def _option(flag):
@@ -545,9 +545,9 @@ def _read_flags(argv, i, flags, options, out):
             i, value = i + 1, argv[i + 1]
             if value.startswith("-") and (name != option or _is_option(value, options)):
                 return None
-        if kw.get("type") is int:
+        if kw.get("type") is ascii_int:
             try:
-                value = int(value)
+                value = ascii_int(value)
             except ValueError:
                 return None
         out[flag] = value

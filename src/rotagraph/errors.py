@@ -1,5 +1,6 @@
-"""Error types shared across the library, and `read_int`, the one reader
-of integer literals, which raises one of them.
+"""Error types shared across the library, `ascii_int`, the reader of the
+CLI's int flags, and `read_int`, the one reader of integer literals, which
+raises one of them.
 
 Every domain error carries a short stable ``code`` so the CLI can map it
 to a machine-readable JSON error object.  This module imports no layer, so
@@ -61,19 +62,23 @@ class ParseError(RotagraphError):
     code = "parse-error"
 
 
-def read_int(text):
-    """int(text), for the integer literals of expressions, JSON, cycle
-    notation and coefficient lists; BoundExceededError for a well-formed
-    literal past Python's limit on the digits of a string converted to an
-    int (where int() raises ValueError, as it does for a malformed one).
-    A literal is ASCII: ValueError for the digits of other scripts, which
-    int() reads."""
+def ascii_int(text):
+    """int(text) for ASCII text, the reader of the CLI's int flags;
+    ValueError for other text, whose digits of other scripts int() reads."""
     if not text.isascii():
         raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
+def read_int(text):
+    """ascii_int(text), for the integer literals of expressions, JSON, cycle
+    notation and coefficient lists; BoundExceededError for a well-formed
+    literal past Python's limit on the digits of a string converted to an
+    int (where int() raises ValueError, as it does for a malformed one)."""
     try:
-        return int(text)
+        return ascii_int(text)
     except ValueError:
-        if not re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", text):
+        if not re.fullmatch(r"\s*[+-]?[0-9]+(_[0-9]+)*\s*", text):
             raise
         digits = sum(c.isdigit() for c in text)
         raise BoundExceededError(

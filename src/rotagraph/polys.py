@@ -15,7 +15,7 @@ ints or Fractions into the integer form in which polynomials leave.
 Factorisation over Q (`factor_int`) is the one job handed to a computer
 algebra system, sympy, imported on first use; everything else is done here
 with exact integer and rational arithmetic: the special resultants
-(composed sums and products, by Newton power sums) and minimal polynomials
+(composed sums, by Newton power sums) and minimal polynomials
 from traces, cyclotomic polynomials, pseudo-remainders (divisibility,
 gcds), everything sign-related (Sturm chains, root counting, isolation),
 with signs taken in integers, and arithmetic mod a prime.
@@ -259,8 +259,8 @@ def factor_int(c):
 # -- special resultants by Newton power sums --------------------------------
 # (Bostan, Flajolet, Salvy, Schost, "Fast computation of special
 # resultants", JSC 2006.)  A polynomial of degree n is fixed up to a
-# constant by the power sums s_0..s_n of its roots, and composed sums and
-# products have power sums that are simple in those of their factors.  The
+# constant by the power sums s_0..s_n of its roots, and a composed sum has
+# power sums that are simple in those of its factors.  The
 # roots are taken scaled to algebraic integers (a root of c times lead(c)),
 # so the power sums, and every step of the inverse recurrence, are integers.
 
@@ -308,15 +308,6 @@ def cand_sum(pa, pb):
     S = [sum(comb(k, t) * sa[t] * sb[k - t] for t in range(k + 1))
          for k in range(n + 1)]
     return _from_power_sums(S, n, A * B)
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def cand_prod(pa, pb):
-    """Integer polynomial vanishing at every a * b (0 not a root of pa): the
-    composed product, Res_y(pa(y), y^deg(pb) * pb(x / y)) made primitive."""
-    n = degree(pa) * degree(pb)
-    sa, sb = _power_sums(pa, n), _power_sums(pb, n)
-    return _from_power_sums([u * v for u, v in zip(sa, sb)], n, pa[-1] * pb[-1])
 
 
 def cand_sqrt(c):
@@ -653,11 +644,10 @@ def full_degree(m1, m2):
 
 
 def composed_factors(cand, m1, m2):
-    """The irreducible factors of cand = cand_sum(m1, m2) or
-    cand_prod(m1, m2).  Its roots are the images of every pair of
-    conjugates, so when Q(t1, t2) has full degree (full_degree) and those
-    images are distinct (cand square-free), t1 + t2 or t1 * t2 has degree
-    deg(cand) and cand is its minimal polynomial."""
+    """The irreducible factors of cand = cand_sum(m1, m2).  Its roots are
+    the sums of every pair of conjugates, so when Q(t1, t2) has full degree
+    (full_degree) and those sums are distinct (cand square-free), t1 + t2
+    has degree deg(cand) and cand is its minimal polynomial."""
     if full_degree(m1, m2) and _squarefree_mod_prime(cand):
         return (cand,)
     return factor_int(cand)

@@ -388,6 +388,22 @@ def test_integer_literals_are_ascii_digits(argv, capsys):
     assert "int()" not in answer["detail"], out
 
 
+@pytest.mark.parametrize("argv", [
+    ["finite", "census", "--n-max", "\u0662"],
+    ["plane", "ellncos", "--cos-l", "4/5", "--n", "\u0662"],
+    ["plane", "ellncos", "--cos-l", "4/5", "--n=\uff11"],
+    ["--seed", "\U0001d7d9", "iso", "sample-edges", "--matrix", "[[1,0,0],[0,1,0],[0,0,1]]",
+     "--cos-l", "4/5"],
+], ids=["census", "ladder", "fullwidth", "astral"])
+def test_int_flags_take_ascii_digits_only(argv, capsys):
+    """An int flag is read by errors.ascii_int, which both the reader and
+    argparse take: the digits of other scripts, which int() reads, are a usage
+    error (the reader declines, and argparse exits 2)."""
+    assert cli._read(argv) is None
+    code, out, err = main_exit(capsys, argv)
+    assert (code, out) == (2, "") and err.startswith("usage:"), err
+
+
 def test_read_int_takes_ascii_digits_only():
     assert read_int(" -1_000 ") == -1000
     for text in ("\u0661", "-\u0665", "1\u0660", "\U0001d7d9"):
@@ -657,7 +673,7 @@ READER_SETTINGS = settings(derandomize=True, max_examples=400, deadline=None,
 PLAIN = ("1", "sqrt(2)", "(0 1 2)", "", "field", "x y", "1/2", "3")
 DASHED = ("-1/2", "-5,1", "-", "-3", "--pretty", "--p", "--e", "--x y", "-h", "-x=1",
           "--ex=1")
-INTS = ("3", "0", "-2", " 4 ", "1_0", "x", "")
+INTS = ("3", "0", "-2", " 4 ", "1_0", "x", "", "\u0662", "\uff11", "\U0001d7d9")
 
 
 def _argparse_vars(argv):
@@ -679,7 +695,7 @@ def flag_tokens(draw, flag, kw, documented):
     name = draw(st.sampled_from([option] * 3 + [option[:k] for k in range(3, len(option))]))
     if kw.get("action") == "store_true":
         return [draw(st.sampled_from([name] * 4 + [name + "=", name + "=x"]))]
-    value = draw(st.sampled_from(INTS if kw.get("type") is int else PLAIN + DASHED))
+    value = draw(st.sampled_from(INTS if kw.get("type") is cli.ascii_int else PLAIN + DASHED))
     if draw(st.booleans()) or (documented and name != option and value.startswith("-")):
         return [f"{name}={value}"]
     return [name, value]

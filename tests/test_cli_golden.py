@@ -25,7 +25,8 @@ import json
 import time
 from pathlib import Path
 
-from rotagraph import cli
+import sympy_oracle as so
+from rotagraph import cli, expr
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 
@@ -170,6 +171,19 @@ def test_cli_golden_transcripts(capsys):
         got = {"argv": w["argv"], "exit": code, "stdout": capsys.readouterr().out}
         assert got == w
     assert time.monotonic() - start < 10
+
+
+def test_recorded_field_values_are_sympys():
+    """Each value a recorded `field eval` call printed is sympy's value of
+    the expression it was given (tests/sympy_oracle.py)."""
+    checked = 0
+    for w in json.loads(GOLDEN.read_text()):
+        argv = w["argv"]
+        if argv[:3] == ["field", "eval", "--expr"] and len(argv) == 4 and w["exit"] == 0:
+            printed = json.loads(w["stdout"])["value"]
+            assert so.same_value(expr.parse(printed), so.parse(argv[3])), argv
+            checked += 1
+    assert checked == 15
 
 
 def _record():

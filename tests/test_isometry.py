@@ -8,12 +8,10 @@ from pathlib import Path
 
 import pytest
 
+import sympy_oracle as so
 from rotagraph import elliptic as ep
-from rotagraph import expr
 from rotagraph import isometry as iso
-from rotagraph.algebraic import (
-    AlgReal, EQUAL, add, combo, compare, div, dot, mul, neg, sqrt_nonneg, sub,
-)
+from rotagraph.algebraic import AlgReal, EQUAL, add, compare, div, mul, neg, sqrt_nonneg
 from rotagraph.errors import InfeasibleError, PreconditionError
 
 E1 = ep.make_point(1, 0, 0)
@@ -405,174 +403,61 @@ def test_matrix_json_round_trip():
                for ra, rb in zip(m.rows, m2.rows) for x, y in zip(ra, rb))
 
 
-# The matrix algebra LinearMap and orthogonal_sending had before they were
-# built from elliptic's vector helpers, kept as oracles for them.
-
-def _cofactor_det(r):
-    return add(
-        sub(
-            mul(r[0][0], sub(mul(r[1][1], r[2][2]), mul(r[1][2], r[2][1]))),
-            mul(r[0][1], sub(mul(r[1][0], r[2][2]), mul(r[1][2], r[2][0]))),
-        ),
-        mul(r[0][2], sub(mul(r[1][0], r[2][1]), mul(r[1][1], r[2][0]))),
-    )
-
-
-def _triple_loop_product(a, b):
-    out = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            s = AlgReal(0)
-            for k in range(3):
-                s = add(s, mul(a[i][k], b[k][j]))
-            row.append(s)
-        out.append(row)
-    return out
-
-
-def _entrywise_householder(p, q):
-    x, y, _ = ep._lifts_nonneg(p, q)
-    w = combo((1, -1), (x, y))
-    n2 = dot(w, w)
-    return [[add(neg(div(mul(mul(2, w[i]), w[j]), n2)), AlgReal(int(i == j)))
-             for j in range(3)] for i in range(3)]
-
-
-def _same_rows(got, want):
-    return all(compare(x, y) == EQUAL for rg, rw in zip(got, want)
-               for x, y in zip(rg, rw))
-
+# LinearMap's product and determinant, _minor2_sum, orthogonal_sending and
+# the L2 constructions against the same constructions in sympy.
 
 S3 = sqrt_nonneg(AlgReal(3))
+#: a rotation over Q(sqrt 3), which turns rational unit lifts into lifts over it
+TURN = iso.rotation_about(ep.make_point(2, 3, 6), div(S3, AlgReal(2)), Fraction(1, 2))
 
 
 def _seeded_matrices(seed):
     """Rational matrices, then matrices over Q(sqrt 3)."""
     rng = random.Random(seed)
-    for _ in range(6):
+    for _ in range(3):
         yield iso.LinearMap([[Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                               for _ in range(3)] for _ in range(3)])
-    for _ in range(6):
+    for _ in range(3):
         yield iso.LinearMap([[add(rng.randint(-4, 4), mul(rng.randint(-4, 4), S3))
                               for _ in range(3)] for _ in range(3)])
 
 
 def test_det_matches_cofactor_expansion():
+    """det, one dot of a row with a cross product, is sympy's det."""
     for m in _seeded_matrices(31):
-        assert compare(m.det(), _cofactor_det(m.rows)) == EQUAL
+        assert so.same_value(m.det(), so.det(so.matrix(m)))
 
 
 def test_product_matches_triple_loop():
+    """@, one dot per entry, is sympy's matrix product."""
     ms = list(_seeded_matrices(37))
     for a, b in zip(ms, ms[1:] + ms[:1]):
-        assert _same_rows((a @ b).rows, _triple_loop_product(a.rows, b.rows))
+        assert so.same_matrix(a @ b, so.product(so.matrix(a), so.matrix(b)))
 
 
 def test_orthogonal_sending_matches_entrywise_householder():
+    """orthogonal_sending's rows, one combo each, are the entries of the
+    Householder reflection I - 2 w w^T / <w, w>, for rational unit lifts
+    and unit lifts over Q(sqrt 3)."""
     rng = random.Random(41)
-    turn = iso.rotation_about(ep.make_point(2, 3, 6), div(S3, AlgReal(2)),
-                              Fraction(1, 2))
-    for k in range(8):
+    for k in range(4):
         p, q = ep.random_rational_point(rng), ep.random_rational_point(rng)
         if k % 2:   # unit lifts over Q(sqrt 3)
-            p, q = iso.apply(turn, p), iso.apply(turn, q)
-        assert _same_rows(iso.orthogonal_sending(p, q).rows,
-                          _entrywise_householder(p, q))
-
-
-# The add/mul chains that algebraic.combo and dot replaced in L2 and L3,
-# kept as oracles: each new form must give the same values, printed alike.
-
-def _chain_dot(x, y):
-    total = mul(x[0], y[0])
-    for a, b in zip(x[1:], y[1:]):
-        total = add(total, mul(a, b))
-    return total
-
-
-def _chain_cross(x, y):
-    return (sub(mul(x[1], y[2]), mul(x[2], y[1])),
-            sub(mul(x[2], y[0]), mul(x[0], y[2])),
-            sub(mul(x[0], y[1]), mul(x[1], y[0])))
-
-
-def _scale(v, s):
-    return tuple(mul(c, s) for c in v)
-
-
-def _vadd(x, y):
-    return tuple(add(a, b) for a, b in zip(x, y))
-
-
-def _chain_rotate(a, v, c, s):
-    return _vadd(_vadd(_scale(v, c), _scale(_chain_cross(a, v), s)),
-                 _scale(a, mul(sub(AlgReal(1), c), _chain_dot(a, v))))
-
-
-def _chain_along(x, y, s, c):
-    one = AlgReal(1)
-    beta = sqrt_nonneg(div(sub(one, mul(c, c)), sub(one, mul(s, s))))
-    return ep._unit_canonical(_vadd(_scale(x, sub(c, mul(beta, s))), _scale(y, beta)))
-
-
-def _chain_circle_intersect(p, a, q, b):
-    """circle_intersect's point for distinct centres, or None where the
-    circles miss."""
-    one = AlgReal(1)
-    x, y, s = ep._lifts_nonneg(p, q)
-    inv = div(one, sub(one, mul(s, s)))
-    for b in (b, neg(b)):
-        alpha = mul(sub(a, mul(b, s)), inv)
-        beta = mul(sub(b, mul(a, s)), inv)
-        gamma2 = mul(sub(sub(one, mul(alpha, a)), mul(beta, b)), inv)
-        if gamma2.sign() < 0:
-            continue
-        n = ep._canonical_sign(_chain_cross(x, y))
-        return ep._unit_canonical(_vadd(_vadd(_scale(x, alpha), _scale(y, beta)),
-                                        _scale(n, sqrt_nonneg(gamma2))))
-    return None
-
-
-def _chain_frame(o, p, cos_a, sin_a, n):
-    x = p.lift
-    chain = [ep._unit_canonical(x)]
-    ci, si = cos_a, sin_a
-    for _ in range(n):
-        chain.append(ep._unit_canonical(_chain_rotate(o.lift, x, ci, si)))
-        ci, si = sub(mul(ci, cos_a), mul(si, sin_a)), add(mul(si, cos_a), mul(ci, sin_a))
-    return chain
-
-
-def _chain_minor2_sum(r):
-    total = AlgReal(0)
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        total = add(total, sub(mul(r[i][i], r[j][j]), mul(r[i][j], r[j][i])))
-    return total
-
-
-def _same_values(got, want):
-    """Equal values that also print alike."""
-    return all(compare(x, y) == EQUAL and expr.to_expr(x) == expr.to_expr(y)
-               for x, y in zip(got, want, strict=True))
-
-
-def _same_points(got, want):
-    return _same_values(got.lift, want.lift)
+            p, q = iso.apply(TURN, p), iso.apply(TURN, q)
+        assert so.same_matrix(iso.orthogonal_sending(p, q),
+                              so.orthogonal_sending(so.point(p), so.point(q)))
 
 
 def _seeded_point_pairs(seed, count):
     """Distinct pairs of points with rational unit lifts, then with unit
     lifts over Q(sqrt 3)."""
     rng = random.Random(seed)
-    turn = iso.rotation_about(ep.make_point(2, 3, 6), div(S3, AlgReal(2)),
-                              Fraction(1, 2))
     while count:
         p, q = ep.random_rational_point(rng), ep.random_rational_point(rng)
         if p == q:
             continue
         if count % 2:
-            p, q = iso.apply(turn, p), iso.apply(turn, q)
+            p, q = iso.apply(TURN, p), iso.apply(TURN, q)
         count -= 1
         yield rng, p, q
 
@@ -581,42 +466,51 @@ RADII = tuple(AlgReal(Fraction(v)) for v in ("1/2", "3/5", "4/5", "9/10"))
 
 
 def test_rotate_matches_rodrigues_chain():
+    """_rotate, one combo, is Rodrigues' matrix c I + s [a]_x + (1 - c) a a^T
+    applied to v."""
     for m in _seeded_matrices(43):
         a, v, (c, s, _) = m.rows
-        assert _same_values(ep._rotate(a, v, c, s), _chain_rotate(a, v, c, s))
+        assert so.same_values(ep._rotate(a, v, c, s),
+                              so.rotate(so.vector(a), so.vector(v), so.value(c), so.value(s)))
 
 
 def test_minor2_sum_matches_the_loop():
+    """_minor2_sum, one dot, is (tr(m)^2 - tr(m^2)) / 2."""
     for m in _seeded_matrices(47):
-        assert _same_values((iso._minor2_sum(m),), (_chain_minor2_sum(m.rows),))
+        assert so.same_value(iso._minor2_sum(m), so.minor2_sum(so.matrix(m)))
 
 
 def test_circle_intersect_and_along_match_their_chains():
+    """circle_intersect's point, or its InfeasibleError where the circles
+    miss, and _along's point are sympy's closed forms of them."""
     met = missed = 0
     tight = AlgReal(Fraction(99, 100))     # circles this small mostly miss
-    for rng, p, q in _seeded_point_pairs(53, 8):
+    for rng, p, q in _seeded_point_pairs(53, 4):
+        x, y = so.point(p), so.point(q)
         a = rng.choice(RADII)
         for b in (rng.choice(RADII), tight):
-            want = _chain_circle_intersect(p, a, q, b)
+            want = so.circle_intersect(x, so.value(a), y, so.value(b))
             if want is None:
                 missed += 1
                 with pytest.raises(InfeasibleError):
                     ep.circle_intersect(p, a, q, b)
             else:
                 met += 1
-                assert _same_points(ep.circle_intersect(p, a, q, b), want)
-        x, y, s = ep._lifts_nonneg(p, q)
-        assert _same_points(ep._along(x, y, s, a), _chain_along(x, y, s, a))
+                assert so.same_point(ep.circle_intersect(p, a, q, b), want)
+        xs, ys, s = ep._lifts_nonneg(p, q)
+        assert so.same_point(ep._along(xs, ys, s, a), so.geodesic_step(x, y, so.value(a)))
     assert met and missed
 
 
 def test_frame_chain_matches_angle_addition_chain():
+    """_frame_chain's points, each turned from p by the angle i*a through
+    angle addition, are the powers R^i p of sympy's rotation matrix."""
     angles = ((AlgReal(Fraction(3, 5)), AlgReal(Fraction(-4, 5))),
               (AlgReal(Fraction(1, 2)), div(S3, AlgReal(2))),
               (AlgReal(Fraction(4, 9)), div(sqrt_nonneg(AlgReal(65)), AlgReal(9))))
     for (_, o, p), (ca, sa) in zip(_seeded_point_pairs(59, 3), angles):
-        got, want = ep._frame_chain(o, p, ca, sa, 3), _chain_frame(o, p, ca, sa, 3)
-        assert all(map(_same_points, got, want))
+        want = so.frame_chain(so.point(o), so.point(p), so.value(ca), so.value(sa), 2)
+        assert all(map(so.same_point, ep._frame_chain(o, p, ca, sa, 2), want))
 
 
 def test_linear_combinations_take_no_add_chain(monkeypatch):
@@ -668,8 +562,10 @@ MODULE_HOOKS = {"__getattr__"}
 
 def test_no_unused_imports_or_orphan_private_functions():
     """Every name a module imports at its top level is used there or listed
-    in its __all__, and every module-level private function but a module
-    hook is referenced somewhere in the package."""
+    in its __all__, every module-level private function but a module hook
+    is referenced somewhere in the package, and so is every public function
+    of polys, which serves the package only: one that tests alone call is
+    dead code."""
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(Path(iso.__file__).parent.glob("*.py"))}
     used = {stem: {node.id if isinstance(node, ast.Name) else node.attr
@@ -690,5 +586,8 @@ def test_no_unused_imports_or_orphan_private_functions():
                     and node.name not in MODULE_HOOKS \
                     and not any(node.name in names for names in used.values()):
                 orphans.add((stem, node.name))
+    orphans |= {("polys", node.name) for node in trees["polys"].body
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                and not any(node.name in names for names in used.values())}
     assert unused == set()
     assert orphans == set()

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import sympy_oracle as so
 from rotagraph import cli
 from rotagraph import elliptic as ep
 from rotagraph import expr
@@ -81,6 +82,48 @@ def test_circle_intersect_hits_both_distances(u, v, a, b):
     except InfeasibleError:
         return
     assert ep.dist_cos(r, p) == a and ep.dist_cos(r, q) == b
+
+
+@settings(derandomize=True, max_examples=3, deadline=None, database=None)
+@given(field_triples())
+def test_field_operations_match_the_sympy_oracle(abc):
+    """add, sub, mul, div and sqrt on drawn values are sympy's, read from
+    the values' printed forms."""
+    a, b, c = abc
+    x, y, z = map(so.value, abc)
+    assert so.same_value(add(a, b), x + y) and so.same_value(sub(b, c), y - z)
+    assert so.same_value(mul(a, c), x * z)
+    if b.sign():
+        assert so.same_value(div(a, b), x / y)
+    assert so.same_value(sqrt_nonneg(mul(c, c)), z * so.sign(z))
+
+
+@settings(derandomize=True, max_examples=3, deadline=None, database=None)
+@given(lifts, lifts, cosines, cosines)
+def test_constructions_match_the_sympy_oracle(u, v, a, b):
+    """dist_cos, circle_intersect (or its InfeasibleError), geodesic_step,
+    rotation_about and ell_n_cos on drawn points and cosines are sympy's
+    closed forms of them."""
+    p, q = ep.make_point(*u), ep.make_point(*v)
+    x, y = so.make_point(*u), so.make_point(*v)
+    assert so.same_point(p, x) and so.same_point(q, y)
+    s = so.dist_cos(x, y)
+    assert so.same_value(ep.dist_cos(p, q).value, s)
+    ra, rb = so.rational(a), so.rational(b)
+    if so.sign(1 - s):              # distinct points
+        want = so.circle_intersect(x, ra, y, rb)
+        if want is None:
+            with pytest.raises(InfeasibleError):
+                ep.circle_intersect(p, a, q, b)
+        else:
+            assert so.same_point(ep.circle_intersect(p, a, q, b), want)
+        if so.sign(ra - s) >= 0:
+            assert so.same_point(ep.geodesic_step(p, q, a), so.geodesic_step(x, y, ra))
+    sine = so.sqrt(1 - ra ** 2)
+    assert so.same_matrix(iso.rotation_about(p, a, sqrt_nonneg(AlgReal(1 - a * a))),
+                          so.rotation_about(so.Matrix(u), ra, sine))
+    if 0 < a < 1:
+        assert so.same_value(ep.ell_n_cos(a, 3).value, so.ell_n_cos(ra, 3))
 
 
 @SETTINGS
