@@ -5,9 +5,10 @@ number a sympy expression denotes.
 
 same_value asks three things of sympy: the primitive form of its minimal
 polynomial is ours; the expression lies in our isolating interval, by
-sympy's own comparison with the rational ends; and that polynomial has
-exactly one root there.  Two routes of the package that pick the same
-wrong root of the right polynomial agree with each other; they fail here.
+sympy's evaluation or its comparisons with the rational ends; and that
+polynomial has exactly one root there.  Two routes of the package that
+pick the same wrong root of the right polynomial agree with each other;
+they fail here.
 
 Operands arrive as the package prints them (expr.to_expr), with
 root(c0, ..., cn, k) read as CRootOf: value(), vector(), point() and
@@ -38,12 +39,11 @@ def parse(text):
 
 
 def value(v):
-    """The sympy value of one of ours, read from its printed form, p/q or
-    root(c0, ..., cn, k)."""
-    text = expr.to_expr(v)
-    if text.startswith("root("):
-        return _root(*map(int, text[5:-1].split(",")))
-    return Rational(text)
+    """The sympy value of one of ours: a rational as it is, and otherwise
+    read from its printed form."""
+    if v.is_rational:
+        return rational(v.as_rational())
+    return parse(expr.to_expr(v))
 
 
 def vector(vs):
@@ -82,7 +82,7 @@ def same_value(ours, e):
     of e's minimal polynomial is ours.min_poly, e lies in ours.interval,
     and that polynomial has exactly one root there.  A comparison sympy
     cannot decide counts as a failure."""
-    e = sympy.sympify(e)
+    e = sympy.expand(e)         # multiplied out, sympy's minimal_polynomial runs faster
     if e.is_Rational:           # its minimal polynomial is x - e
         return ours.is_rational and ours.as_rational() == Fraction(e.p, e.q)
     f = min_poly(e, ours.degree)
@@ -93,8 +93,11 @@ def same_value(ours, e):
     # (lo, hi] holds e, and f has one root in [lo, hi], which is not lo
     # since f is irreducible of degree > 1
     lo, hi = map(rational, ours.interval)
-    return sympy.Lt(lo, e) is sympy.true and sympy.Le(e, hi) is sympy.true \
-        and Poly(f[::-1], X).count_roots(lo, hi) == 1
+    try:
+        inside = sign(e - lo) > 0 and sign(hi - e) >= 0
+    except ValueError:
+        return False
+    return inside and Poly(f[::-1], X).count_roots(lo, hi) == 1
 
 
 def same_values(ours, es):
@@ -114,9 +117,17 @@ def same_matrix(m, e):
 # -- signs, decided by sympy ---------------------------------------------------
 
 def sign(e):
-    """-1, 0 or 1, decided by sympy: by its comparison with 0, and where
-    that cannot decide, zero when e's minimal polynomial is x."""
+    """-1, 0 or 1, decided by sympy: by e's value to 30 digits (its evalf,
+    which raises where it cannot reach that accuracy, as at 0), then by
+    its comparison with 0, which takes several times longer, and where
+    neither decides, zero when e's minimal polynomial is x."""
     e = sympy.sympify(e)
+    try:
+        x = e.evalf(30, strict=True)
+        if x.is_Number and x != 0:
+            return 1 if x > 0 else -1
+    except sympy.core.evalf.PrecisionExhausted:
+        pass
     for s, relation in ((1, sympy.Gt), (-1, sympy.Lt)):
         if relation(e, 0) is sympy.true:
             return s
