@@ -209,10 +209,6 @@ def rotation(a, c, s):
     return expanded(c * sympy.eye(3) + s * cross + (1 - c) * a * a.T)
 
 
-def rotate(a, v, c, s):
-    return expanded(rotation(a, c, s) * v)
-
-
 def frame_chain(o, x, c, s, n):
     """R^i x, i = 0..n, as canonical unit columns, R the rotation about
     the unit column o by the angle (c, s): powers of one matrix."""
@@ -230,14 +226,6 @@ def ell_n_cos(c, n):
 
 
 # -- L3 ------------------------------------------------------------------------
-
-def product(a, b):
-    return expanded(a * b)
-
-
-def det(m):
-    return expanded(m.det())
-
 
 def minor2_sum(m):
     """The sum of the principal 2x2 minors, (tr(m)^2 - tr(m^2)) / 2."""

@@ -425,14 +425,14 @@ def _seeded_matrices(seed):
 def test_det_matches_cofactor_expansion():
     """det, one dot of a row with a cross product, is sympy's det."""
     for m in _seeded_matrices(31):
-        assert so.same_value(m.det(), so.det(so.matrix(m)))
+        assert so.same_value(m.det(), so.matrix(m).det())
 
 
 def test_product_matches_triple_loop():
     """@, one dot per entry, is sympy's matrix product."""
     ms = list(_seeded_matrices(37))
     for a, b in zip(ms, ms[1:] + ms[:1]):
-        assert so.same_matrix(a @ b, so.product(so.matrix(a), so.matrix(b)))
+        assert so.same_matrix(a @ b, so.matrix(a) * so.matrix(b))
 
 
 def test_orthogonal_sending_matches_entrywise_householder():
@@ -471,7 +471,7 @@ def test_rotate_matches_rodrigues_chain():
     for m in _seeded_matrices(43):
         a, v, (c, s, _) = m.rows
         assert so.same_values(ep._rotate(a, v, c, s),
-                              so.rotate(so.vector(a), so.vector(v), so.value(c), so.value(s)))
+                              so.rotation(so.vector(a), so.value(c), so.value(s)) * so.vector(v))
 
 
 def test_minor2_sum_matches_the_loop():
