@@ -46,7 +46,8 @@ only way it gets one.  A square root of a square of the field stays in
 it, tagged over the same generator.
 
 Candidates (square roots of irrationals, composita, cross-field results)
-and the polynomials given to real_roots are factorised only when no
+and the integer polynomials real_roots reads (a polynomial itself, or the
+norm of one with irrational coefficients) are factorised only when no
 certificate in polys shows them irreducible (Capelli's theorem for
 x^2 - a, full degree of a compositum, Musser's test); in the geometry all
 of them fire.  The quadratic facts met most often are each settled by one
@@ -79,10 +80,8 @@ from math import ceil, comb, gcd, isqrt, lcm, prod
 
 from . import polys
 from .errors import (
-    BoundExceededError,
-    DivisionByZeroError,
-    InternalConsistencyError,
-    OutOfRangeError,
+    BoundExceededError, DivisionByZeroError, InternalConsistencyError, OutOfRangeError,
+    PreconditionError, ZeroPolynomialError,
 )
 
 LESS, EQUAL, GREATER = -1, 0, 1
@@ -154,7 +153,7 @@ class AlgReal:
 
     @classmethod
     def from_root(cls, p, index):
-        """The index-th real root (ascending, 0-based) of integer poly p."""
+        """The index-th real root (ascending, 0-based) of p (real_roots)."""
         roots = real_roots(p)
         if not 0 <= index < len(roots):
             raise OutOfRangeError(
@@ -439,7 +438,7 @@ def _gen(v):
     return None, _literal(v)
 
 
-def _field(vs, join=None):
+def _field(vs, join=None, terms=None):
     """(theta, g_1, ..., g_k) with vs[i] = g_i(theta), for operands as _gen
     reads them: where the operands of one operation meet.  theta is None
     when all are constants, and the one generator the irrational ones lie
@@ -452,7 +451,9 @@ def _field(vs, join=None):
     first (_adjoin).  Each g over another generator is mapped into theta
     once (_image), and constants are kept.  join caps how many generators
     may be joined: None where none reaches the others and they number more
-    than join, never with join None (the default)."""
+    than join, never with join None (the default).  terms = (k, n) marks vs
+    as _terms's k coefficients and their values: over several generators
+    a zero term's operands meet as zeros first."""
     theta, gs = None, []
     for t, g in map(_gen, vs):
         if t is not None and t is not theta:
@@ -463,7 +464,14 @@ def _field(vs, join=None):
     else:
         return (theta, *gs)
     es = list(map(_gen, vs))
+    if terms:
+        k, n = terms
+        for i in range(k):
+            if not (es[i][1][0] and (n > 1 or es[k + i][1][0])):
+                es[i], es[k + i * n:k + i * n + n] = _gen(0), [_gen(0)] * n
     thetas = list({id(t): t for t, _ in es if t is not None}.values())
+    if not thetas:
+        return (None, *(g for _, g in es))
     top = max(t.degree for t in thetas)
     for theta in thetas:
         # a field of lower degree contains no larger one
@@ -798,13 +806,15 @@ def combo(cs, vs):
 
 def _terms(cs, xs, n):
     """(theta, g_1, ...) for the coefficients cs and then the values xs,
-    n to each coefficient, as _field meets them.  Where that would join
-    more than two generators, each product cs[i] * xs[i*n + j] is first
-    taken over the field its two factors meet over, and the products, with
+    n to each coefficient, as _field meets them, where each pair with a
+    zero factor (n = 1) and each vector with a zero coefficient meets as
+    zeros, so a zero term joins no field.  Where the rest would join more
+    than two generators, each product cs[i] * xs[i*n + j] is first taken
+    over the field its two factors meet over, and the products, with
     coefficients 1, are met in their place: the join then builds on the
     products' fields, which may be far smaller than the compositum of all
     the factors' (that of two generators holds every product)."""
-    common = _field((*cs, *xs), join=2)
+    common = _field((*cs, *xs), join=2, terms=(len(cs), n))
     if common is None:
         products = (_sum(t, (g,), (h,)) for t, g, h in (
             _field((c, x)) for i, c in enumerate(cs) for x in xs[i * n:i * n + n]))
@@ -950,12 +960,27 @@ def _sqrt_in_field(a):
 # -- polynomial roots -------------------------------------------------------
 
 def real_roots(p):
-    """All distinct real roots of an integer polynomial, ascending."""
-    coeffs = polys.as_coeff_tuple(p)
-    roots = []
-    for f in polys.irreducible_factors(coeffs):
-        for lo, hi in polys.isolate_roots(f):
-            roots.append(AlgReal._make(f, (lo, hi)))
+    """All distinct real roots, ascending, of a polynomial with int or
+    AlgReal coefficients, which meet once (_field).  Over no generator N is
+    p itself, and every root is kept; over one of degree n, N is p's norm
+    (polys.norm, of degree deg(p) * n within the candidate budget), and a
+    real root r of N is kept when one exact dot shows p(r) = 0."""
+    if not all(isinstance(v, (int, AlgReal)) and not isinstance(v, bool) for v in p):
+        raise PreconditionError("polynomial coefficients must be integers or algebraic numbers")
+    theta, *gs = _field(p)
+    while gs and not gs[-1][0]:
+        gs.pop()
+    if not gs:
+        raise ZeroPolynomialError("the zero polynomial is not a valid input")
+    if theta is None:
+        N = polys.primitive([Fraction(*_ints(g)) for g in gs])
+    else:
+        _check_cand_degree((len(gs) - 1) * theta.degree)
+        N = polys.norm(gs, theta.min_poly)
+    roots = [AlgReal._make(f, interval) for f in polys.irreducible_factors(N)
+             for interval in polys.isolate_roots(f)]
+    if theta is not None:
+        roots = [r for r in roots if dot(p, [r ** i for i in range(len(p))]).sign() == 0]
     roots.sort(key=cmp_to_key(compare))
     return roots
 

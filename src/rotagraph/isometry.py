@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import isqrt
 import random
 
-from . import expr, polys
+from . import expr
 from .algebraic import (
     AlgReal, EQUAL, add, as_algreal, combo, compare, div, dot, mul, neg, real_roots, sub,
 )
@@ -128,46 +128,23 @@ def _shifted(m, lam):
         for i in range(3))
 
 
-def _is_eigenvalue(tr, s2, det, lam):
-    """Whether lam = +-1 is an eigenvalue of the map with characteristic
-    polynomial x^3 - tr x^2 + s2 x - det: det(m - lam I) = det - s2 lam +
-    tr lam^2 - lam^3, which is det - s2 lam + tr - lam."""
-    return add(sub(det, mul(lam, s2)), sub(tr, lam)).sign() == 0
-
-
-def _real_eigenvalues(tr, s2, det):
-    """Real eigenvalues, in increasing order and exactly, of a map with
-    characteristic polynomial x^3 - tr x^2 + s2 x - det.
-
-    Rational coefficients go through the integer cubic; for irrational
-    coefficients only the orthogonal candidates +-1 are tried (the real
-    spectrum of an orthogonal map is contained in {+-1})."""
-    if tr.is_rational and s2.is_rational and det.is_rational:
-        tr, s2, det = tr.as_rational(), s2.as_rational(), det.as_rational()
-        return real_roots(polys.primitive((-det, s2, -tr, 1)))
-    out = [lam for lam in (AlgReal(-1), _ONE) if _is_eigenvalue(tr, s2, det, lam)]
-    if out:
-        return out
-    raise PreconditionError(
-        "fixed points of maps with irrational characteristic coefficients "
-        "are computed only when +1 or -1 is an eigenvalue")
-
-
 def fixed_point(m):
     """A projective fixed point of m: an eigenvector for a real eigenvalue,
     which the odd-degree characteristic polynomial guarantees.
 
     Special orthogonal maps take the eigenvalue-1 shortcut (the rotation
-    axis); otherwise the smallest real eigenvalue is used.  Deterministic,
-    since the kernel vector is.
+    axis); otherwise the smallest real eigenvalue is used, the first real
+    root of x^3 - tr x^2 + s2 x - det (real_roots, through the cubic's norm
+    when its coefficients are irrational, BoundExceededError past the
+    candidate budget).  Deterministic, since the kernel vector is.
     """
     tr, s2, det = m.trace(), _minor2_sum(m), m.det()
     if det.sign() == 0:
         raise PreconditionError("fixed points are computed for invertible maps")
-    if _is_eigenvalue(tr, s2, det, _ONE) and is_orthogonal(m):
-        lam = _ONE
+    if add(sub(det, s2), sub(tr, _ONE)).sign() == 0 and is_orthogonal(m):
+        lam = _ONE      # det(m - I) = det - s2 + tr - 1 is 0
     else:
-        lam = _real_eigenvalues(tr, s2, det)[0]
+        lam = real_roots((neg(det), s2, neg(tr), 1))[0]
     return make_point(*_kernel_vector(_shifted(m, lam)))
 
 

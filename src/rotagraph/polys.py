@@ -3,19 +3,19 @@ kernel: the one place where polynomials are added, multiplied and divided.
 
 Polynomials are tuples of coefficients in ascending degree with a nonzero
 leading coefficient; the zero polynomial is the empty tuple.  Coefficients
-are Python ints, checked where a polynomial comes in (`as_coeff_tuple`).
+are Python ints, checked where a polynomial comes in (`real_roots`).
 A polynomial over Q, and so an element of Q[x]/(m), is one pair (n, d):
 integer numerators n over one positive int d with gcd(d, content(n)) = 1
 (`qpoly`), the usual number-field element form (Cohen, GTM 138, 4.2), so
 equal elements are equal pairs.  `qadd`, `qsub`, `qscale`, `mulmod`,
 `dotmod` (a sum of products, reduced once), `invmod`, `compose_mod`,
-`gcd_mod`, `minimal_polynomial` and `sqrt_candidates` take that form and
-work in integers, with one gcd where a result leaves; `primitive` turns
-ints or Fractions into the integer form in which polynomials leave.
+`gcd_mod`, `norm`, `minimal_polynomial` and `sqrt_candidates` take that
+form and work in integers, with one gcd where a result leaves; `primitive`
+turns ints or Fractions into the integer form in which polynomials leave.
 Factorisation over Q (`factor_int`) is the one job handed to a computer
 algebra system, sympy, imported on first use; everything else is done here
 with exact integer and rational arithmetic: the special resultants
-(composed sums, by Newton power sums) and minimal polynomials
+(composed sums, by Newton power sums), norms and minimal polynomials
 from traces, cyclotomic polynomials, pseudo-remainders (divisibility,
 gcds), everything sign-related (Sturm chains, root counting, isolation),
 with signs taken in integers, and arithmetic mod a prime.
@@ -31,8 +31,6 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import islice
 from math import comb, gcd, isqrt, lcm
-
-from .errors import PreconditionError, ZeroPolynomialError
 
 #: entries kept by each polynomial-keyed cache, far above the distinct
 #: polynomials of one benchmark pass (a traced `geometry` pass certified 40
@@ -103,18 +101,6 @@ def mul(a, b):
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
     return normalize(out)
-
-
-def as_coeff_tuple(p):
-    """A coefficient sequence of ints (bools excluded) as a polynomial;
-    reject any other coefficient and the zero polynomial."""
-    coeffs = tuple(p)
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in coeffs):
-        raise PreconditionError("polynomial coefficients must be integers")
-    coeffs = normalize(coeffs)
-    if not coeffs:
-        raise ZeroPolynomialError("the zero polynomial is not a valid input")
-    return coeffs
 
 
 # -- polynomials over Q, and arithmetic in Q[x]/(m) ----------------------------
@@ -318,23 +304,44 @@ def cand_sqrt(c):
     return primitive(out)
 
 
+def _norm_power_sums(f, m):
+    """(S, D): S_0..S_kn the power sums of the roots of Norm(f) times an int
+    D, for f of degree k over Q[x]/(m), m irreducible of degree n (a list
+    of elements, lowest degree first).  With f made monic, coefficients
+    c_i, Newton's identities give the power sums p_j = -(j*c_(k-j) +
+    c_(k-1)*p_(j-1) + ...) of f's roots, one dotmod each (no first term for
+    j > k), and their traces Tr(h) = sum_i h_i * s_i, s_i the power sums of
+    m's roots, are Norm(f)'s.  In integers: for L = lead(m), D times each
+    root is an algebraic integer for D = lcm(dens) * L^(n-1), the power
+    sums of m's roots times L are integers w_i, and so are D^j * Tr(p_j)."""
+    if f[-1] != ((1,), 1):
+        u = invmod(f[-1], m)
+        f = [mulmod(c, u, m) for c in f]
+    k, n, L = len(f) - 1, degree(m), m[-1]
+    D, Ln = lcm(*(c[1] for c in f)) * L ** (n - 1), L ** (n - 1)
+    w = [v * L ** (n - 1 - i) for i, v in enumerate(_power_sums(m, n - 1))]
+    e, p, S = [qscale(c, -1) for c in reversed(f[:-1])], [], [k * n]
+    for j in range(1, k * n + 1):
+        p.append(h := dotmod(e, p[:-k - 1:-1] + [((j,), 1)] * (j <= k), m))
+        S.append(D ** j * sum(c * wi for c, wi in zip(h[0], w)) // (h[1] * Ln))
+    return S, D
+
+
+def norm(f, m):
+    """The primitive integer polynomial Norm(f), the product of f's
+    conjugates, whose roots are those of f and of each conjugate, for f as
+    in _norm_power_sums (Trager, SYMSAC 1976; Cohen, GTM 138, 3.6)."""
+    S, D = _norm_power_sums(f, m)
+    return _from_power_sums(S, len(S) - 1, D)
+
+
 def minimal_polynomial(g, m):
     """The minimal polynomial of g(t), t a root of the irreducible m of
-    degree n.  The traces Tr(g(t)^k) = sum_i h_i * s_i, h = g^k mod m and
-    s_i the power sums of m's roots, are the power sums of the
-    characteristic polynomial of g(t), a power f^e of its minimal
-    polynomial f; so e = n / (n - deg gcd(char, char')), f has power sums
-    S_k / e, and no factorisation is needed.  In integers: for g = num / den
-    and L = lead(m), D * g(t) is an algebraic integer for
-    D = den * L^(n-1), the power sums of m's roots times L are integers
-    w_i, and so are S_k = D^k * Tr(g(t)^k)."""
-    n, L = degree(m), m[-1]
-    D = g[1] * L ** (n - 1)
-    w = [v * L ** (n - 1 - i) for i, v in enumerate(_power_sums(m, n - 1))]
-    S, h = [n], ((1,), 1)
-    for k in range(1, n + 1):
-        h = mulmod(h, g, m)
-        S.append(D ** k * sum(c * wi for c, wi in zip(h[0], w)) // (h[1] * L ** (n - 1)))
+    degree n.  Norm(x - g) is the characteristic polynomial of g(t), a
+    power f^e of its minimal polynomial f; so e = n / (n - deg gcd(char,
+    char')), f has power sums S_k / e, and no factorisation is needed."""
+    n = degree(m)
+    S, D = _norm_power_sums([qscale(g, -1), ((1,), 1)], m)
     char = _from_power_sums(S, n, D)
     d = n - degree(poly_gcd(char, derivative(char)))
     return _from_power_sums([v * d // n for v in S], d, D)

@@ -1269,7 +1269,7 @@ def _fields():
     from rotagraph import isometry as iso
     from rotagraph.algebraic import _gen
     m = iso.LinearMap(((1, 2, 0), (0, 1, 3), (1, 0, 1)))
-    lam, = iso._real_eigenvalues(m.trace(), iso._minor2_sum(m), m.det())
+    lam, = real_roots((neg(m.det()), iso._minor2_sum(m), neg(m.trace()), 1))
     fields = {"sqrt 2": SQRT2, "sqrt(1 + sqrt 2)": sqrt_nonneg(add(1, SQRT2)),
               "sqrt 2 + sqrt 3": add(SQRT2, SQRT3), "cubic eigenvalue": lam}
     fields = {name: _gen(v)[0] for name, v in fields.items()}
@@ -1418,6 +1418,19 @@ def test_dot_matches_the_add_mul_chain(monkeypatch):
                     e = sum(_closed(x, forms) * _closed(y, forms) for x, y in zip(xs, ys))
                     assert so.same_value(got, e), (kind, xs, ys)
     assert several >= 12
+
+
+def test_zero_terms_join_no_field():
+    """dot reads each pair with a zero factor, and combo each vector with a
+    zero coefficient, as zeros before the operands meet: the results lie
+    over sqrt 2, as mul(sqrt 2, 1/3) does, not over its compositum with
+    sqrt 3."""
+    from rotagraph.algebraic import _gen, combo, dot
+    third = AlgReal(Fraction(1, 3))
+    for v in (dot((SQRT2, 0), (third, SQRT3)), dot((SQRT2, SQRT3), (third, AlgReal(0))),
+              combo((1, 0), ((SQRT2, 1, 1), (SQRT3, 1, 1)))[0]):
+        assert _gen(v)[0].degree == 2
+    assert compare(dot((SQRT2, 0), (third, SQRT3)), mul(SQRT2, third)) == EQUAL
 
 
 def test_compare_across_unrelated_fields_builds_no_compositum(monkeypatch):

@@ -430,13 +430,15 @@ def test_bad_cycle_token_names_the_notation():
                                        "detail": "bad cycle notation: '(0 x)'"}
 
 
-def test_fixed_point_outside_the_eigenvalue_cases_is_a_precondition():
-    # invertible, irrational characteristic coefficients, neither +1 nor -1
-    # an eigenvalue: a domain limit, not a broken invariant
-    proc = run("iso", "fixed-point", "--matrix",
-               '[["sqrt(2)",0,0],[0,2,0],[0,0,3]]', check=False)
+def test_fixed_point_past_the_candidate_budget_fails_fast():
+    # the characteristic cubic over the degree-128 field of N7 has a norm of
+    # degree 384, refused before it is built
+    start = time.monotonic()
+    proc = run("iso", "fixed-point", "--matrix", json.dumps([[N7, 0, 0], [0, 2, 0], [0, 0, 3]]),
+               check=False)
+    assert time.monotonic() - start < 1
     assert proc.returncode == 1 and "Traceback" not in proc.stderr
-    assert json.loads(proc.stdout)["error"] == "precondition"
+    assert json.loads(proc.stdout)["error"] == "bound-exceeded"
 
 
 def test_exact_stdout_of_edge_choose_ell_and_check_orthogonal():

@@ -34,6 +34,11 @@ ROT = json.dumps([["1/3", "2/3", "2/3"], ["2/3", "1/3", "-2/3"],
                   ["-2/3", "2/3", "-1/3"]])
 ROT2 = json.dumps([["-1/9", "-4/9", "8/9"], ["8/9", "-4/9", "1/9"],
                    ["4/9", "7/9", "4/9"]])
+# the rotation about (1, 2, 2) by pi/6 conjugated by diag(sqrt 2, 1, 1)
+TURN_CONJ = json.dumps([
+    ["(1+4*sqrt(3))/9", "-sqrt(2)*(1+sqrt(3))/9", "sqrt(2)*(5-sqrt(3))/9"],
+    ["(5-sqrt(3))/(9*sqrt(2))", "(8+5*sqrt(3))/18", "(5-4*sqrt(3))/18"],
+    ["-(1+sqrt(3))/(9*sqrt(2))", "(11-4*sqrt(3))/18", "(8+5*sqrt(3))/18"]])
 # p and its images under the rotation about e3 by the apex angle of
 # cos l = 4/5 (cos a = 4/9, sin a = sqrt(65)/9): d(p, q_n) = l_n
 P0 = "3/5,0,4/5"
@@ -65,6 +70,12 @@ CALLS = [
     ["iso", "fixed-point", "--matrix", "[[2,0,0],[0,2,0],[0,0,3]]"],
     ["iso", "fixed-point", "--matrix", "[[1,0,0],[0,1,0],[0,0,1]]"],
     ["iso", "fixed-point", "--matrix", "[[1,0,0],[0,1,0],[0,0,0]]"],
+    # maps over Q(sqrt 2) and Q(sqrt 2, sqrt 3): the smallest real
+    # eigenvalue is sqrt 2, 1 (the rotation's axis, turned by the
+    # conjugation) and -3
+    ["iso", "fixed-point", "--matrix", '[["sqrt(2)",0,0],[0,2,0],[0,0,3]]'],
+    ["iso", "fixed-point", "--matrix", TURN_CONJ],
+    ["iso", "fixed-point", "--matrix", '[[1,0,0],[0,-3,0],[0,0,"sqrt(2)"]]'],
     ["iso", "sample-edges", "--matrix", ROT, "--cos-l", "4/5", "--count", "3",
      "--seed", "7"],
     ["graph", "path", "--p", "1,0,0", "--q", "1,sqrt(3),0", "--cos-l", "4/5"],

@@ -480,6 +480,62 @@ def test_minor2_sum_matches_the_loop():
         assert so.same_value(iso._minor2_sum(m), so.minor2_sum(so.matrix(m)))
 
 
+S2 = sqrt_nonneg(AlgReal(2))
+#: conjugation by diag(sqrt 2, 1, 1), which keeps a rotation's spectrum
+#: and makes it no longer orthogonal
+CONJ = (iso.LinearMap(((S2, 0, 0), (0, 1, 0), (0, 0, 1))),
+        iso.LinearMap(((div(1, S2), 0, 0), (0, 1, 0), (0, 0, 1))))
+
+
+def _maps_over_quadratic_fields(seed, count):
+    """(checked, m): upper-triangular maps whose diagonals lie in Q(sqrt 2)
+    or Q(sqrt 3), general maps over Q(sqrt 2), rotations over Q(sqrt 3) by
+    pi/6 or pi/3 conjugated by diag(sqrt 2, 1, 1), and improper maps, the
+    negatives of the rotations and their conjugates; checked marks the
+    non-orthogonal maps whose entries sympy handles in radicals (degree 2
+    at most): the triangular ones and conjugates about e2 and e3."""
+    rng = random.Random(seed)
+    for k in range(count):
+        kind = k % 4
+        if kind == 0:
+            root = rng.choice((S2, S3))
+            yield True, iso.LinearMap([[add(rng.randint(-3, 3), mul(rng.choice((-2, -1, 1, 2)), root))
+                                        if i == j else rng.randint(-2, 2) * (j > i)
+                                        for j in range(3)] for i in range(3)])
+        elif kind == 1:
+            yield False, iso.LinearMap([[add(rng.randint(-3, 3), mul(rng.randint(-2, 2), S2))
+                                         for _ in range(3)] for _ in range(3)])
+        else:
+            axis = rng.choice((E2, E3, ep.random_rational_point(rng)))
+            c, s = rng.choice(((div(S3, AlgReal(2)), Fraction(1, 2)),
+                               (Fraction(1, 2), div(S3, AlgReal(2)))))
+            r = iso.rotation_about(axis, c, neg(s) if rng.random() < 0.5 else s)
+            if rng.random() < 0.5:
+                r = CONJ[0] @ r @ CONJ[1]
+            if kind == 3:
+                r = iso.LinearMap([[neg(v) for v in row] for row in r.rows])
+            yield axis in (E2, E3) and not iso.is_orthogonal(r), r
+
+
+def test_fixed_points_of_maps_over_quadratic_fields():
+    """fixed_point fixes the point it gives for every drawn map; on the
+    checked draws (see _maps_over_quadratic_fields) the eigenvalue it used,
+    read off m p = lam p, is sympy's smallest real eigenvalue of the map."""
+    checked = 0
+    for check, m in _maps_over_quadratic_fields(71, 24):
+        if m.det().sign() == 0:
+            continue
+        p = iso.fixed_point(m)
+        assert iso.apply(m, p) == p
+        if check:
+            i = next(i for i, v in enumerate(p.raw_lift) if v.sign())
+            lam = div(m.apply_lift(p.raw_lift)[i], p.raw_lift[i])
+            real = [e for e in so.matrix(m).eigenvals() if e.is_real]
+            assert so.same_value(lam, min(real, key=float))
+            checked += 1
+    assert checked >= 6
+
+
 def test_circle_intersect_and_along_match_their_chains():
     """circle_intersect's point, or its InfeasibleError where the circles
     miss, and _along's point are sympy's closed forms of them."""

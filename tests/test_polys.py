@@ -1,5 +1,5 @@
-"""Differential tests against sympy: the power-sum special resultants
-(against its resultant, written the way the kernel used to call it),
+"""Differential tests against sympy: the power-sum special resultants and
+norms (against its resultant, written the way the kernel used to call it),
 cyclotomic polynomials, exact division, gcds, square-free parts and
 factorisation, and the irreducibility certificates against factorisation;
 integer signs against Fraction Horner; the cache bounds."""
@@ -8,6 +8,8 @@ import ast
 import random
 import threading
 from fractions import Fraction
+from functools import reduce
+from math import lcm
 from pathlib import Path
 
 import sympy
@@ -474,3 +476,32 @@ def test_sqrt_candidates_of_linear_fields_end():
         assert {abs(h[0]) for h in found} == (set() if root is None else {root}), (m, g)
         squares += root is not None
     assert squares >= 90
+
+
+def _element(rng, n):
+    return polys.qpoly([rng.randint(-5, 5) for _ in range(n)], rng.randint(1, 4))
+
+
+def test_norm_matches_sympys_resultant():
+    """norm(f, m) is Res_y(m(y), F(x, y)) made primitive, F(x, t) = f with
+    its denominators cleared, for cubic and linear f, monic or not, over
+    fields of degree 2-4 whose m has a lead other than 1; and the norm of
+    x - g is the characteristic polynomial of g, the power of its minimal
+    polynomial that has degree n."""
+    rng = random.Random(3701)
+    for d in (2, 3, 4):
+        m = random_irreducible(rng, d)
+        for k in (1, 3, 3, 1):
+            f = [_element(rng, d) for _ in range(k)]
+            lead = _element(rng, d)
+            f.append(lead if lead[0] and rng.random() < 0.5 else ((1,), 1))
+            den = reduce(lcm, (c[1] for c in f))
+            F = sum(_as_expr([den // c[1] * v for v in c[0]] or [0], Y) * X ** j
+                    for j, c in enumerate(f))
+            want = _primitive(sympy.resultant(_as_expr(m, Y), sympy.expand(F), Y))
+            assert polys.norm(f, m) == want, (m, f)
+            g = _element(rng, d)
+            if len(g[0]) > 1:
+                mp = polys.minimal_polynomial(g, m)
+                char = reduce(polys.mul, [mp] * (d // polys.degree(mp)))
+                assert polys.norm([polys.qscale(g, -1), ((1,), 1)], m) == char, (m, g)
