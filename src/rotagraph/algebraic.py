@@ -438,12 +438,24 @@ def _gen(v):
     return None, _literal(v)
 
 
-def _field(vs, join=None, terms=None):
+def _one_field(vs):
+    """(theta, g_1, ..., g_k) with vs[i] = g_i(theta), by one scan, when
+    the operands lie over one generator theta or none (None); else None."""
+    theta, gs = None, []
+    for t, g in map(_gen, vs):
+        if t is not None and t is not theta:
+            if theta is not None:
+                return None
+            theta = t
+        gs.append(g)
+    return (theta, *gs)
+
+
+def _field(vs, join=None):
     """(theta, g_1, ..., g_k) with vs[i] = g_i(theta), for operands as _gen
-    reads them: where the operands of one operation meet.  theta is None
-    when all are constants, and the one generator the irrational ones lie
-    over when there is one (one scan, no search).  Over several, theta is
-    the first of the largest degree that reaches each of the others as
+    reads them: where the operands of one operation meet, _one_field's
+    answer when there is one.  Over several generators, theta is the
+    first of the largest degree that reaches each of the others as
     t = h(theta) (_reach).  Failing that, two equal values (a value and its
     re-parse, which a join would reach only by factorising a candidate)
     meet over the first one's generator; else theta is the compositum the
@@ -451,27 +463,12 @@ def _field(vs, join=None, terms=None):
     first (_adjoin).  Each g over another generator is mapped into theta
     once (_image), and constants are kept.  join caps how many generators
     may be joined: None where none reaches the others and they number more
-    than join, never with join None (the default).  terms = (k, n) marks vs
-    as _terms's k coefficients and their values: over several generators
-    a zero term's operands meet as zeros first."""
-    theta, gs = None, []
-    for t, g in map(_gen, vs):
-        if t is not None and t is not theta:
-            if theta is not None:
-                break
-            theta = t
-        gs.append(g)
-    else:
-        return (theta, *gs)
+    than join, never with join None (the default)."""
+    common = _one_field(vs)
+    if common is not None:
+        return common
     es = list(map(_gen, vs))
-    if terms:
-        k, n = terms
-        for i in range(k):
-            if not (es[i][1][0] and (n > 1 or es[k + i][1][0])):
-                es[i], es[k + i * n:k + i * n + n] = _gen(0), [_gen(0)] * n
     thetas = list({id(t): t for t, _ in es if t is not None}.values())
-    if not thetas:
-        return (None, *(g for _, g in es))
     top = max(t.degree for t in thetas)
     for theta in thetas:
         # a field of lower degree contains no larger one
@@ -806,15 +803,18 @@ def combo(cs, vs):
 
 def _terms(cs, xs, n):
     """(theta, g_1, ...) for the coefficients cs and then the values xs,
-    n to each coefficient, as _field meets them, where each pair with a
-    zero factor (n = 1) and each vector with a zero coefficient meets as
-    zeros, so a zero term joins no field.  Where the rest would join more
-    than two generators, each product cs[i] * xs[i*n + j] is first taken
-    over the field its two factors meet over, and the products, with
-    coefficients 1, are met in their place: the join then builds on the
-    products' fields, which may be far smaller than the compositum of all
-    the factors' (that of two generators holds every product)."""
-    common = _field((*cs, *xs), join=2, terms=(len(cs), n))
+    n to each, as _field meets them; over several generators a zero term
+    (a pair with a zero factor, n = 1, or a vector with a zero coefficient)
+    meets as zeros, and joins no field.  Where the rest would join more
+    than two generators, each product cs[i] * xs[i*n + j] is taken over
+    its two factors' field first, and the products, with coefficients 1,
+    are met in their place: a join of the products' fields, which may be
+    far smaller than the compositum of all the factors'."""
+    common = _one_field((*cs, *xs))
+    if common is None:
+        zero = [not (_gen(c)[1][0] and (n > 1 or _gen(xs[i])[1][0])) for i, c in enumerate(cs)]
+        common = _field([0 if z else c for c, z in zip(cs, zero)]
+                        + [0 if zero[j // n] else x for j, x in enumerate(xs)], join=2)
     if common is None:
         products = (_sum(t, (g,), (h,)) for t, g, h in (
             _field((c, x)) for i, c in enumerate(cs) for x in xs[i * n:i * n + n]))
@@ -961,10 +961,13 @@ def _sqrt_in_field(a):
 
 def real_roots(p):
     """All distinct real roots, ascending, of a polynomial with int or
-    AlgReal coefficients, which meet once (_field).  Over no generator N is
-    p itself, and every root is kept; over one of degree n, N is p's norm
-    (polys.norm, of degree deg(p) * n within the candidate budget), and a
-    real root r of N is kept when one exact dot shows p(r) = 0."""
+    AlgReal coefficients, which meet once (_field).  N is p over no
+    generator, else p's norm (polys.norm; degree deg(p) * n over a
+    generator of degree n, within the candidate budget).  An irreducible
+    factor f of N shares with p the roots of their gcd g over Q(theta)
+    (polys.gcd_mod): all of f's for g = f, g's over theta for a linear g
+    or by the quadratic formula, so no root of f is joined with theta to
+    be tested; a larger g keeps f's real roots r with p(r) = 0 (one dot)."""
     if not all(isinstance(v, (int, AlgReal)) and not isinstance(v, bool) for v in p):
         raise PreconditionError("polynomial coefficients must be integers or algebraic numbers")
     theta, *gs = _field(p)
@@ -977,10 +980,20 @@ def real_roots(p):
     else:
         _check_cand_degree((len(gs) - 1) * theta.degree)
         N = polys.norm(gs, theta.min_poly)
-    roots = [AlgReal._make(f, interval) for f in polys.irreducible_factors(N)
-             for interval in polys.isolate_roots(f)]
-    if theta is not None:
-        roots = [r for r in roots if dot(p, [r ** i for i in range(len(p))]).sign() == 0]
+    roots = []
+    for f in polys.irreducible_factors(N):
+        g = f if theta is None else polys.gcd_mod(gs, [*map(polys.qpoly, zip(f))], theta.min_poly)
+        if len(g) == 2 < len(f):
+            roots.append(AlgReal._over(theta, polys.qscale(g[0], -1)))
+        elif len(g) == 3 < len(f):      # x^2 + b x + c
+            c, b = (AlgReal._over(theta, e) for e in g[:2])
+            if (disc := dot((b, -4), (b, c))).sign() > 0:
+                s = sqrt_nonneg(disc)
+                roots += [div(sub(s, b), 2), div(add(s, b), -2)]
+        elif len(g) > 1:
+            rs = [AlgReal._make(f, interval) for interval in polys.isolate_roots(f)]
+            roots += rs if len(g) == len(f) else [
+                r for r in rs if dot(p, [r ** i for i in range(len(p))]).sign() == 0]
     roots.sort(key=cmp_to_key(compare))
     return roots
 

@@ -80,13 +80,9 @@ def apply(m, p):
 
 def is_orthogonal(m):
     """Exact test: m^T m = I."""
-    g = m.transpose() @ m
-    for i in range(3):
-        for j in range(3):
-            want = _ONE if i == j else _ZERO
-            if compare(g.rows[i][j], want) != EQUAL:
-                return False
-    return True
+    g = (m.transpose() @ m).rows
+    return all(compare(g[i][j], _ONE if i == j else _ZERO) == EQUAL
+               for i in range(3) for j in range(3))
 
 
 def _minor2_sum(m):
@@ -115,17 +111,8 @@ def _kernel_vector(rows):
         for j, r in enumerate(row):
             if r.sign() != 0:
                 k = 0 if j == 1 else 1
-                v = [_ZERO, _ZERO, _ZERO]
-                v[k], v[j] = r, neg(row[k])
-                return tuple(v)
+                return tuple(r if i == k else neg(row[k]) if i == j else _ZERO for i in range(3))
     return (_ONE, _ZERO, _ZERO)
-
-
-def _shifted(m, lam):
-    return tuple(
-        tuple(sub(m.rows[i][j], lam) if i == j else m.rows[i][j]
-              for j in range(3))
-        for i in range(3))
 
 
 def fixed_point(m):
@@ -133,10 +120,10 @@ def fixed_point(m):
     which the odd-degree characteristic polynomial guarantees.
 
     Special orthogonal maps take the eigenvalue-1 shortcut (the rotation
-    axis); otherwise the smallest real eigenvalue is used, the first real
-    root of x^3 - tr x^2 + s2 x - det (real_roots, through the cubic's norm
-    when its coefficients are irrational, BoundExceededError past the
-    candidate budget).  Deterministic, since the kernel vector is.
+    axis); otherwise the smallest real eigenvalue, the first of real_roots
+    of x^3 - tr x^2 + s2 x - det (through the cubic's norm for irrational
+    coefficients, BoundExceededError past the candidate budget).
+    Deterministic, since the kernel vector is.
     """
     tr, s2, det = m.trace(), _minor2_sum(m), m.det()
     if det.sign() == 0:
@@ -145,7 +132,8 @@ def fixed_point(m):
         lam = _ONE      # det(m - I) = det - s2 + tr - 1 is 0
     else:
         lam = real_roots((neg(det), s2, neg(tr), 1))[0]
-    return make_point(*_kernel_vector(_shifted(m, lam)))
+    return make_point(*_kernel_vector([[sub(v, lam) if i == j else v for j, v in enumerate(row)]
+                                       for i, row in enumerate(m.rows)]))
 
 
 def preserves_edges_on_sample(m, cos_l, pairs):

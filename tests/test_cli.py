@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rotagraph import cli
+from rotagraph import cli, polys
 from rotagraph.errors import RotagraphError, read_int
 
 CLI = [sys.executable, "-m", "rotagraph.cli"]
@@ -430,15 +430,18 @@ def test_bad_cycle_token_names_the_notation():
                                        "detail": "bad cycle notation: '(0 x)'"}
 
 
-def test_fixed_point_past_the_candidate_budget_fails_fast():
+def test_fixed_point_past_the_candidate_budget_builds_no_norm(monkeypatch, capsys):
     # the characteristic cubic over the degree-128 field of N7 has a norm of
-    # degree 384, refused before it is built
-    start = time.monotonic()
-    proc = run("iso", "fixed-point", "--matrix", json.dumps([[N7, 0, 0], [0, 2, 0], [0, 0, 3]]),
-               check=False)
-    assert time.monotonic() - start < 1
-    assert proc.returncode == 1 and "Traceback" not in proc.stderr
-    assert json.loads(proc.stdout)["error"] == "bound-exceeded"
+    # degree 384: bound-exceeded before the norm is built or anything is
+    # factorised
+    def unreachable(*args):
+        raise AssertionError("reached past the candidate budget")
+
+    monkeypatch.setattr(polys, "norm", unreachable)
+    monkeypatch.setattr(polys, "factor_int", unreachable)
+    code, out, _ = main_exit(capsys, ["iso", "fixed-point", "--matrix",
+                                      json.dumps([[N7, 0, 0], [0, 2, 0], [0, 0, 3]])])
+    assert code == 1 and json.loads(out)["error"] == "bound-exceeded"
 
 
 def test_exact_stdout_of_edge_choose_ell_and_check_orthogonal():

@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 import sympy_oracle as so
+from rotagraph import algebraic, expr
 from rotagraph import elliptic as ep
 from rotagraph import isometry as iso
-from rotagraph.algebraic import AlgReal, EQUAL, add, compare, div, mul, neg, sqrt_nonneg
+from rotagraph.algebraic import AlgReal, EQUAL, add, compare, div, mul, neg, sqrt_nonneg, sub
 from rotagraph.errors import InfeasibleError, PreconditionError
 
 E1 = ep.make_point(1, 0, 0)
@@ -499,9 +500,10 @@ def _maps_over_quadratic_fields(seed, count):
         kind = k % 4
         if kind == 0:
             root = rng.choice((S2, S3))
-            yield True, iso.LinearMap([[add(rng.randint(-3, 3), mul(rng.choice((-2, -1, 1, 2)), root))
-                                        if i == j else rng.randint(-2, 2) * (j > i)
-                                        for j in range(3)] for i in range(3)])
+            yield True, iso.LinearMap([
+                [add(rng.randint(-3, 3), mul(rng.choice((-2, -1, 1, 2)), root))
+                 if i == j else rng.randint(-2, 2) * (j > i) for j in range(3)]
+                for i in range(3)])
         elif kind == 1:
             yield False, iso.LinearMap([[add(rng.randint(-3, 3), mul(rng.randint(-2, 2), S2))
                                          for _ in range(3)] for _ in range(3)])
@@ -517,6 +519,12 @@ def _maps_over_quadratic_fields(seed, count):
             yield axis in (E2, E3) and not iso.is_orthogonal(r), r
 
 
+def _eigenvalue(m, p):
+    """lam with m p = lam p, read off p's first nonzero coordinate."""
+    i = next(i for i, v in enumerate(p.raw_lift) if v.sign())
+    return div(m.apply_lift(p.raw_lift)[i], p.raw_lift[i])
+
+
 def test_fixed_points_of_maps_over_quadratic_fields():
     """fixed_point fixes the point it gives for every drawn map; on the
     checked draws (see _maps_over_quadratic_fields) the eigenvalue it used,
@@ -528,12 +536,34 @@ def test_fixed_points_of_maps_over_quadratic_fields():
         p = iso.fixed_point(m)
         assert iso.apply(m, p) == p
         if check:
-            i = next(i for i, v in enumerate(p.raw_lift) if v.sign())
-            lam = div(m.apply_lift(p.raw_lift)[i], p.raw_lift[i])
             real = [e for e in so.matrix(m).eigenvals() if e.is_real]
-            assert so.same_value(lam, min(real, key=float))
+            assert so.same_value(_eigenvalue(m, p), min(real, key=float))
             checked += 1
     assert checked >= 6
+
+
+def test_fixed_points_read_from_gcds_over_the_field(monkeypatch):
+    """The roots a cubic over Q(theta) shares with an irreducible factor of
+    its norm come from their gcd over Q(theta): a linear gcd, read over
+    theta with no compositum, for diag(N_k, 1, 2), N_k the k-deep
+    sqrt(2 + ...) of degree 2^k, whose norm has degree 3 * 2^k (eigenvalue
+    1, e2, as the +-1 try gave before the norm); a quadratic one, by the
+    quadratic formula, for the companion blocks of x^2 -+ sqrt 2 x - 1,
+    whose smallest eigenvalue is (+-sqrt 2 - sqrt 6) / 2."""
+    def unreachable(*args):
+        raise AssertionError("joined a field")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(algebraic, "_compositum", unreachable)
+        for k in (4, 5):
+            nk = expr.parse("sqrt(2+" * (k - 1) + "sqrt(2)" + ")" * (k - 1))
+            assert iso.fixed_point(iso.LinearMap(((nk, 0, 0), (0, 1, 0), (0, 0, 2)))) == E2
+    s6 = sqrt_nonneg(AlgReal(6))
+    for sign in (1, -1):
+        m = iso.LinearMap(((1, 0, 0), (0, 0, 1), (0, 1, mul(sign, S2))))
+        p = iso.fixed_point(m)
+        assert iso.apply(m, p) == p
+        assert compare(_eigenvalue(m, p), div(sub(mul(sign, S2), s6), 2)) == EQUAL
 
 
 def test_circle_intersect_and_along_match_their_chains():
