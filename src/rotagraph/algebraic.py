@@ -909,14 +909,15 @@ def sqrt_nonneg(a):
     if nonsquare:
         root = _sqrt_of_nonsquare(a)
     else:
-        root = _select_root(polys.sqrt_factors(m), lambda: _sqrt_interval(a.interval), a.refine)
+        root = _select_root(polys.factor_int(polys.cand_sqrt(m)),
+                            lambda: _sqrt_interval(a.interval), a.refine)
     _tower(root, a)
     return root
 
 
 def _sqrt_of_nonsquare(a):
     """sqrt(a) for an irrational a > 0 that is no square in Q(a): the root
-    of m(x^2), m = a's minimal polynomial, irreducible then (sqrt_factors),
+    of m(x^2), m = a's minimal polynomial, irreducible then (nonsquare_root),
     on the bracket [lo, hi] of a's interval (_sqrt_interval), once that
     holds exactly one root.  Its roots in (lo, hi], lo >= 0, are the square
     roots of m's roots in (lo^2, hi^2], so one Sturm count on m's own chain

@@ -16,15 +16,21 @@ Factorisation over Q (`factor_int`) is the one job handed to a computer
 algebra system, sympy, imported on first use; everything else is done here
 with exact integer and rational arithmetic: the special resultants
 (composed sums, by Newton power sums), norms and minimal polynomials
-from traces, cyclotomic polynomials, pseudo-remainders (divisibility,
-gcds), everything sign-related (Sturm chains, root counting, isolation),
-with signs taken in integers, and arithmetic mod a prime.
+from traces, cyclotomic polynomials, pseudo-remainders (divisibility),
+everything sign-related (Sturm chains, root counting, isolation), with
+signs taken in integers, and arithmetic mod a prime.
 
-The last serves certificates that a candidate polynomial is irreducible,
-read from how it factors mod small primes (`sqrt_factors`,
-`composed_factors`, `irreducible_factors`): each hands back the candidate
-as its own single factor when it fires and calls `factor_int` otherwise,
-so factorisation runs only where no cheap exact argument decides.
+An integer polynomial has one remainder sequence, its Sturm chain
+(`sturm_chain`, cached), which ends in gcd(c, c'): the same rows count
+its roots and give its square-free part (`squarefree_part`), a
+characteristic polynomial's minimal polynomial (`minimal_polynomial`) and
+a composed sum's square-freeness (`composed_factors`).
+
+Arithmetic mod a prime serves certificates that a candidate polynomial is
+irreducible, read from how it factors mod small primes (`nonsquare_root`,
+`composed_factors`, `irreducible_factors`): where one fires the candidate
+is its own single factor, and `factor_int` runs only where no cheap exact
+argument decides.
 """
 
 from fractions import Fraction
@@ -337,14 +343,13 @@ def norm(f, m):
 
 def minimal_polynomial(g, m):
     """The minimal polynomial of g(t), t a root of the irreducible m of
-    degree n.  Norm(x - g) is the characteristic polynomial of g(t), a
-    power f^e of its minimal polynomial f; so e = n / (n - deg gcd(char,
-    char')), f has power sums S_k / e, and no factorisation is needed."""
-    n = degree(m)
+    degree n: Norm(x - g), of degree n, is the characteristic polynomial of
+    g(t), a power of its minimal polynomial, so its square-free part
+    (squarefree_part) is that polynomial, with no factorisation.  For a g(t)
+    that generates Q(t) the two are one, and so is the Sturm chain that
+    gives the gcd and the one that root selection counts on."""
     S, D = _norm_power_sums([qscale(g, -1), ((1,), 1)], m)
-    char = _from_power_sums(S, n, D)
-    d = n - degree(poly_gcd(char, derivative(char)))
-    return _from_power_sums([v * d // n for v in S], d, D)
+    return squarefree_part(_from_power_sums(S, degree(m), D))
 
 
 # -- arithmetic mod a prime --------------------------------------------------
@@ -469,16 +474,7 @@ def _good_primes(c, avoid=1):
 # -- irreducibility certificates ----------------------------------------------
 # Each hands back a candidate as its own single irreducible factor when an
 # exact argument shows it is irreducible, and otherwise falls back to
-# factor_int.  Square-freeness mod p lifts to Q: a repeated factor g^2 of c
-# in Z[x] has p not dividing lead(g) and would stay repeated mod p.
-
-def _squarefree_mod_prime(c):
-    """True when c is square-free mod some prime not dividing its lead,
-    hence square-free over Q."""
-    dc = derivative(c)
-    return any(c[-1] % p and len(_gcd_p(_mod_p(c, p), _mod_p(dc, p), p)) == 1
-               for p in CERT_PRIMES)
-
+# factor_int.
 
 def int_sqrt(n):
     """The square root of the int n when n is the square of an int, else
@@ -503,8 +499,10 @@ def discriminant(m):
 
 @lru_cache(maxsize=CACHE_SIZE)
 def nonsquare_root(m):
-    """True when a root a of the irreducible m is not a square in Q(a): its
-    norm (-1)^n * m(0) / lead(m) is not a rational square (N(b^2) = N(b)^2),
+    """True when a root a of the irreducible m is not a square in Q(a), so
+    that x^2 - a is irreducible over Q(a) and m(x^2) (cand_sqrt) is the
+    minimal polynomial of sqrt(a), of degree 2n (Capelli): its norm
+    (-1)^n * m(0) / lead(m) is not a rational square (N(b^2) = N(b)^2),
     or some odd prime p, good for m (see _ddf) and not dividing m(0), has a
     factor g of m mod p with x no square in F_p[x]/(g).  By Hensel's lemma
     g lifts to the p-adic integers, where its root is a unit of an
@@ -516,15 +514,6 @@ def nonsquare_root(m):
     return any(_powmod_p([0, 1], (p ** d - 1) // 2, g, p) != [1]
                for p, parts in islice(_good_primes(m, 2 * m[0]), GOOD_PRIMES)
                for d, g in parts)
-
-
-def sqrt_factors(m):
-    """The irreducible factors of cand_sqrt(m), m the minimal polynomial of
-    a nonzero a: m(x^2) itself, the minimal polynomial of sqrt(a), when a
-    is no square in Q(a) (nonsquare_root), since x^2 - a is then
-    irreducible over Q(a) (Capelli) and sqrt(a) has degree 2n."""
-    cand = cand_sqrt(m)
-    return (cand,) if nonsquare_root(m) else factor_int(cand)
 
 
 def _sqrt_fq(a, f, p):
@@ -610,26 +599,22 @@ def sqrt_candidates(m, g):
 @lru_cache(maxsize=CACHE_SIZE)
 def full_degree(m1, m2):
     """True when roots t1, t2 of the irreducible m1, m2 give
-    [Q(t1, t2) : Q] = n1*n2.  Coprime degrees force it.  Two quadratics
-    have it exactly when the product D1*D2 of their discriminants is no
-    square of an int (a negative product never is), since
-    Q(sqrt D1) = Q(sqrt D2) just when D1/D2 is a rational square.  Else
-    some prime p not dividing the leads must make both square-free mod p,
-    one of them, of degree n, irreducible mod p, and the other one have a
-    factor mod p of degree f prime to n.  By Hensel's lemma that factor
-    lifts to the p-adic integers and embeds Q(t1) in the unramified
-    extension of Q_p of degree f, whose residue field F_(p^f) keeps the
-    first polynomial irreducible; a factorisation of it over Q(t1) would
-    reduce to one over F_(p^f).  False when no prime shows it: at once for
-    m1 == m2 (a field of degree n^2 at most), after GOOD_PRIMES good primes
-    if neither side was irreducible at any of them (as for one field reached
-    twice whose Galois group has no n-cycle), else after 8 * GOOD_PRIMES.
-    A False only sends the caller to factorisation."""
+    [Q(t1, t2) : Q] = n1*n2.  Coprime degrees force it.  Else some prime p
+    not dividing the leads must make both square-free mod p, one of them,
+    of degree n, irreducible mod p, and the other one have a factor mod p
+    of degree f prime to n.  By Hensel's lemma that factor lifts to the
+    p-adic integers and embeds Q(t1) in the unramified extension of Q_p of
+    degree f, whose residue field F_(p^f) keeps the first polynomial
+    irreducible; a factorisation of it over Q(t1) would reduce to one over
+    F_(p^f).  False when no prime shows it: at once for m1 == m2 (a field
+    of degree n^2 at most), after GOOD_PRIMES good primes if neither side
+    was irreducible at any of them (as for one field reached twice whose
+    Galois group has no n-cycle), else after 8 * GOOD_PRIMES.  A False
+    only sends the caller to factorisation.  (The package decides two
+    quadratic fields by their discriminants and never asks here.)"""
     n1, n2 = degree(m1), degree(m2)
     if gcd(n1, n2) == 1:
         return True
-    if n1 == n2 == 2:
-        return int_sqrt(discriminant(m1) * discriminant(m2)) is None
     if m1 == m2:
         return False
     (small, ns), (big, nb) = sorted(((m1, n1), (m2, n2)), key=lambda e: e[1])
@@ -653,9 +638,10 @@ def full_degree(m1, m2):
 def composed_factors(cand, m1, m2):
     """The irreducible factors of cand = cand_sum(m1, m2).  Its roots are
     the sums of every pair of conjugates, so when Q(t1, t2) has full degree
-    (full_degree) and those sums are distinct (cand square-free), t1 + t2
-    has degree deg(cand) and cand is its minimal polynomial."""
-    if full_degree(m1, m2) and _squarefree_mod_prime(cand):
+    (full_degree) and those sums are distinct (cand square-free: its Sturm
+    chain ends in a constant), t1 + t2 has degree deg(cand) and cand is its
+    minimal polynomial, whose chain root selection then counts on."""
+    if full_degree(m1, m2) and len(sturm_chain(cand)[-1]) == 1:
         return (cand,)
     return factor_int(cand)
 
@@ -688,18 +674,21 @@ def irreducible_factors(c):
 
 @lru_cache(maxsize=CACHE_SIZE)
 def sturm_chain(c):
-    """Sturm chain of a squarefree polynomial, primitive integer rows."""
-    chain = [primitive(c), primitive(derivative(c))]
-    while chain[-1] and degree(chain[-1]) > 0:
-        # lead^e * (a mod b), turned into a positive multiple of -(a mod b)
-        rem, e = pseudo_rem(chain[-2], chain[-1])
-        if not rem:
-            break
-        if chain[-1][-1] > 0 or e % 2 == 0:
-            rem = tuple(-v for v in rem)
+    """The Sturm chain of a nonzero c, primitive integer rows: c and c',
+    then each row a positive multiple of minus the remainder of the two
+    before it, down to the last nonzero one, which is gcd(c, c') up to a
+    constant (a constant for square-free c, the one row of a constant c)."""
+    chain, rem = [primitive(c)], derivative(primitive(c))
+    while rem:
         # divide out the positive content: flipping a row's sign breaks the count
         g = gcd(*rem)
         chain.append(tuple(v // g for v in rem))
+        if len(rem) == 1:
+            break
+        # lead^e * (a mod b), turned into a positive multiple of -(a mod b)
+        rem, e = pseudo_rem(chain[-2], chain[-1])
+        if chain[-1][-1] > 0 or e % 2 == 0:
+            rem = tuple(-v for v in rem)
     return tuple(chain)
 
 
@@ -726,20 +715,16 @@ def pseudo_rem(a, b):
     return quo_rem(a, b)[1:]
 
 
-def poly_gcd(a, b):
-    """Greatest common divisor over Q, primitive with positive lead."""
-    while b:
-        a, b = b, primitive(pseudo_rem(a, b)[0])
-    return primitive(a)
-
-
 def _variations(chain, t):
     signs = [v for v in (sign_at(row, t) for row in chain) if v]
     return sum(1 for i in range(len(signs) - 1) if signs[i] != signs[i + 1])
 
 
 def count_roots_halfopen(c, lo, hi):
-    """Number of distinct real roots of squarefree c in (lo, hi]."""
+    """Number of distinct real roots of c in (lo, hi], for lo and hi no
+    multiple roots of c: wherever gcd(c, c') is nonzero, dividing each row
+    of c's Sturm chain by it keeps the sign variations, and the quotients
+    form a Sturm chain of c's square-free part."""
     if lo >= hi:
         return 0
     chain = sturm_chain(c)
@@ -807,9 +792,10 @@ def cos_rational_angle_resultant(m):
 
 
 def squarefree_part(c):
-    """The product of c's distinct irreducible factors, primitive: c divided
-    exactly by gcd(c, c')."""
-    return primitive(quo_rem(c, poly_gcd(c, derivative(c)))[0])
+    """The product of c's distinct irreducible factors, primitive, for a
+    nonzero c: c divided exactly by gcd(c, c'), the last row of its Sturm
+    chain, so the chain that gives it also counts c's roots."""
+    return primitive(quo_rem(c, sturm_chain(c)[-1])[0])
 
 
 def divides(small, big):

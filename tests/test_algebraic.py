@@ -2,7 +2,7 @@ import operator
 import random
 import time
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, sqrt
 
 import mpmath
 import pytest
@@ -1568,7 +1568,7 @@ def test_rational_square_roots_match_the_sturm_route(monkeypatch):
         a = AlgReal(r)
         square = polys.rational_sqrt(r)
         if square is None:
-            want = _select_root(polys.sqrt_factors(a.min_poly),
+            want = _select_root(polys.factor_int(polys.cand_sqrt(a.min_poly)),
                                 lambda: _sqrt_interval(a.interval), a.refine)
         else:
             want, squares = AlgReal(square), squares + 1
@@ -1659,6 +1659,36 @@ def test_quadratic_isolation_matches_the_trace_route(monkeypatch):
     assert min(seen.values()) >= 50, seen
 
 
+def test_isolating_a_generator_of_its_field_builds_one_sturm_chain(monkeypatch):
+    """g(theta) that generates Q(theta), of degree 8, has its
+    characteristic polynomial as its minimal polynomial: _isolate builds
+    one Sturm chain, whose last row shows that polynomial square-free and
+    on which root selection then counts, and runs no other remainder
+    sequence over Z (every other pseudo-remainder reduces modulo m)."""
+    from rotagraph.algebraic import _isolate
+    m = polys.cand_sum(polys.cand_sum((-2, 0, 1), (-3, 0, 1)), (-5, 0, 1))
+    theta = AlgReal.from_root(m, 4)         # sqrt 2 + sqrt 3 - sqrt 5
+    g = polys.qpoly((1, 3, 1), 2)           # (1 + 3*theta + theta^2) / 2
+    polys.sturm_chain.cache_clear()
+    polys.sturm_chain(m)                    # theta's own, refined on
+    before = polys.sturm_chain.cache_info().misses
+    remainders, original = [], polys.pseudo_rem
+
+    def spy(a, b):
+        if b != m:
+            remainders.append(b)
+        return original(a, b)
+
+    monkeypatch.setattr(polys, "pseudo_rem", spy)
+    f, (lo, hi), _ = _isolate(theta, g)
+    monkeypatch.setattr(polys, "pseudo_rem", original)
+    assert polys.sturm_chain.cache_info().misses == before + 1
+    assert len(remainders) == len(polys.sturm_chain(f)) - 2
+    assert polys.degree(f) == 8 and polys.count_roots_halfopen(f, lo, hi) == 1
+    t = sqrt(2) + sqrt(3) - sqrt(5)
+    assert lo < (1 + 3 * t + t * t) / 2 < hi
+
+
 def _seeded_radicands(seed, count):
     """(kind, make): make() builds a fresh radicand a > 0 of degree 2 or 4,
     a root theta of an irreducible m or an element g(theta) of the same
@@ -1716,7 +1746,7 @@ def test_square_root_counted_on_the_radicand_chain_matches_root_selection(monkey
     """The square root of a radicand of degree 2 or 4 that is no square in
     its field is the root of m(x^2) that a Sturm count on m itself
     brackets (_sqrt_of_nonsquare): the same minimal polynomial and bracket
-    as root selection over sqrt_factors(m) on the same brackets (the
+    as root selection over the factors of m(x^2) on the same brackets (the
     oracle), including brackets that start at 0 and brackets that hold two
     roots until the radicand is refined; sqrt_nonneg builds no Sturm chain
     above degree n on the way, and gives the same value."""
@@ -1734,7 +1764,7 @@ def test_square_root_counted_on_the_radicand_chain_matches_root_selection(monkey
         n, first = ref.degree, ref.interval
         total[n] += 1
         clipped += first[0] <= 0
-        want = _select_root(polys.sqrt_factors(ref.min_poly),
+        want = _select_root(polys.factor_int(polys.cand_sqrt(ref.min_poly)),
                             lambda: _sqrt_interval(ref.interval), ref.refine)
         refined += ref.interval != first
         root = _sqrt_of_nonsquare(mine)
