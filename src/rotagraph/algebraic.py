@@ -56,14 +56,19 @@ square is the root of q*x^2 - p on an isqrt bracket that two signs check;
 two quadratic fields have a compositum of full degree unless their
 discriminants multiply to a square (no prime search); an embedding
 t = h(psi) stands once t's minimal polynomial has one root in the hull of
-h(psi)'s enclosure and t's interval (one Sturm count, no refinement of psi
-down to t's interval); a value over a quadratic generator has its minimal
-polynomial by substitution and its interval from its enclosure cut at the
-axis of that polynomial, which two signs check (no trace, gcd or Sturm
-chain); and the square root of an a that is no square in Q(a) is the root
-of m_a(x^2) on a bracket [lo, hi], lo >= 0, that holds one exactly when
-[lo^2, hi^2] holds one root of m_a (a Sturm count on a's own chain, none
-of twice its degree).
+h(psi)'s enclosure and t's interval (one root count, no refinement of psi
+down to t's interval); a root count on a quadratic reads two signs at
+each end, with no Sturm chain; the sum of two quadratic generators is
+isolated by the sum of their intervals once that is narrower than its
+distances to its conjugates; a square root of a linear radicand
+(c0 + c1*theta)/d records theta = (d*x^2 - c0)/c1, with no gcd; a value
+over a quadratic generator has its minimal polynomial by substitution
+and its interval from its enclosure cut at the axis of that polynomial,
+which two signs check (no trace, gcd or Sturm chain); and the square root
+of an a that is no square in Q(a) is the root of m_a(x^2) on a bracket
+[lo, hi], lo >= 0, that holds one exactly when [lo^2, hi^2] holds one
+root of m_a (a root count on a's own polynomial, none on one of twice
+its degree).
 
 Values are immutable.  The isolating interval may be tightened in place,
 a rational or tagged value's minimal polynomial filled in on first use, a
@@ -604,7 +609,8 @@ def _summands(t):
 def _record(psi, embeds):
     """Give the new generator psi its embeddings (t, h) after checking each
     exactly: m_t(h(x)) reduces to 0 modulo m_psi, so h(psi) is a root of
-    m_t, and m_t has exactly one root (a Sturm count) in the hull of an
+    m_t, and m_t has exactly one root (polys.count_roots_halfopen: a Sturm
+    count, or for a quadratic m_t two signs at each end) in the hull of an
     enclosure of h(psi) and t's isolating interval, which holds both, so
     h(psi) = t.  While the hull holds more roots, psi's interval is halved
     k times, k the bit length of the enclosure's width over that of t's
@@ -633,9 +639,15 @@ def _record(psi, embeds):
 def _tower(root, a):
     """Record in root = sqrt(a) the generator theta of a = g(theta) when a
     generates theta's whole field: theta is then the one common root of
-    m(x) and g(x) - root^2, their gcd over Q(root) (polys.gcd_mod)."""
+    m(x) and g(x) - root^2, their gcd over Q(root) (polys.gcd_mod).  For a
+    linear g = (c0 + c1*x)/d that gcd is x - (d*root^2 - c0)/c1, so theta
+    is recorded as h = (d*x^2 - c0)/c1, reduced once root has degree
+    above 2, with no gcd run: _record's check that m(h(root)) vanishes is
+    what makes it the gcd."""
     theta, (c, d) = _gen(a)
-    if a.degree == theta.degree:
+    if len(c) == 2 and root.degree > 2:
+        _record(root, ((theta, polys.qpoly((-c[0], 0, d), c[1])),))
+    elif a.degree == theta.degree:
         g = [polys.qsub(polys.qpoly(c[:1], d), ((0, 0, 1), 1)), *(polys.qpoly((v,), d) for v in c[1:])]
         f = polys.gcd_mod([polys.qpoly((v,)) for v in theta.min_poly], g, root.min_poly)
         _record(root, ((theta, polys.qscale(f[0], -1)),))
@@ -644,15 +656,16 @@ def _tower(root, a):
 def _compositum(t1, t2):
     """A primitive element psi = t1 + k*t2 of Q(t1, t2), for generators that
     do not reach each other, recording t1 = h1(psi) and t2 = (psi - t1) / k:
-    psi the factor of t1 + k*t2's candidate that its interval selects (in
-    closed form for two quadratics, _quadratic_sum), and t1 the one common
-    root of m1(x) and m_k(psi - x), m_k that of k*t2, their gcd over Q(psi)
-    (Trager, SYMSAC 1976; Loos, 1982).  k = 1 unless psi is rational or that
-    gcd is not linear, else up to _MAX_SHIFT; past the candidate budget,
-    BoundExceededError, and past k = _MAX_SHIFT too.  Each of t1 and t2
-    remembers psi as the last compositum it was joined into, and a join of
-    either with a generator that compositum reaches, no larger than their
-    compositum can be, returns it."""
+    for two quadratics psi = t1 + t2 and h1 in closed form
+    (_quadratic_sum); else psi the factor of t1 + k*t2's candidate that its
+    interval selects, and t1 the one common root of m1(x) and m_k(psi - x),
+    m_k that of k*t2, their gcd over Q(psi) (Trager, SYMSAC 1976; Loos,
+    1982).  k = 1 unless psi is rational or that gcd is not linear, else up
+    to _MAX_SHIFT; past the candidate budget, BoundExceededError, and past
+    k = _MAX_SHIFT too.  Each of t1 and t2 remembers psi as the last
+    compositum it was joined into, and a join of either with a generator
+    that compositum reaches, no larger than their compositum can be,
+    returns it."""
     m1, m2 = t1.min_poly, t2.min_poly
     for s, t in ((t1, t2), (t2, t1)):
         psi = s._joined
@@ -661,18 +674,22 @@ def _compositum(t1, t2):
     n2 = len(m2) - 1
     _check_cand_degree((len(m1) - 1) * n2)
     for k in range(1, _MAX_SHIFT + 1):
-        mk = polys.primitive([c * k ** (n2 - i) for i, c in enumerate(m2)])
-        # two quadratics have D1*D2 no square here, or _reach would meet them
-        m, h1 = _quadratic_sum(m1, mk) if len(m1) == len(mk) == 3 else (None, None)
-        psi = _select_root((m,) if m else polys.composed_factors(polys.cand_sum(m1, mk), m1, mk),
-                           lambda: tuple(a + k * b for a, b in zip(t1.interval, t2.interval)),
-                           lambda: (t1.refine(), t2.refine()))
-        if not (m or psi.is_rational):
-            m = psi.min_poly
-            f = polys.gcd_mod([polys.qpoly((c,)) for c in m1], [polys.compose_mod(
-                ([(-1) ** j * comb(i, j) * c for i, c in enumerate(mk) if i >= j], 1), _X, m)
-                for j in range(n2 + 1)], m)       # m_k(psi - x), binomially
-            h1 = polys.qscale(f[0], -1) if len(f) == 2 else None
+        if len(m1) == len(m2) == 3:
+            # two quadratics have D1*D2 no square here, or _reach would meet them
+            psi, h1 = _quadratic_sum(t1, t2)
+        else:
+            mk = polys.primitive([c * k ** (n2 - i) for i, c in enumerate(m2)])
+            psi = _select_root(
+                polys.composed_factors(polys.cand_sum(m1, mk), m1, mk),
+                lambda: tuple(a + k * b for a, b in zip(t1.interval, t2.interval)),
+                lambda: (t1.refine(), t2.refine()))
+            h1 = None
+            if not psi.is_rational:
+                m = psi.min_poly
+                f = polys.gcd_mod([polys.qpoly((c,)) for c in m1], [polys.compose_mod(
+                    ([(-1) ** j * comb(i, j) * c for i, c in enumerate(mk) if i >= j], 1),
+                    _X, m) for j in range(n2 + 1)], m)       # m_k(psi - x), binomially
+                h1 = polys.qscale(f[0], -1) if len(f) == 2 else None
         if h1 is not None:
             _record(psi, ((t1, h1), (t2, polys.qscale(polys.qsub(_X, h1), 1, k))))
             t1._joined = t2._joined = psi
@@ -680,15 +697,21 @@ def _compositum(t1, t2):
     raise BoundExceededError(f"no primitive element t1 + k*t2 for k up to {_MAX_SHIFT}")
 
 
-def _quadratic_sum(m1, m2):
-    """(m, h1): the minimal polynomial m of psi = t1 + t2 and t1 = h1(psi),
-    for roots t_i of quadratics m_i = c_i + b_i*x + a_i*x^2 of
-    discriminants D_i with D1*D2 no square, in closed form.  With
-    L = 2*a1*a2 and u = -(b1*a2 + b2*a1), w = L*psi - u is r1 + r2 for
+def _quadratic_sum(t1, t2):
+    """(psi, h1): psi = t1 + t2, isolated, and t1 = h1(psi), for roots t_i
+    of quadratics m_i = c_i + b_i*x + a_i*x^2 of discriminants D_i with
+    D1*D2 no square, in closed form.  With L = 2*a1*a2 and
+    u = -(b1*a2 + b2*a1), w = L*psi - u is r1 + r2 for
     r1 = a2*(2*a1*t1 + b1) and r2 = a1*(2*a2*t2 + b2), whose squares are
-    P = a2^2*D1 and Q = a1^2*D2; so (w^2 - P - Q)^2 = 4*P*Q, and
-    w^3 - (3P + Q)*w = 2*(Q - P)*r1 with t1 = (r1 - a2*b1) / L.  Q != P,
-    since D1*D2 is no square."""
+    P = a2^2*D1 and Q = a1^2*D2; so (w^2 - P - Q)^2 = 4*P*Q gives psi's
+    minimal polynomial, and w^3 - (3P + Q)*w = 2*(Q - P)*r1 with
+    t1 = (r1 - a2*b1) / L.  Q != P, since D1*D2 is no square.  psi's three
+    conjugates lie at distances |e1|, |e2| and |e1 + e2| from it, with
+    e_i = 2*t_i + b_i/a_i = t_i minus its conjugate, all nonzero (Q != P
+    again), so I1 + I2, t1's interval plus t2's, isolates psi once it is
+    narrower than lower bounds of all three read off I1 and I2; t1 and t2
+    are refined until it is, with no Sturm chain."""
+    m1, m2 = t1.min_poly, t2.min_poly
     (_, b1, a1), (_, b2, a2) = m1, m2
     L, u = 2 * a1 * a2, -(b1 * a2 + b2 * a1)
     P, Q = a2 * a2 * polys.discriminant(m1), a1 * a1 * polys.discriminant(m2)
@@ -697,7 +720,19 @@ def _quadratic_sum(m1, m2):
     f = polys.sub(w2, (P + Q,))
     m = polys.primitive(polys.sub(polys.mul(f, f), (4 * P * Q,)))
     r1 = polys.mul(w, polys.sub(w2, (3 * P + Q,)))
-    return m, polys.qpoly(polys.sub(r1, (2 * (Q - P) * a2 * b1,)), 2 * (Q - P) * L)
+    h1 = polys.qpoly(polys.sub(r1, (2 * (Q - P) * a2 * b1,)), 2 * (Q - P) * L)
+    s1, s2 = Fraction(b1, a1), Fraction(b2, a2)
+    for _ in range(20000):
+        (lo1, hi1), (lo2, hi2) = t1.interval, t2.interval
+        lo, hi = lo1 + lo2, hi1 + hi2
+        # |e| >= max(elo, -ehi, 0) for e in [elo, ehi]
+        if hi - lo < min(max(2 * lo1 + s1, -2 * hi1 - s1, 0),
+                         max(2 * lo2 + s2, -2 * hi2 - s2, 0),
+                         max(2 * lo + s1 + s2, -2 * hi - s1 - s2, 0)):
+            return AlgReal._make(m, (lo, hi)), h1
+        t1.refine()
+        t2.refine()
+    raise InternalConsistencyError("compositum isolation did not converge")
 
 
 # -- root selection ---------------------------------------------------------
@@ -920,9 +955,9 @@ def _sqrt_of_nonsquare(a):
     of m(x^2), m = a's minimal polynomial, irreducible then (nonsquare_root),
     on the bracket [lo, hi] of a's interval (_sqrt_interval), once that
     holds exactly one root.  Its roots in (lo, hi], lo >= 0, are the square
-    roots of m's roots in (lo^2, hi^2], so one Sturm count on m's own chain
-    decides, with no chain of degree 2n; the radicand is refined until it
-    reads 1."""
+    roots of m's roots in (lo^2, hi^2], so one root count on m itself
+    decides, with no chain of degree 2n (and none at all for a quadratic
+    m); the radicand is refined until it reads 1."""
     m = a.min_poly
     for _ in range(20000):
         lo, hi = _sqrt_interval(a.interval)

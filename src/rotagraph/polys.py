@@ -24,7 +24,8 @@ An integer polynomial has one remainder sequence, its Sturm chain
 (`sturm_chain`, cached), which ends in gcd(c, c'): the same rows count
 its roots and give its square-free part (`squarefree_part`), a
 characteristic polynomial's minimal polynomial (`minimal_polynomial`) and
-a composed sum's square-freeness (`composed_factors`).
+a composed sum's square-freeness (`composed_factors`).  A quadratic's
+roots are counted in closed form, with no chain.
 
 Arithmetic mod a prime serves certificates that a candidate polynomial is
 irreducible, read from how it factors mod small primes (`nonsquare_root`,
@@ -724,11 +725,36 @@ def count_roots_halfopen(c, lo, hi):
     """Number of distinct real roots of c in (lo, hi], for lo and hi no
     multiple roots of c: wherever gcd(c, c') is nonzero, dividing each row
     of c's Sturm chain by it keeps the sign variations, and the quotients
-    form a Sturm chain of c's square-free part."""
+    form a Sturm chain of c's square-free part.  A quadratic builds no
+    chain: its roots up to lo and up to hi are counted in closed form
+    (_quadratic_roots_upto), at any lo and hi."""
     if lo >= hi:
         return 0
+    if len(c) == 3:
+        disc = discriminant(c)
+        if disc < 0:
+            return 0
+        return _quadratic_roots_upto(c, disc, hi) - _quadratic_roots_upto(c, disc, lo)
     chain = sturm_chain(c)
     return _variations(chain, lo) - _variations(chain, hi)
+
+
+def _quadratic_roots_upto(c, disc, t):
+    """The number of distinct roots <= t of c = c0 + c1*x + c2*x^2 of
+    discriminant disc >= 0, from two signs at t = p/q, each taken times
+    the lead's: of c(t), negative strictly between the roots, and of
+    c'(t), which tells the side of the axis -c1/(2*c2) that t lies on.
+    Left of it, only the smaller root can lie at or below t, and does
+    unless c(t) has the lead's sign; right of it, the smaller root does,
+    and the larger one too unless c(t) has the opposite sign.  A zero disc
+    gives the one double root, at the axis."""
+    c0, c1, c2 = c
+    p, q = t.as_integer_ratio()
+    side = (2 * c2 * p + c1 * q) * c2
+    if disc == 0:
+        return int(side >= 0)
+    s = (c0 * q * q + c1 * p * q + c2 * p * p) * c2
+    return int(s <= 0) if side < 0 else 1 + (s >= 0)
 
 
 def root_bound(c):

@@ -641,6 +641,35 @@ def test_towers_and_composita_factorise_nothing_above_degree_4(monkeypatch):
         assert degrees == [], argv
 
 
+def test_square_roots_over_quadratic_data_build_no_sturm_chain_and_no_gcd(monkeypatch):
+    """An equidistant point at cos l = sqrt(3)/2 between rational points
+    joins two quadratic fields, and a witness path of length 3 at
+    cos l = 4/5 takes a square root of a linear radicand over the
+    quadratic field of its geodesic step: root counts on quadratics, the
+    join's isolation and the tower's embedding are all closed forms, so
+    neither builds a Sturm chain or runs a gcd over a number field."""
+    from rotagraph import elliptic as ep, graph as gr
+
+    def no_gcd(*_):
+        raise AssertionError("a gcd over a number field ran")
+
+    cos_l = sqrt_nonneg(AlgReal(Fraction(3, 4)))
+    p2 = ep.make_point(Fraction(2, 3), Fraction(1, 3), Fraction(2, 3))
+    q2 = ep.make_point(Fraction(2, 7), Fraction(-3, 7), Fraction(6, 7))
+    spec = gr.GraphSpec(Fraction(4, 5))
+    p = ep.make_point(Fraction(2, 3), Fraction(1, 3), Fraction(-2, 3))
+    q = ep.make_point(Fraction(2, 11), Fraction(6, 11), Fraction(9, 11))
+    polys.sturm_chain.cache_clear()
+    monkeypatch.setattr(polys, "gcd_mod", no_gcd)
+    z = ep.equidistant_point(p2, q2, cos_l)
+    assert polys.sturm_chain.cache_info().misses == 0
+    path = gr.witness_path(spec, p, q)
+    assert polys.sturm_chain.cache_info().misses == 0
+    monkeypatch.undo()
+    assert ep.dist_cos(z, p2) == cos_l and ep.dist_cos(z, q2) == cos_l
+    assert len(path) == 3 and gr.verify_path(spec, path, p, q, 3)
+
+
 def test_square_roots_of_squares_stay_in_their_field(monkeypatch):
     """The square root of b^2, b over a cubic (or quadratic) generator,
     is |b| over the same generator, found by p-adic lifting and checked by
@@ -1085,6 +1114,55 @@ def test_quadratic_join_matches_the_general_route():
             assert so.same_value(AlgReal._over(psi, h1), x1)
             assert so.same_value(AlgReal._over(psi, h2), x2)
     assert monic < 100 and centred < 100
+
+
+def test_quadratic_compositum_matches_root_selection():
+    """psi = t1 + t2 for two quadratic generators has the minimal
+    polynomial, and the value, of the root that root selection on the
+    factors of their composed sum brackets by t1's and t2's intervals
+    (_select_root, kept here as the oracle), also where t1 + t2 lies near
+    one of its conjugates (sqrt 2 - sqrt(2 + 10^-6))."""
+    from rotagraph.algebraic import _compositum, _select_root
+    pairs = list(_seeded_quadratic_pairs(3902, 120))
+    pairs += [((-2, 0, 1), 1, (-2000001, 0, 1000000), 0),
+              ((-2, 0, 1), 0, (-2000001, 0, 1000000), 1)]
+    for m1, i1, m2, i2 in pairs:
+        psi = _compositum(AlgReal.from_root(m1, i1), AlgReal.from_root(m2, i2))
+        t1, t2 = AlgReal.from_root(m1, i1), AlgReal.from_root(m2, i2)
+        want = _select_root(polys.factor_int(polys.cand_sum(m1, m2)),
+                            lambda: tuple(a + b for a, b in zip(t1.interval, t2.interval)),
+                            lambda: (t1.refine(), t2.refine()))
+        assert psi.min_poly == want.min_poly and compare(psi, want) == EQUAL, (m1, i1, m2, i2)
+        assert polys.count_roots_halfopen(psi.min_poly, *psi.interval) == 1
+    assert abs(approx(psi)) < 1e-6
+
+
+def test_tower_over_a_linear_radicand_records_the_gcds_embedding():
+    """sqrt(a) for a = (c0 + c1*theta)/d, theta of degree 2 or 4, no square
+    in Q(theta), records theta = h(sqrt(a)) with h the reduced embedding
+    that the gcd over Q(sqrt(a)) of m_theta(x) and a(x) - sqrt(a)^2 gives
+    (polys.gcd_mod, kept here as the oracle)."""
+    from rotagraph.algebraic import _gen
+    rng = random.Random(3903)
+    cases = {2: 0, 4: 0}
+    while min(cases.values()) < 25:
+        n = rng.choice((2, 4))
+        m = polys.primitive([rng.randint(-9, 9) for _ in range(n)] + [rng.randint(1, 4)])
+        if polys.irreducible_factors(m) != (m,) or not real_roots(m):
+            continue
+        theta = rng.choice(real_roots(m))
+        a = AlgReal._over(theta, polys.qpoly((rng.randint(-9, 9), rng.choice((-1, 1)) *
+                                              rng.randint(1, 9)), rng.randint(1, 5)))
+        a = a if a.sign() > 0 else neg(a)
+        root = sqrt_nonneg(a)
+        if root.degree != 2 * n:         # a square of Q(theta)
+            continue
+        cases[n] += 1
+        (c0, c1), d = _gen(a)[1]
+        g = [polys.qsub(polys.qpoly((c0,), d), ((0, 0, 1), 1)), polys.qpoly((c1,), d)]
+        f = polys.gcd_mod([polys.qpoly((v,)) for v in m], g, root.min_poly)
+        assert len(f) == 2, (m, c0, c1, d)
+        assert root._embeds == ((theta, polys.qscale(f[0], -1)),), (m, c0, c1, d)
 
 
 def test_combo_matches_the_per_coordinate_chain(monkeypatch):

@@ -851,21 +851,25 @@ ESCAPED = st.sampled_from(["\u00e9", "\u0661", "\U0001d7d9", "\U0001f600", '"', 
 @st.composite
 def contract_argvs(draw):
     """A cheap call: an expression, a comparison, a distance of rational
-    points, Cauchy-Frobenius or Jordan on S3 and S4, a fixed point or an
-    orthogonality check of a 3x3 matrix, or a rotary, automorphism or
-    bipartite check of a graph on at most 5 vertices; perhaps with a shared
-    flag, before the module or after the command, and a value replaced,
-    one with a character put in that JSON output escapes, a flag dropped
-    or one made up."""
-    kind = draw(st.sampled_from(["eval", "compare", "dist", "cf", "jordan", "fixed-point",
-                                 "check-orthogonal", "rotary", "automorphisms",
-                                 "bipartite"]))
+    points, an equidistant point or a geodesic step between them at
+    cos l = 4/5, 7/8 or sqrt(3)/2, Cauchy-Frobenius or Jordan on S3 and
+    S4, a fixed point or an orthogonality check of a 3x3 matrix, or a
+    rotary, automorphism or bipartite check of a graph on at most 5
+    vertices; perhaps with a shared flag, before the module or after the
+    command, and a value replaced, one with a character put in that JSON
+    output escapes, a flag dropped or one made up."""
+    kind = draw(st.sampled_from(["eval", "compare", "dist", "equidistant", "step", "cf",
+                                 "jordan", "fixed-point", "check-orthogonal", "rotary",
+                                 "automorphisms", "bipartite"]))
     if kind == "eval":
         argv = ["field", "eval", "--expr", draw(scalars)]
     elif kind == "compare":
         argv = ["field", "compare", "--a", draw(scalars), "--b", draw(scalars)]
     elif kind == "dist":
         argv = ["plane", "dist", "--p", draw(points), "--q", draw(points)]
+    elif kind in ("equidistant", "step"):
+        argv = ["plane", kind, "--p", draw(points), "--q", draw(points), "--cos-l",
+                draw(st.sampled_from(["4/5", "7/8", "sqrt(3)/2"]))]
     elif kind in cli.COMMANDS["iso"]:
         argv = ["iso", kind, "--matrix", draw(matrices())]
     elif kind in ("rotary", "automorphisms", "bipartite"):

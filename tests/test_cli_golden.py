@@ -54,6 +54,8 @@ CALLS = [
     ["plane", "equidistant", "--p", "1,0,0", "--q", "0,1,0", "--cos-l", "9/10"],
     ["plane", "equidistant", "--p", "1,0,0", "--q=-2,0,0", "--cos-l", "4/5"],
     ["plane", "equidistant", "--p", "1,0,0", "--q", "0,1,0", "--cos-l", "1"],
+    # over two quadratic fields: sqrt 3 and the circle's radicand
+    ["plane", "equidistant", "--p", "1,0,0", "--q", "2,1,2", "--cos-l", "sqrt(3)/2"],
     ["plane", "step", "--p", "1,0,0", "--q", "0,1,0", "--cos-l", "4/5"],
     ["plane", "step", "--p", "1,1,0", "--q", "1,2,2", "--cos-l", "7/8"],
     ["plane", "step", "--p", "1,0,0", "--q", "3,0,0", "--cos-l", "4/5"],
@@ -81,6 +83,8 @@ CALLS = [
     ["graph", "path", "--p", "1,0,0", "--q", "1,sqrt(3),0", "--cos-l", "4/5"],
     ["graph", "path", "--p", "1,0,0", "--q", "0,1,0", "--cos-l", "4/5"],
     ["graph", "path", "--p", "1,1,0", "--q", "1,2,2", "--cos-l", "7/8"],
+    # distance 3 at an irrational cos l: a geodesic step, then the detour
+    ["graph", "path", "--p", "1,0,0", "--q", "1,2,2", "--cos-l", "sqrt(3)/2"],
     ["graph", "distance", "--p", "1,0,0", "--q", "0,1,0", "--cos-l", "4/5"],
     ["graph", "distance", "--p", "1,1,0", "--q", "1,2,2", "--cos-l", "7/8"],
     ["graph", "diameter", "--cos-l", "4/5"],

@@ -198,6 +198,44 @@ def test_sturm_chain_ends_in_the_gcd_with_the_derivative():
     assert multiple >= 30
 
 
+def test_quadratic_root_counts_match_the_sturm_chain():
+    """count_roots_halfopen on a quadratic, which reads no chain, gives the
+    Sturm chain's count: seeded quadratics of either lead sign with
+    positive (rational or irrational roots), zero and negative
+    discriminants, between endpoints at their rational roots, at the axis,
+    next to both, and at random rationals, in every order (0 for lo >= hi)."""
+    rng = random.Random(3901)
+    seen = {"D > 0": 0, "D = 0": 0, "D < 0": 0, "rational roots": 0, "lead < 0": 0}
+    for _ in range(300):
+        kind = rng.randrange(4)
+        k = rng.choice((-1, 1)) * rng.randint(1, 4)
+        p1, q1, p2, q2 = (rng.randint(-9, 9), rng.randint(1, 6), rng.randint(-9, 9),
+                          rng.randint(1, 6))
+        if kind == 0:       # k * (q1*x - p1) * (q2*x - p2)
+            c = polys.mul((-k * p1, k * q1), (-p2, q2))
+            roots = [Fraction(p1, q1), Fraction(p2, q2)]
+        elif kind == 1:     # k * (q1*x - p1)^2
+            c, roots = polys.mul((-k * p1, k * q1), (-p1, q1)), [Fraction(p1, q1)]
+        else:
+            c, roots = (rng.randint(-30, 30), rng.randint(-12, 12), k), []
+        disc = polys.discriminant(c)
+        seen["D > 0" if disc > 0 else "D = 0" if disc == 0 else "D < 0"] += 1
+        seen["rational roots"] += bool(roots) and disc > 0
+        seen["lead < 0"] += c[2] < 0
+        axis = Fraction(-c[1], 2 * c[2])
+        tiny = Fraction(1, rng.randint(10 ** 3, 10 ** 9))
+        points = [axis + e for e in (0, -tiny, tiny)] + [r + e for r in roots
+                                                         for e in (0, -tiny, tiny)]
+        points.append(Fraction(rng.randint(-60, 60), rng.randint(1, 7)))
+        chain = polys.sturm_chain(c)
+        for lo in points:
+            for hi in points:
+                want = 0 if lo >= hi else \
+                    polys._variations(chain, lo) - polys._variations(chain, hi)
+                assert polys.count_roots_halfopen(c, lo, hi) == want, (c, lo, hi)
+    assert min(seen.values()) >= 20, seen
+
+
 def test_gcd_mod_over_a_number_field():
     """gcd_mod over Q(sqrt 2) gives the monic common factor c of a*c and
     b*c for coprime a and b: seeded ones, and one pair whose remainder
