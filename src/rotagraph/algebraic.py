@@ -80,7 +80,6 @@ values are safe to share between threads (a lost write costs a rebuild).
 
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache, reduce
-from itertools import islice
 from math import ceil, comb, gcd, isqrt, lcm, prod
 
 from . import polys
@@ -1034,13 +1033,19 @@ def real_roots(p):
     return roots
 
 
+def _cosine(c, refusal):
+    """c as an AlgReal; OutOfRangeError(refusal) unless -1 <= c <= 1."""
+    c = as_algreal(c)
+    if compare(c, AlgReal(-1)) == LESS or compare(c, AlgReal(1)) == GREATER:
+        raise OutOfRangeError(refusal)
+    return c
+
+
 def chebyshev_values(c):
     """T_0(c), T_1(c), ..., T_MAX_STEPS(c) with T_k(c) = cos(k * arccos c),
     stepped by the exact recurrence T_{k+1} = 2c T_k - T_{k-1}, one dot
     per step; asking for the next one raises BoundExceededError."""
-    c = as_algreal(c)
-    if compare(c, AlgReal(-1)) == LESS or compare(c, AlgReal(1)) == GREATER:
-        raise OutOfRangeError("Chebyshev argument outside [-1, 1]")
+    c = _cosine(c, "Chebyshev argument outside [-1, 1]")
     two_c, prev, cur = mul(2, c), AlgReal(1), c
     for _ in range(MAX_STEPS + 1):
         yield prev
@@ -1049,10 +1054,31 @@ def chebyshev_values(c):
 
 
 def chebyshev_T(n, c):
-    """T_n(c) = cos(n * arccos c)."""
+    """T_n(c) = cos(n * arccos c), the value chebyshev_values steps to,
+    with its refusals in this order: n < 0, c outside [-1, 1], then
+    n > MAX_STEPS; reached by doubling (_chebyshev)."""
     if n < 0:
         raise OutOfRangeError("Chebyshev index must be non-negative")
-    return next(islice(chebyshev_values(c), n, None))
+    c = _cosine(c, "Chebyshev argument outside [-1, 1]")
+    if n > MAX_STEPS:
+        raise BoundExceededError(f"Chebyshev indices above {MAX_STEPS} exceed the step budget")
+    return _chebyshev(n, c)
+
+
+def _chebyshev(n, c):
+    """T_n(c) for any n >= 0 over c's own field, with no range check and
+    no step cap: the pair (T_k, T_{k+1}) doubles along the bits of n by
+    T_{2k} = 2 T_k^2 - 1 and T_{2k+1} = 2 T_k T_{k+1} - c, two dots per
+    bit (Mason and Handscomb, "Chebyshev Polynomials", 2003)."""
+    t, u = AlgReal(1), c
+    for bit in f"{n:b}":
+        two_t = mul(2, t)
+        odd = dot((two_t, -1), (u, c))
+        if bit == "1":
+            t, u = odd, dot((mul(2, u), -1), (u, 1))
+        else:
+            t, u = dot((two_t, -1), (t, 1)), odd
+    return t
 
 
 # -- rational angles --------------------------------------------------------
@@ -1064,11 +1090,15 @@ def is_rational_angle(c):
 
 def _rational_angle_order(c):
     """The m with c = cos(2*pi*k/m), gcd(k, m) = 1, for irrational c; None
-    if there is none.  Such a c has degree phi(m)/2 (Lehmer, 1933), and m is
-    unique, so only the orders with phi(m) = 2*deg(c) are tried."""
+    if there is none.  Such a c has degree phi(m)/2 (Lehmer, 1933), so only
+    the orders with phi(m) = 2*deg(c) are tried, ascending.  T_m(c) = 1
+    exactly when c = cos(2*pi*j/m) for some j, so c's own order divides
+    m and, being on the list too, comes no later: the first m whose T_m(c)
+    (_chebyshev, over c's own field: no sign, no refinement) is the
+    constant 1 is c's."""
+    one = AlgReal(1)._tag
     for m in _orders_with_totient(2 * c.degree):
-        rm = polys.cos_rational_angle_resultant(m)
-        if polys.divides(c.min_poly, rm):
+        if _chebyshev(m, c)._tag == one:
             return m
     return None
 
@@ -1093,13 +1123,10 @@ def rational_angle_witness(c):
     gcd-reduced; None if the angle is not a rational multiple of pi.
 
     Rational cosines go through Niven's theorem; otherwise c + i*sqrt(1-c^2)
-    is tested for being a root of unity by checking whether the minimal
-    polynomial of c divides Res_z(Phi_m(z), z^2 - 2cz + 1) for one of the
-    finitely many orders m with phi(m) = 2*deg(c).
+    is tested for being a primitive m-th root of unity, T_m(c) = 1, for the
+    finitely many orders m with phi(m) = 2*deg(c) (_rational_angle_order).
     """
-    c = as_algreal(c)
-    if compare(c, AlgReal(-1)) == LESS or compare(c, AlgReal(1)) == GREATER:
-        raise OutOfRangeError("cosine outside [-1, 1]")
+    c = _cosine(c, "cosine outside [-1, 1]")
     if c.is_rational:
         table = {Fraction(1): (0, 1), Fraction(1, 2): (1, 3),
                  Fraction(0): (1, 2), Fraction(-1, 2): (2, 3),

@@ -173,9 +173,13 @@ def _run(args):
 
 
 def _json(text):
-    """JSON input, its integers read as expression literals are."""
+    """JSON input, its integers read as expression literals are; nesting
+    past the interpreter's recursion limit is bound-exceeded."""
     import json     # only the calls that take JSON input load it
-    return json.loads(text, parse_int=read_int)
+    try:
+        return json.loads(text, parse_int=read_int)
+    except RecursionError:
+        raise BoundExceededError("JSON input nested past the recursion limit") from None
 
 
 def _parse_point(text):

@@ -16,9 +16,8 @@ Factorisation over Q (`factor_int`) is the one job handed to a computer
 algebra system, sympy, imported on first use; everything else is done here
 with exact integer and rational arithmetic: the special resultants
 (composed sums, by Newton power sums), norms and minimal polynomials
-from traces, cyclotomic polynomials, pseudo-remainders (divisibility),
-everything sign-related (Sturm chains, root counting, isolation), with
-signs taken in integers, and arithmetic mod a prime.
+from traces, everything sign-related (Sturm chains, root counting,
+isolation), with signs taken in integers, and arithmetic mod a prime.
 
 An integer polynomial has one remainder sequence, its Sturm chain
 (`sturm_chain`, cached), which ends in gcd(c, c'): the same rows count
@@ -788,42 +787,9 @@ def isolate_roots(c):
     return out
 
 
-@lru_cache(maxsize=None)
-def cyclotomic(m):
-    """Phi_m: x^m - 1 divided exactly by Phi_d for every d | m, d < m.  Each
-    divisor is monic, so the long division stays in the integers."""
-    q = (-1,) + (0,) * (m - 1) + (1,)
-    for d in range(1, m):
-        if m % d == 0:
-            q = quo_rem(q, cyclotomic(d))[0]
-    return primitive(q)
-
-
-@lru_cache(maxsize=None)
-def cos_rational_angle_resultant(m):
-    """R_m(x) = Res_z(Phi_m(z), z^2 - 2xz + 1), primitive.
-
-    R_m(c) = 0 exactly when c is the cosine of a primitive m-th root of
-    unity's argument, i.e. c = cos(2*pi*k/m) with gcd(k, m) = 1.  The roots
-    of R_m are (z + 1/z)/2 over the roots z of Phi_m, which are closed
-    under z -> 1/z, so s_(-j) = s_j and twice the roots of R_m have the
-    power sums P_k = sum_t C(k, t) * s_|2t - k|(Phi_m).
-    """
-    phi = cyclotomic(m)
-    n = degree(phi)
-    s = _power_sums(phi, n)
-    P = [sum(comb(k, t) * s[abs(2 * t - k)] for t in range(k + 1))
-         for k in range(n + 1)]
-    return _from_power_sums(P, n, 2)
-
-
 def squarefree_part(c):
     """The product of c's distinct irreducible factors, primitive, for a
     nonzero c: c divided exactly by gcd(c, c'), the last row of its Sturm
     chain, so the chain that gives it also counts c's roots."""
     return primitive(quo_rem(c, sturm_chain(c)[-1])[0])
 
-
-def divides(small, big):
-    """True if `small` divides `big` over Q."""
-    return not pseudo_rem(big, small)[0]

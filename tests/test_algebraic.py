@@ -14,7 +14,7 @@ import sympy_oracle as so
 from rotagraph import expr, polys
 from rotagraph.algebraic import (
     AlgReal, EQUAL, GREATER, LESS, MAX_STEPS,
-    add, chebyshev_T, chebyshev_values, compare, div, is_rational_angle, mul, neg,
+    add, chebyshev_T, chebyshev_values, compare, div, dot, is_rational_angle, mul, neg,
     rational_angle_witness, real_roots, sqrt_nonneg, sub, to_float,
     _compare_isolated,
 )
@@ -192,22 +192,44 @@ def _fraction_chebyshev(c):
 
 
 def test_chebyshev_values_match_the_fraction_recurrence():
-    """Every value T_0..T_MAX_STEPS over rational arguments and arguments
-    over Q(sqrt 3) equals the old recurrence's and prints alike; then the
-    step budget is spent."""
+    """Every value T_0..T_MAX_STEPS over rational arguments, arguments over
+    Q(sqrt 3) and over the biquadratic compositum Q(sqrt 2, sqrt 3) equals
+    the old recurrence's and prints alike, stepped (chebyshev_values) and
+    doubled (chebyshev_T); then the step budget is spent."""
     rng = random.Random(1409)
     args = [AlgReal(Fraction(rng.randint(-9, 9), 9)) for _ in range(4)]
     args += [div(add(rng.randint(-2, 2), mul(rng.randint(-1, 1), SQRT3)), AlgReal(4))
              for _ in range(4)]
-    assert sum(not c.is_rational for c in args) >= 2
+    args += [div(dot((rng.choice((-1, 1)), rng.choice((-1, 1))), (SQRT2, SQRT3)),
+                 AlgReal(rng.randint(4, 6))) for _ in range(2)]
+    assert sum(not c.is_rational for c in args) >= 4
+    assert [c.degree for c in args[-2:]] == [4, 4]
     for c in args:
         values = chebyshev_values(c)
         for k, want in zip(range(MAX_STEPS + 1), _fraction_chebyshev(c)):
-            got = next(values)
-            assert compare(got, want) == EQUAL, (c, k)
-            assert expr.to_expr(got) == expr.to_expr(want), (c, k)
+            for got in (next(values), chebyshev_T(k, c)):
+                assert compare(got, want) == EQUAL, (c, k)
+                assert expr.to_expr(got) == expr.to_expr(want), (c, k)
         with pytest.raises(BoundExceededError):
             next(values)
+
+
+def test_chebyshev_T_refusals_keep_their_order():
+    """n < 0 first, then c outside [-1, 1], then n past MAX_STEPS, each
+    with its own text: c = 2 with n = 65 is out-of-range, not a spent
+    step budget."""
+    index = "Chebyshev index must be non-negative"
+    argument = r"Chebyshev argument outside \[-1, 1\]"
+    budget = f"Chebyshev indices above {MAX_STEPS} exceed the step budget"
+    for n, c, error, text in ((-1, AlgReal(2), OutOfRangeError, index),
+                              (-1, SQRT2, OutOfRangeError, index),
+                              (MAX_STEPS + 1, AlgReal(2), OutOfRangeError, argument),
+                              (MAX_STEPS + 1, SQRT2, OutOfRangeError, argument),
+                              (2, neg(SQRT2), OutOfRangeError, argument),
+                              (MAX_STEPS + 1, AlgReal(Fraction(1, 2)), BoundExceededError, budget),
+                              (10 ** 6, div(SQRT3, AlgReal(2)), BoundExceededError, budget)):
+        with pytest.raises(error, match=text):
+            chebyshev_T(n, c)
 
 
 def test_rational_angle_niven():
@@ -262,15 +284,50 @@ def test_orders_with_totient_match_sympy():
         assert _orders_with_totient(n) == tuple(m for m in phi if phi[m] == n), n
 
 
+def _sympy_cos_resultant(m):
+    """R_m = Res_z(Phi_m(z), z^2 - 2xz + 1) by sympy, primitive: its roots
+    are cos(2*pi*k/m) for the k coprime to m, each twice for m > 2."""
+    x, z = sympy.symbols("x z")
+    r = sympy.resultant(sympy.cyclotomic_poly(m, z), z ** 2 - 2 * x * z + 1, z)
+    return polys.primitive([int(v) for v in reversed(sympy.Poly(r, x).all_coeffs())])
+
+
 def test_rational_angle_witness_on_cyclotomic_cosines():
-    # every real root of R_m is cos(2*pi*k/m) = cos(2k*pi/m) with
-    # gcd(k, m) = 1, so the reduced witness has denominator m / gcd(2, m)
-    for m in range(3, 31):
-        for value in real_roots(polys.cos_rational_angle_resultant(m)):
-            k, m2 = rational_angle_witness(value)
-            assert m2 == (m if m % 2 else m // 2), (m, k, m2)
+    """The real roots of sympy's R_m, ascending, are cos(2*pi*k/m) for the
+    k coprime to m in [0, m/2], descending; each witness is 2k/m reduced."""
+    for m in range(1, 61):
+        ks = [k for k in range(m // 2, -1, -1) if gcd(k, m) == 1]
+        values = real_roots(_sympy_cos_resultant(m))
+        assert len(values) == len(ks), m
+        for value, k in zip(values, ks):
+            g = gcd(2 * k, m)
+            assert rational_angle_witness(value) == (2 * k // g, m // g), (m, k)
             with mpmath.workprec(200):
-                assert close(value, mpmath.cos(mpmath.pi * k / m2), mpmath.mpf(2) ** -120)
+                assert close(value, mpmath.cos(2 * mpmath.pi * k / m), mpmath.mpf(2) ** -120)
+
+
+def test_rational_angle_witness_rejects_non_angle_cosines():
+    """Seeded irrational cosines of degree 2 to 8, roots in (-1, 1) of
+    random irreducible polynomials, have no witness, and sympy agrees:
+    their minimal polynomial divides R_m for no m with phi(m) = 2*deg
+    (Lehmer), and phi(m) >= sqrt(m/2) bounds those m by 2*(2*deg)^2
+    (there are none for degree 7: 14 is no totient)."""
+    x = sympy.Symbol("x")
+    rng = random.Random(4021)
+    for d in range(2, 9):
+        while True:
+            p = polys.primitive([rng.randint(-4, 4) for _ in range(d)] + [rng.randint(1, 4)])
+            if (polys.degree(p) == d and polys.factor_int(p) == (p,)
+                    and (inside := [v for v in real_roots(p) if -1 < v < 1])):
+                break
+        for value in inside:
+            assert value.degree == d and rational_angle_witness(value) is None, p
+        for m in range(1, 2 * (2 * d) ** 2 + 1):
+            if sympy.totient(m) != 2 * d:
+                continue
+            rem = sympy.rem(sympy.Poly(_sympy_cos_resultant(m)[::-1], x),
+                            sympy.Poly(p[::-1], x))
+            assert not rem.is_zero, (p, m)
 
 
 def test_float_contract():

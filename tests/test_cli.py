@@ -359,6 +359,37 @@ def test_input_too_long_to_read_is_bound_exceeded():
                                '"detail": "an integer of 5000 digits is too long to read"}\n')
 
 
+# nested past the recursion limit of every supported interpreter (3.13
+# parses 10000 levels), yet under the 128 KiB a single argv string may take
+DEEP_JSON = "[" * 50000 + "]" * 50000
+DEEP_POINT = '{"x": %s, "y": 0, "z": 1}' % DEEP_JSON
+DEEP_JSON_ERROR = ('{"error": "bound-exceeded", '
+                   '"detail": "JSON input nested past the recursion limit"}\n')
+
+
+@pytest.mark.parametrize("argv", [
+    ["iso", "fixed-point", "--matrix", DEEP_JSON],
+    ["iso", "check-orthogonal", "--matrix", DEEP_JSON],
+    ["iso", "sample-edges", "--matrix", DEEP_JSON, "--cos-l", "4/5"],
+    ["finite", "rotary", "--graph", DEEP_JSON],
+    ["finite", "automorphisms", "--graph", DEEP_JSON],
+    ["finite", "bipartite", "--graph", DEEP_JSON],
+    ["finite", "conjgraph", "--table", DEEP_JSON, "--g1", "0", "--g3", "1"],
+    ["plane", "dist", "--p", DEEP_POINT, "--q", "1,0,0"],
+    ["graph", "edge", "--p", "1,0,0", "--q", DEEP_POINT, "--cos-l", "4/5"],
+], ids=["fixed-point", "check-orthogonal", "sample-edges", "rotary", "automorphisms",
+        "bipartite", "table", "point p", "point q"])
+def test_json_nested_past_the_recursion_limit_is_bound_exceeded(argv, capsys):
+    """Every flag that takes JSON (a matrix, a graph, a group table, a
+    point) refuses nesting that json.loads cannot recurse through."""
+    assert main_exit(capsys, argv) == (1, DEEP_JSON_ERROR, "")
+
+
+def test_json_nested_past_the_recursion_limit_in_a_process_of_its_own():
+    proc = run("iso", "fixed-point", "--matrix", DEEP_JSON, check=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, DEEP_JSON_ERROR, "")
+
+
 def test_cycle_index_too_long_to_read_is_bound_exceeded():
     # with --degree given, the cycle indices are read without inferring it
     nines = "9" * 5000

@@ -1,8 +1,8 @@
 """Differential tests against sympy: the power-sum special resultants and
 norms (against its resultant, written the way the kernel used to call it),
-cyclotomic polynomials, exact division, gcds, Sturm chains, square-free
-parts and factorisation, and the irreducibility certificates against
-factorisation; integer signs against Fraction Horner; the cache bounds."""
+gcds, Sturm chains, square-free parts and factorisation, and the
+irreducibility certificates against factorisation; integer signs against
+Fraction Horner; the cache bounds."""
 
 import ast
 import random
@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from rotagraph import polys
 
-X, Y, Z = sympy.symbols("x y z")
+X, Y = sympy.symbols("x y")
 
 
 def _primitive(res):
@@ -38,11 +38,6 @@ def sympy_sum(pa, pb):
 
 def sympy_square(p):
     return _primitive(sympy.resultant(_as_expr(p, Y), X - Y ** 2, Y))
-
-
-def sympy_cos_resultant(m):
-    phi = sympy.cyclotomic_poly(m, Z)
-    return _primitive(sympy.resultant(phi, Z ** 2 - 2 * X * Z + 1, Z))
 
 
 def random_irreducible(rng, d):
@@ -80,37 +75,6 @@ def test_candidates_workload_shapes():
 
 def test_candidates_degree_25():
     assert_candidates_match([((-2, 0, 0, 0, 0, 1), (-3, 0, 0, 0, 0, 1))])
-
-
-def test_cos_rational_angle_resultant():
-    for m in range(1, 61):
-        want = sympy_cos_resultant(m)
-        assert polys.cos_rational_angle_resultant(m) == want, m
-
-
-def test_cyclotomic():
-    for m in range(1, 121):
-        want = sympy.Poly(sympy.cyclotomic_poly(m, X), X).all_coeffs()
-        assert polys.cyclotomic(m) == tuple(int(v) for v in reversed(want)), m
-
-
-def _sympy_divides(small, big):
-    return sympy.rem(_as_expr(big, X), _as_expr(small, X), X) == 0
-
-
-def test_divides():
-    rng = random.Random(6101)
-    def poly(d, lead):
-        return [rng.randint(-5, 5) for _ in range(d)] + [lead]
-
-    for _ in range(60):
-        small = polys.primitive(poly(rng.randint(1, 5), rng.randint(1, 4)))
-        prod = polys.mul(small, poly(rng.randint(0, 5), rng.randint(-4, 4) or 1))
-        rest = polys.normalize(poly(polys.degree(small) - 1, rng.randint(-3, 3)))
-        for big, want in ((prod, True), (polys.add(prod, rest), not rest)):
-            assert polys.divides(small, big) == want, (small, big)
-            assert _sympy_divides(small, big) == want, (small, big)
-    assert not polys.divides((-2, 0, 1), (-2, 1))   # higher degree never divides
 
 
 def test_factor_int_drops_multiplicity():
@@ -153,6 +117,9 @@ def test_polynomial_caches_are_bounded():
                polys.sturm_chain, polys.full_degree, polys.nonsquare_root):
         assert fn.cache_info().maxsize == polys.CACHE_SIZE, fn.__name__
     assert 0 < polys.CACHE_SIZE < 10 ** 5
+    unbounded = [name for name, fn in vars(polys).items()
+                 if hasattr(fn, "cache_info") and fn.cache_info().maxsize is None]
+    assert not unbounded
 
 
 def test_isolate_roots_against_sympy():
