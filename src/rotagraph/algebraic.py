@@ -33,8 +33,9 @@ build one, and except for two equal values over unrelated generators (a
 value and its re-parse), which meet over the first one's.  Each operand
 over another generator is mapped in once and keeps that image.  So a sum
 of products (dot) is summed and reduced modulo m once, and a linear
-combination of vectors (combo), the one the geometry builds its points
-and matrix rows with, meets its operands once for the whole vector and
+combination of vectors (combo), the one the geometry builds its points,
+cross products, matrix rows, matrix products and images of lifts with,
+meets its operands once for the whole vector and
 takes one such sum per coordinate; where that would join more than two
 generators, each product meets over its own two factors' field first,
 and the products are joined.
@@ -64,11 +65,17 @@ distances to its conjugates; a square root of a linear radicand
 (c0 + c1*theta)/d records theta = (d*x^2 - c0)/c1, with no gcd; a value
 over a quadratic generator has its minimal polynomial by substitution
 and its interval from its enclosure cut at the axis of that polynomial,
-which two signs check (no trace, gcd or Sturm chain); and the square root
+which two signs check (no trace, gcd or Sturm chain); the square root
 of an a that is no square in Q(a) is the root of m_a(x^2) on a bracket
 [lo, hi], lo >= 0, that holds one exactly when [lo^2, hi^2] holds one
 root of m_a (a root count on a's own polynomial, none on one of twice
-its degree).
+its degree); and arithmetic over a quadratic generator takes no
+pseudo-division, Euclid, enclosure or Horner step: a product or a sum of
+products folds x^2 once over one denominator, an inverse is the
+conjugate over the norm (polys), a sign is that of A + B*sqrt(D), D the
+discriminant, decided in integers (_quadratic_sign), and a value of a
+quadratic field maps into a larger one as n0 + n1*h
+(polys.compose_mod).
 
 Values are immutable.  The isolating interval may be tightened in place,
 a rational or tagged value's minimal polynomial filled in on first use, a
@@ -222,22 +229,16 @@ class AlgReal:
         self._root = (p, (mid, hi) if v == s else (lo, mid), s)
 
     def sign(self):
-        """Exact sign in {-1, 0, 1}."""
+        """Exact sign in {-1, 0, 1}: a rational's from its numerator, a
+        value's over a quadratic generator in closed form (_quadratic_sign),
+        any other's by refinement (_refined_sign)."""
         if self.is_rational:
             p = _ints(self._tag[1])[0]
             return (p > 0) - (p < 0)
-        while True:  # an irrational value is never zero
-            r = self._root
-            if r is None:   # g's range over theta's interval, over a scale > 0
-                theta, g = self._tag
-                lo, hi, _ = _range(g, theta._root[1])
-            else:
-                lo, hi = r[1]
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            self.refine()
+        theta, g = self._tag or (self, _X)
+        if len(theta._root[0]) == 3:
+            return _quadratic_sign(theta._root, g)
+        return _refined_sign(self)
 
     def approx(self, bits=64):
         """The greatest multiple of 2**-bits not above the value (rationals
@@ -370,6 +371,45 @@ def _range(g, interval):
     return glo, ghi, scale * dk
 
 
+def _quadratic_sign(root, g):
+    """The sign of g(theta) = (n0 + n1*x)/d, n1 != 0, for theta the root
+    (min_poly, interval, sign at its lower end) of m = c0 + c1*x + c2*x^2,
+    c2 > 0, of discriminant D > 0, with no enclosure: 2*c2*d*g(theta) is
+    A + B*sqrt(D) for A = 2*c2*n0 - c1*n1 and B = n1 at m's larger root
+    (m < 0 at its lower end, as _isolate_quadratic reads it), -n1 at the
+    smaller.  That is B's sign unless A's differs and A^2 > B^2*D, in
+    integers."""
+    # No input reaches a boundary of these comparisons, so each would
+    # decide the same strict or not: s != 0 (no isolating endpoint is a
+    # root), B != 0, A^2 != B^2*D (D is no square), A = 0 gets B's sign on
+    # either side of a > 0 in the first test, and the last line is
+    # reached with A^2 > B^2*D > 0.
+    (c0, c1, c2), _, s = root
+    (n0, n1), _ = g
+    a, b = 2 * c2 * n0 - c1 * n1, n1 if s < 0 else -n1
+    if (a > 0) == (b > 0) or a * a < b * b * (c1 * c1 - 4 * c0 * c2):
+        return 1 if b > 0 else -1
+    return 1 if a > 0 else -1
+
+
+def _refined_sign(v):
+    """The sign of an irrational v, never zero: its isolating interval's,
+    else the range of g over theta's interval (_range), once either lies
+    on one side of 0, refining theta or v until it does."""
+    while True:
+        r = v._root
+        if r is None:   # g's range over theta's interval, over a scale > 0
+            theta, g = v._tag
+            lo, hi, _ = _range(g, theta._root[1])
+        else:
+            lo, hi = r[1]
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        v.refine()
+
+
 def _enclose(g, interval):
     """A closed interval holding g(t) for every t in `interval`: _range
     rounded outward to multiples of a power of two below its width, which
@@ -446,7 +486,11 @@ def _one_field(vs):
     """(theta, g_1, ..., g_k) with vs[i] = g_i(theta), by one scan, when
     the operands lie over one generator theta or none (None); else None."""
     theta, gs = None, []
-    for t, g in map(_gen, vs):
+    for v in vs:            # _gen's reading, inline: no call per operand
+        if isinstance(v, AlgReal):
+            t, g = v._tag or (v, _X)
+        else:
+            t, g = None, _literal(v)
         if t is not None and t is not theta:
             if theta is not None:
                 return None
@@ -1103,7 +1147,7 @@ def _rational_angle_order(c):
     return None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=polys.CACHE_SIZE)
 def _orders_with_totient(n):
     """Every m with phi(m) = n, ascending, by a totient sieve.  Each prime
     p | m has p - 1 | n, and m = n * prod(p/(p - 1)) over those p, so m is

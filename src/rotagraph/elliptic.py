@@ -16,12 +16,14 @@ from .algebraic import (
     add, as_algreal, chebyshev_T, combo, compare, div, dot, mul, neg, sqrt_nonneg, sub,
 )
 from .errors import (
+    BRIEF_CHARS,
     InfeasibleError,
     InternalConsistencyError,
     OutOfRangeError,
     ParseError,
     PreconditionError,
     ZeroVectorError,
+    brief,
 )
 
 _ZERO = AlgReal(0)
@@ -108,11 +110,11 @@ def as_dist_cos(v):
 
 
 def _cross(x, y):
-    return (
-        dot((x[1], x[2]), (y[2], neg(y[1]))),
-        dot((x[2], x[0]), (y[0], neg(y[2]))),
-        dot((x[0], x[1]), (y[1], neg(y[0]))),
-    )
+    """x X y = sum_i x_i * (e_i X y), one combination of the rows of the
+    matrix of y X ., whose operands meet once."""
+    y0, y1, y2 = y
+    n0, n1, n2 = neg(y0), neg(y1), neg(y2)
+    return combo(x, ((_ZERO, n2, y1), (y2, _ZERO, n0), (n1, y0, _ZERO)))
 
 
 def _canonical_sign(v):
@@ -337,10 +339,13 @@ def point_to_json(p):
 
 def point_from_json(obj):
     if not isinstance(obj, dict) or not {"x", "y", "z"} <= obj.keys():
-        raise ParseError(f"a point needs keys x, y and z, got {obj!r}")
-    extra = ", ".join(map(repr, sorted(obj.keys() - {"x", "y", "z"})))
+        raise ParseError(f"a point needs keys x, y and z, got {brief(obj)}")
+    extra = sorted(obj.keys() - {"x", "y", "z"})
     if extra:
-        raise ParseError(f"a point has keys x, y and z only, not {extra}")
+        names = ", ".join(map(repr, extra))
+        if len(names) > BRIEF_CHARS:
+            names = f"{len(extra)} other keys"
+        raise ParseError(f"a point has keys x, y and z only, not {names}")
     return make_point(*(expr.from_json(obj[k]) for k in "xyz"))
 
 

@@ -1,6 +1,6 @@
 """Error types shared across the library, `ascii_int`, the reader of the
-CLI's int flags, and `read_int`, the one reader of integer literals, which
-raises one of them.
+CLI's int flags, `read_int`, the one reader of integer literals, which
+raises one of them, and `brief`, which names a rejected input in a detail.
 
 Every domain error carries a short stable ``code`` so the CLI can map it
 to a machine-readable JSON error object.  This module imports no layer, so
@@ -83,3 +83,19 @@ def read_int(text):
         digits = sum(c.isdigit() for c in text)
         raise BoundExceededError(
             f"an integer of {digits} digits is too long to read") from None
+
+
+#: the longest repr that `brief` keeps verbatim
+BRIEF_CHARS = 80
+
+
+def brief(value):
+    """repr(value) when it has at most BRIEF_CHARS characters, else the
+    name of its type and, for a list or a dict, its length: a rejected JSON
+    entry named in an error detail of bounded length."""
+    text = repr(value)
+    if len(text) <= BRIEF_CHARS:
+        return text
+    if isinstance(value, (list, dict)):
+        return f"a {type(value).__name__} of length {len(value)}"
+    return f"a {type(value).__name__}"

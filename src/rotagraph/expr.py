@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import algebraic, polys
 from .algebraic import AlgReal
-from .errors import BoundExceededError, ParseError, read_int
+from .errors import BoundExceededError, ParseError, brief, read_int
 
 #: deepest nesting of "(", "sqrt(" and unary "-" that parse() accepts; it
 #: keeps the recursive descent far from Python's recursion limit
@@ -140,7 +140,7 @@ def from_json(value):
         return parse(value)
     if isinstance(value, int) and not isinstance(value, bool):
         return AlgReal(value)
-    raise ParseError(f"expected an expression string or an integer, got {value!r}")
+    raise ParseError(f"expected an expression string or an integer, got {brief(value)}")
 
 
 def _digits(n):

@@ -37,9 +37,8 @@ class LinearMap:
     def __matmul__(self, other):
         if not isinstance(other, LinearMap):
             return NotImplemented
-        columns = tuple(zip(*other.rows))
-        return LinearMap(tuple(tuple(dot(row, col) for col in columns)
-                               for row in self.rows))
+        # row i of the product is sum_k self[i][k] * (row k of other)
+        return LinearMap(tuple(combo(row, other.rows) for row in self.rows))
 
     def transpose(self):
         return LinearMap(tuple(zip(*self.rows)))
@@ -52,7 +51,8 @@ class LinearMap:
         return add(add(self.rows[0][0], self.rows[1][1]), self.rows[2][2])
 
     def apply_lift(self, v):
-        return tuple(dot(row, v) for row in self.rows)
+        """The image of v: sum_j v_j * (column j), one combination."""
+        return combo(v, tuple(zip(*self.rows)))
 
     def __repr__(self):
         return "LinearMap(%s)" % "; ".join(

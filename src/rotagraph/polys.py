@@ -19,6 +19,16 @@ with exact integer and rational arithmetic: the special resultants
 from traces, everything sign-related (Sturm chains, root counting,
 isolation), with signs taken in integers, and arithmetic mod a prime.
 
+Modulo a quadratic m = c0 + c1*x + c2*x^2, the field arithmetic is closed
+form (Cohen, GTM 138, 4.2 and ch. 5): `mulmod` and `dotmod` collect the
+three coefficients of a product or a sum of products over one
+denominator and fold x^2 once (`_fold`), and `invmod` of n0 + n1*x is the
+conjugate over the norm.  `compose_mod` maps a linear g, an element of a
+quadratic field, into a larger field as n0 + n1*h.  Higher degrees keep
+the general routes, pseudo-division (`_qmod`), the extended Euclid
+(`_invmod_euclid`) and Horner's rule (`_compose_horner`), which the tests
+also run on quadratics as the reference for the closed forms.
+
 An integer polynomial has one remainder sequence, its Sturm chain
 (`sturm_chain`, cached), which ends in gcd(c, c'): the same rows count
 its roots and give its square-free part (`squarefree_part`), a
@@ -148,15 +158,51 @@ def _qmod(a, m):
     return qpoly(r, a[1] * m[-1] ** e)
 
 
+def _fold(s0, s1, s2, den, m):
+    """(s0 + s1*x + s2*x^2) / den modulo the quadratic m = c0 + c1*x +
+    c2*x^2, x^2 folded once: c2*x^2 = -(c0 + c1*x) gives
+    (c2*s0 - c0*s2, c2*s1 - c1*s2) / (den*c2)."""
+    if not s2:
+        return qpoly((s0, s1), den)
+    c0, c1, c2 = m
+    return qpoly((c2 * s0 - c0 * s2, c2 * s1 - c1 * s2), den * c2)
+
+
 def mulmod(a, b, m):
-    """a * b modulo m: the integer product of the numerators, reduced once."""
-    return _qmod((mul(a[0], b[0]), a[1] * b[1]), m)
+    """a * b modulo m: the integer product of the numerators, reduced once;
+    modulo a quadratic m, two linear factors give the three coefficients
+    of the product, and x^2 is folded in closed form (_fold)."""
+    (na, da), (nb, db) = a, b
+    if len(m) == 3 and len(na) == len(nb) == 2:
+        (a0, a1), (b0, b1) = na, nb
+        return _fold(a0 * b0, a0 * b1 + a1 * b0, a1 * b1, da * db, m)
+    return _qmod((mul(na, nb), da * db), m)
 
 
 def dotmod(xs, ys, m):
     """sum_i xs[i] * ys[i] modulo m, for elements reduced modulo m: the
     integer products summed over one common denominator, then reduced
-    once."""
+    once; modulo a quadratic m, the three coefficients s0, s1, s2 of the
+    sum are collected so, and x^2 is folded once (_fold)."""
+    if len(m) == 3:
+        s0 = s1 = s2 = 0
+        den = 1
+        for (nx, dx), (ny, dy) in zip(xs, ys):
+            if not (nx and ny):
+                continue
+            q, t = dx * dy, 1
+            if q != den:
+                g = gcd(q, den)
+                s, t = q // g, den // g
+                if s != 1:
+                    s0, s1, s2, den = s0 * s, s1 * s, s2 * s, den * s
+            x0, x1 = nx if len(nx) == 2 else (nx[0], 0)
+            y0, y1 = ny if len(ny) == 2 else (ny[0], 0)
+            x0, x1 = x0 * t, x1 * t
+            s0 += x0 * y0
+            s1 += x0 * y1 + x1 * y0
+            s2 += x1 * y1
+        return _fold(s0, s1, s2, den, m)
     num, den = [0] * (2 * degree(m) - 1), 1
     for (nx, dx), (ny, dy) in zip(xs, ys):
         q, t = dx * dy, 1
@@ -175,11 +221,24 @@ def dotmod(xs, ys, m):
 
 
 def invmod(g, m):
-    """The inverse of g != 0 modulo the irreducible m, by the extended
-    Euclidean algorithm with pseudo-division, in integers: r_i = u_i * n
-    (mod m) throughout for g = n / d, each (r_i, u_i) divided by its
-    content, until r_i is a constant c, and then 1/g = d * u_i / c (at once
-    for a constant g)."""
+    """The inverse of g != 0 modulo the irreducible m.  For g = (n0 + n1*x)/d
+    modulo a quadratic m = c0 + c1*x + c2*x^2, the conjugate over the norm:
+    d*((c2*n0 - c1*n1) - c2*n1*x) / (c2*n0^2 - c1*n0*n1 + c0*n1^2), whose
+    product with n0 + n1*x is that norm modulo m; else by the extended
+    Euclidean algorithm (_invmod_euclid)."""
+    n, d = g
+    if len(m) == 3 and len(n) == 2:
+        (c0, c1, c2), (n0, n1) = m, n
+        return qpoly((d * (c2 * n0 - c1 * n1), -d * c2 * n1),
+                     c2 * n0 * n0 - c1 * n0 * n1 + c0 * n1 * n1)
+    return _invmod_euclid(g, m)
+
+
+def _invmod_euclid(g, m):
+    """invmod by the extended Euclidean algorithm with pseudo-division, in
+    integers: r_i = u_i * n (mod m) throughout for g = n / d, each
+    (r_i, u_i) divided by its content, until r_i is a constant c, and then
+    1/g = d * u_i / c (at once for a constant g)."""
     n, d = g
     r0, r1, u0, u1 = m, n, (), (1,)
     while len(r1) > 1:
@@ -192,8 +251,19 @@ def invmod(g, m):
 
 
 def compose_mod(g, h, m):
-    """g(h(x)) modulo m, by Horner's rule in integers: with acc / den the
-    value so far, acc * h reduces to r / (den * dh * lead(m)^e)."""
+    """g(h(x)) modulo m: for a linear g = (n0 + n1*x)/dg, an element of a
+    quadratic field, (n0*dh + n1*nh) / (dg*dh) for h = nh/dh, reduced only
+    if h was not; else by Horner's rule (_compose_horner)."""
+    (ng, dg), (nh, dh) = g, h
+    if len(ng) == 2:
+        n0, n1 = ng
+        return _qmod((add([n1 * v for v in nh], (n0 * dh,)), dg * dh), m)
+    return _compose_horner(g, h, m)
+
+
+def _compose_horner(g, h, m):
+    """compose_mod by Horner's rule in integers: with acc / den the value
+    so far, acc * h reduces to r / (den * dh * lead(m)^e)."""
     (ng, dg), (nh, dh) = g, h
     acc, den = (), 1
     for c in reversed(ng):

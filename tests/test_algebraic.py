@@ -1,3 +1,4 @@
+import itertools
 import operator
 import random
 import time
@@ -725,6 +726,84 @@ def test_square_roots_over_quadratic_data_build_no_sturm_chain_and_no_gcd(monkey
     monkeypatch.undo()
     assert ep.dist_cos(z, p2) == cos_l and ep.dist_cos(z, q2) == cos_l
     assert len(path) == 3 and gr.verify_path(spec, path, p, q, 3)
+
+
+def test_quadratic_signs_match_interval_refinement():
+    """The sign of (n0 + n1*x)/d at either root of a seeded quadratic, with
+    a discriminant of 3 to 200 bits, agrees with the one interval
+    refinement reads (_refined_sign): n0 = 0, the generator itself, and
+    values within 2^-100 of zero on either side, where the refinement
+    halves theta's interval more than a hundred times."""
+    from rotagraph import algebraic
+    from test_polys import quadratic_of_bits
+    rng = random.Random(4102)
+    signs = set()
+    for bits in (3, 4, 5, 8, 16, 50, 100, 150, 200):
+        for _ in range(3):
+            m = quadratic_of_bits(rng, bits)
+            for index in (0, 1):
+                theta = AlgReal.from_root(m, index)
+                p, q = theta.approx(110).as_integer_ratio()
+                gs = [((0, 1), 1), polys.qpoly((0, rng.randint(-9, 9) or 1), rng.randint(1, 9))]
+                for _ in range(4):
+                    d = rng.randint(1, 1 << bits)
+                    k = rng.randint(1, d) * rng.choice((1, -1))             # |k/d| <= 1
+                    gs += [polys.qpoly((-k * p, k * q), q * d),          # k*(theta - p/q)/d
+                           polys.qpoly((-k * (p + 1), k * q), q * d),    # p/q < theta < (p+1)/q
+                           polys.qpoly((rng.randint(-(1 << bits), 1 << bits), k), d)]
+                for g in gs:
+                    want = algebraic._refined_sign(AlgReal._over(theta, g))
+                    assert AlgReal._over(theta, g).sign() == want, (m, index, g)
+                    signs.add(want)
+    assert signs == {-1, 1}
+
+
+def test_a_geometry_pass_reduces_and_signs_quadratic_values_in_closed_form(monkeypatch):
+    """One pass of the `geometry` benchmark (the first 30 operations of
+    seed 1) reduces no product modulo a quadratic minimal polynomial by
+    pseudo-division, and decides no sign over a quadratic generator by an
+    enclosure: pseudo_rem meets a quadratic only in a Sturm chain, and
+    _range serves signs over generators of degree 3 or more.  Both kinds
+    of work are there to do: dotmod runs modulo quadratics and sign reads
+    values over quadratic generators."""
+    import sys
+    from pathlib import Path
+    from rotagraph import algebraic
+    from rotagraph.algebraic import _gen
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+    seen = {"pseudo_rem": [], "_range": [], "dotmod": 0, "sign": 0}
+    rem, rng_, dotmod, sign = polys.pseudo_rem, algebraic._range, polys.dotmod, AlgReal.sign
+
+    def spy_rem(a, b):
+        if len(b) == 3 and sys._getframe(1).f_code.co_name != "sturm_chain":
+            seen["pseudo_rem"].append(b)
+        return rem(a, b)
+
+    def spy_range(g, interval):
+        caller = sys._getframe(1)
+        v = caller.f_locals.get("self", caller.f_locals.get("v"))
+        if caller.f_code.co_name in ("sign", "_refined_sign") and _gen(v)[0].degree == 2:
+            seen["_range"].append(g)
+        return rng_(g, interval)
+
+    def spy_dotmod(xs, ys, m):
+        seen["dotmod"] += len(m) == 3
+        return dotmod(xs, ys, m)
+
+    def spy_sign(v):
+        seen["sign"] += not v.is_rational and _gen(v)[0].degree == 2
+        return sign(v)
+
+    monkeypatch.setattr(polys, "pseudo_rem", spy_rem)
+    monkeypatch.setattr(algebraic, "_range", spy_range)
+    monkeypatch.setattr(polys, "dotmod", spy_dotmod)
+    monkeypatch.setattr(AlgReal, "sign", spy_sign)
+    runner = workloads.Runner()
+    assert all(runner.run(kind, args) for kind, args in itertools.islice(workloads.schedule(1), 30))
+    monkeypatch.undo()
+    assert seen["pseudo_rem"] == [] and seen["_range"] == [], seen
+    assert seen["dotmod"] > 0 and seen["sign"] > 0, seen
 
 
 def test_square_roots_of_squares_stay_in_their_field(monkeypatch):

@@ -517,6 +517,27 @@ def test_parse_error_details_name_the_input():
         assert json.loads(proc.stdout) == {"error": "parse-error", "detail": detail}, args
 
 
+def test_parse_error_details_of_large_entries_stay_short():
+    """A rejected JSON entry whose repr passes 80 characters is named by its
+    type and length, so a 30000-element entry in a matrix or a JSON point,
+    and a point of 5000 keys (a longer argument passes what one argv
+    string may hold), each answer in one line under 300 bytes."""
+    big, keys = [0] * 30000, {f"k{i}": 0 for i in range(5000)}
+    for args, detail in (
+            (("iso", "fixed-point", "--matrix", json.dumps([[big, 0, 0], [0, 1, 0], [0, 0, 1]])),
+             "expected an expression string or an integer, got a list of length 30000"),
+            (("plane", "dist", "--p", json.dumps({"x": big, "y": 0, "z": 0}), "--q", "1,0,0"),
+             "expected an expression string or an integer, got a list of length 30000"),
+            (("plane", "dist", "--p", json.dumps(keys), "--q", "1,0,0"),
+             "a point needs keys x, y and z, got a dict of length 5000"),
+            (("plane", "dist", "--p", json.dumps({"x": 1, "y": 0, "z": 0, **keys}), "--q", "1,0,0"),
+             "a point has keys x, y and z only, not 5000 other keys")):
+        proc = run(*args, check=False)
+        assert proc.returncode == 1 and proc.stderr == "", args[:2]
+        assert proc.stdout.count("\n") == 1 and len(proc.stdout.encode()) < 300, args[:2]
+        assert json.loads(proc.stdout) == {"error": "parse-error", "detail": detail}, args[:2]
+
+
 def test_graph_with_an_unknown_key_is_a_precondition():
     proc = run("finite", "bipartite", "--graph", '{"n": 2, "edges": [[0, 1]], "x": 1}',
                check=False)

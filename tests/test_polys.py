@@ -2,7 +2,8 @@
 norms (against its resultant, written the way the kernel used to call it),
 gcds, Sturm chains, square-free parts and factorisation, and the
 irreducibility certificates against factorisation; integer signs against
-Fraction Horner; the cache bounds."""
+Fraction Horner; the quadratic closed forms of the field arithmetic
+against the general routes; the cache bounds."""
 
 import ast
 import random
@@ -117,7 +118,9 @@ def test_polynomial_caches_are_bounded():
                polys.sturm_chain, polys.full_degree, polys.nonsquare_root):
         assert fn.cache_info().maxsize == polys.CACHE_SIZE, fn.__name__
     assert 0 < polys.CACHE_SIZE < 10 ** 5
-    unbounded = [name for name, fn in vars(polys).items()
+    from rotagraph import algebraic
+    assert algebraic._orders_with_totient.cache_info().maxsize == polys.CACHE_SIZE
+    unbounded = [name for module in (polys, algebraic) for name, fn in vars(module).items()
                  if hasattr(fn, "cache_info") and fn.cache_info().maxsize is None]
     assert not unbounded
 
@@ -234,6 +237,60 @@ def test_gcd_mod_over_a_number_field():
         f = pmul(c, [polys.mulmod(polys.qpoly((v,)), unit, m) for v in a])
         g = pmul(c, [polys.qpoly((v,)) for v in b])
         assert polys.gcd_mod(f, g, m) == c == polys.gcd_mod(g, f, m), (a, b)
+
+
+def quadratic_of_bits(rng, bits, positive=True):
+    """A primitive irreducible c0 + c1*x + c2*x^2, c2 > 0, whose
+    discriminant, no square, has `bits` bits and the given sign."""
+    while True:
+        c2 = rng.randint(1, 1 << max(bits // 4, 1))
+        c1 = rng.randint(-(1 << (bits // 2 + 1)), 1 << (bits // 2 + 1))
+        target = rng.randint(1 << (bits - 1), (1 << bits) - 1) * (1 if positive else -1)
+        m = (-((target - c1 * c1) // (4 * c2)), c1, c2)
+        disc = polys.discriminant(m)
+        if (disc.bit_length() == bits and (disc > 0) == positive and
+                polys.int_sqrt(disc) is None and polys.primitive(m) == m):
+            return m
+
+
+def quadratic_element(rng, bits, zero=True):
+    """(n0 + n1*x)/d in canonical form: n0 = 0, n1 = 0 (a constant) or
+    both nonzero, d 1 or up to `bits` bits; the zero element too if asked."""
+    shape = rng.randrange(4 if zero else 3)
+    n0, n1 = (rng.randint(-(1 << bits), 1 << bits) or 1 for _ in range(2))
+    n = ((0, n1), (n0,), (n0, n1), ())[shape]
+    return polys.qpoly(n, rng.choice((1, rng.randint(1, 1 << bits))))
+
+
+def test_quadratic_closed_forms_match_the_general_routes():
+    """Modulo a quadratic m, mulmod and dotmod fold x^2 once, invmod is the
+    conjugate over the norm, and compose_mod maps a linear g as n0 + n1*h:
+    each agrees with the route it bypasses (pseudo-division, the extended
+    Euclid, Horner's rule), on seeded quadratics of either discriminant
+    sign with 3 to 200 bits, elements with n0 = 0 or n1 = 0, and mixed
+    denominators; h lies in a field of degree 2 to 4."""
+    rng = random.Random(4101)
+    one = ((1,), 1)
+    for bits in (3, 4, 5, 8, 16, 33, 64, 100, 150, 200):
+        for positive in (True, False):
+            m = quadratic_of_bits(rng, bits, positive)
+            for _ in range(6):
+                k = rng.randint(1, 6)
+                xs = [quadratic_element(rng, bits) for _ in range(k)]
+                ys = [quadratic_element(rng, bits) for _ in range(k)]
+                products = [polys._qmod((polys.mul(x[0], y[0]), x[1] * y[1]), m)
+                            for x, y in zip(xs, ys)]
+                assert polys.dotmod(xs, ys, m) == reduce(polys.qadd, products, ((), 1))
+                for x, y, p in zip(xs, ys, products):
+                    assert polys.mulmod(x, y, m) == p, (m, x, y)
+                g = quadratic_element(rng, bits, zero=False)
+                inv = polys.invmod(g, m)
+                assert inv == polys._invmod_euclid(g, m), (m, g)
+                assert polys.mulmod(g, inv, m) == one
+                big = (m, random_irreducible(rng, rng.randint(3, 4)))[rng.randrange(2)]
+                h = polys.qpoly([rng.randint(-(1 << bits), 1 << bits) for _ in big[1:]],
+                                rng.randint(1, 1 << bits))
+                assert polys.compose_mod(g, h, big) == polys._compose_horner(g, h, big)
 
 
 def test_sign_at_matches_fraction_horner():
