@@ -87,7 +87,7 @@ values are safe to share between threads (a lost write costs a rebuild).
 
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache, reduce
-from math import ceil, comb, gcd, isqrt, lcm, prod
+from math import ceil, gcd, isqrt, lcm, prod
 
 from . import polys
 from .errors import (
@@ -723,15 +723,15 @@ def _compositum(t1, t2):
         else:
             mk = polys.primitive([c * k ** (n2 - i) for i, c in enumerate(m2)])
             psi = _select_root(
-                polys.composed_factors(polys.cand_sum(m1, mk), m1, mk),
+                polys.composed_factors(m1, mk),
                 lambda: tuple(a + k * b for a, b in zip(t1.interval, t2.interval)),
                 lambda: (t1.refine(), t2.refine()))
             h1 = None
             if not psi.is_rational:
                 m = psi.min_poly
-                f = polys.gcd_mod([polys.qpoly((c,)) for c in m1], [polys.compose_mod(
-                    ([(-1) ** j * comb(i, j) * c for i, c in enumerate(mk) if i >= j], 1),
-                    _X, m) for j in range(n2 + 1)], m)       # m_k(psi - x), binomially
+                # m_k(psi - x), the shift of m_k(-z) over Q(psi)
+                f = polys.gcd_mod([polys.qpoly((c,)) for c in m1], polys.shift(
+                    [(-1) ** i * c for i, c in enumerate(mk)], m), m)
                 h1 = polys.qscale(f[0], -1) if len(f) == 2 else None
         if h1 is not None:
             _record(psi, ((t1, h1), (t2, polys.qscale(polys.qsub(_X, h1), 1, k))))

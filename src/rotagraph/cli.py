@@ -35,7 +35,7 @@ import sys
 import types
 
 from .errors import (
-    BoundExceededError, OutOfRangeError, ParseError, RotagraphError, ascii_int, read_int,
+    BoundExceededError, OutOfRangeError, ParseError, RotagraphError, ascii_int, brief, read_int,
 )
 
 #: the largest --approx BITS: rendering costs about BITS bisections of each
@@ -230,7 +230,7 @@ def _resolve_element(grp, text):
     try:
         i = read_int(text)
     except ValueError:
-        raise ParseError(f"unknown element {text!r}") from None
+        raise ParseError(f"unknown element {brief(text)}") from None
     if not 0 <= i < grp.order:
         raise ParseError("element index out of range")
     return i
@@ -251,7 +251,7 @@ def cmd_field_roots(args):
     try:
         coeffs = tuple(read_int(c) for c in args.poly.split(","))
     except ValueError:
-        raise ParseError(f"bad coefficient list {args.poly!r}: expected "
+        raise ParseError(f"bad coefficient list {brief(args.poly)}: expected "
                          "comma-separated integers") from None
     return {"roots": algebraic.real_roots(coeffs)}
 

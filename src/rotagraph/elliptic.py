@@ -349,15 +349,20 @@ def point_from_json(obj):
     return make_point(*(expr.from_json(obj[k]) for k in "xyz"))
 
 
+#: the bound on the entries of the vectors of `_rational_unit_pool`
+_UNIT_POOL_BOUND = 22
+
+
 @lru_cache(maxsize=1)
-def _rational_unit_pool(bound=22):
-    """Primitive integer vectors (a, b, c) with a^2 + b^2 + c^2 a perfect
-    square: they normalise to rational unit lifts, keeping downstream degrees
-    low, and each names a different projective point."""
+def _rational_unit_pool():
+    """Primitive integer vectors (a, b, c), a <= b <= c < _UNIT_POOL_BOUND,
+    with a^2 + b^2 + c^2 a perfect square: they normalise to rational unit
+    lifts, keeping downstream degrees low, and each names a different
+    projective point."""
     out = []
-    for a in range(bound):
-        for b in range(a, bound):
-            for c in range(b, bound):
+    for a in range(_UNIT_POOL_BOUND):
+        for b in range(a, _UNIT_POOL_BOUND):
+            for c in range(b, _UNIT_POOL_BOUND):
                 n2 = a * a + b * b + c * c
                 r = isqrt(n2)
                 if r * r == n2 and gcd(a, b, c) == 1:

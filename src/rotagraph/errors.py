@@ -1,6 +1,7 @@
 """Error types shared across the library, `ascii_int`, the reader of the
 CLI's int flags, `read_int`, the one reader of integer literals, which
-raises one of them, and `brief`, which names a rejected input in a detail.
+raises one of them, and `brief`, which names a rejected input in a detail
+of bounded length.
 
 Every domain error carries a short stable ``code`` so the CLI can map it
 to a machine-readable JSON error object.  This module imports no layer, so
@@ -90,12 +91,16 @@ BRIEF_CHARS = 80
 
 
 def brief(value):
-    """repr(value) when it has at most BRIEF_CHARS characters, else the
-    name of its type and, for a list or a dict, its length: a rejected JSON
-    entry named in an error detail of bounded length."""
+    """repr(value) when it has at most BRIEF_CHARS characters, else, for a
+    str, the repr of its first BRIEF_CHARS characters and its length, and
+    for other values the name of its type and, for a list or a dict, its
+    length: a rejected argument or JSON entry named in an error detail of
+    bounded length."""
     text = repr(value)
     if len(text) <= BRIEF_CHARS:
         return text
+    if isinstance(value, str):
+        return f"{value[:BRIEF_CHARS]!r}... ({len(value)} characters)"
     if isinstance(value, (list, dict)):
         return f"a {type(value).__name__} of length {len(value)}"
     return f"a {type(value).__name__}"

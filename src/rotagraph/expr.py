@@ -33,7 +33,7 @@ def _tokenize(text):
         m = _TOKEN.match(text, pos)
         if not m:
             if text[pos:].strip():
-                raise ParseError(f"unexpected character at {pos!r}: {text[pos:]!r}")
+                raise ParseError(f"unexpected character at {pos!r}: {brief(text[pos:])}")
             break
         out.append(m.group(1))
         pos = m.end()
@@ -59,7 +59,7 @@ class _Parser:
     def expect(self, tok):
         t = self.next()
         if t != tok:
-            raise ParseError(f"expected {tok!r}, got {t!r}")
+            raise ParseError(f"expected {tok!r}, got {brief(t)}")
 
     def parse_expr(self):
         v = self.parse_term()
@@ -130,7 +130,7 @@ def parse(text):
     p = _Parser(_tokenize(text))
     v = p.parse_expr()
     if p.peek() is not None:
-        raise ParseError(f"trailing input: {p.tokens[p.i:]}")
+        raise ParseError(f"trailing input: {brief(p.tokens[p.i:])}")
     return v
 
 

@@ -23,6 +23,7 @@ from .errors import (
     OutOfRangeError,
     ParseError,
     PreconditionError,
+    brief,
 )
 
 # budgets past which the finite layer raises BoundExceededError
@@ -74,7 +75,7 @@ class Permutation:
         # one reading per string: a digit starts each cycle's body, and a
         # digit is ASCII 0-9
         if not re.fullmatch(r"(\(\s*([0-9][0-9\s,]*)?\))+", text):
-            raise ParseError(f"bad cycle notation: {text!r}")
+            raise ParseError(f"bad cycle notation: {brief(text)}")
         images = list(range(n))
         for cyc in re.findall(r"\(([^()]*)\)", text):
             idx = [int(t) for t in re.split(r"[\s,]+", cyc.strip()) if t]

@@ -148,10 +148,16 @@ def preserves_edges_on_sample(m, cos_l, pairs):
     return True
 
 
-def _pythagorean_pairs(bound=40):
+#: the bound on the legs of the triples of `_pythagorean_pairs`
+_PYTHAGOREAN_BOUND = 40
+
+
+def _pythagorean_pairs():
+    """(a/h, b/h) for the Pythagorean triples a^2 + b^2 = h^2 with
+    0 < a <= b < _PYTHAGOREAN_BOUND."""
     out = []
-    for a in range(1, bound):
-        for b in range(a, bound):
+    for a in range(1, _PYTHAGOREAN_BOUND):
+        for b in range(a, _PYTHAGOREAN_BOUND):
             h2 = a * a + b * b
             h = isqrt(h2)
             if h * h == h2:

@@ -9,14 +9,16 @@ integer numerators n over one positive int d with gcd(d, content(n)) = 1
 (`qpoly`), the usual number-field element form (Cohen, GTM 138, 4.2), so
 equal elements are equal pairs.  `qadd`, `qsub`, `qscale`, `mulmod`,
 `dotmod` (a sum of products, reduced once), `invmod`, `compose_mod`,
-`gcd_mod`, `norm`, `minimal_polynomial` and `sqrt_candidates` take that
-form and work in integers, with one gcd where a result leaves; `primitive`
-turns ints or Fractions into the integer form in which polynomials leave.
+`shift`, `gcd_mod`, `norm`, `minimal_polynomial` and `sqrt_candidates`
+take that form and work in integers, with one gcd where a result leaves;
+`primitive` turns ints or Fractions into the integer form in which
+polynomials leave.
 Factorisation over Q (`factor_int`) is the one job handed to a computer
 algebra system, sympy, imported on first use; everything else is done here
-with exact integer and rational arithmetic: the special resultants
-(composed sums, by Newton power sums), norms and minimal polynomials
-from traces, everything sign-related (Sturm chains, root counting,
+with exact integer and rational arithmetic: one special resultant, the
+norm, read off traces by Newton power sums (`norm`), which gives composed
+sums (`cand_sum`, the norm of a shifted polynomial, `shift`) and minimal
+polynomials, everything sign-related (Sturm chains, root counting,
 isolation), with signs taken in integers, and arithmetic mod a prime.
 
 Modulo a quadratic m = c0 + c1*x + c2*x^2, the field arithmetic is closed
@@ -318,12 +320,10 @@ def factor_int(c):
                         for f, _m in factors))
 
 
-# -- special resultants by Newton power sums --------------------------------
-# (Bostan, Flajolet, Salvy, Schost, "Fast computation of special
-# resultants", JSC 2006.)  A polynomial of degree n is fixed up to a
-# constant by the power sums s_0..s_n of its roots, and a composed sum has
-# power sums that are simple in those of its factors.  The
-# roots are taken scaled to algebraic integers (a root of c times lead(c)),
+# -- norms, by Newton power sums ----------------------------------------------
+# A polynomial of degree n is fixed up to a constant by the power sums
+# s_0..s_n of its roots, and the power sums of a norm's roots are traces.
+# The roots are taken scaled to algebraic integers (a root of c times lead(c)),
 # so the power sums, and every step of the inverse recurrence, are integers.
 
 def _power_sums(c, n):
@@ -358,20 +358,6 @@ def _from_power_sums(S, n, D):
     return primitive([b[n - j] * D ** j for j in range(n + 1)])
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def cand_sum(pa, pb):
-    """Integer polynomial vanishing at every a + b with pa(a) = pb(b) = 0:
-    the composed sum, Res_y(pa(y), pb(x - y)) made primitive.  With A, B the
-    leads, A*B*(a + b) = B*(A*a) + A*(B*b) has the power sums below."""
-    n = degree(pa) * degree(pb)
-    A, B = pa[-1], pb[-1]
-    sa = [B ** k * v for k, v in enumerate(_power_sums(pa, n))]
-    sb = [A ** k * v for k, v in enumerate(_power_sums(pb, n))]
-    S = [sum(comb(k, t) * sa[t] * sb[k - t] for t in range(k + 1))
-         for k in range(n + 1)]
-    return _from_power_sums(S, n, A * B)
-
-
 def cand_sqrt(c):
     """p(x^2): vanishes at +-sqrt(r) for every root r of p."""
     out = [0] * (2 * len(c) - 1)
@@ -380,16 +366,22 @@ def cand_sqrt(c):
     return primitive(out)
 
 
-def _norm_power_sums(f, m):
-    """(S, D): S_0..S_kn the power sums of the roots of Norm(f) times an int
-    D, for f of degree k over Q[x]/(m), m irreducible of degree n (a list
-    of elements, lowest degree first).  With f made monic, coefficients
-    c_i, Newton's identities give the power sums p_j = -(j*c_(k-j) +
-    c_(k-1)*p_(j-1) + ...) of f's roots, one dotmod each (no first term for
-    j > k), and their traces Tr(h) = sum_i h_i * s_i, s_i the power sums of
-    m's roots, are Norm(f)'s.  In integers: for L = lead(m), D times each
-    root is an algebraic integer for D = lcm(dens) * L^(n-1), the power
-    sums of m's roots times L are integers w_i, and so are D^j * Tr(p_j)."""
+def norm(f, m):
+    """The primitive integer polynomial Norm(f), the product of f's
+    conjugates, whose roots are those of f and of each conjugate, for f of
+    degree k over Q[x]/(m), m of degree n (a list of elements, lowest degree
+    first, the lead invertible), from the power sums S_0..S_kn of its roots
+    times an int D (Trager, SYMSAC 1976; Cohen, GTM 138, 3.6).  With f made
+    monic, coefficients c_i, Newton's identities give the power sums
+    p_j = -(j*c_(k-j) + c_(k-1)*p_(j-1) + ...) of f's roots, one dotmod each
+    (no first term for j > k), and their traces Tr(h) = sum_i h_i * s_i,
+    s_i the power sums of m's roots, are Norm(f)'s.  In integers: for
+    L = lead(m), D times each root is an algebraic integer for
+    D = lcm(dens) * L^(n-1), the power sums of m's roots times L are
+    integers w_i, and so are D^j * Tr(p_j).  The traces are those of the
+    algebra Q[x]/(m), so for a reducible m the product runs over all of
+    m's roots, with multiplicity: Norm(f) is Res_y(m(y), f(x, y)) up to a
+    constant, which cand_sum reads."""
     if f[-1] != ((1,), 1):
         u = invmod(f[-1], m)
         f = [mulmod(c, u, m) for c in f]
@@ -400,15 +392,25 @@ def _norm_power_sums(f, m):
     for j in range(1, k * n + 1):
         p.append(h := dotmod(e, p[:-k - 1:-1] + [((j,), 1)] * (j <= k), m))
         S.append(D ** j * sum(c * wi for c, wi in zip(h[0], w)) // (h[1] * Ln))
-    return S, D
+    return _from_power_sums(S, k * n, D)
 
 
-def norm(f, m):
-    """The primitive integer polynomial Norm(f), the product of f's
-    conjugates, whose roots are those of f and of each conjugate, for f as
-    in _norm_power_sums (Trager, SYMSAC 1976; Cohen, GTM 138, 3.6)."""
-    S, D = _norm_power_sums(f, m)
-    return _from_power_sums(S, len(S) - 1, D)
+def shift(p, m):
+    """p(x - y) as a polynomial in x over Q[y]/(m), for an integer p: a list
+    of elements, lowest degree first, the coefficient of x^j being
+    sum_(i >= j) comb(i, j) * p_i * (-y)^(i - j), reduced modulo m."""
+    return [_qmod(([(-1) ** (i - j) * comb(i, j) * p[i] for i in range(j, len(p))], 1), m)
+            for j in range(len(p))]
+
+
+def cand_sum(pa, pb):
+    """Integer polynomial vanishing at every a + b with pa(a) = pb(b) = 0:
+    the composed sum, Res_y(pa(y), pb(x - y)) made primitive, the norm of
+    pb(x - y) over Q[y]/(pa), each side's roots taken with multiplicity.
+    The norm runs over the side of lower degree n: k*n steps of k products
+    of degree-n elements, for the other side of degree k."""
+    pa, pb = sorted((pa, pb), key=len)
+    return norm(shift(pb, pa), pa)
 
 
 def minimal_polynomial(g, m):
@@ -418,8 +420,7 @@ def minimal_polynomial(g, m):
     (squarefree_part) is that polynomial, with no factorisation.  For a g(t)
     that generates Q(t) the two are one, and so is the Sturm chain that
     gives the gcd and the one that root selection counts on."""
-    S, D = _norm_power_sums([qscale(g, -1), ((1,), 1)], m)
-    return squarefree_part(_from_power_sums(S, degree(m), D))
+    return squarefree_part(norm([qscale(g, -1), ((1,), 1)], m))
 
 
 # -- arithmetic mod a prime --------------------------------------------------
@@ -666,7 +667,6 @@ def sqrt_candidates(m, g):
             yield qpoly([r * (d // s) for r, s in h], d)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def full_degree(m1, m2):
     """True when roots t1, t2 of the irreducible m1, m2 give
     [Q(t1, t2) : Q] = n1*n2.  Coprime degrees force it.  Else some prime p
@@ -705,12 +705,13 @@ def full_degree(m1, m2):
     return False
 
 
-def composed_factors(cand, m1, m2):
+def composed_factors(m1, m2):
     """The irreducible factors of cand = cand_sum(m1, m2).  Its roots are
     the sums of every pair of conjugates, so when Q(t1, t2) has full degree
     (full_degree) and those sums are distinct (cand square-free: its Sturm
     chain ends in a constant), t1 + t2 has degree deg(cand) and cand is its
     minimal polynomial, whose chain root selection then counts on."""
+    cand = cand_sum(m1, m2)
     if full_degree(m1, m2) and len(sturm_chain(cand)[-1]) == 1:
         return (cand,)
     return factor_int(cand)

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rotagraph import cli, polys
+from rotagraph import algebraic, cli, polys
 from rotagraph.errors import RotagraphError, read_int
 
 CLI = [sys.executable, "-m", "rotagraph.cli"]
@@ -464,11 +464,17 @@ def test_bad_cycle_token_names_the_notation():
 def test_fixed_point_past_the_candidate_budget_builds_no_norm(monkeypatch, capsys):
     # the characteristic cubic over the degree-128 field of N7 has a norm of
     # degree 384: bound-exceeded before the norm is built or anything is
-    # factorised
+    # factorised.  Norms within the budget, the minimal polynomials that
+    # parsing N7 reads, are built as usual.
     def unreachable(*args):
         raise AssertionError("reached past the candidate budget")
 
-    monkeypatch.setattr(polys, "norm", unreachable)
+    def norm(f, m, original=polys.norm):
+        if (len(f) - 1) * polys.degree(m) > algebraic._MAX_CAND_DEGREE:
+            unreachable()
+        return original(f, m)
+
+    monkeypatch.setattr(polys, "norm", norm)
     monkeypatch.setattr(polys, "factor_int", unreachable)
     code, out, _ = main_exit(capsys, ["iso", "fixed-point", "--matrix",
                                       json.dumps([[N7, 0, 0], [0, 2, 0], [0, 0, 3]])])
@@ -536,6 +542,35 @@ def test_parse_error_details_of_large_entries_stay_short():
         assert proc.returncode == 1 and proc.stderr == "", args[:2]
         assert proc.stdout.count("\n") == 1 and len(proc.stdout.encode()) < 300, args[:2]
         assert json.loads(proc.stdout) == {"error": "parse-error", "detail": detail}, args[:2]
+
+
+def test_parse_error_details_of_long_arguments_stay_short(capsys):
+    """A rejected argument of 60000 characters is named by the repr of its
+    first 80 characters and its length: a coefficient list, cycle notation
+    for each command that reads --group, an expression with an unexpected
+    character, with trailing input or with a long token where '(' belongs,
+    and an unknown group element.  Each answer is one line under 300
+    bytes."""
+    n = 60000
+    group = ["--group", "(0 1);(0 1 2)"]
+    cases = [["field", "roots", "--poly", "x" * n],
+             *(["finite", cmd, "--group", "(0 1)" + "x" * (n - 5)]
+               for cmd in ("cf", "jordan", "subgroups")),
+             ["finite", "conjgraph", "--group", "(0 1)" + "x" * (n - 5), "--g1", "0", "--g3", "0"],
+             ["field", "eval", "--expr", "@" + "1" * n],
+             ["field", "eval", "--expr", "1 " * (n // 2)],
+             ["field", "eval", "--expr", "sqrt" + "1" * n],
+             ["finite", "conjgraph", *group, "--g1", "e" * n, "--g3", "(0 1 2)"],
+             ["finite", "conjgraph", *group, "--g1", "(0 1)", "--g3", "e" * n]]
+    for argv in cases:
+        code, out, err = main_exit(capsys, argv)
+        assert (code, err) == (1, ""), argv[:2]
+        assert out.count("\n") == 1 and len(out.encode()) < 300, argv[:2]
+        assert json.loads(out)["error"] == "parse-error", argv[:2]
+    code, out, _ = main_exit(capsys, ["field", "roots", "--poly", "1," + "2" * 100 + "x"])
+    assert json.loads(out)["detail"] == (
+        "bad coefficient list '1," + "2" * 78 + "'... (103 characters): "
+        "expected comma-separated integers")
 
 
 def test_graph_with_an_unknown_key_is_a_precondition():

@@ -3,8 +3,9 @@
 Each call runs in-process through `cli.main`, plain and with `--approx 53`,
 and must print byte for byte what `cli_golden.json` records.  The calls
 cover the geometry subcommands (distances, equidistant points, geodesic
-steps, ladder witnesses, fixed points, edge sampling, graph paths,
-distances, diameters and validation), including their error exits, and the
+steps, ladder cosines and witnesses, fixed points, orthogonality checks,
+edge sampling, edges, graph paths, distances, diameters, validation and
+the choice of cos l for a diameter), including their error exits, and the
 field subcommands (same-field and cross-field arithmetic, comparisons,
 roots, rational angles), so a refactor of the geometry or the kernel
 cannot change what users see without failing here.  The `finite` calls
@@ -94,6 +95,16 @@ CALLS = [
     ["plane", "dist", "--p", "sqrt(2),sqrt(3),1", "--q", "sqrt(5),1,0"],
     ["plane", "dist", "--p", "sqrt(2),sqrt(3),sqrt(5)",
      "--q", '{"x":"1","y":"sqrt(7)","z":"root(-2,0,0,1,0)"}'],
+    # ladder cosines, orthogonality, edges and a chosen cos l: an answer
+    # and a domain error each
+    ["plane", "ellncos", "--cos-l", "sqrt(3)/2", "--n", "2"],
+    ["plane", "ellncos", "--cos-l", "2", "--n", "3"],
+    ["iso", "check-orthogonal", "--matrix", '[["sqrt(2)",0,0],[0,1,0],[0,0,1]]'],
+    ["iso", "check-orthogonal", "--matrix", "[[1,0],[0,1]]"],
+    ["graph", "edge", "--p", "1,0,0", "--q", "4/5,3/5,0", "--cos-l", "4/5"],
+    ["graph", "edge", "--p", "0,0,0", "--q", "0,1,0", "--cos-l", "4/5"],
+    ["graph", "choose-ell", "--diameter", "4"],
+    ["graph", "choose-ell", "--diameter", "2"],
 ]
 
 # sums, products and quotients over Q(sqrt 2), Q(sqrt 3) and cubic fields,
