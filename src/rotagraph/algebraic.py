@@ -86,13 +86,13 @@ values are safe to share between threads (a lost write costs a rebuild).
 """
 
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache, reduce
+from functools import cmp_to_key, reduce
 from math import ceil, gcd, isqrt, lcm, prod
 
 from . import polys
 from .errors import (
     BoundExceededError, DivisionByZeroError, InternalConsistencyError, OutOfRangeError,
-    PreconditionError, ZeroPolynomialError,
+    PreconditionError, ZeroPolynomialError, brief,
 )
 
 LESS, EQUAL, GREATER = -1, 0, 1
@@ -168,7 +168,7 @@ class AlgReal:
         roots = real_roots(p)
         if not 0 <= index < len(roots):
             raise OutOfRangeError(
-                f"root index {index} out of range (poly has {len(roots)} real roots)"
+                f"root index {brief(index)} out of range (poly has {len(roots)} real roots)"
             )
         return roots[index]
 
@@ -1147,7 +1147,6 @@ def _rational_angle_order(c):
     return None
 
 
-@lru_cache(maxsize=polys.CACHE_SIZE)
 def _orders_with_totient(n):
     """Every m with phi(m) = n, ascending, by a totient sieve.  Each prime
     p | m has p - 1 | n, and m = n * prod(p/(p - 1)) over those p, so m is

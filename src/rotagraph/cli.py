@@ -164,7 +164,7 @@ def _run(args):
     try:
         if args.approx and args.approx > MAX_APPROX_BITS:
             raise BoundExceededError(
-                f"--approx {args.approx} exceeds the budget of {MAX_APPROX_BITS} bits")
+                f"--approx {brief(args.approx)} exceeds the budget of {MAX_APPROX_BITS} bits")
         return _dumps(args.fn(args), args), 0
     except RotagraphError as e:
         return _dumps({"error": e.code, "detail": str(e)}, args), 1
@@ -315,10 +315,10 @@ def cmd_iso_check_orthogonal(args):
 
 def cmd_iso_sample_edges(args):
     if args.count < 0:
-        raise OutOfRangeError(f"--count must not be negative, got {args.count}")
+        raise OutOfRangeError(f"--count must not be negative, got {brief(args.count)}")
     if args.count > MAX_SAMPLE_PAIRS:
         raise BoundExceededError(
-            f"--count {args.count} exceeds the budget of {MAX_SAMPLE_PAIRS} pairs")
+            f"--count {brief(args.count)} exceeds the budget of {MAX_SAMPLE_PAIRS} pairs")
     m = _parse_matrix(args.matrix)
     cos_l = elliptic.as_dist_cos(expr.parse(args.cos_l))
     rng = random.Random(args.seed)
@@ -631,7 +631,7 @@ def _parse(argv):
     args = ap.parse_args(_attach_values(argv, _options(_named(argv))),
                          types.SimpleNamespace(**_defaults(SHARED)))
     if args.approx is not None and args.approx < 0:
-        ap.error(f"approximation BITS must not be negative, got {args.approx}")
+        ap.error(f"approximation BITS must not be negative, got {brief(args.approx)}")
     return args
 
 

@@ -16,7 +16,6 @@ from .algebraic import (
     add, as_algreal, chebyshev_T, combo, compare, div, dot, mul, neg, sqrt_nonneg, sub,
 )
 from .errors import (
-    BRIEF_CHARS,
     InfeasibleError,
     InternalConsistencyError,
     OutOfRangeError,
@@ -24,6 +23,7 @@ from .errors import (
     PreconditionError,
     ZeroVectorError,
     brief,
+    extra_keys,
 )
 
 _ZERO = AlgReal(0)
@@ -340,12 +340,8 @@ def point_to_json(p):
 def point_from_json(obj):
     if not isinstance(obj, dict) or not {"x", "y", "z"} <= obj.keys():
         raise ParseError(f"a point needs keys x, y and z, got {brief(obj)}")
-    extra = sorted(obj.keys() - {"x", "y", "z"})
-    if extra:
-        names = ", ".join(map(repr, extra))
-        if len(names) > BRIEF_CHARS:
-            names = f"{len(extra)} other keys"
-        raise ParseError(f"a point has keys x, y and z only, not {names}")
+    if extra := extra_keys(obj, {"x", "y", "z"}):
+        raise ParseError(f"a point has keys x, y and z only, not {extra}")
     return make_point(*(expr.from_json(obj[k]) for k in "xyz"))
 
 

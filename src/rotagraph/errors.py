@@ -1,7 +1,7 @@
 """Error types shared across the library, `ascii_int`, the reader of the
 CLI's int flags, `read_int`, the one reader of integer literals, which
-raises one of them, and `brief`, which names a rejected input in a detail
-of bounded length.
+raises one of them, and `brief` and `extra_keys`, which name a rejected
+input in a detail of bounded length.
 
 Every domain error carries a short stable ``code`` so the CLI can map it
 to a machine-readable JSON error object.  This module imports no layer, so
@@ -92,15 +92,26 @@ BRIEF_CHARS = 80
 
 def brief(value):
     """repr(value) when it has at most BRIEF_CHARS characters, else, for a
-    str, the repr of its first BRIEF_CHARS characters and its length, and
-    for other values the name of its type and, for a list or a dict, its
-    length: a rejected argument or JSON entry named in an error detail of
-    bounded length."""
+    str, the repr of its first BRIEF_CHARS characters and its length, for
+    an int its number of digits, and for other values the name of its type
+    and, for a list or a dict, its length: a rejected argument or JSON
+    entry named in an error detail of bounded length."""
     text = repr(value)
     if len(text) <= BRIEF_CHARS:
         return text
     if isinstance(value, str):
         return f"{value[:BRIEF_CHARS]!r}... ({len(value)} characters)"
+    if isinstance(value, int):
+        return f"an integer of {len(text.lstrip('-'))} digits"
     if isinstance(value, (list, dict)):
         return f"a {type(value).__name__} of length {len(value)}"
     return f"a {type(value).__name__}"
+
+
+def extra_keys(obj, allowed):
+    """The keys of the dict obj other than `allowed`, for an error detail:
+    their reprs in sorted order, or their number when those run past
+    BRIEF_CHARS characters; '' when there are none."""
+    extra = sorted(obj.keys() - allowed)
+    names = ", ".join(map(repr, extra))
+    return names if len(names) <= BRIEF_CHARS else f"{len(extra)} other keys"

@@ -11,7 +11,6 @@ element by element.
 """
 
 from array import array
-from functools import lru_cache
 import math
 from operator import eq, itemgetter
 import re
@@ -24,6 +23,7 @@ from .errors import (
     ParseError,
     PreconditionError,
     brief,
+    extra_keys,
 )
 
 # budgets past which the finite layer raises BoundExceededError
@@ -68,9 +68,9 @@ class Permutation:
     def from_cycles(cls, text, n):
         """Parse cycle notation like "(0 1 2)(3 4)"; "()" is the identity."""
         if n < 0:
-            raise OutOfRangeError(f"degree {n} is negative")
+            raise OutOfRangeError(f"degree {brief(n)} is negative")
         if n > MAX_DEGREE:
-            raise BoundExceededError(f"degree {n} exceeds the bound {MAX_DEGREE}")
+            raise BoundExceededError(f"degree {brief(n)} exceeds the bound {MAX_DEGREE}")
         text = text.strip()
         # one reading per string: a digit starts each cycle's body, and a
         # digit is ASCII 0-9
@@ -226,12 +226,11 @@ class FiniteGraph:
                 and all(len(e) == 2 for e in obj["edges"])):
             raise PreconditionError(
                 'a graph is {"n": count, "edges": [[i, j], ...]} with integers')
-        extra = ", ".join(sorted(map(repr, obj.keys() - {"n", "edges"})))
-        if extra:
+        if extra := extra_keys(obj, {"n", "edges"}):
             raise PreconditionError(f"a graph has keys n and edges only, not {extra}")
         if obj["n"] > MAX_DEGREE:
             raise BoundExceededError(
-                f"vertex count {obj['n']} exceeds the bound {MAX_DEGREE}")
+                f"vertex count {brief(obj['n'])} exceeds the bound {MAX_DEGREE}")
         return cls(obj["n"], [tuple(e) for e in obj["edges"]])
 
     def __eq__(self, other):
@@ -765,7 +764,6 @@ def _canon(k):
     return rep, perm
 
 
-@lru_cache(maxsize=None)
 def _iso_class_reps(n):
     """One labeled representative bitmask per isomorphism class of graphs
     on n vertices, ascending: the minimum edge-bitmask over all
@@ -840,7 +838,7 @@ def census(n_max):
     automorphism group encountered.  Every verdict is certified, so the
     `unverified` fields read 0 and false."""
     if n_max < 0:
-        raise OutOfRangeError(f"census size must not be negative, got {n_max}")
+        raise OutOfRangeError(f"census size must not be negative, got {brief(n_max)}")
     if n_max > MAX_CENSUS_VERTICES:
         raise BoundExceededError(f"census bound is {MAX_CENSUS_VERTICES}")
     graphs = []

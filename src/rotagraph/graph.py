@@ -22,6 +22,7 @@ from .errors import (
     OutOfRangeError,
     PreconditionError,
     SearchExhaustedError,
+    brief,
 )
 
 _ONE = AlgReal(1)
@@ -179,7 +180,7 @@ def choose_ell_for_diameter(k):
     if k < 3:
         raise OutOfRangeError("diameter targets below 3 are not in the strict regime")
     if k > MAX_STEPS:
-        raise BoundExceededError(f"diameter {k} exceeds the step budget {MAX_STEPS}")
+        raise BoundExceededError(f"diameter {brief(k)} exceeds the step budget {MAX_STEPS}")
 
     def reaches(n):
         return all(t.sign() > 0 for t in islice(chebyshev_values(Fraction(n, n + 1)), k))

@@ -43,6 +43,13 @@ irreducible, read from how it factors mod small primes (`nonsquare_root`,
 `composed_factors`, `irreducible_factors`): where one fires the candidate
 is its own single factor, and `factor_int` runs only where no cheap exact
 argument decides.
+
+Three functions keep their answers, each for CACHE_SIZE polynomials or
+pairs: `factor_int`, `sturm_chain` and `full_degree`, whose repeats the
+test suite measured at seconds when recomputed.  `full_degree` repeats
+where one join is met again, as when each real root of one norm meets the
+field of the coefficients in `algebraic.real_roots`, and each call reads
+up to 8 * GOOD_PRIMES good primes.  `nonsquare_root` keeps none (see there).
 """
 
 from fractions import Fraction
@@ -50,10 +57,10 @@ from functools import lru_cache, reduce
 from itertools import islice
 from math import comb, gcd, isqrt, lcm
 
-#: entries kept by each polynomial-keyed cache, far above the distinct
-#: polynomials of one benchmark pass (a traced `geometry` pass certified 40
-#: candidates that it used to factorise), so a long-lived process holds a
-#: bounded amount
+#: entries kept by each polynomial-keyed cache (`factor_int`, `sturm_chain`,
+#: `full_degree`), far above the distinct polynomials of one benchmark pass
+#: (a traced `geometry` pass certified 40 candidates that it used to
+#: factorise), so a long-lived process holds a bounded amount
 CACHE_SIZE = 4096
 
 
@@ -568,7 +575,6 @@ def discriminant(m):
     return m[1] ** 2 - 4 * m[0] * m[2]
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def nonsquare_root(m):
     """True when a root a of the irreducible m is not a square in Q(a), so
     that x^2 - a is irreducible over Q(a) and m(x^2) (cand_sqrt) is the
@@ -578,7 +584,9 @@ def nonsquare_root(m):
     factor g of m mod p with x no square in F_p[x]/(g).  By Hensel's lemma
     g lifts to the p-adic integers, where its root is a unit of an
     unramified extension with residue field F_p[x]/(g) and the image of a;
-    a = b^2 in Q(a) would make x a square there."""
+    a = b^2 in Q(a) would make x a square there.  Not cached: its repeats
+    on the `geometry` benchmark are quadratics that the norm test answers,
+    and the test suite's took about 0.2 s in all to recompute."""
     if rational_sqrt(Fraction((-1) ** degree(m) * m[0], m[-1])) is None:
         return True
     # x^((p^d - 1)/2) is +1 or -1 modulo each factor of g
@@ -667,6 +675,7 @@ def sqrt_candidates(m, g):
             yield qpoly([r * (d // s) for r, s in h], d)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def full_degree(m1, m2):
     """True when roots t1, t2 of the irreducible m1, m2 give
     [Q(t1, t2) : Q] = n1*n2.  Coprime degrees force it.  Else some prime p
@@ -681,7 +690,9 @@ def full_degree(m1, m2):
     was irreducible at any of them (as for one field reached twice whose
     Galois group has no n-cycle), else after 8 * GOOD_PRIMES.  A False
     only sends the caller to factorisation.  (The package decides two
-    quadratic fields by their discriminants and never asks here.)"""
+    quadratic fields by their discriminants and never asks here.)  Cached:
+    a process that meets one pair again, as `real_roots` does for each
+    real root of one norm, reads the primes once."""
     n1, n2 = degree(m1), degree(m2)
     if gcd(n1, n2) == 1:
         return True

@@ -550,7 +550,9 @@ def test_parse_error_details_of_long_arguments_stay_short(capsys):
     for each command that reads --group, an expression with an unexpected
     character, with trailing input or with a long token where '(' belongs,
     and an unknown group element.  Each answer is one line under 300
-    bytes."""
+    bytes, and so is each answer that names an int of 4000 digits (by its
+    digit count) or 3000 extra graph keys (by their number), with its exit
+    code: a usage error's line on stderr, after the usage."""
     n = 60000
     group = ["--group", "(0 1);(0 1 2)"]
     cases = [["field", "roots", "--poly", "x" * n],
@@ -571,6 +573,31 @@ def test_parse_error_details_of_long_arguments_stay_short(capsys):
     assert json.loads(out)["detail"] == (
         "bad coefficient list '1," + "2" * 78 + "'... (103 characters): "
         "expected comma-separated integers")
+    big = "9" * 4000
+    sample = ["iso", "sample-edges", "--matrix", "[[1,0,0],[0,1,0],[0,0,1]]", "--cos-l", "1/2"]
+    extra = json.dumps({"n": 2, "edges": [], **{f"k{i}": 0 for i in range(3000)}})
+    ints = [(sample + ["--count", big], "bound-exceeded"),
+            (sample + ["--count", "-" + big], "out-of-range"),
+            (["--approx", big, "field", "eval", "--expr", "1"], "bound-exceeded"),
+            *((["finite", cmd, "--group", "(0 1)", "--degree", big], "bound-exceeded")
+              for cmd in ("cf", "jordan", "subgroups")),
+            (["graph", "choose-ell", "--diameter", big], "bound-exceeded"),
+            (["finite", "census", "--n-max", "-" + big], "out-of-range"),
+            (["finite", "bipartite", "--graph", f'{{"n": {big}, "edges": []}}'],
+             "bound-exceeded"),
+            (["field", "eval", "--expr", f"root(-2,0,1,{big})"], "out-of-range"),
+            (["finite", "bipartite", "--graph", extra], "precondition")]
+    for argv, error in ints:
+        code, out, err = main_exit(capsys, argv)
+        assert (code, err) == (1, ""), argv[:2]
+        assert out.count("\n") == 1 and len(out.encode()) < 300, argv[:2]
+        assert json.loads(out)["error"] == error, argv[:2]
+        assert "4000 digits" in out or "3000 other keys" in out, argv[:2]
+    code, out, err = main_exit(capsys, ["--approx", "-" + big, "field", "eval", "--expr", "1"])
+    assert (code, out) == (2, "") and len(err.encode()) < 300
+    assert err.splitlines()[-1] == (
+        "rotagraph: error: approximation BITS must not be negative, "
+        "got an integer of 4000 digits")
 
 
 def test_graph_with_an_unknown_key_is_a_precondition():

@@ -124,15 +124,41 @@ def test_sympy_only_factorises():
     assert uses == {("polys", "factor_int")}
 
 
-def test_polynomial_caches_are_bounded():
-    for fn in (polys.factor_int, polys.sturm_chain, polys.nonsquare_root):
-        assert fn.cache_info().maxsize == polys.CACHE_SIZE, fn.__name__
+def test_package_caches_are_bounded():
+    """Every module of the package caches these functions and no others,
+    each bounded: the ones whose repeats the suite measured to cost seconds
+    uncached (factorisation, Sturm chains, the full-degree prime search)
+    and the one rational-unit pool."""
+    import importlib
+    import pkgutil
+    import rotagraph
+    cached = {}
+    for info in pkgutil.iter_modules(rotagraph.__path__):
+        module = importlib.import_module(f"rotagraph.{info.name}")
+        cached |= {f"{info.name}.{name}": fn.cache_info().maxsize
+                   for name, fn in vars(module).items()
+                   if hasattr(fn, "cache_info") and fn.__module__ == module.__name__}
+    assert cached == {"polys.factor_int": polys.CACHE_SIZE,
+                      "polys.sturm_chain": polys.CACHE_SIZE,
+                      "polys.full_degree": polys.CACHE_SIZE,
+                      "elliptic._rational_unit_pool": 1}
     assert 0 < polys.CACHE_SIZE < 10 ** 5
-    from rotagraph import algebraic
-    assert algebraic._orders_with_totient.cache_info().maxsize == polys.CACHE_SIZE
-    unbounded = [name for module in (polys, algebraic) for name, fn in vars(module).items()
-                 if hasattr(fn, "cache_info") and fn.cache_info().maxsize is None]
-    assert not unbounded
+
+
+def test_repeated_composed_factors_runs_no_prime_search():
+    """A second composed_factors on one pair, sqrt 6 inside
+    Q(sqrt 2 + sqrt 3), whose full-degree search reads 8 * GOOD_PRIMES
+    good primes to its no, reads none: full_degree keeps its answer."""
+    sd4 = polys.cand_sum((-2, 0, 1), (-3, 0, 1))
+    polys.composed_factors(sd4, (-6, 0, 1))
+    seen, original = [], polys._ddf
+    polys._ddf = lambda c, p: seen.append(p) or original(c, p)
+    try:
+        assert polys.composed_factors(sd4, (-6, 0, 1)) == polys.factor_int(
+            polys.cand_sum(sd4, (-6, 0, 1)))
+    finally:
+        polys._ddf = original
+    assert seen == []
 
 
 def test_isolate_roots_against_sympy():
@@ -456,7 +482,7 @@ def test_composed_certificate_negative_cases():
     seen, original = [], polys._ddf
     polys._ddf = lambda c, p: seen.append(p) or original(c, p)
     try:
-        assert not polys.full_degree((-2, 0, 0, 1), (-2, 0, 0, 1))
+        assert not polys.full_degree.__wrapped__((-2, 0, 0, 1), (-2, 0, 0, 1))
     finally:
         polys._ddf = original
     assert seen == []
@@ -477,7 +503,7 @@ def test_full_degree_no_reads_a_bounded_number_of_good_primes():
 
     polys._ddf = spy
     try:
-        assert not polys.full_degree(sd4, (-6, 0, 1))
+        assert not polys.full_degree.__wrapped__(sd4, (-6, 0, 1))
     finally:
         polys._ddf = original
     assert len(good) == 8 * polys.GOOD_PRIMES
@@ -500,7 +526,7 @@ def test_full_degree_of_two_quadratics_agrees_with_factorisation():
     while len(pairs) < 40:
         m1, m2 = (random_irreducible(rng, 2) for _ in range(2))
         pairs.append((m1, m2, None))
-    got = [polys.full_degree(m1, m2) for m1, m2, _ in pairs]
+    got = [polys.full_degree.__wrapped__(m1, m2) for m1, m2, _ in pairs]
     for (m1, m2, want), full in zip(pairs, got):
         if want is not None:
             assert full is want, (m1, m2)
