@@ -944,11 +944,12 @@ def sqrt_nonneg(a):
     theorem, on _sqrt_interval's bracket [lo, hi]: lo >= 0, and the signs
     q*lo^2 - p < 0 < q*hi^2 - p place exactly one root in it, since the
     other one, -sqrt(p/q), is negative.  An irrational a takes a tower over
-    a generator of its whole field, a square root inside its field, or the
-    root of m_a(x^2), or of its factor, that the bracket of its interval
-    holds (_sqrt_of_nonsquare when m_a(x^2) is certified irreducible, else
-    Sturm counts on each factor), and records a's generator in that root
-    (_tower)."""
+    a generator of its whole field, or asks one certificate
+    (polys.sqrt_certificate): a square root h(a) inside its field, mapped
+    to a's generator, or else the root of m_a(x^2), or of its factor, that
+    the bracket of its interval holds (_sqrt_of_nonsquare when a is shown
+    no square, else Sturm counts on each factor), which records a's
+    generator (_tower)."""
     a = as_algreal(a)
     s = a.sign()
     if s < 0:
@@ -978,13 +979,13 @@ def sqrt_nonneg(a):
             if v.degree == n:
                 return div(sqrt_nonneg(v), u if u.sign() > 0 else neg(u))
     m = a.min_poly
-    nonsquare = polys.nonsquare_root(m)
-    if not nonsquare:
-        root = _sqrt_in_field(a)
-        if root is not None:
-            return root
+    h = polys.sqrt_certificate(m)
+    if h:       # sqrt(a) = h(a), mapped to a's generator
+        theta, g = _gen(a)
+        root = AlgReal._over(theta, polys.compose_mod(h, g, theta.min_poly))
+        return root if root.sign() > 0 else neg(root)
     _check_cand_degree(2 * a.degree)
-    if nonsquare:
+    if h is False:
         root = _sqrt_of_nonsquare(a)
     else:
         root = _select_root(polys.factor_int(polys.cand_sqrt(m)),
@@ -995,12 +996,13 @@ def sqrt_nonneg(a):
 
 def _sqrt_of_nonsquare(a):
     """sqrt(a) for an irrational a > 0 that is no square in Q(a): the root
-    of m(x^2), m = a's minimal polynomial, irreducible then (nonsquare_root),
-    on the bracket [lo, hi] of a's interval (_sqrt_interval), once that
-    holds exactly one root.  Its roots in (lo, hi], lo >= 0, are the square
-    roots of m's roots in (lo^2, hi^2], so one root count on m itself
-    decides, with no chain of degree 2n (and none at all for a quadratic
-    m); the radicand is refined until it reads 1."""
+    of m(x^2), m = a's minimal polynomial, irreducible then
+    (polys.sqrt_certificate), on the bracket [lo, hi] of a's interval
+    (_sqrt_interval), once that holds exactly one root.  Its roots in
+    (lo, hi], lo >= 0, are the square roots of m's roots in (lo^2, hi^2],
+    so one root count on m itself decides, with no chain of degree 2n (and
+    none at all for a quadratic m); the radicand is refined until it reads
+    1."""
     m = a.min_poly
     for _ in range(20000):
         lo, hi = _sqrt_interval(a.interval)
@@ -1020,20 +1022,6 @@ def _sqrt_interval(interval):
     lo, hi = max(interval[0], 0), interval[1]
     return (Fraction(isqrt(lo.numerator * lo.denominator << 32), lo.denominator << 16),
             Fraction(isqrt(hi.numerator * hi.denominator << 32) + 1, hi.denominator << 16))
-
-
-def _sqrt_in_field(a):
-    """sqrt(a) over a's generator theta when a = g(theta) is a square in
-    Q(theta): the first p-adic candidate h (polys.sqrt_candidates) with
-    h^2 = g modulo theta's minimal polynomial, signed to be positive; None
-    when no candidate passes."""
-    theta, g = _gen(a)
-    m = theta.min_poly
-    for h in polys.sqrt_candidates(m, g):
-        if polys.mulmod(h, h, m) == g:
-            root = AlgReal._over(theta, h)
-            return root if root.sign() > 0 else neg(root)
-    return None
 
 
 # -- polynomial roots -------------------------------------------------------

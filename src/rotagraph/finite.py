@@ -76,16 +76,18 @@ class Permutation:
         # digit is ASCII 0-9
         if not re.fullmatch(r"(\(\s*([0-9][0-9\s,]*)?\))+", text):
             raise ParseError(f"bad cycle notation: {brief(text)}")
-        images = list(range(n))
+        images, seen = list(range(n)), set()
         for cyc in re.findall(r"\(([^()]*)\)", text):
             idx = [int(t) for t in re.split(r"[\s,]+", cyc.strip()) if t]
             if any(i >= n for i in idx):
                 raise ParseError("cycle index out of range")
             if len(set(idx)) != len(idx):
                 raise ParseError("repeated index inside a cycle")
+            # a fixed point named by (i) counts as seen too
+            if not seen.isdisjoint(idx):
+                raise ParseError("index repeated across cycles")
+            seen.update(idx)
             for a, b in zip(idx, idx[1:] + idx[:1]):
-                if images[a] != a:
-                    raise ParseError("index repeated across cycles")
                 images[a] = b
         return cls(images)
 

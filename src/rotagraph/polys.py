@@ -9,8 +9,9 @@ integer numerators n over one positive int d with gcd(d, content(n)) = 1
 (`qpoly`), the usual number-field element form (Cohen, GTM 138, 4.2), so
 equal elements are equal pairs.  `qadd`, `qsub`, `qscale`, `mulmod`,
 `dotmod` (a sum of products, reduced once), `invmod`, `compose_mod`,
-`shift`, `gcd_mod`, `norm`, `minimal_polynomial` and `sqrt_candidates`
-take that form and work in integers, with one gcd where a result leaves;
+`shift`, `gcd_mod`, `norm` and `minimal_polynomial` take that form and
+work in integers, with one gcd where a result leaves (the square root
+that `sqrt_certificate` lifts leaves in it too);
 `primitive` turns ints or Fractions into the integer form in which
 polynomials leave.
 Factorisation over Q (`factor_int`) is the one job handed to a computer
@@ -39,17 +40,19 @@ a composed sum's square-freeness (`composed_factors`).  A quadratic's
 roots are counted in closed form, with no chain.
 
 Arithmetic mod a prime serves certificates that a candidate polynomial is
-irreducible, read from how it factors mod small primes (`nonsquare_root`,
-`composed_factors`, `irreducible_factors`): where one fires the candidate
-is its own single factor, and `factor_int` runs only where no cheap exact
-argument decides.
+irreducible, read from how it factors mod small primes (`composed_factors`,
+`irreducible_factors`): where one fires the candidate is its own single
+factor, and `factor_int` runs only where no cheap exact argument decides.
+A square root takes one walk over the same primes (`sqrt_certificate`):
+Euler's criterion at one of them shows m(x^2) irreducible, or else the
+first of them that keeps m irreducible lifts a square root inside the field.
 
 Three functions keep their answers, each for CACHE_SIZE polynomials or
 pairs: `factor_int`, `sturm_chain` and `full_degree`, whose repeats the
 test suite measured at seconds when recomputed.  `full_degree` repeats
 where one join is met again, as when each real root of one norm meets the
 field of the coefficients in `algebraic.real_roots`, and each call reads
-up to 8 * GOOD_PRIMES good primes.  `nonsquare_root` keeps none (see there).
+up to 8 * GOOD_PRIMES good primes.
 """
 
 from fractions import Fraction
@@ -448,7 +451,7 @@ def _primes_below(n):
 #: certifies the degree-64 sum of the square roots of 2, ..., 13
 CERT_PRIMES = _primes_below(2048)
 
-#: the p-adic precision at which sqrt_candidates stops looking for a square
+#: the p-adic precision at which sqrt_certificate stops looking for a square
 #: root inside a field
 SQRT_LIFT_BITS = 4096
 
@@ -575,41 +578,71 @@ def discriminant(m):
     return m[1] ** 2 - 4 * m[0] * m[2]
 
 
-def nonsquare_root(m):
-    """True when a root a of the irreducible m is not a square in Q(a), so
-    that x^2 - a is irreducible over Q(a) and m(x^2) (cand_sqrt) is the
-    minimal polynomial of sqrt(a), of degree 2n (Capelli): its norm
-    (-1)^n * m(0) / lead(m) is not a rational square (N(b^2) = N(b)^2),
-    or some odd prime p, good for m (see _ddf) and not dividing m(0), has a
-    factor g of m mod p with x no square in F_p[x]/(g).  By Hensel's lemma
-    g lifts to the p-adic integers, where its root is a unit of an
+def sqrt_certificate(m):
+    """Whether a root a of the irreducible m of degree n is a square in
+    Q(a), decided in one walk of the first GOOD_PRIMES good primes of m
+    that do not divide 2 * m(0) (see _ddf): False when a is no square, so that
+    x^2 - a is irreducible over Q(a) and m(x^2) (cand_sqrt) is the minimal
+    polynomial of sqrt(a), of degree 2n (Capelli); an element h with
+    h(a)^2 = a, checked by squaring modulo m; None when neither is shown.
+    No square when the norm (-1)^n * m(0) / lead(m) is no rational square
+    (N(b^2) = N(b)^2), or when at some prime p a factor g of m mod p leaves
+    x no square in F_p[x]/(g) (Euler's criterion: x^((p^d - 1)/2) is +1 or
+    -1 modulo each irreducible factor of degree d).  By Hensel's lemma g
+    lifts to the p-adic integers, where its root is a unit of an
     unramified extension with residue field F_p[x]/(g) and the image of a;
-    a = b^2 in Q(a) would make x a square there.  Not cached: its repeats
-    on the `geometry` benchmark are quadratics that the norm test answers,
-    and the test suite's took about 0.2 s in all to recompute."""
-    if rational_sqrt(Fraction((-1) ** degree(m) * m[0], m[-1])) is None:
-        return True
-    # x^((p^d - 1)/2) is +1 or -1 modulo each factor of g
-    return any(_powmod_p([0, 1], (p ** d - 1) // 2, g, p) != [1]
-               for p, parts in islice(_good_primes(m, 2 * m[0]), GOOD_PRIMES)
-               for d, g in parts)
+    a = b^2 in Q(a) would make x a square there.  At an inert prime p (m
+    irreducible mod p) the criterion reads the norm's Legendre symbol mod
+    p, 1 once the norm is a square; so when no prime shows a to be no
+    square, the first inert prime has a square root of x to lift: Q(a)
+    completes to the unramified field Q_p[x]/(m), where a has exactly the
+    square roots +-b, and a square root of x in F_p[x]/(m) (_sqrt_fq)
+    lifts by Newton's iteration y -> y * (3 - x * y^2) / 2 for 1/b,
+    doubling the p-adic precision each step; each step reads b's
+    coefficients by rational reconstruction, up to p^k of SQRT_LIFT_BITS
+    bits.  No inert prime among them proposes nothing."""
+    n = degree(m)
+    if rational_sqrt(Fraction((-1) ** n * m[0], m[-1])) is None:
+        return False
+    inert = None
+    for p, parts in islice(_good_primes(m, 2 * m[0]), GOOD_PRIMES):
+        if any(_powmod_p([0, 1], (p ** d - 1) // 2, g, p) != [1] for d, g in parts):
+            return False
+        if inert is None and parts[0][0] == n:     # m irreducible mod p: one part
+            inert = p, parts[0][1]
+    if inert is None:
+        return None
+    (p, f), x = inert, _qmod(((0, 1), 1), m)
+    y, M = _powmod_p(_sqrt_fq([0, 1], f, p), p ** n - 2, f, p), p
+    while M.bit_length() < SQRT_LIFT_BITS:
+        M *= M
+        inv = pow(m[-1], -1, M)
+        f = [v * inv % M for v in m]
+        e = _mulmod_p([0, 1], _mulmod_p(y, y, f, M), f, M)
+        half = (M + 1) // 2
+        y = _mulmod_p(y, [v * half % M for v in sub((3,), e)], f, M)
+        h = [_rational_reconstruction(v, M) for v in _mulmod_p([0, 1], y, f, M)]
+        if None not in h:
+            d = lcm(*(s for _, s in h))
+            h = qpoly([r * (d // s) for r, s in h], d)
+            if mulmod(h, h, m) == x:
+                return h
+    return None
 
 
 def _sqrt_fq(a, f, p):
-    """A square root of a != 0 in F_q = F_p[x]/(f), f monic and irreducible
-    mod p, p odd, by Tonelli-Shanks; None when a is no square.  The
-    non-square z it needs is the first x + k whose power z^((q-1)/2) is -1:
-    for a linear f one x + k is 0 mod f, and its power is 0."""
+    """A square root of the square a != 0 in F_q = F_p[x]/(f), f monic and
+    irreducible mod p, p odd, by Tonelli-Shanks.  The non-square z it needs
+    is the first element of F_q, in base-p order (the digits of 1, 2, ...
+    its coefficients), whose power z^((q-1)/2) is -1: a constant when
+    deg f is odd, since a non-square of F_p stays one in F_q then."""
     q = p ** (len(f) - 1)
-    if _powmod_p(a, (q - 1) // 2, f, p) != [1]:
-        return None
     s, t = 0, q - 1
     while t % 2 == 0:
         s, t = s + 1, t // 2
-    z = next((z for z in ([k, 1] for k in range(p))
-              if _powmod_p(z, (q - 1) // 2, f, p) == [p - 1]), None)
-    if z is None:
-        return None
+    # each z is a unit, so its power is 1 or -1
+    z = next(z for z in (_mod_p([k // p ** i for i in range(len(f) - 1)], p) for k in range(1, q))
+             if _powmod_p(z, (q - 1) // 2, f, p) == [p - 1])
     c, u, r = _powmod_p(z, t, f, p), _powmod_p(a, t, f, p), _powmod_p(a, (t + 1) // 2, f, p)
     while u != [1]:
         i, v = 0, u
@@ -634,45 +667,6 @@ def _rational_reconstruction(c, M):
     if abs(s1) > bound or gcd(r1, s1) != 1:
         return None
     return r1, s1
-
-
-def sqrt_candidates(m, g):
-    """Candidates h for a square root h(t) of g(t) in Q(t), t a root of the
-    irreducible m of degree n and g = num / den an element, deg g < n.  At an
-    odd prime p good for m with m irreducible mod p (inert), Q(t) completes
-    to the unramified field Q_p[x]/(m), where g(t) has exactly the square
-    roots +-b; a square root in F_p[x]/(m) lifts by Newton's iteration
-    y -> y * (3 - g * y^2) / 2 for 1/b, doubling the p-adic precision each
-    step, and each step yields b's coefficients by rational reconstruction,
-    up to p^k of SQRT_LIFT_BITS bits.  Each candidate must be checked by
-    squaring; none come when none of the first GOOD_PRIMES good primes is
-    inert for m."""
-    n = degree(m)
-    num, den = g
-    for p, parts in islice(_good_primes(m, 2 * den), GOOD_PRIMES):
-        if parts[0][0] == n:
-            f, a = parts[0][1], _mod_p([v * pow(den, -1, p) for v in num], p)
-            if a:
-                break
-    else:
-        return
-    b = _sqrt_fq(a, f, p)
-    if b is None:
-        return
-    y, M = _powmod_p(b, p ** n - 2, f, p), p
-    while M.bit_length() < SQRT_LIFT_BITS:
-        M *= M
-        inv = pow(m[-1], -1, M)
-        f = [v * inv % M for v in m]
-        a = [v * pow(den, -1, M) % M for v in num]
-        e = _mulmod_p(a, _mulmod_p(y, y, f, M), f, M)
-        half = (M + 1) // 2
-        y = _mulmod_p(y, [v * half % M for v in sub((3,), e)], f, M)
-        root = _mulmod_p(a, y, f, M)
-        h = [_rational_reconstruction(v, M) for v in root]
-        if None not in h:
-            d = lcm(*(s for _, s in h))
-            yield qpoly([r * (d // s) for r, s in h], d)
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -109,6 +109,31 @@ def test_sqrt_of_square_round_trip():
     assert compare(mul(s, s), add(AlgReal(2), SQRT2)) == EQUAL
 
 
+def test_square_root_walks_the_good_primes_once(monkeypatch):
+    """The square root of an irrational radicand reads its good primes in
+    one walk (polys.sqrt_certificate), which both disproves a square and
+    proposes one; the non-square test and the lift used to walk them once
+    each.  A square in a cubic field stays in it, with no factorisation:
+    for b the real root of x^3 - 5x^2 + 11x - 47, sqrt(b^2) is b itself,
+    and the square root of a generator equal to b^2 is b over it."""
+    b = AlgReal.from_root((-47, 11, -5, 1), 0)
+    a = AlgReal.from_root((-2209, -349, -3, 1), 0)
+    square = mul(b, b)
+    assert square.min_poly == a.min_poly
+    walks, original = [], polys._good_primes
+    monkeypatch.setattr(polys, "_good_primes",
+                        lambda c, avoid=1: walks.append(c) or original(c, avoid))
+    monkeypatch.setattr(polys, "factor_int", None)
+    assert sqrt_nonneg(square) is b
+    root = sqrt_nonneg(a)
+    assert walks == [a.min_poly, a.min_poly]
+    assert root.min_poly == b.min_poly and compare(root, b) == EQUAL
+    # a radicand that is no square walks once too: 2 + sqrt 3 at 5, 7, 11
+    walks.clear()
+    sqrt_nonneg(add(AlgReal(2), sqrt_nonneg(AlgReal(3))))
+    assert walks == [(1, -4, 1)]
+
+
 def test_sqrt_rejects_negative():
     with pytest.raises(OutOfRangeError):
         sqrt_nonneg(AlgReal(-1))
@@ -1506,7 +1531,7 @@ def test_integer_elements_match_the_fraction_route():
     reduced by sympy's own arithmetic in Q(t) (an inverse modulo t's
     minimal polynomial): sympy's minimal_polynomial of a plain quotient
     over the cubic field takes about a second.  A square root of a square
-    is tagged over the same theta where polys.sqrt_candidates has an inert
+    is tagged over the same theta where polys.sqrt_certificate has an inert
     prime; the biquadratic compositum has none, so there only its value is
     checked."""
     from rotagraph.algebraic import _gen
@@ -1928,7 +1953,7 @@ def _seeded_radicands(seed, count):
         kind = rng.choice(("small", "near", "random"))
         if kind == "near":
             positive = [r for r in roots if r.sign() > 0]
-            if len(positive) < 2 or not polys.nonsquare_root(m):
+            if len(positive) < 2 or polys.sqrt_certificate(m) is not False:
                 continue
             j = rng.randrange(1, len(positive))
             below = positive[j - 1].approx(120)
@@ -1951,7 +1976,7 @@ def _seeded_radicands(seed, count):
         if v.sign() < 0:
             g = (tuple(-c for c in g[0]), g[1])
             v = neg(v)
-        if polys.nonsquare_root(v.min_poly):
+        if polys.sqrt_certificate(v.min_poly) is False:
             count -= 1
             yield kind, (lambda m=m, i=i, g=g: AlgReal._over(AlgReal.from_root(m, i), g))
 

@@ -419,6 +419,19 @@ def test_integer_literals_are_ascii_digits(argv, capsys):
     assert "int()" not in answer["detail"], out
 
 
+@pytest.mark.parametrize("group", ["(1)(0 1)", "(0 1)(1)", "(2)(2)", "(0 1 2)(2)(3)"])
+@pytest.mark.parametrize("command", ["cf", "jordan", "subgroups", "conjgraph"])
+def test_an_index_in_two_cycles_is_a_parse_error(command, group, capsys):
+    """An index named by two cycles of one generator is a parse error,
+    whichever cycle comes first and whatever its length, also a cycle of
+    one point that fixes it."""
+    argv = ["finite", command, "--group", group]
+    if command == "conjgraph":
+        argv += ["--g1", "0", "--g3", "0"]
+    assert main_exit(capsys, argv) == (
+        1, '{"error": "parse-error", "detail": "index repeated across cycles"}\n', "")
+
+
 @pytest.mark.parametrize("argv", [
     ["finite", "census", "--n-max", "\u0662"],
     ["plane", "ellncos", "--cos-l", "4/5", "--n", "\u0662"],

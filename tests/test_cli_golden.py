@@ -16,6 +16,9 @@ objects and empty lists, one with decimals, a domain error) and the parse
 errors whose details carry quotes, backslashes, a control character and
 non-ASCII text, which pin the escapes of the JSON writer.
 
+The transcripts that call sympy to factorise are listed too, so a kernel
+change that sends another one to sympy fails here.
+
 After a deliberate change of output, re-record with
 `PYTHONPATH=src python tests/test_cli_golden.py` and review the diff.
 """
@@ -27,7 +30,7 @@ import time
 from pathlib import Path
 
 import sympy_oracle as so
-from rotagraph import cli, expr
+from rotagraph import cli, expr, polys
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 
@@ -142,6 +145,9 @@ FIELD_CALLS = [
     ["field", "eval", "--expr", f"{CBRT2}*{CBRT4}-2"],
     ["field", "eval", "--expr", f"{SQRT2_3}-sqrt(2)"],
     ["field", "eval", "--expr", f"({SQRT2_3}-sqrt(2))*{CBRT2}+{CBRT4}"],
+    # a square in a cubic field, at whose inert prime 3 the elements x,
+    # x + 1 and x + 2 are all squares
+    ["field", "eval", "--expr", "sqrt(root(-2209,-349,-3,1,0))"],
 ]
 
 S4 = "(0 1);(0 1 2 3)"
@@ -170,6 +176,7 @@ FINITE_CALLS = [
     ["finite", "conjgraph", "--table", Q8, "--g1", "2", "--g3", "4"],
     ["finite", "census", "--n-max", "4"],
     ["finite", "subgroups", "--group", "(0 1);(0 1 2 3 4 5 6)"],   # S7
+    ["finite", "cf", "--group", "(1)(0 1)"],     # 1 named twice
 ]
 # indented output, and details that JSON must escape: a Latin-1 letter, a
 # quote and a backslash, a control character, a character past the BMP
@@ -187,16 +194,37 @@ TEXT_CALLS = [
 ARGVS = [argv + extra for argv in CALLS + FIELD_CALLS
          for extra in ([], ["--approx", "53"])] + FINITE_CALLS + TEXT_CALLS
 
+# the transcripts that factorise with sympy (polys.factor_int), in order:
+# no certificate covers some of their candidates.  A kernel change that
+# sends another transcript there fails.
+FACTORISING = [argv + extra for argv in (
+    ["iso", "fixed-point", "--matrix", "[[2,0,0],[0,2,0],[0,0,3]]"],
+    ["iso", "fixed-point", "--matrix", '[["sqrt(2)",0,0],[0,2,0],[0,0,3]]'],
+    ["iso", "fixed-point", "--matrix", TURN_CONJ],
+    ["iso", "fixed-point", "--matrix", '[[1,0,0],[0,-3,0],[0,0,"sqrt(2)"]]'],
+    ["plane", "dist", "--p", "sqrt(2),sqrt(3),sqrt(5)",
+     "--q", '{"x":"1","y":"sqrt(7)","z":"root(-2,0,0,1,0)"}'],
+    ["field", "eval", "--expr", f"{CBRT2}+{CBRT4}"],
+    ["field", "eval", "--expr", f"{CBRT2}*{CBRT4}-2"],
+    ["field", "eval", "--expr", f"{SQRT2_3}-sqrt(2)"],
+    ["field", "eval", "--expr", f"({SQRT2_3}-sqrt(2))*{CBRT2}+{CBRT4}"],
+) for extra in ([], ["--approx", "53"])]
 
-def test_cli_golden_transcripts(capsys):
+
+def test_cli_golden_transcripts(capsys, monkeypatch):
     want = json.loads(GOLDEN.read_text())
     assert [w["argv"] for w in want] == ARGVS, "re-record cli_golden.json"
+    factorising, factor_int = [], polys.factor_int
+    monkeypatch.setattr(polys, "factor_int",
+                        lambda c: factorising.append(argv) or factor_int(c))
     start = time.monotonic()
     for w in want:
-        code = cli.main(w["argv"])
-        got = {"argv": w["argv"], "exit": code, "stdout": capsys.readouterr().out}
+        argv = w["argv"]
+        code = cli.main(argv)
+        got = {"argv": argv, "exit": code, "stdout": capsys.readouterr().out}
         assert got == w
     assert time.monotonic() - start < 10
+    assert [a for a in ARGVS if a in factorising] == FACTORISING
 
 
 def test_recorded_field_values_are_sympys():
@@ -209,7 +237,7 @@ def test_recorded_field_values_are_sympys():
             printed = json.loads(w["stdout"])["value"]
             assert so.same_value(expr.parse(printed), so.parse(argv[3])), argv
             checked += 1
-    assert checked == 15
+    assert checked == 16
 
 
 def _record():

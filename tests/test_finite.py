@@ -25,6 +25,11 @@ def test_permutation_basics():
 def test_from_cycles_rejects_garbage():
     with pytest.raises(ParseError):
         fn.Permutation.from_cycles("(0 1)(1 2)", 3)   # duplicate point
+    # ... whichever cycle names it first, a cycle of one point too
+    for text in ("(1)(0 1)", "(0 1)(1)", "(2)(2)", "(0)(1 2)(0)"):
+        with pytest.raises(ParseError, match="across cycles"):
+            fn.Permutation.from_cycles(text, 3)
+    assert fn.Permutation.from_cycles("(0)(1 2)", 3).images == (0, 2, 1)
     with pytest.raises(ParseError):
         fn.Permutation.from_cycles("(0 5)", 3)        # out of range
 

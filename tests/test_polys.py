@@ -10,6 +10,7 @@ import random
 import threading
 from fractions import Fraction
 from functools import reduce
+from itertools import islice
 from math import lcm
 from pathlib import Path
 
@@ -415,8 +416,8 @@ def test_musser_certificate_negative_cases():
 
 
 def test_square_root_certificate_matches_factorisation():
-    """Where nonsquare_root holds, m(x^2) is irreducible (Capelli), as
-    factorisation shows; it holds on most random fields."""
+    """Where sqrt_certificate shows a no square, m(x^2) is irreducible
+    (Capelli), as factorisation shows; it does on most random fields."""
     rng = random.Random(12002)
     fired = 0
     for _ in range(40):
@@ -424,7 +425,7 @@ def test_square_root_certificate_matches_factorisation():
         for a in (m, sympy_square(m)):
             if a[0] == 0 or polys.factor_int(a) != (a,):
                 continue
-            if polys.nonsquare_root(a):
+            if polys.sqrt_certificate(a) is False:
                 fired += 1
                 assert polys.factor_int(polys.cand_sqrt(a)) == (polys.cand_sqrt(a),), a
     assert fired >= 30
@@ -432,14 +433,125 @@ def test_square_root_certificate_matches_factorisation():
 
 def test_square_root_certificate_negative_cases():
     # 3 + 2 sqrt 2 = (1 + sqrt 2)^2: its norm 1 is a square, and it is one
-    assert not polys.nonsquare_root((1, -6, 1))
+    assert polys.sqrt_certificate((1, -6, 1)) == ((1, -1), 2)
     assert polys.factor_int(polys.cand_sqrt((1, -6, 1))) == ((-1, -2, 1), (-1, 2, 1))
     # 4 = (2^(2/3))^3 and 2^(2/3) = (2^(1/3))^2 is a square in its field
-    assert not polys.nonsquare_root((-4, 0, 0, 1))
+    assert polys.sqrt_certificate((-4, 0, 0, 1)) == ((0, 0, 1), 2)
     # 2 + sqrt 3 has norm 1, a square, but is no square in Q(sqrt 3): a
     # prime shows it
-    assert polys.nonsquare_root((1, -4, 1))
+    assert polys.sqrt_certificate((1, -4, 1)) is False
     assert polys.factor_int(polys.cand_sqrt((1, -4, 1))) == ((1, 0, -4, 0, 1),)
+
+
+def _walked(monkeypatch):
+    """The primes each _good_primes walk hands out, one list a walk."""
+    walks, original = [], polys._good_primes
+
+    def spy(c, avoid=1):
+        walks.append([])
+        for p, parts in original(c, avoid):
+            walks[-1].append(p)
+            yield p, parts
+    monkeypatch.setattr(polys, "_good_primes", spy)
+    return walks
+
+
+def test_square_root_certificate_boundaries(monkeypatch):
+    """Each comparison of the one prime walk at its boundary."""
+    walks = _walked(monkeypatch)
+    # a norm that is no rational square decides with no prime: 2 + sqrt 2
+    # has norm 2
+    assert polys.sqrt_certificate((2, -4, 1)) is False
+    assert walks == []
+    # a norm that is one, 1: the primes decide, and 3 + 2 sqrt 2 is
+    # (1 + sqrt 2)^2
+    assert polys.sqrt_certificate((1, -6, 1)) == ((1, -1), 2)
+    assert len(walks) == 1
+    # 2 + sqrt 3, norm 1: at an inert prime x^((q-1)/2) is the norm's
+    # Legendre symbol, so only a split prime can fail Euler's criterion,
+    # here 11 after the inert 5 and 7
+    walks.clear()
+    assert polys.sqrt_certificate((1, -4, 1)) is False
+    assert walks == [[5, 7, 11]]
+    assert [polys._degrees(polys._ddf((1, -4, 1), p)) for p in walks[0]] == [[2], [2], [1, 1]]
+    # the unit root of x^3 - 3x^2 - 4x - 1 (a cyclic cubic, norm 1): at
+    # its first split prime, 13, x is a square modulo one linear factor
+    # and no square modulo the other two, so the power modulo their
+    # product is no constant, neither 1 nor -1
+    walks.clear()
+    m = (-1, -4, -3, 1)
+    assert polys.sqrt_certificate(m) is False
+    assert walks == [[3, 5, 11, 13]]
+    (d, g), = polys._ddf(m, 13)
+    assert d == 1 and len(polys._powmod_p([0, 1], 6, g, 13)) > 1
+    # a quintic of norm 16 whose first failure is past the first part: at
+    # 11 it has a linear factor, where x is a square, and two quadratic
+    # ones, where it is not
+    walks.clear()
+    m = (-16, 3, -3, -5, 2, 1)
+    assert polys.sqrt_certificate(m) is False
+    assert walks == [[3, 5, 7, 11]]
+    (d1, g1), (d2, g2) = polys._ddf(m, 11)
+    assert (d1, len(g1), d2, len(g2)) == (1, 2, 2, 5)
+    assert polys._powmod_p([0, 1], 5, g1, 11) == [1]
+    assert polys._powmod_p([0, 1], 60, g2, 11) == [10]
+    # 9 + 4 sqrt 2 = (1 + 2 sqrt 2)^2 has norm 49: 7 is good for
+    # x^2 - 18x + 49 but divides m(0), and modulo the factor x, x is 0, no
+    # unit, so the walk skips 7 and the first inert prime, 3, lifts
+    walks.clear()
+    m = (49, -18, 1)
+    assert polys._degrees(polys._ddf(m, 7)) == [1, 1]
+    assert polys.sqrt_certificate(m) == ((7, -1), 2)
+    assert 7 not in walks[0] and walks[0][:3] == [3, 5, 11]
+
+
+def test_square_root_lifts_at_the_first_inert_prime(monkeypatch):
+    """The lift starts at the first prime that keeps m irreducible, 3 for
+    the cubic x^3 - 3x^2 - 349x - 2209 (inert at 3, 7, 13, ...), whose root
+    a is b^2, b the root of x^3 - 5x^2 + 11x - 47."""
+    m = (-2209, -349, -3, 1)
+    inert = [p for p, parts in islice(polys._good_primes(m, 2 * m[0]), polys.GOOD_PRIMES)
+             if parts[0][0] == 3]
+    assert inert[:3] == [3, 7, 13]
+    seen, original = [], polys._sqrt_fq
+    monkeypatch.setattr(polys, "_sqrt_fq", lambda a, f, p: seen.append(p) or original(a, f, p))
+    h = polys.sqrt_certificate(m)
+    assert seen == [3]
+    assert polys.mulmod(h, h, m) == ((0, 1), 1)
+    # h(a) is b or -b, whose minimal polynomials these are
+    assert polys.minimal_polynomial(h, m) in ((-47, 11, -5, 1), (47, 11, 5, 1))
+
+
+def test_sqrt_fq_takes_the_first_non_square_of_the_field():
+    """At p = 3, F_27 = F_3[x]/(x^3 + 2x + 2) (the cubic above mod 3): x,
+    x + 1 and x + 2 are all squares, where Tonelli-Shanks used to look for
+    its non-square and found none; the constant 2 is one, since a
+    non-square of F_p stays one in a field of odd degree over F_p."""
+    f = polys._monic_p(polys._mod_p((-2209, -349, -3, 1), 3), 3)
+    assert f == [2, 2, 0, 1]
+    power = lambda z: polys._powmod_p(z, 13, f, 3)
+    assert [power([k, 1]) for k in range(3)] == [[1], [1], [1]]
+    assert power([2]) == [2]
+    squares = [[0, 1], [1, 1], [2, 1]] + [polys._mulmod_p(b, b, f, 3)
+                                          for b in ([1, 2, 1], [0, 0, 2])]
+    for a in squares:
+        r = polys._sqrt_fq(a, f, 3)
+        assert polys._mulmod_p(r, r, f, 3) == a
+
+
+def test_a_field_with_no_inert_prime_proposes_no_square_root():
+    """Q(sqrt 2 + sqrt 3) has Galois group C2 x C2, so no prime keeps a
+    quartic generator irreducible: the square (1 + sqrt 2 + sqrt 3)^2 =
+    6 + 2 sqrt 2 + 2 sqrt 3 + 2 sqrt 6 has a square norm and passes every
+    prime's Euler criterion, and the certificate proposes nothing.  The
+    factor route answers: m(x^2) is the product of the minimal polynomials
+    of 1 + sqrt 2 + sqrt 3 and its negative (sqrt_nonneg's side is in
+    test_square_roots_of_squares_stay_in_their_field)."""
+    m = (64, -192, 128, -24, 1)
+    assert all(len(parts) > 1 or parts[0][0] < 4
+               for _, parts in islice(polys._good_primes(m, 2 * m[0]), polys.GOOD_PRIMES))
+    assert polys.sqrt_certificate(m) is None
+    assert polys.factor_int(polys.cand_sqrt(m)) == ((-8, -16, -4, 4, 1), (-8, 16, -4, -4, 1))
 
 
 def _check_composed(m1, m2):
@@ -554,35 +666,35 @@ def test_composed_certificate_on_a_point_and_its_reparse():
                 _check_composed(a.min_poly, b.min_poly)
 
 
-def test_sqrt_candidates_of_linear_fields_end():
-    """Q(t) = Q for a linear m: the candidates that square to g are the
-    rational square roots of g, and the search ends (it used to take the
-    zero element x + k = 0 mod m as its non-square and loop forever)."""
+def test_sqrt_certificate_of_linear_fields_ends():
+    """Q(t) = Q for a linear m, t = r: the certificate returns False for
+    an r that is no rational square and lifts the rational square root of
+    one that is, and the search ends (the non-square that Tonelli-Shanks
+    needs is a constant of F_p; it used to be sought among the x + k, one
+    of them 0 mod m, and the search looped forever on that zero)."""
     rng = random.Random(14)
     cases = []
     for _ in range(200):
-        m = (rng.choice([-1, 1]) * rng.randint(0, 60), rng.randint(1, 9))
         r = Fraction(rng.randint(1, 40), rng.randint(1, 12))
-        g = r * r if rng.random() < 0.5 else Fraction(rng.randint(1, 99), rng.randint(1, 12))
-        cases.append((m, (g,)))
+        r = r * r if rng.random() < 0.5 else Fraction(rng.randint(1, 99), rng.randint(1, 12))
+        cases.append(polys.primitive((-r, 1)))
     results = []
 
     def work():
-        for m, g in cases:
-            # g and each candidate as integer numerators over one denominator
-            found = [tuple(Fraction(v, d) for v in n) for n, d in
-                     polys.sqrt_candidates(m, ((g[0].numerator,), g[0].denominator))]
-            results.append([h for h in found if h[0] * h[0] == g[0]])
+        results.extend(polys.sqrt_certificate(m) for m in cases)
 
     t = threading.Thread(target=work, daemon=True)
     t.start()
     t.join(timeout=30)
     assert not t.is_alive(), f"hung after {len(results)} of {len(cases)} inputs"
     squares = 0
-    for (m, g), found in zip(cases, results):
-        root = polys.rational_sqrt(g[0])
-        assert {abs(h[0]) for h in found} == (set() if root is None else {root}), (m, g)
-        squares += root is not None
+    for m, h in zip(cases, results):
+        root = polys.rational_sqrt(Fraction(-m[0], m[1]))
+        if root is None:
+            assert h is False, m
+        else:
+            assert abs(Fraction(h[0][0], h[1])) == root, m
+            squares += 1
     assert squares >= 90
 
 
