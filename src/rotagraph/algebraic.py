@@ -50,9 +50,10 @@ Candidates (square roots of irrationals, composita, cross-field results)
 and the integer polynomials real_roots reads (a polynomial itself, or the
 norm of one with irrational coefficients) are factorised only when no
 certificate in polys shows them irreducible (Capelli's theorem for
-x^2 - a, full degree of a compositum, Musser's test); in the geometry all
-of them fire.  The quadratic facts met most often are each settled by one
-exact test, with no search: the square root of a rational p/q that is no
+x^2 - a, full degree of a compositum, rational roots read off one
+isolation, Musser's test); in the geometry all of them fire.  The
+quadratic facts met most often are each settled by one exact test, with
+no search: the square root of a rational p/q that is no
 square is the root of q*x^2 - p on an isqrt bracket that two signs check;
 two quadratic fields have a compositum of full degree unless their
 discriminants multiply to a square (no prime search); an embedding
@@ -75,7 +76,14 @@ products folds x^2 once over one denominator, an inverse is the
 conjugate over the norm (polys), a sign is that of A + B*sqrt(D), D the
 discriminant, decided in integers (_quadratic_sign), and a value of a
 quadratic field maps into a larger one as n0 + n1*h
-(polys.compose_mod).
+(polys.compose_mod).  The same holds one level down over a generator psi
+of even quartic minimal polynomial m(x) = M(x^2), a quadratic extension
+of u = psi^2 (Loos, 1982): a product or a sum of products folds x^4
+once, a quadratic or cubic g maps in by folded products, a sign is X's,
+or X's times the norm X^2 - u*Y^2's, for g(psi) = X + psi*Y (three signs
+over u, and none of an interval of u: m'(psi) = 2*psi*M'(u) tells which
+root of M u is), and a quadratic t = h(psi) is recorded after one folded
+product and one such sign, with no enclosure (_record).
 
 Values are immutable.  The isolating interval may be tightened in place,
 a rational or tagged value's minimal polynomial filled in on first use, a
@@ -230,14 +238,18 @@ class AlgReal:
 
     def sign(self):
         """Exact sign in {-1, 0, 1}: a rational's from its numerator, a
-        value's over a quadratic generator in closed form (_quadratic_sign),
+        value's over a quadratic generator or one of even quartic minimal
+        polynomial in closed form (_quadratic_sign, _even_quartic_sign),
         any other's by refinement (_refined_sign)."""
         if self.is_rational:
             p = _ints(self._tag[1])[0]
             return (p > 0) - (p < 0)
         theta, g = self._tag or (self, _X)
-        if len(theta._root[0]) == 3:
+        m = theta._root[0]
+        if len(m) == 3:
             return _quadratic_sign(theta._root, g)
+        if polys.even_quartic(m):
+            return _even_quartic_sign(theta, g)
         return _refined_sign(self)
 
     def approx(self, bits=64):
@@ -377,19 +389,62 @@ def _quadratic_sign(root, g):
     c2 > 0, of discriminant D > 0, with no enclosure: 2*c2*d*g(theta) is
     A + B*sqrt(D) for A = 2*c2*n0 - c1*n1 and B = n1 at m's larger root
     (m < 0 at its lower end, as _isolate_quadratic reads it), -n1 at the
-    smaller.  That is B's sign unless A's differs and A^2 > B^2*D, in
-    integers."""
-    # No input reaches a boundary of these comparisons, so each would
-    # decide the same strict or not: s != 0 (no isolating endpoint is a
-    # root), B != 0, A^2 != B^2*D (D is no square), A = 0 gets B's sign on
-    # either side of a > 0 in the first test, and the last line is
-    # reached with A^2 > B^2*D > 0.
+    smaller (_surd_sign)."""
     (c0, c1, c2), _, s = root
     (n0, n1), _ = g
-    a, b = 2 * c2 * n0 - c1 * n1, n1 if s < 0 else -n1
-    if (a > 0) == (b > 0) or a * a < b * b * (c1 * c1 - 4 * c0 * c2):
+    # s != 0 (no isolating endpoint is a root), so s <= 0 would decide the same
+    return _surd_sign(2 * c2 * n0 - c1 * n1, n1 if s < 0 else -n1, c1 * c1 - 4 * c0 * c2)
+
+
+def _surd_sign(a, b, D):
+    """The sign of a + b*sqrt(D), D > 0 no square, in integers: a's for
+    b = 0, else b's unless a's differs and a^2 > b^2*D."""
+    # No input reaches a boundary of these comparisons but a = b = 0, so
+    # each would decide the same strict or not: a = 0 gets b's sign on
+    # either side of a > 0 in the second test, b != 0 past the first,
+    # a^2 != b^2*D (D is no square) for b != 0, and the last line is
+    # reached with a^2 > b^2*D > 0.  a = b = 0 comes only from
+    # _even_quartic_sign's X = 0 or Y = 0, where any sign would do.
+    if not b:
+        return (a > 0) - (a < 0)
+    if (a > 0) == (b > 0) or a * a < b * b * D:
         return 1 if b > 0 else -1
     return 1 if a > 0 else -1
+
+
+def _even_quartic_sign(psi, g):
+    """The sign of g(psi) = (n0 + n1*x + n2*x^2 + n3*x^3)/d, d > 0, for
+    psi a root of the even quartic m = c0 + c2*x^2 + c4*x^4, with no
+    enclosure or refinement.  psi's own sign is its interval's, or where
+    that holds 0, + when m(0) = c0 has m's sign s at the lower end.  Over
+    u = psi^2, a root of the quadratic M = c0 + c2*y + c4*y^2 (m(x) =
+    M(x^2)) of discriminant D, 2*c4*u + c2 = M'(u) = sigma*sqrt(D), where
+    m'(psi) = 2*psi*M'(u) has the sign -s of m's derivative at its root,
+    so sigma = -s*sign(psi): no interval of u is needed.  2*c4*d*g(psi) is
+    X + psi*Y for X = ax + bx*sqrt(D), Y = ay + by*sqrt(D),
+    ax = 2*c4*n0 - c2*n2, bx = sigma*n2, and ay, by so from n1, n3.  Its
+    sign is X's when X and psi*Y agree in sign or one of them is 0; else
+    X's times that of the norm X^2 - u*Y^2 = (X + psi*Y)(X - psi*Y),
+    nonzero, of which 2*c4*(X^2 - u*Y^2) = A + B*sqrt(D) for
+    p + q*sqrt(D) = Y^2, A = 2*c4*(ax^2 + bx^2*D) + c2*p - sigma*q*D and
+    B = 4*c4*ax*bx - sigma*p + c2*q.  Each sign over u is that of a surd
+    (_surd_sign)."""
+    n0, n1, n2, n3 = g[0] + (0,) * (4 - len(g[0]))
+    (c0, _, c2, _, c4), (lo, hi), s = psi._root
+    lo, hi = lo.numerator, hi.numerator
+    # each comparison decides the same strict or not: at lo = 0, s is
+    # c0's sign; at hi = 0, c0's is -s; c0 != 0 and s != 0
+    sp = 1 if lo >= 0 or hi > 0 and (c0 > 0) == (s > 0) else -1
+    sigma, D = -s * sp, c2 * c2 - 4 * c0 * c4
+    ax, bx, ay, by = 2 * c4 * n0 - c2 * n2, sigma * n2, 2 * c4 * n1 - c2 * n3, sigma * n3
+    sx, sy = _surd_sign(ax, bx, D), sp * _surd_sign(ay, by, D)
+    # X = 0 or Y = 0 skips only the norm, -u*Y^2 < 0 or X^2 > 0, which
+    # would give the same sign
+    if sx == 0 or sy == 0 or sx == sy:
+        return sx or sy
+    p, q = ay * ay + by * by * D, 2 * ay * by
+    return sx * _surd_sign(2 * c4 * (ax * ax + bx * bx * D) + c2 * p - sigma * q * D,
+                           4 * c4 * ax * bx - sigma * p + c2 * q, D)
 
 
 def _refined_sign(v):
@@ -548,7 +603,8 @@ def _own(vs, es):
             over.setdefault(id(t), {})[id(v)] = v, t, g
     for values in over.values():
         (v, t, g), *more = values.values()
-        if not more and g is not _X and v.degree < t.degree:
+        # a value over a quadratic generator generates its whole field
+        if not more and g is not _X and t.degree > 2 and v.degree < t.degree:
             own[id(v)] = u = AlgReal._make(v.min_poly, v.interval)
             t._embeds += ((u, g),)
     return [(own[id(v)], _X) if id(v) in own else e for v, e in zip(vs, es)]
@@ -652,19 +708,30 @@ def _summands(t):
 def _record(psi, embeds):
     """Give the new generator psi its embeddings (t, h) after checking each
     exactly: m_t(h(x)) reduces to 0 modulo m_psi, so h(psi) is a root of
-    m_t, and m_t has exactly one root (polys.count_roots_halfopen: a Sturm
-    count, or for a quadratic m_t two signs at each end) in the hull of an
-    enclosure of h(psi) and t's isolating interval, which holds both, so
-    h(psi) = t.  While the hull holds more roots, psi's interval is halved
-    k times, k the bit length of the enclosure's width over that of t's
-    interval, rounded up: about log2 of that ratio enclosures in all, not
-    one per halving.  An enclosure that leaves t's interval shows h(psi) to
-    be another root."""
+    m_t.  For a quadratic m_t = c + b*x + a*x^2 over a psi of even quartic
+    minimal polynomial, h(psi) is t, not its conjugate t', when
+    2*a*h(psi) + b has the sign of m_t's derivative at t, -s_t for s_t
+    m_t's sign at the lower end of t's interval, since
+    2*a*t' + b = -(2*a*t + b): one closed-form sign.  Else m_t has exactly
+    one root (polys.count_roots_halfopen: a Sturm count, or for a
+    quadratic m_t two signs at each end) in the hull of an enclosure of
+    h(psi) and t's isolating interval, which holds both, so h(psi) = t.
+    While the hull holds more roots, psi's interval is halved k times, k
+    the bit length of the enclosure's width over that of t's interval,
+    rounded up: about log2 of that ratio enclosures in all, not one per
+    halving.  An enclosure that leaves t's interval shows h(psi) to be
+    another root."""
     m = psi.min_poly
     for t, h in embeds:
         mt = t.min_poly
         if polys.compose_mod((mt, 1), h, m)[0]:
             raise InternalConsistencyError("embedding is not a root of the minimal polynomial")
+        if len(mt) == 3 and polys.even_quartic(m):
+            (nh, dh), (_, b, a) = h, mt
+            slope = polys.add([2 * a * v for v in nh], (b * dh,))     # dh*(2*a*h + b)
+            if _even_quartic_sign(psi, (slope, 1)) != -t._root[2]:
+                raise InternalConsistencyError("embedding is another root")
+            continue
         lo, hi = t.interval
         for _ in range(20000):
             elo, ehi = _enclose(h, psi.interval)
@@ -752,8 +819,9 @@ def _quadratic_sum(t1, t2):
     conjugates lie at distances |e1|, |e2| and |e1 + e2| from it, with
     e_i = 2*t_i + b_i/a_i = t_i minus its conjugate, all nonzero (Q != P
     again), so I1 + I2, t1's interval plus t2's, isolates psi once it is
-    narrower than lower bounds of all three read off I1 and I2; t1 and t2
-    are refined until it is, with no Sturm chain."""
+    narrower than lower bounds of all three read off I1 and I2, compared
+    in integers over one denominator k; t1 and t2 are refined until it is,
+    with no Sturm chain."""
     m1, m2 = t1.min_poly, t2.min_poly
     (_, b1, a1), (_, b2, a2) = m1, m2
     L, u = 2 * a1 * a2, -(b1 * a2 + b2 * a1)
@@ -764,15 +832,18 @@ def _quadratic_sum(t1, t2):
     m = polys.primitive(polys.sub(polys.mul(f, f), (4 * P * Q,)))
     r1 = polys.mul(w, polys.sub(w2, (3 * P + Q,)))
     h1 = polys.qpoly(polys.sub(r1, (2 * (Q - P) * a2 * b1,)), 2 * (Q - P) * L)
-    s1, s2 = Fraction(b1, a1), Fraction(b2, a2)
     for _ in range(20000):
-        (lo1, hi1), (lo2, hi2) = t1.interval, t2.interval
+        ends = [e.as_integer_ratio() for e in (*t1.interval, *t2.interval)]
+        q = lcm(*(d for _, d in ends))
+        k = q * a1 * a2
+        lo1, hi1, lo2, hi2 = (n * (k // d) for n, d in ends)
+        s1, s2 = b1 * q * a2, b2 * q * a1
         lo, hi = lo1 + lo2, hi1 + hi2
-        # |e| >= max(elo, -ehi, 0) for e in [elo, ehi]
+        # times k: |e| >= max(elo, -ehi, 0) for e in [elo, ehi]
         if hi - lo < min(max(2 * lo1 + s1, -2 * hi1 - s1, 0),
                          max(2 * lo2 + s2, -2 * hi2 - s2, 0),
                          max(2 * lo + s1 + s2, -2 * hi - s1 - s2, 0)):
-            return AlgReal._make(m, (lo, hi)), h1
+            return AlgReal._make(m, (Fraction(lo, k), Fraction(hi, k))), h1
         t1.refine()
         t2.refine()
     raise InternalConsistencyError("compositum isolation did not converge")
@@ -1030,11 +1101,16 @@ def real_roots(p):
     """All distinct real roots, ascending, of a polynomial with int or
     AlgReal coefficients, which meet once (_field).  N is p over no
     generator, else p's norm (polys.norm; degree deg(p) * n over a
-    generator of degree n, within the candidate budget).  An irreducible
-    factor f of N shares with p the roots of their gcd g over Q(theta)
-    (polys.gcd_mod): all of f's for g = f, g's over theta for a linear g
-    or by the quadratic formula, so no root of f is joined with theta to
-    be tested; a larger g keeps f's real roots r with p(r) = 0 (one dot)."""
+    generator of degree n, within the candidate budget).  N's irreducible
+    factors with real roots come with those roots' intervals from one
+    isolation (polys.real_root_factors), its rational roots read off it,
+    so an N whose rational roots leave a part of degree 3 or less, as the
+    norm of a diagonal map's characteristic cubic does, factorises with
+    no prime walk and no sympy.  Such a factor f shares with p the roots
+    of their gcd g over Q(theta) (polys.gcd_mod): all of f's for g = f,
+    g's over theta for a linear g or by the quadratic formula, so no root
+    of f is joined with theta to be tested; a larger g keeps f's real
+    roots r with p(r) = 0 (one dot)."""
     if not all(isinstance(v, (int, AlgReal)) and not isinstance(v, bool) for v in p):
         raise PreconditionError("polynomial coefficients must be integers or algebraic numbers")
     theta, *gs = _field(p)
@@ -1048,7 +1124,7 @@ def real_roots(p):
         _check_cand_degree((len(gs) - 1) * theta.degree)
         N = polys.norm(gs, theta.min_poly)
     roots = []
-    for f in polys.irreducible_factors(N):
+    for f, intervals in polys.real_root_factors(N):
         g = f if theta is None else polys.gcd_mod(gs, [*map(polys.qpoly, zip(f))], theta.min_poly)
         if len(g) == 2 < len(f):
             roots.append(AlgReal._over(theta, polys.qscale(g[0], -1)))
@@ -1058,7 +1134,7 @@ def real_roots(p):
                 s = sqrt_nonneg(disc)
                 roots += [div(sub(s, b), 2), div(add(s, b), -2)]
         elif len(g) > 1:
-            rs = [AlgReal._make(f, interval) for interval in polys.isolate_roots(f)]
+            rs = [AlgReal._make(f, interval) for interval in intervals]
             roots += rs if len(g) == len(f) else [
                 r for r in rs if dot(p, [r ** i for i in range(len(p))]).sign() == 0]
     roots.sort(key=cmp_to_key(compare))

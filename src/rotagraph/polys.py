@@ -27,10 +27,17 @@ form (Cohen, GTM 138, 4.2 and ch. 5): `mulmod` and `dotmod` collect the
 three coefficients of a product or a sum of products over one
 denominator and fold x^2 once (`_fold`), and `invmod` of n0 + n1*x is the
 conjugate over the norm.  `compose_mod` maps a linear g, an element of a
-quadratic field, into a larger field as n0 + n1*h.  Higher degrees keep
-the general routes, pseudo-division (`_qmod`), the extended Euclid
-(`_invmod_euclid`) and Horner's rule (`_compose_horner`), which the tests
-also run on quadratics as the reference for the closed forms.
+quadratic field, into a larger field as n0 + n1*h.  Modulo an even
+quartic m = c0 + c2*x^2 + c4*x^4 (`even_quartic`), a quadratic extension
+of x^2, `mulmod` and `dotmod` collect the seven coefficients of a product
+or a sum of products and fold x^4 once (`_fold_even`), and `compose_mod`
+runs Horner's rule with that fold.  Other cases keep the general routes,
+pseudo-division (`_qmod`), the extended Euclid (`_invmod_euclid`) and
+Horner's rule with pseudo_rem (`_compose_horner`), which the tests also
+run as the reference for the closed forms.
+
+A polynomial's real roots are isolated once, and its rational roots read
+off the intervals, before any factorisation (`real_root_factors`).
 
 An integer polynomial has one remainder sequence, its Sturm chain
 (`sturm_chain`, cached), which ends in gcd(c, c'): the same rows count
@@ -58,7 +65,7 @@ up to 8 * GOOD_PRIMES good primes.
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import islice
-from math import comb, gcd, isqrt, lcm
+from math import comb, floor, gcd, isqrt, lcm
 
 #: entries kept by each polynomial-keyed cache (`factor_int`, `sturm_chain`,
 #: `full_degree`), far above the distinct polynomials of one benchmark pass
@@ -180,22 +187,51 @@ def _fold(s0, s1, s2, den, m):
     return qpoly((c2 * s0 - c0 * s2, c2 * s1 - c1 * s2), den * c2)
 
 
+def even_quartic(m):
+    """Whether m = c0 + c2*x^2 + c4*x^4, a quartic in x^2 alone."""
+    return len(m) == 5 and not m[1] and not m[3]
+
+
+def _fold_even(n, m):
+    """(r, e) with c4^e * n = q*m + r and deg r < 4, as pseudo_rem gives,
+    for n of degree 6 at most (a product of two reduced elements, or a sum
+    of such products) and the even quartic m = c0 + c2*x^2 + c4*x^4, x^4
+    folded once in integers: c4*x^4 = -(c0 + c2*x^2), c4*x^5 =
+    -(c0*x + c2*x^3) and c4^2*x^6 = c0*c2 + (c2^2 - c0*c4)*x^2, so e is 1,
+    or 2 where n has an x^6 term (0 below degree 4)."""
+    if len(n) < 5:
+        return n, 0
+    c0, _, c2, _, c4 = m
+    s0, s1, s2, s3, s4, s5, s6 = n + (0,) * (7 - len(n))
+    r0, r1, r2, r3 = c4 * s0 - c0 * s4, c4 * s1 - c0 * s5, c4 * s2 - c2 * s4, c4 * s3 - c2 * s5
+    if not s6:
+        return normalize((r0, r1, r2, r3)), 1
+    return normalize((c4 * r0 + c0 * c2 * s6, c4 * r1, c4 * r2 + (c2 * c2 - c0 * c4) * s6, c4 * r3)), 2
+
+
 def mulmod(a, b, m):
     """a * b modulo m: the integer product of the numerators, reduced once;
     modulo a quadratic m, two linear factors give the three coefficients
-    of the product, and x^2 is folded in closed form (_fold)."""
+    of the product, and x^2 is folded in closed form (_fold); modulo an
+    even quartic, a product of degree 6 at most, as two reduced factors
+    give, folds x^4 once (_fold_even)."""
     (na, da), (nb, db) = a, b
     if len(m) == 3 and len(na) == len(nb) == 2:
         (a0, a1), (b0, b1) = na, nb
         return _fold(a0 * b0, a0 * b1 + a1 * b0, a1 * b1, da * db, m)
-    return _qmod((mul(na, nb), da * db), m)
+    n = mul(na, nb)
+    if len(n) < 8 and even_quartic(m):
+        r, e = _fold_even(n, m)
+        return qpoly(r, da * db * m[-1] ** e)
+    return _qmod((n, da * db), m)
 
 
 def dotmod(xs, ys, m):
     """sum_i xs[i] * ys[i] modulo m, for elements reduced modulo m: the
     integer products summed over one common denominator, then reduced
     once; modulo a quadratic m, the three coefficients s0, s1, s2 of the
-    sum are collected so, and x^2 is folded once (_fold)."""
+    sum are collected so, and x^2 is folded once (_fold); modulo an even
+    quartic, the seven s0, ..., s6, and x^4 is folded once (_fold_even)."""
     if len(m) == 3:
         s0 = s1 = s2 = 0
         den = 1
@@ -215,6 +251,32 @@ def dotmod(xs, ys, m):
             s1 += x0 * y1 + x1 * y0
             s2 += x1 * y1
         return _fold(s0, s1, s2, den, m)
+    if even_quartic(m):
+        s0 = s1 = s2 = s3 = s4 = s5 = s6 = 0
+        den = 1
+        for (nx, dx), (ny, dy) in zip(xs, ys):
+            if not (nx and ny):     # a zero term: skipped only to save its products
+                continue
+            q, t = dx * dy, 1
+            if q != den:
+                g = gcd(q, den)
+                s, t = q // g, den // g
+                if s != 1:
+                    s0, s1, s2, s3, s4, s5, s6 = s0 * s, s1 * s, s2 * s, s3 * s, s4 * s, s5 * s, s6 * s
+                    den *= s
+            x0, x1, x2, x3 = nx + (0,) * (4 - len(nx))
+            y0, y1, y2, y3 = ny + (0,) * (4 - len(ny))
+            if t != 1:
+                x0, x1, x2, x3 = x0 * t, x1 * t, x2 * t, x3 * t
+            s0 += x0 * y0
+            s1 += x0 * y1 + x1 * y0
+            s2 += x0 * y2 + x1 * y1 + x2 * y0
+            s3 += x0 * y3 + x1 * y2 + x2 * y1 + x3 * y0
+            s4 += x1 * y3 + x2 * y2 + x3 * y1
+            s5 += x2 * y3 + x3 * y2
+            s6 += x3 * y3
+        r, e = _fold_even(normalize((s0, s1, s2, s3, s4, s5, s6)), m)
+        return qpoly(r, den * m[-1] ** e)
     num, den = [0] * (2 * degree(m) - 1), 1
     for (nx, dx), (ny, dy) in zip(xs, ys):
         q, t = dx * dy, 1
@@ -265,11 +327,24 @@ def _invmod_euclid(g, m):
 def compose_mod(g, h, m):
     """g(h(x)) modulo m: for a linear g = (n0 + n1*x)/dg, an element of a
     quadratic field, (n0*dh + n1*nh) / (dg*dh) for h = nh/dh, reduced only
-    if h was not; else by Horner's rule (_compose_horner)."""
+    if h was not; modulo an even quartic, for a reduced h, Horner's rule
+    from n_k*h + n_(k-1) on, in integers, each product with h folded once
+    (_fold_even), so one product for a quadratic g; else by Horner's rule
+    with pseudo-division (_compose_horner)."""
     (ng, dg), (nh, dh) = g, h
     if len(ng) == 2:
         n0, n1 = ng
-        return _qmod((add([n1 * v for v in nh], (n0 * dh,)), dg * dh), m)
+        n = [n1 * v for v in nh] or [0]
+        n[0] += n0 * dh
+        return _qmod((n, dg * dh), m)
+    # a constant g keeps Horner's rule (a linear one returned, so >= 2 is the same)
+    if len(ng) > 2 and len(nh) < 5 and even_quartic(m):
+        acc, den = add([ng[-1] * v for v in nh], (ng[-2] * dh,)), dh
+        for c in reversed(ng[:-2]):
+            acc, e = _fold_even(mul(acc, nh), m)
+            den *= dh * m[-1] ** e
+            acc = add(acc, (c * den,))
+        return qpoly(acc, den * dg)
     return _compose_horner(g, h, m)
 
 
@@ -840,11 +915,13 @@ def root_bound(c):
 
 
 def isolate_roots(c):
-    """Isolating intervals for all real roots of an irreducible polynomial
+    """Isolating intervals for all real roots of a square-free polynomial
     c, by bisection.
 
-    Returns ascending disjoint (lo, hi) pairs, one root per interval; no
-    endpoint is a root (a linear c keeps the first interval (-B, B)).
+    Returns ascending disjoint (lo, hi) pairs, one root per half-open
+    interval (lo, hi]; for an irreducible c no endpoint is a root (a linear
+    c keeps the first interval (-B, B)), for a reducible one a midpoint may
+    be a rational root, the upper end of the interval that holds it.
     """
     c = primitive(c)
     out = []
@@ -869,3 +946,60 @@ def squarefree_part(c):
     chain, so the chain that gives it also counts c's roots."""
     return primitive(quo_rem(c, sturm_chain(c)[-1])[0])
 
+
+def real_root_factors(c):
+    """(f, intervals) for each distinct irreducible factor f of the nonzero
+    integer c that has real roots, with isolating intervals of those roots,
+    ascending; a linear f, a rational root r, has the one interval (r, r).
+    c's square-free part s is isolated once (isolate_roots).  A rational
+    root p/q of s has q | lead(s) = L, so each interval is halved
+    (_rational_root) until it holds at most one multiple k/L, which one
+    exact evaluation confirms or rejects.  The rational roots' linear
+    factors are divided out; the rest, r, has no rational root, so it is
+    irreducible when of degree 3 or less, with no prime walk, and else
+    goes to irreducible_factors, where each factor keeps the intervals at
+    whose ends it changes sign: it has the interval's one root of s."""
+    s = squarefree_part(c)
+    rest, rationals, irrational = s, [], []
+    for lo, hi in isolate_roots(s):
+        r, lo, hi = _rational_root(s, lo, hi)
+        if r is None:
+            irrational.append((lo, hi))
+        else:
+            f = (-r.numerator, r.denominator)
+            rationals.append((f, [(r, r)]))
+            rest = primitive(quo_rem(rest, f)[0])
+    # a constant rest changes sign nowhere, so it keeps no interval
+    factors = (rest,) if len(rest) <= 4 else irreducible_factors(rest)
+    return rationals + [(f, ivs) for f in factors if (ivs := [
+        (lo, hi) for lo, hi in irrational if sign_at(f, lo) != sign_at(f, hi)])]
+
+
+def _rational_root(c, lo, hi):
+    """(r, lo, hi) for the one root of the square-free c in (lo, hi]:
+    the interval halved until it holds at most one multiple k/L of 1/L,
+    L = lead(c) > 0, and r that root when it is k/L (a rational root p/q
+    of the primitive c has q | L), checked by one evaluation, else None.
+    c has one sign on (lo, root) and the other on (root, hi], so each
+    halving reads c's sign at the midpoint against its sign at hi (a 0
+    at either is the root itself); lo, which may be a neighbouring root,
+    is never read."""
+    L = c[-1]
+    sh = sign_at(c, hi)
+    if sh == 0:
+        return hi, lo, hi
+    while True:
+        k = floor(hi * L)
+        if k <= lo * L:
+            return None, lo, hi
+        if k - 1 <= lo * L:     # < would halve once more first, to the same answer
+            r = Fraction(k, L)
+            return (r if sign_at(c, r) == 0 else None), lo, hi
+        mid = (lo + hi) / 2
+        v = sign_at(c, mid)
+        if v == 0:
+            return mid, lo, hi
+        if v == sh:
+            hi = mid
+        else:
+            lo = mid

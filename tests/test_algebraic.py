@@ -831,6 +831,183 @@ def test_a_geometry_pass_reduces_and_signs_quadratic_values_in_closed_form(monke
     assert seen["dotmod"] > 0 and seen["sign"] > 0, seen
 
 
+def _even_quartic_generators(rng):
+    """(m, interval) for generators psi of even quartic minimal polynomials
+    m = c0 + c2*x^2 + c4*x^4: towers sqrt(p + q*theta) over either root
+    theta of a quadratic, joins +-sqrt(A) +-sqrt(B), every real root of
+    M(x^2) for irreducible quadratics M, each also as -psi (m is even), and
+    the smallest positive root of x^4 - 10x^2 + 1 and of a tower on
+    intervals that hold 0."""
+    from test_polys import quadratic_of_bits
+    gens = []
+    for bits in (3, 5, 8, 16, 40):
+        for index in (0, 1):
+            theta = AlgReal.from_root(quadratic_of_bits(rng, bits), index)
+            for _ in range(3):
+                a = add(rng.randint(-(1 << bits), 1 << bits),
+                        mul(Fraction(rng.randint(1, 99) * rng.choice((1, -1)), rng.randint(1, 9)), theta))
+                if a.sign() > 0:
+                    psi = sqrt_nonneg(a)
+                    gens.append((psi.min_poly, psi.interval))
+    for A, B in ((2, 3), (5, Fraction(3, 4)), (7, 11), (Fraction(2, 9), 13)):
+        for sa, sb in ((1, 1), (1, -1), (-1, 2), (3, -1)):
+            v = add(mul(sa, sqrt_nonneg(A)), mul(sb, sqrt_nonneg(B)))
+            psi = _gen_of(v)
+            gens.append((psi.min_poly, psi.interval))
+    for bits in (4, 8, 30):
+        M = quadratic_of_bits(rng, bits)
+        m = polys.primitive((M[0], 0, M[1], 0, M[2]))
+        if polys.factor_int(m) == (m,):
+            gens += [(m, r.interval) for r in real_roots(m)]
+    gens = [g for g in gens if polys.even_quartic(g[0])]
+    gens += [(m, (-hi, -lo)) for m, (lo, hi) in gens]
+    for m in ((1, 0, -10, 0, 1), gens[0][0]):
+        r = min((r for r in real_roots(m) if r.sign() > 0), key=float)
+        while r.interval[0] <= 0:
+            r.refine()
+        lo, hi = r.interval
+        gens += [(m, (-lo / 2, hi)), (m, (-hi, lo / 2))]
+    for m, (lo, hi) in gens:
+        assert polys.count_roots_halfopen(m, lo, hi) == 1
+    return gens
+
+
+def test_even_quartic_signs_match_interval_refinement():
+    """The sign of (n0 + n1*x + n2*x^2 + n3*x^3)/d over a generator psi of
+    even quartic minimal polynomial (_even_quartic_generators: towers over
+    either conjugate, joins, negative psi, intervals holding 0) agrees with
+    the one interval refinement reads (_refined_sign) on a fresh copy of
+    psi: psi itself, Y = 0 (values of Q(psi^2)), X = 0, random values, and
+    values within 2^-100 of zero on either side, both k*(psi - r) and
+    psi^3 - psi^2 + psi - r, where |X| and |psi*Y| agree as closely."""
+    from rotagraph import algebraic
+    rng = random.Random(4503)
+    signs = set()
+    for m, interval in _even_quartic_generators(rng):
+        fresh = lambda: AlgReal._make(m, interval)
+        v = fresh()
+        r1 = v.approx(100)
+        r3 = dot((v, v, v), (mul(v, v), -v, 1)).approx(100)
+        p1, q1 = r1.as_integer_ratio()
+        p3, q3 = r3.as_integer_ratio()
+        gs = [((0, 1), 1)]
+        for _ in range(4):
+            d = rng.randint(1, 1 << 20)
+            n = [rng.randint(-(1 << 20), 1 << 20) for _ in range(4)]
+            k = rng.randint(1, 99) * rng.choice((1, -1))
+            gs += [polys.qpoly(n, d), polys.qpoly((n[0], 0, n[2]), d), polys.qpoly((0, n[1], 0, n[3]), d),
+                   polys.qpoly((-k * p1, k * q1), q1 * d), polys.qpoly((-k * (p1 + 1), k * q1), q1 * d),
+                   polys.qpoly((-p3, q3, -q3, q3), q3), polys.qpoly((-p3 - 1, q3, -q3, q3), q3)]
+        for g in gs:
+            if len(g[0]) < 2:
+                continue
+            got = AlgReal._over(fresh(), g).sign()
+            want = algebraic._refined_sign(AlgReal._over(fresh(), g))
+            assert got == want, (m, interval, g)
+            signs.add(want)
+    assert signs == {-1, 1}
+
+
+def test_even_quartic_records_tell_a_root_from_its_conjugate(monkeypatch):
+    """_record over a psi of even quartic minimal polynomial checks a
+    quadratic t = h(psi) with one folded product and one closed-form sign,
+    no enclosure: the embeddings that a tower over either conjugate and a
+    join record pass again, while the conjugate's embedding h' = -b/a - h
+    (a root of m_t too, so only the sign refuses it) and a non-root
+    h + 1 are refused."""
+    from rotagraph import algebraic
+    from rotagraph.errors import InternalConsistencyError
+    theta = AlgReal.from_root((-5, 3, 1), 0)
+    values = [sqrt_nonneg(add(7, mul(3, SQRT2))), sqrt_nonneg(sub(7, mul(3, SQRT2))),
+              sqrt_nonneg(add(7, theta)), add(SQRT2, SQRT3), sub(mul(3, SQRT3), sqrt_nonneg(Fraction(5, 4)))]
+    monkeypatch.setattr(algebraic, "_enclose", None)     # any enclosure fails
+    checked = 0
+    for v in values:
+        psi = _gen_of(v)
+        assert polys.even_quartic(psi.min_poly) and psi._embeds
+        algebraic._record(psi, psi._embeds)
+        for t, h in psi._embeds:
+            c, b, a = t.min_poly
+            conjugate = polys.qsub(polys.qpoly((-b,), a), h)
+            with pytest.raises(InternalConsistencyError, match="another root"):
+                algebraic._record(psi, ((t, conjugate),))
+            with pytest.raises(InternalConsistencyError, match="not a root"):
+                algebraic._record(psi, ((t, polys.qadd(h, ((1,), 1))),))
+            checked += 1
+    assert checked >= 7
+
+
+def test_a_geometry_pass_reduces_and_signs_even_quartic_values_in_closed_form(monkeypatch):
+    """The first 30 operations of `geometry` seeds 1-4 (the sqrt(3)/2
+    equidistants join sqrt(3)/2 with a square root, a compositum, and the
+    distance-3 paths take a tower) do no Horner step with pseudo-division
+    (_compose_horner) modulo an even quartic minimal polynomial, no
+    pseudo_rem there outside Sturm chains, and decide no sign over such a
+    generator by an enclosure (_range): the closed forms over u = psi^2 do
+    it all.  The work is there: dotmod runs modulo even quartics, sign
+    reads values over their generators, and _record checks embeddings
+    into them."""
+    import sys
+    from pathlib import Path
+    from rotagraph import algebraic
+    from rotagraph.algebraic import _gen
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+    even = polys.even_quartic
+    seen = {"_compose_horner": 0, "pseudo_rem": 0, "_range": 0, "dotmod": 0, "sign": 0, "_record": 0}
+    horner, rem, rng_, dotmod, sign, record = (polys._compose_horner, polys.pseudo_rem, algebraic._range,
+                                              polys.dotmod, AlgReal.sign, algebraic._record)
+
+    def spy_horner(g, h, m):
+        seen["_compose_horner"] += even(m)
+        return horner(g, h, m)
+
+    def spy_rem(a, b):
+        seen["pseudo_rem"] += even(b) and sys._getframe(1).f_code.co_name != "sturm_chain"
+        return rem(a, b)
+
+    def spy_range(g, interval):
+        caller = sys._getframe(1)
+        v = caller.f_locals.get("self", caller.f_locals.get("v"))
+        seen["_range"] += caller.f_code.co_name in ("sign", "_refined_sign") and even(_gen(v)[0].min_poly)
+        return rng_(g, interval)
+
+    def spy_dotmod(xs, ys, m):
+        seen["dotmod"] += even(m)
+        return dotmod(xs, ys, m)
+
+    def spy_sign(v):
+        seen["sign"] += not v.is_rational and even(_gen(v)[0].min_poly)
+        return sign(v)
+
+    def spy_record(psi, embeds):
+        seen["_record"] += even(psi.min_poly)
+        return record(psi, embeds)
+
+    monkeypatch.setattr(polys, "_compose_horner", spy_horner)
+    monkeypatch.setattr(polys, "pseudo_rem", spy_rem)
+    monkeypatch.setattr(algebraic, "_range", spy_range)
+    monkeypatch.setattr(polys, "dotmod", spy_dotmod)
+    monkeypatch.setattr(AlgReal, "sign", spy_sign)
+    monkeypatch.setattr(algebraic, "_record", spy_record)
+    for seed in (1, 2, 3, 4):
+        runner = workloads.Runner()
+        assert all(runner.run(kind, args) for kind, args in itertools.islice(workloads.schedule(seed), 30))
+    monkeypatch.undo()
+    assert seen["_compose_horner"] == seen["pseudo_rem"] == seen["_range"] == 0, seen
+    assert seen["dotmod"] > 0 and seen["sign"] > 0 and seen["_record"] == 20, seen
+
+
+def test_a_join_of_values_over_quadratic_generators_isolates_neither():
+    """A value over a quadratic generator generates that whole field, so
+    _own reads no degree for it: a sum of products over sqrt 2 and sqrt 3
+    joins them with neither operand's minimal polynomial built."""
+    a, b = add(1, SQRT2), sub(SQRT3, 2)
+    s = dot((a, b), (1, 1))
+    assert a._root is None and b._root is None
+    assert compare(s, add(add(SQRT2, SQRT3), -1)) == EQUAL
+
+
 def test_square_roots_of_squares_stay_in_their_field(monkeypatch):
     """The square root of b^2, b over a cubic (or quadratic) generator,
     is |b| over the same generator, found by p-adic lifting and checked by

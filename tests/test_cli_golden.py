@@ -198,10 +198,7 @@ ARGVS = [argv + extra for argv in CALLS + FIELD_CALLS
 # no certificate covers some of their candidates.  A kernel change that
 # sends another transcript there fails.
 FACTORISING = [argv + extra for argv in (
-    ["iso", "fixed-point", "--matrix", "[[2,0,0],[0,2,0],[0,0,3]]"],
-    ["iso", "fixed-point", "--matrix", '[["sqrt(2)",0,0],[0,2,0],[0,0,3]]'],
     ["iso", "fixed-point", "--matrix", TURN_CONJ],
-    ["iso", "fixed-point", "--matrix", '[[1,0,0],[0,-3,0],[0,0,"sqrt(2)"]]'],
     ["plane", "dist", "--p", "sqrt(2),sqrt(3),sqrt(5)",
      "--q", '{"x":"1","y":"sqrt(7)","z":"root(-2,0,0,1,0)"}'],
     ["field", "eval", "--expr", f"{CBRT2}+{CBRT4}"],

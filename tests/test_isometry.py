@@ -35,6 +35,22 @@ def test_rotation_about_with_irrational_sine():
     assert iso.fixed_point(r) == E3
 
 
+def test_fixed_points_of_diagonal_and_triangular_maps_need_no_factorisation(monkeypatch):
+    """The characteristic cubic of diag(sqrt 2, 2, 3) has the norm
+    (x^2 - 2)(x - 2)^2(x - 3)^2, that of [[2,0,0],[0,3,0],[0,1,5]] is
+    (x - 2)(x - 3)(x - 5): their rational roots, read off one isolation,
+    leave x^2 - 2 and nothing, so neither is factorised; each fixed point
+    is e1, for the smallest real eigenvalue."""
+    from rotagraph import polys
+    calls = []
+    monkeypatch.setattr(polys, "factor_int", lambda c: calls.append(c))
+    for rows in (((sqrt_nonneg(2), 0, 0), (0, 2, 0), (0, 0, 3)), ((2, 0, 0), (0, 3, 0), (0, 1, 5))):
+        m = iso.LinearMap(rows)
+        p = iso.fixed_point(m)
+        assert p == E1 and iso.apply(m, p) == p
+    assert calls == []
+
+
 def test_fixed_point_identity_deterministic():
     # rank <= 1 eigenspaces: which kernel vector is chosen is pinned, not
     # just that the point is fixed

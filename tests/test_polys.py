@@ -2,8 +2,9 @@
 (against its resultant, written the way the kernel used to call it),
 gcds, Sturm chains, square-free parts and factorisation, and the
 irreducibility certificates against factorisation; integer signs against
-Fraction Horner; the quadratic closed forms of the field arithmetic
-against the general routes; the cache bounds."""
+Fraction Horner; the quadratic and even-quartic closed forms of the
+field arithmetic against the general routes; the real roots and factors
+read off one isolation against factorisation; the cache bounds."""
 
 import ast
 import random
@@ -328,6 +329,127 @@ def test_quadratic_closed_forms_match_the_general_routes():
                 h = polys.qpoly([rng.randint(-(1 << bits), 1 << bits) for _ in big[1:]],
                                 rng.randint(1, 1 << bits))
                 assert polys.compose_mod(g, h, big) == polys._compose_horner(g, h, big)
+
+
+def even_quartic_of_bits(rng, bits):
+    """A primitive c0 + c2*x^2 + c4*x^4, c4 > 0: m(x) = M(x^2) for an
+    irreducible quadratic M with a `bits`-bit discriminant of either sign,
+    or with coefficients drawn freely (a lead above 1, c2 = 0 and
+    reducible ones among them: the folds are identities of Q[x]/(m))."""
+    if rng.randrange(3):
+        c0, c2, c4 = quadratic_of_bits(rng, bits, rng.randrange(2))
+    else:
+        c0, c2, c4 = (rng.randint(-(1 << bits), 1 << bits) or 1, rng.choice((0, rng.randint(-9, 9))),
+                      rng.randint(1, 1 << max(bits // 4, 1)))
+    return polys.primitive((c0, 0, c2, 0, c4))
+
+
+def even_quartic_element(rng, bits):
+    """(n0 + n1*x + n2*x^2 + n3*x^3)/d in canonical form, some coefficients
+    0 (an element of Q(x^2), an odd one, a constant, zero itself), d 1 or
+    up to `bits` bits."""
+    n = [rng.randint(-(1 << bits), 1 << bits) * (rng.randrange(4) > 0) for _ in range(4)]
+    shape = rng.randrange(5)
+    if shape == 1:
+        n[1] = n[3] = 0
+    elif shape == 2:
+        n[0] = n[2] = 0
+    return polys.qpoly(n, rng.choice((1, rng.randint(1, 1 << bits))))
+
+
+def test_even_quartic_closed_forms_match_the_general_routes():
+    """Modulo an even quartic m = c0 + c2*x^2 + c4*x^4, mulmod and dotmod
+    fold x^4 once (_fold_even) and compose_mod runs Horner's rule with that
+    fold: each agrees with the route it bypasses (pseudo-division,
+    Horner's rule with pseudo_rem), on seeded quartics with 3 to 200-bit
+    coefficients, elements of Q(x^2), odd ones, constants and zero, and
+    mixed denominators; g of degree 2 or 3 into the quartic, from an h
+    reduced or not."""
+    rng = random.Random(4501)
+    for bits in (3, 4, 5, 8, 16, 33, 64, 100, 150, 200):
+        for _ in range(12):
+            m = even_quartic_of_bits(rng, bits)
+            k = rng.randint(1, 5)
+            xs = [even_quartic_element(rng, bits) for _ in range(k)]
+            ys = [even_quartic_element(rng, bits) for _ in range(k)]
+            products = [polys._qmod((polys.mul(x[0], y[0]), x[1] * y[1]), m)
+                        for x, y in zip(xs, ys)]
+            assert polys.dotmod(xs, ys, m) == reduce(polys.qadd, products, ((), 1)), (m, xs, ys)
+            for x, y, p in zip(xs, ys, products):
+                assert polys.mulmod(x, y, m) == p, (m, x, y)
+                n = polys.mul(x[0], y[0])
+                r, e = polys._fold_even(n, m)
+                want, e2 = polys.pseudo_rem(n, m)
+                assert polys.qpoly(r, m[-1] ** e) == polys.qpoly(want, m[-1] ** e2), (m, n)
+            g = polys.qpoly([rng.randint(-(1 << bits), 1 << bits) for _ in range(rng.randint(3, 4))],
+                            rng.randint(1, 1 << bits))
+            h = even_quartic_element(rng, bits)
+            if rng.randrange(4) == 0:       # not reduced: Horner's rule with pseudo_rem
+                h = polys.qpoly([rng.randint(-(1 << bits), 1 << bits) for _ in range(rng.randint(5, 6))],
+                                h[1])
+                # a product of degree 7 or more is reduced by pseudo-division
+                x = polys.qpoly(h[0][:5], h[1])
+                assert polys.mulmod(x, y, m) == polys._qmod((polys.mul(x[0], y[0]), x[1] * y[1]), m)
+            assert polys.compose_mod(g, h, m) == polys._compose_horner(g, h, m), (m, g, h)
+
+
+def _check_real_root_factors(c, monkeypatch):
+    """real_root_factors(c) against factor_int: the factors with real roots,
+    each with one interval per real root, holding it; factor_int runs only
+    when the part left after the rational roots has degree 4 or more (and
+    Musser's test cannot certify it).  Returns whether it ran."""
+    calls, walks = [], []
+    original, musser = polys.factor_int, polys.irreducible_factors
+    monkeypatch.setattr(polys, "factor_int", lambda f: calls.append(f) or original(f))
+    monkeypatch.setattr(polys, "irreducible_factors", lambda f: walks.append(f) or musser(f))
+    got = polys.real_root_factors(c)
+    monkeypatch.undo()
+    B = polys.root_bound(c)
+    want = {f: polys.count_roots_halfopen(f, -B, B) for f in original(c)}
+    assert {f for f, _ in got} == {f for f, n in want.items() if n}, c
+    for f, intervals in got:
+        if len(f) == 2:
+            r = Fraction(-f[0], f[1])
+            assert intervals == [(r, r)] and polys.sign_at(f, r) == 0
+            continue
+        assert len(intervals) == want[f] and intervals == sorted(intervals), (c, f)
+        for lo, hi in intervals:
+            assert polys.count_roots_halfopen(f, lo, hi) == 1, (c, f, lo, hi)
+    assert not walks or sum(len(f) - 1 for f in want if len(f) > 2) > 3, (c, walks)
+    assert not calls or walks, (c, calls)
+    return bool(calls)
+
+
+def test_real_root_factors_read_rational_roots_off_one_isolation(monkeypatch):
+    """Products of linear factors q*x - p (q | lead, roots at the midpoints
+    isolate_roots bisects at, such as 0 for x^3 - x, and at the ends of
+    intervals next to them), irreducible factors of degree 2 to 5 with and
+    without real roots, and repeated factors: real_root_factors gives
+    factor_int's factors with real roots and their intervals, and walks
+    primes (irreducible_factors) only for a remainder of degree 4 or more.  The norms of
+    diag(sqrt 2, 2, 3) and of a triangular map with eigenvalues 2, 3, 5
+    factorise with no call."""
+    rng = random.Random(4505)
+    # x(x - 1)(x^2 - 7x + 3): the interval (0, 11/16] of the root 0.459...
+    # holds no multiple of 1/lead, and its lower end is the root 0
+    for c in ((0, -1, 0, 1), (-30, 31, -10, 1), polys.mul(polys.mul((-2, 0, 1), (-2, 1)), (-3, 1)),
+              polys.mul((0, -1, 1), (3, -7, 1)), polys.mul((-2, 1), (-2, 0, 0, 1)),
+              polys.mul((-2, 0, 1), polys.mul(polys.mul((-2, 1), (-2, 1)), polys.mul((-3, 1), (-3, 1)))),
+              polys.mul((0, 1), polys.mul((1, 0, 1), (-1, 0, 4)))):
+        assert not _check_real_root_factors(c, monkeypatch), c
+    fired = 0
+    for _ in range(120):
+        c = (rng.choice((1, -1, 2, 3)),)
+        for _ in range(rng.randint(0, 4)):
+            p, q = rng.randint(-9, 9), rng.randint(1, 4)
+            c = polys.mul(c, (-p, q))
+        for _ in range(rng.randint(0, 2)):
+            c = polys.mul(c, random_irreducible(rng, rng.randint(2, 5)))
+        if rng.randrange(4) == 0:
+            c = polys.mul(c, c)
+        if len(c) > 1:
+            fired += _check_real_root_factors(c, monkeypatch)
+    assert fired
 
 
 def test_sign_at_matches_fraction_horner():
