@@ -50,8 +50,8 @@ Candidates (square roots of irrationals, composita, cross-field results)
 and the integer polynomials real_roots reads (a polynomial itself, or the
 norm of one with irrational coefficients) are factorised only when no
 certificate in polys shows them irreducible (Capelli's theorem for
-x^2 - a, full degree of a compositum, rational roots read off one
-isolation, Musser's test); in the geometry all of them fire.  The
+x^2 - a, full degree of a compositum, rational roots read off isolating
+intervals, Musser's test); in the geometry all of them fire.  The
 quadratic facts met most often are each settled by one exact test, with
 no search: the square root of a rational p/q that is no
 square is the root of q*x^2 - p on an isqrt bracket that two signs check;
@@ -1101,16 +1101,14 @@ def real_roots(p):
     """All distinct real roots, ascending, of a polynomial with int or
     AlgReal coefficients, which meet once (_field).  N is p over no
     generator, else p's norm (polys.norm; degree deg(p) * n over a
-    generator of degree n, within the candidate budget).  N's irreducible
-    factors with real roots come with those roots' intervals from one
-    isolation (polys.real_root_factors), its rational roots read off it,
-    so an N whose rational roots leave a part of degree 3 or less, as the
-    norm of a diagonal map's characteristic cubic does, factorises with
-    no prime walk and no sympy.  Such a factor f shares with p the roots
-    of their gcd g over Q(theta) (polys.gcd_mod): all of f's for g = f,
-    g's over theta for a linear g or by the quadratic formula, so no root
-    of f is joined with theta to be tested; a larger g keeps f's real
-    roots r with p(r) = 0 (one dot)."""
+    generator of degree n, within the candidate budget).  An irreducible
+    factor f of N (polys.irreducible_factors, which reads N's rational
+    roots off isolating intervals where its prime walk leaves room for
+    them, so the norm of a diagonal map's characteristic cubic factorises
+    with no sympy) shares with p the roots of their gcd g over Q(theta)
+    (polys.gcd_mod): all of f's for g = f, g's over theta for a linear g
+    or by the quadratic formula, so no root of f is joined with theta to
+    be tested; a larger g keeps f's real roots r with p(r) = 0 (one dot)."""
     if not all(isinstance(v, (int, AlgReal)) and not isinstance(v, bool) for v in p):
         raise PreconditionError("polynomial coefficients must be integers or algebraic numbers")
     theta, *gs = _field(p)
@@ -1124,7 +1122,7 @@ def real_roots(p):
         _check_cand_degree((len(gs) - 1) * theta.degree)
         N = polys.norm(gs, theta.min_poly)
     roots = []
-    for f, intervals in polys.real_root_factors(N):
+    for f in polys.irreducible_factors(N):
         g = f if theta is None else polys.gcd_mod(gs, [*map(polys.qpoly, zip(f))], theta.min_poly)
         if len(g) == 2 < len(f):
             roots.append(AlgReal._over(theta, polys.qscale(g[0], -1)))
@@ -1134,7 +1132,7 @@ def real_roots(p):
                 s = sqrt_nonneg(disc)
                 roots += [div(sub(s, b), 2), div(add(s, b), -2)]
         elif len(g) > 1:
-            rs = [AlgReal._make(f, interval) for interval in intervals]
+            rs = [AlgReal._make(f, interval) for interval in polys.isolate_roots(f)]
             roots += rs if len(g) == len(f) else [
                 r for r in rs if dot(p, [r ** i for i in range(len(p))]).sign() == 0]
     roots.sort(key=cmp_to_key(compare))

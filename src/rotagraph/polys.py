@@ -29,15 +29,12 @@ denominator and fold x^2 once (`_fold`), and `invmod` of n0 + n1*x is the
 conjugate over the norm.  `compose_mod` maps a linear g, an element of a
 quadratic field, into a larger field as n0 + n1*h.  Modulo an even
 quartic m = c0 + c2*x^2 + c4*x^4 (`even_quartic`), a quadratic extension
-of x^2, `mulmod` and `dotmod` collect the seven coefficients of a product
-or a sum of products and fold x^4 once (`_fold_even`), and `compose_mod`
+of x^2, `mulmod` and `dotmod` reduce a product or a sum of products, of
+degree 6 at most, by folding x^4 once (`_fold_even`), and `compose_mod`
 runs Horner's rule with that fold.  Other cases keep the general routes,
 pseudo-division (`_qmod`), the extended Euclid (`_invmod_euclid`) and
 Horner's rule with pseudo_rem (`_compose_horner`), which the tests also
 run as the reference for the closed forms.
-
-A polynomial's real roots are isolated once, and its rational roots read
-off the intervals, before any factorisation (`real_root_factors`).
 
 An integer polynomial has one remainder sequence, its Sturm chain
 (`sturm_chain`, cached), which ends in gcd(c, c'): the same rows count
@@ -49,7 +46,9 @@ roots are counted in closed form, with no chain.
 Arithmetic mod a prime serves certificates that a candidate polynomial is
 irreducible, read from how it factors mod small primes (`composed_factors`,
 `irreducible_factors`): where one fires the candidate is its own single
-factor, and `factor_int` runs only where no cheap exact argument decides.
+factor; where a linear factor survives, the rational roots are read off
+isolating intervals and divided out (`rational_roots`), and `factor_int`
+runs only where no cheap exact argument decides.
 A square root takes one walk over the same primes (`sqrt_certificate`):
 Euler's criterion at one of them shows m(x^2) irreducible, or else the
 first of them that keeps m irreducible lifts a square root inside the field.
@@ -231,7 +230,7 @@ def dotmod(xs, ys, m):
     integer products summed over one common denominator, then reduced
     once; modulo a quadratic m, the three coefficients s0, s1, s2 of the
     sum are collected so, and x^2 is folded once (_fold); modulo an even
-    quartic, the seven s0, ..., s6, and x^4 is folded once (_fold_even)."""
+    quartic, the sum of degree 6 at most folds x^4 once (_fold_even)."""
     if len(m) == 3:
         s0 = s1 = s2 = 0
         den = 1
@@ -251,32 +250,6 @@ def dotmod(xs, ys, m):
             s1 += x0 * y1 + x1 * y0
             s2 += x1 * y1
         return _fold(s0, s1, s2, den, m)
-    if even_quartic(m):
-        s0 = s1 = s2 = s3 = s4 = s5 = s6 = 0
-        den = 1
-        for (nx, dx), (ny, dy) in zip(xs, ys):
-            if not (nx and ny):     # a zero term: skipped only to save its products
-                continue
-            q, t = dx * dy, 1
-            if q != den:
-                g = gcd(q, den)
-                s, t = q // g, den // g
-                if s != 1:
-                    s0, s1, s2, s3, s4, s5, s6 = s0 * s, s1 * s, s2 * s, s3 * s, s4 * s, s5 * s, s6 * s
-                    den *= s
-            x0, x1, x2, x3 = nx + (0,) * (4 - len(nx))
-            y0, y1, y2, y3 = ny + (0,) * (4 - len(ny))
-            if t != 1:
-                x0, x1, x2, x3 = x0 * t, x1 * t, x2 * t, x3 * t
-            s0 += x0 * y0
-            s1 += x0 * y1 + x1 * y0
-            s2 += x0 * y2 + x1 * y1 + x2 * y0
-            s3 += x0 * y3 + x1 * y2 + x2 * y1 + x3 * y0
-            s4 += x1 * y3 + x2 * y2 + x3 * y1
-            s5 += x2 * y3 + x3 * y2
-            s6 += x3 * y3
-        r, e = _fold_even(normalize((s0, s1, s2, s3, s4, s5, s6)), m)
-        return qpoly(r, den * m[-1] ** e)
     num, den = [0] * (2 * degree(m) - 1), 1
     for (nx, dx), (ny, dy) in zip(xs, ys):
         q, t = dx * dy, 1
@@ -291,6 +264,9 @@ def dotmod(xs, ys, m):
                 u *= t
                 for j, v in enumerate(ny):
                     num[i + j] += u * v
+    if even_quartic(m):
+        r, e = _fold_even(normalize(num), m)
+        return qpoly(r, den * m[-1] ** e)
     return _qmod((normalize(num), den), m)
 
 
@@ -334,9 +310,7 @@ def compose_mod(g, h, m):
     (ng, dg), (nh, dh) = g, h
     if len(ng) == 2:
         n0, n1 = ng
-        n = [n1 * v for v in nh] or [0]
-        n[0] += n0 * dh
-        return _qmod((n, dg * dh), m)
+        return _qmod((add([n1 * v for v in nh], (n0 * dh,)), dg * dh), m)
     # a constant g keeps Horner's rule (a linear one returned, so >= 2 is the same)
     if len(ng) > 2 and len(nh) < 5 and even_quartic(m):
         acc, den = add([ng[-1] * v for v in nh], (ng[-2] * dh,)), dh
@@ -803,21 +777,32 @@ def irreducible_factors(c):
     square-free part s of c irreducible first: a factor of s over Q of
     degree k reduces mod every good prime to a product of some of its
     factors there, so k is a sum of some of their degrees; when no proper
-    k survives GOOD_PRIMES good primes, s is irreducible."""
+    k survives GOOD_PRIMES good primes, s is irreducible.  A rational root
+    of s is a linear factor at every prime, so s has at most as many as
+    the fewest linear factors a prime showed; where dividing out that many
+    could leave a rest of degree 3 or less, s's rational roots are read
+    (rational_roots), and a rest of degree 3 or less that keeps no
+    rational root is irreducible."""
     s = squarefree_part(c)
     n = degree(s)
     if n <= 0:
         return ()
     if n == 1:
         return (s,)
-    proper = (1 << n) - 2          # bit k: a factor of degree k
+    proper, linear = (1 << n) - 2, n       # bit k: a factor of degree k
     for _, parts in islice(_good_primes(s), GOOD_PRIMES):
         sums = 1
-        for d in _degrees(parts):
+        degrees = _degrees(parts)
+        for d in degrees:
             sums |= sums << d
         proper &= sums
         if not proper:
             return (s,)
+        linear = min(linear, degrees.count(1))
+    if n - linear <= 3 and len(roots := rational_roots(s)) >= n - 3:
+        factors = [(-r.numerator, r.denominator) for r in roots]
+        rest = primitive(reduce(lambda a, f: quo_rem(a, f)[0], factors, s))
+        return tuple(sorted(factors + [rest] * (len(rest) > 1)))
     return factor_int(c)
 
 
@@ -947,58 +932,36 @@ def squarefree_part(c):
     return primitive(quo_rem(c, sturm_chain(c)[-1])[0])
 
 
-def real_root_factors(c):
-    """(f, intervals) for each distinct irreducible factor f of the nonzero
-    integer c that has real roots, with isolating intervals of those roots,
-    ascending; a linear f, a rational root r, has the one interval (r, r).
-    c's square-free part s is isolated once (isolate_roots).  A rational
-    root p/q of s has q | lead(s) = L, so each interval is halved
-    (_rational_root) until it holds at most one multiple k/L, which one
-    exact evaluation confirms or rejects.  The rational roots' linear
-    factors are divided out; the rest, r, has no rational root, so it is
-    irreducible when of degree 3 or less, with no prime walk, and else
-    goes to irreducible_factors, where each factor keeps the intervals at
-    whose ends it changes sign: it has the interval's one root of s."""
-    s = squarefree_part(c)
-    rest, rationals, irrational = s, [], []
-    for lo, hi in isolate_roots(s):
-        r, lo, hi = _rational_root(s, lo, hi)
-        if r is None:
-            irrational.append((lo, hi))
-        else:
-            f = (-r.numerator, r.denominator)
-            rationals.append((f, [(r, r)]))
-            rest = primitive(quo_rem(rest, f)[0])
-    # a constant rest changes sign nowhere, so it keeps no interval
-    factors = (rest,) if len(rest) <= 4 else irreducible_factors(rest)
-    return rationals + [(f, ivs) for f in factors if (ivs := [
-        (lo, hi) for lo, hi in irrational if sign_at(f, lo) != sign_at(f, hi)])]
+def rational_roots(c):
+    """The rational roots of the square-free, primitive c (a
+    squarefree_part), ascending, read off its isolated real roots
+    (isolate_roots, _rational_root)."""
+    return [r for lo, hi in isolate_roots(c) if (r := _rational_root(c, lo, hi)) is not None]
 
 
 def _rational_root(c, lo, hi):
-    """(r, lo, hi) for the one root of the square-free c in (lo, hi]:
-    the interval halved until it holds at most one multiple k/L of 1/L,
-    L = lead(c) > 0, and r that root when it is k/L (a rational root p/q
-    of the primitive c has q | L), checked by one evaluation, else None.
-    c has one sign on (lo, root) and the other on (root, hi], so each
-    halving reads c's sign at the midpoint against its sign at hi (a 0
-    at either is the root itself); lo, which may be a neighbouring root,
-    is never read."""
+    """The one root of the square-free, primitive c in (lo, hi] when it is
+    rational, else None: the interval is halved until it holds at most one
+    multiple k/L of 1/L, L = lead(c) > 0 (a rational root p/q of c has
+    q | L), and that k/L is checked by one evaluation.  c has one sign on
+    (lo, root) and the other on (root, hi], so each halving reads c's sign
+    at the midpoint against its sign at hi (a 0 at either is the root
+    itself); lo, which may be a neighbouring root, is never read."""
     L = c[-1]
     sh = sign_at(c, hi)
     if sh == 0:
-        return hi, lo, hi
+        return hi
     while True:
         k = floor(hi * L)
         if k <= lo * L:
-            return None, lo, hi
+            return None
         if k - 1 <= lo * L:     # < would halve once more first, to the same answer
             r = Fraction(k, L)
-            return (r if sign_at(c, r) == 0 else None), lo, hi
+            return r if sign_at(c, r) == 0 else None
         mid = (lo + hi) / 2
         v = sign_at(c, mid)
         if v == 0:
-            return mid, lo, hi
+            return mid
         if v == sh:
             hi = mid
         else:

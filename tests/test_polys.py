@@ -393,42 +393,31 @@ def test_even_quartic_closed_forms_match_the_general_routes():
             assert polys.compose_mod(g, h, m) == polys._compose_horner(g, h, m), (m, g, h)
 
 
-def _check_real_root_factors(c, monkeypatch):
-    """real_root_factors(c) against factor_int: the factors with real roots,
-    each with one interval per real root, holding it; factor_int runs only
-    when the part left after the rational roots has degree 4 or more (and
-    Musser's test cannot certify it).  Returns whether it ran."""
-    calls, walks = [], []
-    original, musser = polys.factor_int, polys.irreducible_factors
+def _check_rational_roots(c, monkeypatch):
+    """irreducible_factors(c) against factor_int, and rational_roots of c's
+    square-free part against factor_int's linear factors; factor_int runs
+    only when the part left after the rational roots has degree 4 or more.
+    Returns whether it ran."""
+    calls, original = [], polys.factor_int
     monkeypatch.setattr(polys, "factor_int", lambda f: calls.append(f) or original(f))
-    monkeypatch.setattr(polys, "irreducible_factors", lambda f: walks.append(f) or musser(f))
-    got = polys.real_root_factors(c)
+    got = polys.irreducible_factors(c)
     monkeypatch.undo()
-    B = polys.root_bound(c)
-    want = {f: polys.count_roots_halfopen(f, -B, B) for f in original(c)}
-    assert {f for f, _ in got} == {f for f, n in want.items() if n}, c
-    for f, intervals in got:
-        if len(f) == 2:
-            r = Fraction(-f[0], f[1])
-            assert intervals == [(r, r)] and polys.sign_at(f, r) == 0
-            continue
-        assert len(intervals) == want[f] and intervals == sorted(intervals), (c, f)
-        for lo, hi in intervals:
-            assert polys.count_roots_halfopen(f, lo, hi) == 1, (c, f, lo, hi)
-    assert not walks or sum(len(f) - 1 for f in want if len(f) > 2) > 3, (c, walks)
-    assert not calls or walks, (c, calls)
+    want = original(c)
+    assert got == want, c
+    assert polys.rational_roots(polys.squarefree_part(c)) == \
+        sorted(Fraction(-f[0], f[1]) for f in want if len(f) == 2), c
+    assert not calls or sum(len(f) - 1 for f in want if len(f) > 2) > 3, (c, calls)
     return bool(calls)
 
 
-def test_real_root_factors_read_rational_roots_off_one_isolation(monkeypatch):
+def test_irreducible_factors_read_rational_roots_off_isolating_intervals(monkeypatch):
     """Products of linear factors q*x - p (q | lead, roots at the midpoints
     isolate_roots bisects at, such as 0 for x^3 - x, and at the ends of
     intervals next to them), irreducible factors of degree 2 to 5 with and
-    without real roots, and repeated factors: real_root_factors gives
-    factor_int's factors with real roots and their intervals, and walks
-    primes (irreducible_factors) only for a remainder of degree 4 or more.  The norms of
-    diag(sqrt 2, 2, 3) and of a triangular map with eigenvalues 2, 3, 5
-    factorise with no call."""
+    without real roots, and repeated factors: irreducible_factors gives
+    factor_int's factors, and calls it only for a rest of degree 4 or
+    more after the rational roots.  The norms of diag(sqrt 2, 2, 3) and of
+    a triangular map with eigenvalues 2, 3, 5 factorise with no call."""
     rng = random.Random(4505)
     # x(x - 1)(x^2 - 7x + 3): the interval (0, 11/16] of the root 0.459...
     # holds no multiple of 1/lead, and its lower end is the root 0
@@ -436,7 +425,7 @@ def test_real_root_factors_read_rational_roots_off_one_isolation(monkeypatch):
               polys.mul((0, -1, 1), (3, -7, 1)), polys.mul((-2, 1), (-2, 0, 0, 1)),
               polys.mul((-2, 0, 1), polys.mul(polys.mul((-2, 1), (-2, 1)), polys.mul((-3, 1), (-3, 1)))),
               polys.mul((0, 1), polys.mul((1, 0, 1), (-1, 0, 4)))):
-        assert not _check_real_root_factors(c, monkeypatch), c
+        assert not _check_rational_roots(c, monkeypatch), c
     fired = 0
     for _ in range(120):
         c = (rng.choice((1, -1, 2, 3)),)
@@ -448,9 +437,24 @@ def test_real_root_factors_read_rational_roots_off_one_isolation(monkeypatch):
         if rng.randrange(4) == 0:
             c = polys.mul(c, c)
         if len(c) > 1:
-            fired += _check_real_root_factors(c, monkeypatch)
+            fired += _check_rational_roots(c, monkeypatch)
     assert fired
 
+
+
+def test_irreducible_factors_read_no_rational_roots_a_prime_rules_out(monkeypatch):
+    """Rational roots are read only where dividing out as many as the
+    fewest linear factors a prime showed could leave a rest of degree 3 or
+    less: x^4 + 1 (no linear factor mod 3), (x - 1)(x^4 + 1) and
+    (x - 1)(x^2 - 2)(x^2 - 3) (one at most, a rest of degree 4) go
+    straight to factor_int; (x - 2)(x - 3)(x^2 - 2) is read."""
+    reads, original = [], polys.rational_roots
+    monkeypatch.setattr(polys, "rational_roots", lambda c: reads.append(c) or original(c))
+    for c in ((1, 0, 0, 0, 1), polys.mul((-1, 1), (1, 0, 0, 0, 1)),
+              polys.mul((-1, 1), polys.mul((-2, 0, 1), (-3, 0, 1)))):
+        assert polys.irreducible_factors(c) == polys.factor_int(c) and not reads, c
+    c = polys.mul(polys.mul((-2, 1), (-3, 1)), (-2, 0, 1))
+    assert polys.irreducible_factors(c) == ((-3, 1), (-2, 0, 1), (-2, 1)) and reads == [c]
 
 def test_sign_at_matches_fraction_horner():
     rng = random.Random(6104)
@@ -500,11 +504,15 @@ def _random_poly(rng, d):
 
 def _check_irreducible_factors(c):
     """Musser's test fires only on polynomials with an irreducible
-    square-free part, which factor_int then returns as the one factor."""
-    got, fired = _certified(polys.irreducible_factors, c)
+    square-free part, which factor_int then returns as the one factor;
+    returns whether it fired.  The other answer given without factor_int,
+    the rational roots read where a linear factor survives the test, is
+    their linear factors and at most one rest, of degree 3 or less."""
+    got, certified = _certified(polys.irreducible_factors, c)
     assert got == polys.factor_int(c), c
-    if fired:
-        assert got == (polys.squarefree_part(c),), c
+    fired = certified and got == (polys.squarefree_part(c),)
+    if certified and not fired:
+        assert sum(len(f) > 2 for f in got) <= 1 and max(map(len, got)) <= 4, c
     return fired
 
 
