@@ -839,7 +839,10 @@ def _quadratic_sum(t1, t2):
         lo1, hi1, lo2, hi2 = (n * (k // d) for n, d in ends)
         s1, s2 = b1 * q * a2, b2 * q * a1
         lo, hi = lo1 + lo2, hi1 + hi2
-        # times k: |e| >= max(elo, -ehi, 0) for e in [elo, ehi]
+        # times k: |e| >= max(elo, -ehi, 0) for e in [elo, ehi].  A width
+        # equal to the least bound would isolate too: two points of the
+        # half-open (lo, hi] lie less than hi - lo apart, so no conjugate at
+        # distance >= hi - lo shares it; < merely refines once more there
         if hi - lo < min(max(2 * lo1 + s1, -2 * hi1 - s1, 0),
                          max(2 * lo2 + s2, -2 * hi2 - s2, 0),
                          max(2 * lo + s1 + s2, -2 * hi - s1 - s2, 0)):

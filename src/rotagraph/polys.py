@@ -22,19 +22,17 @@ sums (`cand_sum`, the norm of a shifted polynomial, `shift`) and minimal
 polynomials, everything sign-related (Sturm chains, root counting,
 isolation), with signs taken in integers, and arithmetic mod a prime.
 
-Modulo a quadratic m = c0 + c1*x + c2*x^2, the field arithmetic is closed
-form (Cohen, GTM 138, 4.2 and ch. 5): `mulmod` and `dotmod` collect the
-three coefficients of a product or a sum of products over one
-denominator and fold x^2 once (`_fold`), and `invmod` of n0 + n1*x is the
-conjugate over the norm.  `compose_mod` maps a linear g, an element of a
-quadratic field, into a larger field as n0 + n1*h.  Modulo an even
-quartic m = c0 + c2*x^2 + c4*x^4 (`even_quartic`), a quadratic extension
-of x^2, `mulmod` and `dotmod` reduce a product or a sum of products, of
-degree 6 at most, by folding x^4 once (`_fold_even`), and `compose_mod`
-runs Horner's rule with that fold.  Other cases keep the general routes,
-pseudo-division (`_qmod`), the extended Euclid (`_invmod_euclid`) and
-Horner's rule with pseudo_rem (`_compose_horner`), which the tests also
-run as the reference for the closed forms.
+There is one reduction modulo m, `_rem`, and it is the only code that
+reads m's shape: modulo a quadratic m = c0 + c1*x + c2*x^2 it folds x^2
+once out of a three-term product, modulo an even quartic
+m = c0 + c2*x^2 + c4*x^4 (`even_quartic`), a quadratic extension of x^2,
+it folds x^4 once out of a product or a sum of products of degree 6 at
+most (Cohen, GTM 138, 4.2 and ch. 5), and anything else it
+pseudo-divides.  `mulmod` reduces the integer product once, `dotmod` the
+sum of products once (modulo a quadratic its three coefficients are
+collected unrolled), `compose_mod` runs Horner's rule over `_rem`, and
+`invmod` is the extended Euclid, one step for a linear element modulo a
+quadratic.
 
 An integer polynomial has one remainder sequence, its Sturm chain
 (`sturm_chain`, cached), which ends in gcd(c, c'): the same rows count
@@ -167,70 +165,58 @@ def qscale(a, p, q=1):
     return qpoly([p * v for v in a[0]], q * a[1])
 
 
-def _qmod(a, m):
-    """a modulo m, in integers: lead(m)^e * n = q*m + r gives
-    r / (d * lead(m)^e); a of degree below m's is only made canonical."""
-    if len(a[0]) < len(m):
-        return qpoly(*a)
-    r, e = pseudo_rem(a[0], m)
-    return qpoly(r, a[1] * m[-1] ** e)
-
-
-def _fold(s0, s1, s2, den, m):
-    """(s0 + s1*x + s2*x^2) / den modulo the quadratic m = c0 + c1*x +
-    c2*x^2, x^2 folded once: c2*x^2 = -(c0 + c1*x) gives
-    (c2*s0 - c0*s2, c2*s1 - c1*s2) / (den*c2)."""
-    if not s2:
-        return qpoly((s0, s1), den)
-    c0, c1, c2 = m
-    return qpoly((c2 * s0 - c0 * s2, c2 * s1 - c1 * s2), den * c2)
-
-
 def even_quartic(m):
     """Whether m = c0 + c2*x^2 + c4*x^4, a quartic in x^2 alone."""
     return len(m) == 5 and not m[1] and not m[3]
 
 
-def _fold_even(n, m):
-    """(r, e) with c4^e * n = q*m + r and deg r < 4, as pseudo_rem gives,
-    for n of degree 6 at most (a product of two reduced elements, or a sum
-    of such products) and the even quartic m = c0 + c2*x^2 + c4*x^4, x^4
-    folded once in integers: c4*x^4 = -(c0 + c2*x^2), c4*x^5 =
-    -(c0*x + c2*x^3) and c4^2*x^6 = c0*c2 + (c2^2 - c0*c4)*x^2, so e is 1,
-    or 2 where n has an x^6 term (0 below degree 4)."""
-    if len(n) < 5:
+def _rem(n, m):
+    """(r, e) with lead(m)^e * n = q*m + r and deg r < deg m, for an
+    integer n (a tuple or a list, normalized): the one reduction modulo m,
+    and the one place that reads m's shape.  n of degree below m's comes
+    back as it is.  Modulo a quadratic m = c0 + c1*x + c2*x^2, a three-term
+    n folds x^2 once: c2*x^2 = -(c0 + c1*x) gives (c2*s0 - c0*s2,
+    c2*s1 - c1*s2), e = 1.  Modulo an even quartic m = c0 + c2*x^2 + c4*x^4
+    (`even_quartic`), n of degree 6 at most (a product of two reduced
+    elements, or a sum of such products) folds x^4 once (Cohen, GTM 138,
+    4.2): c4*x^4 = -(c0 + c2*x^2), c4*x^5 = -(c0*x + c2*x^3) and
+    c4^2*x^6 = c0*c2 + (c2^2 - c0*c4)*x^2, so e is 1, or 2 where n has an
+    x^6 term.  Anything else is pseudo-divided (pseudo_rem)."""
+    if len(n) < len(m):
         return n, 0
-    c0, _, c2, _, c4 = m
-    s0, s1, s2, s3, s4, s5, s6 = n + (0,) * (7 - len(n))
-    r0, r1, r2, r3 = c4 * s0 - c0 * s4, c4 * s1 - c0 * s5, c4 * s2 - c2 * s4, c4 * s3 - c2 * s5
-    if not s6:
-        return normalize((r0, r1, r2, r3)), 1
-    return normalize((c4 * r0 + c0 * c2 * s6, c4 * r1, c4 * r2 + (c2 * c2 - c0 * c4) * s6, c4 * r3)), 2
+    # n is at least as long as m here, so len(n) == 3 leaves len(m) <= 3:
+    # len(m) >= 3, or len(n) <= 3, would choose the same
+    if len(m) == 3 and len(n) == 3:
+        (s0, s1, s2), (c0, c1, c2) = n, m
+        return normalize((c2 * s0 - c0 * s2, c2 * s1 - c1 * s2)), 1
+    if len(n) < 8 and even_quartic(m):
+        c0, _, c2, _, c4 = m
+        s0, s1, s2, s3, s4, s5, s6 = (*n, 0, 0)[:7]
+        r0, r1, r2, r3 = c4 * s0 - c0 * s4, c4 * s1 - c0 * s5, c4 * s2 - c2 * s4, c4 * s3 - c2 * s5
+        if not s6:
+            return normalize((r0, r1, r2, r3)), 1
+        return normalize((c4 * r0 + c0 * c2 * s6, c4 * r1, c4 * r2 + (c2 * c2 - c0 * c4) * s6, c4 * r3)), 2
+    return pseudo_rem(n, m)
+
+
+def _qmod(a, m):
+    """a = n / d modulo m, in integers: r / (d * lead(m)^e) for (r, e) =
+    _rem(n, m), made canonical."""
+    r, e = _rem(a[0], m)
+    return qpoly(r, a[1] * m[-1] ** e)
 
 
 def mulmod(a, b, m):
-    """a * b modulo m: the integer product of the numerators, reduced once;
-    modulo a quadratic m, two linear factors give the three coefficients
-    of the product, and x^2 is folded in closed form (_fold); modulo an
-    even quartic, a product of degree 6 at most, as two reduced factors
-    give, folds x^4 once (_fold_even)."""
-    (na, da), (nb, db) = a, b
-    if len(m) == 3 and len(na) == len(nb) == 2:
-        (a0, a1), (b0, b1) = na, nb
-        return _fold(a0 * b0, a0 * b1 + a1 * b0, a1 * b1, da * db, m)
-    n = mul(na, nb)
-    if len(n) < 8 and even_quartic(m):
-        r, e = _fold_even(n, m)
-        return qpoly(r, da * db * m[-1] ** e)
-    return _qmod((n, da * db), m)
+    """a * b modulo m: the integer product of the numerators, reduced once
+    (_qmod)."""
+    return _qmod((mul(a[0], b[0]), a[1] * b[1]), m)
 
 
 def dotmod(xs, ys, m):
     """sum_i xs[i] * ys[i] modulo m, for elements reduced modulo m: the
-    integer products summed over one common denominator, then reduced
-    once; modulo a quadratic m, the three coefficients s0, s1, s2 of the
-    sum are collected so, and x^2 is folded once (_fold); modulo an even
-    quartic, the sum of degree 6 at most folds x^4 once (_fold_even)."""
+    integer products summed over one common denominator, then reduced once
+    (_qmod); modulo a quadratic m, the three coefficients s0, s1, s2 of
+    the sum are collected so, unrolled."""
     if len(m) == 3:
         s0 = s1 = s2 = 0
         den = 1
@@ -249,7 +235,7 @@ def dotmod(xs, ys, m):
             s0 += x0 * y0
             s1 += x0 * y1 + x1 * y0
             s2 += x1 * y1
-        return _fold(s0, s1, s2, den, m)
+        return _qmod((normalize((s0, s1, s2)), den), m)
     num, den = [0] * (2 * degree(m) - 1), 1
     for (nx, dx), (ny, dy) in zip(xs, ys):
         q, t = dx * dy, 1
@@ -264,33 +250,18 @@ def dotmod(xs, ys, m):
                 u *= t
                 for j, v in enumerate(ny):
                     num[i + j] += u * v
-    if even_quartic(m):
-        r, e = _fold_even(normalize(num), m)
-        return qpoly(r, den * m[-1] ** e)
     return _qmod((normalize(num), den), m)
 
 
 def invmod(g, m):
-    """The inverse of g != 0 modulo the irreducible m.  For g = (n0 + n1*x)/d
-    modulo a quadratic m = c0 + c1*x + c2*x^2, the conjugate over the norm:
-    d*((c2*n0 - c1*n1) - c2*n1*x) / (c2*n0^2 - c1*n0*n1 + c0*n1^2), whose
-    product with n0 + n1*x is that norm modulo m; else by the extended
-    Euclidean algorithm (_invmod_euclid)."""
-    n, d = g
-    if len(m) == 3 and len(n) == 2:
-        (c0, c1, c2), (n0, n1) = m, n
-        return qpoly((d * (c2 * n0 - c1 * n1), -d * c2 * n1),
-                     c2 * n0 * n0 - c1 * n0 * n1 + c0 * n1 * n1)
-    return _invmod_euclid(g, m)
-
-
-def _invmod_euclid(g, m):
-    """invmod by the extended Euclidean algorithm with pseudo-division, in
-    integers: r_i = u_i * n (mod m) throughout for g = n / d, each
-    (r_i, u_i) divided by its content, until r_i is a constant c, and then
-    1/g = d * u_i / c (at once for a constant g)."""
+    """The inverse of g != 0 modulo the irreducible m, by the extended
+    Euclidean algorithm with pseudo-division, in integers: r_i = u_i * n
+    (mod m) throughout for g = n / d, each (r_i, u_i) divided by its
+    content, until r_i is a constant c, and then 1/g = d * u_i / c (at once
+    for a constant g, after one step for a linear g modulo a quadratic)."""
     n, d = g
     r0, r1, u0, u1 = m, n, (), (1,)
+    # no r_i is 0 (m is irreducible, g != 0), so != 1 would read the same
     while len(r1) > 1:
         q, r, e = quo_rem(r0, r1)
         u = sub([r1[-1] ** e * v for v in u0], mul(q, u1))
@@ -301,34 +272,14 @@ def _invmod_euclid(g, m):
 
 
 def compose_mod(g, h, m):
-    """g(h(x)) modulo m: for a linear g = (n0 + n1*x)/dg, an element of a
-    quadratic field, (n0*dh + n1*nh) / (dg*dh) for h = nh/dh, reduced only
-    if h was not; modulo an even quartic, for a reduced h, Horner's rule
-    from n_k*h + n_(k-1) on, in integers, each product with h folded once
-    (_fold_even), so one product for a quadratic g; else by Horner's rule
-    with pseudo-division (_compose_horner)."""
+    """g(h(x)) modulo m, by Horner's rule in integers from g's lead on:
+    with acc / den the value so far, acc * h reduces to
+    r / (den * dh * lead(m)^e) for (r, e) = _rem(acc * nh, m), h = nh / dh,
+    so a linear g takes one product and no reduction for a reduced h."""
     (ng, dg), (nh, dh) = g, h
-    if len(ng) == 2:
-        n0, n1 = ng
-        return _qmod((add([n1 * v for v in nh], (n0 * dh,)), dg * dh), m)
-    # a constant g keeps Horner's rule (a linear one returned, so >= 2 is the same)
-    if len(ng) > 2 and len(nh) < 5 and even_quartic(m):
-        acc, den = add([ng[-1] * v for v in nh], (ng[-2] * dh,)), dh
-        for c in reversed(ng[:-2]):
-            acc, e = _fold_even(mul(acc, nh), m)
-            den *= dh * m[-1] ** e
-            acc = add(acc, (c * den,))
-        return qpoly(acc, den * dg)
-    return _compose_horner(g, h, m)
-
-
-def _compose_horner(g, h, m):
-    """compose_mod by Horner's rule in integers: with acc / den the value
-    so far, acc * h reduces to r / (den * dh * lead(m)^e)."""
-    (ng, dg), (nh, dh) = g, h
-    acc, den = (), 1
-    for c in reversed(ng):
-        acc, e = pseudo_rem(mul(acc, nh), m)
+    acc, den = ng[-1:], 1
+    for c in reversed(ng[:-1]):
+        acc, e = _rem(mul(acc, nh), m)
         den *= dh * m[-1] ** e
         acc = add(acc, (c * den,))
     return qpoly(acc, den * dg)

@@ -940,13 +940,13 @@ def test_even_quartic_records_tell_a_root_from_its_conjugate(monkeypatch):
 def test_a_geometry_pass_reduces_and_signs_even_quartic_values_in_closed_form(monkeypatch):
     """The first 30 operations of `geometry` seeds 1-4 (the sqrt(3)/2
     equidistants join sqrt(3)/2 with a square root, a compositum, and the
-    distance-3 paths take a tower) do no Horner step with pseudo-division
-    (_compose_horner) modulo an even quartic minimal polynomial, no
-    pseudo_rem there outside Sturm chains, and decide no sign over such a
-    generator by an enclosure (_range): the closed forms over u = psi^2 do
-    it all.  The work is there: dotmod runs modulo even quartics, sign
-    reads values over their generators, and _record checks embeddings
-    into them."""
+    distance-3 paths take a tower) run no pseudo_rem modulo an even
+    quartic minimal polynomial outside Sturm chains, so every product,
+    sum of products and Horner step there folds x^4 (polys._rem), and
+    decide no sign over such a generator by an enclosure (_range): the
+    closed forms over u = psi^2 do it all.  The work is there: dotmod runs
+    modulo even quartics, sign reads values over their generators, and
+    _record checks embeddings into them."""
     import sys
     from pathlib import Path
     from rotagraph import algebraic
@@ -954,13 +954,9 @@ def test_a_geometry_pass_reduces_and_signs_even_quartic_values_in_closed_form(mo
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     import workloads
     even = polys.even_quartic
-    seen = {"_compose_horner": 0, "pseudo_rem": 0, "_range": 0, "dotmod": 0, "sign": 0, "_record": 0}
-    horner, rem, rng_, dotmod, sign, record = (polys._compose_horner, polys.pseudo_rem, algebraic._range,
-                                              polys.dotmod, AlgReal.sign, algebraic._record)
-
-    def spy_horner(g, h, m):
-        seen["_compose_horner"] += even(m)
-        return horner(g, h, m)
+    seen = {"pseudo_rem": 0, "_range": 0, "dotmod": 0, "sign": 0, "_record": 0}
+    rem, rng_, dotmod, sign, record = (polys.pseudo_rem, algebraic._range, polys.dotmod, AlgReal.sign,
+                                       algebraic._record)
 
     def spy_rem(a, b):
         seen["pseudo_rem"] += even(b) and sys._getframe(1).f_code.co_name != "sturm_chain"
@@ -984,7 +980,6 @@ def test_a_geometry_pass_reduces_and_signs_even_quartic_values_in_closed_form(mo
         seen["_record"] += even(psi.min_poly)
         return record(psi, embeds)
 
-    monkeypatch.setattr(polys, "_compose_horner", spy_horner)
     monkeypatch.setattr(polys, "pseudo_rem", spy_rem)
     monkeypatch.setattr(algebraic, "_range", spy_range)
     monkeypatch.setattr(polys, "dotmod", spy_dotmod)
@@ -994,7 +989,7 @@ def test_a_geometry_pass_reduces_and_signs_even_quartic_values_in_closed_form(mo
         runner = workloads.Runner()
         assert all(runner.run(kind, args) for kind, args in itertools.islice(workloads.schedule(seed), 30))
     monkeypatch.undo()
-    assert seen["_compose_horner"] == seen["pseudo_rem"] == seen["_range"] == 0, seen
+    assert seen["pseudo_rem"] == seen["_range"] == 0, seen
     assert seen["dotmod"] > 0 and seen["sign"] > 0 and seen["_record"] == 20, seen
 
 

@@ -148,6 +148,17 @@ FIELD_CALLS = [
     # a square in a cubic field, at whose inert prime 3 the elements x,
     # x + 1 and x + 2 are all squares
     ["field", "eval", "--expr", "sqrt(root(-2209,-349,-3,1,0))"],
+    # products, quotients and images over a tower sqrt(2 + sqrt 3), an even
+    # quartic, over sqrt(2) + sqrt(3) and over a sextic compositum: inverses
+    # over a quadratic, an even quartic and a sextic, compositions of linear
+    # and quadratic elements into larger fields, reductions of products
+    ["field", "eval", "--expr", "1/(1+sqrt(2+sqrt(3)))"],
+    ["field", "eval", "--expr", "(sqrt(2)+sqrt(3))*(sqrt(2)+sqrt(3))*(sqrt(2)+sqrt(3))"],
+    ["field", "eval", "--expr", "(1+sqrt(2+sqrt(3)))/(3-sqrt(3))"],
+    ["field", "eval", "--expr", f"({CBRT2}+sqrt(3))/(1+sqrt(3))"],
+    ["field", "eval", "--expr", "sqrt(2+sqrt(3))*(1+sqrt(3))*sqrt(2+sqrt(3))"],
+    # two roots of one quartic, whose join no prime certifies
+    ["field", "eval", "--expr", "sqrt(2+sqrt(3))*sqrt(2-sqrt(3))"],
 ]
 
 S4 = "(0 1);(0 1 2 3)"
@@ -205,6 +216,7 @@ FACTORISING = [argv + extra for argv in (
     ["field", "eval", "--expr", f"{CBRT2}*{CBRT4}-2"],
     ["field", "eval", "--expr", f"{SQRT2_3}-sqrt(2)"],
     ["field", "eval", "--expr", f"({SQRT2_3}-sqrt(2))*{CBRT2}+{CBRT4}"],
+    ["field", "eval", "--expr", "sqrt(2+sqrt(3))*sqrt(2-sqrt(3))"],
 ) for extra in ([], ["--approx", "53"])]
 
 
@@ -234,7 +246,7 @@ def test_recorded_field_values_are_sympys():
             printed = json.loads(w["stdout"])["value"]
             assert so.same_value(expr.parse(printed), so.parse(argv[3])), argv
             checked += 1
-    assert checked == 16
+    assert checked == 22
 
 
 def _record():

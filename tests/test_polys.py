@@ -2,8 +2,9 @@
 (against its resultant, written the way the kernel used to call it),
 gcds, Sturm chains, square-free parts and factorisation, and the
 irreducibility certificates against factorisation; integer signs against
-Fraction Horner; the quadratic and even-quartic closed forms of the
-field arithmetic against the general routes; the real roots and factors
+Fraction Horner; the one reduction modulo m (its quadratic and
+even-quartic folds) and the field arithmetic over it against whole
+products and compositions pseudo-divided once; the real roots and factors
 read off one isolation against factorisation; the cache bounds."""
 
 import ast
@@ -300,13 +301,33 @@ def quadratic_element(rng, bits, zero=True):
     return polys.qpoly(n, rng.choice((1, rng.randint(1, 1 << bits))))
 
 
+def reduced(n, d, m):
+    """n / d modulo m by pseudo_rem itself: the reference that avoids
+    polys._rem."""
+    r, e = polys.pseudo_rem(n, m)
+    return polys.qpoly(r, d * m[-1] ** e)
+
+
+def composed(g, h, m):
+    """g(h) modulo m: the whole composition sum_i n_i * nh^i * dh^(k - i)
+    over dg * dh^k in integers, for g = (n_0 + ... + n_k*x)/dg and
+    h = nh/dh, reduced once (reduced)."""
+    (ng, dg), (nh, dh) = g, h
+    k = max(len(ng) - 1, 0)
+    n, power = (), (1,)
+    for i, c in enumerate(ng):
+        n = polys.add(n, [c * dh ** (k - i) * v for v in power])
+        power = polys.mul(power, nh)
+    return reduced(n, dg * dh ** k, m)
+
+
 def test_quadratic_closed_forms_match_the_general_routes():
-    """Modulo a quadratic m, mulmod and dotmod fold x^2 once, invmod is the
-    conjugate over the norm, and compose_mod maps a linear g as n0 + n1*h:
-    each agrees with the route it bypasses (pseudo-division, the extended
-    Euclid, Horner's rule), on seeded quadratics of either discriminant
-    sign with 3 to 200 bits, elements with n0 = 0 or n1 = 0, and mixed
-    denominators; h lies in a field of degree 2 to 4."""
+    """Modulo a quadratic m, mulmod and dotmod fold x^2 once (_rem), invmod
+    takes one Euclid step and compose_mod maps a linear g as n0 + n1*h:
+    each agrees with pseudo-division of the whole product or composition
+    (reduced, composed), and g * invmod(g) is 1, on seeded quadratics of
+    either discriminant sign with 3 to 200 bits, elements with n0 = 0 or
+    n1 = 0, and mixed denominators; h lies in a field of degree 2 to 4."""
     rng = random.Random(4101)
     one = ((1,), 1)
     for bits in (3, 4, 5, 8, 16, 33, 64, 100, 150, 200):
@@ -316,19 +337,17 @@ def test_quadratic_closed_forms_match_the_general_routes():
                 k = rng.randint(1, 6)
                 xs = [quadratic_element(rng, bits) for _ in range(k)]
                 ys = [quadratic_element(rng, bits) for _ in range(k)]
-                products = [polys._qmod((polys.mul(x[0], y[0]), x[1] * y[1]), m)
-                            for x, y in zip(xs, ys)]
+                products = [reduced(polys.mul(x[0], y[0]), x[1] * y[1], m) for x, y in zip(xs, ys)]
                 assert polys.dotmod(xs, ys, m) == reduce(polys.qadd, products, ((), 1))
                 for x, y, p in zip(xs, ys, products):
                     assert polys.mulmod(x, y, m) == p, (m, x, y)
                 g = quadratic_element(rng, bits, zero=False)
                 inv = polys.invmod(g, m)
-                assert inv == polys._invmod_euclid(g, m), (m, g)
-                assert polys.mulmod(g, inv, m) == one
+                assert reduced(polys.mul(g[0], inv[0]), g[1] * inv[1], m) == one, (m, g)
                 big = (m, random_irreducible(rng, rng.randint(3, 4)))[rng.randrange(2)]
                 h = polys.qpoly([rng.randint(-(1 << bits), 1 << bits) for _ in big[1:]],
                                 rng.randint(1, 1 << bits))
-                assert polys.compose_mod(g, h, big) == polys._compose_horner(g, h, big)
+                assert polys.compose_mod(g, h, big) == composed(g, h, big), (big, g, h)
 
 
 def even_quartic_of_bits(rng, bits):
@@ -359,9 +378,9 @@ def even_quartic_element(rng, bits):
 
 def test_even_quartic_closed_forms_match_the_general_routes():
     """Modulo an even quartic m = c0 + c2*x^2 + c4*x^4, mulmod and dotmod
-    fold x^4 once (_fold_even) and compose_mod runs Horner's rule with that
-    fold: each agrees with the route it bypasses (pseudo-division,
-    Horner's rule with pseudo_rem), on seeded quartics with 3 to 200-bit
+    fold x^4 once (_rem) and compose_mod runs Horner's rule with that
+    fold: each agrees with pseudo-division of the whole product or
+    composition (reduced, composed), on seeded quartics with 3 to 200-bit
     coefficients, elements of Q(x^2), odd ones, constants and zero, and
     mixed denominators; g of degree 2 or 3 into the quartic, from an h
     reduced or not."""
@@ -372,25 +391,67 @@ def test_even_quartic_closed_forms_match_the_general_routes():
             k = rng.randint(1, 5)
             xs = [even_quartic_element(rng, bits) for _ in range(k)]
             ys = [even_quartic_element(rng, bits) for _ in range(k)]
-            products = [polys._qmod((polys.mul(x[0], y[0]), x[1] * y[1]), m)
-                        for x, y in zip(xs, ys)]
+            products = [reduced(polys.mul(x[0], y[0]), x[1] * y[1], m) for x, y in zip(xs, ys)]
             assert polys.dotmod(xs, ys, m) == reduce(polys.qadd, products, ((), 1)), (m, xs, ys)
             for x, y, p in zip(xs, ys, products):
                 assert polys.mulmod(x, y, m) == p, (m, x, y)
-                n = polys.mul(x[0], y[0])
-                r, e = polys._fold_even(n, m)
-                want, e2 = polys.pseudo_rem(n, m)
-                assert polys.qpoly(r, m[-1] ** e) == polys.qpoly(want, m[-1] ** e2), (m, n)
             g = polys.qpoly([rng.randint(-(1 << bits), 1 << bits) for _ in range(rng.randint(3, 4))],
                             rng.randint(1, 1 << bits))
             h = even_quartic_element(rng, bits)
-            if rng.randrange(4) == 0:       # not reduced: Horner's rule with pseudo_rem
+            if rng.randrange(4) == 0:       # not reduced: products of degree 7 or more
                 h = polys.qpoly([rng.randint(-(1 << bits), 1 << bits) for _ in range(rng.randint(5, 6))],
                                 h[1])
-                # a product of degree 7 or more is reduced by pseudo-division
                 x = polys.qpoly(h[0][:5], h[1])
-                assert polys.mulmod(x, y, m) == polys._qmod((polys.mul(x[0], y[0]), x[1] * y[1]), m)
-            assert polys.compose_mod(g, h, m) == polys._compose_horner(g, h, m), (m, g, h)
+                assert polys.mulmod(x, y, m) == reduced(polys.mul(x[0], y[0]), x[1] * y[1], m)
+            assert polys.compose_mod(g, h, m) == composed(g, h, m), (m, g, h)
+
+
+def test_rem_boundaries(monkeypatch):
+    """polys._rem at the edges of its shapes, each against pseudo-division
+    as a rational r / lead(m)^e: n of degree below m's comes back as it is;
+    modulo a quadratic, n of length 3 folds x^2 and n of length 4 is
+    pseudo-divided; modulo an even quartic, n of length 5 to 7 folds x^4
+    (with and without an x^6 term) and n of length 8 is pseudo-divided; a
+    three-term n modulo a linear m, and a five-term n modulo quartics with
+    an odd term, are pseudo-divided; a list n, as shift passes, folds as a
+    tuple does."""
+    calls, original = [], polys.pseudo_rem
+    monkeypatch.setattr(polys, "pseudo_rem", lambda a, b: calls.append(len(a)) or original(a, b))
+
+    def check(n, m, pseudo):
+        calls.clear()
+        r, e = polys._rem(n, m)
+        want, e2 = original(n, m)
+        assert len(r) < len(m) and polys.qpoly(r, m[-1] ** e) == polys.qpoly(want, m[-1] ** e2), (n, m)
+        assert calls == [len(n)] * pseudo, (n, m, calls)
+
+    quadratic, quartic = (-7, 3, 5), (-3, 0, 7, 0, 4)
+    assert polys._rem((4, -9), quadratic) == ((4, -9), 0)
+    assert polys._rem([1, 2, 3, 4], quartic) == ([1, 2, 3, 4], 0)
+    check((2, -3, 11), quadratic, False)
+    check((2, 3, 5), quadratic, False)        # x^2 folds to a constant
+    check((2, -3, 11, 6), quadratic, True)
+    for n in ((1, 2, 3, 4, 5), (1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6, 7), (0, 0, 0, 0, 0, 0, -1)):
+        check(n, quartic, False)
+        check(list(n), quartic, False)
+    check((1, 2, 3, 4, 5, 6, 7, 8), quartic, True)
+    check((1, 2, 3), (5, 2), True)
+    check((1, 2, 3, 4, 5), (-3, 1, 7, 0, 4), True)
+    check((1, 2, 3, 4, 5), (-3, 0, 7, 1, 4), True)
+
+
+def test_compose_mod_boundaries():
+    """compose_mod of g = 0, a constant, a linear and a quadratic g, at
+    h = 0, a linear h, a reduced h and an unreduced one, modulo a
+    quadratic, an even quartic and a cubic: each agrees with the whole
+    composition reduced once (composed)."""
+    rng = random.Random(4601)
+    for m in ((-7, 3, 5), (-3, 0, 7, 0, 4), (-2, 0, 0, 1)):
+        for h in (((), 1), polys.qpoly((3, -1), 4),
+                  polys.qpoly([rng.randint(-9, 9) for _ in m[1:]] + [2], 7),
+                  polys.qpoly([rng.randint(-9, 9) for _ in m] + [3], 5)):
+            for g in (((), 1), ((5,), 3), polys.qpoly((2, -7), 9), polys.qpoly((1, 0, 4), 3)):
+                assert polys.compose_mod(g, h, m) == composed(g, h, m), (m, g, h)
 
 
 def _check_rational_roots(c, monkeypatch):
