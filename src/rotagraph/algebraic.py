@@ -51,39 +51,42 @@ and the integer polynomials real_roots reads (a polynomial itself, or the
 norm of one with irrational coefficients) are factorised only when no
 certificate in polys shows them irreducible (Capelli's theorem for
 x^2 - a, full degree of a compositum, rational roots read off isolating
-intervals, Musser's test); in the geometry all of them fire.  The
+intervals, Musser's test); in the geometry all of them fire.  A tagged
+value's interval and a compositum's come one way: root selection
+(_select_root) on its minimal polynomial, or on a candidate's factors,
+over an enclosure that refining the generators under it tightens.  The
 quadratic facts met most often are each settled by one exact test, with
-no search: the square root of a rational p/q that is no
-square is the root of q*x^2 - p on an isqrt bracket that two signs check;
+no search: the square root of a rational p/q that is no square is the
+root of q*x^2 - p on an isqrt bracket that two signs check;
 two quadratic fields have a compositum of full degree unless their
-discriminants multiply to a square (no prime search); an embedding
-t = h(psi) stands once t's minimal polynomial has one root in the hull of
-h(psi)'s enclosure and t's interval (one root count, no refinement of psi
-down to t's interval); a root count on a quadratic reads two signs at
-each end, with no Sturm chain; the sum of two quadratic generators is
-isolated by the sum of their intervals once that is narrower than its
-distances to its conjugates; a square root of a linear radicand
-(c0 + c1*theta)/d records theta = (d*x^2 - c0)/c1, with no gcd; a value
-over a quadratic generator has its minimal polynomial by substitution
-and its interval from its enclosure cut at the axis of that polynomial,
-which two signs check (no trace, gcd or Sturm chain); the square root
-of an a that is no square in Q(a) is the root of m_a(x^2) on a bracket
-[lo, hi], lo >= 0, that holds one exactly when [lo^2, hi^2] holds one
-root of m_a (a root count on a's own polynomial, none on one of twice
-its degree); and arithmetic over a quadratic generator takes no
-pseudo-division, Euclid, enclosure or Horner step: a product or a sum of
-products folds x^2 once over one denominator, an inverse is the
-conjugate over the norm (polys), a sign is that of A + B*sqrt(D), D the
+discriminants multiply to a square (no prime search), and that
+compositum's quartic and the embedding of its first generator come in
+closed form; an embedding t = h(psi) of a quadratic t = c + b*x + a*x^2
+stands once 2*a*h(psi) + b has the sign of that polynomial's derivative
+at t (one sign over psi), and one of larger degree once t's minimal
+polynomial has one root in the hull of h(psi)'s enclosure and t's
+interval (one root count, no refinement of psi down to t's interval); a
+root count on a quadratic reads two signs at each end, with no Sturm
+chain; a square root of a linear radicand (c0 + c1*theta)/d records
+theta = (d*x^2 - c0)/c1, with no gcd; a value over a quadratic generator
+has its minimal polynomial by substitution (no trace or gcd); the square
+root of an a that is no square in Q(a) is the root of m_a(x^2) on a
+bracket [lo, hi], lo >= 0, that holds one exactly when [lo^2, hi^2]
+holds one root of m_a (a root count on a's own polynomial, none on one
+of twice its degree); and arithmetic over a quadratic generator takes no
+pseudo-division, enclosure or refinement: a product or a sum of products
+folds x^2 once over one denominator, an inverse is one step of the
+extended Euclid (polys.invmod), a sign is that of A + B*sqrt(D), D the
 discriminant, decided in integers (_quadratic_sign), and a value of a
 quadratic field maps into a larger one as n0 + n1*h
 (polys.compose_mod).  The same holds one level down over a generator psi
 of even quartic minimal polynomial m(x) = M(x^2), a quadratic extension
 of u = psi^2 (Loos, 1982): a product or a sum of products folds x^4
-once, a quadratic or cubic g maps in by folded products, a sign is X's,
-or X's times the norm X^2 - u*Y^2's, for g(psi) = X + psi*Y (three signs
-over u, and none of an interval of u: m'(psi) = 2*psi*M'(u) tells which
-root of M u is), and a quadratic t = h(psi) is recorded after one folded
-product and one such sign, with no enclosure (_record).
+once, a quadratic or cubic g maps in by folded products, and a sign is
+X's, or X's times the norm X^2 - u*Y^2's, for g(psi) = X + psi*Y (three
+signs over u, and none of an interval of u: m'(psi) = 2*psi*M'(u) tells
+which root of M u is), so a quadratic t = h(psi) is recorded after one
+folded product and one such sign, with no enclosure.
 
 Values are immutable.  The isolating interval may be tightened in place,
 a rational or tagged value's minimal polynomial filled in on first use, a
@@ -388,8 +391,8 @@ def _quadratic_sign(root, g):
     (min_poly, interval, sign at its lower end) of m = c0 + c1*x + c2*x^2,
     c2 > 0, of discriminant D > 0, with no enclosure: 2*c2*d*g(theta) is
     A + B*sqrt(D) for A = 2*c2*n0 - c1*n1 and B = n1 at m's larger root
-    (m < 0 at its lower end, as _isolate_quadratic reads it), -n1 at the
-    smaller (_surd_sign)."""
+    (where m rises: m < 0 at its lower end), -n1 at the smaller
+    (_surd_sign)."""
     (c0, c1, c2), _, s = root
     (n0, n1), _ = g
     # s != 0 (no isolating endpoint is a root), so s <= 0 would decide the same
@@ -477,48 +480,27 @@ def _enclose(g, interval):
 
 
 def _isolate(theta, g):
-    """(min_poly, isolating interval, sign at its lower end) of g(theta),
-    from its minimal polynomial read off traces, with no factorisation (in
-    closed form over a quadratic theta, _isolate_quadratic); of a rational
-    p/q (theta None), q*x - p and the point interval."""
+    """(min_poly, isolating interval, sign at its lower end) of g(theta):
+    the root of its minimal polynomial f that g's enclosure over theta's
+    interval selects (_select_root, refining theta), with no factorisation;
+    of a rational p/q (theta None), q*x - p and the point interval.  f is
+    read off traces, or over a quadratic theta, a root of
+    m = c0 + c1*x + c2*x^2, for g = (n0 + n1*x)/d, n1 != 0, by putting
+    theta = (d*y - n0)/n1 into m: c2*d^2*y^2 - d*(2*n0*c2 - n1*c1)*y
+    + (n0^2*c2 - n0*n1*c1 + n1^2*c0), made primitive, whose root counts
+    read two signs at each end, with no trace, gcd or Sturm chain."""
     if theta is None:
         p, q = _ints(g)
         r = Fraction(p, q)
-        return (-p, q), (r, r), 0
+        return (-p, q), (r, r), 0      # no rational's sign at its lower end is read
     m = theta.min_poly
     if len(m) == 3:
-        return _isolate_quadratic(theta, g)
-    f = polys.minimal_polynomial(g, m)
-    root = _select_root((f,), lambda: _enclose(g, theta.interval), theta.refine)
-    return root._root
-
-
-def _isolate_quadratic(theta, g):
-    """_isolate for g = (n0 + n1*x)/d, n1 != 0, over a root theta of
-    m = c0 + c1*x + c2*x^2, with no trace, gcd or Sturm chain.  Putting
-    theta = (d*y - n0)/n1 into m gives g's minimal polynomial
-    f = c2*d^2*y^2 - d*(2*n0*c2 - n1*c1)*y + (n0^2*c2 - n0*n1*c1 + n1^2*c0),
-    made primitive, whose roots g(theta) and g(theta') lie either side of
-    the axis Tr/2 = (2*n0*c2 - n1*c1) / (2*c2*d).  y = g(x) rises with x
-    exactly when n1 > 0, and theta is m's larger root exactly when m < 0
-    at its lower end, so g(theta) is f's larger root exactly when both or
-    neither hold.  Its interval is g's enclosure over theta's, cut at the
-    axis on that side, where f has at most one root; f's signs at the two
-    ends, which differ, show the root is there."""
-    (c0, c1, c2), ((n0, n1), d) = theta.min_poly, g
-    tr = 2 * n0 * c2 - n1 * c1
-    f = polys.primitive((n0 * n0 * c2 - n0 * n1 * c1 + n1 * n1 * c0, -d * tr, c2 * d * d))
-    _, interval, s = theta._root
-    lo, hi = _enclose(g, interval)
-    axis = Fraction(tr, 2 * c2 * d)
-    if (n1 > 0) == (s < 0):
-        lo = max(lo, axis)
+        (c0, c1, c2), ((n0, n1), d) = m, g
+        f = polys.primitive((n0 * n0 * c2 - n0 * n1 * c1 + n1 * n1 * c0,
+                             d * (n1 * c1 - 2 * n0 * c2), c2 * d * d))
     else:
-        hi = min(hi, axis)
-    s = polys.sign_at(f, lo)
-    if s == 0 or polys.sign_at(f, hi) != -s:
-        raise InternalConsistencyError("a quadratic value's interval holds no root")
-    return f, (lo, hi), s
+        f = polys.minimal_polynomial(g, m)
+    return _select_root((f,), lambda: _enclose(g, theta.interval), theta.refine)._root
 
 
 # -- generators ---------------------------------------------------------------
@@ -708,33 +690,36 @@ def _summands(t):
 def _record(psi, embeds):
     """Give the new generator psi its embeddings (t, h) after checking each
     exactly: m_t(h(x)) reduces to 0 modulo m_psi, so h(psi) is a root of
-    m_t.  For a quadratic m_t = c + b*x + a*x^2 over a psi of even quartic
-    minimal polynomial, h(psi) is t, not its conjugate t', when
-    2*a*h(psi) + b has the sign of m_t's derivative at t, -s_t for s_t
-    m_t's sign at the lower end of t's interval, since
-    2*a*t' + b = -(2*a*t + b): one closed-form sign.  Else m_t has exactly
-    one root (polys.count_roots_halfopen: a Sturm count, or for a
-    quadratic m_t two signs at each end) in the hull of an enclosure of
-    h(psi) and t's isolating interval, which holds both, so h(psi) = t.
-    While the hull holds more roots, psi's interval is halved k times, k
-    the bit length of the enclosure's width over that of t's interval,
-    rounded up: about log2 of that ratio enclosures in all, not one per
-    halving.  An enclosure that leaves t's interval shows h(psi) to be
-    another root."""
+    m_t.  For a quadratic m_t = c + b*x + a*x^2, h(psi) is t, not its
+    conjugate t', when 2*a*h(psi) + b has the sign of m_t's derivative at
+    t, -s_t for s_t m_t's sign at the lower end of t's interval, since
+    2*a*t' + b = -(2*a*t + b): one sign over psi (AlgReal.sign, in closed
+    form over a quadratic or even quartic psi).  Else m_t has exactly one
+    root (a Sturm count) in the hull of an enclosure of h(psi) and t's
+    isolating interval, which holds both, so h(psi) = t.  While the hull
+    holds more roots, psi's interval is halved k times, k the bit length
+    of the enclosure's width over that of t's interval, rounded up: about
+    log2 of that ratio enclosures in all, not one per halving.  An
+    enclosure that leaves t's interval shows h(psi) to be another root."""
     m = psi.min_poly
     for t, h in embeds:
         mt = t.min_poly
+        # m_t(h) over any positive denominator reduces to 0 or not alike
         if polys.compose_mod((mt, 1), h, m)[0]:
             raise InternalConsistencyError("embedding is not a root of the minimal polynomial")
-        if len(mt) == 3 and polys.even_quartic(m):
+        if len(mt) == 3:
             (nh, dh), (_, b, a) = h, mt
             slope = polys.add([2 * a * v for v in nh], (b * dh,))     # dh*(2*a*h + b)
-            if _even_quartic_sign(psi, (slope, 1)) != -t._root[2]:
+            # a sign reads the numerators alone: any denominator would do
+            if AlgReal._over(psi, (slope, 1)).sign() != -t._root[2]:
                 raise InternalConsistencyError("embedding is another root")
             continue
         lo, hi = t.interval
-        for _ in range(20000):
+        for _ in range(20000):      # a cap that only a check that never converges meets
             elo, ehi = _enclose(h, psi.interval)
+            # t is irrational, so lo < t < hi: an enclosure that meets t's
+            # interval at one end only holds no t either, and <= would
+            # refuse it one refinement sooner
             if ehi < lo or hi < elo:
                 raise InternalConsistencyError("embedding is another root")
             if polys.count_roots_halfopen(mt, min(lo, elo), max(hi, ehi)) == 1:
@@ -765,11 +750,12 @@ def _tower(root, a):
 
 def _compositum(t1, t2):
     """A primitive element psi = t1 + k*t2 of Q(t1, t2), for generators that
-    do not reach each other, recording t1 = h1(psi) and t2 = (psi - t1) / k:
-    for two quadratics psi = t1 + t2 and h1 in closed form
-    (_quadratic_sum); else psi the factor of t1 + k*t2's candidate that its
-    interval selects, and t1 the one common root of m1(x) and m_k(psi - x),
-    m_k that of k*t2, their gcd over Q(psi) (Trager, SYMSAC 1976; Loos,
+    do not reach each other, recording t1 = h1(psi) and t2 = (psi - t1) / k.
+    psi is the root of the factor of t1 + k*t2's candidate that the sum of
+    t1's interval and k times t2's selects (_select_root); for two
+    quadratics the one factor and h1 come in closed form (_quadratic_sum),
+    else h1 gives t1 as the one common root of m1(x) and m_k(psi - x), m_k
+    that of k*t2, their gcd over Q(psi) (Trager, SYMSAC 1976; Loos,
     1982).  k = 1 unless psi is rational or that gcd is not linear, else up
     to _MAX_SHIFT; past the candidate budget, BoundExceededError, and past
     k = _MAX_SHIFT too.  Each of t1 and t2 remembers psi as the last
@@ -786,20 +772,19 @@ def _compositum(t1, t2):
     for k in range(1, _MAX_SHIFT + 1):
         if len(m1) == len(m2) == 3:
             # two quadratics have D1*D2 no square here, or _reach would meet them
-            psi, h1 = _quadratic_sum(t1, t2)
+            m, h1 = _quadratic_sum(m1, m2)
+            factors = (m,)
         else:
             mk = polys.primitive([c * k ** (n2 - i) for i, c in enumerate(m2)])
-            psi = _select_root(
-                polys.composed_factors(m1, mk),
-                lambda: tuple(a + k * b for a, b in zip(t1.interval, t2.interval)),
-                lambda: (t1.refine(), t2.refine()))
-            h1 = None
-            if not psi.is_rational:
-                m = psi.min_poly
-                # m_k(psi - x), the shift of m_k(-z) over Q(psi)
-                f = polys.gcd_mod([polys.qpoly((c,)) for c in m1], polys.shift(
-                    [(-1) ** i * c for i, c in enumerate(mk)], m), m)
-                h1 = polys.qscale(f[0], -1) if len(f) == 2 else None
+            factors, h1 = polys.composed_factors(m1, mk), None
+        psi = _select_root(factors, lambda: tuple(a + k * b for a, b in zip(t1.interval, t2.interval)),
+                           lambda: (t1.refine(), t2.refine()))
+        if h1 is None and not psi.is_rational:
+            m = psi.min_poly
+            # m_k(psi - x), the shift of m_k(-z) over Q(psi)
+            f = polys.gcd_mod([polys.qpoly((c,)) for c in m1], polys.shift(
+                [(-1) ** i * c for i, c in enumerate(mk)], m), m)
+            h1 = polys.qscale(f[0], -1) if len(f) == 2 else None
         if h1 is not None:
             _record(psi, ((t1, h1), (t2, polys.qscale(polys.qsub(_X, h1), 1, k))))
             t1._joined = t2._joined = psi
@@ -807,22 +792,15 @@ def _compositum(t1, t2):
     raise BoundExceededError(f"no primitive element t1 + k*t2 for k up to {_MAX_SHIFT}")
 
 
-def _quadratic_sum(t1, t2):
-    """(psi, h1): psi = t1 + t2, isolated, and t1 = h1(psi), for roots t_i
-    of quadratics m_i = c_i + b_i*x + a_i*x^2 of discriminants D_i with
-    D1*D2 no square, in closed form.  With L = 2*a1*a2 and
-    u = -(b1*a2 + b2*a1), w = L*psi - u is r1 + r2 for
+def _quadratic_sum(m1, m2):
+    """(m, h1): the minimal polynomial m of psi = t1 + t2 and t1 = h1(psi),
+    for roots t_i of quadratics m_i = c_i + b_i*x + a_i*x^2 of
+    discriminants D_i with D1*D2 no square, in closed form.  With
+    L = 2*a1*a2 and u = -(b1*a2 + b2*a1), w = L*psi - u is r1 + r2 for
     r1 = a2*(2*a1*t1 + b1) and r2 = a1*(2*a2*t2 + b2), whose squares are
-    P = a2^2*D1 and Q = a1^2*D2; so (w^2 - P - Q)^2 = 4*P*Q gives psi's
-    minimal polynomial, and w^3 - (3P + Q)*w = 2*(Q - P)*r1 with
-    t1 = (r1 - a2*b1) / L.  Q != P, since D1*D2 is no square.  psi's three
-    conjugates lie at distances |e1|, |e2| and |e1 + e2| from it, with
-    e_i = 2*t_i + b_i/a_i = t_i minus its conjugate, all nonzero (Q != P
-    again), so I1 + I2, t1's interval plus t2's, isolates psi once it is
-    narrower than lower bounds of all three read off I1 and I2, compared
-    in integers over one denominator k; t1 and t2 are refined until it is,
-    with no Sturm chain."""
-    m1, m2 = t1.min_poly, t2.min_poly
+    P = a2^2*D1 and Q = a1^2*D2; so (w^2 - P - Q)^2 = 4*P*Q gives m, and
+    w^3 - (3P + Q)*w = 2*(Q - P)*r1 with t1 = (r1 - a2*b1) / L.  Q != P,
+    since D1*D2 is no square."""
     (_, b1, a1), (_, b2, a2) = m1, m2
     L, u = 2 * a1 * a2, -(b1 * a2 + b2 * a1)
     P, Q = a2 * a2 * polys.discriminant(m1), a1 * a1 * polys.discriminant(m2)
@@ -831,25 +809,7 @@ def _quadratic_sum(t1, t2):
     f = polys.sub(w2, (P + Q,))
     m = polys.primitive(polys.sub(polys.mul(f, f), (4 * P * Q,)))
     r1 = polys.mul(w, polys.sub(w2, (3 * P + Q,)))
-    h1 = polys.qpoly(polys.sub(r1, (2 * (Q - P) * a2 * b1,)), 2 * (Q - P) * L)
-    for _ in range(20000):
-        ends = [e.as_integer_ratio() for e in (*t1.interval, *t2.interval)]
-        q = lcm(*(d for _, d in ends))
-        k = q * a1 * a2
-        lo1, hi1, lo2, hi2 = (n * (k // d) for n, d in ends)
-        s1, s2 = b1 * q * a2, b2 * q * a1
-        lo, hi = lo1 + lo2, hi1 + hi2
-        # times k: |e| >= max(elo, -ehi, 0) for e in [elo, ehi].  A width
-        # equal to the least bound would isolate too: two points of the
-        # half-open (lo, hi] lie less than hi - lo apart, so no conjugate at
-        # distance >= hi - lo shares it; < merely refines once more there
-        if hi - lo < min(max(2 * lo1 + s1, -2 * hi1 - s1, 0),
-                         max(2 * lo2 + s2, -2 * hi2 - s2, 0),
-                         max(2 * lo + s1 + s2, -2 * hi - s1 - s2, 0)):
-            return AlgReal._make(m, (Fraction(lo, k), Fraction(hi, k))), h1
-        t1.refine()
-        t2.refine()
-    raise InternalConsistencyError("compositum isolation did not converge")
+    return m, polys.qpoly(polys.sub(r1, (2 * (Q - P) * a2 * b1,)), 2 * (Q - P) * L)
 
 
 # -- root selection ---------------------------------------------------------

@@ -724,17 +724,25 @@ def test_towers_and_composita_factorise_nothing_above_degree_4(monkeypatch):
         assert degrees == [], argv
 
 
-def test_square_roots_over_quadratic_data_build_no_sturm_chain_and_no_gcd(monkeypatch):
+def test_square_roots_over_quadratic_data_build_one_join_chain_and_no_gcd(monkeypatch):
     """An equidistant point at cos l = sqrt(3)/2 between rational points
     joins two quadratic fields, and a witness path of length 3 at
     cos l = 4/5 takes a square root of a linear radicand over the
-    quadratic field of its geodesic step: root counts on quadratics, the
-    join's isolation and the tower's embedding are all closed forms, so
-    neither builds a Sturm chain or runs a gcd over a number field."""
+    quadratic field of its geodesic step.  Root counts on quadratics, the
+    join's minimal polynomial and embedding, and the tower's embedding
+    are all closed forms: the join builds exactly one Sturm chain, on
+    which root selection isolates its compositum's quartic, the path
+    builds none, and neither runs a gcd over a number field."""
     from rotagraph import elliptic as ep, graph as gr
 
     def no_gcd(*_):
         raise AssertionError("a gcd over a number field ran")
+
+    chains, sturm_chain = [], polys.sturm_chain
+
+    def spy_chain(c):
+        chains.append(c)
+        return sturm_chain(c)
 
     cos_l = sqrt_nonneg(AlgReal(Fraction(3, 4)))
     p2 = ep.make_point(Fraction(2, 3), Fraction(1, 3), Fraction(2, 3))
@@ -742,12 +750,14 @@ def test_square_roots_over_quadratic_data_build_no_sturm_chain_and_no_gcd(monkey
     spec = gr.GraphSpec(Fraction(4, 5))
     p = ep.make_point(Fraction(2, 3), Fraction(1, 3), Fraction(-2, 3))
     q = ep.make_point(Fraction(2, 11), Fraction(6, 11), Fraction(9, 11))
-    polys.sturm_chain.cache_clear()
     monkeypatch.setattr(polys, "gcd_mod", no_gcd)
+    monkeypatch.setattr(polys, "sturm_chain", spy_chain)
     z = ep.equidistant_point(p2, q2, cos_l)
-    assert polys.sturm_chain.cache_info().misses == 0
+    psi = cos_l._joined
+    assert psi.degree == 4 and set(chains) == {psi.min_poly}, chains
+    chains.clear()
     path = gr.witness_path(spec, p, q)
-    assert polys.sturm_chain.cache_info().misses == 0
+    assert chains == []
     monkeypatch.undo()
     assert ep.dist_cos(z, p2) == cos_l and ep.dist_cos(z, q2) == cos_l
     assert len(path) == 3 and gr.verify_path(spec, path, p, q, 3)
@@ -909,32 +919,53 @@ def test_even_quartic_signs_match_interval_refinement():
 
 
 def test_even_quartic_records_tell_a_root_from_its_conjugate(monkeypatch):
-    """_record over a psi of even quartic minimal polynomial checks a
-    quadratic t = h(psi) with one folded product and one closed-form sign,
-    no enclosure: the embeddings that a tower over either conjugate and a
-    join record pass again, while the conjugate's embedding h' = -b/a - h
-    (a root of m_t too, so only the sign refuses it) and a non-root
-    h + 1 are refused."""
+    """_record checks a quadratic t = h(psi) with one sign over psi, by no
+    root count.  Over a psi of even quartic minimal polynomial that sign
+    is one closed form, with no enclosure: the embeddings that a tower
+    over either conjugate and a join record pass again.  Over a psi of
+    degree 6 (sqrt 2 + cbrt 2) and of degree 12 (a square root over that
+    field), sqrt 2 as psi reaches it passes.  Everywhere the conjugate's
+    embedding h' = -b/a - h (a root of m_t too, so only the sign refuses
+    it) and a non-root h + 1 are refused."""
     from rotagraph import algebraic
+    from rotagraph.algebraic import _reach
     from rotagraph.errors import InternalConsistencyError
     theta = AlgReal.from_root((-5, 3, 1), 0)
+    cbrt2 = AlgReal.from_root((-2, 0, 0, 1), 0)
     values = [sqrt_nonneg(add(7, mul(3, SQRT2))), sqrt_nonneg(sub(7, mul(3, SQRT2))),
               sqrt_nonneg(add(7, theta)), add(SQRT2, SQRT3), sub(mul(3, SQRT3), sqrt_nonneg(Fraction(5, 4)))]
-    monkeypatch.setattr(algebraic, "_enclose", None)     # any enclosure fails
-    checked = 0
-    for v in values:
-        psi = _gen_of(v)
-        assert polys.even_quartic(psi.min_poly) and psi._embeds
-        algebraic._record(psi, psi._embeds)
-        for t, h in psi._embeds:
-            c, b, a = t.min_poly
-            conjugate = polys.qsub(polys.qpoly((-b,), a), h)
-            with pytest.raises(InternalConsistencyError, match="another root"):
-                algebraic._record(psi, ((t, conjugate),))
-            with pytest.raises(InternalConsistencyError, match="not a root"):
-                algebraic._record(psi, ((t, polys.qadd(h, ((1,), 1))),))
-            checked += 1
+    sextic = add(SQRT2, cbrt2)
+    others = [sextic, sqrt_nonneg(add(3, sextic))]
+    counts, count_roots = [], polys.count_roots_halfopen
+
+    def check(psi, t, h):
+        c, b, a = t.min_poly
+        conjugate = polys.qsub(polys.qpoly((-b,), a), h)
+        embeds = psi._embeds
+        algebraic._record(psi, ((t, h),))
+        psi._embeds = embeds
+        with pytest.raises(InternalConsistencyError, match="another root"):
+            algebraic._record(psi, ((t, conjugate),))
+        with pytest.raises(InternalConsistencyError, match="not a root"):
+            algebraic._record(psi, ((t, polys.qadd(h, ((1,), 1))),))
+
+    monkeypatch.setattr(polys, "count_roots_halfopen", lambda *a: counts.append(a) or count_roots(*a))
+    with monkeypatch.context() as m:
+        m.setattr(algebraic, "_enclose", None)     # any enclosure fails
+        checked = 0
+        for v in values:
+            psi = _gen_of(v)
+            assert polys.even_quartic(psi.min_poly) and psi._embeds
+            algebraic._record(psi, psi._embeds)
+            for t, h in psi._embeds:
+                check(psi, t, h)
+                checked += 1
     assert checked >= 7
+    for v, degree in zip(others, (6, 12)):
+        psi = _gen_of(v)
+        assert psi.degree == degree
+        check(psi, SQRT2, _reach(psi, SQRT2))
+    assert counts == []
 
 
 def test_a_geometry_pass_reduces_and_signs_even_quartic_values_in_closed_form(monkeypatch):
@@ -1453,20 +1484,27 @@ def test_quadratic_compositum_matches_root_selection():
     """psi = t1 + t2 for two quadratic generators has the minimal
     polynomial, and the value, of the root that root selection on the
     factors of their composed sum brackets by t1's and t2's intervals
-    (_select_root, kept here as the oracle), also where t1 + t2 lies near
-    one of its conjugates (sqrt 2 - sqrt(2 + 10^-6))."""
+    (factorised, kept here as the oracle), also where t1 + t2 lies near
+    one of its conjugates (sqrt 2 - sqrt(2 + 10^-6)); its interval holds
+    exactly one root of that polynomial, whether t1 and t2 come fresh or
+    already refined 100 times."""
     from rotagraph.algebraic import _compositum, _select_root
     pairs = list(_seeded_quadratic_pairs(3902, 120))
     pairs += [((-2, 0, 1), 1, (-2000001, 0, 1000000), 0),
               ((-2, 0, 1), 0, (-2000001, 0, 1000000), 1)]
     for m1, i1, m2, i2 in pairs:
-        psi = _compositum(AlgReal.from_root(m1, i1), AlgReal.from_root(m2, i2))
-        t1, t2 = AlgReal.from_root(m1, i1), AlgReal.from_root(m2, i2)
-        want = _select_root(polys.factor_int(polys.cand_sum(m1, m2)),
-                            lambda: tuple(a + b for a, b in zip(t1.interval, t2.interval)),
-                            lambda: (t1.refine(), t2.refine()))
-        assert psi.min_poly == want.min_poly and compare(psi, want) == EQUAL, (m1, i1, m2, i2)
-        assert polys.count_roots_halfopen(psi.min_poly, *psi.interval) == 1
+        for refinements in (0, 100):
+            s1, s2 = AlgReal.from_root(m1, i1), AlgReal.from_root(m2, i2)
+            for _ in range(refinements):
+                s1.refine()
+                s2.refine()
+            psi = _compositum(s1, s2)
+            t1, t2 = AlgReal.from_root(m1, i1), AlgReal.from_root(m2, i2)
+            want = _select_root(polys.factor_int(polys.cand_sum(m1, m2)),
+                                lambda: tuple(a + b for a, b in zip(t1.interval, t2.interval)),
+                                lambda: (t1.refine(), t2.refine()))
+            assert psi.min_poly == want.min_poly and compare(psi, want) == EQUAL, (m1, i1, m2, i2)
+            assert polys.count_roots_halfopen(psi.min_poly, *psi.interval) == 1
     assert abs(approx(psi)) < 1e-6
 
 
@@ -1593,15 +1631,17 @@ def test_integer_powers_and_order_comparisons():
 def test_the_oracle_catches_a_wrong_root(monkeypatch):
     """A value isolated on another root of its own minimal polynomial
     has sympy's minimal polynomial but fails same_value: over a quadratic,
-    with an _isolate_quadratic that cuts g's enclosure on the other side of
-    f's axis; over the totally real cubic field of 2 cos(2 pi / 9), with a
-    _select_root that returns the next root of the factor it selects, as
-    polys isolates them."""
+    with an _isolate that mirrors the interval it selects across the axis
+    of f, its quadratic minimal polynomial; over the totally real cubic
+    field of 2 cos(2 pi / 9), with a _select_root that returns the next
+    root of the factor it selects, as polys isolates them."""
     from rotagraph import algebraic
-    isolate_quadratic, select_root = algebraic._isolate_quadratic, algebraic._select_root
+    isolate, select_root = algebraic._isolate, algebraic._select_root
 
     def other_side(theta, g):
-        f, (lo, hi), _ = isolate_quadratic(theta, g)
+        f, (lo, hi), s = isolate(theta, g)
+        if len(f) != 3:
+            return f, (lo, hi), s
         axis = Fraction(-f[1], 2 * f[2])        # f's two roots lie either side
         return f, (2 * axis - hi, 2 * axis - lo), polys.sign_at(f, 2 * axis - hi)
 
@@ -1614,7 +1654,7 @@ def test_the_oracle_catches_a_wrong_root(monkeypatch):
     *_, lam = cubic = real_roots((1, -3, 0, 1))  # lam = 2 cos(2 pi / 9)
     assert len(cubic) == 3
     for name, mutant, build, e in (
-            ("_isolate_quadratic", other_side, lambda: add(1, mul(3, SQRT2)), 1 + 3 * so.sqrt(2)),
+            ("_isolate", other_side, lambda: add(1, mul(3, SQRT2)), 1 + 3 * so.sqrt(2)),
             ("_select_root", next_root, lambda: add(1, mul(lam, lam)), 1 + so.value(lam) ** 2)):
         assert so.same_value(build(), e)
         with monkeypatch.context() as m:
@@ -1998,9 +2038,9 @@ def test_rational_square_roots_match_the_sturm_route(monkeypatch):
 
 def test_record_accepts_an_embedding_by_one_root_in_the_hull(monkeypatch):
     """Joining sqrt(3/4) and sqrt(5/7) records both embeddings without
-    refining psi, since each m_t has one root in the hull of h(psi)'s
-    enclosure and t's interval.  -h1, which gives the other root of m_t1,
-    and an h that gives no root are refused."""
+    refining psi: each t is quadratic, checked by one sign over psi.  -h1,
+    which gives the other root of m_t1, and an h that gives no root are
+    refused."""
     from rotagraph.algebraic import _field, _record
     from rotagraph.errors import InternalConsistencyError
     t1 = sqrt_nonneg(AlgReal(Fraction(3, 4)))

@@ -159,6 +159,11 @@ FIELD_CALLS = [
     ["field", "eval", "--expr", "sqrt(2+sqrt(3))*(1+sqrt(3))*sqrt(2+sqrt(3))"],
     # two roots of one quartic, whose join no prime certifies
     ["field", "eval", "--expr", "sqrt(2+sqrt(3))*sqrt(2-sqrt(3))"],
+    # towers over a cubic and over a sextic compositum: the quadratic
+    # subfield sqrt 2 is recorded in a sextic by one sign over it, the
+    # cubic and sextic subfields by a root count in a hull
+    ["field", "eval", "--expr", f"sqrt(1+{CBRT2})"],
+    ["field", "eval", "--expr", f"sqrt(3+sqrt(2)+{CBRT2})"],
 ]
 
 S4 = "(0 1);(0 1 2 3)"
@@ -246,7 +251,7 @@ def test_recorded_field_values_are_sympys():
             printed = json.loads(w["stdout"])["value"]
             assert so.same_value(expr.parse(printed), so.parse(argv[3])), argv
             checked += 1
-    assert checked == 22
+    assert checked == 24
 
 
 def _record():
